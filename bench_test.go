@@ -70,6 +70,7 @@ func BenchmarkTableIII_GTChoice(b *testing.B) {
 	grid := harness.DefaultGTGrid()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		runs := predictor.RankRuns()
 		gt, hit, err := harness.ChooseGT(tr, grid, 1.0)
 		if err != nil {
 			b.Fatal(err)
@@ -77,6 +78,9 @@ func BenchmarkTableIII_GTChoice(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(float64(gt/time.Microsecond), "GT_us")
 			b.ReportMetric(hit, "hit_%")
+			// Rank simulations behind the choice: at most NP × len(grid),
+			// fewer wherever grid thresholds share one run.
+			b.ReportMetric(float64(predictor.RankRuns()-runs), "rank_runs")
 		}
 	}
 }

@@ -763,7 +763,8 @@ func cmdTimeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	// A single workload has no point sweep; parallelise the GT grid instead.
+	// A single workload has no point sweep; spread GT selection's ranks
+	// over the pool instead.
 	gt, _, err := harness.ChooseGTParallel(tr, harness.DefaultGTGrid(), 1.0, *par)
 	if err != nil {
 		return err

@@ -21,7 +21,7 @@ func main() {
 	app := flag.String("app", "gromacs", "workload")
 	npList := flag.String("np", "64,128", "comma-separated process counts")
 	scale := flag.Float64("scale", 0.5, "iteration count multiplier")
-	par := flag.Int("parallel", 0, "max concurrent grid points (0 = GOMAXPROCS, 1 = serial)")
+	par := flag.Int("parallel", 0, "max concurrent ranks per sweep (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
 	for _, f := range strings.Split(*npList, ",") {

@@ -36,8 +36,8 @@ func main() {
 	fmt.Printf("idle intervals: %d short (<20us), %d medium, %d long (>200us); long intervals hold %.2f%% of idle time\n",
 		dist.Count[0], dist.Count[1], dist.Count[2], dist.TimePct(2))
 
-	// Sweep the GT grid on the worker pool; the chosen threshold is the
-	// same at any pool size.
+	// Sweep the GT grid with ranks on the worker pool; the chosen threshold
+	// is the same at any pool size.
 	gt, hit, err := harness.ChooseGTParallel(tr, harness.DefaultGTGrid(), 1.0, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

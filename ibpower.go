@@ -367,7 +367,7 @@ func FormatScenarioFaults(cs []FaultClause) string { return scenario.FormatFault
 
 // ChooseGT selects the grouping threshold for a trace by sweeping the
 // Figure 10 grid, trading MPI-call hit rate against low-power opportunity
-// (Section IV-C). The grid is evaluated on a GOMAXPROCS worker pool; the
+// (Section IV-C). Ranks are simulated on a GOMAXPROCS worker pool; the
 // choice is identical to a serial sweep.
 func ChooseGT(tr *Trace) (gt time.Duration, hitRatePct float64, err error) {
 	return harness.ChooseGTParallel(tr, harness.DefaultGTGrid(), 1.0, 0)

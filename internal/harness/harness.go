@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
-	"ibpower/internal/sweep"
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
@@ -65,8 +63,8 @@ type GTSweepPoint struct {
 }
 
 // GTSweep evaluates the MPI-call hit rate across grouping thresholds for one
-// workload source (experiments E6/E7). Thresholds start at GTMin. Grid
-// points run on the default worker pool.
+// workload source (experiments E6/E7). Thresholds start at GTMin and must
+// be strictly increasing. Ranks run on the default worker pool.
 func GTSweep(src trace.Source, gts []time.Duration) ([]GTSweepPoint, error) {
 	return GTSweepParallel(src, gts, 0)
 }
@@ -81,29 +79,41 @@ func GTSweepParallel(src trace.Source, gts []time.Duration, workers int) ([]GTSw
 // GTSweepNamed is GTSweepParallel for any registered predictor: the hit
 // rate reported at each threshold is the predictor's own quality metric
 // (detector-based for the n-gram PPA, resolved-prediction-based for the
-// baselines), evaluated on the network-free offline runner.
+// baselines), evaluated on the network-free offline grid runner, which
+// spreads ranks over the pool.
 func GTSweepNamed(src trace.Source, name string, gts []time.Duration, workers int) ([]GTSweepPoint, error) {
+	res, err := offlineGrid(src, name, gts, workers)
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]GTSweepPoint, len(gts))
+	for i, r := range res {
+		pts[i] = GTSweepPoint{GT: gts[i], HitRatePct: r.AvgHitRatePct()}
+	}
+	return pts, nil
+}
+
+// offlineGrid validates the grid, then runs the named predictor at every
+// grid threshold (displacement 1%, default overheads) with ranks spread
+// over a pool of at most workers goroutines.
+func offlineGrid(src trace.Source, name string, gts []time.Duration, workers int) ([]*predictor.OfflineResult, error) {
 	if err := validateGrid(gts); err != nil {
 		return nil, err
 	}
-	return sweep.Map(context.Background(), workers, gts,
-		func(_ context.Context, _ int, gt time.Duration) (GTSweepPoint, error) {
-			res, err := predictor.RunOfflineNamed(name, src,
-				predictor.Config{GT: gt, Displacement: 0.01}, predictor.DefaultOverheads())
-			if err != nil {
-				return GTSweepPoint{}, err
-			}
-			return GTSweepPoint{GT: gt, HitRatePct: res.AvgHitRatePct()}, nil
-		})
+	return predictor.RunOfflineGrid(src, name, gts,
+		predictor.Config{Displacement: 0.01}, predictor.DefaultOverheads(), workers)
 }
 
-// validateGrid rejects sub-minimum thresholds before any simulation is
-// submitted to the pool, so an invalid grid fails fast instead of after up
-// to a pool's worth of offline runs.
+// validateGrid rejects sub-minimum thresholds and grids that are not
+// strictly increasing before any simulation runs. ChooseGT returns the first
+// qualifying point, which is the smallest only on an ascending grid.
 func validateGrid(gts []time.Duration) error {
-	for _, gt := range gts {
+	for i, gt := range gts {
 		if gt < GTMin {
 			return fmt.Errorf("harness: GT %v below minimum %v", gt, GTMin)
+		}
+		if i > 0 && gt <= gts[i-1] {
+			return fmt.Errorf("harness: GT grid not strictly increasing: %v follows %v", gt, gts[i-1])
 		}
 	}
 	return nil
@@ -136,10 +146,10 @@ func ChooseGT(src trace.Source, grid []time.Duration, tolPct float64) (time.Dura
 	return chooseGT(src, grid, tolPct, 1)
 }
 
-// ChooseGTParallel is ChooseGT with the grid evaluated on a pool of at most
-// workers goroutines (0 selects GOMAXPROCS). The selection is made over the
-// complete score vector in grid order, so the chosen GT is identical at
-// every pool size.
+// ChooseGTParallel is ChooseGT with ranks simulated on a pool of at most
+// workers goroutines (0 selects GOMAXPROCS). Ranks are reduced in rank order
+// and the selection is made over the complete score vector in grid order,
+// so the chosen GT is identical at every pool size.
 func ChooseGTParallel(src trace.Source, grid []time.Duration, tolPct float64, workers int) (time.Duration, float64, error) {
 	return chooseGT(src, grid, tolPct, workers)
 }
@@ -151,24 +161,22 @@ type gtPoint struct {
 	hit   float64
 }
 
-// gtScores evaluates every grid threshold on the pool.
+// gtScores evaluates every grid threshold, with ranks spread over the pool.
 func gtScores(src trace.Source, grid []time.Duration, workers int) ([]gtPoint, error) {
 	// delayWeight penalises realized reactivation delay: a microsecond of
 	// added execution time costs far more than a microsecond of missed
 	// low-power opportunity (it propagates between processes).
 	const delayWeight = 20
-	if err := validateGrid(grid); err != nil {
+	res, err := offlineGrid(src, predictor.DefaultName, grid, workers)
+	if err != nil {
 		return nil, err
 	}
-	return sweep.Map(context.Background(), workers, grid,
-		func(_ context.Context, _ int, gt time.Duration) (gtPoint, error) {
-			res, err := predictor.RunOffline(src, predictor.Config{GT: gt, Displacement: 0.01})
-			if err != nil {
-				return gtPoint{}, err
-			}
-			score := float64(res.TotalLow()) - delayWeight*float64(res.Delay)
-			return gtPoint{gt: gt, score: score, hit: res.AvgHitRatePct()}, nil
-		})
+	pts := make([]gtPoint, len(grid))
+	for i, r := range res {
+		score := float64(r.TotalLow()) - delayWeight*float64(r.Delay)
+		pts[i] = gtPoint{gt: grid[i], score: score, hit: r.AvgHitRatePct()}
+	}
+	return pts, nil
 }
 
 func chooseGT(src trace.Source, grid []time.Duration, tolPct float64, workers int) (time.Duration, float64, error) {

@@ -68,6 +68,27 @@ func TestGTSweepRejectsBelowMinimum(t *testing.T) {
 	}
 }
 
+// TestGTGridMustIncrease covers the grid validation: ChooseGT returns the
+// first qualifying point, which is the smallest only on an ascending grid,
+// and a repeated point would be simulated and reported twice.
+func TestGTGridMustIncrease(t *testing.T) {
+	tr, err := workloads.Generate("alya", 8, fastOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, grid := range map[string][]time.Duration{
+		"unsorted":  {100 * time.Microsecond, 40 * time.Microsecond, 300 * time.Microsecond},
+		"duplicate": {40 * time.Microsecond, 40 * time.Microsecond, 300 * time.Microsecond},
+	} {
+		if _, _, err := ChooseGT(tr, grid, 1.0); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
+			t.Errorf("ChooseGT on a %s grid: err = %v, want a strictly-increasing error", name, err)
+		}
+		if _, err := GTSweepNamed(tr, "lastvalue", grid, 1); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
+			t.Errorf("GTSweepNamed on a %s grid: err = %v, want a strictly-increasing error", name, err)
+		}
+	}
+}
+
 func TestDefaultGTGrid(t *testing.T) {
 	g := DefaultGTGrid()
 	if g[0] != GTMin {

@@ -13,6 +13,7 @@ package ngram
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -51,8 +52,13 @@ func GramKey(ids []EventID) string {
 // Builder forms grams from an event stream per Algorithm 1. Events are fed
 // with the idle time that preceded them; a gram is finalized when an event
 // arrives after an idle period of at least GT (the grouping threshold).
+//
+// The grouping comparison is the builder's only read of GT, so it also
+// tracks the interval of thresholds that would have decided every
+// comparison the same way (GTInterval).
 type Builder struct {
 	gt      time.Duration
+	lo, hi  time.Duration // every GT in (lo, hi] groups the events fed so far identically
 	cur     []EventID
 	curGap  time.Duration
 	start   time.Duration
@@ -65,9 +71,9 @@ type Builder struct {
 
 // gramProto is the interned identity of one distinct gram shape: the
 // canonical key string and a shared read-only ID slice. Shapes are interned
-// once per process (GT sweeps build thousands of short-lived builders over
-// the same call streams; per-builder caches would re-pay the cold misses
-// every time).
+// once per process (every predictor run builds a fresh builder, and GT
+// sweeps run many of them over the same call streams; per-builder caches
+// would re-pay the cold misses every time).
 type gramProto struct {
 	key string
 	ids []EventID
@@ -107,11 +113,18 @@ func NewBuilder(gt time.Duration) *Builder {
 	if gt <= 0 {
 		panic(fmt.Sprintf("ngram: non-positive grouping threshold %v", gt))
 	}
-	return &Builder{gt: gt}
+	return &Builder{gt: gt, hi: math.MaxInt64}
 }
 
 // GT returns the grouping threshold.
 func (b *Builder) GT() time.Duration { return b.gt }
+
+// GTInterval returns the interval (lo, hi] of grouping thresholds that make
+// the same decision as GT at every comparison made so far: lo is the largest
+// compared idle time below GT (0 if none) and hi the smallest compared idle
+// time at or above GT (math.MaxInt64 if none). A builder at any threshold in
+// the interval, fed the same events, forms exactly the same grams.
+func (b *Builder) GTInterval() (lo, hi time.Duration) { return b.lo, b.hi }
 
 // Add feeds one event occupying [start, end]. idleBefore is the idle time
 // since the previous event ended. When the event begins a new gram, the
@@ -134,10 +147,15 @@ func (b *Builder) Add(id EventID, idleBefore time.Duration, start, end time.Dura
 // indefinitely, only the Gram struct itself is reused.
 func (b *Builder) AddShared(id EventID, idleBefore time.Duration, start, end time.Duration) *Gram {
 	var done *Gram
-	if b.started && idleBefore >= b.gt {
-		done = b.take()
-		done.GapBefore = b.curGap
-		b.curGap = idleBefore
+	if b.started {
+		if idleBefore >= b.gt {
+			b.hi = min(b.hi, idleBefore)
+			done = b.take()
+			done.GapBefore = b.curGap
+			b.curGap = idleBefore
+		} else {
+			b.lo = max(b.lo, idleBefore)
+		}
 	}
 	if !b.started {
 		b.started = true

@@ -2,7 +2,9 @@ package ngram
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -79,6 +81,82 @@ func TestBuilderBoundaryExactlyGT(t *testing.T) {
 	g := b.Add(2, 20*us, 0, 0)
 	if g == nil || g.Key != "1" {
 		t.Fatalf("idle == GT must close the gram, got %v", g)
+	}
+}
+
+func TestBuilderGTIntervalBoundary(t *testing.T) {
+	b := NewBuilder(20 * us)
+	if lo, hi := b.GTInterval(); lo != 0 || hi != math.MaxInt64 {
+		t.Fatalf("fresh builder interval (%v, %v], want (0, max]", lo, hi)
+	}
+	// The first event's idle time is never compared with GT.
+	b.Add(1, 5*us, 0, 0)
+	if lo, hi := b.GTInterval(); lo != 0 || hi != math.MaxInt64 {
+		t.Fatalf("interval (%v, %v] after the first event, want (0, max]", lo, hi)
+	}
+	// idle == GT starts a new gram, so it bounds the interval from above
+	// and that bound is inclusive.
+	b.Add(2, 20*us, 0, 0)
+	if _, hi := b.GTInterval(); hi != 20*us {
+		t.Errorf("hi = %v after idle == GT, want 20µs", hi)
+	}
+	// idle just below GT groups, so it bounds the interval from below.
+	b.Add(3, 20*us-1, 0, 0)
+	if lo, _ := b.GTInterval(); lo != 20*us-1 {
+		t.Errorf("lo = %v after idle just below GT, want 20µs-1ns", lo)
+	}
+	// Looser comparisons leave the tightest bounds in place.
+	b.Add(4, 3*us, 0, 0)
+	b.Add(5, 300*us, 0, 0)
+	if lo, hi := b.GTInterval(); lo != 20*us-1 || hi != 20*us {
+		t.Errorf("interval (%v, %v], want (20µs-1ns, 20µs]", lo, hi)
+	}
+}
+
+// TestBuilderGTIntervalExact checks on random streams that the reported
+// interval (lo, hi] is exact: builders at lo+1 and hi form the same grams as
+// the original, and builders at lo and hi+1 (just outside) do not.
+func TestBuilderGTIntervalExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gaps := make([]time.Duration, 200)
+	grams := func(gt time.Duration) []string {
+		b := NewBuilder(gt)
+		var keys []string
+		for i, g := range gaps {
+			if gr := b.Add(EventID(i%3), g, 0, 0); gr != nil {
+				keys = append(keys, fmt.Sprint(gr.Key, "/", gr.GapBefore))
+			}
+		}
+		if gr := b.Flush(); gr != nil {
+			keys = append(keys, fmt.Sprint(gr.Key, "/", gr.GapBefore))
+		}
+		return keys
+	}
+	for trial := 0; trial < 50; trial++ {
+		for i := range gaps {
+			gaps[i] = time.Duration(rng.Intn(500)) * us
+		}
+		gt := time.Duration(20+rng.Intn(380)) * us
+		b := NewBuilder(gt)
+		for i, g := range gaps {
+			b.Add(EventID(i%3), g, 0, 0)
+		}
+		lo, hi := b.GTInterval()
+		if !(lo < gt && gt <= hi) {
+			t.Fatalf("GT %v outside its own interval (%v, %v]", gt, lo, hi)
+		}
+		want := grams(gt)
+		for _, in := range []time.Duration{lo + 1, hi} {
+			if got := grams(in); !reflect.DeepEqual(got, want) {
+				t.Errorf("GT %v: threshold %v inside (%v, %v] forms different grams", gt, in, lo, hi)
+			}
+		}
+		if lo > 0 && reflect.DeepEqual(grams(lo), want) {
+			t.Errorf("GT %v: threshold lo = %v forms the same grams; interval not tight", gt, lo)
+		}
+		if hi != math.MaxInt64 && reflect.DeepEqual(grams(hi+1), want) {
+			t.Errorf("GT %v: threshold hi+1 = %v forms the same grams; interval not tight", gt, hi+1)
+		}
 	}
 }
 

@@ -1,0 +1,145 @@
+package predictor
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"ibpower/internal/trace"
+	"ibpower/internal/workloads"
+)
+
+// defaultGrid mirrors harness.DefaultGTGrid (20–400 µs in 20 µs steps),
+// which this package cannot import.
+func defaultGrid() []time.Duration {
+	var g []time.Duration
+	for v := 20; v <= 400; v += 20 {
+		g = append(g, time.Duration(v)*us)
+	}
+	return g
+}
+
+// testGrids are the grids the equivalence tests cover: the default grid, an
+// off-step grid whose points fall between the default's, and a single point.
+func testGrids() map[string][]time.Duration {
+	return map[string][]time.Duration{
+		"default": defaultGrid(),
+		"offstep": {25 * us, 37 * us, 150 * us, 399 * us},
+		"single":  {100 * us},
+	}
+}
+
+// perGT is the brute-force reference: one RunOfflineNamed per threshold.
+func perGT(t *testing.T, src trace.Source, name string, gts []time.Duration) []*OfflineResult {
+	t.Helper()
+	out := make([]*OfflineResult, len(gts))
+	for i, gt := range gts {
+		res, err := RunOfflineNamed(name, src, Config{GT: gt, Displacement: 0.01}, DefaultOverheads())
+		if err != nil {
+			t.Fatalf("%s at GT %v: %v", name, gt, err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// checkGridMatches compares RunOfflineGrid at the given pool size against
+// one RunOfflineNamed per threshold, on every test grid.
+func checkGridMatches(t *testing.T, src trace.Source, name string, workers int) {
+	t.Helper()
+	for gname, gts := range testGrids() {
+		got, err := RunOfflineGrid(src, name, gts, Config{Displacement: 0.01}, DefaultOverheads(), workers)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", name, gname, err)
+		}
+		want := perGT(t, src, name, gts)
+		if len(got) != len(want) {
+			t.Fatalf("%s/%s: %d results, want %d", name, gname, len(got), len(want))
+		}
+		for i := range gts {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s/%s at GT %v: shared result differs from a direct run\n got %+v\nwant %+v",
+					name, gname, gts[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestRunOfflineGridMatchesPerGT(t *testing.T) {
+	opt := workloads.Options{IterScale: 0.25}
+	for _, app := range workloads.Apps() {
+		for _, np := range workloads.ProcCounts(app)[:2] {
+			t.Run(fmt.Sprintf("%s-%d", app, np), func(t *testing.T) {
+				tr, err := workloads.Generate(app, np, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGridMatches(t, tr, DefaultName, 1)
+			})
+		}
+	}
+}
+
+// TestRunOfflineGridMatchesPerGTAllPredictors runs the same check for every
+// registered predictor: the n-gram PPA shares runs across thresholds, the
+// others cover only their own threshold, and all go through one code path.
+func TestRunOfflineGridMatchesPerGTAllPredictors(t *testing.T) {
+	tr, err := workloads.Generate("gromacs", 8, workloads.Options{IterScale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) { checkGridMatches(t, tr, name, 1) })
+	}
+}
+
+// TestRunOfflineGridPoolSizeInvariant checks that spreading ranks over a
+// pool leaves every result bit-identical to the serial runner.
+func TestRunOfflineGridPoolSizeInvariant(t *testing.T) {
+	tr, err := workloads.Generate("alya", 16, workloads.Options{IterScale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{DefaultName, "oracle"} {
+		checkGridMatches(t, tr, name, 4)
+	}
+}
+
+// TestRunOfflineGridSharesRankRuns is the guard on the speed-up: over the
+// default grid, alya at 32 ranks takes far fewer distinct branch patterns
+// than grid points, so at least half of the NP × 20 rank runs must be
+// shared. A GT read the n-gram predictor does not track in its interval
+// would have to collapse sharing to stay exact, and fails here.
+func TestRunOfflineGridSharesRankRuns(t *testing.T) {
+	tr, err := workloads.Generate("alya", 32, workloads.Options{IterScale: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := defaultGrid()
+	before := RankRuns()
+	if _, err := RunOfflineGrid(tr, DefaultName, gts, Config{Displacement: 0.01}, DefaultOverheads(), 1); err != nil {
+		t.Fatal(err)
+	}
+	runs := RankRuns() - before
+	t.Logf("%d rank runs for %d ranks × %d thresholds", runs, tr.NP, len(gts))
+	if limit := int64(tr.NP * len(gts) / 2); runs > limit {
+		t.Errorf("%d rank runs for %d ranks × %d thresholds, want at most %d", runs, tr.NP, len(gts), limit)
+	}
+	if runs < int64(tr.NP) {
+		t.Errorf("%d rank runs, fewer than the %d ranks", runs, tr.NP)
+	}
+}
+
+func TestRunOfflineGridErrors(t *testing.T) {
+	tr := buildTrainable(5)
+	cfg := Config{Displacement: 0.01}
+	// A sub-minimum point fails even when a valid neighbour's run would
+	// cover it.
+	if _, err := RunOfflineGrid(tr, DefaultName, []time.Duration{20 * us, 5 * us}, cfg, DefaultOverheads(), 1); err == nil {
+		t.Error("sub-minimum grid point accepted")
+	}
+	if _, err := RunOfflineGrid(tr, "nosuch", []time.Duration{20 * us}, cfg, DefaultOverheads(), 1); err == nil {
+		t.Error("unknown predictor accepted by grid runner")
+	}
+}

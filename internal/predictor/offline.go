@@ -1,10 +1,13 @@
 package predictor
 
 import (
+	"context"
+	"sync/atomic"
 	"time"
 
 	"ibpower/internal/ngram"
 	"ibpower/internal/power"
+	"ibpower/internal/sweep"
 	"ibpower/internal/trace"
 )
 
@@ -55,58 +58,162 @@ func RunOfflineOverheads(src trace.Source, cfg Config, ov OverheadModel) (*Offli
 // every other predictor streams one op at a time). Predictors that never set
 // Action.PPAInvoked are charged only the interception overhead per call.
 func RunOfflineNamed(name string, src trace.Source, cfg Config, ov OverheadModel) (*OfflineResult, error) {
-	m := src.Meta()
-	out := &OfflineResult{
-		Stats: make([]Stats, m.NP),
-		Acct:  make([]power.Accounting, m.NP),
+	res, err := RunOfflineGrid(src, name, []time.Duration{cfg.GT}, cfg, ov, 1)
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < m.NP; r++ {
-		p, err := NewNamed(name, cfg)
+	return res[0], nil
+}
+
+// RunOfflineGrid is RunOfflineNamed at every grouping threshold of gts
+// (cfg.GT is ignored), returning one result per threshold in grid order.
+// Each result is bit-identical to RunOfflineNamed at its threshold, but a
+// rank is not simulated once per threshold: after each n-gram rank run the
+// gram builder reports the interval of thresholds that would have taken
+// every branch the run took, and the run stands in for every grid point
+// inside it. Only points no earlier run of the rank covers are simulated.
+// Every other predictor covers exactly its own threshold.
+//
+// Ranks run on a pool of at most workers goroutines (0 selects GOMAXPROCS,
+// 1 is serial) and are reduced in rank order, so results do not depend on
+// the pool size.
+func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Config, ov OverheadModel, workers int) ([]*OfflineResult, error) {
+	// A shared run must not stand in for a threshold the predictor would
+	// have rejected.
+	for _, gt := range gts {
+		c := cfg
+		c.GT = gt
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	m := src.Meta()
+	ranks := make([]int, m.NP)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	perRank, err := sweep.Map(context.Background(), workers, ranks,
+		func(_ context.Context, _ int, r int) ([]rankRun, error) {
+			return runRankGrid(src, name, r, gts, cfg, ov)
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*OfflineResult, len(gts))
+	for i := range gts {
+		res := &OfflineResult{
+			Stats: make([]Stats, m.NP),
+			Acct:  make([]power.Accounting, m.NP),
+		}
+		for r, runs := range perRank {
+			run := runs[i]
+			res.Stats[r] = run.stats
+			res.Acct[r] = run.acct
+			res.Delay += run.delay
+			if run.exec > res.Exec {
+				res.Exec = run.exec
+			}
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// rankRuns counts the rank simulations the offline runner has executed.
+var rankRuns atomic.Int64
+
+// RankRuns returns the number of rank simulations the offline runner has
+// executed in this process. RunOfflineGrid's sharing shows up as fewer runs
+// than ranks × grid points.
+func RankRuns() int64 { return rankRuns.Load() }
+
+// rankRun is the outcome of one rank's simulation at one threshold.
+type rankRun struct {
+	stats Stats
+	acct  power.Accounting
+	delay time.Duration // reactivation delay suffered
+	exec  time.Duration // rank finish time
+}
+
+// runRankGrid simulates rank r at every grid point that no earlier run of
+// the rank covers and returns one run per point. A trace-aware predictor's
+// op stream is materialized once and primes every run.
+func runRankGrid(src trace.Source, name string, r int, gts []time.Duration, cfg Config, ov OverheadModel) ([]rankRun, error) {
+	runs := make([]rankRun, len(gts))
+	done := make([]bool, len(gts))
+	var ops []trace.Op
+	for i, gt := range gts {
+		if done[i] {
+			continue
+		}
+		c := cfg
+		c.GT = gt
+		p, err := NewNamed(name, c)
 		if err != nil {
 			return nil, err
 		}
 		if IsTraceAware(p) {
-			ops, err := trace.RankOps(src, r)
-			if err != nil {
-				return nil, err
+			if ops == nil {
+				if ops, err = trace.RankOps(src, r); err != nil {
+					return nil, err
+				}
 			}
 			Prime(p, ops)
 		}
-		ctrl := power.NewController(cfg.Treact)
-		var t time.Duration
-		cur := src.Open(r)
-		for {
-			op, ok := cur.Next()
-			if !ok {
-				break
-			}
-			switch op.Kind {
-			case trace.OpCompute:
-				t += op.Duration
-			case trace.OpCall:
-				t += ov.Interception
-				t = ctrl.Acquire(t)
-				act := p.OnCall(ngram.EventID(op.Call), t, t)
-				st := p.Stats().Detector
-				t += ov.CallCost(act.PPAInvoked, st.MaxPatternFrozen, st.PatternListSize) - ov.Interception
-				if act.Shutdown {
-					ctrl.Shutdown(t, act.PredictedIdle)
-				}
-			}
-		}
-		if err := cur.Err(); err != nil {
+		run, err := runRank(p, src.Open(r), c.Treact, ov)
+		if err != nil {
 			return nil, err
 		}
-		p.Flush()
-		ctrl.Finish(t)
-		out.Stats[r] = p.Stats()
-		out.Acct[r] = ctrl.Accounting()
-		out.Delay += ctrl.TotalDelay
-		if t > out.Exec {
-			out.Exec = t
+		// The n-gram mechanism reads GT only in its gram builder's grouping
+		// comparison (the detector, Algorithm 3, the overhead model and the
+		// controller never see it), so the builder's interval bounds every
+		// threshold that reproduces this run. Any other predictor covers
+		// exactly its own threshold.
+		lo, hi := gt-1, gt
+		if n, ok := p.(*NGram); ok {
+			lo, hi = n.builder.GTInterval()
+		}
+		for j := i; j < len(gts); j++ {
+			if !done[j] && gts[j] > lo && gts[j] <= hi {
+				runs[j], done[j] = run, true
+			}
 		}
 	}
-	return out, nil
+	return runs, nil
+}
+
+// runRank drives p and a link power controller over one rank's op stream:
+// shutdown actions program the wake timer and early calls pay the
+// reactivation delay.
+func runRank(p Predictor, cur trace.Cursor, treact time.Duration, ov OverheadModel) (rankRun, error) {
+	rankRuns.Add(1)
+	ctrl := power.NewController(treact)
+	var t time.Duration
+	for {
+		op, ok := cur.Next()
+		if !ok {
+			break
+		}
+		switch op.Kind {
+		case trace.OpCompute:
+			t += op.Duration
+		case trace.OpCall:
+			t += ov.Interception
+			t = ctrl.Acquire(t)
+			act := p.OnCall(ngram.EventID(op.Call), t, t)
+			st := p.Stats().Detector
+			t += ov.CallCost(act.PPAInvoked, st.MaxPatternFrozen, st.PatternListSize) - ov.Interception
+			if act.Shutdown {
+				ctrl.Shutdown(t, act.PredictedIdle)
+			}
+		}
+	}
+	if err := cur.Err(); err != nil {
+		return rankRun{}, err
+	}
+	p.Flush()
+	ctrl.Finish(t)
+	return rankRun{stats: p.Stats(), acct: ctrl.Accounting(), delay: ctrl.TotalDelay, exec: t}, nil
 }
 
 // OverheadReport holds wall-clock measurements of the mechanism's software
