@@ -65,35 +65,3 @@ func TestExpandCacheHitNoAllocs(t *testing.T) {
 		t.Errorf("expand cache hit allocated %.1f/op, want 0", allocs)
 	}
 }
-
-// TestPtQueueFIFO covers the ring queue replacing the re-sliced pending
-// slices: FIFO order across growth, and popped slots cleared so the backing
-// array does not retain entries (the leak the ring fixes).
-func TestPtQueueFIFO(t *testing.T) {
-	var q ptQueue
-	for i := 0; i < 3; i++ {
-		q.push(pendingPt{rank: i})
-	}
-	q.pop()
-	q.pop()
-	// Wrap around and force growth with entries outstanding.
-	for i := 3; i < 12; i++ {
-		q.push(pendingPt{rank: i})
-	}
-	for want := 2; want < 12; want++ {
-		if q.n == 0 {
-			t.Fatalf("queue empty before draining rank %d", want)
-		}
-		if got := q.pop(); got.rank != want {
-			t.Fatalf("pop = rank %d, want %d", got.rank, want)
-		}
-	}
-	if q.n != 0 {
-		t.Fatalf("queue not empty after drain: n=%d", q.n)
-	}
-	for _, p := range q.buf {
-		if p != (pendingPt{}) {
-			t.Fatalf("popped slot retains %+v; backing array must be cleared", p)
-		}
-	}
-}

@@ -68,7 +68,7 @@ func NewChurn(cfg Config) (*Churn, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{net: net, pt: make(map[pairKey]*pairQueues)}
+	e := &engine{net: net}
 	if cfg.Telemetry.Enabled {
 		e.tele = newTelemetry(cfg.Telemetry, topo)
 		net.Observe(e.tele)
@@ -188,7 +188,13 @@ func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
 		pws[j] = pw
 	}
 
-	from := len(c.e.rk)
+	// Every earlier batch drained to completion and was collected, so the
+	// batch starts on an emptied rank table: enqueue and drain cost O(batch),
+	// and the dropped ranks' predictors and controllers can be freed.
+	clear(c.e.rk)
+	c.e.rk = c.e.rk[:0]
+	clear(c.e.jobs)
+	c.e.jobs = c.e.jobs[:0]
 	added := make([]*jobState, len(jobs))
 	for j, job := range jobs {
 		id, app := c.jobN+j, metas[j].App
@@ -203,7 +209,7 @@ func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
 		added[j] = js
 	}
 	c.jobN += len(jobs)
-	c.e.enqueue(from)
+	c.e.enqueue()
 	if err := c.e.drain(); err != nil {
 		return nil, err
 	}

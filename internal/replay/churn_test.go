@@ -116,6 +116,38 @@ func TestChurnTerminalReuse(t *testing.T) {
 	}
 }
 
+// TestChurnDropsDrainedBatches asserts each admission starts on an emptied
+// rank table: earlier batches drained and were collected, so after several
+// admissions the engine holds only the last batch's ranks and jobs.
+func TestChurnDropsDrainedBatches(t *testing.T) {
+	tr := genTrace(t, "alya", 8)
+	c, err := NewChurn(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start time.Duration
+	for i := 0; i < 3; i++ {
+		res, err := c.AdmitAt(start, Job{Trace: tr, Terminals: identTerms(tr.NP)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start += res[0].ExecTime
+	}
+	second := make([]int, tr.NP)
+	for r := range second {
+		second[r] = tr.NP + r
+	}
+	if _, err := c.AdmitAt(start,
+		Job{Trace: tr, Terminals: identTerms(tr.NP)},
+		Job{Trace: tr, Terminals: second}); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.e.rk) != 2*tr.NP || len(c.e.jobs) != 2 {
+		t.Errorf("after 4 admissions the engine holds %d ranks and %d jobs, want the last batch's %d and 2",
+			len(c.e.rk), len(c.e.jobs), 2*tr.NP)
+	}
+}
+
 // TestChurnReleaseTerminals asserts the kill path: after an early release,
 // the same terminals are admissible from the release instant even though the
 // original occupant's replay ran past it.

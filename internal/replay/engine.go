@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"ibpower/internal/network"
@@ -16,11 +17,11 @@ import (
 // on a fabric terminal and gives it a dense global index so several jobs can
 // share one timeline.
 type rankState struct {
-	r    int // job-local rank (index into the job's trace)
-	g    int // global rank index across all jobs (index into engine.rk)
-	base int // global index of the job's rank 0
-	np   int // the job's communicator size
-	term int // fabric terminal hosting the rank
+	r    int          // job-local rank (index into the job's trace)
+	g    int          // global rank index across all jobs (index into engine.rk)
+	base int          // global index of the job's rank 0
+	np   int          // the job's communicator size
+	term int          // fabric terminal hosting the rank
 	cur  trace.Cursor // the rank's op stream; in-memory, generated, or on-disk
 	nops int          // ops consumed so far (error reporting)
 	clk  time.Duration
@@ -40,6 +41,17 @@ type rankState struct {
 	haveSend  bool
 	haveRecv  bool
 
+	// Matching slots: the rank's unmatched send half and unmatched receive
+	// half, each addressed by the peer's global index, or -1 when empty.
+	// stepMicro posts a micro op's halves once and blocks until resolve has
+	// completed both, so a rank never has more than one half of each kind
+	// outstanding and one slot per kind is the whole pending state.
+	sendTo    int
+	sendReady time.Duration
+	sendBytes int
+	recvFrom  int
+	recvReady time.Duration
+
 	pred predictor.Predictor
 	ctrl *power.Controller
 	jb   *jobState
@@ -50,53 +62,6 @@ type rankState struct {
 	lastPredHits    int
 	lastTotalCalls  int
 	lastPredCalls   int
-}
-
-// pendingPt is one side of an unmatched point-to-point operation.
-type pendingPt struct {
-	rank  int
-	ready time.Duration
-	bytes int
-}
-
-// ptQueue is an index-based FIFO ring of pending point-to-point halves.
-// Popped slots are cleared so the backing array never retains old entries
-// (the q = q[1:] re-slicing it replaces kept every popped pendingPt alive
-// for the rest of the run).
-type ptQueue struct {
-	buf  []pendingPt
-	head int
-	n    int
-}
-
-func (q *ptQueue) push(p pendingPt) {
-	if q.n == len(q.buf) {
-		grown := make([]pendingPt, max(4, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf = grown
-		q.head = 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = p
-	q.n++
-}
-
-func (q *ptQueue) pop() pendingPt {
-	p := q.buf[q.head]
-	q.buf[q.head] = pendingPt{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return p
-}
-
-type pairKey struct{ src, dst int }
-
-// pairQueues holds both directions of one (src, dst) channel, so each pair
-// costs a single map entry and allocation per run.
-type pairQueues struct {
-	send ptQueue // posted sends waiting for a matching receive
-	recv ptQueue // posted receives waiting for a matching send
 }
 
 // jobState is one placed workload during a (possibly multi-job) replay. It
@@ -123,8 +88,7 @@ type engine struct {
 	net  *network.Network
 	jobs []*jobState
 	rk   []*rankState // all jobs' ranks, dense in global index order
-	pt   map[pairKey]*pairQueues
-	err  error // first cursor decode failure; drain surfaces it
+	err  error        // first decode failure or broken invariant; drain surfaces it
 
 	// work is a fixed-capacity ring of runnable ranks (global indexes).
 	// inWork dedupes, so at most len(rk) ranks are ever queued and the ring
@@ -138,16 +102,6 @@ type engine struct {
 	// utilization, predictor hit rate) off the hooks the engine already
 	// drives; recording is passive and never changes simulated results.
 	tele *telemetry
-}
-
-// pair returns the queue pair for (src, dst), creating it on first use.
-func (e *engine) pair(k pairKey) *pairQueues {
-	q, ok := e.pt[k]
-	if !ok {
-		q = &pairQueues{}
-		e.pt[k] = q
-	}
-	return q
 }
 
 // Run replays the trace under cfg and returns the measured result. The
@@ -190,6 +144,7 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 		rs := &rankState{
 			r: r, g: js.base + r, base: js.base, np: m.NP,
 			term: terms[r], cur: src.Open(r), clk: start, jb: js,
+			sendTo: -1, recvFrom: -1,
 		}
 		if pw.Enabled {
 			p, err := predictor.NewNamed(pw.PredictorName, pw.Predictor)
@@ -224,23 +179,31 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 	return js, nil
 }
 
-// enqueue makes ranks [from, len(rk)) runnable. The work ring is regrown to
-// the current rank count first; callers only invoke this between drains
+// enqueue makes every rank in the table runnable. The work ring is regrown
+// to the current rank count first; callers only invoke this between drains
 // (workLen == 0), so no queued entries are ever dropped.
-func (e *engine) enqueue(from int) {
+func (e *engine) enqueue() {
 	e.work = make([]int, len(e.rk))
 	e.workHead = 0
 	for len(e.inWork) < len(e.rk) {
 		e.inWork = append(e.inWork, false)
 	}
-	for g := from; g < len(e.rk); g++ {
+	for g := range e.rk {
 		e.push(g)
+	}
+}
+
+// fail records err as the engine's first error; drain surfaces it.
+func (e *engine) fail(err error) {
+	if e.err == nil {
+		e.err = err
 	}
 }
 
 // drain processes runnable ranks until the work queue empties, then verifies
 // every rank has finished — a blocked rank means an unmatched point-to-point
-// half, which the generator never produces.
+// half, which the generator never produces. The error names what the first
+// blocked rank still waits for.
 func (e *engine) drain() error {
 	for e.workLen > 0 {
 		g := e.work[e.workHead]
@@ -254,11 +217,23 @@ func (e *engine) drain() error {
 	}
 	for _, rs := range e.rk {
 		if !rs.done {
-			return fmt.Errorf("replay: deadlock: %s rank %d blocked at op %d (micro %d/%d)",
-				rs.jb.app, rs.r, rs.nops, rs.mi, len(rs.micro))
+			return fmt.Errorf("replay: deadlock: %s rank %d blocked at op %d (micro %d/%d): %s",
+				rs.jb.app, rs.r, rs.nops, rs.mi, len(rs.micro), rs.waiting())
 		}
 	}
 	return nil
+}
+
+// waiting describes the rank's unmatched halves by job-local peer.
+func (rs *rankState) waiting() string {
+	var w []string
+	if rs.sendTo >= 0 {
+		w = append(w, fmt.Sprintf("send to rank %d unmatched", rs.sendTo-rs.base))
+	}
+	if rs.recvFrom >= 0 {
+		w = append(w, fmt.Sprintf("receive from rank %d unmatched", rs.recvFrom-rs.base))
+	}
+	return strings.Join(w, ", ")
 }
 
 // run drains the engine's work queue and collects the result.
@@ -292,9 +267,7 @@ func (e *engine) advance(rs *rankState) {
 		op, ok := rs.cur.Next()
 		if !ok {
 			if err := rs.cur.Err(); err != nil {
-				if e.err == nil {
-					e.err = fmt.Errorf("replay: %s: %w", rs.jb.app, err)
-				}
+				e.fail(fmt.Errorf("replay: %s: %w", rs.jb.app, err))
 			}
 			rs.done = true
 			if rs.pred != nil {
@@ -397,28 +370,37 @@ func (e *engine) finishCall(rs *rankState) {
 }
 
 // postSend registers the send side of a point-to-point exchange and resolves
-// it if the matching receive is already posted. src and dst are global rank
-// indexes (both halves of an exchange always belong to one job, because op
-// peers are job-local).
+// it if dst's receive slot already waits for src. Otherwise the send fills
+// src's send slot. src and dst are global rank indexes (both halves of an
+// exchange always belong to one job, because op peers are job-local).
 func (e *engine) postSend(src, dst, bytes int, ready time.Duration) {
-	q := e.pair(pairKey{src, dst})
-	if q.recv.n > 0 {
-		rv := q.recv.pop()
-		e.resolve(src, dst, bytes, ready, rv.ready)
-		return
+	s, d := e.rk[src], e.rk[dst]
+	switch {
+	case s.sendTo >= 0:
+		e.fail(fmt.Errorf("replay: %s rank %d posts a send to rank %d while its send to rank %d is unmatched",
+			s.jb.app, s.r, dst-s.base, s.sendTo-s.base))
+	case d.recvFrom == src:
+		d.recvFrom = -1
+		e.resolve(src, dst, bytes, ready, d.recvReady)
+	default:
+		s.sendTo, s.sendReady, s.sendBytes = dst, ready, bytes
 	}
-	q.send.push(pendingPt{rank: src, ready: ready, bytes: bytes})
 }
 
-// postRecv registers the receive side.
+// postRecv registers the receive side: it resolves against src's send slot
+// when that send targets dst, else it fills dst's receive slot.
 func (e *engine) postRecv(dst, src int, ready time.Duration) {
-	q := e.pair(pairKey{src, dst})
-	if q.send.n > 0 {
-		sd := q.send.pop()
-		e.resolve(src, dst, sd.bytes, sd.ready, ready)
-		return
+	s, d := e.rk[src], e.rk[dst]
+	switch {
+	case d.recvFrom >= 0:
+		e.fail(fmt.Errorf("replay: %s rank %d posts a receive from rank %d while its receive from rank %d is unmatched",
+			d.jb.app, d.r, src-d.base, d.recvFrom-d.base))
+	case s.sendTo == dst:
+		s.sendTo = -1
+		e.resolve(src, dst, s.sendBytes, s.sendReady, ready)
+	default:
+		d.recvFrom, d.recvReady = src, ready
 	}
-	q.recv.push(pendingPt{rank: dst, ready: ready})
 }
 
 // resolve times the matched transfer and unblocks both ranks. The message

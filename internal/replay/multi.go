@@ -189,11 +189,7 @@ func RunJobs(jobs []Job, cfg Config) (*MultiResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{
-		net: net,
-		rk:  make([]*rankState, 0, total),
-		pt:  make(map[pairKey]*pairQueues),
-	}
+	e := &engine{net: net, rk: make([]*rankState, 0, total)}
 	if cfg.Telemetry.Enabled {
 		e.tele = newTelemetry(cfg.Telemetry, topo)
 		net.Observe(e.tele)
@@ -207,7 +203,7 @@ func RunJobs(jobs []Job, cfg Config) (*MultiResult, error) {
 			return nil, err
 		}
 	}
-	e.enqueue(0)
+	e.enqueue()
 	return e.run()
 }
 

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -91,6 +92,10 @@ func TestDeadlockDetection(t *testing.T) {
 	if err == nil {
 		t.Fatal("deadlock not detected")
 	}
+	if !strings.Contains(err.Error(), "rank 0 blocked") ||
+		!strings.Contains(err.Error(), "receive from rank 1 unmatched") {
+		t.Errorf("deadlock error %q must name the blocked rank and the peer it waits for", err)
+	}
 }
 
 func TestMismatchedCollectiveDeadlocks(t *testing.T) {
@@ -99,8 +104,48 @@ func TestMismatchedCollectiveDeadlocks(t *testing.T) {
 	tr.Append(1, trace.Allreduce(8))
 	// rank 2 never joins
 	tr.Append(2, trace.Compute(10*us))
-	if _, err := Run(tr, baseCfg()); err == nil {
+	_, err := Run(tr, baseCfg())
+	if err == nil {
 		t.Fatal("missing collective participant not detected")
+	}
+	// np=3 recursive doubling: rank 0 pairs out to rank 1 and waits for the
+	// result; rank 1 took the contribution and waits on rank 2 in the core.
+	if !strings.Contains(err.Error(), "rank 0 blocked") ||
+		!strings.Contains(err.Error(), "receive from rank 1 unmatched") {
+		t.Errorf("deadlock error %q must name the blocked rank and the peer it waits for", err)
+	}
+}
+
+// TestReplayRejectsSecondOutstandingHalf guards the invariant the matching
+// slots rest on: a rank has at most one unmatched send and one unmatched
+// receive. A second post of either kind (what a non-blocking Isend would do)
+// must fail the run naming the rank and both peers, never overwrite the slot.
+func TestReplayRejectsSecondOutstandingHalf(t *testing.T) {
+	js := &jobState{app: "t", np: 3}
+	e := &engine{jobs: []*jobState{js}}
+	for r := 0; r < 3; r++ {
+		e.rk = append(e.rk, &rankState{r: r, g: r, np: 3, jb: js, sendTo: -1, recvFrom: -1})
+	}
+
+	e.postSend(0, 1, 64, 0)
+	e.postSend(0, 2, 64, 0)
+	if err := e.drain(); err == nil ||
+		!strings.Contains(err.Error(), "rank 0 posts a send to rank 2 while its send to rank 1 is unmatched") {
+		t.Errorf("second send: err = %v", err)
+	}
+	if e.rk[0].sendTo != 1 {
+		t.Errorf("send slot overwritten: sendTo = %d, want 1", e.rk[0].sendTo)
+	}
+
+	e.err = nil
+	e.postRecv(2, 1, 0)
+	e.postRecv(2, 0, 0)
+	if err := e.drain(); err == nil ||
+		!strings.Contains(err.Error(), "rank 2 posts a receive from rank 0 while its receive from rank 1 is unmatched") {
+		t.Errorf("second receive: err = %v", err)
+	}
+	if e.rk[2].recvFrom != 1 {
+		t.Errorf("receive slot overwritten: recvFrom = %d, want 1", e.rk[2].recvFrom)
 	}
 }
 
