@@ -95,7 +95,7 @@ func BenchmarkFig10_GTSweepGromacs(b *testing.B) {
 			for _, bc := range parallelisms {
 				b.Run(bc.name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						pts, err := harness.GTSweepParallel(tr, harness.DefaultGTGrid(), bc.par)
+						pts, err := harness.GTSweep(tr, predictor.DefaultName, harness.DefaultGTGrid(), bc.par)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -119,7 +119,7 @@ func BenchmarkFig10_GTSweepGromacs(b *testing.B) {
 
 func BenchmarkTableIV_Overheads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.TableIV(benchOpt)
+		rows, err := harness.NewRunner(benchOpt, replay.DefaultConfig()).TableIV()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func BenchmarkFig6_Timeline(b *testing.B) {
 	cfg.Power.RecordTimelines = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := replay.Run(tr, cfg)
+		res, err := replay.RunSource(tr, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func BenchmarkAblationNetFidelity(b *testing.B) {
 			cfg := replay.DefaultConfig()
 			cfg.Net.Mode = mode.m
 			for i := 0; i < b.N; i++ {
-				res, err := replay.Run(tr, cfg)
+				res, err := replay.RunSource(tr, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -249,35 +249,29 @@ func BenchmarkAblationNetFidelity(b *testing.B) {
 }
 
 // BenchmarkAblationOracleVsPPA bounds the prediction loss: the oracle knows
-// every idle interval exactly.
+// every idle interval exactly. Both sides run on the offline runner at the
+// same GT and pay the same modelled software overheads, so the gap is
+// prediction error alone.
 func BenchmarkAblationOracleVsPPA(b *testing.B) {
 	tr, err := workloads.Generate("nasbt", 16, benchOpt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := predictor.Config{GT: 20 * time.Microsecond, Displacement: 0.01}
-	b.Run("ppa", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := predictor.RunOffline(tr, cfg)
-			if err != nil {
-				b.Fatal(err)
+	gts := []time.Duration{20 * time.Microsecond}
+	cfg := predictor.Config{Displacement: 0.01}
+	for _, name := range []string{"ngram", "oracle"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := predictor.RunOfflineGrid(tr, name, gts, cfg, predictor.DefaultOverheads(), 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(avgSaving(res[0]), "saving_%")
+				}
 			}
-			if i == 0 {
-				b.ReportMetric(avgSaving(res), "saving_%")
-			}
-		}
-	})
-	b.Run("oracle", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := predictor.RunOfflineOracle(tr, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(avgSaving(res), "saving_%")
-			}
-		}
-	})
+		})
+	}
 }
 
 func avgSaving(res *predictor.OfflineResult) float64 {
@@ -302,7 +296,7 @@ func BenchmarkAblationDisplacementSweep(b *testing.B) {
 	for _, d := range []float64{0.01, 0.02, 0.05, 0.10, 0.20, 0.40} {
 		b.Run(pctName(d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := replay.Run(tr, replay.DefaultConfig().WithPower(gt, d))
+				res, err := replay.RunSource(tr, replay.DefaultConfig().WithPower(gt, d))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -324,7 +318,7 @@ func BenchmarkBaselineDVS(b *testing.B) {
 	b.Run("wrps", func(b *testing.B) {
 		cfg := replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01)
 		for i := 0; i < b.N; i++ {
-			res, err := replay.Run(tr, cfg)
+			res, err := replay.RunSource(tr, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -362,7 +356,7 @@ func BenchmarkAblationDeepSleep(b *testing.B) {
 	}{{"lanes", lanes}, {"deep", deep}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := replay.Run(tr, c.cfg)
+				res, err := replay.RunSource(tr, c.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -264,7 +264,7 @@ func cmdDVS(args []string) error {
 			if err != nil {
 				return row{}, err
 			}
-			wrps, err := replay.Run(tr, replay.DefaultConfig().WithPredictor(*pred).WithFabric(*topo).WithPower(gt, *d))
+			wrps, err := replay.RunSource(tr, replay.DefaultConfig().WithPredictor(*pred).WithFabric(*topo).WithPower(gt, *d))
 			if err != nil {
 				return row{}, err
 			}
@@ -452,7 +452,7 @@ func cmdGT(args []string) error {
 	// The GT sweep scores hit rate on the network-free offline runner
 	// (predictor + controller only), so the fabric cannot affect it: -topo
 	// is validated only, like on ppa and bench.
-	pts, err := harness.GTSweepNamed(src, *pred, harness.DefaultGTGrid(), *par)
+	pts, err := harness.GTSweep(src, *pred, harness.DefaultGTGrid(), *par)
 	if err != nil {
 		return err
 	}
@@ -774,7 +774,7 @@ func cmdTimeline(args []string) error {
 	if *tsPath != "" {
 		cfg.Telemetry.Enabled = true
 	}
-	res, err := replay.Run(tr, cfg)
+	res, err := replay.RunSource(tr, cfg)
 	if err != nil {
 		return err
 	}

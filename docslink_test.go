@@ -2,6 +2,9 @@ package ibpower_test
 
 import (
 	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -64,4 +67,149 @@ func TestDocCommentMarkdownRefsExist(t *testing.T) {
 				ref, strings.Join(sites, ", "))
 		}
 	}
+}
+
+// entryRef matches a backticked `pkg.Ident` or `Type.Member` reference in a
+// DESIGN.md table cell.
+var entryRef = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)\\.([A-Za-z_][A-Za-z0-9_]*)`")
+
+// TestDesignIndexEntryPointsExist checks that every entry point DESIGN.md's
+// experiment index names is still declared. A lower-case qualifier is a
+// package under internal/ that must declare the exported identifier; an
+// upper-case one is a type, in any internal package, that must carry the
+// member as a method, struct field or interface method. Cells that are not
+// such references (`cmd ppa`, `internal/dvs`) are skipped. Parsing only, no
+// type-checking.
+func TestDesignIndexEntryPointsExist(t *testing.T) {
+	decls, members := internalDecls(t)
+	checked := 0
+	for _, cell := range designIndexEntryCells(t) {
+		for _, m := range entryRef.FindAllStringSubmatch(cell, -1) {
+			qual, name := m[1], m[2]
+			checked++
+			if qual[0] >= 'a' && qual[0] <= 'z' {
+				if !token.IsExported(name) || !decls[qual][name] {
+					t.Errorf("DESIGN.md §7 names %s.%s: no exported declaration in internal/%s", qual, name, qual)
+				}
+			} else if !members[qual][name] {
+				t.Errorf("DESIGN.md §7 names %s.%s: no type %s with member %s in internal/", qual, name, qual, name)
+			}
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d entry-point references found; the table parser is broken", checked)
+	}
+}
+
+// designIndexEntryCells returns the "Entry point" column of DESIGN.md §7.
+func designIndexEntryCells(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []string
+	in := false
+	col := -1
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = strings.HasPrefix(line, "## 7. Experiment index")
+			continue
+		}
+		if !in || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		fields := strings.Split(strings.Trim(line, "|"), "|")
+		if col < 0 {
+			for i, f := range fields {
+				if strings.TrimSpace(f) == "Entry point" {
+					col = i
+				}
+			}
+			continue
+		}
+		if col < len(fields) && !strings.HasPrefix(strings.TrimSpace(fields[col]), "---") {
+			cells = append(cells, fields[col])
+		}
+	}
+	if col < 0 {
+		t.Fatal("DESIGN.md §7 has no Entry point column")
+	}
+	return cells
+}
+
+// internalDecls parses every non-test file under internal/ and returns each
+// package's top-level identifiers, plus each type name's methods, struct
+// fields and interface methods.
+func internalDecls(t *testing.T) (decls, members map[string]map[string]bool) {
+	t.Helper()
+	decls = map[string]map[string]bool{}
+	members = map[string]map[string]bool{}
+	add := func(m map[string]map[string]bool, k, v string) {
+		if m[k] == nil {
+			m[k] = map[string]bool{}
+		}
+		m[k][v] = true
+	}
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("internal", d.Name()),
+			func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					switch decl := decl.(type) {
+					case *ast.FuncDecl:
+						if decl.Recv == nil {
+							add(decls, d.Name(), decl.Name.Name)
+							continue
+						}
+						typ := decl.Recv.List[0].Type
+						if star, ok := typ.(*ast.StarExpr); ok {
+							typ = star.X
+						}
+						if id, ok := typ.(*ast.Ident); ok {
+							add(members, id.Name, decl.Name.Name)
+						}
+					case *ast.GenDecl:
+						for _, spec := range decl.Specs {
+							switch spec := spec.(type) {
+							case *ast.ValueSpec:
+								for _, n := range spec.Names {
+									add(decls, d.Name(), n.Name)
+								}
+							case *ast.TypeSpec:
+								add(decls, d.Name(), spec.Name.Name)
+								var fields *ast.FieldList
+								switch typ := spec.Type.(type) {
+								case *ast.StructType:
+									fields = typ.Fields
+								case *ast.InterfaceType:
+									fields = typ.Methods
+								}
+								if fields == nil {
+									continue
+								}
+								for _, fld := range fields.List {
+									for _, n := range fld.Names {
+										add(members, spec.Name.Name, n.Name)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls, members
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ibpower/internal/harness"
+	"ibpower/internal/predictor"
 	"ibpower/internal/workloads"
 )
 
@@ -35,7 +36,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		pts, err := harness.GTSweepParallel(tr, harness.DefaultGTGrid(), *par)
+		pts, err := harness.GTSweep(tr, predictor.DefaultName, harness.DefaultGTGrid(), *par)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

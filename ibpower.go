@@ -294,7 +294,7 @@ func RegisterFabric(name string, build func() (Fabric, error)) { topology.Regist
 
 // Replay re-executes the trace under cfg. Enable the mechanism with
 // cfg.WithPower(gt, displacement).
-func Replay(tr *Trace, cfg ReplayConfig) (*ReplayResult, error) { return replay.Run(tr, cfg) }
+func Replay(tr *Trace, cfg ReplayConfig) (*ReplayResult, error) { return replay.RunSource(tr, cfg) }
 
 // ParseJobs parses a multi-job mix in the "app:np,app:np" form the ibpower
 // multijob -jobs flag uses, e.g. "gromacs:64,alya:16".

@@ -113,7 +113,7 @@ func BenchReplayAlya16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := replay.Run(tr, cfg); err != nil {
+		if _, err := replay.RunSource(tr, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func BenchBigFabricReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := replay.Run(tr, cfg); err != nil {
+		if _, err := replay.RunSource(tr, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

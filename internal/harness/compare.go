@@ -35,12 +35,6 @@ type CompareRow struct {
 	DemandWakes     int
 }
 
-// Compare runs the named predictors (all registered ones when names is
-// empty) over the full evaluation grid on the default worker pool.
-func Compare(displacement float64, names []string, opt workloads.Options, cfg replay.Config) ([]CompareRow, error) {
-	return NewRunner(opt, cfg).Compare(displacement, names)
-}
-
 // Compare evaluates each named predictor over every (application, process
 // count) point — restricted to the given applications when any are named.
 // All predictors run at the workload's Table III grouping threshold — the

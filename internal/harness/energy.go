@@ -10,7 +10,6 @@ import (
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
 	"ibpower/internal/topology"
-	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
 
@@ -51,15 +50,15 @@ func Energy(app string, np int, displacement float64, opt workloads.Options, dee
 	}
 	bcfg := cfg
 	bcfg.Power.Enabled = false
-	base, err := replay.Run(tr, bcfg)
+	base, err := replay.RunSource(tr, bcfg)
 	if err != nil {
 		return nil, err
 	}
-	lanes, err := replay.Run(tr, cfg.WithPower(gt, displacement))
+	lanes, err := replay.RunSource(tr, cfg.WithPower(gt, displacement))
 	if err != nil {
 		return nil, err
 	}
-	deepRes, err := replay.Run(tr, cfg.WithPower(gt, displacement).WithDeepSleep(deep))
+	deepRes, err := replay.RunSource(tr, cfg.WithPower(gt, displacement).WithDeepSleep(deep))
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +79,8 @@ func Energy(app string, np int, displacement float64, opt workloads.Options, dee
 }
 
 // fabricSaving applies the decomposed switch power model to a single-job
-// run, where rank r occupies terminal r (the identity placement replay.Run
-// uses). On the paper's XGFT the first-hop switches are the leaf switches
+// run, where rank r occupies terminal r (the identity placement
+// replay.RunSource uses). On the paper's XGFT the first-hop switches are the leaf switches
 // and the always-on count is their uplinks; on a dragonfly or torus it is
 // the routers and their local/global (ring) links — in every fabric, exactly
 // the switch-to-switch links the mechanism does not manage. The grouping and
@@ -111,24 +110,4 @@ func WriteEnergy(w io.Writer, rows []*EnergyRow) error {
 			fmt.Sprintf("%.2f", r.DeepTimeIncreasePct))
 	}
 	return t.Write(w)
-}
-
-// Timeline produces the Figure 6 artifact for one workload: per-rank link
-// power state timelines under the mechanism.
-func Timeline(app string, np int, displacement float64, opt workloads.Options) ([]*trace.Timeline, time.Duration, error) {
-	tr, err := workloads.Generate(app, np, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	gt, _, err := ChooseGT(tr, DefaultGTGrid(), 1.0)
-	if err != nil {
-		return nil, 0, err
-	}
-	cfg := replay.DefaultConfig().WithPower(gt, displacement)
-	cfg.Power.RecordTimelines = true
-	res, err := replay.Run(tr, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Timelines, gt, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"ibpower/internal/power"
 	"ibpower/internal/replay"
-	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
 
@@ -50,24 +49,6 @@ func TestEnergyDeepNeverWorseAtDefault(t *testing.T) {
 		if row.DeepSavingPct < row.PaperSavingPct-0.1 {
 			t.Errorf("%s: deep %.2f%% below lanes-only %.2f%% despite breakeven guard",
 				app, row.DeepSavingPct, row.PaperSavingPct)
-		}
-	}
-}
-
-func TestTimelineHarness(t *testing.T) {
-	tls, gt, err := Timeline("gromacs", 4, 0.10, workloads.Options{IterScale: 0.08})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gt < GTMin {
-		t.Errorf("GT = %v", gt)
-	}
-	if len(tls) != 4 {
-		t.Fatalf("timelines = %d, want 4", len(tls))
-	}
-	for _, tl := range tls {
-		if tl.TimeIn(trace.StateLow) <= 0 {
-			t.Errorf("%s: no low-power intervals", tl.Label)
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
 	"ibpower/internal/trace"
-	"ibpower/internal/workloads"
 )
 
 // Displacements evaluated in the paper (Figures 7, 8, 9).
@@ -27,13 +26,6 @@ type TableIRow struct {
 	App  string
 	NP   int
 	Dist trace.IdleDist
-}
-
-// TableI computes the distribution of link idle intervals for every
-// application and process count (experiment E1). Points run on the default
-// worker pool; use a Runner to control parallelism.
-func TableI(opt workloads.Options) ([]TableIRow, error) {
-	return NewRunner(opt, replay.DefaultConfig()).TableI()
 }
 
 // WriteTableI renders Table I rows in the paper's layout.
@@ -63,25 +55,14 @@ type GTSweepPoint struct {
 }
 
 // GTSweep evaluates the MPI-call hit rate across grouping thresholds for one
-// workload source (experiments E6/E7). Thresholds start at GTMin and must
-// be strictly increasing. Ranks run on the default worker pool.
-func GTSweep(src trace.Source, gts []time.Duration) ([]GTSweepPoint, error) {
-	return GTSweepParallel(src, gts, 0)
-}
-
-// GTSweepParallel is GTSweep with an explicit pool size (0 selects
-// GOMAXPROCS, 1 is serial). Points are returned in grid order whatever the
-// pool size.
-func GTSweepParallel(src trace.Source, gts []time.Duration, workers int) ([]GTSweepPoint, error) {
-	return GTSweepNamed(src, predictor.DefaultName, gts, workers)
-}
-
-// GTSweepNamed is GTSweepParallel for any registered predictor: the hit
-// rate reported at each threshold is the predictor's own quality metric
-// (detector-based for the n-gram PPA, resolved-prediction-based for the
-// baselines), evaluated on the network-free offline grid runner, which
-// spreads ranks over the pool.
-func GTSweepNamed(src trace.Source, name string, gts []time.Duration, workers int) ([]GTSweepPoint, error) {
+// workload source and any registered predictor (experiment E6). Thresholds
+// start at GTMin and must be strictly increasing. The hit rate reported at
+// each threshold is the predictor's own quality metric (detector-based for
+// the n-gram PPA, resolved-prediction-based for the baselines), evaluated on
+// the network-free offline grid runner with ranks spread over a pool of at
+// most workers goroutines (0 selects GOMAXPROCS, 1 is serial). Points are
+// returned in grid order whatever the pool size.
+func GTSweep(src trace.Source, name string, gts []time.Duration, workers int) ([]GTSweepPoint, error) {
 	res, err := offlineGrid(src, name, gts, workers)
 	if err != nil {
 		return nil, err
@@ -210,12 +191,6 @@ type TableIIIRow struct {
 	HitRatePct float64
 }
 
-// TableIII selects GT for every application and process count (E7). Points
-// run on the default worker pool; use a Runner to control parallelism.
-func TableIII(opt workloads.Options) ([]TableIIIRow, error) {
-	return NewRunner(opt, replay.DefaultConfig()).TableIII()
-}
-
 // WriteTableIII renders Table III.
 func WriteTableIII(w io.Writer, rows []TableIIIRow) error {
 	t := stats.NewTable("app", "Nproc", "GT[us]", "hit rate[%]")
@@ -237,15 +212,6 @@ type FigureRow struct {
 	LowFraction     float64
 	BaseExec        time.Duration
 	Exec            time.Duration
-}
-
-// Figure runs the full co-simulation for one displacement factor over all
-// applications and process counts (experiments E3–E5). GT per workload is
-// chosen as in Table III. Points run on a cfg.Parallelism-bounded pool; a
-// shared Runner additionally reuses traces and GT choices across
-// displacement factors.
-func Figure(displacement float64, opt workloads.Options, cfg replay.Config) ([]FigureRow, error) {
-	return NewRunner(opt, cfg).Figure(displacement)
 }
 
 // FigurePoint runs baseline and mechanism replays for one workload source.

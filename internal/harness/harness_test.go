@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/workloads"
 )
@@ -12,7 +13,7 @@ import (
 var fastOpt = workloads.Options{IterScale: 0.12}
 
 func TestTableI(t *testing.T) {
-	rows, err := TableI(fastOpt)
+	rows, err := NewRunner(fastOpt, replay.DefaultConfig()).TableI()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestGTSweepAndChoice(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := []time.Duration{20 * time.Microsecond, 100 * time.Microsecond, 300 * time.Microsecond}
-	pts, err := GTSweep(tr, grid)
+	pts, err := GTSweep(tr, predictor.DefaultName, grid, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestGTSweepAndChoice(t *testing.T) {
 
 func TestGTSweepRejectsBelowMinimum(t *testing.T) {
 	tr, _ := workloads.Generate("alya", 8, fastOpt)
-	if _, err := GTSweep(tr, []time.Duration{10 * time.Microsecond}); err == nil {
+	if _, err := GTSweep(tr, predictor.DefaultName, []time.Duration{10 * time.Microsecond}, 0); err == nil {
 		t.Error("GT below 2*Treact accepted")
 	}
 	if _, _, err := ChooseGT(tr, []time.Duration{time.Microsecond}, 1); err == nil {
@@ -83,8 +84,8 @@ func TestGTGridMustIncrease(t *testing.T) {
 		if _, _, err := ChooseGT(tr, grid, 1.0); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
 			t.Errorf("ChooseGT on a %s grid: err = %v, want a strictly-increasing error", name, err)
 		}
-		if _, err := GTSweepNamed(tr, "lastvalue", grid, 1); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
-			t.Errorf("GTSweepNamed on a %s grid: err = %v, want a strictly-increasing error", name, err)
+		if _, err := GTSweep(tr, "lastvalue", grid, 1); err == nil || !strings.Contains(err.Error(), "strictly increasing") {
+			t.Errorf("GTSweep on a %s grid: err = %v, want a strictly-increasing error", name, err)
 		}
 	}
 }
@@ -132,7 +133,7 @@ func TestTableIVFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	rows, err := TableIV(workloads.Options{IterScale: 0.05})
+	rows, err := NewRunner(workloads.Options{IterScale: 0.05}, replay.DefaultConfig()).TableIV()
 	if err != nil {
 		t.Fatal(err)
 	}

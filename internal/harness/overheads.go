@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"ibpower/internal/predictor"
-	"ibpower/internal/replay"
 	"ibpower/internal/stats"
-	"ibpower/internal/workloads"
 )
 
 // TableIVRow reports the measured mechanism overheads for one application at
@@ -16,14 +14,6 @@ import (
 type TableIVRow struct {
 	App    string
 	Report predictor.OverheadReport
-}
-
-// TableIV measures real wall-clock PPA overheads at 16 processes (NAS BT
-// uses its square count, also 16), experiment E8. Trace generation and GT
-// selection run on the default worker pool; the measurement itself is
-// serial to keep the timings honest.
-func TableIV(opt workloads.Options) ([]TableIVRow, error) {
-	return NewRunner(opt, replay.DefaultConfig()).TableIV()
 }
 
 // WriteTableIV renders Table IV.

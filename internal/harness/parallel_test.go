@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/workloads"
 )
@@ -93,11 +94,11 @@ func TestGTSweepParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := DefaultGTGrid()
-	serial, err := GTSweepParallel(tr, grid, 1)
+	serial, err := GTSweep(tr, predictor.DefaultName, grid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := GTSweepParallel(tr, grid, 4)
+	parallel, err := GTSweep(tr, predictor.DefaultName, grid, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 	"ibpower/internal/workloads"
 )
 
-// Runner evaluates harness experiments over one workload configuration. It
-// adds two things over the package-level entry points it backs:
+// Runner evaluates harness experiments over one workload configuration and
+// is the one entry point for the paper's tables and figures. It carries:
 //
 //   - a per-run cache so each (application, NP, Options) trace source is
 //     resolved once and each Table III grouping threshold is chosen once, no
@@ -242,8 +242,9 @@ func allPoints() []point {
 	return pts
 }
 
-// TableI computes the idle-interval distribution rows (experiment E1) on
-// the pool, streaming each rank once.
+// TableI computes the distribution of link idle intervals for every
+// application and process count (experiment E1) on the pool, streaming each
+// rank once.
 func (r *Runner) TableI() ([]TableIRow, error) {
 	pts := allPoints()
 	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
@@ -260,7 +261,8 @@ func (r *Runner) TableI() ([]TableIRow, error) {
 		})
 }
 
-// TableIII selects GT for every workload (experiment E7) on the pool.
+// TableIII selects GT for every application and process count
+// (experiment E7) on the pool.
 func (r *Runner) TableIII() ([]TableIIIRow, error) {
 	pts := allPoints()
 	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
@@ -273,8 +275,10 @@ func (r *Runner) TableIII() ([]TableIIIRow, error) {
 		})
 }
 
-// Figure runs the full co-simulation for one displacement factor
-// (experiments E3–E5) on the pool.
+// Figure runs the full co-simulation for one displacement factor over all
+// applications and process counts (experiments E3–E5) on the pool. GT per
+// workload is chosen as in Table III; the Runner reuses traces and GT
+// choices across displacement factors.
 func (r *Runner) Figure(displacement float64) ([]FigureRow, error) {
 	pts := allPoints()
 	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
@@ -295,10 +299,11 @@ func (r *Runner) Figure(displacement float64) ([]FigureRow, error) {
 		})
 }
 
-// TableIV measures PPA overheads at 16 processes (experiment E8). Trace
-// generation and GT selection run on the pool; the wall-clock overhead
-// measurement itself stays serial, because concurrent measurement would
-// contend for CPUs and inflate the reported timings.
+// TableIV measures real wall-clock PPA overheads at 16 processes (NAS BT
+// uses its square count, also 16), experiment E8. Trace generation and GT
+// selection run on the pool; the wall-clock overhead measurement itself
+// stays serial, because concurrent measurement would contend for CPUs and
+// inflate the reported timings.
 func (r *Runner) TableIV() ([]TableIVRow, error) {
 	type prep struct {
 		src trace.Source
@@ -322,7 +327,7 @@ func (r *Runner) TableIV() ([]TableIVRow, error) {
 	}
 	var rows []TableIVRow
 	for i, app := range apps {
-		rep, err := predictor.MeasureOverheadsNamed(r.predictorName(), preps[i].src,
+		rep, err := predictor.MeasureOverheads(r.predictorName(), preps[i].src,
 			predictor.Config{GT: preps[i].gt, Displacement: 0.01})
 		if err != nil {
 			return nil, err
@@ -332,9 +337,12 @@ func (r *Runner) TableIV() ([]TableIVRow, error) {
 	return rows, nil
 }
 
-// WeakScaling compares strong- and weak-scaling savings (experiment E13) on
-// the pool; the strong/weak pair of one point stays together so both rows
-// see the same scheduling.
+// WeakScaling tests the paper's prediction that the mechanism "would be
+// more effective for weak scaling than for strong scaling runs"
+// (Section III): the same applications are generated with per-rank work held
+// constant and replayed at the given displacement factor (experiment E13).
+// Points run on the pool; the strong/weak pair of one point stays together
+// so both rows see the same scheduling.
 func (r *Runner) WeakScaling(displacement float64) ([]WeakScalingRow, error) {
 	var pts []point
 	for _, app := range workloads.Apps() {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"ibpower/internal/replay"
 	"ibpower/internal/stats"
-	"ibpower/internal/workloads"
 )
 
 // WeakScalingRow compares strong- and weak-scaling savings at one point.
@@ -15,14 +13,6 @@ type WeakScalingRow struct {
 	NP     int
 	Strong FigureRow
 	Weak   FigureRow
-}
-
-// WeakScaling tests the paper's prediction that the mechanism "would be
-// more effective for weak scaling than for strong scaling runs"
-// (Section III): the same applications are generated with per-rank work held
-// constant and replayed at the given displacement factor (experiment E13).
-func WeakScaling(displacement float64, opt workloads.Options, cfg replay.Config) ([]WeakScalingRow, error) {
-	return NewRunner(opt, cfg).WeakScaling(displacement)
 }
 
 // WriteWeakScaling renders the comparison.

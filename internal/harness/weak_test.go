@@ -12,7 +12,7 @@ func TestWeakScalingBeatsStrongAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	rows, err := WeakScaling(0.01, workloads.Options{IterScale: 0.25}, replay.DefaultConfig())
+	rows, err := NewRunner(workloads.Options{IterScale: 0.25}, replay.DefaultConfig()).WeakScaling(0.01)
 	if err != nil {
 		t.Fatal(err)
 	}

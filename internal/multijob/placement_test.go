@@ -72,8 +72,8 @@ func TestRandomPlacementDeterministicPerSeed(t *testing.T) {
 }
 
 // TestLinearPlacementIsContiguous asserts linear hands out contiguous
-// terminal blocks in job order — the identity placement replay.Run uses when
-// a single job has the fabric to itself.
+// terminal blocks in job order — the identity placement replay.RunSource
+// uses when a single job has the fabric to itself.
 func TestLinearPlacementIsContiguous(t *testing.T) {
 	f := topology.Paper()
 	terms, err := Place("linear", f, []int{8, 4}, 0)

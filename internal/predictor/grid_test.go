@@ -30,12 +30,23 @@ func testGrids() map[string][]time.Duration {
 	}
 }
 
-// perGT is the brute-force reference: one RunOfflineNamed per threshold.
+// runOne is the single-threshold offline run: RunOfflineGrid on the
+// one-point grid {cfg.GT}, serial, at the default overheads.
+func runOne(src trace.Source, name string, cfg Config) (*OfflineResult, error) {
+	res, err := RunOfflineGrid(src, name, []time.Duration{cfg.GT}, cfg, DefaultOverheads(), 1)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// perGT is the brute-force reference: one single-point RunOfflineGrid call
+// per threshold.
 func perGT(t *testing.T, src trace.Source, name string, gts []time.Duration) []*OfflineResult {
 	t.Helper()
 	out := make([]*OfflineResult, len(gts))
 	for i, gt := range gts {
-		res, err := RunOfflineNamed(name, src, Config{GT: gt, Displacement: 0.01}, DefaultOverheads())
+		res, err := runOne(src, name, Config{GT: gt, Displacement: 0.01})
 		if err != nil {
 			t.Fatalf("%s at GT %v: %v", name, gt, err)
 		}
@@ -45,7 +56,7 @@ func perGT(t *testing.T, src trace.Source, name string, gts []time.Duration) []*
 }
 
 // checkGridMatches compares RunOfflineGrid at the given pool size against
-// one RunOfflineNamed per threshold, on every test grid.
+// one single-point run per threshold, on every test grid.
 func checkGridMatches(t *testing.T, src trace.Source, name string, workers int) {
 	t.Helper()
 	for gname, gts := range testGrids() {

@@ -11,18 +11,6 @@ import (
 	"ibpower/internal/trace"
 )
 
-// RunOffline drives one predictor per rank over the trace without any
-// network simulation: call timestamps are reconstructed from the recorded
-// computation durations plus the mechanism's own modelled overheads, which
-// is exactly the information the grouping threshold and PPA consume. The
-// overhead insertion matters: a PPA invocation stretches the gap that
-// follows it, which can push a gram-internal gap across the grouping
-// threshold, so GT selection must see the same timing as the full replay.
-// This is the fast path used for the GT sweeps of Table III and Figure 10.
-func RunOffline(src trace.Source, cfg Config) (*OfflineResult, error) {
-	return RunOfflineOverheads(src, cfg, DefaultOverheads())
-}
-
 // OfflineResult carries per-rank predictor statistics plus the realized link
 // power accounting of the network-free mechanism simulation.
 type OfflineResult struct {
@@ -44,35 +32,30 @@ func (o *OfflineResult) TotalLow() time.Duration {
 	return l
 }
 
-// RunOfflineOverheads is RunOffline with an explicit overhead model. Each
-// rank's stream drives a predictor and a link power controller: shutdown
-// actions program the wake timer and early calls pay the reactivation delay,
-// exactly as in the full replay minus network effects.
-func RunOfflineOverheads(src trace.Source, cfg Config, ov OverheadModel) (*OfflineResult, error) {
-	return RunOfflineNamed(DefaultName, src, cfg, ov)
-}
-
-// RunOfflineNamed is RunOfflineOverheads for any registered predictor:
-// trace-aware predictors (oracle, offline) are primed with each rank's op
-// stream before it is replayed (only they force a rank to be materialized —
-// every other predictor streams one op at a time). Predictors that never set
+// RunOfflineGrid drives one predictor (any registered name) per rank over
+// the trace without any network simulation, at every grouping threshold of
+// gts (cfg.GT is ignored), and returns one result per threshold in grid
+// order. A one-point grid is the plain offline run. Call timestamps are
+// reconstructed from the recorded computation durations plus the
+// mechanism's own modelled overheads ov, which is exactly the information
+// the grouping threshold and PPA consume. The overhead insertion matters: a
+// PPA invocation stretches the gap that follows it, which can push a
+// gram-internal gap across the grouping threshold, so GT selection must see
+// the same timing as the full replay. Predictors that never set
 // Action.PPAInvoked are charged only the interception overhead per call.
-func RunOfflineNamed(name string, src trace.Source, cfg Config, ov OverheadModel) (*OfflineResult, error) {
-	res, err := RunOfflineGrid(src, name, []time.Duration{cfg.GT}, cfg, ov, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// RunOfflineGrid is RunOfflineNamed at every grouping threshold of gts
-// (cfg.GT is ignored), returning one result per threshold in grid order.
-// Each result is bit-identical to RunOfflineNamed at its threshold, but a
-// rank is not simulated once per threshold: after each n-gram rank run the
-// gram builder reports the interval of thresholds that would have taken
+// Each rank's stream drives a predictor and a link power controller:
+// shutdown actions program the wake timer and early calls pay the
+// reactivation delay, exactly as in the full replay minus network effects.
+// Trace-aware predictors (oracle, offline) are primed with each rank's op
+// stream before it is replayed; every other predictor streams one op at a
+// time. This is the fast path used for the GT sweeps of Table III and
+// Figure 10.
+//
+// A rank is not simulated once per threshold: after each n-gram rank run
+// the gram builder reports the interval of thresholds that would have taken
 // every branch the run took, and the run stands in for every grid point
-// inside it. Only points no earlier run of the rank covers are simulated.
-// Every other predictor covers exactly its own threshold.
+// inside it, bit-identically. Only points no earlier run of the rank covers
+// are simulated. Every other predictor covers exactly its own threshold.
 //
 // Ranks run on a pool of at most workers goroutines (0 selects GOMAXPROCS,
 // 1 is serial) and are reduced in rank order, so results do not depend on
@@ -228,17 +211,12 @@ type OverheadReport struct {
 	Total            time.Duration
 }
 
-// MeasureOverheads runs the predictor over every rank of the trace and
-// measures the real wall-clock cost of each OnCall invocation, attributing
-// it to PPA-invoked calls versus plain interceptions.
-func MeasureOverheads(src trace.Source, cfg Config) (OverheadReport, error) {
-	return MeasureOverheadsNamed(DefaultName, src, cfg)
-}
-
-// MeasureOverheadsNamed is MeasureOverheads for any registered predictor.
-// For predictors that never invoke the PPA the per-invoked-call column stays
+// MeasureOverheads runs the named predictor over every rank of the trace
+// and measures the real wall-clock cost of each OnCall invocation,
+// attributing it to PPA-invoked calls versus plain interceptions. For
+// predictors that never invoke the PPA the per-invoked-call column stays
 // zero and only the amortized per-call cost is meaningful.
-func MeasureOverheadsNamed(name string, src trace.Source, cfg Config) (OverheadReport, error) {
+func MeasureOverheads(name string, src trace.Source, cfg Config) (OverheadReport, error) {
 	var rep OverheadReport
 	var invokedTime time.Duration
 	m := src.Meta()

@@ -161,7 +161,7 @@ func TestOfflineRunner(t *testing.T) {
 			tr.Append(r, trace.Allreduce(8))
 		}
 	}
-	res, err := RunOffline(tr, Config{GT: 20 * us, Displacement: 0.01})
+	res, err := runOne(tr, DefaultName, Config{GT: 20 * us, Displacement: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMeasureOverheads(t *testing.T) {
 		tr.Append(0, trace.Compute(60*us))
 		tr.Append(0, trace.Allreduce(8))
 	}
-	rep, err := MeasureOverheads(tr, Config{GT: 20 * us, Displacement: 0.01})
+	rep, err := MeasureOverheads(DefaultName, tr, Config{GT: 20 * us, Displacement: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +210,33 @@ func TestMeasureOverheads(t *testing.T) {
 	}
 	if rep.PerCallAmortized <= 0 || rep.Total <= 0 {
 		t.Error("missing timing measurements")
+	}
+}
+
+// TestMeasureOverheadsWithoutPPA pins the report contract for a predictor
+// that never invokes the PPA: no invoked calls and no per-invoked-call
+// cost, while the amortized per-call cost is still measured.
+func TestMeasureOverheadsWithoutPPA(t *testing.T) {
+	tr := trace.New("t", 1)
+	for i := 0; i < 200; i++ {
+		tr.Append(0, trace.Compute(100*us))
+		tr.Append(0, trace.Barrier())
+	}
+	rep, err := MeasureOverheads("lastvalue", tr, Config{GT: 20 * us, Displacement: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Calls != 200 {
+		t.Errorf("calls = %d, want 200", rep.Calls)
+	}
+	if rep.PPAInvoked != 0 || rep.PPAInvokedPct != 0 || rep.PerInvokedCall != 0 {
+		t.Errorf("lastvalue reported PPA work: %+v", rep)
+	}
+	if rep.PerCallAmortized <= 0 {
+		t.Errorf("amortized per-call cost %v, want > 0", rep.PerCallAmortized)
+	}
+	if _, err := MeasureOverheads("nosuch", tr, Config{GT: 20 * us, Displacement: 0.01}); err == nil {
+		t.Error("unknown predictor accepted by MeasureOverheads")
 	}
 }
 

@@ -230,10 +230,12 @@ func TestUnprimedTraceAwarePredictNothing(t *testing.T) {
 	}
 }
 
-func TestRunOfflineNamedAllPredictors(t *testing.T) {
+// TestRunOfflineGridOnePointAllPredictors runs every registered predictor
+// through the single-threshold offline runner.
+func TestRunOfflineGridOnePointAllPredictors(t *testing.T) {
 	tr := buildTrainable(30)
-	for _, name := range []string{"ngram", "oracle", "offline", "lastvalue", "ewma", "static-gt"} {
-		res, err := RunOfflineNamed(name, tr, validCfg(), DefaultOverheads())
+	for _, name := range Names() {
+		res, err := runOne(tr, name, validCfg())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -243,11 +245,11 @@ func TestRunOfflineNamedAllPredictors(t *testing.T) {
 	}
 	// The oracle reclaims at least as much low-power time as last-value on
 	// any trace: it makes the same-or-better prediction at every call.
-	or, err := RunOfflineNamed("oracle", tr, validCfg(), DefaultOverheads())
+	or, err := runOne(tr, "oracle", validCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := RunOfflineNamed("lastvalue", tr, validCfg(), DefaultOverheads())
+	lv, err := runOne(tr, "lastvalue", validCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +259,7 @@ func TestRunOfflineNamedAllPredictors(t *testing.T) {
 	if or.Delay != 0 {
 		t.Errorf("oracle paid %v of reactivation delay", or.Delay)
 	}
-	if _, err := RunOfflineNamed("nosuch", tr, validCfg(), DefaultOverheads()); err == nil {
+	if _, err := runOne(tr, "nosuch", validCfg()); err == nil {
 		t.Error("unknown predictor accepted by offline runner")
 	}
 }

@@ -22,7 +22,7 @@ func TestChurnSingleAdmissionMatchesRun(t *testing.T) {
 	tr := genTrace(t, "alya", 8)
 	cfg := DefaultConfig().WithPower(20*time.Microsecond, 0.01)
 
-	want, err := Run(tr, cfg)
+	want, err := RunSource(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestChurnOffsetAdmission(t *testing.T) {
 	tr := genTrace(t, "gromacs", 8)
 	cfg := DefaultConfig().WithPower(20*time.Microsecond, 0.01)
 
-	base, err := Run(tr, cfg)
+	base, err := RunSource(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ type Config struct {
 	Telemetry TelemetryConfig
 
 	// Parallelism bounds how many independent experiment points the harness
-	// sweeps concurrently (tables, figures, GT grids). Run itself ignores
+	// sweeps concurrently (tables, figures, GT grids). The engine ignores
 	// it: each point is still replayed by the single-threaded engine, so
 	// results are bit-identical at every setting; only the harness's
 	// wall-clock time changes. 0 selects runtime.GOMAXPROCS, 1 forces the

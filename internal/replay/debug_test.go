@@ -42,11 +42,11 @@ func TestDebugWorkload(t *testing.T) {
 	}
 	t.Logf("app=%s np=%d GT=%v offlineHit=%.1f%%", app, np, gt, hit)
 	cfg := replay.DefaultConfig()
-	base, err := replay.Run(tr, cfg)
+	base, err := replay.RunSource(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := replay.Run(tr, cfg.WithPower(gt, d))
+	res, err := replay.RunSource(tr, cfg.WithPower(gt, d))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,19 +104,13 @@ type engine struct {
 	tele *telemetry
 }
 
-// Run replays the trace under cfg and returns the measured result. The
-// single job occupies terminals 0..NP-1 of the fabric, exactly as before the
-// engine learned to share its fabric between jobs (RunJobs); results are
+// RunSource replays one trace source under cfg and returns the measured
+// result. The source may be an in-memory *trace.Trace, generated on the fly,
+// or read from a packed trace file through bounded windows. The single job
+// occupies terminals 0..NP-1 of the fabric, exactly as before the engine
+// learned to share its fabric between jobs (RunJobs); results are
 // bit-identical to that dedicated-fabric engine. All validation (trace,
 // network, registries, capacity) happens in RunJobs.
-func Run(tr *trace.Trace, cfg Config) (*Result, error) {
-	return RunSource(tr, cfg)
-}
-
-// RunSource replays a streaming trace source under cfg: the single-job
-// counterpart of Run for traces that are generated on the fly or read from a
-// packed trace file through bounded windows. For an in-memory *Trace it is
-// exactly Run.
 func RunSource(src trace.Source, cfg Config) (*Result, error) {
 	mr, err := RunJobs([]Job{{Source: src}}, cfg)
 	if err != nil {

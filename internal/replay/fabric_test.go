@@ -16,7 +16,7 @@ func TestUnknownFabricRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(tr, DefaultConfig().WithFabric("nosuch")); err == nil ||
+	if _, err := RunSource(tr, DefaultConfig().WithFabric("nosuch")); err == nil ||
 		!strings.Contains(err.Error(), "unknown fabric") ||
 		!strings.Contains(err.Error(), "dragonfly") {
 		t.Errorf("unknown fabric error %v must reject the name and list the registry", err)
@@ -37,7 +37,7 @@ func TestFabricTooSmallRejected(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Topo = small
-	if _, err := Run(tr, cfg); err == nil || !strings.Contains(err.Error(), "terminals") {
+	if _, err := RunSource(tr, cfg); err == nil || !strings.Contains(err.Error(), "terminals") {
 		t.Errorf("16-terminal fabric accepted for 32 ranks (err=%v)", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestRunOnEveryFabric(t *testing.T) {
 	}
 	execs := map[string]int64{}
 	for _, name := range topology.Names() {
-		res, err := Run(tr, DefaultConfig().WithFabric(name).WithPower(20*time.Microsecond, 0.01))
+		res, err := RunSource(tr, DefaultConfig().WithFabric(name).WithPower(20*time.Microsecond, 0.01))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -39,7 +39,7 @@ func TestReplayFabricsGolden(t *testing.T) {
 	for _, fabric := range []string{"xgft", "dragonfly", "torus2d"} {
 		for _, app := range workloads.Apps() {
 			for _, np := range workloads.ProcCounts(app)[:2] {
-				res, err := Run(genTrace(t, app, np), cfg.WithFabric(fabric))
+				res, err := RunSource(genTrace(t, app, np), cfg.WithFabric(fabric))
 				if err != nil {
 					t.Fatalf("%s %s np=%d: %v", fabric, app, np, err)
 				}
@@ -68,7 +68,7 @@ func TestReplayFabricsGolden(t *testing.T) {
 		self.Append(r, trace.Sendrecv(r, r, 4096))
 		self.Append(r, trace.Sendrecv(1-r, 1-r, 8192))
 	}
-	res, err := Run(self, cfg)
+	res, err := RunSource(self, cfg)
 	if err != nil {
 		t.Fatalf("self exchange: %v", err)
 	}

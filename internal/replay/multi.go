@@ -29,7 +29,7 @@ type Job struct {
 	// jobs in one RunJobs call must be disjoint (one MPI process per
 	// terminal). nil places the job's ranks contiguously after the previous
 	// job's block (the linear placement); for a single job that is the
-	// identity mapping Run has always used.
+	// identity mapping RunSource uses.
 	Terminals []int
 	// Power overrides the run-level Config.Power for this job when non-nil,
 	// so each job can carry its own grouping threshold and predictor (the

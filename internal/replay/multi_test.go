@@ -26,7 +26,7 @@ func TestRunJobsSingleJobMatchesRun(t *testing.T) {
 	tr := genTrace(t, "alya", 8)
 	cfg := DefaultConfig().WithPower(20*time.Microsecond, 0.01)
 
-	want, err := Run(tr, cfg)
+	want, err := RunSource(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestComputeOnlyTrace(t *testing.T) {
 	tr := trace.New("t", 2)
 	tr.Append(0, trace.Compute(100*us))
 	tr.Append(1, trace.Compute(250*us))
-	res, err := Run(tr, baseCfg())
+	res, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestPointToPointTiming(t *testing.T) {
 	tr.Append(0, trace.Send(1, 4096))
 	tr.Append(1, trace.Compute(500*us)) // receiver arrives late
 	tr.Append(1, trace.Recv(0))
-	res, err := Run(tr, baseCfg())
+	res, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSendrecvPair(t *testing.T) {
 	tr := trace.New("t", 2)
 	tr.Append(0, trace.Sendrecv(1, 1, 2048))
 	tr.Append(1, trace.Sendrecv(0, 0, 2048))
-	res, err := Run(tr, baseCfg())
+	res, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCollectivesComplete(t *testing.T) {
 			tr.Append(r, trace.Reduce(0, 2048))
 			tr.Append(r, trace.Alltoall(256))
 		}
-		res, err := Run(tr, baseCfg())
+		res, err := RunSource(tr, baseCfg())
 		if err != nil {
 			t.Fatalf("np=%d: %v", np, err)
 		}
@@ -88,7 +88,7 @@ func TestDeadlockDetection(t *testing.T) {
 	tr := trace.New("t", 2)
 	tr.Append(0, trace.Recv(1)) // nobody ever sends
 	tr.Append(1, trace.Compute(10*us))
-	_, err := Run(tr, baseCfg())
+	_, err := RunSource(tr, baseCfg())
 	if err == nil {
 		t.Fatal("deadlock not detected")
 	}
@@ -104,7 +104,7 @@ func TestMismatchedCollectiveDeadlocks(t *testing.T) {
 	tr.Append(1, trace.Allreduce(8))
 	// rank 2 never joins
 	tr.Append(2, trace.Compute(10*us))
-	_, err := Run(tr, baseCfg())
+	_, err := RunSource(tr, baseCfg())
 	if err == nil {
 		t.Fatal("missing collective participant not detected")
 	}
@@ -151,11 +151,11 @@ func TestReplayRejectsSecondOutstandingHalf(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	tr := periodicTrace(8, 30)
-	r1, err := Run(tr, baseCfg())
+	r1, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(tr, baseCfg())
+	r2, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func periodicTrace(np, iters int) *trace.Trace {
 
 func TestPowerMechanismSavesPower(t *testing.T) {
 	tr := periodicTrace(8, 40)
-	base, err := Run(tr, baseCfg())
+	base, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(tr, baseCfg().WithPower(20*us, 0.01))
+	res, err := RunSource(tr, baseCfg().WithPower(20*us, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDisplacementTradeoff(t *testing.T) {
 	tr := periodicTrace(4, 40)
 	var savings []float64
 	for _, d := range []float64{0.10, 0.05, 0.01} {
-		res, err := Run(tr, baseCfg().WithPower(20*us, d))
+		res, err := RunSource(tr, baseCfg().WithPower(20*us, d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestDisplacementTradeoff(t *testing.T) {
 
 func TestBaselineHasNoPowerAccounting(t *testing.T) {
 	tr := periodicTrace(2, 5)
-	res, err := Run(tr, baseCfg())
+	res, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestBaselineHasNoPowerAccounting(t *testing.T) {
 
 func TestAccountingConservation(t *testing.T) {
 	tr := periodicTrace(4, 25)
-	res, err := Run(tr, baseCfg().WithPower(20*us, 0.05))
+	res, err := RunSource(tr, baseCfg().WithPower(20*us, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestTimelinesRecorded(t *testing.T) {
 	tr := periodicTrace(3, 20)
 	cfg := baseCfg().WithPower(20*us, 0.05)
 	cfg.Power.RecordTimelines = true
-	res, err := Run(tr, cfg)
+	res, err := RunSource(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestTimelinesRecorded(t *testing.T) {
 func TestInvalidConfigRejected(t *testing.T) {
 	tr := periodicTrace(2, 2)
 	cfg := baseCfg().WithPower(5*us, 0.01) // GT below 2·Treact
-	if _, err := Run(tr, cfg); err == nil {
+	if _, err := RunSource(tr, cfg); err == nil {
 		t.Fatal("invalid GT accepted")
 	}
 }
@@ -284,21 +284,21 @@ func TestTopologyTooSmall(t *testing.T) {
 	for r := 0; r < 300; r++ {
 		tr300.Append(r, trace.Compute(us))
 	}
-	if _, err := Run(tr300, cfg); err == nil {
+	if _, err := RunSource(tr300, cfg); err == nil {
 		t.Fatal("300 ranks on a 252-terminal fabric accepted")
 	}
-	if _, err := Run(tr, cfg); err != nil {
+	if _, err := RunSource(tr, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestOverheadsSlowExecution(t *testing.T) {
 	tr := periodicTrace(2, 30)
-	base, err := Run(tr, baseCfg())
+	base, err := RunSource(tr, baseCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(tr, baseCfg().WithPower(20*us, 0.01))
+	res, err := RunSource(tr, baseCfg().WithPower(20*us, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestRandomSPMDTraceProperty(t *testing.T) {
 				}
 			}
 		}
-		res, err := Run(tr, baseCfg().WithPower(20*us, 0.05))
+		res, err := RunSource(tr, baseCfg().WithPower(20*us, 0.05))
 		if err != nil {
 			return false
 		}

@@ -12,7 +12,7 @@ import (
 // TestTelemetryOffByDefault: the zero TelemetryConfig records nothing and
 // leaves Result.Series nil — the opt-in contract existing goldens rely on.
 func TestTelemetryOffByDefault(t *testing.T) {
-	res, err := Run(genTrace(t, "gromacs", 8), DefaultConfig().WithPower(20*us, 0.01))
+	res, err := RunSource(genTrace(t, "gromacs", 8), DefaultConfig().WithPower(20*us, 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func TestTelemetryOffByDefault(t *testing.T) {
 func TestTelemetryObservational(t *testing.T) {
 	tr := genTrace(t, "alya", 8)
 	cfg := DefaultConfig().WithPower(20*us, 0.01)
-	plain, err := Run(tr, cfg)
+	plain, err := RunSource(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Run(tr, cfg.WithTelemetry(time.Millisecond))
+	traced, err := RunSource(tr, cfg.WithTelemetry(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTelemetryObservational(t *testing.T) {
 func TestTelemetrySeriesContents(t *testing.T) {
 	tr := genTrace(t, "gromacs", 8)
 	cfg := DefaultConfig().WithPower(20*us, 0.01).WithTelemetry(time.Millisecond)
-	res, err := Run(tr, cfg)
+	res, err := RunSource(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTelemetryDeterministic(t *testing.T) {
 	cfg := DefaultConfig().WithPower(20*us, 0.01).WithTelemetry(time.Millisecond)
 	var docs [2]bytes.Buffer
 	for i := range docs {
-		res, err := Run(tr, cfg)
+		res, err := RunSource(tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
