@@ -172,7 +172,9 @@ func (r *Runner) chooseGT(app string, np int, opt workloads.Options, tolPct floa
 // baseline returns the cached power-unaware replay for (app, np) under
 // r.Opt: the denominator of every saving and slowdown figure. Sharing it
 // across experiments matters most for Compare, which would otherwise replay
-// the same baseline once per predictor.
+// the same baseline once per predictor. Baselines never record telemetry:
+// only the run under study publishes a series, and a cached denominator's
+// recorder would be filled and thrown away.
 func (r *Runner) baseline(app string, np int) (*replay.Result, error) {
 	k := traceKey{app: app, np: np, opt: r.Opt}
 	r.mu.Lock()
@@ -190,6 +192,7 @@ func (r *Runner) baseline(app string, np int) (*replay.Result, error) {
 		}
 		bcfg := r.Cfg
 		bcfg.Power = replay.PowerConfig{}
+		bcfg.Telemetry = replay.TelemetryConfig{}
 		e.res, e.err = replay.RunSource(src, bcfg)
 	})
 	return e.res, e.err
@@ -199,7 +202,8 @@ func (r *Runner) baseline(app string, np int) (*replay.Result, error) {
 // (gt, d) under r.Opt and r.Cfg: the same job alone with the mechanism on,
 // the denominator of the multijob sharing overhead. The baseline is
 // placement-independent, so one replay serves every placement cell of a
-// MultijobSweep.
+// MultijobSweep. Like baseline, it records no telemetry: the shared run owns
+// the series.
 func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*replay.Result, error) {
 	k := dedKey{traceKey: traceKey{app: app, np: np, opt: r.Opt}, gt: gt, d: d}
 	r.mu.Lock()
@@ -220,6 +224,7 @@ func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*re
 		// tuning from r.Cfg), so the overhead compares like with like.
 		bcfg := r.Cfg
 		bcfg.Power = multijob.JobPower(r.Cfg, gt, d)
+		bcfg.Telemetry = replay.TelemetryConfig{}
 		e.res, e.err = replay.RunSource(src, bcfg)
 	})
 	return e.res, e.err

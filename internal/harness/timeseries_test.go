@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -91,4 +93,56 @@ func TestScenarioTimeseriesGolden(t *testing.T) {
 // document bit-identical across pool sizes too.
 func TestScenarioTimeseriesFaultGolden(t *testing.T) {
 	timeseriesGolden(t, true, "scenario_timeseries_faults.golden.json")
+}
+
+// TestRunnerBaselinesRecordNoTelemetry pins the rule that only the run under
+// study records telemetry: with the Runner's Cfg.Telemetry on, its cached
+// power-unaware baselines and dedicated-fabric runs carry no series, and
+// every other field equals the same run with telemetry off, while the
+// scenario's own shared timeline still records.
+func TestRunnerBaselinesRecordNoTelemetry(t *testing.T) {
+	opt := workloads.Options{Seed: 42, IterScale: 0.05}
+	on := NewRunner(opt, replay.DefaultConfig().WithTelemetry(time.Millisecond))
+	off := NewRunner(opt, replay.DefaultConfig())
+
+	res, err := on.Scenario(testScenarioSpec(t), "fcfs", "roundrobin", 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Series == nil {
+		t.Fatal("telemetry enabled but ChurnResult.Series is nil")
+	}
+	if len(on.deds) == 0 {
+		t.Fatal("scenario ran no dedicated baselines")
+	}
+	same := func(what string, got, want *replay.Result) {
+		t.Helper()
+		if got.Series != nil {
+			t.Errorf("%s recorded a telemetry series", what)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s differs from the telemetry-off run", what)
+		}
+	}
+	for k, e := range on.deds {
+		if e.err != nil {
+			t.Fatal(e.err)
+		}
+		want, err := off.dedicated(k.app, k.np, k.gt, k.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("dedicated %s np=%d gt=%v", k.app, k.np, k.gt), e.res, want)
+	}
+	for _, p := range []point{{"gromacs", 8}, {"alya", 16}} {
+		got, err := on.baseline(p.app, p.np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := off.baseline(p.app, p.np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("baseline %s np=%d", p.app, p.np), got, want)
+	}
 }

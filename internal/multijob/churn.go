@@ -241,9 +241,10 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		Opt: cfg.Opt, Replay: cfg.Replay,
 		SelectGT: cfg.SelectGT, Generate: cfg.Generate, Dedicated: cfg.Dedicated,
 	}
-	// Telemetry records the scenario's shared timeline only: baseline
-	// replays inside the preps would each waste a throwaway recorder.
-	base.Replay.Telemetry = replay.TelemetryConfig{}
+	// Telemetry records the scenario's shared timeline only. The dedicated
+	// baselines below never record: runDedicated clears Replay.Telemetry
+	// itself, and the harness's Dedicated hook (Runner.dedicated) does the
+	// same for its cached runs.
 	var specs []JobSpec
 	index := make(map[JobSpec]int)
 	for _, a := range cfg.Arrivals {

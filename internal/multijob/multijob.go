@@ -138,7 +138,9 @@ type Result struct {
 	// fabric terminal of job j's rank r.
 	Terminals [][]int
 	// Series is the shared run's streaming telemetry recorder, non-nil only
-	// when Replay.Telemetry was enabled (dedicated baselines never record).
+	// when Replay.Telemetry was enabled. Dedicated baselines never record:
+	// runDedicated clears their Telemetry, as does harness.Runner.dedicated
+	// for the hook it installs.
 	Series *stats.TimeSeries
 }
 

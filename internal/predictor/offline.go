@@ -184,8 +184,12 @@ func runRank(p Predictor, cur trace.Cursor, treact time.Duration, ov OverheadMod
 			t += ov.Interception
 			t = ctrl.Acquire(t)
 			act := p.OnCall(ngram.EventID(op.Call), t, t)
-			st := p.Stats().Detector
-			t += ov.CallCost(act.PPAInvoked, st.MaxPatternFrozen, st.PatternListSize) - ov.Interception
+			// Beyond the interception already paid, a call costs only
+			// when the PPA ran; skip the Stats copy otherwise.
+			if act.PPAInvoked {
+				st := p.Stats().Detector
+				t += ov.CallCost(true, st.MaxPatternFrozen, st.PatternListSize) - ov.Interception
+			}
 			if act.Shutdown {
 				ctrl.Shutdown(t, act.PredictedIdle)
 			}

@@ -22,9 +22,10 @@ func fuzzSamples(data []byte) []float64 {
 // patterns: no panic, the count tracks exactly the finite samples, the
 // estimate stays finite and inside the observed [min, max] after every
 // single Add, a two-shard merge preserves count and range, and the Sketch
-// built over the same stream keeps p50 <= p95 <= p99. These are the
-// contracts the telemetry JSON encoder and the Prometheus exposition rely
-// on (no NaN ever reaches an output file).
+// built over the same stream keeps p50 <= p95 <= p99 and its fused update
+// stays bit-identical to three independent estimators, before and after a
+// Merge. These are the contracts the telemetry JSON encoder and the
+// Prometheus exposition rely on (no NaN ever reaches an output file).
 func FuzzP2Quantile(f *testing.F) {
 	le := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))
@@ -43,11 +44,13 @@ func FuzzP2Quantile(f *testing.F) {
 		p := NewP2Quantile(phi)
 		var sk Sketch
 		sk.Init()
+		ref := newIndependentP2()
 		lo, hi := math.Inf(1), math.Inf(-1)
 		var finite int64
 		for _, x := range xs {
 			p.Add(x)
 			sk.Add(x)
+			ref.Add(x)
 			if !math.IsNaN(x) && !math.IsInf(x, 0) {
 				finite++
 				lo = math.Min(lo, x)
@@ -71,6 +74,9 @@ func FuzzP2Quantile(f *testing.F) {
 			if finite > 0 && (p50 < lo || p99 > hi) {
 				t.Fatalf("sketch estimates outside [%v, %v]: p50=%v p99=%v", lo, hi, p50, p99)
 			}
+			if err := sameAsIndependent(&sk, ref, lo, hi); err != nil {
+				t.Fatalf("fused sketch diverged after %d finite samples: %v", finite, err)
+			}
 		}
 
 		// Two-shard merge must preserve count and stay inside the range.
@@ -88,6 +94,22 @@ func FuzzP2Quantile(f *testing.F) {
 		}
 		if q := a.Quantile(); finite > 0 && (math.IsNaN(q) || q < lo || q > hi) {
 			t.Fatalf("merged estimate %v outside observed [%v, %v]", q, lo, hi)
+		}
+
+		// The fused sketch must track independent estimators through a
+		// merge of the stream into itself and the samples after it.
+		self := sk
+		sk.Merge(&self)
+		refSelf := *ref
+		for i := range ref {
+			ref[i].Merge(&refSelf[i])
+		}
+		for _, x := range xs {
+			sk.Add(x)
+			ref.Add(x)
+			if err := sameAsIndependent(&sk, ref, lo, hi); err != nil {
+				t.Fatalf("fused sketch diverged after Merge: %v", err)
+			}
 		}
 	})
 }

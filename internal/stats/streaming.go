@@ -23,7 +23,7 @@ type P2Quantile struct {
 	phi float64
 	n   int64      // finite observations absorbed by Add
 	q   [5]float64 // marker heights (q[0] = min, q[4] = max once n >= 5)
-	pos [5]float64 // actual marker positions (1-based ranks)
+	pos [5]int64   // actual marker positions (1-based ranks)
 	des [5]float64 // desired marker positions
 	inc [5]float64 // per-observation desired-position increments
 
@@ -63,54 +63,68 @@ func (p *P2Quantile) Add(x float64) {
 		return
 	}
 	if p.n < 5 {
-		// Insertion-sort the first five observations into the marker array.
-		i := int(p.n)
-		for i > 0 && p.q[i-1] > x {
-			p.q[i] = p.q[i-1]
-			i--
-		}
-		p.q[i] = x
-		p.n++
-		if p.n == 5 {
-			for j := 0; j < 5; j++ {
-				p.pos[j] = float64(j + 1)
-				p.des[j] = 1 + 4*p.inc[j]
-			}
-		}
+		p.warm(x)
 		return
 	}
+	p.step(x)
+}
 
-	// Locate the cell containing x, updating the extreme markers.
-	var k int
+// warm insertion-sorts one of the first five (finite) observations into the
+// marker array and arms the marker positions once the fifth arrives.
+func (p *P2Quantile) warm(x float64) {
+	i := int(p.n)
+	for i > 0 && p.q[i-1] > x {
+		p.q[i] = p.q[i-1]
+		i--
+	}
+	p.q[i] = x
+	p.n++
+	if p.n == 5 {
+		for j := 0; j < 5; j++ {
+			p.pos[j] = int64(j + 1)
+			p.des[j] = 1 + 4*p.inc[j]
+		}
+	}
+}
+
+// step absorbs one finite observation once the five markers are armed
+// (n >= 5). Only the middle desired positions des[1..3] advance: nothing
+// reads des[0] or des[4]. Positions are integers, and every float
+// expression converts them exactly, so the arithmetic is that of the
+// textbook float-position update, bit for bit.
+func (p *P2Quantile) step(x float64) {
+	// Locate the cell containing x, updating the extreme markers: every
+	// marker above the cell moves up one rank. Inside [min, max), marker i
+	// is above it iff x < q[j] for some j <= i; the flags need no branch.
 	switch {
 	case x < p.q[0]:
 		p.q[0] = x
-		k = 0
+		p.pos[1]++
+		p.pos[2]++
+		p.pos[3]++
 	case x >= p.q[4]:
 		p.q[4] = x
-		k = 3
 	default:
-		for k = 0; k < 3; k++ {
-			if x < p.q[k+1] {
-				break
-			}
-		}
+		a1 := b2i(x < p.q[1])
+		a2 := a1 | b2i(x < p.q[2])
+		a3 := a2 | b2i(x < p.q[3])
+		p.pos[1] += a1
+		p.pos[2] += a2
+		p.pos[3] += a3
 	}
-	for i := k + 1; i < 5; i++ {
-		p.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
+	p.pos[4]++
+	for i := 1; i <= 3; i++ {
 		p.des[i] += p.inc[i]
 	}
 	p.n++
 
 	// Nudge the three middle markers toward their desired positions.
 	for i := 1; i <= 3; i++ {
-		d := p.des[i] - p.pos[i]
+		d := p.des[i] - float64(p.pos[i])
 		if (d >= 1 && p.pos[i+1]-p.pos[i] > 1) || (d <= -1 && p.pos[i-1]-p.pos[i] < -1) {
-			s := 1.0
+			var s int64 = 1
 			if d < 0 {
-				s = -1.0
+				s = -1
 			}
 			h := p.parabolic(i, s)
 			if !(p.q[i-1] < h && h < p.q[i+1]) {
@@ -122,18 +136,27 @@ func (p *P2Quantile) Add(x float64) {
 	}
 }
 
-// parabolic returns the piecewise-parabolic height candidate for marker i
-// moved by d ∈ {-1, +1}.
-func (p *P2Quantile) parabolic(i int, d float64) float64 {
-	return p.q[i] + d/(p.pos[i+1]-p.pos[i-1])*
-		((p.pos[i]-p.pos[i-1]+d)*(p.q[i+1]-p.q[i])/(p.pos[i+1]-p.pos[i])+
-			(p.pos[i+1]-p.pos[i]-d)*(p.q[i]-p.q[i-1])/(p.pos[i]-p.pos[i-1]))
+// b2i returns 1 for true and 0 for false.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// linear returns the linear fallback height for marker i moved by d.
-func (p *P2Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return p.q[i] + d*(p.q[j]-p.q[i])/(p.pos[j]-p.pos[i])
+// parabolic returns the piecewise-parabolic height candidate for marker i
+// moved by s ∈ {-1, +1}.
+func (p *P2Quantile) parabolic(i int, s int64) float64 {
+	d := float64(s)
+	return p.q[i] + d/float64(p.pos[i+1]-p.pos[i-1])*
+		(float64(p.pos[i]-p.pos[i-1]+s)*(p.q[i+1]-p.q[i])/float64(p.pos[i+1]-p.pos[i])+
+			float64(p.pos[i+1]-p.pos[i]-s)*(p.q[i]-p.q[i-1])/float64(p.pos[i]-p.pos[i-1]))
+}
+
+// linear returns the linear fallback height for marker i moved by s.
+func (p *P2Quantile) linear(i int, s int64) float64 {
+	j := i + int(s)
+	return p.q[i] + float64(s)*(p.q[j]-p.q[i])/float64(p.pos[j]-p.pos[i])
 }
 
 // own returns the estimate over this estimator's directly observed samples.
@@ -172,10 +195,12 @@ func (p *P2Quantile) Quantile() float64 {
 // weighted returns the count-weighted combination of two estimates in
 // convex-combination form: each term is bounded by max(|a|, |b|), so the
 // result cannot overflow even for estimates near ±MaxFloat64 (a naive
-// Σ estimateᵢ·countᵢ does) and always lies between a and b.
+// Σ estimateᵢ·countᵢ does). The two roundings can land the sum an ulp
+// outside [a, b], so it is clamped back: the result always lies between a
+// and b.
 func weighted(a float64, an int64, b float64, bn int64) float64 {
 	f := float64(bn) / float64(an+bn)
-	return a*(1-f) + b*f
+	return math.Min(math.Max(a*(1-f)+b*f, math.Min(a, b)), math.Max(a, b))
 }
 
 // Merge folds other into p as a frozen count-weighted estimate: the merged
@@ -328,10 +353,22 @@ func (s *Sketch) Init() {
 }
 
 // Add absorbs one sample. Non-finite values are ignored.
+//
+// The three quantile estimators are updated in one pass: the sample is
+// checked for finiteness once, and since every estimator has seen exactly
+// the same samples, one warm-up test covers all three. Each estimator still
+// performs exactly the float operations, in the same order, that its own
+// P2Quantile.Add would, so the estimates are bit-identical to three
+// independent estimators fed the same stream.
 func (s *Sketch) Add(x float64) {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return
 	}
+	s.add(x)
+}
+
+// add absorbs one finite sample.
+func (s *Sketch) add(x float64) {
 	s.mean.Add(x)
 	if x < s.min {
 		s.min = x
@@ -339,9 +376,15 @@ func (s *Sketch) Add(x float64) {
 	if x > s.max {
 		s.max = x
 	}
-	s.q50.Add(x)
-	s.q95.Add(x)
-	s.q99.Add(x)
+	if s.q50.n < 5 {
+		s.q50.warm(x)
+		s.q95.warm(x)
+		s.q99.warm(x)
+		return
+	}
+	s.q50.step(x)
+	s.q95.step(x)
+	s.q99.step(x)
 }
 
 // Count returns the number of samples, including merged shards.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -410,6 +411,22 @@ func TestSketchMergeApproximatesSingleStream(t *testing.T) {
 	}
 }
 
+// TestP2QuantileMergeStaysInRange pins a fuzzer-found case: the count-
+// weighted combination of a huge and a tiny estimate rounded one ulp above
+// the larger of the two, outside the observed range.
+func TestP2QuantileMergeStaysInRange(t *testing.T) {
+	xs := fuzzSamples([]byte("00000000HHHHHHHHHHHHHHHH"))
+	a, b := NewP2Quantile(4.125), NewP2Quantile(4.125)
+	a.Add(xs[0])
+	a.Add(xs[2])
+	b.Add(xs[1])
+	a.Merge(&b)
+	lo, hi := math.Min(xs[0], xs[1]), math.Max(xs[0], xs[1])
+	if q := a.Quantile(); q < lo || q > hi {
+		t.Fatalf("merged estimate %v outside observed [%v, %v]", q, lo, hi)
+	}
+}
+
 func TestSketchEmptyAndNonFinite(t *testing.T) {
 	s := NewSketch()
 	for _, got := range []float64{s.Mean(), s.Min(), s.Max(), s.P50(), s.P95(), s.P99()} {
@@ -465,5 +482,247 @@ func TestSketchAddAllocs(t *testing.T) {
 		x += 1.3
 	}); avg != 0 {
 		t.Errorf("Sketch.Add allocates %.1f/op, want 0", avg)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Fused sketch update: Sketch.Add drives its three estimators in one pass
+// and must leave each exactly where an independent P2Quantile fed the same
+// stream would be.
+// ---------------------------------------------------------------------------
+
+// sketchStream returns a seeded stream of n samples drawn from a handful of
+// repeated values, runs of one value, continuous noise and non-finite
+// values: the shapes where a fused update could diverge from the
+// independent estimators (ties at marker heights, the x >= max branch,
+// skipped samples).
+func sketchStream(r *rand.Rand, n int) []float64 {
+	vals := []float64{0, 1.5e-6, 3e-6, 3e-6, 12e-6, -2}
+	xs := make([]float64, 0, n)
+	for len(xs) < n {
+		switch r.Intn(8) {
+		case 0:
+			for run := r.Intn(20); run >= 0 && len(xs) < n; run-- {
+				xs = append(xs, vals[3])
+			}
+		case 1:
+			xs = append(xs, []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)])
+		case 2:
+			xs = append(xs, r.NormFloat64()*1e3)
+		default:
+			xs = append(xs, vals[r.Intn(len(vals))])
+		}
+	}
+	return xs
+}
+
+// independentP2 is the reference a Sketch's quantiles must match: one
+// standalone estimator per tracked quantile.
+type independentP2 [3]P2Quantile
+
+func newIndependentP2() *independentP2 {
+	return &independentP2{NewP2Quantile(0.50), NewP2Quantile(0.95), NewP2Quantile(0.99)}
+}
+
+func (ps *independentP2) Add(x float64) {
+	for i := range ps {
+		ps[i].Add(x)
+	}
+}
+
+// sameAsIndependent reports the first difference between s and the
+// reference estimators: raw quantile estimates and counts compared as bit
+// patterns, extremes against the running [lo, hi] of the finite samples.
+func sameAsIndependent(s *Sketch, ps *independentP2, lo, hi float64) error {
+	for i, q := range []*P2Quantile{&s.q50, &s.q95, &s.q99} {
+		if got, want := q.Quantile(), ps[i].Quantile(); math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("φ=%v estimate %v (%#x), independent %v (%#x)",
+				ps[i].phi, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if q.Count() != ps[i].Count() {
+			return fmt.Errorf("φ=%v count %d, independent %d", ps[i].phi, q.Count(), ps[i].Count())
+		}
+		if s.Count() != q.Count() {
+			return fmt.Errorf("sketch count %d, φ=%v estimator %d", s.Count(), ps[i].phi, q.Count())
+		}
+	}
+	if s.Count() > 0 && (math.Float64bits(s.Min()) != math.Float64bits(lo) ||
+		math.Float64bits(s.Max()) != math.Float64bits(hi)) {
+		return fmt.Errorf("sketch range [%v, %v], want [%v, %v]", s.Min(), s.Max(), lo, hi)
+	}
+	return nil
+}
+
+func TestSketchMatchesIndependentP2(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 50, 1000, 20_000}
+	for trial := 0; trial < 40; trial++ {
+		n := lengths[trial%len(lengths)]
+		xs := sketchStream(r, n)
+		s := NewSketch()
+		ps := newIndependentP2()
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i, x := range xs {
+			s.Add(x)
+			ps.Add(x)
+			if !math.IsNaN(x) && !math.IsInf(x, 0) {
+				lo, hi = math.Min(lo, x), math.Max(hi, x)
+			}
+			if err := sameAsIndependent(s, ps, lo, hi); err != nil {
+				t.Fatalf("trial %d (n=%d), after sample %d (%v): %v", trial, n, i, x, err)
+			}
+		}
+
+		// Merge a second shard into both, then keep streaming.
+		ys := sketchStream(r, lengths[(trial+3)%len(lengths)])
+		s2 := NewSketch()
+		ps2 := newIndependentP2()
+		for _, y := range ys {
+			s2.Add(y)
+			ps2.Add(y)
+			if !math.IsNaN(y) && !math.IsInf(y, 0) {
+				lo, hi = math.Min(lo, y), math.Max(hi, y)
+			}
+		}
+		s.Merge(s2)
+		for i := range ps {
+			ps[i].Merge(&ps2[i])
+		}
+		if err := sameAsIndependent(s, ps, lo, hi); err != nil {
+			t.Fatalf("trial %d (n=%d) after Merge: %v", trial, n, err)
+		}
+		for i, x := range sketchStream(r, 200) {
+			s.Add(x)
+			ps.Add(x)
+			if !math.IsNaN(x) && !math.IsInf(x, 0) {
+				lo, hi = math.Min(lo, x), math.Max(hi, x)
+			}
+			if err := sameAsIndependent(s, ps, lo, hi); err != nil {
+				t.Fatalf("trial %d (n=%d), sample %d after Merge (%v): %v", trial, n, i, x, err)
+			}
+		}
+	}
+}
+
+// BenchmarkSketchAdd feeds a Sketch the stream shape a link-utilization
+// series sees: a few serialization times repeated over and over, with a
+// rare long outlier.
+func BenchmarkSketchAdd(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	ser := []float64{0.128e-6, 0.512e-6, 2.048e-6, 4.096e-6}
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = ser[r.Intn(len(ser))]
+		if r.Intn(100) == 0 {
+			xs[i] = 1e-4 * (1 + r.Float64())
+		}
+	}
+	s := NewSketch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Add(xs[i&(len(xs)-1)])
+	}
+}
+
+// textbookP2 is the reference P² marker update of Jain & Chlamtac with
+// float positions and a cell-search loop, as the estimator was first
+// written. P2Quantile keeps integer positions and sets the position
+// increments from comparison flags; TestP2QuantileMatchesTextbook holds
+// it to this reference bit for bit.
+type textbookP2 struct {
+	n   int64
+	q   [5]float64
+	pos [5]float64
+	des [5]float64
+	inc [5]float64
+}
+
+func newTextbookP2(phi float64) *textbookP2 {
+	return &textbookP2{inc: [5]float64{0, phi / 2, phi, (1 + phi) / 2, 1}}
+}
+
+func (p *textbookP2) Add(x float64) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return
+	}
+	if p.n < 5 {
+		i := int(p.n)
+		for i > 0 && p.q[i-1] > x {
+			p.q[i] = p.q[i-1]
+			i--
+		}
+		p.q[i] = x
+		if p.n++; p.n == 5 {
+			for j := range p.pos {
+				p.pos[j] = float64(j + 1)
+				p.des[j] = 1 + 4*p.inc[j]
+			}
+		}
+		return
+	}
+	var k int
+	switch {
+	case x < p.q[0]:
+		p.q[0], k = x, 0
+	case x >= p.q[4]:
+		p.q[4], k = x, 3
+	default:
+		for k = 0; k < 3 && x >= p.q[k+1]; k++ {
+		}
+	}
+	for i := k + 1; i < 5; i++ {
+		p.pos[i]++
+	}
+	for i := range p.des {
+		p.des[i] += p.inc[i]
+	}
+	p.n++
+	for i := 1; i <= 3; i++ {
+		d := p.des[i] - p.pos[i]
+		if (d >= 1 && p.pos[i+1]-p.pos[i] > 1) || (d <= -1 && p.pos[i-1]-p.pos[i] < -1) {
+			s := math.Copysign(1, d)
+			h := p.q[i] + s/(p.pos[i+1]-p.pos[i-1])*
+				((p.pos[i]-p.pos[i-1]+s)*(p.q[i+1]-p.q[i])/(p.pos[i+1]-p.pos[i])+
+					(p.pos[i+1]-p.pos[i]-s)*(p.q[i]-p.q[i-1])/(p.pos[i]-p.pos[i-1]))
+			if !(p.q[i-1] < h && h < p.q[i+1]) {
+				j := i + int(s)
+				h = p.q[i] + s*(p.q[j]-p.q[i])/(p.pos[j]-p.pos[i])
+			}
+			p.q[i] = h
+			p.pos[i] += s
+		}
+	}
+}
+
+func TestP2QuantileMatchesTextbook(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	streams := [][]float64{sketchStream(r, 50_000)}
+	for _, d := range accuracyDists[:2] {
+		xs := make([]float64, 20_000)
+		for i := range xs {
+			xs[i] = d.gen(r)
+		}
+		streams = append(streams, xs)
+	}
+	bits := make([]float64, 20_000)
+	for i := range bits {
+		bits[i] = math.Float64frombits(r.Uint64())
+	}
+	streams = append(streams, bits)
+	for si, xs := range streams {
+		for _, phi := range []float64{0.5, 0.95, 0.99, 0.1} {
+			p, ref := NewP2Quantile(phi), newTextbookP2(phi)
+			for i, x := range xs {
+				p.Add(x)
+				ref.Add(x)
+				for m := range p.q {
+					if math.Float64bits(p.q[m]) != math.Float64bits(ref.q[m]) || float64(p.pos[m]) != ref.pos[m] {
+						t.Fatalf("stream %d φ=%v sample %d: marker %d height %v pos %v, textbook %v pos %v",
+							si, phi, i, m, p.q[m], p.pos[m], ref.q[m], ref.pos[m])
+					}
+				}
+			}
+		}
 	}
 }

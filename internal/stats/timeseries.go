@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -163,12 +164,11 @@ func (ts *TimeSeries) fold() {
 // Record adds one sample at time t. Non-finite values are ignored. The
 // path is allocation-free.
 func (ts *TimeSeries) Record(id SeriesID, t time.Duration, v float64) {
-	se := &ts.s[id]
-	before := se.sk.Count()
-	se.sk.Add(v)
-	if se.sk.Count() == before {
-		return // non-finite, rejected by the sketch
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
 	}
+	se := &ts.s[id]
+	se.sk.add(v)
 	b := ts.bucket(t)
 	se.count[b]++
 	se.sum[b], se.comp[b] = neumaierAdd(se.sum[b], se.comp[b], v)
@@ -181,12 +181,11 @@ func (ts *TimeSeries) RecordSpan(id SeriesID, t0, t1 time.Duration, w float64) {
 	if t1 < t0 {
 		t0, t1 = t1, t0
 	}
-	se := &ts.s[id]
-	before := se.sk.Count()
-	se.sk.Add(w)
-	if se.sk.Count() == before {
-		return // non-finite weight
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return
 	}
+	se := &ts.s[id]
+	se.sk.add(w)
 	if t0 < 0 {
 		t0 = 0
 	}
