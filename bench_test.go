@@ -7,19 +7,25 @@ package ibpower_test
 
 import (
 	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"ibpower"
-	"ibpower/internal/benchio"
 	"ibpower/internal/dvs"
 	"ibpower/internal/harness"
 	"ibpower/internal/mpi"
+	"ibpower/internal/multijob"
 	"ibpower/internal/network"
 	"ibpower/internal/ngram"
 	"ibpower/internal/power"
 	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
+	"ibpower/internal/scenario"
+	"ibpower/internal/stats"
+	"ibpower/internal/topology"
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
@@ -370,11 +376,79 @@ func BenchmarkAblationDeepSleep(b *testing.B) {
 
 // --- Microbenchmarks of the hot paths ---
 //
-// The headline bodies live in internal/benchio (one source of truth for the
-// BENCH_<n>.json trajectory and the CI bench-smoke gate); the wrappers here
-// keep them runnable under `go test -bench` with the canonical names.
+// Each gated hot path is set up once, by a function returning its timed
+// operation. Its Benchmark* func times that operation, and
+// TestHotPathCeilings (ceilings_test.go) pins its allocations, so the
+// ceilings hold exactly what the benchmarks time. .github/bench-ab.sh
+// compares the same benchmarks' wall time against the merge base.
 
-func BenchmarkPredictorOnCall(b *testing.B) { benchio.BenchPredictorOnCall(b) }
+// hotOp is one hot path's timed operation: run(i) performs iteration i.
+// When unit is set, the benchmark reports per·b.N/elapsed in that unit.
+type hotOp struct {
+	run  func(i int)
+	unit string
+	per  float64
+}
+
+// benchHot times the operation setup returns.
+func benchHot(b *testing.B, setup func(testing.TB) hotOp) {
+	op := setup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.run(i)
+	}
+	if op.unit != "" {
+		b.ReportMetric(op.per*float64(b.N)/b.Elapsed().Seconds(), op.unit)
+	}
+}
+
+// replayOp replays src under cfg once per iteration, reporting per units
+// (trace calls or ops) per second.
+func replayOp(tb testing.TB, src trace.Source, cfg replay.Config, unit string, per float64) hotOp {
+	return hotOp{run: func(int) {
+		if _, err := replay.RunSource(src, cfg); err != nil {
+			tb.Fatal(err)
+		}
+	}, unit: unit, per: per}
+}
+
+// alya16 is the replay benchmarks' workload: alya at 16 processes.
+func alya16(tb testing.TB) *trace.Trace {
+	tr, err := workloads.Generate("alya", 16, workloads.Options{IterScale: 0.1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// mustNet builds a network over fabric with the default config.
+func mustNet(tb testing.TB, fabric topology.Fabric) *network.Network {
+	net, err := network.New(fabric, network.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net
+}
+
+func BenchmarkPredictorOnCall(b *testing.B) {
+	p := predictor.MustNew(predictor.Config{GT: 20 * time.Microsecond, Displacement: 0.01})
+	var now time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := predictor.EventID(41)
+		gap := 5 * time.Microsecond
+		switch i % 5 {
+		case 0:
+			gap = 300 * time.Microsecond
+		case 3, 4:
+			id, gap = 10, 200*time.Microsecond
+		}
+		now += gap
+		p.OnCall(id, now, now)
+	}
+}
 
 func BenchmarkGramBuilder(b *testing.B) {
 	bl := ngram.NewBuilder(20 * time.Microsecond)
@@ -403,51 +477,329 @@ func BenchmarkControllerCycle(b *testing.B) {
 	}
 }
 
-func BenchmarkNetworkTransfer(b *testing.B) { benchio.BenchNetworkTransfer(b) }
+// BenchmarkNetworkTransfer sends 8 KiB messages between shifting terminal
+// pairs of the paper XGFT.
+func BenchmarkNetworkTransfer(b *testing.B) { benchHot(b, networkTransfer) }
 
-// BenchmarkDragonflyTransfer times the generic Fabric routing path: the
-// dragonfly preset with its per-transfer Valiant intermediate-group draw.
-func BenchmarkDragonflyTransfer(b *testing.B) { benchio.BenchDragonflyTransfer(b) }
+func networkTransfer(tb testing.TB) hotOp {
+	net := mustNet(tb, topology.Paper())
+	return hotOp{run: func(i int) {
+		net.Transfer(i%128, (i+37)%128, 8192, time.Duration(i)*time.Microsecond)
+	}}
+}
 
-func BenchmarkRouteCrossLeaf(b *testing.B) { benchio.BenchRouteCrossLeaf(b) }
+// BenchmarkDragonflyTransfer times transfers over the dragonfly preset: the
+// generic Fabric routing path (interface dispatch into the dragonfly's
+// RouteIDsInto) rather than the paper XGFT's. Inter-group endpoints keep the
+// Valiant intermediate-group draw on every transfer.
+func BenchmarkDragonflyTransfer(b *testing.B) { benchHot(b, dragonflyTransfer) }
 
-// BenchmarkBigFabricRoutes reports routes/s over the 8000-terminal xgft3-big
-// preset, each route built directly into a reused buffer with live RNG draws.
-func BenchmarkBigFabricRoutes(b *testing.B) { benchio.BenchBigFabricRoutes(b) }
+func dragonflyTransfer(tb testing.TB) hotOp {
+	fabric := topology.MustNamed("dragonfly")
+	net := mustNet(tb, fabric)
+	n := fabric.NumTerminals()
+	return hotOp{run: func(i int) {
+		net.Transfer(i%n, (i+n/2+3)%n, 8192, time.Duration(i)*time.Microsecond)
+	}}
+}
+
+func BenchmarkRouteCrossLeaf(b *testing.B) {
+	topo := topology.Paper()
+	buf := make([]topology.LinkID, 0, 8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = topo.RouteIDsInto(buf[:0], i%18, 250-(i%18), nil)
+	}
+}
+
+// BenchmarkBigFabricRoutes reports routes/s over random pairs of the
+// 8000-terminal xgft3-big preset, each route built directly into a reused
+// buffer with live RNG draws (two per cross-tree route): the healthy
+// transfer's routing call.
+func BenchmarkBigFabricRoutes(b *testing.B) { benchHot(b, bigFabricRoutes) }
+
+func bigFabricRoutes(testing.TB) hotOp {
+	fabric := topology.MustNamed("xgft3-big")
+	buf := make([]topology.LinkID, 0, 8)
+	rng := rand.New(rand.NewSource(1))
+	n := fabric.NumTerminals()
+	return hotOp{run: func(i int) {
+		buf = fabric.RouteIDsInto(buf[:0], i%n, (i*7919+13)%n, rng)
+	}, unit: "routes/s", per: 1}
+}
 
 // BenchmarkBigFabricReplay reports replay calls/s with ranks on the
-// 8000-terminal xgft3-big preset.
-func BenchmarkBigFabricReplay(b *testing.B) { benchio.BenchBigFabricReplay(b) }
+// 8000-terminal xgft3-big preset: the full engine (routing, timing, power
+// mechanism) against per-LinkID state sized for 48000 directed links.
+func BenchmarkBigFabricReplay(b *testing.B) { benchHot(b, bigFabricReplay) }
 
-func BenchmarkReplayAlya16(b *testing.B) { benchio.BenchReplayAlya16(b) }
+func bigFabricReplay(tb testing.TB) hotOp {
+	tr := alya16(tb)
+	cfg := replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01).WithFabric("xgft3-big")
+	return replayOp(tb, tr, cfg, "calls/s", float64(tr.NumCalls()))
+}
+
+// BenchmarkReplayAlya16 reports calls/s for the full power-aware replay of
+// alya at 16 processes on the paper XGFT.
+func BenchmarkReplayAlya16(b *testing.B) { benchHot(b, replayAlya16) }
+
+func replayAlya16(tb testing.TB) hotOp {
+	tr := alya16(tb)
+	cfg := replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01)
+	return replayOp(tb, tr, cfg, "calls/s", float64(tr.NumCalls()))
+}
 
 // BenchmarkStreamReplay reports events/s for the file-backed streaming replay
-// path: the alya-16 workload packed into the binary trace format and replayed
-// through bounded per-rank read windows; bytes/op stays O(window).
-func BenchmarkStreamReplay(b *testing.B) { benchio.BenchStreamReplay(b) }
+// path: the alya-16 workload packed once into the binary trace format and
+// replayed through bounded per-rank read windows. events/s counts trace ops
+// pulled through cursors; bytes/op is the heap cost of one full replay, which
+// stays O(window) however long the trace is.
+func BenchmarkStreamReplay(b *testing.B) { benchHot(b, streamReplay) }
 
-// BenchmarkMultijob times the shared-fabric engine: a gromacs + alya mix
-// round-robin-interleaved across the paper XGFT's leaf switches.
-func BenchmarkMultijob(b *testing.B) { benchio.BenchMultijob(b) }
+func streamReplay(tb testing.TB) hotOp {
+	src, err := workloads.NewSource("alya", 16, workloads.Options{IterScale: 0.1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "bench.ibt")
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := trace.WriteBinarySources(f, src); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	bf, err := trace.OpenFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { bf.Close() })
+	fsrc, err := bf.Source("alya", 16)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01)
+	return replayOp(tb, fsrc, cfg, "events/s", float64(bf.NumOps(0)))
+}
+
+// BenchmarkMultijob times the shared-fabric engine, replay.RunJobs, on a
+// gromacs + alya mix round-robin-interleaved across the paper XGFT's leaf
+// switches, both with the mechanism on. Placement and trace generation
+// happen once in setup, so the operation is the engine's merged-timeline
+// hot path alone.
+func BenchmarkMultijob(b *testing.B) { benchHot(b, multijobReplay) }
+
+func multijobReplay(tb testing.TB) hotOp {
+	mix := []multijob.JobSpec{{App: "gromacs", NP: 8}, {App: "alya", NP: 8}}
+	opt := workloads.Options{IterScale: 0.1}
+	var jobs []replay.Job
+	var calls float64
+	pw := replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01).Power
+	sizes := make([]int, len(mix))
+	for i, js := range mix {
+		sizes[i] = js.NP
+	}
+	terms, err := multijob.Place("roundrobin", topology.Paper(), sizes, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, js := range mix {
+		tr, err := workloads.Generate(js.App, js.NP, opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		calls += float64(tr.NumCalls())
+		jobs = append(jobs, replay.Job{Trace: tr, Terminals: terms[i], Power: &pw})
+	}
+	cfg := replay.DefaultConfig()
+	return hotOp{run: func(int) {
+		if _, err := replay.RunJobs(jobs, cfg); err != nil {
+			tb.Fatal(err)
+		}
+	}, unit: "calls/s", per: calls}
+}
 
 // BenchmarkScenarioChurn reports jobs/s through the churn event loop's
-// steady state (scheduler scan + pooled terminal claim/release), which must
-// stay at 0 allocs/op.
-func BenchmarkScenarioChurn(b *testing.B) { benchio.BenchScenarioChurn(b) }
+// steady state. Each operation cycles one job through a saturated fabric:
+// the fcfs policy scans a queue whose head does not fit (the head-of-line
+// state a loaded scenario lives in), then a finishing job's terminals
+// release back to the pooled free-list and the next job claims them. Replay
+// is excluded (BenchmarkMultijob times that); this is the scheduling
+// machinery itself.
+func BenchmarkScenarioChurn(b *testing.B) { benchHot(b, scenarioChurn) }
 
-// BenchmarkChurnWithFaults times the degraded-routing transfer path: every
-// transfer detours around a failed cable (RouteDraws + RouteIDsAvoiding),
-// which must stay at 0 allocs/op in steady state.
-func BenchmarkChurnWithFaults(b *testing.B) { benchio.BenchChurnWithFaults(b) }
+func scenarioChurn(tb testing.TB) hotOp {
+	fabric := topology.Paper()
+	order, err := multijob.Ordering("roundrobin", fabric, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	free, err := multijob.NewFreeList(fabric, order)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fcfs, err := scenario.Named("fcfs")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Saturate: a resident job holds most of the fabric, the queue head
+	// wants more than the remainder, and one 12-rank job cycles through the
+	// free slots forever.
+	free.Alloc(free.NumTerminals() - 12)
+	ctx := &multijob.SchedContext{
+		Queue:  []multijob.QueuedJob{{ID: 0, Spec: multijob.JobSpec{App: "gromacs", NP: 96}}},
+		Free:   free,
+		Fabric: fabric,
+	}
+	// Warm the free-list's slice pool so the operation recycles.
+	free.Release(free.Alloc(12))
+	return hotOp{run: func(int) {
+		if picks := fcfs(ctx); len(picks) != 0 {
+			tb.Fatal("blocked head admitted")
+		}
+		terms := free.Alloc(12)
+		if terms == nil {
+			tb.Fatal("alloc failed on a free fabric slice")
+		}
+		free.Release(terms)
+	}, unit: "jobs/s", per: 1}
+}
+
+// BenchmarkChurnWithFaults times the degraded-routing transfer path: the
+// paper XGFT with one switch-to-switch cable down, so every transfer takes
+// the fault-aware branch (a RouteDraws into scratch, with the healthy path's
+// RNG consumption, plus a RouteIDsAvoiding detour) instead of the healthy
+// RouteIDsInto. No transfer may end unroutable.
+func BenchmarkChurnWithFaults(b *testing.B) { benchHot(b, churnWithFaults) }
+
+func churnWithFaults(tb testing.TB) hotOp {
+	fabric := topology.Paper()
+	net := mustNet(tb, fabric)
+	fs := topology.NewFaultSet(fabric)
+	tab := fabric.Table()
+	failed := false
+	for id := 0; id < tab.Len(); id += 2 {
+		if tab.SwitchToSwitch(topology.LinkID(id)) {
+			fs.FailLink(topology.LinkID(id))
+			failed = true
+			break
+		}
+	}
+	if !failed {
+		tb.Fatal("no switch-to-switch cable to fail")
+	}
+	if err := net.SetFaults(fs); err != nil {
+		tb.Fatal(err)
+	}
+	// Warm the detour scratch buffers so the operation recycles them.
+	net.Transfer(0, 37, 8192, 0)
+	tb.Cleanup(func() {
+		if net.Unroutable() != 0 {
+			tb.Errorf("%d unroutable transfers on a single-cable fault", net.Unroutable())
+		}
+	})
+	return hotOp{run: func(i int) {
+		net.Transfer(i%128, (i+37)%128, 8192, time.Duration(i)*time.Microsecond)
+	}}
+}
 
 // BenchmarkDetectorAddGram measures the steady-state PPA gram path: a
 // detected pattern being predicted over interned grams (zero allocations).
-func BenchmarkDetectorAddGram(b *testing.B) { benchio.BenchDetectorAddGram(b) }
+func BenchmarkDetectorAddGram(b *testing.B) {
+	grams, det := steadyStateDetector(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		det.AddGram(grams[i%len(grams)])
+	}
+}
 
-// BenchmarkTimeSeriesRecord measures the streaming telemetry record path
-// (span + sample recording into P²-sketched interval buckets), the work
-// -timeseries adds per simulated transfer; must stay at 0 allocs/op.
-func BenchmarkTimeSeriesRecord(b *testing.B) { benchio.BenchTimeSeriesRecord(b) }
+// steadyStateDetector builds a detector predicting the paper's Figure 3
+// pattern and returns one full pattern appearance of finalized grams to
+// cycle through it. Feeding the grams in order keeps the detector in
+// prediction mode forever; the steady-state AddGram path allocates nothing.
+func steadyStateDetector(tb testing.TB) ([]*ngram.Gram, *ngram.Detector) {
+	const gt = 20 * time.Microsecond
+	bl := ngram.NewBuilder(gt)
+	det := ngram.NewDetector(0)
+	stream := []struct {
+		id  ngram.EventID
+		gap time.Duration
+	}{
+		{41, 300 * time.Microsecond}, {41, 5 * time.Microsecond}, {41, 5 * time.Microsecond},
+		{10, 200 * time.Microsecond}, {10, 200 * time.Microsecond},
+	}
+	var grams []*ngram.Gram
+	var now time.Duration
+	for it := 0; it < 8; it++ {
+		for _, ev := range stream {
+			now += ev.gap
+			if g := bl.Add(ev.id, ev.gap, now, now); g != nil {
+				det.AddGram(g)
+				if it >= 4 {
+					grams = append(grams, g)
+				}
+			}
+		}
+	}
+	if !det.Predicting() {
+		tb.Fatal("walkthrough stream did not reach prediction mode")
+	}
+	// Keep one aligned pattern appearance: the detector's phase after the
+	// warmup continues exactly into grams[0].
+	size := det.Active().Size()
+	return grams[len(grams)-size:], det
+}
+
+// TestSteadyStateDetector pins the helper contract the AddGram benchmark
+// relies on: cycling the returned grams keeps the detector predicting.
+func TestSteadyStateDetector(t *testing.T) {
+	grams, det := steadyStateDetector(t)
+	if len(grams) == 0 {
+		t.Fatal("no grams returned")
+	}
+	before := det.Stats().Mispredictions
+	for i := 0; i < 10*len(grams); i++ {
+		det.AddGram(grams[i%len(grams)])
+	}
+	if !det.Predicting() {
+		t.Error("detector dropped out of prediction mode")
+	}
+	if after := det.Stats().Mispredictions; after != before {
+		t.Errorf("mispredictions grew from %d to %d over the steady cycle", before, after)
+	}
+}
+
+// BenchmarkTimeSeriesRecord measures the streaming telemetry record path,
+// the work -timeseries adds per simulated transfer, with the replay
+// engine's series registry shape: per operation, one busy span on a util
+// class series, one power-draw span and one hit-rate sample, recorded into
+// P²-sketched interval buckets.
+func BenchmarkTimeSeriesRecord(b *testing.B) { benchHot(b, timeSeriesRecord) }
+
+func timeSeriesRecord(testing.TB) hotOp {
+	ts := stats.NewTimeSeries(time.Millisecond, replay.DefaultTelemetryBuckets)
+	power := ts.AddSpanSeries("power.host", "link-seconds")
+	hit := ts.AddSeries("pred.hit", "hit")
+	util := [4]stats.SeriesID{
+		ts.AddSpanSeries("util.hostup", "busy-seconds"),
+		ts.AddSpanSeries("util.hostdn", "busy-seconds"),
+		ts.AddSpanSeries("util.up", "busy-seconds"),
+		ts.AddSpanSeries("util.down", "busy-seconds"),
+	}
+	var now time.Duration
+	return hotOp{run: func(i int) {
+		dur := time.Duration(2+i%17) * time.Microsecond
+		ts.RecordSpan(util[i%4], now, now+dur, dur.Seconds())
+		ts.RecordSpan(power, now, now+50*time.Microsecond, 43e-6)
+		ts.Record(hit, now, float64(i%2))
+		now += 30 * time.Microsecond
+	}}
+}
 
 func BenchmarkMiniMPIAllreduce(b *testing.B) {
 	const np = 8

@@ -1,0 +1,108 @@
+package ibpower_test
+
+import (
+	"os"
+	"regexp"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// Margins above the measured value that the replay ceilings allow.
+const (
+	allocMargin = 0.05
+	byteMargin  = 0.10
+)
+
+// hotPaths lists every benchmark the two regression gates cover, with its
+// steady-state allocs/op and bytes/op measured with go1.24.0 on
+// linux/amd64. TestHotPathCeilings caps each at that value plus the
+// margins above, so the 0-alloc paths stay at exactly 0; .github/bench-ab.sh
+// times the same benchmarks against the merge base.
+//
+// Package-level pins of the same 0-alloc paths: TestTransferHealthyNoAllocs
+// (network_test.go, the healthy transfer on the 8k-terminal presets),
+// TestRouteIDsIntoNoAllocs (topology/alloc_test.go, routing into a reused
+// buffer), TestTransferWithFaultsDeterministic and TestRouteAvoidingAllocFree
+// (network and topology faults_test.go, the degraded transfer),
+// TestFreeListSteadyStateAllocs (multijob/freelist_test.go, the pooled
+// claim/release) and TestTimeSeriesRecordAllocs/TestTimeSeriesRecordSpanAllocs
+// (stats/timeseries_test.go, the record path).
+var hotPaths = []struct {
+	name          string // benchmark name without the Benchmark prefix
+	setup         func(testing.TB) hotOp
+	runs          int // measured operations
+	allocs, bytes float64
+}{
+	{"NetworkTransfer", networkTransfer, 1000, 0, 0},
+	{"DragonflyTransfer", dragonflyTransfer, 1000, 0, 0},
+	{"BigFabricRoutes", bigFabricRoutes, 1000, 0, 0},
+	{"ScenarioChurn", scenarioChurn, 1000, 0, 0},
+	{"ChurnWithFaults", churnWithFaults, 1000, 0, 0},
+	{"TimeSeriesRecord", timeSeriesRecord, 1000, 0, 0},
+	{"ReplayAlya16", replayAlya16, 5, 765, 108_472},
+	{"StreamReplay", streamReplay, 5, 813, 129_725},
+	{"Multijob", multijobReplay, 5, 739, 105_472},
+	{"BigFabricReplay", bigFabricReplay, 5, 765, 1_238_970},
+}
+
+// TestHotPathCeilings pins allocs/op and bytes/op of every gated hot path.
+// Allocation counts do not depend on the machine, so unlike wall time they
+// are checked on every `go test`, including CI's -race -short run.
+func TestHotPathCeilings(t *testing.T) {
+	for _, hp := range hotPaths {
+		t.Run(hp.name, func(t *testing.T) {
+			allocs, bytes := perOp(hp.setup(t), hp.runs)
+			t.Logf("%.0f allocs/op, %.0f B/op", allocs, bytes)
+			if limit := hp.allocs * (1 + allocMargin); allocs > limit {
+				t.Errorf("%.0f allocs/op, ceiling %.0f (measured %.0f + %.0f%%)", allocs, limit, hp.allocs, 100*allocMargin)
+			}
+			if limit := hp.bytes * (1 + byteMargin); bytes > limit {
+				t.Errorf("%.0f B/op, ceiling %.0f (measured %.0f + %.0f%%)", bytes, limit, hp.bytes, 100*byteMargin)
+			}
+		})
+	}
+}
+
+// perOp returns op's steady-state heap allocations and bytes per
+// operation: both are averaged over the runs+1 calls of testing.AllocsPerRun
+// after as many warm-up calls, and rounded down like AllocsPerRun's count.
+func perOp(op hotOp, runs int) (allocs, bytes float64) {
+	i := 0
+	next := func() {
+		op.run(i)
+		i++
+	}
+	for i < runs {
+		next()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, next)
+	runtime.ReadMemStats(&after)
+	return allocs, float64((after.TotalAlloc - before.TotalAlloc) / uint64(runs+1))
+}
+
+// TestBenchABCoversHotPaths asserts the wall-time A/B script times exactly
+// the benchmarks whose allocations TestHotPathCeilings pins.
+func TestBenchABCoversHotPaths(t *testing.T) {
+	src, err := os.ReadFile(".github/bench-ab.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^NAMES="([^"]*)"`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("bench-ab.sh declares no NAMES list")
+	}
+	got := strings.Fields(string(m[1]))
+	var want []string
+	for _, hp := range hotPaths {
+		want = append(want, "Benchmark"+hp.name)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("bench-ab.sh times %v, the ceilings pin %v", got, want)
+	}
+}

@@ -14,14 +14,14 @@
 //	energy            Section VI extension: deep modes + fabric energy
 //	dvs               related-work baseline: history-based link DVS vs WRPS
 //	weak              claim check: weak vs strong scaling (Section III)
-//	bench             headline benchmarks -> BENCH_<label>.json trajectory point
 //	topos             registered fabrics with size and compact-table memory
 //	trace             packed binary trace files: pack, cat, info
 //
-// Every subcommand accepts -predictor to select the idle predictor from the
-// registry (ngram, oracle, offline, lastvalue, ewma, static-gt); compare
-// runs them all side by side. Every subcommand also accepts -topo to select
-// the simulated fabric from the topology registry (xgft — the paper's
+// Every simulating subcommand (all but ppa, topos and trace) accepts
+// -predictor to select the idle predictor from the registry (ngram, oracle,
+// offline, lastvalue, ewma, static-gt); compare runs them all side by side.
+// All of them but gt, whose GT selection is network-free, also accept -topo
+// to select the simulated fabric from the topology registry (xgft — the paper's
 // XGFT(2;18,14;1,18) and the default — xgft3, dragonfly, torus2d, torus3d,
 // and the supercomputer-scale xgft3-big and dragonfly-big at ~8000
 // terminals), so e.g. "ibpower compare -topo dragonfly" reruns the full
@@ -49,7 +49,6 @@ import (
 	"strings"
 	"time"
 
-	"ibpower/internal/benchio"
 	"ibpower/internal/dvs"
 	"ibpower/internal/harness"
 	"ibpower/internal/multijob"
@@ -96,8 +95,6 @@ func main() {
 		err = cmdDVS(os.Args[2:])
 	case "weak":
 		err = cmdWeak(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "topos":
 		err = cmdTopos(os.Args[2:])
 	case "trace":
@@ -116,69 +113,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: ibpower <tableI|gt|overheads|figures|compare|multijob|scenario|timeline|ppa|energy|dvs|weak|bench|topos|trace> [flags]`)
-}
-
-// cmdBench runs the headline benchmark suite (internal/benchio) and writes a
-// BENCH_<label>.json trajectory point. With -baseline it additionally gates
-// the run: any gated benchmark whose ns/op exceeds the baseline by more than
-// -maxratio fails the command (the CI bench-smoke job).
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	smoke := fs.Bool("smoke", false, "short measurement window; skips full-sweep benchmarks (CI gating mode)")
-	label := fs.String("label", "pr", "trajectory label recorded in the report")
-	out := fs.String("o", "", "output path (default BENCH_<label>.json)")
-	baseline := fs.String("baseline", "", "baseline BENCH_*.json to gate against (empty: no gate)")
-	maxRatio := fs.Float64("maxratio", 2.0, "fail when a gated benchmark's ns/op exceeds baseline by this factor")
-	check := fs.String("check", "BenchmarkReplayAlya16,BenchmarkNetworkTransfer,BenchmarkDragonflyTransfer,BenchmarkBigFabricRoutes",
-		"comma-separated benchmarks gated against the baseline")
-	// The suite pins its own fabrics (paper XGFT and dragonfly entries); the
-	// flag exists for interface uniformity and is validated only.
-	topo := topoFlag(fs)
-	fs.Parse(args)
-	if err := checkTopo(*topo); err != nil {
-		return err
-	}
-
-	rep, err := benchio.RunSuite(*label, *smoke)
-	if err != nil {
-		return err
-	}
-	t := stats.NewTable("benchmark", "iters", "ns/op", "allocs/op", "B/op")
-	for _, r := range rep.Results {
-		t.Row(r.Name, r.Iterations, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
-	}
-	if err := t.Write(os.Stdout); err != nil {
-		return err
-	}
-	path := *out
-	if path == "" {
-		path = "BENCH_" + *label + ".json"
-	}
-	if err := rep.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-
-	if *baseline == "" {
-		return nil
-	}
-	base, err := benchio.LoadFile(*baseline)
-	if err != nil {
-		return err
-	}
-	names := strings.Split(*check, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	if regs := benchio.Compare(base, rep, names, *maxRatio); len(regs) > 0 {
-		for _, g := range regs {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", g)
-		}
-		return fmt.Errorf("bench: %d benchmark(s) regressed more than %.1fx vs %s", len(regs), *maxRatio, *baseline)
-	}
-	fmt.Printf("no ns/op, allocs/op or bytes/op regression > %.1fx vs %s (%s)\n", *maxRatio, *baseline, strings.Join(names, ", "))
-	return nil
+	fmt.Fprintln(os.Stderr, `usage: ibpower <tableI|gt|overheads|figures|compare|multijob|scenario|timeline|ppa|energy|dvs|weak|topos|trace> [flags]`)
 }
 
 // cmdTopos lists every registered fabric with its size and the resident
@@ -406,18 +341,19 @@ func cmdGT(args []string) error {
 	opt := optFlags(fs)
 	par := parFlag(fs)
 	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
 	app := fs.String("app", "", "application (empty: Table III over all apps)")
 	np := fs.Int("np", 64, "process count for -app sweeps")
 	tf := traceFileFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := checkPredictor(*pred); err != nil {
 		return err
 	}
+	// GT selection runs on the network-free offline runner (predictor and
+	// controller only), so no fabric can affect it and gt takes no -topo.
 	if *app == "" {
 		// Table III: GT selection always scores the reference n-gram
 		// predictor (see harness.ChooseGT); -predictor is validated only.
-		runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
+		runner := harness.NewRunner(*opt, configWith(*par, *pred, topology.DefaultFabric))
 		closeTF, err := attachTraceFile(runner, *tf)
 		if err != nil {
 			return err
@@ -449,9 +385,6 @@ func cmdGT(args []string) error {
 		}
 		src = tr
 	}
-	// The GT sweep scores hit rate on the network-free offline runner
-	// (predictor + controller only), so the fabric cannot affect it: -topo
-	// is validated only, like on ppa and bench.
 	pts, err := harness.GTSweep(src, *pred, harness.DefaultGTGrid(), *par)
 	if err != nil {
 		return err
@@ -799,15 +732,7 @@ func cmdTimeline(args []string) error {
 func cmdPPA(args []string) error {
 	fs := flag.NewFlagSet("ppa", flag.ExitOnError)
 	reps := fs.Int("reps", 4, "iterations of the 41-41-41,10,10 stream")
-	// The walkthrough demonstrates the n-gram algorithms specifically on one
-	// process, with no network: both flags exist for interface uniformity
-	// and are validated only.
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
 	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
-		return err
-	}
 
 	gt := 20 * time.Microsecond
 	b := ngram.NewBuilder(gt)

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestUnknownPredictorRejectedEverywhere asserts every subcommand validates
-// -predictor up front: a typo must fail fast with the registry listed, not
+// TestUnknownPredictorRejectedEverywhere asserts every subcommand that takes
+// -predictor validates it up front: a typo must fail fast with the registry listed, not
 // after minutes of sweeping — and not silently fall back to the default.
 func TestUnknownPredictorRejectedEverywhere(t *testing.T) {
 	cmds := map[string]func([]string) error{
@@ -18,7 +18,6 @@ func TestUnknownPredictorRejectedEverywhere(t *testing.T) {
 		"multijob":  cmdMultijob,
 		"scenario":  cmdScenario,
 		"timeline":  cmdTimeline,
-		"ppa":       cmdPPA,
 		"energy":    cmdEnergy,
 		"dvs":       cmdDVS,
 		"weak":      cmdWeak,
@@ -36,25 +35,22 @@ func TestUnknownPredictorRejectedEverywhere(t *testing.T) {
 	}
 }
 
-// TestUnknownTopoRejectedEverywhere asserts every subcommand validates -topo
-// up front, mirroring -predictor: a typo must fail fast with the fabric
+// TestUnknownTopoRejectedEverywhere asserts every subcommand that takes -topo
+// validates it up front, mirroring -predictor: a typo must fail fast with the fabric
 // registry listed, not after minutes of sweeping — and not silently fall
 // back to the paper's XGFT.
 func TestUnknownTopoRejectedEverywhere(t *testing.T) {
 	cmds := map[string]func([]string) error{
 		"tableI":    cmdTableI,
-		"gt":        cmdGT,
 		"overheads": cmdOverheads,
 		"figures":   cmdFigures,
 		"compare":   cmdCompare,
 		"multijob":  cmdMultijob,
 		"scenario":  cmdScenario,
 		"timeline":  cmdTimeline,
-		"ppa":       cmdPPA,
 		"energy":    cmdEnergy,
 		"dvs":       cmdDVS,
 		"weak":      cmdWeak,
-		"bench":     cmdBench,
 		"topos":     cmdTopos,
 	}
 	for name, fn := range cmds {

@@ -129,6 +129,9 @@ func (p *P2Quantile) step(x float64) {
 			h := p.parabolic(i, s)
 			if !(p.q[i-1] < h && h < p.q[i+1]) {
 				h = p.linear(i, s)
+				if math.IsInf(h, 0) {
+					h = p.linearHalved(i, s)
+				}
 			}
 			p.q[i] = h
 			p.pos[i] += s
@@ -157,6 +160,17 @@ func (p *P2Quantile) parabolic(i int, s int64) float64 {
 func (p *P2Quantile) linear(i int, s int64) float64 {
 	j := i + int(s)
 	return p.q[i] + float64(s)*(p.q[j]-p.q[i])/float64(p.pos[j]-p.pos[i])
+}
+
+// linearHalved is linear for the case where the height difference
+// overflows (markers of opposite sign near ±MaxFloat64): it interpolates at
+// half scale, where the difference is finite, and keeps the doubled height
+// between the two markers. Streams whose differences stay finite never
+// reach it, so their estimates keep their bits.
+func (p *P2Quantile) linearHalved(i int, s int64) float64 {
+	j := i + int(s)
+	half := p.q[i]/2 + float64(s)*(p.q[j]/2-p.q[i]/2)/float64(p.pos[j]-p.pos[i])
+	return math.Min(math.Max(2*half, math.Min(p.q[i], p.q[j])), math.Max(p.q[i], p.q[j]))
 }
 
 // own returns the estimate over this estimator's directly observed samples.

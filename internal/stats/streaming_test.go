@@ -726,3 +726,29 @@ func TestP2QuantileMatchesTextbook(t *testing.T) {
 		}
 	}
 }
+
+// TestP2QuantileNearMaxFloat feeds uniform samples in ±0.9·MaxFloat64: the
+// height difference of two markers of opposite sign overflows there, which
+// once turned the estimate into NaN (after sample 121 at φ=0.95 and 701 at
+// φ=0.99). Every estimate must stay finite and inside the observed range.
+func TestP2QuantileNearMaxFloat(t *testing.T) {
+	for _, phi := range []float64{0.5, 0.95, 0.99} {
+		r := rand.New(rand.NewSource(1))
+		p := NewP2Quantile(phi)
+		sk := NewSketch()
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := 1; i <= 5000; i++ {
+			x := (2*r.Float64() - 1) * 0.9 * math.MaxFloat64
+			p.Add(x)
+			sk.Add(x)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+			if q := p.Quantile(); !(lo <= q && q <= hi) {
+				t.Fatalf("φ=%v sample %d: estimate %v outside [%v, %v]", phi, i, q, lo, hi)
+			}
+			if p50, p95, p99 := sk.P50(), sk.P95(), sk.P99(); !(lo <= p50 && p50 <= p95 && p95 <= p99 && p99 <= hi) {
+				t.Fatalf("φ=%v sample %d: sketch p50=%v p95=%v p99=%v outside [%v, %v] or not monotone",
+					phi, i, p50, p95, p99, lo, hi)
+			}
+		}
+	}
+}
