@@ -482,9 +482,13 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 				}
 				jobTerms[id] = append([]int(nil), terms[k]...)
 				jobAccts[id] = res
-				jobs[id] = churnJobStats(fabric, predName, cfg.Arrivals[id].Job,
-					preps[index[cfg.Arrivals[id].Job]], res, id,
-					cfg.Arrivals[id].At, now, finish, jobTerms[id])
+				a := cfg.Arrivals[id]
+				p := preps[index[a.Job]]
+				jobs[id] = ChurnJob{
+					JobStats: jobStats(fabric, a.Job.App, predName, p.gt, p.ded.ExecTime, res, jobTerms[id]),
+					ID:       id, Arrival: a.At, Start: now, Wait: now - a.At, Finish: finish,
+					Terminals: jobTerms[id],
+				}
 			}
 			// Drop admitted jobs from the queue, preserving order.
 			kept := queue[:0]
@@ -513,9 +517,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		// Degraded capacity can legitimately strand jobs (e.g. NP larger
 		// than the surviving fabric). Report them abandoned, never drop.
 		for _, q := range queue {
-			if !st.gaveUp[q.ID] {
-				st.gaveUp[q.ID] = true
-			}
+			st.gaveUp[q.ID] = true
 			if jobs[q.ID].ID == 0 && jobs[q.ID].App == "" {
 				jobs[q.ID] = ChurnJob{
 					JobStats: JobStats{App: q.Spec.App, NP: q.Spec.NP, Predictor: predName},
@@ -647,34 +649,6 @@ type churnPrep struct {
 	ded *replay.Result
 }
 
-// churnJobStats folds one job's replay result into its scenario record.
-func churnJobStats(f topology.Fabric, predName string, spec JobSpec, p churnPrep,
-	res *replay.Result, id int, arrival, start, finish time.Duration, terms []int) ChurnJob {
-	st := JobStats{
-		App: spec.App, NP: spec.NP, Predictor: predName, GT: p.gt,
-		Exec:       res.ExecTime,
-		Dedicated:  p.ded.ExecTime,
-		SavingPct:  res.AvgSavingPct(),
-		HitRatePct: res.AvgHitRatePct(),
-		Switches:   countSwitches(f, terms),
-		Transfers:  res.Transfers,
-		BytesMoved: res.BytesMoved,
-	}
-	if p.ded.ExecTime > 0 {
-		st.SharingOverheadPct = 100 * (float64(res.ExecTime) - float64(p.ded.ExecTime)) /
-			float64(p.ded.ExecTime)
-	}
-	for _, a := range res.Acct {
-		st.EnergyLinkSeconds += a.Energy(1.0)
-		st.SavedLinkSeconds += a.Total().Seconds() - a.Energy(1.0)
-	}
-	return ChurnJob{
-		JobStats: st, ID: id,
-		Arrival: arrival, Start: start, Wait: start - arrival, Finish: finish,
-		Terminals: terms,
-	}
-}
-
 // churnResult assembles the scenario-wide summary from the per-job records.
 func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
 	jobs []ChurnJob, jobTerms [][]int, jobAccts []*replay.Result, session *replay.Churn,
@@ -728,7 +702,8 @@ func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
 	// first-hop switch. A terminal occupied by several jobs over the
 	// scenario contributes each job's own accounting window; killed attempts
 	// ran too, so their accounting rides along after the completed jobs.
-	transfers, bytes := session.Stats()
+	m := session.Stats()
+	m.MakeSpan = makespan
 	accts := make([]*replay.Result, 0, len(jobAccts)+len(st.killedAccts))
 	terms := make([][]int, 0, len(jobAccts)+len(st.killedAccts))
 	for i, a := range jobAccts {
@@ -739,19 +714,13 @@ func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
 	}
 	accts = append(accts, st.killedAccts...)
 	terms = append(terms, st.killedTerms...)
-	m := &replay.MultiResult{
-		MakeSpan:   makespan,
-		Transfers:  transfers,
-		BytesMoved: bytes,
-		LinkBusy:   session.LinkBusy(),
-		Jobs:       accts,
-	}
+	m.Jobs = accts
 	res.Fabric = fabricStats(fabric, m, terms)
 	res.Util = utilization(jobs, fabric.NumTerminals(), makespan)
 	if res.FaultsActive {
 		res.Capacity = capacityProfile(st.capSteps, fabric.NumTerminals(), makespan)
 	}
-	res.Series = session.Telemetry()
+	res.Series = m.Series
 	return res, nil
 }
 

@@ -5,15 +5,18 @@
 // widen the link idle windows the prediction mechanism exploits.
 //
 // Each job of a mix gets its own trace, grouping threshold, predictor, and
-// rank→terminal mapping; the shared replay engine (replay.RunJobs) merges
-// every job's events into one timeline so links observe the union of
-// traffic. Where jobs land is a pluggable placement policy behind a named
-// registry mirroring the predictor and fabric registries: "linear"
-// (contiguous terminal blocks, the default), "random" (seeded shuffle of the
-// whole fabric), and "roundrobin" (jobs interleaved across first-hop
-// switches). Results are reported per job — runtime, host-link energy, hit
-// rate, and sharing overhead against a dedicated-fabric baseline of the same
-// job — and fabric-wide (per-link utilization, decomposed switch power).
+// rank→terminal mapping; the shared replay engine merges every job's events
+// into one timeline so links observe the union of traffic. Both simulations
+// enter it through one door, a replay.Churn session: Run as a single
+// admission at time 0 (replay.RunJobs), RunChurn as one admission per
+// scheduling decision over simulated time. Where jobs land is a pluggable
+// placement policy behind a named registry mirroring the predictor and
+// fabric registries: "linear" (contiguous terminal blocks, the default),
+// "random" (seeded shuffle of the whole fabric), and "roundrobin" (jobs
+// interleaved across first-hop switches). Results are reported per job —
+// runtime, host-link energy, hit rate, and sharing overhead against a
+// dedicated-fabric baseline of the same job — and fabric-wide (per-link
+// utilization, decomposed switch power).
 //
 // Everything is deterministic for a given Config: placement is a pure
 // function of (fabric, sizes, seed), the shared engine is single-threaded,
@@ -235,30 +238,38 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Placement: placementName(cfg.Placement), Terminals: terms}
 	predName := predictorName(cfg.Replay.Power.PredictorName)
 	for j, p := range preps {
-		sh := shared.Jobs[j]
-		st := JobStats{
-			App: p.meta.App, NP: p.meta.NP, Predictor: predName, GT: p.gt,
-			Exec:       sh.ExecTime,
-			Dedicated:  dedicated[j].ExecTime,
-			SavingPct:  sh.AvgSavingPct(),
-			HitRatePct: sh.AvgHitRatePct(),
-			Switches:   countSwitches(fabric, terms[j]),
-			Transfers:  sh.Transfers,
-			BytesMoved: sh.BytesMoved,
-		}
-		if dedicated[j].ExecTime > 0 {
-			st.SharingOverheadPct = 100 * (float64(sh.ExecTime) - float64(dedicated[j].ExecTime)) /
-				float64(dedicated[j].ExecTime)
-		}
-		for _, a := range sh.Acct {
-			st.EnergyLinkSeconds += a.Energy(1.0)
-			st.SavedLinkSeconds += a.Total().Seconds() - a.Energy(1.0)
-		}
-		res.Jobs = append(res.Jobs, st)
+		res.Jobs = append(res.Jobs, jobStats(fabric, p.meta.App, predName, p.gt,
+			dedicated[j].ExecTime, shared.Jobs[j], terms[j]))
 	}
 	res.Fabric = fabricStats(fabric, shared, terms)
 	res.Series = shared.Series
 	return res, nil
+}
+
+// jobStats folds one job's replay on a shared fabric into its record: gt is
+// the job's grouping threshold, dedicated the exec time of its
+// dedicated-fabric baseline, and terms the terminals it ran on (one per
+// rank). Run and RunChurn both build every per-job record here.
+func jobStats(f topology.Fabric, app, predName string, gt, dedicated time.Duration,
+	res *replay.Result, terms []int) JobStats {
+	st := JobStats{
+		App: app, NP: len(terms), Predictor: predName, GT: gt,
+		Exec:       res.ExecTime,
+		Dedicated:  dedicated,
+		SavingPct:  res.AvgSavingPct(),
+		HitRatePct: res.AvgHitRatePct(),
+		Switches:   countSwitches(f, terms),
+		Transfers:  res.Transfers,
+		BytesMoved: res.BytesMoved,
+	}
+	if dedicated > 0 {
+		st.SharingOverheadPct = 100 * (float64(res.ExecTime) - float64(dedicated)) / float64(dedicated)
+	}
+	for _, a := range res.Acct {
+		st.EnergyLinkSeconds += a.Energy(1.0)
+		st.SavedLinkSeconds += a.Total().Seconds() - a.Energy(1.0)
+	}
+	return st
 }
 
 // generate resolves a job's trace source. The default path materializes with

@@ -114,7 +114,7 @@ func Place(name string, f topology.Fabric, sizes []int, seed int64) ([][]int, er
 }
 
 // checkPlacement verifies the placement invariants (the same ones
-// replay.RunJobs re-checks before simulating).
+// replay.Churn.AdmitAt checks on every admission before simulating).
 func checkPlacement(f topology.Fabric, sizes []int, terms [][]int) error {
 	if len(terms) != len(sizes) {
 		return fmt.Errorf("placed %d jobs, want %d", len(terms), len(sizes))

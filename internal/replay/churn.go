@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ibpower/internal/network"
@@ -10,12 +11,13 @@ import (
 	"ibpower/internal/trace"
 )
 
-// Churn is an incremental shared-fabric replay session: jobs are admitted
-// onto one live network timeline at non-decreasing simulated start times,
-// run to completion, and leave their link occupancy behind for every job
-// admitted after them. It is the substrate of the scenario engine
-// (internal/multijob.RunChurn), where a scheduler decides when each queued
-// job claims terminals.
+// Churn is an incremental shared-fabric replay session and the replay
+// engine's one front door: jobs are admitted onto one live network timeline
+// at non-decreasing simulated start times, run to completion, and leave their
+// link occupancy behind for every job admitted after them. RunJobs is a
+// single admission at time 0 on a fresh session; the scenario engine
+// (internal/multijob.RunChurn) admits many, as its scheduler decides when
+// each queued job claims terminals.
 //
 // A rank admitted at time T starts its clock at T, so its whole replay —
 // computation, messaging, power accounting — happens in the window
@@ -28,7 +30,7 @@ import (
 // lifetime overlaps its own), while earlier jobs are unaffected by later
 // arrivals — the one-pass analogue of a batch system in which running jobs
 // have priority over newcomers. Jobs admitted in the same batch interleave
-// on the work list and contend bidirectionally, exactly like RunJobs.
+// on the work list and contend bidirectionally.
 //
 // The session is single-threaded and deterministic: the result sequence is
 // a pure function of the admission sequence and Config.
@@ -37,20 +39,20 @@ type Churn struct {
 	topo topology.Fabric
 	e    *engine
 	now  time.Duration
-	term []termUse
-	jobN int // jobs admitted so far, for timeline labels
+	// finish is the session's one terminal-occupancy record: the absolute
+	// completion of each placed terminal's last occupant. A terminal is free
+	// at time T when its finish is <= T, so an absent terminal (finish 0) is
+	// free. While AdmitAt validates a batch, a terminal explicitly claimed
+	// by batch job j holds -(j+1), which is how a second claim within the
+	// batch is caught; draining the batch overwrites every claim with the
+	// occupant's finish. Keyed by terminal, it is sized by the terminals
+	// ever placed, not by the fabric.
+	finish map[int]time.Duration
+	jobN   int // jobs admitted so far, for timeline labels
 }
 
-// termUse tracks a terminal's last occupancy so overlapping admissions are
-// rejected instead of silently double-booking a host link.
-type termUse struct {
-	used   bool
-	finish time.Duration // absolute completion of the last occupant
-}
-
-// NewChurn opens a churn session on the configured fabric. Validation
-// mirrors RunJobs: network parameters and the fabric registry name fail
-// fast, before any job is admitted.
+// NewChurn opens a session on the configured fabric. Network parameters and
+// the fabric registry name fail fast, before any job is admitted.
 func NewChurn(cfg Config) (*Churn, error) {
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err
@@ -73,27 +75,20 @@ func NewChurn(cfg Config) (*Churn, error) {
 		e.tele = newTelemetry(cfg.Telemetry, topo)
 		net.Observe(e.tele)
 	}
-	return &Churn{cfg: cfg, topo: topo, e: e, term: make([]termUse, topo.NumTerminals())}, nil
+	return &Churn{cfg: cfg, topo: topo, e: e, finish: make(map[int]time.Duration)}, nil
 }
 
-// Fabric returns the fabric the session simulates on.
-func (c *Churn) Fabric() topology.Fabric { return c.topo }
-
-// Now returns the latest admission time.
-func (c *Churn) Now() time.Duration { return c.now }
-
-// Stats returns fabric-wide transfer counters accumulated so far: the union
-// of every admitted job's traffic.
-func (c *Churn) Stats() (transfers int, bytes int64) { return c.e.net.Stats() }
-
-// LinkBusy returns a snapshot of accumulated busy time per directed link,
-// indexed by topology link ID.
-func (c *Churn) LinkBusy() []time.Duration {
-	busy := make([]time.Duration, c.e.net.NumLinks())
-	for i := range busy {
-		busy[i] = c.e.net.LinkBusy(topology.LinkID(i))
+// Stats returns the fabric-wide totals accumulated so far — the union of
+// every admitted job's traffic, a snapshot of per-link busy time, and the
+// telemetry recorder. Jobs and MakeSpan are left unset: the caller knows
+// which job results and which end time its summary covers.
+func (c *Churn) Stats() *MultiResult {
+	m := &MultiResult{LinkBusy: make([]time.Duration, c.e.net.NumLinks()), Series: c.Telemetry()}
+	m.Transfers, m.BytesMoved = c.e.net.Stats()
+	for i := range m.LinkBusy {
+		m.LinkBusy[i] = c.e.net.LinkBusy(topology.LinkID(i))
 	}
-	return busy
+	return m
 }
 
 // Telemetry returns the session's streaming recorder, or nil when
@@ -125,8 +120,8 @@ func (c *Churn) Unroutable() int { return c.e.net.Unroutable() }
 // host a new job immediately.
 func (c *Churn) ReleaseTerminals(at time.Duration, terms []int) {
 	for _, t := range terms {
-		if t >= 0 && t < len(c.term) && c.term[t].used && c.term[t].finish > at {
-			c.term[t].finish = at
+		if c.finish[t] > at {
+			c.finish[t] = at
 		}
 	}
 }
@@ -135,78 +130,123 @@ func (c *Churn) ReleaseTerminals(at time.Duration, terms []int) {
 // precede any earlier admission — and drains them to completion, returning
 // one job-scoped Result per job in input order. Each Result's ExecTime and
 // RankFinish are relative to start; the job's absolute finish is
-// start + ExecTime.
+// start + ExecTime, and its power accounting closes there.
 //
-// Every job must be placed explicitly (the caller's free-list owns terminal
-// assignment); a terminal is reusable once its previous occupant's finish
-// time is <= start, and admissions that would overlap a busy terminal are
-// rejected. On error the session state is undefined and must be discarded.
+// AdmitAt is the engine's only job validation. Each job needs exactly one
+// of Trace and Source, and a valid power block. A job with Terminals set
+// must map every rank to a distinct in-range terminal that is free at start
+// (its previous occupant's finish is <= start) and not claimed by another
+// job of the batch. A job with nil Terminals is placed, in job order, on the
+// lowest terminals free at start that no explicitly placed job of the batch
+// claims. On error the session state is undefined and must be discarded.
 func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
 	if len(jobs) == 0 {
-		return nil, fmt.Errorf("replay: churn: no jobs to admit")
+		return nil, fmt.Errorf("replay: no jobs")
 	}
 	if start < c.now {
-		return nil, fmt.Errorf("replay: churn: admission time going backwards: %v < %v", start, c.now)
+		return nil, fmt.Errorf("replay: admission time going backwards: %v < %v", start, c.now)
 	}
 	c.now = start
-	claimed := make(map[int]int) // terminal -> batch job index
-	pws := make([]PowerConfig, len(jobs))
+	nt := c.topo.NumTerminals()
 	srcs := make([]trace.Source, len(jobs))
 	metas := make([]trace.Meta, len(jobs))
+	pws := make([]PowerConfig, len(jobs))
+	terms := make([][]int, len(jobs))
+	ranks := 0
+	// Validate every job; explicitly placed jobs claim their terminals.
 	for j, job := range jobs {
-		src := job.src()
-		if src == nil {
-			return nil, fmt.Errorf("replay: churn job %d has no trace", j)
+		src := job.Source
+		switch {
+		case job.Trace != nil && src != nil:
+			return nil, fmt.Errorf("replay: job %d sets both Trace and Source", j)
+		case job.Trace != nil:
+			src = job.Trace
+		case src == nil:
+			return nil, fmt.Errorf("replay: job %d has no trace", j)
 		}
 		if err := trace.ValidateSource(src); err != nil {
 			return nil, err
 		}
-		srcs[j], metas[j] = src, src.Meta()
-		m := metas[j]
-		if len(job.Terminals) != m.NP {
-			return nil, fmt.Errorf("replay: churn job %d (%s): %d terminals for %d ranks (churn admissions must be placed explicitly)",
-				j, m.App, len(job.Terminals), m.NP)
-		}
-		for r, t := range job.Terminals {
-			if t < 0 || t >= len(c.term) {
-				return nil, fmt.Errorf("replay: churn job %d (%s) rank %d: terminal %d out of range [0,%d)",
-					j, m.App, r, t, len(c.term))
-			}
-			if prev, taken := claimed[t]; taken {
-				return nil, fmt.Errorf("replay: churn jobs %d and %d both placed on terminal %d", prev, j, t)
-			}
-			if c.term[t].used && c.term[t].finish > start {
-				return nil, fmt.Errorf("replay: churn job %d (%s) rank %d: terminal %d busy until %v at admission time %v",
-					j, m.App, r, t, c.term[t].finish, start)
-			}
-			claimed[t] = j
-		}
+		m := src.Meta()
+		srcs[j], metas[j] = src, m
+		ranks += m.NP
 		pw, err := resolvePower(c.cfg, job)
 		if err != nil {
 			return nil, err
 		}
 		pws[j] = pw
+		if job.Terminals == nil {
+			continue // placed below, once every explicit claim is known
+		}
+		if len(job.Terminals) != m.NP {
+			return nil, fmt.Errorf("replay: job %d (%s): %d terminals for %d ranks",
+				j, m.App, len(job.Terminals), m.NP)
+		}
+		for r, t := range job.Terminals {
+			if t < 0 || t >= nt {
+				return nil, fmt.Errorf("replay: job %d (%s) rank %d: terminal %d out of range [0,%d)",
+					j, m.App, r, t, nt)
+			}
+			switch f := c.finish[t]; {
+			case f == claimed(j):
+				return nil, fmt.Errorf("replay: job %d (%s) places two ranks on terminal %d", j, m.App, t)
+			case f < 0:
+				return nil, fmt.Errorf("replay: jobs %d and %d both placed on terminal %d", int(-1-f), j, t)
+			case f > start:
+				return nil, fmt.Errorf("replay: job %d (%s) rank %d: terminal %d busy until %v at admission time %v",
+					j, m.App, r, t, f, start)
+			}
+			c.finish[t] = claimed(j)
+		}
+		terms[j] = job.Terminals
+	}
+	// Place the rest on the lowest free, unclaimed terminals in job order, so
+	// a mix of explicit and automatic placement never collides and never
+	// runs out while free terminals remain.
+	next := 0
+	for j, job := range jobs {
+		if job.Terminals != nil {
+			continue
+		}
+		terms[j] = make([]int, metas[j].NP)
+		for r := range terms[j] {
+			for ; next < nt; next++ {
+				if f := c.finish[next]; f >= 0 && f <= start {
+					break
+				}
+			}
+			if next == nt {
+				return nil, fmt.Errorf("replay: fabric %s has too few free terminals at %v for job %d (%s, %d ranks)",
+					c.topo.Name(), start, j, metas[j].App, metas[j].NP)
+			}
+			terms[j][r] = next
+			next++
+		}
 	}
 
 	// Every earlier batch drained to completion and was collected, so the
 	// batch starts on an emptied rank table: enqueue and drain cost O(batch),
 	// and the dropped ranks' predictors and controllers can be freed.
 	clear(c.e.rk)
-	c.e.rk = c.e.rk[:0]
+	c.e.rk = slices.Grow(c.e.rk[:0], ranks)
 	clear(c.e.jobs)
 	c.e.jobs = c.e.jobs[:0]
-	added := make([]*jobState, len(jobs))
-	for j, job := range jobs {
+	// A session's lone first job keeps the historical single-job timeline
+	// labels; otherwise the session-wide job number tells tenants apart.
+	lone := c.jobN == 0 && len(jobs) == 1
+	for j := range jobs {
 		id, app := c.jobN+j, metas[j].App
 		// addJob opens fresh cursors, so re-admitting a job (a fault retry)
 		// replays its source from the first op.
-		js, err := c.e.addJob(srcs[j], pws[j], job.Terminals, start, func(r int) string {
+		err := c.e.addJob(srcs[j], pws[j], terms[j], start, func(r int) string {
+			if lone {
+				return fmt.Sprintf("rank %d", r)
+			}
 			return fmt.Sprintf("job %d %s rank %d", id, app, r)
 		})
 		if err != nil {
 			return nil, err
 		}
-		added[j] = js
 	}
 	c.jobN += len(jobs)
 	c.e.enqueue()
@@ -215,13 +255,16 @@ func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
 	}
 
 	results := make([]*Result, len(jobs))
-	for j, js := range added {
+	for j, js := range c.e.jobs {
 		res := c.e.collectJob(js, start)
 		results[j] = res
-		finish := start + res.ExecTime
-		for _, t := range jobs[j].Terminals {
-			c.term[t] = termUse{used: true, finish: finish}
+		for _, t := range terms[j] {
+			c.finish[t] = start + res.ExecTime
 		}
 	}
 	return results, nil
 }
+
+// claimed is the occupancy a terminal holds while AdmitAt validates a batch
+// in which job j claimed it explicitly: negative, so no finish time matches.
+func claimed(j int) time.Duration { return time.Duration(-1 - j) }

@@ -8,9 +8,26 @@ import (
 )
 
 func identTerms(np int) []int {
+	return offsetTerms(0, np)
+}
+
+// offsetTerms returns the contiguous terminal block [from, from+np).
+func offsetTerms(from, np int) []int {
 	terms := make([]int, np)
 	for i := range terms {
-		terms[i] = i
+		terms[i] = from + i
+	}
+	return terms
+}
+
+// batchTerms returns the terminals each job of the session's last admission
+// ran on, in job order.
+func batchTerms(c *Churn) [][]int {
+	terms := make([][]int, len(c.e.jobs))
+	for j, js := range c.e.jobs {
+		for r := 0; r < js.np; r++ {
+			terms[j] = append(terms[j], c.e.rk[js.base+r].term)
+		}
 	}
 	return terms
 }
@@ -113,6 +130,41 @@ func TestChurnTerminalReuse(t *testing.T) {
 	}
 	if _, err := c.AdmitAt(finish/2, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err == nil {
 		t.Error("admission time going backwards accepted")
+	}
+
+	// Automatic placement reads the same occupancy: while the first job
+	// runs, a nil-Terminals job lands after its busy terminals; at the first
+	// job's finish, the next one reuses them.
+	c, err = NewChurn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AdmitAt(0, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AdmitAt(finish/2, Job{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := batchTerms(c)[0], offsetTerms(tr.NP, tr.NP); !reflect.DeepEqual(got, want) {
+		t.Errorf("automatic placement at finish/2 landed on %v, want %v after the busy block", got, want)
+	}
+	if _, err := c.AdmitAt(finish, Job{Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := batchTerms(c)[0], identTerms(tr.NP); !reflect.DeepEqual(got, want) {
+		t.Errorf("automatic placement at the first job's finish landed on %v, want the freed %v", got, want)
+	}
+
+	// Both blocks are busy now, so a batch that would fit the empty fabric
+	// finds too few free terminals, and the error names the fabric.
+	fill := make([]Job, c.topo.NumTerminals()/tr.NP)
+	for j := range fill {
+		fill[j] = Job{Trace: tr}
+	}
+	if _, err := c.AdmitAt(finish, fill...); err == nil {
+		t.Errorf("%d ranks placed beside two busy blocks on %d terminals", len(fill)*tr.NP, c.topo.NumTerminals())
+	} else if !strings.Contains(err.Error(), "fabric "+c.topo.Name()) || !strings.Contains(err.Error(), "free terminals") {
+		t.Errorf("capacity error %q should name the fabric and its free terminals", err)
 	}
 }
 

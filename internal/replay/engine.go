@@ -104,25 +104,8 @@ type engine struct {
 	tele *telemetry
 }
 
-// RunSource replays one trace source under cfg and returns the measured
-// result. The source may be an in-memory *trace.Trace, generated on the fly,
-// or read from a packed trace file through bounded windows. The single job
-// occupies terminals 0..NP-1 of the fabric, exactly as before the engine
-// learned to share its fabric between jobs (RunJobs); results are
-// bit-identical to that dedicated-fabric engine. All validation (trace,
-// network, registries, capacity) happens in RunJobs.
-func RunSource(src trace.Source, cfg Config) (*Result, error) {
-	mr, err := RunJobs([]Job{{Source: src}}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := mr.Jobs[0]
-	res.Series = mr.Series
-	return res, nil
-}
-
-// addJob appends one job's ranks to the engine, each starting its clock at
-// the given admission time, and returns the job's state. label names a
+// addJob appends one job's ranks and its state to the engine, each rank
+// starting its clock at the given admission time. label names a
 // rank's recorded timeline. Ranks are not yet runnable; callers queue them
 // via enqueue once the whole admission batch is in place.
 //
@@ -130,7 +113,7 @@ func RunSource(src trace.Source, cfg Config) (*Result, error) {
 // same source (a churn retry) replays from the first op again. Trace-aware
 // predictors are the one consumer that still needs the whole rank stream up
 // front (the oracle's lookahead); only they pay a materialization.
-func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start time.Duration, label func(r int) string) (*jobState, error) {
+func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start time.Duration, label func(r int) string) error {
 	m := src.Meta()
 	js := &jobState{src: src, app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
 	e.jobs = append(e.jobs, js)
@@ -143,12 +126,12 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 		if pw.Enabled {
 			p, err := predictor.NewNamed(pw.PredictorName, pw.Predictor)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if predictor.IsTraceAware(p) {
 				ops, err := trace.RankOps(src, r)
 				if err != nil {
-					return nil, fmt.Errorf("replay: %s rank %d: %w", m.App, r, err)
+					return fmt.Errorf("replay: %s rank %d: %w", m.App, r, err)
 				}
 				predictor.Prime(p, ops)
 			}
@@ -170,7 +153,7 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 		}
 		e.rk = append(e.rk, rs)
 	}
-	return js, nil
+	return nil
 }
 
 // enqueue makes every rank in the table runnable. The work ring is regrown
@@ -228,14 +211,6 @@ func (rs *rankState) waiting() string {
 		w = append(w, fmt.Sprintf("receive from rank %d unmatched", rs.recvFrom-rs.base))
 	}
 	return strings.Join(w, ", ")
-}
-
-// run drains the engine's work queue and collects the result.
-func (e *engine) run() (*MultiResult, error) {
-	if err := e.drain(); err != nil {
-		return nil, err
-	}
-	return e.collect(), nil
 }
 
 func (e *engine) push(g int) {

@@ -158,6 +158,25 @@ func TestRunJobsAutoPlacementFillsGaps(t *testing.T) {
 	if len(m.Jobs) != 2 {
 		t.Fatalf("got %d jobs", len(m.Jobs))
 	}
+
+	// Explicit claims are placed first whatever the job order: an automatic
+	// job listed before an explicit block in the middle fills the lowest
+	// terminals around it instead of colliding with it.
+	c, err := NewChurn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := []int{4, 5, 6, 7, 8, 9, 10, 11}
+	if _, err := c.AdmitAt(0, Job{Trace: tr}, Job{Trace: tr, Terminals: mid}); err != nil {
+		t.Fatal(err)
+	}
+	got := batchTerms(c)
+	if want := []int{0, 1, 2, 3, 12, 13, 14, 15}; !reflect.DeepEqual(got[0], want) {
+		t.Errorf("automatic job placed on %v, want %v", got[0], want)
+	}
+	if !reflect.DeepEqual(got[1], mid) {
+		t.Errorf("explicit job placed on %v, want %v", got[1], mid)
+	}
 }
 
 // TestRunJobsValidation covers the placement error paths.
@@ -182,6 +201,7 @@ func TestRunJobsValidation(t *testing.T) {
 			{Trace: tr, Terminals: []int{0, 1}},
 		}, "2 terminals for 8 ranks"},
 		{"nil trace", []Job{{}}, "no trace"},
+		{"trace and source", []Job{{Trace: tr, Source: tr}}, "both Trace and Source"},
 	}
 	for _, c := range cases {
 		_, err := RunJobs(c.jobs, cfg)

@@ -6,7 +6,6 @@ import (
 	"ibpower/internal/power"
 	"ibpower/internal/predictor"
 	"ibpower/internal/stats"
-	"ibpower/internal/topology"
 	"ibpower/internal/trace"
 )
 
@@ -81,30 +80,6 @@ func (r *Result) TimeIncreasePct(base *Result) float64 {
 		return 0
 	}
 	return 100 * (float64(r.ExecTime) - float64(base.ExecTime)) / float64(base.ExecTime)
-}
-
-// collect builds the per-job Results and fabric-wide counters after the run
-// has drained. Each job's Result is indexed by job-local rank and its power
-// accounting closes at the job's own completion time, exactly as a dedicated
-// single-job run would report it.
-func (e *engine) collect() *MultiResult {
-	m := &MultiResult{Jobs: make([]*Result, len(e.jobs))}
-	for j, js := range e.jobs {
-		res := e.collectJob(js, 0)
-		m.Jobs[j] = res
-		if res.ExecTime > m.MakeSpan {
-			m.MakeSpan = res.ExecTime
-		}
-	}
-	m.Transfers, m.BytesMoved = e.net.Stats()
-	m.LinkBusy = make([]time.Duration, e.net.NumLinks())
-	for i := range m.LinkBusy {
-		m.LinkBusy[i] = e.net.LinkBusy(topology.LinkID(i))
-	}
-	if e.tele != nil {
-		m.Series = e.tele.ts
-	}
-	return m
 }
 
 // collectJob builds one drained job's Result. start is the job's admission
