@@ -81,9 +81,14 @@ func NewChurn(cfg Config) (*Churn, error) {
 // Stats returns the fabric-wide totals accumulated so far — the union of
 // every admitted job's traffic, a snapshot of per-link busy time, and the
 // telemetry recorder. Jobs and MakeSpan are left unset: the caller knows
-// which job results and which end time its summary covers.
+// which job results and which end time its summary covers. The recorder is
+// settled first, so every record made so far is applied before the result
+// leaves the engine.
 func (c *Churn) Stats() *MultiResult {
 	m := &MultiResult{LinkBusy: make([]time.Duration, c.e.net.NumLinks()), Series: c.Telemetry()}
+	if m.Series != nil {
+		m.Series.Buckets() // every TimeSeries reader settles pending records
+	}
 	m.Transfers, m.BytesMoved = c.e.net.Stats()
 	for i := range m.LinkBusy {
 		m.LinkBusy[i] = c.e.net.LinkBusy(topology.LinkID(i))

@@ -43,6 +43,7 @@ type TimeSeriesDoc struct {
 // Every field is a deterministic function of the recorded stream, so equal
 // recordings snapshot to equal documents.
 func (ts *TimeSeries) Snapshot() *TimeSeriesDoc {
+	ts.settle()
 	doc := &TimeSeriesDoc{
 		Version: TimeSeriesDocVersion,
 		TickNS:  ts.tick.Nanoseconds(),
@@ -94,6 +95,7 @@ func (ts *TimeSeries) WriteProm(w io.Writer, prefix string) error {
 	if prefix == "" {
 		prefix = "ibpower"
 	}
+	ts.settle()
 	for i := range ts.s {
 		se := &ts.s[i]
 		name := promName(prefix, se.name)

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -27,11 +28,62 @@ type SeriesID int32
 // span series (AddSpanSeries) records a weight spread over [t0, t1)
 // proportionally to bucket overlap — link busy seconds, low-power
 // link-seconds — and its sketch summarizes the per-span weights.
+//
+// Recording is pipelined. Record and RecordSpan only append the call to a
+// batch; full batches queue, in order, for one applier goroutine that runs
+// the bucket and sketch updates while the caller keeps simulating, and
+// exits once the queue drains. Every reader, and AddSeries, first settles:
+// it waits for the applier and applies the partial batch itself. Each
+// update therefore happens once, in record order, with the same float
+// operations as a direct call, and a reader never sees a partly applied
+// stream. Like any unsynchronized value, a TimeSeries is recorded and read
+// by one goroutine at a time.
 type TimeSeries struct {
+	// Applied state: owned by the applier goroutine while batches are
+	// queued and by the caller once it has settled.
 	tick       time.Duration
 	maxBuckets int
 	used       int // buckets in use: highest touched index + 1
 	s          []tsSeries
+
+	// The producer writes its fields on every record. On the applied
+	// state's cache line, each write would bounce that line between the
+	// two cores (EXPERIMENTS.md E26).
+	_ [64]byte
+
+	// Producer state: touched only by the recording goroutine.
+	cur []tsOp // batch being filled
+	n   int    // ops in cur
+	q   tsQueue
+}
+
+// Pipeline sizing: records travel in batches of tsBatchLen ops, and a
+// recorder owns tsBatches batches (2 MB), allocated once at construction so
+// the record path never allocates. When every batch is full or being
+// applied, the recording goroutine waits for the applier.
+const (
+	tsBatchLen = 4096
+	tsBatches  = 16
+)
+
+// tsOp is one deferred Record (span false, t1 unused) or RecordSpan call.
+type tsOp struct {
+	id     SeriesID
+	span   bool
+	t0, t1 time.Duration
+	w      float64
+}
+
+// tsQueue hands full batches from the recording goroutine to the applier
+// in arrival order.
+type tsQueue struct {
+	mu         sync.Mutex
+	cond       sync.Cond         // a batch was freed, or the applier exited
+	full       [tsBatches][]tsOp // FIFO ring of batches awaiting apply
+	head, size int               // ring position and occupancy
+	free       [][]tsOp          // batches ready to fill
+	running    bool              // an applier goroutine owns the applied state
+	applier    func()            // ts.drain, bound once so starting it allocates nothing
 }
 
 type tsSeries struct {
@@ -54,7 +106,16 @@ func NewTimeSeries(tick time.Duration, maxBuckets int) *TimeSeries {
 	if maxBuckets < 2 {
 		maxBuckets = 2
 	}
-	return &TimeSeries{tick: tick, maxBuckets: maxBuckets}
+	ts := &TimeSeries{tick: tick, maxBuckets: maxBuckets}
+	pool := make([]tsOp, tsBatches*tsBatchLen)
+	ts.cur = pool[:tsBatchLen:tsBatchLen]
+	ts.q.free = make([][]tsOp, 0, tsBatches)
+	for i := 1; i < tsBatches; i++ {
+		ts.q.free = append(ts.q.free, pool[i*tsBatchLen:(i+1)*tsBatchLen:(i+1)*tsBatchLen])
+	}
+	ts.q.cond.L = &ts.q.mu
+	ts.q.applier = ts.drain
+	return ts
 }
 
 // AddSeries registers a sample series and returns its ID. All series must
@@ -70,6 +131,7 @@ func (ts *TimeSeries) AddSpanSeries(name, unit string) SeriesID {
 }
 
 func (ts *TimeSeries) add(name, unit string, span bool) SeriesID {
+	ts.settle()
 	se := tsSeries{
 		name: name, unit: unit, span: span,
 		count: make([]int64, ts.maxBuckets),
@@ -82,10 +144,16 @@ func (ts *TimeSeries) add(name, unit string, span bool) SeriesID {
 }
 
 // Tick returns the current bucket width (it grows by doubling).
-func (ts *TimeSeries) Tick() time.Duration { return ts.tick }
+func (ts *TimeSeries) Tick() time.Duration {
+	ts.settle()
+	return ts.tick
+}
 
 // Buckets returns the number of buckets in use.
-func (ts *TimeSeries) Buckets() int { return ts.used }
+func (ts *TimeSeries) Buckets() int {
+	ts.settle()
+	return ts.used
+}
 
 // NumSeries returns the number of registered series.
 func (ts *TimeSeries) NumSeries() int { return len(ts.s) }
@@ -100,14 +168,23 @@ func (ts *TimeSeries) Unit(id SeriesID) string { return ts.s[id].unit }
 func (ts *TimeSeries) IsSpan(id SeriesID) bool { return ts.s[id].span }
 
 // Sketch returns the series' run-wide sketch. The pointer aliases live
-// state: callers must not Add through it.
-func (ts *TimeSeries) Sketch(id SeriesID) *Sketch { return &ts.s[id].sk }
+// state and is valid until the next Record or RecordSpan, after which the
+// applier may be updating it: read it again through Sketch. Callers must
+// not Add through it.
+func (ts *TimeSeries) Sketch(id SeriesID) *Sketch {
+	ts.settle()
+	return &ts.s[id].sk
+}
 
 // BucketCount returns the sample (or overlapping-span) count of bucket b.
-func (ts *TimeSeries) BucketCount(id SeriesID, b int) int64 { return ts.s[id].count[b] }
+func (ts *TimeSeries) BucketCount(id SeriesID, b int) int64 {
+	ts.settle()
+	return ts.s[id].count[b]
+}
 
 // BucketSum returns the compensated value sum (or span weight) of bucket b.
 func (ts *TimeSeries) BucketSum(id SeriesID, b int) float64 {
+	ts.settle()
 	return ts.s[id].sum[b] + ts.s[id].comp[b]
 }
 
@@ -119,6 +196,108 @@ func (ts *TimeSeries) Lookup(name string) (SeriesID, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Record adds one sample at time t. Non-finite values are ignored. The
+// path is allocation-free; the sample reaches its bucket and sketch on the
+// applier (see the type comment).
+func (ts *TimeSeries) Record(id SeriesID, t time.Duration, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	ts.push(tsOp{id: id, t0: t, w: v})
+}
+
+// RecordSpan adds weight w spread over [t0, t1) proportionally to bucket
+// overlap; a zero-length span lands entirely in t0's bucket. The sketch
+// absorbs w once. Non-finite weights are ignored. The path is
+// allocation-free.
+func (ts *TimeSeries) RecordSpan(id SeriesID, t0, t1 time.Duration, w float64) {
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return
+	}
+	ts.push(tsOp{id: id, span: true, t0: t0, t1: t1, w: w})
+}
+
+// push appends op to the batch being filled and hands the batch to the
+// applier once it is full, so cur always has room.
+func (ts *TimeSeries) push(op tsOp) {
+	if uint(op.id) >= uint(len(ts.s)) { // panic here, not on the applier
+		panic(fmt.Sprintf("stats: record to unregistered series %d", op.id))
+	}
+	ts.cur[ts.n] = op
+	if ts.n++; ts.n == len(ts.cur) {
+		ts.flush()
+	}
+}
+
+// flush queues the full batch, starts the applier if none is running, and
+// takes a free batch, waiting for the applier when none is free.
+func (ts *TimeSeries) flush() {
+	q := &ts.q
+	q.mu.Lock()
+	q.full[(q.head+q.size)%tsBatches] = ts.cur
+	q.size++
+	if !q.running {
+		q.running = true
+		go q.applier()
+	}
+	for len(q.free) == 0 {
+		q.cond.Wait()
+	}
+	ts.cur = q.free[len(q.free)-1]
+	q.free = q.free[:len(q.free)-1]
+	q.mu.Unlock()
+	ts.n = 0
+}
+
+// drain is the applier goroutine: it applies the queued batches in arrival
+// order and exits when the queue is empty, so no goroutine outlives its
+// work, even for a recorder that is never read.
+func (ts *TimeSeries) drain() {
+	q := &ts.q
+	q.mu.Lock()
+	for q.size > 0 {
+		b := q.full[q.head]
+		q.head = (q.head + 1) % tsBatches
+		q.size--
+		q.mu.Unlock()
+		ts.apply(b)
+		q.mu.Lock()
+		q.free = append(q.free, b)
+		q.cond.Broadcast()
+	}
+	q.running = false
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// settle brings the applied state up to date with every record so far:
+// it waits for the applier to exit, then applies the partial batch on the
+// caller's goroutine.
+func (ts *TimeSeries) settle() {
+	q := &ts.q
+	q.mu.Lock()
+	for q.running {
+		q.cond.Wait()
+	}
+	q.mu.Unlock()
+	if ts.n > 0 {
+		ts.apply(ts.cur[:ts.n])
+		ts.n = 0
+	}
+}
+
+// apply performs the deferred calls of one batch in order.
+func (ts *TimeSeries) apply(ops []tsOp) {
+	for i := range ops {
+		op := &ops[i]
+		if op.span {
+			ts.recordSpan(op.id, op.t0, op.t1, op.w)
+		} else {
+			ts.record(op.id, op.t0, op.w)
+		}
+	}
 }
 
 // bucket returns the bucket index for time t, folding the ring as often as
@@ -161,12 +340,8 @@ func (ts *TimeSeries) fold() {
 	ts.used = half
 }
 
-// Record adds one sample at time t. Non-finite values are ignored. The
-// path is allocation-free.
-func (ts *TimeSeries) Record(id SeriesID, t time.Duration, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
+// record applies one finite sample.
+func (ts *TimeSeries) record(id SeriesID, t time.Duration, v float64) {
 	se := &ts.s[id]
 	se.sk.add(v)
 	b := ts.bucket(t)
@@ -174,15 +349,10 @@ func (ts *TimeSeries) Record(id SeriesID, t time.Duration, v float64) {
 	se.sum[b], se.comp[b] = neumaierAdd(se.sum[b], se.comp[b], v)
 }
 
-// RecordSpan adds weight w spread over [t0, t1) proportionally to bucket
-// overlap; a zero-length span lands entirely in t0's bucket. The sketch
-// absorbs w once. The path is allocation-free.
-func (ts *TimeSeries) RecordSpan(id SeriesID, t0, t1 time.Duration, w float64) {
+// recordSpan applies one finite span weight.
+func (ts *TimeSeries) recordSpan(id SeriesID, t0, t1 time.Duration, w float64) {
 	if t1 < t0 {
 		t0, t1 = t1, t0
-	}
-	if math.IsNaN(w) || math.IsInf(w, 0) {
-		return
 	}
 	se := &ts.s[id]
 	se.sk.add(w)
@@ -207,7 +377,11 @@ func (ts *TimeSeries) RecordSpan(id SeriesID, t0, t1 time.Duration, w float64) {
 	}
 	span := float64(t1 - t0)
 	for b := b0; b <= b1; b++ {
-		lo, hi := time.Duration(b)*ts.tick, time.Duration(b+1)*ts.tick
+		lo := time.Duration(b) * ts.tick
+		hi := lo + ts.tick
+		if hi < lo { // the last bucket's edge lies past MaxInt64
+			hi = math.MaxInt64
+		}
 		if t0 > lo {
 			lo = t0
 		}

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +180,163 @@ func TestTimeSeriesDeterminism(t *testing.T) {
 	if doc.Buckets != len(doc.Series[0].Counts) || doc.Buckets != len(doc.Series[0].Sums) {
 		t.Errorf("snapshot bucket arrays disagree with Buckets=%d", doc.Buckets)
 	}
+}
+
+// TestTimeSeriesSpanNearMaxInt64 pins the last bucket's edge: on a span
+// ending near math.MaxInt64, (b+1)·tick overflows, and the slice of the
+// span in that bucket used to be dropped (the sum read 0.99526).
+func TestTimeSeriesSpanNearMaxInt64(t *testing.T) {
+	ts := NewTimeSeries(time.Millisecond, 512)
+	id := ts.AddSpanSeries("busy", "s")
+	const century = 100 * 365 * 24 * time.Hour
+	ts.RecordSpan(id, math.MaxInt64-century, math.MaxInt64, 1)
+	var sum float64
+	for b := 0; b < ts.Buckets(); b++ {
+		sum += ts.BucketSum(id, b)
+	}
+	if math.Abs(sum-1) > 1e-12 {
+		t.Errorf("span weight over the buckets = %v, want 1", sum)
+	}
+}
+
+// recordStream records n calls of a fixed pseudo-random stream on three
+// series: samples (with a NaN now and then), spans and reversed spans,
+// advancing ~20µs per call so a small ring folds several times. after, when
+// non-nil, runs after every call.
+func recordStream(ts *TimeSeries, n int, after func(i int)) {
+	a := ts.AddSeries("a", "x")
+	b := ts.AddSpanSeries("b", "s")
+	c := ts.AddSpanSeries("c", "s")
+	r := rand.New(rand.NewSource(11))
+	var at time.Duration
+	for i := 0; i < n; i++ {
+		at += time.Duration(r.Intn(40)) * time.Microsecond
+		switch i % 3 {
+		case 0:
+			v := r.NormFloat64()
+			if i%1000 == 0 {
+				v = math.NaN()
+			}
+			ts.Record(a, at, v)
+		case 1:
+			d := time.Duration(r.Intn(5000)) * time.Microsecond
+			ts.RecordSpan(b, at, at+d, d.Seconds())
+		default:
+			ts.RecordSpan(c, at+time.Millisecond, at, r.Float64())
+		}
+		if after != nil {
+			after(i)
+		}
+	}
+}
+
+// stateBits encodes every applied field of the recorder — tick, buckets in
+// use, and each series' sketch and whole bucket ring — bit for bit.
+func stateBits(t *testing.T, ts *TimeSeries) []byte {
+	t.Helper()
+	ts.settle()
+	var buf bytes.Buffer
+	for _, v := range []any{int64(ts.tick), int64(ts.used)} {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range ts.s {
+		se := &ts.s[i]
+		for _, v := range []any{&se.sk, se.count, se.sum, se.comp} {
+			if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// streamLen spans more batches than the queue holds, twice over.
+const streamLen = 2*tsBatches*tsBatchLen + tsBatchLen/2
+
+// TestTimeSeriesPipelineMatchesSettled records a stream long enough to
+// cycle every batch of the queue and fold the ring several times, and
+// checks it ends bit-identical to the same stream with a settle (a Buckets
+// read) after every record: batching changes where updates run, never
+// which float operations run or in what order.
+func TestTimeSeriesPipelineMatchesSettled(t *testing.T) {
+	piped := NewTimeSeries(time.Millisecond, 64)
+	recordStream(piped, streamLen, nil)
+	settled := NewTimeSeries(time.Millisecond, 64)
+	recordStream(settled, streamLen, func(int) { settled.Buckets() })
+	if tick := piped.Tick(); tick < 8*time.Millisecond {
+		t.Fatalf("tick %v: the stream folded fewer than three times", tick)
+	}
+	if !bytes.Equal(stateBits(t, piped), stateBits(t, settled)) {
+		t.Error("pipelined recorder differs from the settle-per-record recorder")
+	}
+}
+
+// TestTimeSeriesMidStreamReadsLeaveDocument takes Snapshot and WriteProm
+// reads in the middle of a stream and checks the final document and state
+// equal those of the same stream read only at the end.
+func TestTimeSeriesMidStreamReadsLeaveDocument(t *testing.T) {
+	final := func(ts *TimeSeries) ([]byte, []byte) {
+		var doc bytes.Buffer
+		if err := ts.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Bytes(), stateBits(t, ts)
+	}
+	quiet := NewTimeSeries(time.Millisecond, 64)
+	recordStream(quiet, streamLen, nil)
+	wantDoc, wantBits := final(quiet)
+
+	read := NewTimeSeries(time.Millisecond, 64)
+	recordStream(read, streamLen, func(i int) {
+		switch i % 9973 {
+		case 0:
+			read.Snapshot()
+		case 5000:
+			if err := read.WriteProm(io.Discard, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	gotDoc, gotBits := final(read)
+	if !bytes.Equal(gotDoc, wantDoc) {
+		t.Error("mid-stream reads changed the final JSON document")
+	}
+	if !bytes.Equal(gotBits, wantBits) {
+		t.Error("mid-stream reads changed the recorder state")
+	}
+}
+
+// TestTimeSeriesApplierExits drops a recorder mid-stream, never read, and
+// checks the goroutine count returns to where it started once the queue
+// drains: the applier does not outlive its work.
+func TestTimeSeriesApplierExits(t *testing.T) {
+	start := runtime.NumGoroutine()
+	func() {
+		ts := NewTimeSeries(time.Millisecond, 64)
+		recordStream(ts, tsBatches*tsBatchLen+tsBatchLen/2, nil)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines remain, started with %d", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTimeSeriesRecordUnknownSeriesPanics checks a bad ID panics in the
+// recording call, where the caller can see it, not later on the applier.
+func TestTimeSeriesRecordUnknownSeriesPanics(t *testing.T) {
+	ts := NewTimeSeries(time.Millisecond, 8)
+	ts.AddSeries("v", "x")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("recording to an unregistered series did not panic")
+		}
+	}()
+	ts.Record(1, 0, 1)
 }
 
 func TestTimeSeriesWriteProm(t *testing.T) {
