@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -79,5 +81,48 @@ func TestMultijobSweepRejectsUnknownPlacement(t *testing.T) {
 	_, err := r.MultijobSweep([]string{"nosuch"}, testMixes(), 0.01)
 	if err == nil || !strings.Contains(err.Error(), "unknown placement") {
 		t.Errorf("error %v, want unknown placement with registry listed", err)
+	}
+}
+
+// TestMultijobGolden pins the exact bytes `ibpower multijob` renders: the
+// per-job table of gromacs:16,alya:16 under every registered placement,
+// then the E15 sweep over testMixes(). Regenerate deliberately with
+// `go test -run TestMultijobGolden -update ./internal/harness` and inspect
+// the diff.
+func TestMultijobGolden(t *testing.T) {
+	opt := workloads.Options{Seed: 42, IterScale: 0.05}
+	r := NewRunner(opt, replay.DefaultConfig())
+	mix := []multijob.JobSpec{{App: "gromacs", NP: 16}, {App: "alya", NP: 16}}
+	var buf bytes.Buffer
+	for _, p := range multijob.Names() {
+		res, err := r.Multijob(mix, p, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := multijob.WriteResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString("\n")
+	}
+	rows, err := r.MultijobSweep(nil, testMixes(), 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMultijobSweep(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "multijob_placements.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("multijob output drifted from golden %s\n--- got ---\n%s\n--- want ---\n%s",
+			golden, buf.Bytes(), want)
 	}
 }
