@@ -147,10 +147,15 @@ type (
 	MultijobConfig = multijob.Config
 	// MultijobResult carries per-job statistics (runtime, energy, hit rate,
 	// sharing overhead vs a dedicated fabric) and fabric-wide aggregates
-	// (per-link utilization, decomposed switch power saving).
-	MultijobResult = multijob.Result
-	// PlacementFunc maps a job mix onto fabric terminals; implementations
-	// register with RegisterPlacement.
+	// (per-link utilization, decomposed switch power saving). A static mix
+	// is a churn scenario whose jobs all arrive at time 0, so this is the
+	// same type as ChurnResult; each ChurnJob embeds its JobStats.
+	MultijobResult = multijob.ChurnResult
+	// PlacementFunc returns a placement policy's preference order over every
+	// terminal of a fabric (a permutation of its terminals). A static mix
+	// takes consecutive blocks of it; a churn scenario's free-list hands out
+	// its first free terminals. Implementations register with
+	// RegisterPlacement.
 	PlacementFunc = multijob.PlaceFunc
 )
 
@@ -313,7 +318,9 @@ func RegisterPlacement(name string, fn PlacementFunc) { multijob.Register(name, 
 // RunMultijob simulates several independent workloads concurrently on one
 // shared fabric: each job gets its own trace, predictor and
 // placement-assigned terminals, links observe the union of all jobs'
-// traffic, and results are reported per job and fabric-wide. Results are
+// traffic, and results are reported per job and fabric-wide. It runs the
+// mix as a churn scenario whose jobs all arrive at time 0 and are admitted
+// in one batch, on the same engine as RunScenario. Results are
 // deterministic for a given configuration at any Parallelism setting.
 func RunMultijob(cfg MultijobConfig) (*MultijobResult, error) { return multijob.Run(cfg) }
 

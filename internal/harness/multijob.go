@@ -43,7 +43,7 @@ func (r *Runner) multijobConfig(jobs []multijob.JobSpec, placement string, displ
 // fabric (experiment E15's single cell). Traces and GT choices are cached on
 // the Runner; the per-job dedicated baselines run on the Cfg.Parallelism
 // pool.
-func (r *Runner) Multijob(jobs []multijob.JobSpec, placement string, displacement float64) (*multijob.Result, error) {
+func (r *Runner) Multijob(jobs []multijob.JobSpec, placement string, displacement float64) (*multijob.ChurnResult, error) {
 	return multijob.Run(r.multijobConfig(jobs, placement, displacement, r.Cfg.Parallelism))
 }
 
@@ -51,7 +51,7 @@ func (r *Runner) Multijob(jobs []multijob.JobSpec, placement string, displacemen
 type MultijobRow struct {
 	Placement string
 	Mix       string
-	Result    *multijob.Result
+	Result    *multijob.ChurnResult
 }
 
 // DefaultJobMixes returns the job mixes the E15 sweep evaluates: a pair of

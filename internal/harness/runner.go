@@ -44,24 +44,46 @@ type Runner struct {
 	// experiment; the caller keeps ownership and closes the file after use.
 	File *trace.File
 
-	mu     sync.Mutex
-	traces map[traceKey]*traceEntry
-	gts    map[gtKey]*gtEntry
-	bases  map[traceKey]*baseEntry
-	deds   map[dedKey]*baseEntry
+	traces memo[traceKey, trace.Source]
+	gts    memo[gtKey, gtChoice]
+	bases  memo[traceKey, *replay.Result]
+	deds   memo[dedKey, *replay.Result]
 }
 
 // NewRunner returns a Runner over the given generation options and replay
 // configuration (cfg.Parallelism bounds the sweep pool).
 func NewRunner(opt workloads.Options, cfg replay.Config) *Runner {
-	return &Runner{
-		Opt:    opt,
-		Cfg:    cfg,
-		traces: make(map[traceKey]*traceEntry),
-		gts:    make(map[gtKey]*gtEntry),
-		bases:  make(map[traceKey]*baseEntry),
-		deds:   make(map[dedKey]*baseEntry),
+	return &Runner{Opt: opt, Cfg: cfg}
+}
+
+// memo caches one value per key, computing each at most once even under
+// concurrent callers: later callers of a key block until the first one's
+// computation finishes, then share its value and error.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// get returns the cached value for k, computing it with fn on first use.
+func (c *memo[K, V]) get(k K, fn func() (V, error)) (V, error) {
+	c.mu.Lock()
+	e, ok := c.m[k]
+	if !ok {
+		if c.m == nil {
+			c.m = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{}
+		c.m[k] = e
 	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = fn() })
+	return e.v, e.err
 }
 
 // predictorName returns the registry name the Runner's experiments simulate
@@ -79,28 +101,16 @@ type traceKey struct {
 	opt workloads.Options
 }
 
-type traceEntry struct {
-	once sync.Once
-	src  trace.Source
-	err  error
-}
-
 type gtKey struct {
 	traceKey
 	tolPct float64
 }
 
-type gtEntry struct {
-	once sync.Once
-	gt   time.Duration
-	hit  float64
-	err  error
-}
-
-type baseEntry struct {
-	once sync.Once
-	res  *replay.Result
-	err  error
+// gtChoice is one cached Table III selection: the threshold and its hit
+// rate.
+type gtChoice struct {
+	gt  time.Duration
+	hit float64
 }
 
 // dedKey identifies a cached dedicated-fabric mechanism run: one workload
@@ -126,22 +136,12 @@ func (r *Runner) source(app string, np int) (trace.Source, error) {
 // packed file when it has the entry (and opt is the Runner's own Opt — a
 // file records one options setting), otherwise from workloads.Generate.
 func (r *Runner) sourceOpt(app string, np int, opt workloads.Options) (trace.Source, error) {
-	k := traceKey{app: app, np: np, opt: opt}
-	r.mu.Lock()
-	e, ok := r.traces[k]
-	if !ok {
-		e = &traceEntry{}
-		r.traces[k] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
+	return r.traces.get(traceKey{app: app, np: np, opt: opt}, func() (trace.Source, error) {
 		if r.File != nil && opt == r.Opt && r.File.Has(app, np) {
-			e.src, e.err = r.File.Source(app, np)
-			return
+			return r.File.Source(app, np)
 		}
-		e.src, e.err = workloads.Generate(app, np, opt)
+		return workloads.Generate(app, np, opt)
 	})
-	return e.src, e.err
 }
 
 // chooseGT returns the cached Table III grouping threshold for
@@ -149,24 +149,17 @@ func (r *Runner) sourceOpt(app string, np int, opt workloads.Options) (trace.Sou
 // DefaultGTGrid, so the cache key does not include the grid.
 func (r *Runner) chooseGT(app string, np int, opt workloads.Options, tolPct float64) (time.Duration, float64, error) {
 	k := gtKey{traceKey: traceKey{app: app, np: np, opt: opt}, tolPct: tolPct}
-	r.mu.Lock()
-	e, ok := r.gts[k]
-	if !ok {
-		e = &gtEntry{}
-		r.gts[k] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
+	c, err := r.gts.get(k, func() (gtChoice, error) {
 		src, err := r.sourceOpt(app, np, opt)
 		if err != nil {
-			e.err = err
-			return
+			return gtChoice{}, err
 		}
 		// Serial over ranks: the point sweep above already saturates the
 		// pool, and nested parallelism would oversubscribe it.
-		e.gt, e.hit, e.err = ChooseGT(src, DefaultGTGrid(), tolPct)
+		gt, hit, err := ChooseGT(src, DefaultGTGrid(), tolPct)
+		return gtChoice{gt: gt, hit: hit}, err
 	})
-	return e.gt, e.hit, e.err
+	return c.gt, c.hit, err
 }
 
 // baseline returns the cached power-unaware replay for (app, np) under
@@ -176,26 +169,16 @@ func (r *Runner) chooseGT(app string, np int, opt workloads.Options, tolPct floa
 // only the run under study publishes a series, and a cached denominator's
 // recorder would be filled and thrown away.
 func (r *Runner) baseline(app string, np int) (*replay.Result, error) {
-	k := traceKey{app: app, np: np, opt: r.Opt}
-	r.mu.Lock()
-	e, ok := r.bases[k]
-	if !ok {
-		e = &baseEntry{}
-		r.bases[k] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
+	return r.bases.get(traceKey{app: app, np: np, opt: r.Opt}, func() (*replay.Result, error) {
 		src, err := r.source(app, np)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		bcfg := r.Cfg
 		bcfg.Power = replay.PowerConfig{}
 		bcfg.Telemetry = replay.TelemetryConfig{}
-		e.res, e.err = replay.RunSource(src, bcfg)
+		return replay.RunSource(src, bcfg)
 	})
-	return e.res, e.err
 }
 
 // dedicated returns the cached dedicated-fabric run for (app, np) at
@@ -206,18 +189,10 @@ func (r *Runner) baseline(app string, np int) (*replay.Result, error) {
 // the series.
 func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*replay.Result, error) {
 	k := dedKey{traceKey: traceKey{app: app, np: np, opt: r.Opt}, gt: gt, d: d}
-	r.mu.Lock()
-	e, ok := r.deds[k]
-	if !ok {
-		e = &baseEntry{}
-		r.deds[k] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() {
+	return r.deds.get(k, func() (*replay.Result, error) {
 		src, err := r.sourceOpt(app, np, r.Opt)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
 		// Build the power block exactly as the shared run does
 		// (multijob.JobPower preserves deep sleep, overheads and predictor
@@ -225,9 +200,8 @@ func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*re
 		bcfg := r.Cfg
 		bcfg.Power = multijob.JobPower(r.Cfg, gt, d)
 		bcfg.Telemetry = replay.TelemetryConfig{}
-		e.res, e.err = replay.RunSource(src, bcfg)
+		return replay.RunSource(src, bcfg)
 	})
-	return e.res, e.err
 }
 
 // point is one (application, process count) cell of a table or figure.

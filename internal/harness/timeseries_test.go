@@ -112,7 +112,7 @@ func TestRunnerBaselinesRecordNoTelemetry(t *testing.T) {
 	if res.Series == nil {
 		t.Fatal("telemetry enabled but ChurnResult.Series is nil")
 	}
-	if len(on.deds) == 0 {
+	if len(on.deds.m) == 0 {
 		t.Fatal("scenario ran no dedicated baselines")
 	}
 	same := func(what string, got, want *replay.Result) {
@@ -124,7 +124,7 @@ func TestRunnerBaselinesRecordNoTelemetry(t *testing.T) {
 			t.Errorf("%s differs from the telemetry-off run", what)
 		}
 	}
-	for k, e := range on.deds {
+	for k, e := range on.deds.m {
 		if e.err != nil {
 			t.Fatal(e.err)
 		}
@@ -132,7 +132,7 @@ func TestRunnerBaselinesRecordNoTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		same(fmt.Sprintf("dedicated %s np=%d gt=%v", k.app, k.np, k.gt), e.res, want)
+		same(fmt.Sprintf("dedicated %s np=%d gt=%v", k.app, k.np, k.gt), e.v, want)
 	}
 	for _, p := range []point{{"gromacs", 8}, {"alya", 16}} {
 		got, err := on.baseline(p.app, p.np)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
 	"ibpower/internal/sweep"
@@ -215,6 +216,9 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err := CheckRegistered(cfg.Placement); err != nil {
 		return nil, fmt.Errorf("multijob: %w", err)
 	}
+	if err := predictor.CheckRegistered(cfg.Replay.Power.PredictorName); err != nil {
+		return nil, fmt.Errorf("multijob: %w", err)
+	}
 	fabric, err := cfg.Replay.Fabric()
 	if err != nil {
 		return nil, err
@@ -235,12 +239,6 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 
 	// Prepare every distinct (app, NP) pair once, on the worker pool in
 	// first-appearance order: trace, grouping threshold, dedicated baseline.
-	// The sharing-conditions hooks (Config's Generate/SelectGT/Dedicated)
-	// apply unchanged.
-	base := Config{
-		Opt: cfg.Opt, Replay: cfg.Replay,
-		SelectGT: cfg.SelectGT, Generate: cfg.Generate, Dedicated: cfg.Dedicated,
-	}
 	// Telemetry records the scenario's shared timeline only. The dedicated
 	// baselines below never record: runDedicated clears Replay.Telemetry
 	// itself, and the harness's Dedicated hook (Runner.dedicated) does the
@@ -260,15 +258,15 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	workers := sweep.Workers(cfg.Replay.Parallelism, len(specs))
 	preps, err := sweep.Map(ctx, workers, specs,
 		func(_ context.Context, _ int, js JobSpec) (churnPrep, error) {
-			src, err := base.generate(js)
+			src, err := cfg.generate(js)
 			if err != nil {
 				return churnPrep{}, err
 			}
-			gt, err := base.selectGT(src)
+			gt, err := cfg.selectGT(src)
 			if err != nil {
 				return churnPrep{}, err
 			}
-			ded, err := base.runDedicated(src, gt, cfg.Displacement)
+			ded, err := cfg.runDedicated(src, gt)
 			if err != nil {
 				return churnPrep{}, err
 			}
@@ -697,9 +695,8 @@ func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
 	res.WaitP50 = time.Duration(stats.Percentile(waits, 50) * float64(time.Second))
 	res.WaitP95 = time.Duration(stats.Percentile(waits, 95) * float64(time.Second))
 
-	// Fabric summary via the same machinery as the static multi-job run: the
-	// session's fabric-wide counters and every job's accounting, grouped by
-	// first-hop switch. A terminal occupied by several jobs over the
+	// Fabric summary from the session's fabric-wide counters and every job's
+	// accounting, grouped by first-hop switch. A terminal occupied by several jobs over the
 	// scenario contributes each job's own accounting window; killed attempts
 	// ran too, so their accounting rides along after the completed jobs.
 	m := session.Stats()

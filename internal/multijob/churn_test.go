@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ibpower/internal/replay"
+	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
 
@@ -157,5 +158,24 @@ func TestRunChurnErrors(t *testing.T) {
 		if _, err := RunChurn(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestRunChurnRejectsUnknownPredictorBeforePreparing asserts an unknown
+// predictor fails before any trace is generated or GT chosen, not at the
+// first dedicated baseline.
+func TestRunChurnRejectsUnknownPredictorBeforePreparing(t *testing.T) {
+	cfg := testChurnConfig([]Arrival{{Job: JobSpec{App: "gromacs", NP: 8}, At: 0}})
+	cfg.Replay.Power.PredictorName = "nosuch"
+	calls := 0
+	cfg.Generate = func(app string, np int) (trace.Source, error) {
+		calls++
+		return workloads.Generate(app, np, cfg.Opt)
+	}
+	if _, err := RunChurn(cfg); err == nil || !strings.Contains(err.Error(), "unknown predictor") {
+		t.Errorf("error %v, want unknown predictor", err)
+	}
+	if calls != 0 {
+		t.Errorf("Generate called %d times before the predictor was rejected", calls)
 	}
 }

@@ -25,39 +25,18 @@ type FreeList struct {
 	order  []int  // policy preference order over every terminal
 	busy   []bool // terminal -> occupied
 	nfree  int
-	down   []int32 // terminal -> overlapping fault count (0 = healthy)
-	ndown  int     // terminals with down > 0
+	down   []int32       // terminal -> overlapping fault count (0 = healthy)
+	ndown  int           // terminals with down > 0
 	swBusy map[int32]int // first-hop switch -> busy terminal count
 	pool   [][]int       // recycled terminal slices
-}
-
-// Ordering returns the named placement policy's preference order over every
-// terminal of the fabric: the single block the policy produces when asked to
-// place one fabric-sized job.
-func Ordering(placement string, f topology.Fabric, seed int64) ([]int, error) {
-	terms, err := Place(placement, f, []int{f.NumTerminals()}, seed)
-	if err != nil {
-		return nil, err
-	}
-	return terms[0], nil
 }
 
 // NewFreeList returns a fully free list over the fabric whose Alloc order is
 // the given permutation of its terminals (see Ordering).
 func NewFreeList(f topology.Fabric, order []int) (*FreeList, error) {
 	nt := f.NumTerminals()
-	if len(order) != nt {
-		return nil, fmt.Errorf("multijob: ordering covers %d of %d terminals", len(order), nt)
-	}
-	seen := make([]bool, nt)
-	for _, t := range order {
-		if t < 0 || t >= nt {
-			return nil, fmt.Errorf("multijob: ordering names terminal %d, fabric has [0,%d)", t, nt)
-		}
-		if seen[t] {
-			return nil, fmt.Errorf("multijob: ordering names terminal %d twice", t)
-		}
-		seen[t] = true
+	if err := checkPermutation(order, nt); err != nil {
+		return nil, fmt.Errorf("multijob: %w", err)
 	}
 	return &FreeList{
 		f:      f,

@@ -6,34 +6,32 @@
 //
 // Each job of a mix gets its own trace, grouping threshold, predictor, and
 // rank→terminal mapping; the shared replay engine merges every job's events
-// into one timeline so links observe the union of traffic. Both simulations
-// enter it through one door, a replay.Churn session: Run as a single
-// admission at time 0 (replay.RunJobs), RunChurn as one admission per
-// scheduling decision over simulated time. Where jobs land is a pluggable
-// placement policy behind a named registry mirroring the predictor and
-// fabric registries: "linear" (contiguous terminal blocks, the default),
-// "random" (seeded shuffle of the whole fabric), and "roundrobin" (jobs
-// interleaved across first-hop switches). Results are reported per job —
-// runtime, host-link energy, hit rate, and sharing overhead against a
-// dedicated-fabric baseline of the same job — and fabric-wide (per-link
-// utilization, decomposed switch power).
+// into one timeline so links observe the union of traffic. There is one
+// shared-fabric engine, RunChurn: jobs queue on arrival, a scheduler admits
+// them onto terminals from a free-list, and a replay.Churn session times
+// each admission on the live timeline. Run, the static job mix, is the churn
+// scenario whose jobs all arrive at time 0 and are admitted in one batch.
+// Where jobs land is a pluggable placement policy behind a named registry
+// mirroring the predictor and fabric registries. A policy is a preference
+// order over the fabric's terminals: "linear" (fabric order, the default),
+// "random" (seeded shuffle), and "roundrobin" (cycling over first-hop
+// switches). Results are reported per job — runtime, host-link energy, hit
+// rate, and sharing overhead against a dedicated-fabric baseline of the same
+// job — and fabric-wide (per-link utilization, decomposed switch power).
 //
-// Everything is deterministic for a given Config: placement is a pure
-// function of (fabric, sizes, seed), the shared engine is single-threaded,
-// and the Parallelism knob only distributes independent runs (per-job
-// baselines, harness sweep cells) over the worker pool in input order.
+// Everything is deterministic for a given configuration: placement is a pure
+// function of (fabric, seed), the shared engine is single-threaded, and the
+// Parallelism knob only distributes independent work (per-job preparation
+// and baselines, harness sweep cells) over the worker pool in input order.
 package multijob
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"ibpower/internal/power"
 	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
-	"ibpower/internal/stats"
-	"ibpower/internal/sweep"
 	"ibpower/internal/topology"
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
@@ -55,7 +53,8 @@ type Config struct {
 	// experiment; the CLI default is the paper's conservative 1 %.
 	Displacement float64
 	// Replay carries the network parameters, fabric and predictor selection,
-	// and the Parallelism bound for the independent per-job baseline runs.
+	// and the Parallelism bound for the per-job preparation (trace, GT
+	// choice, dedicated baseline), which runs on the worker pool.
 	// Each job runs with Replay.Power re-armed at the job's own grouping
 	// threshold and Displacement; any other mechanism settings in the block
 	// (deep sleep, custom overheads, timeline recording, predictor tuning)
@@ -132,124 +131,56 @@ type FabricStats struct {
 	SavingPct float64
 }
 
-// Result is the outcome of a multi-job run.
-type Result struct {
-	Placement string
-	Jobs      []JobStats
-	Fabric    FabricStats
-	// Terminals records the placement that ran: Terminals[j][r] is the
-	// fabric terminal of job j's rank r.
-	Terminals [][]int
-	// Series is the shared run's streaming telemetry recorder, non-nil only
-	// when Replay.Telemetry was enabled. Dedicated baselines never record:
-	// runDedicated clears their Telemetry, as does harness.Runner.dedicated
-	// for the hook it installs.
-	Series *stats.TimeSeries
-}
-
 // Run simulates the configured job mix on one shared fabric and returns
-// per-job and fabric-wide statistics. The result is deterministic for a
-// given Config at any Replay.Parallelism setting.
-func Run(cfg Config) (*Result, error) {
+// per-job and fabric-wide statistics. A static mix is the churn scenario
+// whose jobs all arrive at time 0 and are admitted together: Run checks that
+// the mix fits the fabric and hands it to RunChurn, so both simulations share
+// one engine. The result is deterministic for a given Config at any
+// Replay.Parallelism setting.
+func Run(cfg Config) (*ChurnResult, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("multijob: no jobs configured")
-	}
-	if err := CheckRegistered(cfg.Placement); err != nil {
-		return nil, fmt.Errorf("multijob: %w", err)
-	}
-	if err := predictor.CheckRegistered(cfg.Replay.Power.PredictorName); err != nil {
-		return nil, fmt.Errorf("multijob: %w", err)
 	}
 	fabric, err := cfg.Replay.Fabric()
 	if err != nil {
 		return nil, err
 	}
-	d := cfg.Displacement
-	workers := sweep.Workers(cfg.Replay.Parallelism, len(cfg.Jobs))
-
-	// Generate every job's trace and choose its grouping threshold on the
-	// worker pool (input order, so results are parallelism-independent).
-	type prep struct {
-		src  trace.Source
-		meta trace.Meta
-		gt   time.Duration
-	}
-	preps, err := sweep.Map(context.Background(), workers, cfg.Jobs,
-		func(_ context.Context, _ int, js JobSpec) (prep, error) {
-			src, err := cfg.generate(js)
-			if err != nil {
-				return prep{}, err
-			}
-			gt, err := cfg.selectGT(src)
-			if err != nil {
-				return prep{}, err
-			}
-			return prep{src: src, meta: src.Meta(), gt: gt}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
 	sizes := make([]int, len(cfg.Jobs))
-	for j, p := range preps {
-		sizes[j] = p.meta.NP
+	arrivals := make([]Arrival, len(cfg.Jobs))
+	for j, js := range cfg.Jobs {
+		sizes[j] = js.NP
+		arrivals[j] = Arrival{Job: js}
 	}
-	terms, err := Place(cfg.Placement, fabric, sizes, cfg.Opt.Seed)
-	if err != nil {
+	if err := checkCapacity(fabric, sizes); err != nil {
 		return nil, err
 	}
+	return RunChurn(ChurnConfig{
+		Arrivals:     arrivals,
+		Schedule:     admitAll,
+		Scheduler:    "static",
+		Placement:    cfg.Placement,
+		Opt:          cfg.Opt,
+		Displacement: cfg.Displacement,
+		Replay:       cfg.Replay,
+		SelectGT:     cfg.SelectGT,
+		Generate:     cfg.Generate,
+		Dedicated:    cfg.Dedicated,
+	})
+}
 
-	// The shared run: every job carries its own power block (its GT), the
-	// run-level power block stays disabled.
-	rjobs := make([]replay.Job, len(cfg.Jobs))
-	pws := make([]replay.PowerConfig, len(cfg.Jobs))
-	for j, p := range preps {
-		pws[j] = cfg.jobPower(p.gt, d)
-		rjobs[j] = replay.Job{Source: p.src, Terminals: terms[j], Power: &pws[j]}
+// admitAll admits the whole queue in one batch, in queue order.
+func admitAll(ctx *SchedContext) []int {
+	picks := make([]int, len(ctx.Queue))
+	for i := range picks {
+		picks[i] = i
 	}
-
-	// The dedicated-fabric baselines — each job alone on the same fabric,
-	// same GT and predictor — are independent of the shared run, so they
-	// sweep on the pool while the single-threaded shared engine drains;
-	// both are pure functions of (preps, cfg), so the overlap cannot
-	// affect results.
-	type dedOut struct {
-		res []*replay.Result
-		err error
-	}
-	dedCh := make(chan dedOut, 1)
-	go func() {
-		res, err := sweep.Map(context.Background(), workers, preps,
-			func(_ context.Context, j int, p prep) (*replay.Result, error) {
-				return cfg.runDedicated(p.src, p.gt, d)
-			})
-		dedCh <- dedOut{res: res, err: err}
-	}()
-	shared, err := replay.RunJobs(rjobs, cfg.Replay)
-	ded := <-dedCh
-	if err != nil {
-		return nil, err
-	}
-	if ded.err != nil {
-		return nil, ded.err
-	}
-	dedicated := ded.res
-
-	res := &Result{Placement: placementName(cfg.Placement), Terminals: terms}
-	predName := predictorName(cfg.Replay.Power.PredictorName)
-	for j, p := range preps {
-		res.Jobs = append(res.Jobs, jobStats(fabric, p.meta.App, predName, p.gt,
-			dedicated[j].ExecTime, shared.Jobs[j], terms[j]))
-	}
-	res.Fabric = fabricStats(fabric, shared, terms)
-	res.Series = shared.Series
-	return res, nil
+	return picks
 }
 
 // jobStats folds one job's replay on a shared fabric into its record: gt is
 // the job's grouping threshold, dedicated the exec time of its
 // dedicated-fabric baseline, and terms the terminals it ran on (one per
-// rank). Run and RunChurn both build every per-job record here.
+// rank). RunChurn builds every per-job record here.
 func jobStats(f topology.Fabric, app, predName string, gt, dedicated time.Duration,
 	res *replay.Result, terms []int) JobStats {
 	st := JobStats{
@@ -279,7 +210,7 @@ func jobStats(f topology.Fabric, app, predName string, gt, dedicated time.Durati
 // versus O(NP²·iters) for rank-at-a-time generation of all NP ranks.
 // Consumers that drain one rank at a time (trace packing, offline GT runs)
 // use NewSource directly and stay O(one rank).
-func (c Config) generate(js JobSpec) (trace.Source, error) {
+func (c ChurnConfig) generate(js JobSpec) (trace.Source, error) {
 	if c.Generate != nil {
 		return c.Generate(js.App, js.NP)
 	}
@@ -290,19 +221,19 @@ func (c Config) generate(js JobSpec) (trace.Source, error) {
 	return tr, nil
 }
 
-func (c Config) selectGT(src trace.Source) (time.Duration, error) {
+func (c ChurnConfig) selectGT(src trace.Source) (time.Duration, error) {
 	if c.SelectGT != nil {
 		return c.SelectGT(src)
 	}
 	return 2 * power.Treact, nil
 }
 
-func (c Config) runDedicated(src trace.Source, gt time.Duration, d float64) (*replay.Result, error) {
+func (c ChurnConfig) runDedicated(src trace.Source, gt time.Duration) (*replay.Result, error) {
 	if c.Dedicated != nil {
-		return c.Dedicated(src, gt, d)
+		return c.Dedicated(src, gt, c.Displacement)
 	}
 	bcfg := c.Replay
-	bcfg.Power = JobPower(c.Replay, gt, d)
+	bcfg.Power = JobPower(c.Replay, gt, c.Displacement)
 	// Telemetry belongs to the shared run; a baseline recording its own
 	// series would be thrown away with the baseline's MultiResult.
 	bcfg.Telemetry = replay.TelemetryConfig{}
@@ -329,10 +260,6 @@ func JobPower(rc replay.Config, gt time.Duration, d float64) replay.PowerConfig 
 		pw.Predictor.Treact = power.Treact
 	}
 	return pw
-}
-
-func (c Config) jobPower(gt time.Duration, d float64) replay.PowerConfig {
-	return JobPower(c.Replay, gt, d)
 }
 
 func placementName(name string) string {

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"ibpower/internal/power"
 	"ibpower/internal/replay"
 	"ibpower/internal/workloads"
 )
@@ -90,7 +92,7 @@ func TestRunEndToEnd(t *testing.T) {
 // whole Result — placements, per-job stats, fabric stats — must be identical
 // at Parallelism 1, 2, and GOMAXPROCS.
 func TestRunDeterministicAtAnyParallelism(t *testing.T) {
-	var base *Result
+	var base *ChurnResult
 	for _, par := range []int{1, 2, 0} {
 		cfg := testConfig()
 		cfg.Replay.Parallelism = par
@@ -125,7 +127,8 @@ func TestRunSharedVsDedicated(t *testing.T) {
 }
 
 // TestRunErrors covers configuration error paths: unknown placement,
-// predictor, fabric, and workload all fail fast with the registry named.
+// predictor, fabric, and workload all fail fast with the registry named, and
+// a mix larger than the fabric names its rank and terminal counts.
 func TestRunErrors(t *testing.T) {
 	for name, mutate := range map[string]struct {
 		mut  func(*Config)
@@ -136,11 +139,93 @@ func TestRunErrors(t *testing.T) {
 		"fabric":    {func(c *Config) { c.Replay.FabricName = "nosuch" }, "unknown fabric"},
 		"workload":  {func(c *Config) { c.Jobs[0].App = "nosuch" }, "unknown application"},
 		"empty":     {func(c *Config) { c.Jobs = nil }, "no jobs"},
+		"overcommit": {func(c *Config) {
+			c.Jobs = []JobSpec{{App: "alya", NP: 200}, {App: "alya", NP: 200}}
+		}, "exceed"},
 	} {
 		cfg := testConfig()
 		mutate.mut(&cfg)
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), mutate.want) {
 			t.Errorf("%s: error %v, want substring %q", name, err, mutate.want)
+		}
+	}
+}
+
+// TestRunMatchesRunJobs pins Run, a time-0 churn admission, to the direct
+// reference: replay.RunJobs over the terminals Place assigns. For every
+// placement on three fabric families, the per-job records, the terminals,
+// the fabric summary and the seven replay-level telemetry series must be
+// equal. The mix repeats a job spec, so jobs sharing one prepared source
+// are covered too.
+func TestRunMatchesRunJobs(t *testing.T) {
+	mix := []JobSpec{{App: "gromacs", NP: 8}, {App: "alya", NP: 8}, {App: "gromacs", NP: 8}}
+	opt := workloads.Options{Seed: 42, IterScale: 0.05}
+	const d = 0.01
+	gt := 2 * power.Treact
+	for _, fname := range []string{"xgft", "dragonfly", "torus2d"} {
+		rc := replay.DefaultConfig().WithFabric(fname)
+		rc.Telemetry.Enabled = true
+		fabric, err := rc.Fabric()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := make([]int, len(mix))
+		for j, js := range mix {
+			sizes[j] = js.NP
+		}
+		for _, pname := range Names() {
+			res, err := Run(Config{Jobs: mix, Placement: pname, Opt: opt, Displacement: d, Replay: rc})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", fname, pname, err)
+			}
+
+			terms, err := Place(pname, fabric, sizes, opt.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pw := JobPower(rc, gt, d)
+			jobs := make([]replay.Job, len(mix))
+			dedicated := make([]time.Duration, len(mix))
+			for j, js := range mix {
+				tr, err := workloads.Generate(js.App, js.NP, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				jobs[j] = replay.Job{Source: tr, Terminals: terms[j], Power: &pw}
+				bcfg := rc
+				bcfg.Power = pw
+				bcfg.Telemetry = replay.TelemetryConfig{}
+				ded, err := replay.RunSource(tr, bcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dedicated[j] = ded.ExecTime
+			}
+			shared, err := replay.RunJobs(jobs, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, js := range mix {
+				want := jobStats(fabric, js.App, predictorName(""), gt, dedicated[j], shared.Jobs[j], terms[j])
+				if !reflect.DeepEqual(res.Jobs[j].JobStats, want) {
+					t.Errorf("%s/%s job %d:\n got %+v\nwant %+v", fname, pname, j, res.Jobs[j].JobStats, want)
+				}
+				if !reflect.DeepEqual(res.Jobs[j].Terminals, terms[j]) {
+					t.Errorf("%s/%s job %d: terminals %v, want %v", fname, pname, j, res.Jobs[j].Terminals, terms[j])
+				}
+			}
+			if wantF := fabricStats(fabric, shared, terms); res.Fabric != wantF {
+				t.Errorf("%s/%s fabric:\n got %+v\nwant %+v", fname, pname, res.Fabric, wantF)
+			}
+			got, ref := res.Series.Snapshot(), shared.Series.Snapshot()
+			if got.TickNS != ref.TickNS || got.Buckets != ref.Buckets {
+				t.Errorf("%s/%s telemetry: tick %d ns x %d buckets, want %d ns x %d",
+					fname, pname, got.TickNS, got.Buckets, ref.TickNS, ref.Buckets)
+			}
+			if len(ref.Series) != 7 || len(got.Series) < 7 ||
+				!reflect.DeepEqual(got.Series[:7], ref.Series) {
+				t.Errorf("%s/%s: replay-level telemetry series differ from RunJobs'", fname, pname)
+			}
 		}
 	}
 }

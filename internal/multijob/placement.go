@@ -10,13 +10,14 @@ import (
 	"ibpower/internal/topology"
 )
 
-// PlaceFunc assigns fabric terminals to jobs: given the fabric and the
-// per-job rank counts, it returns one terminal slice per job
-// (result[j][r] is the terminal of job j's rank r). Implementations may
-// assume sum(sizes) <= f.NumTerminals() — Place checks it — and must be
-// deterministic for a given (fabric, sizes, seed): placement is part of the
-// simulation's reproducibility contract.
-type PlaceFunc func(f topology.Fabric, sizes []int, seed int64) ([][]int, error)
+// PlaceFunc is a placement policy: it returns the policy's preference order
+// over every terminal of the fabric, a permutation of [0, f.NumTerminals()).
+// Jobs take terminals from the front of that order, so a static mix is cut
+// into consecutive blocks and a churn scenario's free-list hands out the
+// first free terminals in it. Implementations must be deterministic for a
+// given (fabric, seed): placement is part of the simulation's
+// reproducibility contract.
+type PlaceFunc func(f topology.Fabric, seed int64) ([]int, error)
 
 // DefaultPlacement is the registry entry used when no policy is named:
 // contiguous terminal blocks, the way batch schedulers fill an idle machine.
@@ -81,11 +82,11 @@ func CheckRegistered(name string) error {
 		name, strings.Join(Names(), ", "))
 }
 
-// Place resolves the named policy and maps the jobs onto the fabric. It
-// enforces the invariants every policy must deliver: the job set fits the
-// fabric, every rank gets a terminal, and no two ranks — of any job — share
-// one.
-func Place(name string, f topology.Fabric, sizes []int, seed int64) ([][]int, error) {
+// Ordering resolves the named placement policy and returns its preference
+// order over every terminal of the fabric. It enforces the one contract
+// every policy must deliver: the order is a permutation of the fabric's
+// terminals, so no terminal is skipped or handed out twice.
+func Ordering(name string, f topology.Fabric, seed int64) ([]int, error) {
 	if name == "" {
 		name = DefaultPlacement
 	}
@@ -95,44 +96,58 @@ func Place(name string, f topology.Fabric, sizes []int, seed int64) ([][]int, er
 	if !ok {
 		return nil, fmt.Errorf("multijob: %w", CheckRegistered(name))
 	}
+	order, err := fn(f, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPermutation(order, f.NumTerminals()); err != nil {
+		return nil, fmt.Errorf("multijob: policy %q broke its contract: %w", name, err)
+	}
+	return order, nil
+}
+
+// Place maps a static job mix onto the fabric: the named policy's ordering
+// cut into consecutive blocks, one per job in mix order (result[j][r] is the
+// terminal of job j's rank r). It fails when the mix does not fit.
+func Place(name string, f topology.Fabric, sizes []int, seed int64) ([][]int, error) {
+	order, err := Ordering(name, f, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkCapacity(f, sizes); err != nil {
+		return nil, err
+	}
+	return blocks(order, sizes), nil
+}
+
+// checkCapacity fails when the jobs' ranks together exceed the fabric.
+func checkCapacity(f topology.Fabric, sizes []int) error {
 	total := 0
 	for _, n := range sizes {
 		total += n
 	}
 	if total > f.NumTerminals() {
-		return nil, fmt.Errorf("multijob: %d ranks exceed the %d terminals of fabric %s",
+		return fmt.Errorf("multijob: %d ranks exceed the %d terminals of fabric %s",
 			total, f.NumTerminals(), f.Name())
 	}
-	terms, err := fn(f, sizes, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkPlacement(f, sizes, terms); err != nil {
-		return nil, fmt.Errorf("multijob: policy %q broke its contract: %w", name, err)
-	}
-	return terms, nil
+	return nil
 }
 
-// checkPlacement verifies the placement invariants (the same ones
-// replay.Churn.AdmitAt checks on every admission before simulating).
-func checkPlacement(f topology.Fabric, sizes []int, terms [][]int) error {
-	if len(terms) != len(sizes) {
-		return fmt.Errorf("placed %d jobs, want %d", len(terms), len(sizes))
+// checkPermutation verifies that order names each of the nt terminals
+// exactly once.
+func checkPermutation(order []int, nt int) error {
+	if len(order) != nt {
+		return fmt.Errorf("ordering covers %d of %d terminals", len(order), nt)
 	}
-	seen := make(map[int]bool)
-	for j, ts := range terms {
-		if len(ts) != sizes[j] {
-			return fmt.Errorf("job %d: %d terminals for %d ranks", j, len(ts), sizes[j])
+	seen := make([]bool, nt)
+	for _, t := range order {
+		if t < 0 || t >= nt {
+			return fmt.Errorf("ordering names terminal %d, fabric has [0,%d)", t, nt)
 		}
-		for r, t := range ts {
-			if t < 0 || t >= f.NumTerminals() {
-				return fmt.Errorf("job %d rank %d: terminal %d out of range", j, r, t)
-			}
-			if seen[t] {
-				return fmt.Errorf("terminal %d assigned twice", t)
-			}
-			seen[t] = true
+		if seen[t] {
+			return fmt.Errorf("ordering names terminal %d twice", t)
 		}
+		seen[t] = true
 	}
 	return nil
 }
@@ -155,25 +170,24 @@ func init() {
 	// switch neighborhood to itself — the friendliest sharing for the idle
 	// predictor, and the policy a slurm-style scheduler approximates on an
 	// empty machine.
-	Register("linear", func(f topology.Fabric, sizes []int, _ int64) ([][]int, error) {
+	Register("linear", func(f topology.Fabric, _ int64) ([]int, error) {
 		order := make([]int, f.NumTerminals())
 		for t := range order {
 			order[t] = t
 		}
-		return blocks(order, sizes), nil
+		return order, nil
 	})
 	// random: a seeded shuffle of all terminals, consumed in job order — the
 	// fragmented machine after months of job churn. Deterministic per seed.
-	Register("random", func(f topology.Fabric, sizes []int, seed int64) ([][]int, error) {
-		order := rand.New(rand.NewSource(seed)).Perm(f.NumTerminals())
-		return blocks(order, sizes), nil
+	Register("random", func(f topology.Fabric, seed int64) ([]int, error) {
+		return rand.New(rand.NewSource(seed)).Perm(f.NumTerminals()), nil
 	})
 	// roundrobin: terminals are consumed by cycling over the first-hop
 	// switches, so consecutive ranks — and the jobs themselves — interleave
 	// across the whole edge of the fabric. Every switch hosts a slice of
 	// every job: maximum neighbor diversity, the adversarial case for
 	// idle-window prediction.
-	Register("roundrobin", func(f topology.Fabric, sizes []int, _ int64) ([][]int, error) {
+	Register("roundrobin", func(f topology.Fabric, _ int64) ([]int, error) {
 		groups := make(map[int32][]int)
 		var sw []int32 // first-hop switch node IDs in first-appearance order
 		for t := 0; t < f.NumTerminals(); t++ {
@@ -191,6 +205,6 @@ func init() {
 				}
 			}
 		}
-		return blocks(order, sizes), nil
+		return order, nil
 	})
 }

@@ -139,10 +139,57 @@ func TestRegistryContract(t *testing.T) {
 		Names:   Names,
 		Check:   CheckRegistered,
 		RegisterValid: func(name string) {
-			Register(name, func(f topology.Fabric, sizes []int, seed int64) ([][]int, error) {
-				return Place("linear", f, sizes, seed)
+			Register(name, func(f topology.Fabric, seed int64) ([]int, error) {
+				return Ordering("linear", f, seed)
 			})
 		},
 		RegisterNil: func(name string) { Register(name, nil) },
 	})
+}
+
+// TestOrderingRejectsBrokenPolicies covers the one contract Ordering
+// enforces on every policy (and NewFreeList on every caller-built order):
+// each terminal named exactly once. A registered policy that breaks it
+// fails Ordering, and so Place and every churn run, with its name.
+func TestOrderingRejectsBrokenPolicies(t *testing.T) {
+	for name, tc := range map[string]struct {
+		order []int
+		want  string
+	}{
+		"ok":           {[]int{2, 0, 1}, ""},
+		"short":        {[]int{0, 1}, "covers 2 of 3"},
+		"out of range": {[]int{0, 1, 3}, "terminal 3"},
+		"negative":     {[]int{0, -1, 2}, "terminal -1"},
+		"twice":        {[]int{0, 1, 1}, "twice"},
+	} {
+		err := checkPermutation(tc.order, 3)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want substring %q", name, err, tc.want)
+		}
+	}
+
+	// Registered only for this test, so the policy loops of the other
+	// tests never see it.
+	const broken = "broken-for-test"
+	Register(broken, func(f topology.Fabric, _ int64) ([]int, error) {
+		return make([]int, f.NumTerminals()), nil // terminal 0, every time
+	})
+	t.Cleanup(func() {
+		plMu.Lock()
+		delete(plReg, broken)
+		plMu.Unlock()
+	})
+	f := topology.Paper()
+	if _, err := Ordering(broken, f, 0); err == nil || !strings.Contains(err.Error(), `policy "broken-for-test" broke its contract`) {
+		t.Errorf("Ordering: error %v, want the broken contract named", err)
+	}
+	if _, err := Place(broken, f, []int{8}, 0); err == nil || !strings.Contains(err.Error(), "broke its contract") {
+		t.Errorf("Place: error %v, want the broken contract named", err)
+	}
 }

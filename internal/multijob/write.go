@@ -8,10 +8,10 @@ import (
 	"ibpower/internal/stats"
 )
 
-// WriteResult renders a multi-job run: one row per job, then the fabric-wide
-// summary. The layout is stable and fully determined by the Result, so CLI
-// output stays bit-identical whenever the simulation is.
-func WriteResult(w io.Writer, r *Result) error {
+// WriteResult renders a static multi-job run (Run): one row per job, then
+// the fabric-wide summary. The layout is stable and fully determined by the
+// result, so CLI output stays bit-identical whenever the simulation is.
+func WriteResult(w io.Writer, r *ChurnResult) error {
 	fmt.Fprintf(w, "%d jobs on shared fabric %s, placement %s\n",
 		len(r.Jobs), r.Fabric.Fabric, r.Placement)
 	t := stats.NewTable("job", "Nproc", "predictor", "GT[us]", "switches",
