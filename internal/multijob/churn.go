@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -141,49 +142,6 @@ type ChurnResult struct {
 // profile divides the makespan into.
 const UtilBuckets = 8
 
-// release orders job completions; the heap breaks finish-time ties by
-// arrival ID so event processing stays deterministic. attempt snapshots the
-// job's attempt counter at admission: a fault kill bumps the counter, lazily
-// invalidating the stale entry instead of deleting it from the heap.
-type release struct {
-	finish  time.Duration
-	id      int
-	attempt int
-	terms   []int
-}
-
-type releaseHeap []release
-
-func (h releaseHeap) Len() int { return len(h) }
-func (h releaseHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].id < h[j].id
-}
-func (h releaseHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x any)   { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() any     { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
-
-// retry orders requeues of fault-killed jobs; ties break by arrival ID.
-type retry struct {
-	at time.Duration
-	id int
-}
-
-type retryHeap []retry
-
-func (h retryHeap) Len() int { return len(h) }
-func (h retryHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].id < h[j].id
-}
-func (h retryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *retryHeap) Push(x any)   { *h = append(*h, x.(retry)) }
-func (h *retryHeap) Pop() any     { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
-
 // maxChurnFaultEvents bounds how many fault events one scenario will
 // process — a backstop against a custom FaultSource that never dries up.
 const maxChurnFaultEvents = 1 << 20
@@ -194,13 +152,15 @@ const maxChurnFaultEvents = 1 << 20
 // completion on the live timeline, and completions free terminals for the
 // jobs still waiting.
 //
-// Determinism contract: arrivals are processed in (time, index) order,
-// releases before arrivals at equal instants, and the scheduler is invoked
-// once per state change until it stops picking. The event loop itself is
-// serial; Replay.Parallelism only spreads the preparation of distinct
-// (app, NP) pairs — trace generation, GT choice, dedicated baseline — over
-// the worker pool in first-appearance order. Results are therefore
-// bit-identical at any parallelism for a given config.
+// Determinism contract: the scenario advances one event instant at a time.
+// Each instant runs the same phases in order: releases of attempts finishing
+// by then, fault events, due retries, fresh arrivals in (time, index) order,
+// and the scheduler, invoked until it stops picking; a telemetry sample
+// closes the instant. The event loop itself is serial; Replay.Parallelism
+// only spreads the preparation of distinct (app, NP) pairs — trace
+// generation, GT choice, dedicated baseline — over the worker pool in
+// first-appearance order. Results are therefore bit-identical at any
+// parallelism for a given config.
 //
 // Fidelity note: the underlying session resolves contention in admission
 // order — a job observes the link occupancy of every earlier-admitted job,
@@ -236,7 +196,131 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 				i, a.Job, a.Job.NP, fabric.Name(), nt)
 		}
 	}
+	c, err := newCluster(cfg, fabric)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		if err := c.ctx.Err(); err != nil {
+			return nil, err
+		}
+		now, ok := c.nextInstant()
+		if !ok {
+			return c.result()
+		}
+		if err := c.step(now); err != nil {
+			return nil, err
+		}
+	}
+}
 
+// cluster is the state of one RunChurn invocation: the terminal free-list,
+// which also records the job holding each terminal; the replay session; the
+// arrival stream and waiting queue; one event heap each for releases and
+// retries; and one record per job.
+type cluster struct {
+	cfg      ChurnConfig
+	ctx      context.Context
+	fabric   topology.Fabric
+	predName string
+	preps    []churnPrep
+	prepOf   map[JobSpec]int // index into preps
+	free     *FreeList
+	session  *replay.Churn
+
+	jobs     []jobRec    // by arrival ID
+	pending  []QueuedJob // arrivals in (time, index) order
+	next     int         // first pending arrival not yet queued
+	queue    []QueuedJob // waiting jobs in queue order
+	releases eventHeap   // the end of every running attempt
+	retries  eventHeap   // requeues of fault-killed jobs
+
+	// Fault plumbing: the live fault set feeds the session's fault-aware
+	// routing, and swTerms maps a switch to the terminals it strands.
+	faultSet    *topology.FaultSet
+	swTerms     map[int32][]int
+	faultEvents int
+	capSteps    []capStep // capacity timeline
+
+	// The accounting and terminals of every attempt a fault cut short:
+	// killed attempts did run on the fabric, so their energy stays in the
+	// fabric summary, apart from each job's completed attempt.
+	killedAccts []*replay.Result
+	killedTerms [][]int
+	retried     int
+	goodputTS   float64 // terminal-seconds of completed work
+	wastedTS    float64 // terminal-seconds of killed work
+
+	tele                     *stats.TimeSeries
+	sidQueue, sidOcc, sidCap stats.SeriesID
+}
+
+// jobRec is one job's record: the ChurnJob the result reports, written in
+// place as its attempts start, die and finish, plus the engine's
+// bookkeeping of the current attempt.
+type jobRec struct {
+	ChurnJob
+	attempt  int            // admission generation: a kill bumps it, invalidating the pending release
+	running  []int          // the free-list's pooled terminal slice while an attempt runs, nil when idle
+	acct     *replay.Result // the latest attempt's accounting; nil once a fault kills it
+	admitted bool           // some attempt was admitted
+}
+
+// capStep is one point of the capacity-over-time step function: from at on,
+// down terminals are failed.
+type capStep struct {
+	at   time.Duration
+	down int
+}
+
+// event is one timed entry of an eventHeap for job id: the end of its
+// attempt numbered attempt, or its requeue after a kill.
+type event struct {
+	at      time.Duration
+	id      int
+	attempt int
+}
+
+// eventHeap orders events by time and breaks ties by job ID, so event
+// processing stays deterministic.
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].id < h[j].id
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any     { old := *h; n := len(old) - 1; x := old[n]; *h = old[:n]; return x }
+
+// churnPrep is the once-per-distinct-(app, NP) preparation every admission
+// of that shape reuses: the trace source, its grouping threshold, and the
+// dedicated-fabric baseline. Each admission — including a fault retry —
+// opens fresh cursors on src, so the source is shared but never consumed.
+type churnPrep struct {
+	src trace.Source
+	gt  time.Duration
+	ded *replay.Result
+}
+
+// newCluster prepares a validated scenario for its first instant.
+func newCluster(cfg ChurnConfig, fabric topology.Fabric) (*cluster, error) {
+	if cfg.Scheduler == "" {
+		cfg.Scheduler = "(custom)"
+	}
+	c := &cluster{
+		cfg:      cfg,
+		ctx:      cfg.Ctx,
+		fabric:   fabric,
+		predName: predictorName(cfg.Replay.Power.PredictorName),
+		prepOf:   make(map[JobSpec]int),
+	}
+	if c.ctx == nil {
+		c.ctx = context.Background()
+	}
 	// Prepare every distinct (app, NP) pair once, on the worker pool in
 	// first-appearance order: trace, grouping threshold, dedicated baseline.
 	// Telemetry records the scenario's shared timeline only. The dedicated
@@ -244,19 +328,15 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	// itself, and the harness's Dedicated hook (Runner.dedicated) does the
 	// same for its cached runs.
 	var specs []JobSpec
-	index := make(map[JobSpec]int)
 	for _, a := range cfg.Arrivals {
-		if _, ok := index[a.Job]; !ok {
-			index[a.Job] = len(specs)
+		if _, ok := c.prepOf[a.Job]; !ok {
+			c.prepOf[a.Job] = len(specs)
 			specs = append(specs, a.Job)
 		}
 	}
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	workers := sweep.Workers(cfg.Replay.Parallelism, len(specs))
-	preps, err := sweep.Map(ctx, workers, specs,
+	var err error
+	c.preps, err = sweep.Map(c.ctx, workers, specs,
 		func(_ context.Context, _ int, js JobSpec) (churnPrep, error) {
 			src, err := cfg.generate(js)
 			if err != nil {
@@ -280,442 +360,353 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	free, err := NewFreeList(fabric, order)
-	if err != nil {
+	if c.free, err = NewFreeList(fabric, order); err != nil {
 		return nil, err
 	}
-	session, err := replay.NewChurn(cfg.Replay)
-	if err != nil {
+	if c.session, err = replay.NewChurn(cfg.Replay); err != nil {
 		return nil, err
 	}
 	// Scenario-level telemetry rides on the session's recorder (same bucket
 	// timeline as the replay engine's power/utilization series). Recording
 	// happens once per event instant, inside the serial loop, so the series
 	// are bit-identical at any Replay.Parallelism.
-	tele := session.Telemetry()
-	var sidQueue, sidOcc, sidCap stats.SeriesID
-	if tele != nil {
-		sidQueue = tele.AddSeries("queue.depth", "jobs")
-		sidOcc = tele.AddSeries("fabric.occupied", "terminals")
-		sidCap = tele.AddSeries("capacity.up", "%")
+	if c.tele = c.session.Telemetry(); c.tele != nil {
+		c.sidQueue = c.tele.AddSeries("queue.depth", "jobs")
+		c.sidOcc = c.tele.AddSeries("fabric.occupied", "terminals")
+		c.sidCap = c.tele.AddSeries("capacity.up", "%")
 	}
 
-	// Pending arrivals in (time, index) order; index ties keep input order.
-	pending := make([]QueuedJob, len(cfg.Arrivals))
+	c.jobs = make([]jobRec, len(cfg.Arrivals))
+	c.pending = make([]QueuedJob, len(cfg.Arrivals))
 	for i, a := range cfg.Arrivals {
-		pending[i] = QueuedJob{ID: i, Spec: a.Job, Arrival: a.At}
+		c.jobs[i].ID, c.jobs[i].Arrival = i, a.At
+		c.pending[i] = QueuedJob{ID: i, Spec: a.Job, Arrival: a.At}
 	}
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
+	sort.SliceStable(c.pending, func(i, j int) bool { return c.pending[i].Arrival < c.pending[j].Arrival })
 
-	schedName := cfg.Scheduler
-	if schedName == "" {
-		schedName = "(custom)"
-	}
-	predName := predictorName(cfg.Replay.Power.PredictorName)
-	jobs := make([]ChurnJob, len(cfg.Arrivals))
-	jobTerms := make([][]int, len(cfg.Arrivals))
-	jobAccts := make([]*replay.Result, len(cfg.Arrivals))
-	var (
-		queue []QueuedJob
-		rel   releaseHeap
-		rq    retryHeap
-		pi    int
-	)
-
-	// Fault plumbing: the live fault set feeds the session's fault-aware
-	// routing, swTerms maps a switch to the terminals it strands, and the
-	// per-job attempt counters implement lazy release invalidation.
-	st := churnState{
-		attempt:  make([]int, len(cfg.Arrivals)),
-		kills:    make([]int, len(cfg.Arrivals)),
-		wasted:   make([]time.Duration, len(cfg.Arrivals)),
-		lastKill: make([]time.Duration, len(cfg.Arrivals)),
-		gaveUp:   make([]bool, len(cfg.Arrivals)),
-		runTerms: make([][]int, len(cfg.Arrivals)),
-		started:  make([]time.Duration, len(cfg.Arrivals)),
-		runJob:   make([]int, nt),
-	}
-	for i := range st.runJob {
-		st.runJob[i] = -1
-	}
-	st.jobAccts, st.jobTerms = jobAccts, jobTerms
-	var fs *topology.FaultSet
-	var swTerms map[int32][]int
 	if cfg.Faults != nil {
-		fs = topology.NewFaultSet(fabric)
-		if err := session.SetFaults(fs); err != nil {
+		c.faultSet = topology.NewFaultSet(fabric)
+		if err := c.session.SetFaults(c.faultSet); err != nil {
 			return nil, fmt.Errorf("multijob: %w", err)
 		}
-		swTerms = make(map[int32][]int)
-		for t := 0; t < nt; t++ {
+		c.swTerms = make(map[int32][]int)
+		for t := 0; t < fabric.NumTerminals(); t++ {
 			sw := topology.HostSwitch(fabric, t)
-			swTerms[sw] = append(swTerms[sw], t)
+			c.swTerms[sw] = append(c.swTerms[sw], t)
 		}
-		st.capSteps = append(st.capSteps, capStep{at: 0, down: 0})
+		c.capSteps = []capStep{{at: 0, down: 0}}
 	}
+	return c, nil
+}
 
-	faultEvents := 0
+// nextInstant returns the earliest time any event stream — arrivals,
+// releases, retries, faults — has something due. Fault events only count
+// while work remains or a repair may yet unstick the queue; ok is false once
+// nothing can change the cluster any more.
+func (c *cluster) nextInstant() (now time.Duration, ok bool) {
+	hasWork := c.next < len(c.pending) || len(c.releases) > 0 || len(c.retries) > 0
+	if !hasWork && len(c.queue) == 0 {
+		return 0, false
+	}
+	now = math.MaxInt64
+	if c.next < len(c.pending) {
+		now, ok = min(now, c.pending[c.next].Arrival), true
+	}
+	if len(c.releases) > 0 {
+		now, ok = min(now, c.releases[0].at), true
+	}
+	if len(c.retries) > 0 {
+		now, ok = min(now, c.retries[0].at), true
+	}
+	if c.cfg.Faults != nil {
+		if ev, more := c.cfg.Faults.Peek(); more && (hasWork || c.cfg.Faults.RepairPending()) {
+			now, ok = min(now, ev.At), true
+		}
+	}
+	return now, ok
+}
+
+// step runs one event instant, phase by phase.
+func (c *cluster) step(now time.Duration) error {
+	c.release(now)
+	if err := c.fault(now); err != nil {
+		return err
+	}
+	c.retry(now)
+	c.arrive(now)
+	if err := c.schedule(now); err != nil {
+		return err
+	}
+	c.endInstant(now)
+	return nil
+}
+
+// release frees the terminals of every attempt ending by now. It runs
+// first, so a job finishing at the very instant its hardware dies counts as
+// completed. Entries of attempts a fault killed are skipped.
+func (c *cluster) release(now time.Duration) {
+	for len(c.releases) > 0 && c.releases[0].at <= now {
+		ev := heap.Pop(&c.releases).(event)
+		j := &c.jobs[ev.id]
+		if ev.attempt != j.attempt {
+			continue
+		}
+		c.free.Release(j.running)
+		j.running = nil
+		c.goodputTS += j.Exec.Seconds() * float64(j.NP)
+	}
+}
+
+// fault fires every fault event due by now, killing the occupants of downed
+// terminals, and extends the capacity timeline.
+func (c *cluster) fault(now time.Duration) error {
+	if c.cfg.Faults == nil {
+		return nil
+	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Find the next event instant across the four streams. Fault events
-		// only matter while work remains: once the queue, arrival stream,
-		// release heap, and retry heap are all empty the scenario is over,
-		// whatever the fault stream still holds.
-		hasWork := pi < len(pending) || rel.Len() > 0 || rq.Len() > 0
-		if !hasWork && len(queue) == 0 {
+		ev, ok := c.cfg.Faults.Peek()
+		if !ok || ev.At > now {
 			break
 		}
-		now, haveNow := time.Duration(0), false
-		consider := func(t time.Duration) {
-			if !haveNow || t < now {
-				now, haveNow = t, true
-			}
+		c.cfg.Faults.Pop()
+		if c.faultEvents++; c.faultEvents > maxChurnFaultEvents {
+			return fmt.Errorf("multijob: fault source exceeded %d events", maxChurnFaultEvents)
 		}
-		if pi < len(pending) {
-			consider(pending[pi].Arrival)
-		}
-		if rel.Len() > 0 {
-			consider(rel[0].finish)
-		}
-		if rq.Len() > 0 {
-			consider(rq[0].at)
-		}
-		if cfg.Faults != nil {
-			if ev, ok := cfg.Faults.Peek(); ok && (hasWork || cfg.Faults.RepairPending()) {
-				consider(ev.At)
-			}
-		}
-		if !haveNow {
-			// Jobs are waiting but no event can ever free capacity again.
-			break
-		}
-
-		// 1. Completions free terminals first: a job finishing at the very
-		// instant its hardware dies counts as completed. Stale entries
-		// (their job was fault-killed mid-run) are skipped.
-		for rel.Len() > 0 && rel[0].finish <= now {
-			r := heap.Pop(&rel).(release)
-			if r.attempt != st.attempt[r.id] {
-				continue
-			}
-			for _, t := range r.terms {
-				st.runJob[t] = -1
-			}
-			free.Release(r.terms)
-			st.runTerms[r.id] = nil
-			st.goodputTS += jobs[r.id].Exec.Seconds() * float64(jobs[r.id].NP)
-		}
-		// 2. Fault events fire, killing occupants of downed terminals and
-		// requeueing them under the retry policy.
-		if cfg.Faults != nil {
-			for {
-				ev, ok := cfg.Faults.Peek()
-				if !ok || ev.At > now {
-					break
-				}
-				cfg.Faults.Pop()
-				faultEvents++
-				if faultEvents > maxChurnFaultEvents {
-					return nil, fmt.Errorf("multijob: fault source exceeded %d events", maxChurnFaultEvents)
-				}
-				st.applyFault(ev, now, fs, free, session, fabric, swTerms, cfg.Retry, &rq)
-			}
-			if d := free.Down(); len(st.capSteps) > 0 && st.capSteps[len(st.capSteps)-1].down != d {
-				st.capSteps = append(st.capSteps, capStep{at: now, down: d})
-			}
-		}
-		// 3. Due retries rejoin the queue before same-instant fresh arrivals.
-		for rq.Len() > 0 && rq[0].at <= now {
-			r := heap.Pop(&rq).(retry)
-			queue = append(queue, QueuedJob{ID: r.id, Spec: cfg.Arrivals[r.id].Job, Arrival: cfg.Arrivals[r.id].At})
-			st.retried++
-		}
-		// 4. Fresh arrivals join the queue.
-		for pi < len(pending) && pending[pi].Arrival <= now {
-			queue = append(queue, pending[pi])
-			pi++
-		}
-		// 5. Let the scheduler pick until it stops.
-		for len(queue) > 0 {
-			picks := cfg.Schedule(&SchedContext{Now: now, Queue: queue, Free: free, Fabric: fabric, Down: free.Down()})
-			if len(picks) == 0 {
-				break
-			}
-			picked := make(map[int]bool, len(picks))
-			batch := make([]replay.Job, 0, len(picks))
-			pws := make([]replay.PowerConfig, len(picks))
-			ids := make([]int, 0, len(picks))
-			terms := make([][]int, 0, len(picks))
-			for k, qi := range picks {
-				if qi < 0 || qi >= len(queue) || picked[qi] {
-					return nil, fmt.Errorf("multijob: scheduler %s picked invalid queue index %d", schedName, qi)
-				}
-				picked[qi] = true
-				q := queue[qi]
-				ts := free.Alloc(q.Spec.NP)
-				if ts == nil {
-					return nil, fmt.Errorf("multijob: scheduler %s admitted %s with only %d terminals free",
-						schedName, q.Spec, free.Free())
-				}
-				p := preps[index[q.Spec]]
-				pws[k] = JobPower(cfg.Replay, p.gt, cfg.Displacement)
-				batch = append(batch, replay.Job{Source: p.src, Terminals: ts, Power: &pws[k]})
-				ids = append(ids, q.ID)
-				terms = append(terms, ts)
-			}
-			results, err := session.AdmitAt(now, batch...)
-			if err != nil {
-				return nil, err
-			}
-			for k, res := range results {
-				id := ids[k]
-				finish := now + res.ExecTime
-				heap.Push(&rel, release{finish: finish, id: id, attempt: st.attempt[id], terms: terms[k]})
-				st.runTerms[id] = terms[k]
-				st.started[id] = now
-				for _, t := range terms[k] {
-					st.runJob[t] = id
-				}
-				jobTerms[id] = append([]int(nil), terms[k]...)
-				jobAccts[id] = res
-				a := cfg.Arrivals[id]
-				p := preps[index[a.Job]]
-				jobs[id] = ChurnJob{
-					JobStats: jobStats(fabric, a.Job.App, predName, p.gt, p.ded.ExecTime, res, jobTerms[id]),
-					ID:       id, Arrival: a.At, Start: now, Wait: now - a.At, Finish: finish,
-					Terminals: jobTerms[id],
-				}
-			}
-			// Drop admitted jobs from the queue, preserving order.
-			kept := queue[:0]
-			for qi, q := range queue {
-				if !picked[qi] {
-					kept = append(kept, q)
-				}
-			}
-			queue = kept
-		}
-		// 6. Sample scenario state at the event instant, after the
-		// scheduler settles: waiting queue depth, occupied terminals, and
-		// the fabric capacity faults have left up.
-		if tele != nil {
-			tele.Record(sidQueue, now, float64(len(queue)))
-			tele.Record(sidOcc, now, float64(nt-free.Free()-free.Down()))
-			tele.Record(sidCap, now, 100*float64(nt-free.Down())/float64(nt))
-		}
+		c.applyFault(ev, now)
 	}
-	if len(queue) > 0 {
-		if cfg.Faults == nil {
-			q := queue[0]
-			return nil, fmt.Errorf("multijob: scheduler %s left %d jobs waiting on an idle fabric (first: %s, arrived %v)",
-				schedName, len(queue), q.Spec, q.Arrival)
-		}
-		// Degraded capacity can legitimately strand jobs (e.g. NP larger
-		// than the surviving fabric). Report them abandoned, never drop.
-		for _, q := range queue {
-			st.gaveUp[q.ID] = true
-			if jobs[q.ID].ID == 0 && jobs[q.ID].App == "" {
-				jobs[q.ID] = ChurnJob{
-					JobStats: JobStats{App: q.Spec.App, NP: q.Spec.NP, Predictor: predName},
-					ID:       q.ID, Arrival: q.Arrival,
-				}
-			}
-		}
+	if d := c.free.Down(); c.capSteps[len(c.capSteps)-1].down != d {
+		c.capSteps = append(c.capSteps, capStep{at: now, down: d})
 	}
-
-	return churnResult(cfg, fabric, schedName, jobs, jobTerms, jobAccts, session, &st)
+	return nil
 }
 
-// capStep is one point of the capacity-over-time step function: from at on,
-// down terminals are failed.
-type capStep struct {
-	at   time.Duration
-	down int
-}
-
-// churnState is the fault-handling bookkeeping of one RunChurn invocation.
-type churnState struct {
-	attempt  []int           // per job: admission generation, for lazy release invalidation
-	kills    []int           // per job: attempts cut short
-	wasted   []time.Duration // per job: wall time lost to kills
-	lastKill []time.Duration // per job: instant of the latest kill
-	gaveUp   []bool          // per job: abandoned
-	runTerms [][]int         // per job: live pooled terminal slice while running
-	started  []time.Duration // per job: admission time of the current attempt
-	runJob   []int           // per terminal: occupant job ID or -1
-	capSteps []capStep       // capacity timeline
-
-	// jobAccts/jobTerms alias RunChurn's per-job record slices so a kill
-	// can move the dead attempt's accounting aside: killed attempts did run
-	// on the fabric, so their energy stays in the fabric summary, separate
-	// from the completed attempt recorded under the job's ID.
-	jobAccts    []*replay.Result
-	jobTerms    [][]int
-	killedAccts []*replay.Result
-	killedTerms [][]int
-
-	killed    int
-	retried   int
-	goodputTS float64 // terminal-seconds of completed work
-	wastedTS  float64 // terminal-seconds of killed work
-}
-
-// applyFault mutates the fault set, free-list, and session for one event,
-// killing the occupants of any terminal the event downs.
-func (st *churnState) applyFault(ev FaultEvent, now time.Duration, fs *topology.FaultSet,
-	free *FreeList, session *replay.Churn, fabric topology.Fabric,
-	swTerms map[int32][]int, retryPol RetryPolicy, rq *retryHeap) {
+// applyFault mutates the fault set and free-list for one event, killing the
+// occupants of any terminal the event downs.
+func (c *cluster) applyFault(ev FaultEvent, now time.Duration) {
 	switch ev.Kind {
 	case FaultLink:
 		if ev.Repair {
-			fs.RepairLink(topology.LinkID(ev.Index))
+			c.faultSet.RepairLink(topology.LinkID(ev.Index))
 		} else {
-			fs.FailLink(topology.LinkID(ev.Index))
+			c.faultSet.FailLink(topology.LinkID(ev.Index))
 		}
 	case FaultSwitch:
 		if ev.Repair {
-			fs.RepairNode(ev.Index)
-			for _, t := range swTerms[ev.Index] {
-				free.Repair(t)
+			c.faultSet.RepairNode(ev.Index)
+			for _, t := range c.swTerms[ev.Index] {
+				c.free.Repair(t)
 			}
 		} else {
-			fs.FailNode(ev.Index)
-			for _, t := range swTerms[ev.Index] {
-				free.Fail(t)
-				st.kill(t, now, free, session, retryPol, rq)
+			c.faultSet.FailNode(ev.Index)
+			for _, t := range c.swTerms[ev.Index] {
+				c.free.Fail(t)
+				c.kill(t, now)
 			}
 		}
 	case FaultTerminal:
 		t := int(ev.Index)
-		host := fabric.HostLinkID(t)
+		host := c.fabric.HostLinkID(t)
 		if ev.Repair {
-			fs.RepairLink(host)
-			free.Repair(t)
+			c.faultSet.RepairLink(host)
+			c.free.Repair(t)
 		} else {
-			fs.FailLink(host)
-			free.Fail(t)
-			st.kill(t, now, free, session, retryPol, rq)
+			c.faultSet.FailLink(host)
+			c.free.Fail(t)
+			c.kill(t, now)
 		}
 	}
 }
 
-// kill terminates the job occupying terminal t (if any): its terminals are
-// released on the free-list and the session, its partial work is charged as
-// wasted, and it is requeued after backoff or abandoned.
-func (st *churnState) kill(t int, now time.Duration, free *FreeList,
-	session *replay.Churn, retryPol RetryPolicy, rq *retryHeap) {
-	id := st.runJob[t]
+// kill terminates the job holding terminal t, if any: its terminals are
+// released on the session and the free-list, its partial work is charged as
+// wasted, and it is requeued after backoff or abandoned. An abandoned job's
+// Finish stays at this kill, so the makespan never extends past real
+// activity.
+func (c *cluster) kill(t int, now time.Duration) {
+	id := c.free.owner[t]
 	if id < 0 {
 		return
 	}
-	terms := st.runTerms[id]
-	for _, tt := range terms {
-		st.runJob[tt] = -1
-	}
-	session.ReleaseTerminals(now, terms)
-	np := len(terms)
-	if st.jobAccts[id] != nil {
-		st.killedAccts = append(st.killedAccts, st.jobAccts[id])
-		st.killedTerms = append(st.killedTerms, st.jobTerms[id])
-		st.jobAccts[id] = nil
-	}
-	free.Release(terms)
-	st.runTerms[id] = nil
-	st.attempt[id]++
-	st.kills[id]++
-	st.killed++
-	st.lastKill[id] = now
-	lost := now - st.started[id]
-	st.wasted[id] += lost
-	st.wastedTS += lost.Seconds() * float64(np)
-	if st.kills[id] <= retryPol.MaxRetries {
-		heap.Push(rq, retry{at: now + retryPol.Delay(st.kills[id]), id: id})
+	j := &c.jobs[id]
+	terms := j.running
+	c.session.ReleaseTerminals(now, terms)
+	c.killedAccts = append(c.killedAccts, j.acct)
+	c.killedTerms = append(c.killedTerms, j.Terminals)
+	c.free.Release(terms)
+	lost := now - j.Start
+	c.wastedTS += lost.Seconds() * float64(len(terms))
+	j.running, j.acct = nil, nil
+	j.attempt++
+	j.Kills++
+	j.Wasted += lost
+	j.Finish = now
+	if j.Kills <= c.cfg.Retry.MaxRetries {
+		heap.Push(&c.retries, event{at: now + c.cfg.Retry.Delay(j.Kills), id: int(id)})
 	} else {
-		st.gaveUp[id] = true
+		j.Abandoned = true
 	}
 }
 
-// churnPrep is the once-per-distinct-(app, NP) preparation every admission
-// of that shape reuses: the trace source, its grouping threshold, and the
-// dedicated-fabric baseline. Each admission — including a fault retry —
-// opens fresh cursors on src, so the source is shared but never consumed.
-type churnPrep struct {
-	src trace.Source
-	gt  time.Duration
-	ded *replay.Result
+// retry requeues the fault-killed jobs whose backoff has run out, ahead of
+// same-instant fresh arrivals.
+func (c *cluster) retry(now time.Duration) {
+	for len(c.retries) > 0 && c.retries[0].at <= now {
+		ev := heap.Pop(&c.retries).(event)
+		a := c.cfg.Arrivals[ev.id]
+		c.queue = append(c.queue, QueuedJob{ID: ev.id, Spec: a.Job, Arrival: a.At})
+		c.retried++
+	}
 }
 
-// churnResult assembles the scenario-wide summary from the per-job records.
-func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
-	jobs []ChurnJob, jobTerms [][]int, jobAccts []*replay.Result, session *replay.Churn,
-	st *churnState) (*ChurnResult, error) {
+// arrive queues the fresh arrivals due by now.
+func (c *cluster) arrive(now time.Duration) {
+	for c.next < len(c.pending) && c.pending[c.next].Arrival <= now {
+		c.queue = append(c.queue, c.pending[c.next])
+		c.next++
+	}
+}
+
+// schedule lets the scheduler pick from the queue until it stops, admitting
+// each batch of picks on the session at now.
+func (c *cluster) schedule(now time.Duration) error {
+	for len(c.queue) > 0 {
+		picks := c.cfg.Schedule(&SchedContext{Now: now, Queue: c.queue, Free: c.free, Fabric: c.fabric, Down: c.free.Down()})
+		if len(picks) == 0 {
+			return nil
+		}
+		picked := make(map[int]bool, len(picks))
+		batch := make([]replay.Job, len(picks))
+		pws := make([]replay.PowerConfig, len(picks))
+		for k, qi := range picks {
+			if qi < 0 || qi >= len(c.queue) || picked[qi] {
+				return fmt.Errorf("multijob: scheduler %s picked invalid queue index %d", c.cfg.Scheduler, qi)
+			}
+			picked[qi] = true
+			q := c.queue[qi]
+			ts := c.free.allocTo(q.Spec.NP, int32(q.ID))
+			if ts == nil {
+				return fmt.Errorf("multijob: scheduler %s admitted %s with only %d terminals free",
+					c.cfg.Scheduler, q.Spec, c.free.Free())
+			}
+			c.jobs[q.ID].running = ts
+			p := c.preps[c.prepOf[q.Spec]]
+			pws[k] = JobPower(c.cfg.Replay, p.gt, c.cfg.Displacement)
+			batch[k] = replay.Job{Source: p.src, Terminals: ts, Power: &pws[k]}
+		}
+		results, err := c.session.AdmitAt(now, batch...)
+		if err != nil {
+			return err
+		}
+		for k, res := range results {
+			c.start(c.queue[picks[k]].ID, now, res)
+		}
+		// Drop admitted jobs from the queue, preserving order.
+		kept := c.queue[:0]
+		for qi, q := range c.queue {
+			if !picked[qi] {
+				kept = append(kept, q)
+			}
+		}
+		c.queue = kept
+	}
+	return nil
+}
+
+// start records job id's attempt admitted at now and schedules its release.
+// Kills and Wasted carry over from earlier attempts.
+func (c *cluster) start(id int, now time.Duration, res *replay.Result) {
+	j := &c.jobs[id]
+	a := c.cfg.Arrivals[id]
+	p := c.preps[c.prepOf[a.Job]]
+	j.acct, j.admitted = res, true
+	j.Terminals = append([]int(nil), j.running...)
+	j.JobStats = jobStats(c.fabric, a.Job.App, c.predName, p.gt, p.ded.ExecTime, res, j.Terminals)
+	j.Start, j.Wait, j.Finish = now, now-a.At, now+res.ExecTime
+	heap.Push(&c.releases, event{at: j.Finish, id: id, attempt: j.attempt})
+}
+
+// endInstant closes an instant after the scheduler has settled: it samples
+// the waiting queue depth, the occupied terminals, and the fabric capacity
+// faults have left up.
+func (c *cluster) endInstant(now time.Duration) {
+	if c.tele == nil {
+		return
+	}
+	nt := c.free.NumTerminals()
+	c.tele.Record(c.sidQueue, now, float64(len(c.queue)))
+	c.tele.Record(c.sidOcc, now, float64(nt-c.free.Free()-c.free.Down()))
+	c.tele.Record(c.sidCap, now, 100*float64(nt-c.free.Down())/float64(nt))
+}
+
+// result assembles the scenario summary once no event can change the
+// cluster any more. Jobs still waiting then are a broken scheduler contract
+// on a healthy fabric; under faults, degraded capacity can legitimately
+// strand them (e.g. NP larger than the surviving fabric), so they are
+// reported abandoned, never dropped.
+func (c *cluster) result() (*ChurnResult, error) {
+	if len(c.queue) > 0 && c.cfg.Faults == nil {
+		q := c.queue[0]
+		return nil, fmt.Errorf("multijob: scheduler %s left %d jobs waiting on an idle fabric (first: %s, arrived %v)",
+			c.cfg.Scheduler, len(c.queue), q.Spec, q.Arrival)
+	}
+	for _, q := range c.queue {
+		j := &c.jobs[q.ID]
+		j.Abandoned = true
+		if !j.admitted {
+			j.JobStats = JobStats{App: q.Spec.App, NP: q.Spec.NP, Predictor: c.predName}
+		}
+	}
 	res := &ChurnResult{
-		Scheduler:    schedName,
-		Placement:    placementName(cfg.Placement),
-		Jobs:         jobs,
-		FaultsActive: cfg.Faults != nil,
+		Scheduler:         c.cfg.Scheduler,
+		Placement:         placementName(c.cfg.Placement),
+		Jobs:              make([]ChurnJob, len(c.jobs)),
+		FaultsActive:      c.cfg.Faults != nil,
+		Killed:            len(c.killedAccts),
+		Retried:           c.retried,
+		WastedTermSeconds: c.wastedTS,
+		Unroutable:        c.session.Unroutable(),
 	}
-	// Fold the fault bookkeeping into the per-job records: kill counts,
-	// wasted time, and abandonment (an abandoned job's Finish is the kill
-	// that ended it, so the makespan never extends past real activity).
-	for i := range jobs {
-		jobs[i].Kills = st.kills[i]
-		jobs[i].Wasted = st.wasted[i]
-		jobs[i].Abandoned = st.gaveUp[i]
-		if st.gaveUp[i] {
-			jobs[i].Finish = st.lastKill[i]
+	if res.FaultsActive {
+		res.GoodputPct = 100
+		if c.goodputTS+c.wastedTS > 0 {
+			res.GoodputPct = 100 * c.goodputTS / (c.goodputTS + c.wastedTS)
+		}
+	}
+	// The fabric summary takes each job's completed attempt in job order,
+	// then the killed attempts in kill order: a terminal occupied by several
+	// attempts over the scenario contributes each one's own accounting.
+	var makespan time.Duration
+	waits := make([]float64, len(c.jobs))
+	accts := make([]*replay.Result, 0, len(c.jobs)+len(c.killedAccts))
+	terms := make([][]int, 0, len(c.jobs)+len(c.killedAccts))
+	for i := range c.jobs {
+		j := &c.jobs[i]
+		res.Jobs[i] = j.ChurnJob
+		if j.Abandoned {
 			res.Abandoned++
 		}
-	}
-	res.Killed = st.killed
-	res.Retried = st.retried
-	res.WastedTermSeconds = st.wastedTS
-	res.Unroutable = session.Unroutable()
-	if res.FaultsActive {
-		if st.goodputTS+st.wastedTS > 0 {
-			res.GoodputPct = 100 * st.goodputTS / (st.goodputTS + st.wastedTS)
-		} else {
-			res.GoodputPct = 100
-		}
-	}
-	var makespan time.Duration
-	waits := make([]float64, len(jobs))
-	for i, j := range jobs {
-		if j.Finish > makespan {
-			makespan = j.Finish
-		}
+		makespan = max(makespan, j.Finish)
 		waits[i] = j.Wait.Seconds()
-		if j.Wait > res.WaitMax {
-			res.WaitMax = j.Wait
+		res.WaitMax = max(res.WaitMax, j.Wait)
+		if j.acct != nil {
+			accts = append(accts, j.acct)
+			terms = append(terms, j.Terminals)
 		}
 	}
+	accts = append(accts, c.killedAccts...)
+	terms = append(terms, c.killedTerms...)
 	res.WaitMean = time.Duration(stats.Mean(waits) * float64(time.Second))
 	res.WaitP50 = time.Duration(stats.Percentile(waits, 50) * float64(time.Second))
 	res.WaitP95 = time.Duration(stats.Percentile(waits, 95) * float64(time.Second))
 
-	// Fabric summary from the session's fabric-wide counters and every job's
-	// accounting, grouped by first-hop switch. A terminal occupied by several jobs over the
-	// scenario contributes each job's own accounting window; killed attempts
-	// ran too, so their accounting rides along after the completed jobs.
-	m := session.Stats()
+	m := c.session.Stats()
 	m.MakeSpan = makespan
-	accts := make([]*replay.Result, 0, len(jobAccts)+len(st.killedAccts))
-	terms := make([][]int, 0, len(jobAccts)+len(st.killedAccts))
-	for i, a := range jobAccts {
-		if a != nil {
-			accts = append(accts, a)
-			terms = append(terms, jobTerms[i])
-		}
-	}
-	accts = append(accts, st.killedAccts...)
-	terms = append(terms, st.killedTerms...)
 	m.Jobs = accts
-	res.Fabric = fabricStats(fabric, m, terms)
-	res.Util = utilization(jobs, fabric.NumTerminals(), makespan)
+	res.Fabric = fabricStats(c.fabric, m, terms)
+	nt := c.fabric.NumTerminals()
+	res.Util = utilization(res.Jobs, nt, makespan)
 	if res.FaultsActive {
-		res.Capacity = capacityProfile(st.capSteps, fabric.NumTerminals(), makespan)
+		res.Capacity = capacityProfile(c.capSteps, nt, makespan)
 	}
 	res.Series = m.Series
 	return res, nil
@@ -725,6 +716,35 @@ func churnResult(cfg ChurnConfig, fabric topology.Fabric, schedName string,
 // equal slices of the makespan, returning the mean percentage of terminals
 // up in each.
 func capacityProfile(steps []capStep, nt int, makespan time.Duration) []float64 {
+	span := makespan.Seconds()
+	return integrateBuckets(nt, makespan, len(steps), func(i int) (s0, s1, down float64) {
+		s1 = span
+		if i+1 < len(steps) {
+			s1 = steps[i+1].at.Seconds()
+		}
+		return steps[i].at.Seconds(), s1, float64(steps[i].down)
+	}, func(downSec, termSec float64) float64 {
+		return 100 * (1 - downSec/termSec)
+	})
+}
+
+// utilization integrates the terminal-occupancy step function over
+// UtilBuckets equal slices of the makespan, returning mean busy percentages.
+func utilization(jobs []ChurnJob, nt int, makespan time.Duration) []float64 {
+	return integrateBuckets(nt, makespan, len(jobs), func(i int) (s, f, np float64) {
+		return jobs[i].Start.Seconds(), jobs[i].Finish.Seconds(), float64(jobs[i].NP)
+	}, func(occSec, termSec float64) float64 {
+		return 100 * occSec / termSec
+	})
+}
+
+// integrateBuckets integrates n weighted intervals over UtilBuckets equal
+// slices of the makespan: piece(i) holds weight w (a terminal count) over
+// [s, f) seconds. Each slice sums, in index order, every piece's weight
+// times its overlap with the slice, and reports final(sum, termSec), where
+// termSec is the slice's length times nt.
+func integrateBuckets(nt int, makespan time.Duration, n int,
+	piece func(i int) (s, f, w float64), final func(sum, termSec float64) float64) []float64 {
 	if makespan <= 0 || nt == 0 {
 		return nil
 	}
@@ -733,55 +753,16 @@ func capacityProfile(steps []capStep, nt int, makespan time.Duration) []float64 
 	for b := range out {
 		t0 := span * float64(b) / UtilBuckets
 		t1 := span * float64(b+1) / UtilBuckets
-		downSec := 0.0 // down terminal-seconds within [t0, t1)
-		for i, s := range steps {
-			s0 := s.at.Seconds()
-			s1 := span
-			if i+1 < len(steps) {
-				s1 = steps[i+1].at.Seconds()
-			}
-			if s0 < t0 {
-				s0 = t0
-			}
-			if s1 > t1 {
-				s1 = t1
-			}
-			if s1 > s0 {
-				downSec += (s1 - s0) * float64(s.down)
+		sum := 0.0
+		for i := 0; i < n; i++ {
+			s, f, w := piece(i)
+			if s, f = max(s, t0), min(f, t1); f > s {
+				sum += (f - s) * w
 			}
 		}
-		out[b] = 100 * (1 - downSec/((t1-t0)*float64(nt)))
+		out[b] = final(sum, (t1-t0)*float64(nt))
 	}
 	return out
-}
-
-// utilization integrates the terminal-occupancy step function over
-// UtilBuckets equal slices of the makespan, returning mean busy percentages.
-func utilization(jobs []ChurnJob, nt int, makespan time.Duration) []float64 {
-	if makespan <= 0 || nt == 0 {
-		return nil
-	}
-	util := make([]float64, UtilBuckets)
-	span := makespan.Seconds()
-	for b := range util {
-		t0 := span * float64(b) / UtilBuckets
-		t1 := span * float64(b+1) / UtilBuckets
-		occ := 0.0 // terminal-seconds occupied within [t0, t1)
-		for _, j := range jobs {
-			s, f := j.Start.Seconds(), j.Finish.Seconds()
-			if s < t0 {
-				s = t0
-			}
-			if f > t1 {
-				f = t1
-			}
-			if f > s {
-				occ += (f - s) * float64(j.NP)
-			}
-		}
-		util[b] = 100 * occ / ((t1 - t0) * float64(nt))
-	}
-	return util
 }
 
 // WriteChurn renders a churn scenario outcome: one row per job in arrival

@@ -2,6 +2,7 @@ package multijob
 
 import (
 	"fmt"
+	"slices"
 
 	"ibpower/internal/topology"
 )
@@ -11,6 +12,10 @@ import (
 // the same three policies that place a static job mix also govern where
 // arriving jobs land: "linear" packs the lowest free terminals, "roundrobin"
 // spreads across first-hop switches, "random" scatters per seed.
+//
+// The list also records the job holding each claimed terminal, which makes
+// it the churn engine's one occupancy record; Alloc, the claim schedulers
+// use for what-if planning, claims for a fixed planning owner.
 //
 // Alloc and Release recycle terminal slices through an internal pool, so the
 // steady state of a long scenario — jobs claiming and freeing terminals
@@ -22,8 +27,8 @@ import (
 // Release of a down terminal (its occupant was killed) parks it until repair.
 type FreeList struct {
 	f      topology.Fabric
-	order  []int  // policy preference order over every terminal
-	busy   []bool // terminal -> occupied
+	order  []int   // policy preference order over every terminal
+	owner  []int32 // terminal -> owning job ID, noOwner when not claimed
 	nfree  int
 	down   []int32       // terminal -> overlapping fault count (0 = healthy)
 	ndown  int           // terminals with down > 0
@@ -41,7 +46,7 @@ func NewFreeList(f topology.Fabric, order []int) (*FreeList, error) {
 	return &FreeList{
 		f:      f,
 		order:  append([]int(nil), order...),
-		busy:   make([]bool, nt),
+		owner:  slices.Repeat([]int32{noOwner}, nt),
 		nfree:  nt,
 		down:   make([]int32, nt),
 		swBusy: make(map[int32]int),
@@ -61,7 +66,7 @@ func (fl *FreeList) Fail(t int) {
 	fl.down[t]++
 	if fl.down[t] == 1 {
 		fl.ndown++
-		if !fl.busy[t] {
+		if fl.owner[t] == noOwner {
 			fl.nfree--
 		}
 	}
@@ -76,34 +81,30 @@ func (fl *FreeList) Repair(t int) {
 	fl.down[t]--
 	if fl.down[t] == 0 {
 		fl.ndown--
-		if !fl.busy[t] {
+		if fl.owner[t] == noOwner {
 			fl.nfree++
 		}
 	}
 }
 
 // NumTerminals returns the fabric's terminal count.
-func (fl *FreeList) NumTerminals() int { return len(fl.busy) }
+func (fl *FreeList) NumTerminals() int { return len(fl.owner) }
 
 // Alloc claims the first n free terminals in policy order and returns them,
 // or nil when fewer than n are free. The returned slice belongs to the
 // free-list's pool: hand it back through Release, and copy it first if it
 // must outlive the occupancy.
-func (fl *FreeList) Alloc(n int) []int {
+func (fl *FreeList) Alloc(n int) []int { return fl.allocTo(n, plannedOwner) }
+
+// allocTo is Alloc on behalf of owner, a job ID or plannedOwner.
+func (fl *FreeList) allocTo(n int, owner int32) []int {
 	if n <= 0 || n > fl.nfree {
 		return nil
 	}
-	out := fl.take(n)
-	for _, t := range fl.order {
-		if fl.busy[t] || fl.down[t] > 0 {
-			continue
-		}
-		out = append(out, t)
-		fl.busy[t] = true
+	out := fl.firstFree(fl.take(n), n)
+	for _, t := range out {
+		fl.owner[t] = owner
 		fl.swBusy[topology.HostSwitch(fl.f, t)]++
-		if len(out) == n {
-			break
-		}
 	}
 	fl.nfree -= n
 	return out
@@ -116,29 +117,31 @@ func (fl *FreeList) PeekAlloc(n int) []int {
 	if n <= 0 || n > fl.nfree {
 		return nil
 	}
-	out := make([]int, 0, n)
+	return fl.firstFree(make([]int, 0, n), n)
+}
+
+// firstFree appends the first n free terminals in policy order to out.
+func (fl *FreeList) firstFree(out []int, n int) []int {
 	for _, t := range fl.order {
-		if fl.busy[t] || fl.down[t] > 0 {
-			continue
-		}
-		out = append(out, t)
-		if len(out) == n {
-			break
+		if fl.owner[t] == noOwner && fl.down[t] == 0 {
+			if out = append(out, t); len(out) == n {
+				break
+			}
 		}
 	}
 	return out
 }
 
-// Release frees previously allocated terminals and recycles the slice. It
-// panics on a terminal that is not currently busy: a double release means
-// the caller's scheduling loop lost track of an occupancy, which would
-// silently double-book host links if ignored.
+// Release frees previously allocated terminals, clearing their owner, and
+// recycles the slice. It panics on a terminal that is not currently claimed:
+// a double release means the caller's scheduling loop lost track of an
+// occupancy, which would silently double-book host links if ignored.
 func (fl *FreeList) Release(terms []int) {
 	for _, t := range terms {
-		if t < 0 || t >= len(fl.busy) || !fl.busy[t] {
+		if t < 0 || t >= len(fl.owner) || fl.owner[t] == noOwner {
 			panic(fmt.Sprintf("multijob: release of free terminal %d", t))
 		}
-		fl.busy[t] = false
+		fl.owner[t] = noOwner
 		fl.swBusy[topology.HostSwitch(fl.f, t)]--
 		if fl.down[t] == 0 {
 			fl.nfree++
@@ -177,13 +180,16 @@ func (fl *FreeList) Clone() *FreeList {
 	return &FreeList{
 		f:      fl.f,
 		order:  fl.order,
-		busy:   append([]bool(nil), fl.busy...),
+		owner:  append([]int32(nil), fl.owner...),
 		nfree:  fl.nfree,
 		down:   append([]int32(nil), fl.down...),
 		ndown:  fl.ndown,
 		swBusy: sw,
 	}
 }
+
+// Terminal owners other than job IDs: nobody, and Alloc's planning claims.
+const noOwner, plannedOwner int32 = -1, -2
 
 // take pops a pooled slice with capacity n, or grows a fresh one.
 func (fl *FreeList) take(n int) []int {

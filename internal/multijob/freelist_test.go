@@ -22,7 +22,8 @@ func newTestFreeList(t *testing.T, placement string) *FreeList {
 }
 
 // TestFreeListAllocRelease pins the core bookkeeping: allocations are
-// disjoint, follow policy order, and releasing restores every count.
+// disjoint, follow policy order, record their owner, and releasing restores
+// every count and clears the owner.
 func TestFreeListAllocRelease(t *testing.T) {
 	fl := newTestFreeList(t, "linear")
 	nt := fl.NumTerminals()
@@ -30,7 +31,7 @@ func TestFreeListAllocRelease(t *testing.T) {
 		t.Fatalf("fresh list has %d free, want %d", fl.Free(), nt)
 	}
 	a := fl.Alloc(8)
-	b := fl.Alloc(8)
+	b := fl.allocTo(8, 3)
 	if !reflect.DeepEqual(a, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
 		t.Errorf("linear first block %v", a)
 	}
@@ -40,8 +41,13 @@ func TestFreeListAllocRelease(t *testing.T) {
 	if fl.Free() != nt-16 {
 		t.Errorf("free count %d after two allocs, want %d", fl.Free(), nt-16)
 	}
+	wantOwners(t, fl, a, plannedOwner)
+	wantOwners(t, fl, b, 3)
+	wantOwners(t, fl, []int{16}, noOwner)
 	// Releasing the first block makes its terminals preferred again.
 	fl.Release(a)
+	wantOwners(t, fl, []int{0, 1, 2, 3, 4, 5, 6, 7}, noOwner)
+	wantOwners(t, fl, b, 3)
 	c := fl.Alloc(4)
 	if !reflect.DeepEqual(c, []int{0, 1, 2, 3}) {
 		t.Errorf("re-alloc after release %v, want the freed low block", c)
@@ -50,6 +56,11 @@ func TestFreeListAllocRelease(t *testing.T) {
 	fl.Release(b)
 	if fl.Free() != nt {
 		t.Errorf("free count %d after releasing everything, want %d", fl.Free(), nt)
+	}
+	for term, o := range fl.owner {
+		if o != noOwner {
+			t.Fatalf("terminal %d still owned by %d after releasing everything", term, o)
+		}
 	}
 	// Oversubscription and degenerate sizes return nil without state damage.
 	if fl.Alloc(nt+1) != nil || fl.Alloc(0) != nil || fl.Alloc(-3) != nil {
@@ -111,12 +122,14 @@ func TestFreeListIdleSwitches(t *testing.T) {
 }
 
 // TestFreeListCloneIsIndependent asserts planning on a clone never leaks
-// into the live list.
+// into the live list: the clone starts with the live owners and then keeps
+// its own.
 func TestFreeListCloneIsIndependent(t *testing.T) {
 	fl := newTestFreeList(t, "linear")
-	fl.Alloc(4)
+	held := append([]int(nil), fl.allocTo(4, 9)...)
 	cl := fl.Clone()
-	cl.Alloc(10)
+	wantOwners(t, cl, held, 9)
+	planned := cl.Alloc(10)
 	if fl.Free() != fl.NumTerminals()-4 {
 		t.Error("clone Alloc disturbed the original")
 	}
@@ -125,6 +138,23 @@ func TestFreeListCloneIsIndependent(t *testing.T) {
 	}
 	if got, want := fl.PeekAlloc(2), []int{4, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("original PeekAlloc %v, want %v", got, want)
+	}
+	wantOwners(t, cl, planned, plannedOwner)
+	wantOwners(t, fl, planned, noOwner)
+	// Releasing the live job's terminals on the clone clears only the
+	// clone's owners.
+	cl.Release(append([]int(nil), held...))
+	wantOwners(t, cl, held, noOwner)
+	wantOwners(t, fl, held, 9)
+}
+
+// wantOwners asserts that every terminal of terms is owned by owner.
+func wantOwners(t *testing.T, fl *FreeList, terms []int, owner int32) {
+	t.Helper()
+	for _, term := range terms {
+		if got := fl.owner[term]; got != owner {
+			t.Errorf("terminal %d owned by %d, want %d", term, got, owner)
+		}
 	}
 }
 
@@ -185,14 +215,17 @@ func TestFreeListFailRepair(t *testing.T) {
 	}
 	fl.Release(a)
 
-	// A busy terminal that fails: its occupant's release parks it.
-	b := fl.Alloc(2) // terminals 1, 2
+	// A busy terminal that fails keeps its owner until the occupant's
+	// release, which parks it.
+	b := fl.allocTo(2, 4) // terminals 1, 2
 	fl.Fail(1)
+	wantOwners(t, fl, []int{1, 2}, 4)
 	fl.Release(b)
+	wantOwners(t, fl, []int{1, 2}, noOwner)
 	if fl.Free() != nt-2 || fl.Down() != 2 {
 		t.Fatalf("after failing busy terminal: free %d down %d", fl.Free(), fl.Down())
 	}
-	if got := fl.Alloc(1); !reflect.DeepEqual(got, []int{2}) {
+	if got := fl.allocTo(1, 5); !reflect.DeepEqual(got, []int{2}) {
 		t.Errorf("Alloc after parked release = %v, want [2]", got)
 	}
 
@@ -207,6 +240,13 @@ func TestFreeListFailRepair(t *testing.T) {
 	if fl.Down() != 0 || fl.Free() != nt-1 { // terminal 2 still allocated
 		t.Errorf("after full repair: free %d down %d", fl.Free(), fl.Down())
 	}
+	// Fail and Repair of a held terminal leave its owner alone; repaired
+	// idle terminals stay unowned.
+	fl.Fail(2)
+	wantOwners(t, fl, []int{2}, 5)
+	fl.Repair(2)
+	wantOwners(t, fl, []int{2}, 5)
+	wantOwners(t, fl, []int{0, 1}, noOwner)
 	defer func() {
 		if recover() == nil {
 			t.Error("Repair of a healthy terminal did not panic")
