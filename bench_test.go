@@ -745,7 +745,8 @@ func steadyStateDetector(tb testing.TB) ([]*ngram.Gram, *ngram.Detector) {
 			if g := bl.Add(ev.id, ev.gap, now, now); g != nil {
 				det.AddGram(g)
 				if it >= 4 {
-					grams = append(grams, g)
+					kept := *g // Add reuses the Gram struct
+					grams = append(grams, &kept)
 				}
 			}
 		}

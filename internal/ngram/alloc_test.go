@@ -1,6 +1,8 @@
 package ngram
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -26,7 +28,8 @@ func steadyDetector(t *testing.T) ([]*Gram, *Detector) {
 			if g := b.Add(ev.id, ev.gap, now, now); g != nil {
 				d.AddGram(g)
 				if it >= 4 {
-					grams = append(grams, g)
+					kept := *g // Add reuses the Gram struct
+					grams = append(grams, &kept)
 				}
 			}
 		}
@@ -84,38 +87,26 @@ func TestDetectorHistoryBounded(t *testing.T) {
 	}
 }
 
-// TestBuilderSharedGram covers the AddShared/FlushShared contract: the Gram
-// struct is reused but Key and IDs stay valid across finalizations.
+// TestBuilderSharedGram covers the Add/Flush contract: the Gram struct is
+// reused but Key and IDs stay valid across finalizations.
 func TestBuilderSharedGram(t *testing.T) {
 	b := NewBuilder(20 * us)
-	b.AddShared(41, 0, 0, 0)
-	g1 := b.AddShared(10, 100*us, 100*us, 100*us)
+	b.Add(41, 0, 0, 0)
+	g1 := b.Add(10, 100*us, 100*us, 100*us)
 	if g1 == nil || g1.Key != "41" {
 		t.Fatalf("first finalized gram = %+v, want key 41", g1)
 	}
 	key1, ids1 := g1.Key, g1.IDs
-	g2 := b.FlushShared()
+	g2 := b.Flush()
 	if g2 == nil || g2.Key != "10" {
 		t.Fatalf("flushed gram = %+v, want key 10", g2)
 	}
 	if g1 != g2 {
-		t.Error("AddShared and FlushShared must reuse the builder-owned Gram")
+		t.Error("Add and Flush must reuse the builder-owned Gram")
 	}
 	// The interned identity of the first gram outlives the reuse.
 	if key1 != "41" || len(ids1) != 1 || ids1[0] != 41 {
 		t.Errorf("interned identity mutated: key=%q ids=%v", key1, ids1)
-	}
-	// Add (the copying variant) returns distinct Gram structs.
-	b2 := NewBuilder(20 * us)
-	b2.Add(1, 0, 0, 0)
-	c1 := b2.Add(2, 100*us, 0, 0)
-	b2.Add(3, 100*us, 0, 0)
-	c2 := b2.Flush()
-	if c1 == c2 {
-		t.Error("Add/Flush must return distinct Gram structs")
-	}
-	if c1.Key != "1" || c2.Key != "3" {
-		t.Errorf("retained grams corrupted: %q, %q", c1.Key, c2.Key)
 	}
 }
 
@@ -134,5 +125,52 @@ func TestGramShapeInterning(t *testing.T) {
 	}
 	if len(g1.IDs) != 2 || &g1.IDs[0] != &g2.IDs[0] {
 		t.Error("same-shape grams from different builders must share the interned IDs slice")
+	}
+}
+
+// TestInternShapeConcurrent interns the same new shapes from several
+// goroutines at once: whichever first intern wins, every goroutine must get
+// that one identity, so LoadOrStore's losing path hands back the winner's
+// IDs rather than its own copy.
+func TestInternShapeConcurrent(t *testing.T) {
+	const workers, shapes = 8, 64
+	cur := make([][]EventID, shapes)
+	for s := range cur {
+		// A first ID no other test uses keeps every shape new to the table.
+		ids := []EventID{EventID(100 + s)}
+		for range 8 + s%5 {
+			ids = append(ids, 250)
+		}
+		cur[s] = ids
+	}
+	got := make([][]gramProto, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, ids := range cur {
+				raw := make([]byte, len(ids))
+				for i, id := range ids {
+					raw[i] = byte(id)
+				}
+				got[w] = append(got[w], internShape(ids, raw))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for s, ids := range cur {
+		want := got[0][s]
+		if want.key != GramKey(ids) || !slices.Equal(want.ids, ids) {
+			t.Fatalf("shape %d interned as key=%q ids=%v, want %q %v", s, want.key, want.ids, GramKey(ids), ids)
+		}
+		for w := 1; w < workers; w++ {
+			if p := got[w][s]; &p.ids[0] != &want.ids[0] || p.key != want.key {
+				t.Errorf("shape %d: goroutine %d got its own identity, not the interned one", s, w)
+			}
+		}
 	}
 }

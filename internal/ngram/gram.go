@@ -66,44 +66,34 @@ type Builder struct {
 	started bool
 
 	raw  []byte // scratch for the proto intern lookup
-	done Gram   // shared gram returned by AddShared/FlushShared
+	done Gram   // builder-owned gram returned by Add/Flush
 }
 
 // gramProto is the interned identity of one distinct gram shape: the
 // canonical key string and a shared read-only ID slice. Shapes are interned
 // once per process (every predictor run builds a fresh builder, and GT
-// sweeps run many of them over the same call streams; per-builder caches
+// sweeps run many of them over the same call streams; per-builder tables
 // would re-pay the cold misses every time).
 type gramProto struct {
 	key string
 	ids []EventID
 }
 
-var (
-	protoMu sync.RWMutex
-	protos  = make(map[string]gramProto) // keyed by raw event-ID bytes
-)
+// protos maps a shape's raw event-ID bytes (as a string) to its gramProto.
+var protos sync.Map
 
 // internShape returns the interned identity for the event sequence in cur,
 // whose raw byte rendering is raw. Allocation-free for known shapes.
 func internShape(cur []EventID, raw []byte) gramProto {
-	protoMu.RLock()
-	p, ok := protos[string(raw)] // no-copy map lookup
-	protoMu.RUnlock()
-	if ok {
-		return p
+	if p, ok := protos.Load(string(raw)); ok {
+		return p.(gramProto)
 	}
 	ids := make([]EventID, len(cur))
 	copy(ids, cur)
-	p = gramProto{key: GramKey(ids), ids: ids}
-	protoMu.Lock()
-	if prev, ok := protos[string(raw)]; ok {
-		p = prev // lost the race; share the first interned identity
-	} else {
-		protos[string(append([]byte(nil), raw...))] = p
-	}
-	protoMu.Unlock()
-	return p
+	// A concurrent first intern of the same shape may win; every caller
+	// then shares the winner's identity.
+	p, _ := protos.LoadOrStore(string(raw), gramProto{key: GramKey(ids), ids: ids})
+	return p.(gramProto)
 }
 
 // NewBuilder returns a gram builder with grouping threshold gt. GT must be
@@ -129,23 +119,12 @@ func (b *Builder) GTInterval() (lo, hi time.Duration) { return b.lo, b.hi }
 // Add feeds one event occupying [start, end]. idleBefore is the idle time
 // since the previous event ended. When the event begins a new gram, the
 // previous (now finalized) gram is returned; otherwise Add returns nil.
-// The returned Gram is freshly allocated and may be retained by the caller;
-// its IDs and Key are interned and shared between same-shape grams.
+//
+// The returned Gram is builder-owned and overwritten by the next
+// finalization, so finalizing allocates nothing; callers that keep a gram
+// copy the struct. Its Key and IDs are interned per shape and stay valid
+// indefinitely.
 func (b *Builder) Add(id EventID, idleBefore time.Duration, start, end time.Duration) *Gram {
-	g := b.AddShared(id, idleBefore, start, end)
-	if g == nil {
-		return nil
-	}
-	out := *g
-	return &out
-}
-
-// AddShared is Add returning a builder-owned Gram that is overwritten by the
-// next finalization. Consumers that hand the gram straight to a detector
-// (the predictor hot path) use it to finalize grams without allocating; the
-// Key and IDs fields point at interned per-shape data and stay valid
-// indefinitely, only the Gram struct itself is reused.
-func (b *Builder) AddShared(id EventID, idleBefore time.Duration, start, end time.Duration) *Gram {
 	var done *Gram
 	if b.started {
 		if idleBefore >= b.gt {
@@ -171,19 +150,9 @@ func (b *Builder) AddShared(id EventID, idleBefore time.Duration, start, end tim
 }
 
 // Flush finalizes and returns the gram under construction, or nil when
-// empty. The builder can keep accepting events afterwards.
+// empty. The Gram is builder-owned, as Add's. The builder can keep
+// accepting events afterwards.
 func (b *Builder) Flush() *Gram {
-	g := b.FlushShared()
-	if g == nil {
-		return nil
-	}
-	out := *g
-	return &out
-}
-
-// FlushShared is Flush returning the builder-owned shared Gram (see
-// AddShared).
-func (b *Builder) FlushShared() *Gram {
 	if len(b.cur) == 0 {
 		return nil
 	}

@@ -42,9 +42,13 @@ func TestGramKey(t *testing.T) {
 func TestBuilderGroupsByGT(t *testing.T) {
 	b := NewBuilder(20 * us)
 	var grams []*Gram
+	keep := func(g *Gram) {
+		kept := *g // Add and Flush reuse the Gram struct
+		grams = append(grams, &kept)
+	}
 	add := func(id EventID, idle time.Duration) {
 		if g := b.Add(id, idle, 0, 0); g != nil {
-			grams = append(grams, g)
+			keep(g)
 		}
 	}
 	// 41,41,41 close together; then 10 after a long gap; then 10 again after
@@ -55,7 +59,7 @@ func TestBuilderGroupsByGT(t *testing.T) {
 	add(10, 300*us)
 	add(10, 250*us)
 	if g := b.Flush(); g != nil {
-		grams = append(grams, g)
+		keep(g)
 	}
 	if len(grams) != 3 {
 		t.Fatalf("got %d grams, want 3", len(grams))

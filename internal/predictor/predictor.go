@@ -221,7 +221,7 @@ func (p *NGram) OnCall(id ngram.EventID, start, end time.Duration) Action {
 	// predicted the PPA core is mostly disabled and only the timing
 	// estimates are refreshed, which AddGram handles internally.
 	wasPredicting := p.detector.Predicting()
-	if g := p.builder.AddShared(id, idle, start, end); g != nil {
+	if g := p.builder.Add(id, idle, start, end); g != nil {
 		p.detector.AddGram(g)
 		if !wasPredicting || !p.detector.Predicting() {
 			// Full PPA work happened on this call.
@@ -257,7 +257,7 @@ func (p *NGram) OnCall(id ngram.EventID, start, end time.Duration) Action {
 // the detector so the counters include the trailing gram. (No action
 // results.)
 func (p *NGram) Flush() {
-	if g := p.builder.FlushShared(); g != nil {
+	if g := p.builder.Flush(); g != nil {
 		p.detector.AddGram(g)
 	}
 }

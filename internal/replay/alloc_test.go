@@ -1,67 +1,93 @@
 package replay
 
 import (
+	"slices"
 	"testing"
 
 	"ibpower/internal/trace"
 )
 
-// TestExpandCachedMatchesExpand asserts the memoized decomposition equals a
-// fresh expansion for every call shape the engine can meet.
-func TestExpandCachedMatchesExpand(t *testing.T) {
-	ops := []trace.Op{
-		trace.Send(3, 1024),
-		trace.Recv(2),
-		trace.Sendrecv(1, 5, 4096),
+// callShapes returns one op of every call the engine expands, for rank r of
+// an np-rank job with the given collective root.
+func callShapes(r, np, root int) []trace.Op {
+	return []trace.Op{
+		trace.Send((r+1)%np, 1024),
+		trace.Recv((r + np - 1) % np),
+		trace.Sendrecv((r+1)%np, (r+np-1)%np, 4096),
 		trace.Allreduce(2048),
 		trace.Barrier(),
-		trace.Bcast(0, 512),
-		trace.Reduce(2, 512),
+		trace.Bcast(root, 512),
+		trace.Reduce(root, 512),
 		trace.Alltoall(256),
 	}
-	for _, np := range []int{6, 7, 16} {
+}
+
+// TestExpandIntoDirtyBuffer asserts that expanding into a rank's reused
+// buffer, which last held a longer call, yields exactly the fresh
+// expansion: no step of the previous call survives.
+func TestExpandIntoDirtyBuffer(t *testing.T) {
+	for _, np := range []int{1, 6, 7, 16} {
 		for r := 0; r < np; r++ {
-			for _, op := range ops {
-				want := expand(op, r, np)
-				got := expandCached(op, r, np)
-				if len(want) != len(got) {
-					t.Fatalf("np=%d r=%d %v: %d steps cached vs %d fresh", np, r, op.Call, len(got), len(want))
-				}
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("np=%d r=%d %v step %d: %+v != %+v", np, r, op.Call, i, got[i], want[i])
+			for root := 0; root < np; root++ {
+				for _, op := range callShapes(r, np, root) {
+					buf := expand(nil, trace.Alltoall(99), r, np)
+					buf = append(buf, microOp{sendPeer: 5, recvPeer: 5, bytes: 5}) // one more stale step
+					got := expand(buf[:0], op, r, np)
+					want := expand(nil, op, r, np)
+					if !slices.Equal(got, want) {
+						t.Fatalf("np=%d r=%d root=%d %v: dirty buffer gave %+v, fresh %+v",
+							np, r, root, op.Call, got, want)
 					}
-				}
-				// A second lookup must return the identical shared slice.
-				if again := expandCached(op, r, np); len(again) > 0 && &again[0] != &got[0] {
-					t.Fatalf("np=%d r=%d %v: cache returned a different backing slice", np, r, op.Call)
+					if np == 1 && op.Call.IsCollective() && len(want) != 0 {
+						t.Errorf("%v on one rank: %d micro ops, want none", op.Call, len(want))
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestExpandCacheHitNoAllocs is the hot-path regression test: once a call
-// shape is memoized, expanding it again must not allocate.
-func TestExpandCacheHitNoAllocs(t *testing.T) {
-	ops := []trace.Op{
-		trace.Allreduce(2048),
-		trace.Sendrecv(1, 5, 4096),
-		trace.Barrier(),
-		trace.Alltoall(256),
-	}
+// TestExpandGrownBufferNoAllocs is the hot-path regression test: once a
+// rank's buffer has grown to its longest call, expanding any call into it
+// must not allocate.
+func TestExpandGrownBufferNoAllocs(t *testing.T) {
 	const np = 16
-	for r := 0; r < np; r++ {
-		for _, op := range ops {
-			expandCached(op, r, np) // warm
-		}
-	}
+	ops := callShapes(3, np, 0)
+	buf := expand(nil, trace.Alltoall(256), 3, np) // the longest call
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		expandCached(ops[i%len(ops)], i%np, np)
+		buf = expand(buf[:0], ops[i%len(ops)], 3, np)
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("expand cache hit allocated %.1f/op, want 0", allocs)
+		t.Errorf("expand into a grown buffer allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestExpandPresizeBound pins the capacity addJob gives each rank's buffer:
+// every call but alltoall expands to at most presize(np) = bits.Len(np)+1
+// micro ops, and for a non-power-of-two np some call needs all of them. A
+// binomial tree's steps depend only on the rank relative to the root, so
+// root 0 with every rank covers every root.
+func TestExpandPresizeBound(t *testing.T) {
+	var buf []microOp
+	for np := 1; np <= 130; np++ {
+		bound := presize(np)
+		longest := 0
+		for r := 0; r < np; r++ {
+			for _, op := range callShapes(r, np, 0) {
+				if op.Call == trace.CallAlltoall {
+					continue
+				}
+				buf = expand(buf[:0], op, r, np)
+				if len(buf) > bound {
+					t.Fatalf("np=%d r=%d %v: %d micro ops, presize is %d", np, r, op.Call, len(buf), bound)
+				}
+				longest = max(longest, len(buf))
+			}
+		}
+		if np&(np-1) != 0 && longest != bound {
+			t.Errorf("np=%d: longest call has %d micro ops, presize %d is loose", np, longest, bound)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package replay
 
 import (
-	"sync"
+	"math/bits"
 
 	"ibpower/internal/trace"
 )
@@ -19,77 +19,36 @@ type microOp struct {
 	bytes    int
 }
 
-// expandKey captures every trace.Op field expand reads, plus the rank and
-// communicator size: micro-op decompositions are pure functions of these, so
-// equal keys always yield identical sequences.
-type expandKey struct {
-	call               trace.CallID
-	r, np              int
-	bytes              int
-	root, peer, recvPt int
-}
-
-// expandCache memoizes micro-op expansions across the whole process. Entries
-// are immutable once stored (the engine only ever reads micro-op slices), so
-// a single decomposition per distinct (call, rank, np, bytes, root/peer)
-// shape is computed once per sweep and shared read-only by every concurrent
-// replay. Iterative workloads hit the cache on all but the first iteration,
-// making the per-call expansion step allocation-free in steady state.
-// expandCacheLimit bounds the memoized shapes. Sweep workloads stay far
-// below it; a long-lived process replaying traces with ever-varying byte
-// counts stops inserting at the cap instead of growing without bound (the
-// overflow shapes are simply expanded fresh, the pre-cache behaviour).
-const expandCacheLimit = 1 << 20
-
-var (
-	expandMu    sync.RWMutex
-	expandCache = make(map[expandKey][]microOp)
-)
-
-// expandCached returns the memoized micro-op sequence rank r performs for op.
-// The returned slice is shared: callers must not mutate it.
-func expandCached(op trace.Op, r, np int) []microOp {
-	k := expandKey{call: op.Call, r: r, np: np, bytes: op.Bytes,
-		root: op.Root, peer: op.Peer, recvPt: op.RecvPeer}
-	expandMu.RLock()
-	steps, ok := expandCache[k]
-	expandMu.RUnlock()
-	if ok {
-		return steps
+// expand appends the micro-op sequence rank r performs for op to steps and
+// returns the extended slice. The engine passes each rank's own buffer
+// truncated to zero, so a call allocates only when it needs more steps than
+// the buffer has ever held.
+func expand(steps []microOp, op trace.Op, r, np int) []microOp {
+	switch op.Call {
+	case trace.CallSend:
+		return append(steps, microOp{sendPeer: op.Peer, recvPeer: -1, bytes: op.Bytes})
+	case trace.CallRecv:
+		return append(steps, microOp{sendPeer: -1, recvPeer: op.Peer})
+	case trace.CallSendrecv:
+		return append(steps, microOp{sendPeer: op.Peer, recvPeer: op.RecvPeer, bytes: op.Bytes})
+	case trace.CallAllreduce:
+		return allreduceSteps(steps, r, np, op.Bytes)
+	case trace.CallBarrier:
+		return disseminationSteps(steps, r, np, 0)
+	case trace.CallBcast:
+		return bcastSteps(steps, r, op.Root, np, op.Bytes)
+	case trace.CallReduce:
+		return reduceSteps(steps, r, op.Root, np, op.Bytes)
+	case trace.CallAlltoall:
+		return alltoallSteps(steps, r, np, op.Bytes)
 	}
-	steps = expand(op, r, np)
-	expandMu.Lock()
-	if prev, ok := expandCache[k]; ok {
-		steps = prev // lost the race; share the first stored sequence
-	} else if len(expandCache) < expandCacheLimit {
-		expandCache[k] = steps
-	}
-	expandMu.Unlock()
 	return steps
 }
 
-// expand returns the micro-op sequence rank r performs for op.
-func expand(op trace.Op, r, np int) []microOp {
-	switch op.Call {
-	case trace.CallSend:
-		return []microOp{{sendPeer: op.Peer, recvPeer: -1, bytes: op.Bytes}}
-	case trace.CallRecv:
-		return []microOp{{sendPeer: -1, recvPeer: op.Peer}}
-	case trace.CallSendrecv:
-		return []microOp{{sendPeer: op.Peer, recvPeer: op.RecvPeer, bytes: op.Bytes}}
-	case trace.CallAllreduce:
-		return allreduceSteps(r, np, op.Bytes)
-	case trace.CallBarrier:
-		return disseminationSteps(r, np, 0)
-	case trace.CallBcast:
-		return bcastSteps(r, op.Root, np, op.Bytes)
-	case trace.CallReduce:
-		return reduceSteps(r, op.Root, np, op.Bytes)
-	case trace.CallAlltoall:
-		return alltoallSteps(r, np, op.Bytes)
-	}
-	return nil
-}
+// presize returns the capacity of a rank's micro-op buffer in an np-rank
+// job: the most steps any call but alltoall expands to (allreduce reaches it
+// on a non-power-of-two np), so alltoall is the only call that grows it.
+func presize(np int) int { return bits.Len(uint(np)) + 1 }
 
 // floorPow2 returns the largest power of two <= n (n >= 1).
 func floorPow2(n int) int {
@@ -104,13 +63,9 @@ func floorPow2(n int) int {
 // non-power-of-two pre/post phases: the first 2*rem ranks pair up so a
 // power-of-two core remains, the core performs log2 rounds of pairwise
 // exchange, and results are returned to the paired-out ranks.
-func allreduceSteps(r, np, bytes int) []microOp {
-	if np == 1 {
-		return nil
-	}
+func allreduceSteps(steps []microOp, r, np, bytes int) []microOp {
 	pof2 := floorPow2(np)
 	rem := np - pof2
-	var steps []microOp
 
 	newRank := -1
 	switch {
@@ -144,8 +99,7 @@ func allreduceSteps(r, np, bytes int) []microOp {
 
 // disseminationSteps implements the dissemination barrier: ceil(log2 np)
 // rounds of exchanging control messages with exponentially growing offsets.
-func disseminationSteps(r, np, bytes int) []microOp {
-	var steps []microOp
+func disseminationSteps(steps []microOp, r, np, bytes int) []microOp {
 	for off := 1; off < np; off *= 2 {
 		to := (r + off) % np
 		from := (r - off%np + np) % np
@@ -155,12 +109,8 @@ func disseminationSteps(r, np, bytes int) []microOp {
 }
 
 // bcastSteps implements the binomial-tree broadcast.
-func bcastSteps(r, root, np, bytes int) []microOp {
-	if np == 1 {
-		return nil
-	}
+func bcastSteps(steps []microOp, r, root, np, bytes int) []microOp {
 	vrank := (r - root + np) % np
-	var steps []microOp
 	mask := 1
 	for mask < np {
 		if vrank&mask != 0 {
@@ -182,12 +132,8 @@ func bcastSteps(r, root, np, bytes int) []microOp {
 }
 
 // reduceSteps implements the binomial-tree reduction (reverse broadcast).
-func reduceSteps(r, root, np, bytes int) []microOp {
-	if np == 1 {
-		return nil
-	}
+func reduceSteps(steps []microOp, r, root, np, bytes int) []microOp {
 	vrank := (r - root + np) % np
-	var steps []microOp
 	for mask := 1; mask < np; mask <<= 1 {
 		if vrank&mask == 0 {
 			if vrank+mask < np {
@@ -205,8 +151,7 @@ func reduceSteps(r, root, np, bytes int) []microOp {
 
 // alltoallSteps implements the rotation (ring) all-to-all: in round i every
 // rank sends to (r+i) and receives from (r-i).
-func alltoallSteps(r, np, bytes int) []microOp {
-	var steps []microOp
+func alltoallSteps(steps []microOp, r, np, bytes int) []microOp {
 	for i := 1; i < np; i++ {
 		to := (r + i) % np
 		from := (r - i + np) % np

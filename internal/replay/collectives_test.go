@@ -22,7 +22,7 @@ func matchSteps(t *testing.T, op trace.Op, np int) {
 func matchStepsErr(op trace.Op, np int) error {
 	progs := make([][]microOp, np)
 	for r := 0; r < np; r++ {
-		progs[r] = expand(op, r, np)
+		progs[r] = expand(nil, op, r, np)
 	}
 	pos := make([]int, np)
 	type half struct{ sent, recvd bool }
@@ -109,24 +109,24 @@ func TestCollectiveDecompositionsMatch(t *testing.T) {
 
 func TestAllreduceStepCounts(t *testing.T) {
 	// Power of two: exactly log2(np) pairwise rounds per rank.
-	steps := allreduceSteps(0, 8, 64)
+	steps := allreduceSteps(nil, 0, 8, 64)
 	if len(steps) != 3 {
 		t.Errorf("allreduce np=8 rank 0: %d steps, want 3", len(steps))
 	}
 	// Non power of two: paired-out even ranks do 2 steps.
-	steps = allreduceSteps(0, 6, 64)
+	steps = allreduceSteps(nil, 0, 6, 64)
 	if len(steps) != 2 {
 		t.Errorf("allreduce np=6 rank 0 (paired out): %d steps, want 2", len(steps))
 	}
 	// np=1: nothing to do.
-	if len(allreduceSteps(0, 1, 64)) != 0 {
+	if len(allreduceSteps(nil, 0, 1, 64)) != 0 {
 		t.Error("allreduce np=1 must be empty")
 	}
 }
 
 func TestDisseminationRounds(t *testing.T) {
 	for _, np := range []int{2, 3, 5, 8, 9, 16} {
-		steps := disseminationSteps(0, np, 0)
+		steps := disseminationSteps(nil, 0, np, 0)
 		want := 0
 		for off := 1; off < np; off *= 2 {
 			want++
@@ -138,7 +138,7 @@ func TestDisseminationRounds(t *testing.T) {
 }
 
 func TestBcastRootSendsOnly(t *testing.T) {
-	steps := bcastSteps(2, 2, 8, 64)
+	steps := bcastSteps(nil, 2, 2, 8, 64)
 	for _, s := range steps {
 		if s.recvPeer >= 0 {
 			t.Error("root must not receive in a broadcast")
@@ -151,7 +151,7 @@ func TestBcastRootSendsOnly(t *testing.T) {
 
 func TestReduceLeafSendsOnce(t *testing.T) {
 	// In the binomial reduce, odd vranks send exactly once and never recv.
-	steps := reduceSteps(1, 0, 8, 64)
+	steps := reduceSteps(nil, 1, 0, 8, 64)
 	if len(steps) != 1 || steps[0].sendPeer != 0 || steps[0].recvPeer >= 0 {
 		t.Errorf("leaf steps = %+v", steps)
 	}
@@ -159,7 +159,7 @@ func TestReduceLeafSendsOnce(t *testing.T) {
 
 func TestAlltoallTouchesAllPeers(t *testing.T) {
 	np := 7
-	steps := alltoallSteps(2, np, 64)
+	steps := alltoallSteps(nil, 2, np, 64)
 	if len(steps) != np-1 {
 		t.Fatalf("steps = %d, want %d", len(steps), np-1)
 	}

@@ -31,7 +31,7 @@ type rankState struct {
 	inCall    bool
 	op        trace.Op // the call being executed (finishCall reports it)
 	callStart time.Duration
-	micro     []microOp
+	micro     []microOp // the call's steps; the rank's own buffer, reused per call
 	mi        int
 	issued    bool
 	needSend  bool
@@ -117,11 +117,12 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 	m := src.Meta()
 	js := &jobState{src: src, app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
 	e.jobs = append(e.jobs, js)
+	steps := presize(m.NP)
 	for r := 0; r < m.NP; r++ {
 		rs := &rankState{
 			r: r, g: js.base + r, base: js.base, np: m.NP,
 			term: terms[r], cur: src.Open(r), clk: start, jb: js,
-			sendTo: -1, recvFrom: -1,
+			micro: make([]microOp, 0, steps), sendTo: -1, recvFrom: -1,
 		}
 		if pw.Enabled {
 			p, err := predictor.NewNamed(pw.PredictorName, pw.Predictor)
@@ -254,9 +255,7 @@ func (e *engine) advance(rs *rankState) {
 			}
 			rs.op = op
 			rs.callStart = rs.clk
-			// Shared read-only decomposition: identical call shapes across
-			// ranks, iterations and concurrent runs reuse one sequence.
-			rs.micro = expandCached(op, rs.r, rs.np)
+			rs.micro = expand(rs.micro[:0], op, rs.r, rs.np)
 			rs.mi = 0
 			rs.issued = false
 			rs.inCall = true

@@ -156,6 +156,11 @@ func CheckOp(np, r, i int, op Op) error {
 			if op.Root < 0 || op.Root >= np {
 				return fmt.Errorf("trace: rank %d op %d: root %d out of range", r, i, op.Root)
 			}
+		case CallAllreduce, CallBarrier, CallAlltoall:
+		default:
+			// The replay engine expands only the eight calls of this
+			// switch; any other ID would replay as a silent no-op.
+			return fmt.Errorf("trace: rank %d op %d: unsupported call ID %d", r, i, op.Call)
 		}
 	default:
 		return fmt.Errorf("trace: rank %d op %d: unknown kind %d", r, i, op.Kind)

@@ -105,6 +105,7 @@ func TestCheckOpErrorsNameRankAndIndex(t *testing.T) {
 		{"negative bytes", Op{Kind: OpCall, Call: CallAllreduce, Bytes: -2}, []string{"rank 3", "op 7", "byte count"}},
 		{"negative compute", Op{Kind: OpCompute, Duration: -time.Second}, []string{"rank 3", "op 7", "compute"}},
 		{"unknown kind", Op{Kind: 42}, []string{"rank 3", "op 7", "kind 42"}},
+		{"unknown call", Op{Kind: OpCall, Call: 99}, []string{"rank 3", "op 7", "call ID 99"}},
 	}
 	for _, c := range cases {
 		err := CheckOp(4, 3, 7, c.op)
