@@ -126,7 +126,7 @@ func cmdTopos(args []string) error {
 	fs.Parse(args)
 	names := topology.Names()
 	if *topo != "" {
-		if err := checkTopo(*topo); err != nil {
+		if err := topology.CheckRegistered(*topo); err != nil {
 			return err
 		}
 		names = []string{*topo}
@@ -290,18 +290,13 @@ func checkPredictor(name string) error {
 	return predictor.CheckRegistered(name)
 }
 
-// checkTopo validates a -topo value before any simulation starts, mirroring
-// checkPredictor: a typo fails fast listing the fabric registry.
-func checkTopo(name string) error {
-	return topology.CheckRegistered(name)
-}
-
-// checkFlags validates the -predictor and -topo selections together.
+// checkFlags validates the -predictor and -topo selections together, so a
+// typo in either fails fast listing its registry.
 func checkFlags(pred, topo string) error {
 	if err := checkPredictor(pred); err != nil {
 		return err
 	}
-	return checkTopo(topo)
+	return topology.CheckRegistered(topo)
 }
 
 // configWith returns the default replay config bounded to par workers with

@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"ibpower/internal/multijob"
-	"ibpower/internal/replay"
 	"ibpower/internal/stats"
 	"ibpower/internal/sweep"
-	"ibpower/internal/trace"
 )
 
 // multijobConfig assembles the multijob.Config for one cell, wiring the
@@ -25,15 +23,8 @@ func (r *Runner) multijobConfig(jobs []multijob.JobSpec, placement string, displ
 		Displacement: displacement,
 		Replay:       r.Cfg,
 		Generate:     r.source,
-		SelectGT: func(src trace.Source) (time.Duration, error) {
-			m := src.Meta()
-			gt, _, err := r.chooseGT(m.App, m.NP, r.Opt, 1.0)
-			return gt, err
-		},
-		Dedicated: func(src trace.Source, gt time.Duration, d float64) (*replay.Result, error) {
-			m := src.Meta()
-			return r.dedicated(m.App, m.NP, gt, d)
-		},
+		SelectGT:     r.jobGT,
+		Dedicated:    r.jobDedicated,
 	}
 	cfg.Replay.Parallelism = parallelism
 	return cfg

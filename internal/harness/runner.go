@@ -86,15 +86,6 @@ func (c *memo[K, V]) get(k K, fn func() (V, error)) (V, error) {
 	return e.v, e.err
 }
 
-// predictorName returns the registry name the Runner's experiments simulate
-// with (Cfg.Power.PredictorName, defaulting to the n-gram PPA).
-func (r *Runner) predictorName() string {
-	if n := r.Cfg.Power.PredictorName; n != "" {
-		return n
-	}
-	return predictor.DefaultName
-}
-
 type traceKey struct {
 	app string
 	np  int
@@ -204,6 +195,20 @@ func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*re
 	})
 }
 
+// jobGT and jobDedicated are the multijob and scenario SelectGT and
+// Dedicated hooks: the cached Table III threshold (at 1% tolerance) and the
+// cached dedicated baseline of the job's (app, NP).
+func (r *Runner) jobGT(src trace.Source) (time.Duration, error) {
+	m := src.Meta()
+	gt, _, err := r.chooseGT(m.App, m.NP, r.Opt, 1.0)
+	return gt, err
+}
+
+func (r *Runner) jobDedicated(src trace.Source, gt time.Duration, d float64) (*replay.Result, error) {
+	m := src.Meta()
+	return r.dedicated(m.App, m.NP, gt, d)
+}
+
 // point is one (application, process count) cell of a table or figure.
 type point struct {
 	app string
@@ -306,7 +311,7 @@ func (r *Runner) TableIV() ([]TableIVRow, error) {
 	}
 	var rows []TableIVRow
 	for i, app := range apps {
-		rep, err := predictor.MeasureOverheads(r.predictorName(), preps[i].src,
+		rep, err := predictor.MeasureOverheads(r.Cfg.Power.PredictorName, preps[i].src,
 			predictor.Config{GT: preps[i].gt, Displacement: 0.01})
 		if err != nil {
 			return nil, err

@@ -7,11 +7,9 @@ import (
 	"time"
 
 	"ibpower/internal/multijob"
-	"ibpower/internal/replay"
 	"ibpower/internal/scenario"
 	"ibpower/internal/stats"
 	"ibpower/internal/sweep"
-	"ibpower/internal/trace"
 )
 
 // scenarioConfig assembles the scenario.Config for one cell, wiring the
@@ -28,15 +26,8 @@ func (r *Runner) scenarioConfig(spec scenario.Spec, sched, placement string, dis
 		Displacement: displacement,
 		Replay:       r.Cfg,
 		Generate:     r.source,
-		SelectGT: func(src trace.Source) (time.Duration, error) {
-			m := src.Meta()
-			gt, _, err := r.chooseGT(m.App, m.NP, r.Opt, 1.0)
-			return gt, err
-		},
-		Dedicated: func(src trace.Source, gt time.Duration, d float64) (*replay.Result, error) {
-			m := src.Meta()
-			return r.dedicated(m.App, m.NP, gt, d)
-		},
+		SelectGT:     r.jobGT,
+		Dedicated:    r.jobDedicated,
 	}
 	cfg.Replay.Parallelism = parallelism
 	return cfg

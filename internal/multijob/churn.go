@@ -315,7 +315,7 @@ func newCluster(cfg ChurnConfig, fabric topology.Fabric) (*cluster, error) {
 		cfg:      cfg,
 		ctx:      cfg.Ctx,
 		fabric:   fabric,
-		predName: predictorName(cfg.Replay.Power.PredictorName),
+		predName: predictor.Resolve(cfg.Replay.Power.PredictorName),
 		prepOf:   make(map[JobSpec]int),
 	}
 	if c.ctx == nil {
@@ -658,7 +658,7 @@ func (c *cluster) result() (*ChurnResult, error) {
 	}
 	res := &ChurnResult{
 		Scheduler:         c.cfg.Scheduler,
-		Placement:         placementName(c.cfg.Placement),
+		Placement:         placements.Resolve(c.cfg.Placement),
 		Jobs:              make([]ChurnJob, len(c.jobs)),
 		FaultsActive:      c.cfg.Faults != nil,
 		Killed:            len(c.killedAccts),

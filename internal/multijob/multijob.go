@@ -11,13 +11,14 @@
 // them onto terminals from a free-list, and a replay.Churn session times
 // each admission on the live timeline. Run, the static job mix, is the churn
 // scenario whose jobs all arrive at time 0 and are admitted in one batch.
-// Where jobs land is a pluggable placement policy behind a named registry
-// mirroring the predictor and fabric registries. A policy is a preference
-// order over the fabric's terminals: "linear" (fabric order, the default),
-// "random" (seeded shuffle), and "roundrobin" (cycling over first-hop
-// switches). Results are reported per job — runtime, host-link energy, hit
-// rate, and sharing overhead against a dedicated-fabric baseline of the same
-// job — and fabric-wide (per-link utilization, decomposed switch power).
+// Where jobs land is a pluggable placement policy behind a named registry of
+// the same internal/registry type as the predictor and fabric registries. A
+// policy is a preference order over the fabric's terminals: "linear" (fabric
+// order, the default), "random" (seeded shuffle), and "roundrobin" (cycling
+// over first-hop switches). Results are reported per job — runtime,
+// host-link energy, hit rate, and sharing overhead against a dedicated-fabric
+// baseline of the same job — and fabric-wide (per-link utilization,
+// decomposed switch power).
 //
 // Everything is deterministic for a given configuration: placement is a pure
 // function of (fabric, seed), the shared engine is single-threaded, and the
@@ -30,7 +31,6 @@ import (
 	"time"
 
 	"ibpower/internal/power"
-	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/topology"
 	"ibpower/internal/trace"
@@ -260,20 +260,6 @@ func JobPower(rc replay.Config, gt time.Duration, d float64) replay.PowerConfig 
 		pw.Predictor.Treact = power.Treact
 	}
 	return pw
-}
-
-func placementName(name string) string {
-	if name == "" {
-		return DefaultPlacement
-	}
-	return name
-}
-
-func predictorName(name string) string {
-	if name == "" {
-		return predictor.DefaultName
-	}
-	return name
 }
 
 // countSwitches returns the number of distinct first-hop switches hosting

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ibpower/internal/power"
+	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/workloads"
 )
@@ -206,7 +207,7 @@ func TestRunMatchesRunJobs(t *testing.T) {
 				t.Fatal(err)
 			}
 			for j, js := range mix {
-				want := jobStats(fabric, js.App, predictorName(""), gt, dedicated[j], shared.Jobs[j], terms[j])
+				want := jobStats(fabric, js.App, predictor.DefaultName, gt, dedicated[j], shared.Jobs[j], terms[j])
 				if !reflect.DeepEqual(res.Jobs[j].JobStats, want) {
 					t.Errorf("%s/%s job %d:\n got %+v\nwant %+v", fname, pname, j, res.Jobs[j].JobStats, want)
 				}

@@ -3,10 +3,8 @@ package multijob
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
-	"sync"
 
+	"ibpower/internal/registry"
 	"ibpower/internal/topology"
 )
 
@@ -23,85 +21,35 @@ type PlaceFunc func(f topology.Fabric, seed int64) ([]int, error)
 // contiguous terminal blocks, the way batch schedulers fill an idle machine.
 const DefaultPlacement = "linear"
 
-var (
-	plMu  sync.RWMutex
-	plReg = make(map[string]PlaceFunc)
-)
+var placements = registry.New[PlaceFunc]("multijob", "placement", DefaultPlacement)
 
 // Register adds a placement policy under name. It panics on an empty name, a
-// nil policy, or a duplicate registration, mirroring the predictor and
-// fabric registries: registry collisions are programmer errors and must fail
-// loudly at init time.
-func Register(name string, fn PlaceFunc) {
-	if name == "" {
-		panic("multijob: Register with empty name")
-	}
-	if fn == nil {
-		panic("multijob: Register with nil policy for " + name)
-	}
-	plMu.Lock()
-	defer plMu.Unlock()
-	if _, dup := plReg[name]; dup {
-		panic("multijob: duplicate registration of " + name)
-	}
-	plReg[name] = fn
-}
-
-// Registered reports whether name resolves in the registry; the empty string
-// resolves to DefaultPlacement.
-func Registered(name string) bool {
-	if name == "" {
-		name = DefaultPlacement
-	}
-	plMu.RLock()
-	defer plMu.RUnlock()
-	_, ok := plReg[name]
-	return ok
-}
+// nil policy, or a duplicate registration.
+func Register(name string, fn PlaceFunc) { placements.Register(name, fn) }
 
 // Names returns the registered placement policy names, sorted.
-func Names() []string {
-	plMu.RLock()
-	defer plMu.RUnlock()
-	names := make([]string, 0, len(plReg))
-	for n := range plReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return placements.Names() }
 
 // CheckRegistered returns a descriptive error naming the whole registry when
 // name does not resolve (the empty name resolves to DefaultPlacement), so a
 // typo'd -placement flag tells the user what would have worked.
-func CheckRegistered(name string) error {
-	if Registered(name) {
-		return nil
-	}
-	return fmt.Errorf("unknown placement %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
-}
+func CheckRegistered(name string) error { return placements.Check(name) }
 
 // Ordering resolves the named placement policy and returns its preference
 // order over every terminal of the fabric. It enforces the one contract
 // every policy must deliver: the order is a permutation of the fabric's
 // terminals, so no terminal is skipped or handed out twice.
 func Ordering(name string, f topology.Fabric, seed int64) ([]int, error) {
-	if name == "" {
-		name = DefaultPlacement
-	}
-	plMu.RLock()
-	fn, ok := plReg[name]
-	plMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("multijob: %w", CheckRegistered(name))
+	fn, err := placements.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	order, err := fn(f, seed)
 	if err != nil {
 		return nil, err
 	}
 	if err := checkPermutation(order, f.NumTerminals()); err != nil {
-		return nil, fmt.Errorf("multijob: policy %q broke its contract: %w", name, err)
+		return nil, fmt.Errorf("multijob: policy %q broke its contract: %w", placements.Resolve(name), err)
 	}
 	return order, nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ibpower/internal/registry"
 	"ibpower/internal/registrytest"
 	"ibpower/internal/topology"
 )
@@ -174,16 +175,14 @@ func TestOrderingRejectsBrokenPolicies(t *testing.T) {
 		}
 	}
 
-	// Registered only for this test, so the policy loops of the other
-	// tests never see it.
+	// Registered in a registry swapped in for this test only, so the policy
+	// loops of the other tests never see it.
+	saved := placements
+	placements = registry.New[PlaceFunc]("multijob", "placement", DefaultPlacement)
+	t.Cleanup(func() { placements = saved })
 	const broken = "broken-for-test"
 	Register(broken, func(f topology.Fabric, _ int64) ([]int, error) {
 		return make([]int, f.NumTerminals()), nil // terminal 0, every time
-	})
-	t.Cleanup(func() {
-		plMu.Lock()
-		delete(plReg, broken)
-		plMu.Unlock()
 	})
 	f := topology.Paper()
 	if _, err := Ordering(broken, f, 0); err == nil || !strings.Contains(err.Error(), `policy "broken-for-test" broke its contract`) {

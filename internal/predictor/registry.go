@@ -1,12 +1,9 @@
 package predictor
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
+	"ibpower/internal/registry"
 	"ibpower/internal/trace"
 )
 
@@ -51,78 +48,32 @@ const DefaultName = "ngram"
 // configuration; it must validate cfg itself.
 type Factory func(cfg Config) (Predictor, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
+var factories = registry.New[Factory]("predictor", "predictor", DefaultName)
 
 // Register adds a predictor constructor under name. It panics on an empty
-// name, a nil factory, or a duplicate registration — registry collisions are
-// programmer errors and must fail loudly at init time, not resolve silently
-// to whichever init ran last.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("predictor: Register with empty name")
-	}
-	if f == nil {
-		panic("predictor: Register with nil factory for " + name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("predictor: duplicate registration of " + name)
-	}
-	registry[name] = f
-}
-
-// Registered reports whether name resolves in the registry; the empty string
-// resolves to DefaultName.
-func Registered(name string) bool {
-	if name == "" {
-		name = DefaultName
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
+// name, a nil factory, or a duplicate registration.
+func Register(name string, f Factory) { factories.Register(name, f) }
 
 // Names returns the registered predictor names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return factories.Names() }
+
+// Resolve returns the effective predictor name (the empty name resolves to
+// DefaultName), for reporting.
+func Resolve(name string) string { return factories.Resolve(name) }
 
 // CheckRegistered returns a descriptive error naming the whole registry
 // when name does not resolve (the empty name resolves to DefaultName), so a
 // typo'd -predictor flag tells the user what would have worked. It is the
 // single validation every layer (replay config, pmpi layer, harness, CLI)
 // shares.
-func CheckRegistered(name string) error {
-	if Registered(name) {
-		return nil
-	}
-	return fmt.Errorf("unknown predictor %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
-}
+func CheckRegistered(name string) error { return factories.Check(name) }
 
 // NewNamed builds a per-rank instance of the named predictor; the empty name
 // selects DefaultName.
 func NewNamed(name string, cfg Config) (Predictor, error) {
-	if name == "" {
-		name = DefaultName
-	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("predictor: %w", CheckRegistered(name))
+	f, err := factories.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(cfg)
 }

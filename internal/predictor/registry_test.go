@@ -16,7 +16,7 @@ func validCfg() Config {
 // presets themselves must all be present on top of the generic contract.
 func TestRegistryContract(t *testing.T) {
 	for _, want := range []string{"ewma", "lastvalue", "ngram", "offline", "oracle", "static-gt"} {
-		if !Registered(want) {
+		if CheckRegistered(want) != nil {
 			t.Errorf("%q not registered (have %v)", want, Names())
 		}
 	}

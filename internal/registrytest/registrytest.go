@@ -7,6 +7,7 @@
 package registrytest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -72,17 +73,10 @@ func Run(t *testing.T, r Registry) {
 		if err == nil {
 			t.Fatalf("unknown name %q accepted", bogus)
 		}
-		msg := err.Error()
-		if !strings.Contains(msg, bogus) {
-			t.Errorf("error %q does not name the typo %q", msg, bogus)
-		}
-		if !strings.Contains(msg, "unknown "+r.Kind) {
-			t.Errorf("error %q does not name the registry kind %q", msg, r.Kind)
-		}
-		for _, n := range r.Names() {
-			if !strings.Contains(msg, n) {
-				t.Errorf("error %q does not list registered name %q", msg, n)
-			}
+		want := fmt.Sprintf("unknown %s %q (registered: %s)",
+			r.Kind, bogus, strings.Join(r.Names(), ", "))
+		if msg := err.Error(); msg != want {
+			t.Errorf("error %q, want %q", msg, want)
 		}
 	})
 

@@ -15,13 +15,6 @@ import (
 	"ibpower/internal/topology"
 )
 
-// OverheadModel aliases the predictor's overhead model (Table IV costs); see
-// predictor.OverheadModel.
-type OverheadModel = predictor.OverheadModel
-
-// DefaultOverheads returns the Table IV-calibrated costs.
-func DefaultOverheads() OverheadModel { return predictor.DefaultOverheads() }
-
 // PowerConfig enables the power saving mechanism during replay.
 type PowerConfig struct {
 	Enabled bool
@@ -31,7 +24,7 @@ type PowerConfig struct {
 	// predictor.DefaultName, the paper's n-gram PPA.
 	PredictorName   string
 	Predictor       predictor.Config
-	Overheads       OverheadModel
+	Overheads       predictor.OverheadModel
 	RecordTimelines bool // record per-rank link state timelines (Figure 6)
 
 	// DeepSleep enables the paper's Section VI scenario: long predicted
@@ -85,7 +78,7 @@ func (c Config) WithPower(gt time.Duration, displacement float64) Config {
 			Displacement: displacement,
 			Treact:       power.Treact,
 		},
-		Overheads: DefaultOverheads(),
+		Overheads: predictor.DefaultOverheads(),
 	}
 	return c
 }

@@ -89,11 +89,11 @@ func TestSpecFaultsRoundTrip(t *testing.T) {
 // surfacing through ApplySpec.
 func TestSpecErrorsFaultLayer(t *testing.T) {
 	for in, want := range map[string]string{
-		"jobs=3,jobs=4":                          "duplicate spec key \"jobs\"",
+		"jobs=3,jobs=4": "duplicate spec key \"jobs\"",
 		"faults=link:fixed:1s,faults=term:fixed:1s": "duplicate spec key \"faults\"",
-		"link:poisson:10m":                       "want key=value",
-		"faults=disk:poisson:10m":                "unknown fault kind",
-		"faults=link:poisson:10m:mttr=-1s":       "mttr must be positive",
+		"link:poisson:10m":                          "want key=value",
+		"faults=disk:poisson:10m":                   "unknown fault kind",
+		"faults=link:poisson:10m:mttr=-1s":          "mttr must be positive",
 	} {
 		_, err := ParseSpec(in)
 		if err == nil {

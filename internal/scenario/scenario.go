@@ -9,7 +9,8 @@
 // a size distribution (fixed, uniform, choices, normal, Zipf), an arrival
 // process (Poisson or fixed-interval, with a speed multiplier), and a seed;
 // Generate expands it deterministically. Schedulers live behind a named
-// registry mirroring the predictor, fabric, and placement registries:
+// registry of the same internal/registry type as the predictor, fabric, and
+// placement registries:
 // "fcfs" (strict arrival order, the default), "backfill" (EASY-style, no
 // reservations), and "power-aware" (admits jobs onto already-woken first-hop
 // switches first, preserving the fabric's idle-link coverage).
@@ -22,7 +23,6 @@ package scenario
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"ibpower/internal/multijob"
@@ -70,9 +70,6 @@ func DefaultRetryPolicy() multijob.RetryPolicy {
 // Run expands the spec and simulates the scenario. The result is
 // deterministic for a given Config at any Replay.Parallelism setting.
 func Run(cfg Config) (*multijob.ChurnResult, error) {
-	if err := CheckRegistered(cfg.Scheduler); err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
 	fn, err := Named(cfg.Scheduler)
 	if err != nil {
 		return nil, err
@@ -107,7 +104,7 @@ func Run(cfg Config) (*multijob.ChurnResult, error) {
 	return multijob.RunChurn(multijob.ChurnConfig{
 		Arrivals:     arrivals,
 		Schedule:     fn,
-		Scheduler:    SchedulerName(cfg.Scheduler),
+		Scheduler:    schedulers.Resolve(cfg.Scheduler),
 		Placement:    cfg.Placement,
 		Opt:          opt,
 		Displacement: cfg.Displacement,

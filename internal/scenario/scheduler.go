@@ -1,99 +1,30 @@
 package scenario
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-
 	"ibpower/internal/multijob"
+	"ibpower/internal/registry"
 )
 
 // DefaultScheduler is the registry entry used when no policy is named:
 // first-come-first-served, the reference batch discipline.
 const DefaultScheduler = "fcfs"
 
-var (
-	schedMu  sync.RWMutex
-	schedReg = make(map[string]multijob.SchedFunc)
-)
+var schedulers = registry.New[multijob.SchedFunc]("scenario", "scheduler", DefaultScheduler)
 
 // Register adds a scheduling policy under name. It panics on an empty name,
-// a nil policy, or a duplicate registration, mirroring the predictor,
-// fabric, and placement registries: registry collisions are programmer
-// errors and must fail loudly at init time.
-func Register(name string, fn multijob.SchedFunc) {
-	if name == "" {
-		panic("scenario: Register with empty name")
-	}
-	if fn == nil {
-		panic("scenario: Register with nil scheduler for " + name)
-	}
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	if _, dup := schedReg[name]; dup {
-		panic("scenario: duplicate registration of " + name)
-	}
-	schedReg[name] = fn
-}
-
-// Registered reports whether name resolves in the registry; the empty string
-// resolves to DefaultScheduler.
-func Registered(name string) bool {
-	if name == "" {
-		name = DefaultScheduler
-	}
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	_, ok := schedReg[name]
-	return ok
-}
+// a nil policy, or a duplicate registration.
+func Register(name string, fn multijob.SchedFunc) { schedulers.Register(name, fn) }
 
 // Names returns the registered scheduler names, sorted.
-func Names() []string {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	names := make([]string, 0, len(schedReg))
-	for n := range schedReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return schedulers.Names() }
 
 // CheckRegistered returns a descriptive error naming the whole registry when
 // name does not resolve (the empty name resolves to DefaultScheduler), so a
 // typo'd -sched flag tells the user what would have worked.
-func CheckRegistered(name string) error {
-	if Registered(name) {
-		return nil
-	}
-	return fmt.Errorf("unknown scheduler %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
-}
+func CheckRegistered(name string) error { return schedulers.Check(name) }
 
 // Named resolves a scheduler by name; the empty name selects the default.
-func Named(name string) (multijob.SchedFunc, error) {
-	if name == "" {
-		name = DefaultScheduler
-	}
-	schedMu.RLock()
-	fn, ok := schedReg[name]
-	schedMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("scenario: %w", CheckRegistered(name))
-	}
-	return fn, nil
-}
-
-// SchedulerName returns the effective registry name (empty resolves to the
-// default), for reporting.
-func SchedulerName(name string) string {
-	if name == "" {
-		return DefaultScheduler
-	}
-	return name
-}
+func Named(name string) (multijob.SchedFunc, error) { return schedulers.Get(name) }
 
 // The preset registry.
 func init() {

@@ -13,7 +13,7 @@ import (
 // scheduler registry; the three shipped policies must all be present.
 func TestRegistryContract(t *testing.T) {
 	for _, want := range []string{"fcfs", "backfill", "power-aware"} {
-		if !Registered(want) {
+		if CheckRegistered(want) != nil {
 			t.Errorf("%q not registered (have %v)", want, Names())
 		}
 	}

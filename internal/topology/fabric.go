@@ -1,11 +1,10 @@
 package topology
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
+
+	"ibpower/internal/registry"
 )
 
 // Fabric is the interconnect abstraction the network model times transfers
@@ -81,78 +80,34 @@ type fabricEntry struct {
 	err   error
 }
 
-var (
-	fabMu      sync.RWMutex
-	fabricsReg = make(map[string]*fabricEntry)
-)
+var fabrics = registry.New[*fabricEntry]("topology", "fabric", DefaultFabric)
 
 // Register adds a fabric constructor under name. It panics on an empty name,
-// a nil constructor, or a duplicate registration — registry collisions are
-// programmer errors and must fail loudly at init time, not resolve silently
-// to whichever init ran last. The built instance is memoized: Named returns
-// the same shared Fabric for every lookup of name.
+// a nil constructor, or a duplicate registration. The built instance is
+// memoized: Named returns the same shared Fabric for every lookup of name.
 func Register(name string, build func() (Fabric, error)) {
-	if name == "" {
-		panic("topology: Register with empty name")
+	var e *fabricEntry // nil for a nil constructor, so the registry panics
+	if build != nil {
+		e = &fabricEntry{build: build}
 	}
-	if build == nil {
-		panic("topology: Register with nil constructor for " + name)
-	}
-	fabMu.Lock()
-	defer fabMu.Unlock()
-	if _, dup := fabricsReg[name]; dup {
-		panic("topology: duplicate registration of " + name)
-	}
-	fabricsReg[name] = &fabricEntry{build: build}
-}
-
-// Registered reports whether name resolves in the registry; the empty string
-// resolves to DefaultFabric.
-func Registered(name string) bool {
-	if name == "" {
-		name = DefaultFabric
-	}
-	fabMu.RLock()
-	defer fabMu.RUnlock()
-	_, ok := fabricsReg[name]
-	return ok
+	fabrics.Register(name, e)
 }
 
 // Names returns the registered fabric names, sorted.
-func Names() []string {
-	fabMu.RLock()
-	defer fabMu.RUnlock()
-	names := make([]string, 0, len(fabricsReg))
-	for n := range fabricsReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return fabrics.Names() }
 
 // CheckRegistered returns a descriptive error naming the whole registry when
 // name does not resolve (the empty name resolves to DefaultFabric), so a
 // typo'd -topo flag tells the user what would have worked. It is the single
 // validation every layer (replay config, harness, CLI) shares.
-func CheckRegistered(name string) error {
-	if Registered(name) {
-		return nil
-	}
-	return fmt.Errorf("unknown fabric %q (registered: %s)",
-		name, strings.Join(Names(), ", "))
-}
+func CheckRegistered(name string) error { return fabrics.Check(name) }
 
 // Named returns the shared instance of the named fabric, building it on
 // first use; the empty name selects DefaultFabric.
 func Named(name string) (Fabric, error) {
-	if name == "" {
-		name = DefaultFabric
-	}
-	fabMu.RLock()
-	e, ok := fabricsReg[name]
-	fabMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("topology: %w", CheckRegistered(name))
+	e, err := fabrics.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	e.once.Do(func() { e.f, e.err = e.build() })
 	return e.f, e.err

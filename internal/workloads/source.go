@@ -1,10 +1,6 @@
 package workloads
 
-import (
-	"fmt"
-
-	"ibpower/internal/trace"
-)
+import "ibpower/internal/trace"
 
 // genSource streams a generated workload without ever materializing the full
 // trace: each Open re-runs the generator restricted to the requested rank.
@@ -24,12 +20,9 @@ type genSource struct {
 // NewSource returns a streaming trace.Source for a registered application:
 // O(one rank) memory per open cursor instead of O(trace).
 func NewSource(app string, np int, opt Options) (trace.Source, error) {
-	g, ok := registry[app]
-	if !ok {
-		return nil, fmt.Errorf("workloads: unknown application %q (have %v)", app, Apps())
-	}
-	if np < 2 {
-		return nil, fmt.Errorf("workloads: need at least 2 processes, got %d", np)
+	g, err := generator(app, np)
+	if err != nil {
+		return nil, err
 	}
 	return &genSource{app: app, np: np, opt: opt, gen: g}, nil
 }

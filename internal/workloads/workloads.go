@@ -99,6 +99,16 @@ func Apps() []string {
 
 // Generate builds the trace for a registered application.
 func Generate(app string, np int, opt Options) (*trace.Trace, error) {
+	g, err := generator(app, np)
+	if err != nil {
+		return nil, err
+	}
+	return g(np, opt), nil
+}
+
+// generator returns app's registered generator, rejecting unknown
+// applications and runs of fewer than two processes.
+func generator(app string, np int) (Generator, error) {
 	g, ok := registry[app]
 	if !ok {
 		return nil, fmt.Errorf("workloads: unknown application %q (have %v)", app, Apps())
@@ -106,7 +116,7 @@ func Generate(app string, np int, opt Options) (*trace.Trace, error) {
 	if np < 2 {
 		return nil, fmt.Errorf("workloads: need at least 2 processes, got %d", np)
 	}
-	return g(np, opt), nil
+	return g, nil
 }
 
 // ProcCounts returns the process counts the paper evaluates for app:
