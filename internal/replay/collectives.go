@@ -26,19 +26,19 @@ type microOp struct {
 func expand(steps []microOp, op trace.Op, r, np int) []microOp {
 	switch op.Call {
 	case trace.CallSend:
-		return append(steps, microOp{sendPeer: op.Peer, recvPeer: -1, bytes: op.Bytes})
+		return append(steps, microOp{sendPeer: int(op.Peer), recvPeer: -1, bytes: op.Bytes})
 	case trace.CallRecv:
-		return append(steps, microOp{sendPeer: -1, recvPeer: op.Peer})
+		return append(steps, microOp{sendPeer: -1, recvPeer: int(op.Peer)})
 	case trace.CallSendrecv:
-		return append(steps, microOp{sendPeer: op.Peer, recvPeer: op.RecvPeer, bytes: op.Bytes})
+		return append(steps, microOp{sendPeer: int(op.Peer), recvPeer: int(op.RecvPeer), bytes: op.Bytes})
 	case trace.CallAllreduce:
 		return allreduceSteps(steps, r, np, op.Bytes)
 	case trace.CallBarrier:
 		return disseminationSteps(steps, r, np, 0)
 	case trace.CallBcast:
-		return bcastSteps(steps, r, op.Root, np, op.Bytes)
+		return bcastSteps(steps, r, int(op.Root), np, op.Bytes)
 	case trace.CallReduce:
-		return reduceSteps(steps, r, op.Root, np, op.Bytes)
+		return reduceSteps(steps, r, int(op.Root), np, op.Bytes)
 	case trace.CallAlltoall:
 		return alltoallSteps(steps, r, np, op.Bytes)
 	}

@@ -99,7 +99,7 @@ func TestCollectiveDecompositionsMatch(t *testing.T) {
 	}
 	for _, op := range ops {
 		for _, np := range []int{2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 32} {
-			if op.Root >= np {
+			if int(op.Root) >= np {
 				continue
 			}
 			matchSteps(t, op, np)

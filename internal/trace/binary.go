@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 )
@@ -159,6 +160,16 @@ func decodeOp(br *bufio.Reader) (Op, error) {
 		}
 		return int(v), nil
 	}
+	// rankOperand reads a peer or root operand. Op stores ranks as int32,
+	// so a larger operand would wrap, possibly onto a valid rank; reject it
+	// here, before an op is constructed.
+	rankOperand := func(name string) (int, error) {
+		v, err := u()
+		if err == nil && v > math.MaxInt32 {
+			err = fmt.Errorf("%s operand %d exceeds int32", name, v)
+		}
+		return v, err
+	}
 	switch tag {
 	case tagCompute:
 		ns, err := u()
@@ -167,7 +178,7 @@ func decodeOp(br *bufio.Reader) (Op, error) {
 		}
 		return Compute(time.Duration(ns)), nil
 	case tagSend:
-		peer, err := u()
+		peer, err := rankOperand("peer")
 		if err != nil {
 			return Op{}, err
 		}
@@ -177,17 +188,17 @@ func decodeOp(br *bufio.Reader) (Op, error) {
 		}
 		return Send(peer, n), nil
 	case tagRecv:
-		peer, err := u()
+		peer, err := rankOperand("peer")
 		if err != nil {
 			return Op{}, err
 		}
 		return Recv(peer), nil
 	case tagSendrecv:
-		sp, err := u()
+		sp, err := rankOperand("peer")
 		if err != nil {
 			return Op{}, err
 		}
-		rp, err := u()
+		rp, err := rankOperand("recv peer")
 		if err != nil {
 			return Op{}, err
 		}
@@ -205,7 +216,7 @@ func decodeOp(br *bufio.Reader) (Op, error) {
 	case tagBarrier:
 		return Barrier(), nil
 	case tagBcast:
-		root, err := u()
+		root, err := rankOperand("root")
 		if err != nil {
 			return Op{}, err
 		}
@@ -215,7 +226,7 @@ func decodeOp(br *bufio.Reader) (Op, error) {
 		}
 		return Bcast(root, n), nil
 	case tagReduce:
-		root, err := u()
+		root, err := rankOperand("root")
 		if err != nil {
 			return Op{}, err
 		}

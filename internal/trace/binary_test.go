@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -239,5 +241,82 @@ func TestFileOpenClose(t *testing.T) {
 	}
 	if _, err := OpenFile(path + ".missing"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// rawOp encodes one op as a tag byte and uvarint operands, with no CheckOp.
+func rawOp(tag byte, operands ...uint64) []byte {
+	b := []byte{tag}
+	for _, v := range operands {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// rawImage packs one trace "raw" whose rank r holds the encoded ops
+// ranks[r]. It bypasses the writer's CheckOp, so tests can build images the
+// writer would refuse.
+func rawImage(ranks ...[][]byte) []byte {
+	img := append([]byte(binMagic), binVersion)
+	idx := binary.AppendUvarint(nil, 1)
+	idx = binary.AppendUvarint(idx, 3)
+	idx = append(idx, "raw"...)
+	idx = binary.AppendUvarint(idx, uint64(len(ranks)))
+	for _, ops := range ranks {
+		off := len(img)
+		for _, op := range ops {
+			img = append(img, op...)
+		}
+		idx = binary.AppendUvarint(idx, uint64(off))
+		idx = binary.AppendUvarint(idx, uint64(len(img)-off))
+		idx = binary.AppendUvarint(idx, uint64(len(ops)))
+	}
+	idxOff := len(img)
+	img = append(img, idx...)
+	img = binary.LittleEndian.AppendUint64(img, uint64(idxOff))
+	return append(img, idxMagic...)
+}
+
+// Op stores peers and roots as int32. A varint operand beyond int32 must be
+// rejected by name, not wrapped: 2^32+1 wraps to rank 1, which is in range
+// for np 2, so a wrapped value would decode as a valid op.
+func TestDecodeRejectsRankBeyondInt32(t *testing.T) {
+	const big = 1<<32 + 1
+	recv := [][]byte{rawOp(tagRecv, 0)}
+	cases := []struct {
+		op   []byte
+		want string
+	}{
+		{rawOp(tagSend, big, 8), "peer operand 4294967297 exceeds int32"},
+		{rawOp(tagRecv, big), "peer operand 4294967297 exceeds int32"},
+		{rawOp(tagSendrecv, big, 1, 8), "peer operand 4294967297 exceeds int32"},
+		{rawOp(tagSendrecv, 1, big, 8), "recv peer operand 4294967297 exceeds int32"},
+		{rawOp(tagBcast, big, 8), "root operand 4294967297 exceeds int32"},
+		{rawOp(tagReduce, big, 8), "root operand 4294967297 exceeds int32"},
+	}
+	for _, c := range cases {
+		img := rawImage([][]byte{c.op}, recv)
+		f, err := OpenBinary(bytes.NewReader(img), int64(len(img)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Materialize(f.SourceAt(0))
+		if err == nil || !strings.Contains(err.Error(), "rank 0 op 0: decode: "+c.want) {
+			t.Errorf("op % x: err = %v, want %q", c.op, err, c.want)
+		}
+	}
+	// The same image with an in-range peer decodes: the rejection above is
+	// the operand's, not the hand-built image's.
+	img := rawImage([][]byte{rawOp(tagSend, 1, 8)}, recv)
+	f, err := OpenBinary(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Materialize(f.SourceAt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Send(1, 8); tr.Ranks[0][0] != want {
+		t.Errorf("decoded %+v, want %+v", tr.Ranks[0][0], want)
 	}
 }

@@ -38,6 +38,8 @@ func FuzzTraceText(f *testing.F) {
 	f.Add([]byte("0 c 100\n"))           // record before header
 	f.Add([]byte("#app x 2\n5 c 1\n"))   // rank out of range
 	f.Add([]byte("#app x 2\n0 s 9 1\n")) // peer out of range
+	// A peer beyond int32.
+	f.Add([]byte("#app x 2\n0 s 4294967299 1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
 		if err != nil {
@@ -84,6 +86,8 @@ func FuzzTraceBinary(f *testing.F) {
 	f.Add(enc2)
 	f.Add([]byte("IBTP....garbage....IBTX"))
 	f.Add(append(append([]byte{}, enc[:len(enc)-4]...), 'X', 'X', 'X', 'X'))
+	// A peer beyond int32 that would wrap to the valid rank 1.
+	f.Add(rawImage([][]byte{rawOp(tagSend, 1<<32+1, 8)}, [][]byte{rawOp(tagRecv, 0)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bf, err := OpenBinary(bytes.NewReader(data), int64(len(data)))
 		if err != nil {

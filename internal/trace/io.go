@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -152,6 +153,16 @@ func parseOp(line string) (Op, int, error) {
 		}
 		return strconv.Atoi(f[i])
 	}
+	// rankOperand parses a peer or root field. Op stores ranks as int32,
+	// so a value beyond int32 would wrap, possibly onto a valid rank;
+	// reject it here.
+	rankOperand := func(i int, name string) (int, error) {
+		v, err := atoi(i)
+		if err == nil && (v < math.MinInt32 || v > math.MaxInt32) {
+			err = fmt.Errorf("%s %d exceeds int32", name, v)
+		}
+		return v, err
+	}
 	switch f[1] {
 	case "c":
 		ns, err := atoi(2)
@@ -160,7 +171,7 @@ func parseOp(line string) (Op, int, error) {
 		}
 		return Compute(time.Duration(ns)), rank, nil
 	case "s":
-		peer, err := atoi(2)
+		peer, err := rankOperand(2, "peer")
 		if err != nil {
 			return Op{}, 0, err
 		}
@@ -170,17 +181,17 @@ func parseOp(line string) (Op, int, error) {
 		}
 		return Send(peer, n), rank, nil
 	case "r":
-		peer, err := atoi(2)
+		peer, err := rankOperand(2, "peer")
 		if err != nil {
 			return Op{}, 0, err
 		}
 		return Recv(peer), rank, nil
 	case "sr":
-		sp, err := atoi(2)
+		sp, err := rankOperand(2, "peer")
 		if err != nil {
 			return Op{}, 0, err
 		}
-		rp, err := atoi(3)
+		rp, err := rankOperand(3, "recv peer")
 		if err != nil {
 			return Op{}, 0, err
 		}
@@ -198,7 +209,7 @@ func parseOp(line string) (Op, int, error) {
 	case "ba":
 		return Barrier(), rank, nil
 	case "bc":
-		root, err := atoi(2)
+		root, err := rankOperand(2, "root")
 		if err != nil {
 			return Op{}, 0, err
 		}
@@ -208,7 +219,7 @@ func parseOp(line string) (Op, int, error) {
 		}
 		return Bcast(root, n), rank, nil
 	case "rd":
-		root, err := atoi(2)
+		root, err := rankOperand(2, "root")
 		if err != nil {
 			return Op{}, 0, err
 		}

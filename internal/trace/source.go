@@ -139,21 +139,21 @@ func CheckOp(np, r, i int, op Op) error {
 		}
 		switch op.Call {
 		case CallSend, CallRecv:
-			if op.Peer < 0 || op.Peer >= np {
+			if op.Peer < 0 || int(op.Peer) >= np {
 				return fmt.Errorf("trace: rank %d op %d: peer %d out of range", r, i, op.Peer)
 			}
-			if op.Peer == r {
+			if int(op.Peer) == r {
 				return fmt.Errorf("trace: rank %d op %d: self message", r, i)
 			}
 		case CallSendrecv:
-			if op.Peer < 0 || op.Peer >= np {
+			if op.Peer < 0 || int(op.Peer) >= np {
 				return fmt.Errorf("trace: rank %d op %d: sendrecv send peer %d out of range", r, i, op.Peer)
 			}
-			if op.RecvPeer < 0 || op.RecvPeer >= np {
+			if op.RecvPeer < 0 || int(op.RecvPeer) >= np {
 				return fmt.Errorf("trace: rank %d op %d: sendrecv recv peer %d out of range", r, i, op.RecvPeer)
 			}
 		case CallBcast, CallReduce:
-			if op.Root < 0 || op.Root >= np {
+			if op.Root < 0 || int(op.Root) >= np {
 				return fmt.Errorf("trace: rank %d op %d: root %d out of range", r, i, op.Root)
 			}
 		case CallAllreduce, CallBarrier, CallAlltoall:

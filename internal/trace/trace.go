@@ -78,19 +78,24 @@ const (
 	OpCall                  // an MPI call
 )
 
-// Op is a single operation in a rank's stream.
+// Op is a single operation in a rank's stream. Peers and roots are int32
+// and the fields are ordered widest first, so an Op is 32 bytes with no
+// padding; the op layout sets the memory cost of every in-memory trace.
+// int32 loses nothing: both trace readers cap rank counts at maxBinRanks
+// (2^20), and they reject a peer or root operand beyond int32 instead of
+// letting it wrap. The constructors keep int parameters.
 type Op struct {
-	Kind OpKind
-
 	// Compute fields.
 	Duration time.Duration // duration of the computation burst
 
 	// Call fields.
-	Call     CallID
-	Peer     int // destination (send) / source (recv); -1 when not applicable
-	RecvPeer int // source for Sendrecv; -1 otherwise
-	Bytes    int // payload size for the sending direction
-	Root     int // root rank for rooted collectives; -1 otherwise
+	Bytes    int   // payload size for the sending direction
+	Peer     int32 // destination (send) / source (recv); -1 when not applicable
+	RecvPeer int32 // source for Sendrecv; -1 otherwise
+	Root     int32 // root rank for rooted collectives; -1 otherwise
+
+	Kind OpKind
+	Call CallID
 }
 
 // Compute returns a computation burst of duration d.
@@ -100,18 +105,18 @@ func Compute(d time.Duration) Op {
 
 // Send returns a blocking send of n bytes to rank peer.
 func Send(peer, n int) Op {
-	return Op{Kind: OpCall, Call: CallSend, Peer: peer, RecvPeer: -1, Bytes: n, Root: -1}
+	return Op{Kind: OpCall, Call: CallSend, Peer: int32(peer), RecvPeer: -1, Bytes: n, Root: -1}
 }
 
 // Recv returns a blocking receive from rank peer.
 func Recv(peer int) Op {
-	return Op{Kind: OpCall, Call: CallRecv, Peer: peer, RecvPeer: -1, Root: -1}
+	return Op{Kind: OpCall, Call: CallRecv, Peer: int32(peer), RecvPeer: -1, Root: -1}
 }
 
 // Sendrecv returns a combined send (n bytes to sendPeer) and receive (from
 // recvPeer).
 func Sendrecv(sendPeer, recvPeer, n int) Op {
-	return Op{Kind: OpCall, Call: CallSendrecv, Peer: sendPeer, RecvPeer: recvPeer, Bytes: n, Root: -1}
+	return Op{Kind: OpCall, Call: CallSendrecv, Peer: int32(sendPeer), RecvPeer: int32(recvPeer), Bytes: n, Root: -1}
 }
 
 // Allreduce returns an all-reduce of n bytes per rank.
@@ -126,12 +131,12 @@ func Barrier() Op {
 
 // Bcast returns a broadcast of n bytes from root.
 func Bcast(root, n int) Op {
-	return Op{Kind: OpCall, Call: CallBcast, Peer: -1, RecvPeer: -1, Bytes: n, Root: root}
+	return Op{Kind: OpCall, Call: CallBcast, Peer: -1, RecvPeer: -1, Bytes: n, Root: int32(root)}
 }
 
 // Reduce returns a reduction of n bytes to root.
 func Reduce(root, n int) Op {
-	return Op{Kind: OpCall, Call: CallReduce, Peer: -1, RecvPeer: -1, Bytes: n, Root: root}
+	return Op{Kind: OpCall, Call: CallReduce, Peer: -1, RecvPeer: -1, Bytes: n, Root: int32(root)}
 }
 
 // Alltoall returns an all-to-all of n bytes per pair.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 const us = time.Microsecond
@@ -55,6 +56,14 @@ func buildValid() *Trace {
 	tr.Append(1, Compute(30*us))
 	tr.Append(1, Allreduce(8))
 	return tr
+}
+
+// Op's layout sets the memory cost of every in-memory trace: a field that
+// re-pads the struct past 32 bytes must fail here, not in a benchmark.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Op{}) = %d, want 32", got)
+	}
 }
 
 func TestValidateOK(t *testing.T) {
@@ -186,10 +195,31 @@ func TestReadErrors(t *testing.T) {
 		"bad np":         "#app x zero\n",
 		"missing field":  "#app x 2\n0 s 1\n",
 		"empty":          "",
+		"peer > int32":   "#app x 2\n0 s 4294967297 1\n",
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// Op stores peers and roots as int32. A text operand beyond int32 must be
+// rejected by name and line, not wrapped: each operand below wraps to rank 1,
+// which is in range, so a wrapped value would parse as a valid trace.
+func TestReadRejectsRankBeyondInt32(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"#app x 2\n0 s 4294967297 8\n", "line 2: peer 4294967297 exceeds int32"},
+		{"#app x 2\n0 r 4294967297\n", "line 2: peer 4294967297 exceeds int32"},
+		{"#app x 2\n0 sr 4294967297 1 8\n", "line 2: peer 4294967297 exceeds int32"},
+		{"#app x 2\n0 sr 1 4294967297 8\n", "line 2: recv peer 4294967297 exceeds int32"},
+		{"#app x 2\n0 bc 4294967297 8\n", "line 2: root 4294967297 exceeds int32"},
+		{"#app x 2\n\n0 rd -4294967295 8\n", "line 3: root -4294967295 exceeds int32"},
+	}
+	for _, c := range cases {
+		_, err := Read(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want %q", c.in, err, c.want)
 		}
 	}
 }

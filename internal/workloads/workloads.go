@@ -46,15 +46,19 @@ type Options struct {
 	Weak bool
 
 	// only restricts generation to a single rank (value rank+1; 0 generates
-	// all ranks). Only NewSource sets it, which is why it is unexported:
+	// all ranks), and ops presizes every rank to that many ops (0 leaves
+	// ranks to grow by append). Only NewSource sets only and only Generate
+	// sets ops, each on its own copy, which is why both are unexported:
 	// callers' Options values always compare equal regardless of how the
-	// trace is later streamed, so Options stays usable as a cache key.
+	// trace is later built or streamed, so Options stays usable as a cache
+	// key.
 	//
 	// Restricting to one rank is exact, not approximate: structure decisions
 	// draw from the shared rng at iteration level only (never per rank) and
 	// per-rank timing draws from jit[r], seeded independently per rank — so
 	// rank r of a filtered build is identical to rank r of a full build.
 	only int
+	ops  int
 }
 
 func (o Options) seed() int64 {
@@ -97,12 +101,18 @@ func Apps() []string {
 	return names
 }
 
-// Generate builds the trace for a registered application.
+// Generate builds the trace for a registered application. Every builder
+// method appends exactly one op to every rank, so all ranks have rank 0's
+// length; a rank-0-only build measures it, and the full build then carves
+// every rank from one arena allocated at its final size.
 func Generate(app string, np int, opt Options) (*trace.Trace, error) {
 	g, err := generator(app, np)
 	if err != nil {
 		return nil, err
 	}
+	first := opt
+	first.only = 1
+	opt.ops = len(g(np, first).Ranks[0])
 	return g(np, opt), nil
 }
 
@@ -157,6 +167,14 @@ func newBuilder(app string, np int, opt Options, sigma float64, noise time.Durat
 	}
 	if opt.only > 0 {
 		b.lo, b.hi = opt.only-1, opt.only
+	}
+	if n := opt.ops; n > 0 {
+		// Each rank's capacity ends where the next rank begins, so an
+		// append beyond n reallocates instead of overwriting rank r+1.
+		arena := make([]trace.Op, np*n)
+		for r := range b.tr.Ranks {
+			b.tr.Ranks[r] = arena[r*n : r*n : (r+1)*n]
+		}
 	}
 	for r := b.lo; r < b.hi; r++ {
 		b.jit[r] = rand.New(rand.NewSource(opt.seed()*7919 + int64(r)*104729 + 13))
