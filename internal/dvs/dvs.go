@@ -148,24 +148,18 @@ func Evaluate(tr *trace.Trace, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// injectedBytes estimates the bytes rank r pushes into its host link for
-// one call (collectives approximated by their decomposition volume).
-func injectedBytes(op trace.Op, np int) int {
-	switch op.Call {
-	case trace.CallSend, trace.CallSendrecv:
-		return op.Bytes
-	case trace.CallAllreduce:
-		rounds := 0
-		for p := 1; p < np; p *= 2 {
-			rounds++
+// injectedBytes returns the bytes rank r of an np-rank job pushes into its
+// host link for one call: the sum over the send parts of the call's
+// trace.Steps, the schedule the replay engine charges for.
+func injectedBytes(op trace.Op, r, np int) int {
+	var buf [16]trace.Step
+	n := 0
+	for _, st := range trace.Steps(buf[:0], op, r, np) {
+		if st.Send >= 0 {
+			n += st.Bytes
 		}
-		return op.Bytes * rounds
-	case trace.CallBcast, trace.CallReduce:
-		return op.Bytes
-	case trace.CallAlltoall:
-		return op.Bytes * (np - 1)
 	}
-	return 0
+	return n
 }
 
 func evalRank(tr *trace.Trace, r int, cfg Config) RankResult {
@@ -220,7 +214,7 @@ func evalRank(tr *trace.Trace, r int, cfg Config) RankResult {
 				closeWindow()
 			}
 		case trace.OpCall:
-			winBytes += injectedBytes(op, tr.NP)
+			winBytes += injectedBytes(op, r, tr.NP)
 		}
 	}
 	if winBytes > 0 || out.Windows == 0 {

@@ -119,16 +119,25 @@ func TestLevelChangesCostRelock(t *testing.T) {
 }
 
 func TestInjectedBytes(t *testing.T) {
-	if got := injectedBytes(trace.Send(1, 100), 8); got != 100 {
-		t.Errorf("send = %d", got)
-	}
-	if got := injectedBytes(trace.Allreduce(100), 8); got != 300 { // 3 rounds
-		t.Errorf("allreduce = %d, want 300", got)
-	}
-	if got := injectedBytes(trace.Alltoall(10), 8); got != 70 {
-		t.Errorf("alltoall = %d, want 70", got)
-	}
-	if got := injectedBytes(trace.Recv(1), 8); got != 0 {
-		t.Errorf("recv = %d, want 0", got)
+	const b = 100
+	for _, c := range []struct {
+		op        trace.Op
+		r, np     int
+		want      int
+		rationale string
+	}{
+		{trace.Send(1, b), 0, 8, b, "send"},
+		{trace.Allreduce(b), 0, 8, 3 * b, "allreduce: 3 rounds"},
+		{trace.Alltoall(10), 0, 8, 70, "alltoall: 7 peers"},
+		{trace.Recv(1), 0, 8, 0, "recv sends nothing"},
+		{trace.Bcast(0, b), 0, 8, 3 * b, "bcast root feeds 3 subtrees"},
+		{trace.Bcast(0, b), 7, 8, 0, "bcast leaf"},
+		{trace.Reduce(0, b), 1, 8, b, "reduce leaf sends once"},
+		{trace.Reduce(0, b), 0, 8, 0, "reduce root only receives"},
+		{trace.Allreduce(b), 0, 6, b, "allreduce paired-out rank"},
+	} {
+		if got := injectedBytes(c.op, c.r, c.np); got != c.want {
+			t.Errorf("%v rank %d np %d (%s) = %d, want %d", c.op.Call, c.r, c.np, c.rationale, got, c.want)
+		}
 	}
 }

@@ -28,164 +28,96 @@ func combine(dst, src []float64, op ReduceOp) {
 	}
 }
 
-// Allreduce combines data element-wise across all ranks and returns the
-// result on every rank. It uses recursive doubling with the standard
-// non-power-of-two pre/post phases, the same decomposition the replay
-// simulator charges for.
-func (c *Comm) Allreduce(data []float64, op ReduceOp) []float64 {
-	s := c.enter(trace.CallAllreduce)
-	defer func() {
-		e := c.exit(trace.CallAllreduce, s)
-		c.recordOp(trace.Allreduce(bytesOf(data)), s, e)
-	}()
+// exchange runs this rank's trace.Steps of op with buf as its payload, own
+// telling whether buf starts as the rank's contribution. Every send carries
+// buf. While the rank holds its contribution, a receive is combined into buf
+// by f; after a send-only step the contribution has left, so a later receive
+// is the finished result and replaces buf, as every receive does on a rank
+// without a contribution. It returns the final buf and whether the rank
+// still holds its contribution.
+func (c *Comm) exchange(op trace.Op, buf []float64, f ReduceOp, own bool) ([]float64, bool) {
+	c.steps = trace.Steps(c.steps[:0], op, c.rank, c.rt.size)
+	for _, st := range c.steps {
+		if st.Send >= 0 {
+			c.send(st.Send, buf)
+		}
+		if st.Recv < 0 {
+			own = false
+			continue
+		}
+		if in := c.recv(st.Recv); own {
+			combine(buf, in, f)
+		} else {
+			buf = in
+		}
+	}
+	return buf, own
+}
 
+// Allreduce combines data element-wise across all ranks and returns the
+// result on every rank.
+func (c *Comm) Allreduce(data []float64, f ReduceOp) []float64 {
+	op := trace.Allreduce(bytesOf(data))
+	s := c.enter(op.Call)
+	defer func() { c.recordOp(op, s, c.exit(op.Call, s)) }()
 	acc := make([]float64, len(data))
 	copy(acc, data)
-	np, r := c.Size(), c.Rank()
-	if np == 1 {
-		return acc
-	}
-	pof2 := 1
-	for pof2*2 <= np {
-		pof2 *= 2
-	}
-	rem := np - pof2
-
-	newRank := -1
-	switch {
-	case r < 2*rem && r%2 == 0:
-		c.send(r+1, acc)
-		res := c.recv(r + 1)
-		copy(acc, res)
-		return acc
-	case r < 2*rem:
-		combine(acc, c.recv(r-1), op)
-		newRank = r / 2
-	default:
-		newRank = r - rem
-	}
-	oldRank := func(nr int) int {
-		if nr < rem {
-			return nr*2 + 1
-		}
-		return nr + rem
-	}
-	for mask := 1; mask < pof2; mask <<= 1 {
-		partner := oldRank(newRank ^ mask)
-		c.send(partner, acc)
-		combine(acc, c.recv(partner), op)
-	}
-	if r < 2*rem {
-		c.send(r-1, acc)
-	}
+	acc, _ = c.exchange(op, acc, f, true)
 	return acc
 }
 
-// Barrier blocks until every rank has entered it (dissemination algorithm).
+// Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() {
-	s := c.enter(trace.CallBarrier)
-	defer func() {
-		e := c.exit(trace.CallBarrier, s)
-		c.recordOp(trace.Barrier(), s, e)
-	}()
-	np, r := c.Size(), c.Rank()
-	for off := 1; off < np; off *= 2 {
-		c.send((r+off)%np, nil)
-		c.recv((r - off%np + np) % np)
-	}
+	op := trace.Barrier()
+	s := c.enter(op.Call)
+	defer func() { c.recordOp(op, s, c.exit(op.Call, s)) }()
+	c.exchange(op, nil, nil, false)
 }
 
-// Bcast distributes root's data to every rank (binomial tree) and returns it.
+// Bcast distributes root's data to every rank and returns it.
 func (c *Comm) Bcast(root int, data []float64) []float64 {
-	s := c.enter(trace.CallBcast)
-	defer func() {
-		e := c.exit(trace.CallBcast, s)
-		c.recordOp(trace.Bcast(root, bytesOf(data)), s, e)
-	}()
-	np, r := c.Size(), c.Rank()
+	op := trace.Bcast(root, bytesOf(data))
+	s := c.enter(op.Call)
+	defer func() { c.recordOp(op, s, c.exit(op.Call, s)) }()
 	buf := make([]float64, len(data))
-	if r == root {
+	if c.rank == root {
 		copy(buf, data)
 	}
-	if np == 1 {
-		return buf
-	}
-	vrank := (r - root + np) % np
-	mask := 1
-	for mask < np {
-		if vrank&mask != 0 {
-			src := (vrank - mask + root) % np
-			buf = c.recv(src)
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < np {
-			dst := (vrank + mask + root) % np
-			c.send(dst, buf)
-		}
-		mask >>= 1
-	}
+	buf, _ = c.exchange(op, buf, nil, false)
 	return buf
 }
 
-// Reduce combines data element-wise onto root (binomial tree); non-root
-// ranks receive nil.
-func (c *Comm) Reduce(root int, data []float64, op ReduceOp) []float64 {
-	s := c.enter(trace.CallReduce)
-	defer func() {
-		e := c.exit(trace.CallReduce, s)
-		c.recordOp(trace.Reduce(root, bytesOf(data)), s, e)
-	}()
-	np, r := c.Size(), c.Rank()
+// Reduce combines data element-wise onto root; non-root ranks receive nil.
+func (c *Comm) Reduce(root int, data []float64, f ReduceOp) []float64 {
+	op := trace.Reduce(root, bytesOf(data))
+	s := c.enter(op.Call)
+	defer func() { c.recordOp(op, s, c.exit(op.Call, s)) }()
 	acc := make([]float64, len(data))
 	copy(acc, data)
-	if np == 1 {
+	if acc, own := c.exchange(op, acc, f, true); own {
 		return acc
 	}
-	vrank := (r - root + np) % np
-	for mask := 1; mask < np; mask <<= 1 {
-		if vrank&mask == 0 {
-			if vrank+mask < np {
-				src := (vrank + mask + root) % np
-				combine(acc, c.recv(src), op)
-			}
-		} else {
-			dst := (vrank - mask + root) % np
-			c.send(dst, acc)
-			return nil
-		}
-	}
-	return acc
+	return nil
 }
 
 // Alltoall exchanges data[i*k:(i+1)*k] with every rank i, where k =
 // len(data)/Size(). The result holds the block received from each rank in
 // rank order.
 func (c *Comm) Alltoall(data []float64) []float64 {
-	s := c.enter(trace.CallAlltoall)
-	defer func() {
-		e := c.exit(trace.CallAlltoall, s)
-		perPair := 0
-		if c.Size() > 0 {
-			perPair = bytesOf(data) / c.Size()
-		}
-		c.recordOp(trace.Alltoall(perPair), s, e)
-	}()
 	np, r := c.Size(), c.Rank()
+	op := trace.Alltoall(bytesOf(data) / np)
+	s := c.enter(op.Call)
+	defer func() { c.recordOp(op, s, c.exit(op.Call, s)) }()
 	if len(data)%np != 0 {
 		panic("mpi: Alltoall data length not divisible by communicator size")
 	}
 	k := len(data) / np
 	out := make([]float64, len(data))
 	copy(out[r*k:(r+1)*k], data[r*k:(r+1)*k])
-	for i := 1; i < np; i++ {
-		to := (r + i) % np
-		from := (r - i + np) % np
-		c.send(to, data[to*k:(to+1)*k])
-		copy(out[from*k:(from+1)*k], c.recv(from))
+	c.steps = trace.Steps(c.steps[:0], op, r, np)
+	for _, st := range c.steps {
+		c.send(st.Send, data[st.Send*k:(st.Send+1)*k])
+		copy(out[st.Recv*k:(st.Recv+1)*k], c.recv(st.Recv))
 	}
 	return out
 }

@@ -1,9 +1,10 @@
 // Package mpi is a miniature in-process MPI runtime: ranks are goroutines,
-// point-to-point messages travel over channels, and collectives are built
-// from the same algorithms the replay simulator uses. Its purpose is to
-// demonstrate the paper's deployment path — the power saving mechanism runs
-// inside the profiling (PMPI) layer, so unmodified SPMD programs written
-// against this API get link power management for free (Section III).
+// point-to-point messages travel over channels, and collectives send
+// exactly the point-to-point steps of trace.Steps, the schedule the replay
+// simulator charges for. Its purpose is to demonstrate the paper's
+// deployment path — the power saving mechanism runs inside the profiling
+// (PMPI) layer, so unmodified SPMD programs written against this API get
+// link power management for free (Section III).
 package mpi
 
 import (
@@ -122,9 +123,10 @@ func Run(np int, fn func(c *Comm) error, opts ...Option) error {
 
 // Comm is one rank's handle onto the runtime (a communicator of all ranks).
 type Comm struct {
-	rt   *Runtime
-	rank int
-	prof Profiler
+	rt    *Runtime
+	rank  int
+	prof  Profiler
+	steps []trace.Step // the current collective's schedule, reused per call
 }
 
 // Rank returns the caller's rank.
@@ -165,7 +167,7 @@ func (c *Comm) recvCtx(ctx, src int) []float64 {
 	return m.data
 }
 
-// send/recv are the collective-context internals used by the algorithms in
+// send/recv are the collective-context internals used by the collectives in
 // collectives.go.
 func (c *Comm) send(dst int, data []float64) { c.sendCtx(ctxColl, dst, data) }
 func (c *Comm) recv(src int) []float64       { return c.recvCtx(ctxColl, src) }

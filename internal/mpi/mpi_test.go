@@ -88,7 +88,7 @@ func TestSendrecvRing(t *testing.T) {
 }
 
 func TestAllreduceSum(t *testing.T) {
-	for _, np := range []int{1, 2, 3, 4, 5, 7, 8, 12} {
+	for np := 1; np <= 17; np++ {
 		want := float64(np * (np - 1) / 2)
 		err := Run(np, func(c *Comm) error {
 			got := c.Allreduce([]float64{float64(c.Rank())}, Sum)
@@ -141,62 +141,68 @@ func TestBarrierOrdering(t *testing.T) {
 }
 
 func TestBcast(t *testing.T) {
-	for _, root := range []int{0, 2, 6} {
-		err := Run(7, func(c *Comm) error {
-			var data []float64
-			if c.Rank() == root {
-				data = []float64{3.14, 2.71}
-			} else {
-				data = make([]float64, 2)
+	for _, np := range []int{1, 5, 6, 7, 8, 13} {
+		for root := 0; root < np; root++ {
+			err := Run(np, func(c *Comm) error {
+				var data []float64
+				if c.Rank() == root {
+					data = []float64{3.14, 2.71}
+				} else {
+					data = make([]float64, 2)
+				}
+				got := c.Bcast(root, data)
+				if got[0] != 3.14 || got[1] != 2.71 {
+					return fmt.Errorf("np=%d root %d: rank %d got %v", np, root, c.Rank(), got)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := c.Bcast(root, data)
-			if got[0] != 3.14 || got[1] != 2.71 {
-				return fmt.Errorf("rank %d got %v", c.Rank(), got)
+		}
+	}
+}
+
+func TestReduce(t *testing.T) {
+	for _, np := range []int{1, 5, 6, 8, 9, 13} {
+		for root := 0; root < np; root++ {
+			err := Run(np, func(c *Comm) error {
+				got := c.Reduce(root, []float64{1}, Sum)
+				if c.Rank() == root {
+					if got == nil || got[0] != float64(np) {
+						return fmt.Errorf("np=%d: root %d result = %v, want [%d]", np, root, got, np)
+					}
+				} else if got != nil {
+					return fmt.Errorf("np=%d root %d: non-root rank %d got %v", np, root, c.Rank(), got)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func TestAlltoall(t *testing.T) {
+	for _, np := range []int{4, 7} {
+		err := Run(np, func(c *Comm) error {
+			r := c.Rank()
+			data := make([]float64, np)
+			for i := range data {
+				data[i] = float64(r*10 + i)
+			}
+			got := c.Alltoall(data)
+			for i := range got {
+				if got[i] != float64(i*10+r) {
+					return fmt.Errorf("np=%d rank %d slot %d = %v, want %v", np, r, i, got[i], float64(i*10+r))
+				}
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestReduce(t *testing.T) {
-	const np, root = 9, 4
-	err := Run(np, func(c *Comm) error {
-		got := c.Reduce(root, []float64{1}, Sum)
-		if c.Rank() == root {
-			if got == nil || got[0] != np {
-				return fmt.Errorf("root result = %v, want [%d]", got, np)
-			}
-		} else if got != nil {
-			return fmt.Errorf("non-root rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	const np = 4
-	err := Run(np, func(c *Comm) error {
-		r := c.Rank()
-		data := make([]float64, np)
-		for i := range data {
-			data[i] = float64(r*10 + i)
-		}
-		got := c.Alltoall(data)
-		for i := range got {
-			if got[i] != float64(i*10+r) {
-				return fmt.Errorf("rank %d slot %d = %v, want %v", r, i, got[i], float64(i*10+r))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -88,12 +88,6 @@ type Network struct {
 	faultPath  []topology.LinkID // RouteIDsAvoiding scratch, reused across messages
 	unroutable int               // transfers with no healthy path left
 
-	// Optional per-link busy interval recording (host links, Table I from
-	// the network's perspective and the Figure 6 timeline): a flat slice
-	// indexed by LinkID, allocated only when recording is enabled.
-	record    bool
-	intervals [][][2]time.Duration
-
 	// Optional streaming observer: every link reservation is reported as it
 	// happens (telemetry time series), with no per-reservation storage.
 	obs BusyObserver
@@ -130,20 +124,10 @@ type BusyObserver interface {
 	ObserveBusy(link topology.LinkID, start, end time.Duration)
 }
 
-// Observe attaches a streaming reservation observer (nil detaches). Unlike
-// RecordIntervals it stores nothing per reservation, so it is safe to leave
-// attached for arbitrarily long runs.
+// Observe attaches a streaming reservation observer (nil detaches). It
+// stores nothing per reservation, so it is safe to leave attached for
+// arbitrarily long runs.
 func (n *Network) Observe(o BusyObserver) { n.obs = o }
-
-// RecordIntervals enables per-link busy interval recording. The flat
-// per-LinkID interval table is only allocated once recording is requested,
-// so the sweeps that never look at intervals pay nothing for it.
-func (n *Network) RecordIntervals(on bool) {
-	n.record = on
-	if on && n.intervals == nil {
-		n.intervals = make([][][2]time.Duration, n.topo.NumLinks())
-	}
-}
 
 // SetFaults attaches a live fault set: subsequent transfers route around
 // blocked links via the fabric's FaultRouter. The set is read on every
@@ -290,9 +274,6 @@ func (n *Network) transferSegments(path []topology.LinkID, b int, head time.Dura
 func (n *Network) reserve(link topology.LinkID, start, dur time.Duration) {
 	n.nextFree[link] = start + dur
 	n.busy[link] += dur
-	if n.record && dur > 0 {
-		n.intervals[link] = append(n.intervals[link], [2]time.Duration{start, start + dur})
-	}
 	if n.obs != nil && dur > 0 {
 		n.obs.ObserveBusy(link, start, start+dur)
 	}
@@ -304,15 +285,6 @@ func (n *Network) LinkBusy(link topology.LinkID) time.Duration { return n.busy[l
 // NumLinks returns the number of directed links of the underlying fabric;
 // per-link state slices (LinkBusy consumers) are sized by it.
 func (n *Network) NumLinks() int { return n.topo.NumLinks() }
-
-// BusyIntervals returns recorded busy intervals for a directed link (only
-// populated when RecordIntervals(true)).
-func (n *Network) BusyIntervals(link topology.LinkID) [][2]time.Duration {
-	if n.intervals == nil {
-		return nil
-	}
-	return n.intervals[link]
-}
 
 // HostLinkID returns the directed link from terminal t into its first-hop
 // switch.
@@ -326,9 +298,6 @@ func (n *Network) Reset() {
 	for i := range n.nextFree {
 		n.nextFree[i] = 0
 		n.busy[i] = 0
-	}
-	for i := range n.intervals {
-		n.intervals[i] = nil
 	}
 	n.transfers = 0
 	n.bytes = 0

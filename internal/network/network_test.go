@@ -221,19 +221,6 @@ func TestBusyAccounting(t *testing.T) {
 	}
 }
 
-func TestRecordIntervals(t *testing.T) {
-	n := newNet(t, MessageLevel)
-	n.RecordIntervals(true)
-	n.Transfer(0, 1, 4096, 0)
-	ivs := n.BusyIntervals(n.HostLinkID(0))
-	if len(ivs) != 1 {
-		t.Fatalf("got %d busy intervals, want 1", len(ivs))
-	}
-	if ivs[0][1] <= ivs[0][0] {
-		t.Error("empty busy interval recorded")
-	}
-}
-
 func TestReset(t *testing.T) {
 	n := newNet(t, MessageLevel)
 	n.Transfer(0, 1, 4096, 0)

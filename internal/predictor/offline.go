@@ -188,7 +188,7 @@ func runRank(p Predictor, cur trace.Cursor, treact time.Duration, ov OverheadMod
 			// when the PPA ran; skip the Stats copy otherwise.
 			if act.PPAInvoked {
 				st := p.Stats().Detector
-				t += ov.CallCost(true, st.MaxPatternFrozen, st.PatternListSize) - ov.Interception
+				t += ov.PPACost(st.MaxPatternFrozen, st.PatternListSize)
 			}
 			if act.Shutdown {
 				ctrl.Shutdown(t, act.PredictedIdle)

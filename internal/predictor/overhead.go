@@ -28,20 +28,9 @@ func DefaultOverheads() OverheadModel {
 }
 
 // PPACost returns the modelled cost of one PPA invocation given the current
-// pattern size and pattern list size.
+// pattern size and pattern list size. A pattern size below 2 (no pattern
+// frozen yet; the detector finds periods from 2 grams up) is charged as 2.
 func (m OverheadModel) PPACost(patternSize, listSize int) time.Duration {
+	patternSize = max(patternSize, 2)
 	return m.PPABase + time.Duration(patternSize)*m.PPAPerGram + time.Duration(listSize)*m.PPAPerListEntry
-}
-
-// CallCost returns the modelled cost of one intercepted call given whether
-// the full PPA ran on it, using the detector's current state.
-func (m OverheadModel) CallCost(ppaInvoked bool, patternSize, listSize int) time.Duration {
-	c := m.Interception
-	if ppaInvoked {
-		if patternSize == 0 {
-			patternSize = 2
-		}
-		c += m.PPACost(patternSize, listSize)
-	}
-	return c
 }

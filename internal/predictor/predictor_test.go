@@ -250,12 +250,9 @@ func TestOverheadModel(t *testing.T) {
 	if c8 <= c2 {
 		t.Error("PPA cost must grow with pattern size")
 	}
-	// CallCost without PPA is just the interception.
-	if m.CallCost(false, 4, 10) != m.Interception {
-		t.Error("CallCost(false) must be interception only")
-	}
-	if m.CallCost(true, 0, 0) <= m.Interception {
-		t.Error("CallCost(true) must include PPA cost")
+	// Before any pattern is frozen the PPA is charged as for a 2-gram one.
+	if m.PPACost(0, 3) != m.PPACost(2, 3) {
+		t.Error("PPACost(0, n) must equal PPACost(2, n)")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"ibpower/internal/trace"
 )
 
-// matchSteps verifies that the micro-op decomposition of a collective is
+// matchSteps verifies that the trace.Steps decomposition of a collective is
 // globally consistent: every send has exactly one matching recv on the peer,
 // in an order that cannot deadlock under FIFO matching. It simulates the
 // engine's matching on the expanded programs.
@@ -20,9 +20,9 @@ func matchSteps(t *testing.T, op trace.Op, np int) {
 }
 
 func matchStepsErr(op trace.Op, np int) error {
-	progs := make([][]microOp, np)
+	progs := make([][]trace.Step, np)
 	for r := 0; r < np; r++ {
-		progs[r] = expand(nil, op, r, np)
+		progs[r] = trace.Steps(nil, op, r, np)
 	}
 	pos := make([]int, np)
 	type half struct{ sent, recvd bool }
@@ -39,9 +39,9 @@ func matchStepsErr(op trace.Op, np int) error {
 			}
 			m := progs[r][pos[r]]
 			st := &state[r]
-			if m.sendPeer >= 0 && !st.sent {
-				k := [2]int{r, m.sendPeer}
-				if pendRecv[[2]int{r, m.sendPeer}] > 0 {
+			if m.Send >= 0 && !st.sent {
+				k := [2]int{r, m.Send}
+				if pendRecv[[2]int{r, m.Send}] > 0 {
 					pendRecv[k]--
 					st.sent = true
 					progress = true
@@ -51,9 +51,9 @@ func matchStepsErr(op trace.Op, np int) error {
 					progress = true
 				}
 			}
-			recvOK := m.recvPeer < 0 || st.recvd
-			if m.recvPeer >= 0 && !st.recvd {
-				k := [2]int{m.recvPeer, r}
+			recvOK := m.Recv < 0 || st.recvd
+			if m.Recv >= 0 && !st.recvd {
+				k := [2]int{m.Recv, r}
 				if pendSend[k] > 0 {
 					pendSend[k]--
 					st.recvd = true
@@ -61,7 +61,7 @@ func matchStepsErr(op trace.Op, np int) error {
 					progress = true
 				}
 			}
-			if (m.sendPeer < 0 || st.sent) && recvOK {
+			if (m.Send < 0 || st.sent) && recvOK {
 				pos[r]++
 				state[r] = half{}
 				progress = true
@@ -109,24 +109,24 @@ func TestCollectiveDecompositionsMatch(t *testing.T) {
 
 func TestAllreduceStepCounts(t *testing.T) {
 	// Power of two: exactly log2(np) pairwise rounds per rank.
-	steps := allreduceSteps(nil, 0, 8, 64)
+	steps := trace.Steps(nil, trace.Allreduce(64), 0, 8)
 	if len(steps) != 3 {
 		t.Errorf("allreduce np=8 rank 0: %d steps, want 3", len(steps))
 	}
 	// Non power of two: paired-out even ranks do 2 steps.
-	steps = allreduceSteps(nil, 0, 6, 64)
+	steps = trace.Steps(nil, trace.Allreduce(64), 0, 6)
 	if len(steps) != 2 {
 		t.Errorf("allreduce np=6 rank 0 (paired out): %d steps, want 2", len(steps))
 	}
 	// np=1: nothing to do.
-	if len(allreduceSteps(nil, 0, 1, 64)) != 0 {
+	if len(trace.Steps(nil, trace.Allreduce(64), 0, 1)) != 0 {
 		t.Error("allreduce np=1 must be empty")
 	}
 }
 
 func TestDisseminationRounds(t *testing.T) {
 	for _, np := range []int{2, 3, 5, 8, 9, 16} {
-		steps := disseminationSteps(nil, 0, np, 0)
+		steps := trace.Steps(nil, trace.Barrier(), 0, np)
 		want := 0
 		for off := 1; off < np; off *= 2 {
 			want++
@@ -138,9 +138,9 @@ func TestDisseminationRounds(t *testing.T) {
 }
 
 func TestBcastRootSendsOnly(t *testing.T) {
-	steps := bcastSteps(nil, 2, 2, 8, 64)
+	steps := trace.Steps(nil, trace.Bcast(2, 64), 2, 8)
 	for _, s := range steps {
-		if s.recvPeer >= 0 {
+		if s.Recv >= 0 {
 			t.Error("root must not receive in a broadcast")
 		}
 	}
@@ -151,23 +151,23 @@ func TestBcastRootSendsOnly(t *testing.T) {
 
 func TestReduceLeafSendsOnce(t *testing.T) {
 	// In the binomial reduce, odd vranks send exactly once and never recv.
-	steps := reduceSteps(nil, 1, 0, 8, 64)
-	if len(steps) != 1 || steps[0].sendPeer != 0 || steps[0].recvPeer >= 0 {
+	steps := trace.Steps(nil, trace.Reduce(0, 64), 1, 8)
+	if len(steps) != 1 || steps[0].Send != 0 || steps[0].Recv >= 0 {
 		t.Errorf("leaf steps = %+v", steps)
 	}
 }
 
 func TestAlltoallTouchesAllPeers(t *testing.T) {
 	np := 7
-	steps := alltoallSteps(nil, 2, np, 64)
+	steps := trace.Steps(nil, trace.Alltoall(64), 2, np)
 	if len(steps) != np-1 {
 		t.Fatalf("steps = %d, want %d", len(steps), np-1)
 	}
 	sendSeen := map[int]bool{}
 	recvSeen := map[int]bool{}
 	for _, s := range steps {
-		sendSeen[s.sendPeer] = true
-		recvSeen[s.recvPeer] = true
+		sendSeen[s.Send] = true
+		recvSeen[s.Recv] = true
 	}
 	if len(sendSeen) != np-1 || len(recvSeen) != np-1 {
 		t.Errorf("peers covered: send %d recv %d, want %d", len(sendSeen), len(recvSeen), np-1)

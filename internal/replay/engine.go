@@ -31,7 +31,7 @@ type rankState struct {
 	inCall    bool
 	op        trace.Op // the call being executed (finishCall reports it)
 	callStart time.Duration
-	micro     []microOp // the call's steps; the rank's own buffer, reused per call
+	micro     []trace.Step // the call's steps; the rank's own buffer, reused per call
 	mi        int
 	issued    bool
 	needSend  bool
@@ -117,12 +117,12 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 	m := src.Meta()
 	js := &jobState{src: src, app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
 	e.jobs = append(e.jobs, js)
-	steps := presize(m.NP)
+	steps := trace.StepsCap(m.NP)
 	for r := 0; r < m.NP; r++ {
 		rs := &rankState{
 			r: r, g: js.base + r, base: js.base, np: m.NP,
 			term: terms[r], cur: src.Open(r), clk: start, jb: js,
-			micro: make([]microOp, 0, steps), sendTo: -1, recvFrom: -1,
+			micro: make([]trace.Step, 0, steps), sendTo: -1, recvFrom: -1,
 		}
 		if pw.Enabled {
 			p, err := predictor.NewNamed(pw.PredictorName, pw.Predictor)
@@ -255,7 +255,7 @@ func (e *engine) advance(rs *rankState) {
 			}
 			rs.op = op
 			rs.callStart = rs.clk
-			rs.micro = expand(rs.micro[:0], op, rs.r, rs.np)
+			rs.micro = trace.Steps(rs.micro[:0], op, rs.r, rs.np)
 			rs.mi = 0
 			rs.issued = false
 			rs.inCall = true
@@ -275,15 +275,15 @@ func (e *engine) stepMicro(rs *rankState) bool {
 	m := rs.micro[rs.mi]
 	if !rs.issued {
 		rs.issued = true
-		rs.needSend = m.sendPeer >= 0
-		rs.needRecv = m.recvPeer >= 0
+		rs.needSend = m.Send >= 0
+		rs.needRecv = m.Recv >= 0
 		rs.haveSend = !rs.needSend
 		rs.haveRecv = !rs.needRecv
 		if rs.needSend {
-			e.postSend(rs.g, rs.base+m.sendPeer, m.bytes, rs.clk)
+			e.postSend(rs.g, rs.base+m.Send, m.Bytes, rs.clk)
 		}
 		if rs.needRecv {
-			e.postRecv(rs.g, rs.base+m.recvPeer, rs.clk)
+			e.postRecv(rs.g, rs.base+m.Recv, rs.clk)
 		}
 	}
 	if !rs.haveSend || !rs.haveRecv {
@@ -316,7 +316,7 @@ func (e *engine) finishCall(rs *rankState) {
 	act := rs.pred.OnCall(ngram.EventID(op.Call), rs.callStart, rs.clk)
 	if act.PPAInvoked {
 		st := rs.pred.Stats().Detector
-		rs.clk += rs.jb.pw.Overheads.PPACost(max(st.MaxPatternFrozen, 2), st.PatternListSize)
+		rs.clk += rs.jb.pw.Overheads.PPACost(st.MaxPatternFrozen, st.PatternListSize)
 	}
 	if act.Shutdown {
 		rs.ctrl.Shutdown(rs.clk, act.PredictedIdle)

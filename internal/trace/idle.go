@@ -70,37 +70,11 @@ func (d *IdleDist) Merge(other IdleDist) {
 	}
 }
 
-// RankIdleIntervals returns the inter-communication intervals of rank r: the
-// accumulated computation time between consecutive MPI calls. These are the
-// periods during which the rank's host link carries no traffic from this
-// rank, i.e. the candidates for lane shutdown.
-func (t *Trace) RankIdleIntervals(r int) []time.Duration {
-	var out []time.Duration
-	var cur time.Duration
-	seenCall := false
-	for _, op := range t.Ranks[r] {
-		switch op.Kind {
-		case OpCompute:
-			cur += op.Duration
-		case OpCall:
-			if seenCall && cur > 0 {
-				out = append(out, cur)
-			}
-			seenCall = true
-			cur = 0
-		}
-	}
-	return out
-}
-
 // IdleDistribution aggregates the idle-interval distribution over every rank
-// of the trace, as in the paper's Table I.
+// of the trace, as in the paper's Table I: per rank, the accumulated
+// computation time between consecutive MPI calls, the periods during which
+// the rank's host link carries no traffic from it.
 func (t *Trace) IdleDistribution() IdleDist {
-	var d IdleDist
-	for r := 0; r < t.NP; r++ {
-		for _, idle := range t.RankIdleIntervals(r) {
-			d.Add(idle)
-		}
-	}
+	d, _ := SourceIdleDistribution(t) // an in-memory cursor cannot fail
 	return d
 }

@@ -169,8 +169,10 @@ func CheckOp(np, r, i int, op Op) error {
 }
 
 // SourceIdleDistribution aggregates the Table I idle-interval distribution
-// over every rank of src, streaming one op at a time — the cursor-based
-// counterpart of (*Trace).IdleDistribution, with O(1) memory per rank.
+// over every rank of src, streaming one op at a time with O(1) memory per
+// rank. An idle interval is the computation time accumulated between two
+// consecutive calls; time before the first call and after the last is not
+// one.
 func SourceIdleDistribution(src Source) (IdleDist, error) {
 	var d IdleDist
 	m := src.Meta()

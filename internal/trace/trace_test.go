@@ -137,9 +137,9 @@ func TestRankIdleIntervals(t *testing.T) {
 	tr.Append(0, Compute(20*us)) // merged: 50µs between calls
 	tr.Append(0, Barrier())
 	tr.Append(0, Compute(99*us)) // trailing: not an interval
-	got := tr.RankIdleIntervals(0)
-	if len(got) != 1 || got[0] != 50*us {
-		t.Errorf("intervals = %v, want [50µs]", got)
+	d := tr.IdleDistribution()
+	if d.Count != [3]int{0, 1, 0} || d.TotalTime() != 50*us {
+		t.Errorf("intervals = %v totalling %v, want one of 50µs", d.Count, d.TotalTime())
 	}
 }
 
