@@ -17,9 +17,11 @@
 //	topos             registered fabrics with size and compact-table memory
 //	trace             packed binary trace files: pack, cat, info
 //
-// Every simulating subcommand (all but ppa, topos and trace) accepts
-// -predictor to select the idle predictor from the registry (ngram, oracle,
-// offline, lastvalue, ewma, static-gt); compare runs them all side by side.
+// Every simulating subcommand (all but ppa, topos and trace) shares one flag
+// set: -seed and -scale for workload generation, -parallel for the worker
+// pool, and -predictor to select the idle predictor from the registry
+// (ngram, oracle, offline, lastvalue, ewma, static-gt); compare runs them
+// all side by side.
 // All of them but gt, whose GT selection is network-free, also accept -topo
 // to select the simulated fabric from the topology registry (xgft — the paper's
 // XGFT(2;18,14;1,18) and the default — xgft3, dragonfly, torus2d, torus3d,
@@ -42,14 +44,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"ibpower/internal/dvs"
 	"ibpower/internal/harness"
 	"ibpower/internal/multijob"
 	"ibpower/internal/ngram"
@@ -58,62 +59,156 @@ import (
 	"ibpower/internal/replay"
 	"ibpower/internal/scenario"
 	"ibpower/internal/stats"
-	"ibpower/internal/sweep"
 	"ibpower/internal/topology"
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
+
+// command is one subcommand: its name on the command line and the function
+// that parses its flags and runs it.
+type command struct {
+	name string
+	run  func(args []string) error
+}
+
+// commands is the dispatch table, in the order the usage line lists it.
+var commands = []command{
+	{"tableI", cmdTableI},
+	{"gt", cmdGT},
+	{"overheads", cmdOverheads},
+	{"figures", cmdFigures},
+	{"compare", cmdCompare},
+	{"multijob", cmdMultijob},
+	{"scenario", cmdScenario},
+	{"timeline", cmdTimeline},
+	{"ppa", cmdPPA},
+	{"energy", cmdEnergy},
+	{"dvs", cmdDVS},
+	{"weak", cmdWeak},
+	{"topos", cmdTopos},
+	{"trace", cmdTrace},
+}
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "tableI":
-		err = cmdTableI(os.Args[2:])
-	case "gt":
-		err = cmdGT(os.Args[2:])
-	case "overheads":
-		err = cmdOverheads(os.Args[2:])
-	case "figures":
-		err = cmdFigures(os.Args[2:])
-	case "compare":
-		err = cmdCompare(os.Args[2:])
-	case "multijob":
-		err = cmdMultijob(os.Args[2:])
-	case "scenario":
-		err = cmdScenario(os.Args[2:])
-	case "timeline":
-		err = cmdTimeline(os.Args[2:])
-	case "ppa":
-		err = cmdPPA(os.Args[2:])
-	case "energy":
-		err = cmdEnergy(os.Args[2:])
-	case "dvs":
-		err = cmdDVS(os.Args[2:])
-	case "weak":
-		err = cmdWeak(os.Args[2:])
-	case "topos":
-		err = cmdTopos(os.Args[2:])
-	case "trace":
-		err = cmdTrace(os.Args[2:])
-	case "-h", "--help", "help":
+	name := os.Args[1]
+	if name == "-h" || name == "--help" || name == "help" {
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "ibpower: unknown subcommand %q\n", os.Args[1])
+		return
+	}
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
+	if i < 0 {
+		fmt.Fprintf(os.Stderr, "ibpower: unknown subcommand %q\n", name)
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err := commands[i].run(os.Args[2:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ibpower:", err)
 		os.Exit(1)
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: ibpower <tableI|gt|overheads|figures|compare|multijob|scenario|timeline|ppa|energy|dvs|weak|topos|trace> [flags]`)
+	names := make([]string, len(commands))
+	for i, c := range commands {
+		names[i] = c.name
+	}
+	fmt.Fprintf(os.Stderr, "usage: ibpower <%s> [flags]\n", strings.Join(names, "|"))
+}
+
+// Optional shared flags a simulating subcommand opts into with newSim.
+const (
+	withTopo       = 1 << iota // -topo: the simulated fabric
+	withTraceFile              // -tracefile: serve workloads from a packed trace file
+	withTimeseries             // -timeseries: record streaming telemetry of a single run
+)
+
+// sim is the flag set of one simulating subcommand. It registers the flags
+// every such subcommand shares, and builds the harness.Runner they select;
+// the subcommand adds its own flags to the embedded FlagSet.
+type sim struct {
+	*flag.FlagSet
+	opt        workloads.Options
+	par        int
+	pred, topo string
+	traceFile  string
+	timeseries string
+}
+
+// newSim registers -seed, -scale, -parallel and -predictor (defaulting to
+// pred; compare's "" means all registered) plus the optional flags in with.
+// Without -topo the Runner simulates the paper's fabric.
+func newSim(name, pred string, with int) *sim {
+	s := &sim{FlagSet: flag.NewFlagSet(name, flag.ExitOnError), topo: topology.DefaultFabric}
+	s.Int64Var(&s.opt.Seed, "seed", 42, "generation seed")
+	s.Float64Var(&s.opt.IterScale, "scale", 1.0, "iteration count multiplier")
+	// Results are bit-identical at any -parallel setting; only wall-clock
+	// time changes.
+	s.IntVar(&s.par, "parallel", 0, "max concurrent experiment points (0 = GOMAXPROCS, 1 = serial)")
+	s.StringVar(&s.pred, "predictor", pred,
+		"idle predictor (one of: "+strings.Join(predictor.Names(), ", ")+")")
+	if with&withTopo != 0 {
+		s.StringVar(&s.topo, "topo", topology.DefaultFabric,
+			"interconnect fabric (one of: "+strings.Join(topology.Names(), ", ")+")")
+	}
+	if with&withTraceFile != 0 {
+		s.StringVar(&s.traceFile, "tracefile", "",
+			"packed binary trace file serving matching (app,np) workloads (see 'ibpower trace pack')")
+	}
+	if with&withTimeseries != 0 {
+		s.StringVar(&s.timeseries, "timeseries", "",
+			"write streaming telemetry to this file (versioned JSON; .prom suffix selects Prometheus text exposition; - = stdout)")
+	}
+	return s
+}
+
+// parse parses args and validates the -predictor and -topo selections, so a
+// typo in either fails fast listing its registry before any simulation.
+func (s *sim) parse(args []string) error {
+	s.Parse(args)
+	if s.pred != "" {
+		if err := predictor.CheckRegistered(s.pred); err != nil {
+			return err
+		}
+	}
+	return topology.CheckRegistered(s.topo)
+}
+
+// runner returns the Runner the shared flags select: the default replay
+// config with the chosen predictor and fabric, bounded to -parallel workers,
+// recording telemetry when -timeseries is set, and serving workloads from
+// the -tracefile when one is given. The returned closer must run after the
+// experiment completes — cursors read from the file throughout the run.
+func (s *sim) runner() (*harness.Runner, func() error, error) {
+	cfg := replay.DefaultConfig().WithPredictor(s.pred).WithFabric(s.topo)
+	cfg.Parallelism = s.par
+	cfg.Telemetry.Enabled = s.timeseries != ""
+	r := harness.NewRunner(s.opt, cfg)
+	if s.traceFile == "" {
+		return r, func() error { return nil }, nil
+	}
+	f, err := trace.OpenFile(s.traceFile)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.File = f
+	return r, f.Close, nil
+}
+
+// appList splits a comma-separated -apps value; empty selects every
+// application.
+func appList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	apps := strings.Split(s, ",")
+	for i := range apps {
+		apps[i] = strings.TrimSpace(apps[i])
+	}
+	return apps
 }
 
 // cmdTopos lists every registered fabric with its size and the resident
@@ -146,24 +241,17 @@ func cmdTopos(args []string) error {
 // cmdWeak tests the paper's Section III prediction that the mechanism is
 // more effective under weak scaling.
 func cmdWeak(args []string) error {
-	fs := flag.NewFlagSet("weak", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	d := fs.Float64("d", 0.01, "displacement factor")
-	tf := traceFileFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("weak", predictor.DefaultName, withTopo|withTraceFile)
+	d := s.Float64("d", 0.01, "displacement factor")
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
-	closeTF, err := attachTraceFile(runner, *tf)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	defer closeTF()
-	rows, err := runner.WeakScaling(*d)
+	defer done()
+	rows, err := r.WeakScaling(*d)
 	if err != nil {
 		return err
 	}
@@ -173,238 +261,109 @@ func cmdWeak(args []string) error {
 // cmdDVS compares the WRPS on/off mechanism against the history-based link
 // DVS baseline (related work, Section V) on host-link power.
 func cmdDVS(args []string) error {
-	fs := flag.NewFlagSet("dvs", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	np := fs.Int("np", 16, "process count")
-	d := fs.Float64("d", 0.01, "WRPS displacement factor")
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("dvs", predictor.DefaultName, withTopo)
+	np := s.Int("np", 16, "process count")
+	d := s.Float64("d", 0.01, "WRPS displacement factor")
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	type row struct {
-		wrps *replay.Result
-		dv   *dvs.Result
-	}
-	apps := workloads.Apps()
-	rows, err := sweep.Map(context.Background(), *par, apps,
-		func(_ context.Context, _ int, app string) (row, error) {
-			tr, err := workloads.Generate(app, *np, *opt)
-			if err != nil {
-				return row{}, err
-			}
-			gt, _, err := harness.ChooseGT(tr, harness.DefaultGTGrid(), 1.0)
-			if err != nil {
-				return row{}, err
-			}
-			wrps, err := replay.RunSource(tr, replay.DefaultConfig().WithPredictor(*pred).WithFabric(*topo).WithPower(gt, *d))
-			if err != nil {
-				return row{}, err
-			}
-			dv, err := dvs.Evaluate(tr, dvs.DefaultConfig())
-			if err != nil {
-				return row{}, err
-			}
-			return row{wrps: wrps, dv: dv}, nil
-		})
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	t := stats.NewTable("app", "Nproc", "WRPS saving[%]", "DVS saving[%]", "DVS added serial/rank")
-	for i, app := range apps {
-		t.Row(app, *np, rows[i].wrps.AvgSavingPct(), rows[i].dv.AvgSavingPct(),
-			rows[i].dv.AvgAddedSerial().Round(time.Microsecond))
+	defer done()
+	rows, err := r.DVS(*d, *np)
+	if err != nil {
+		return err
 	}
-	return t.Write(os.Stdout)
+	return harness.WriteDVS(os.Stdout, rows)
 }
 
 // cmdEnergy runs the extension experiment: lanes-only vs deep-sleep savings
 // under the whole-switch and decomposed fabric power models.
 func cmdEnergy(args []string) error {
-	fs := flag.NewFlagSet("energy", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	d := fs.Float64("d", 0.01, "displacement factor")
-	apps := fs.String("apps", "", "comma-separated app filter (default all)")
-	np := fs.Int("np", 16, "process count")
-	deepUS := fs.Int("deepus", 1000, "deep-mode reactivation time [us]")
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("energy", predictor.DefaultName, withTopo)
+	d := s.Float64("d", 0.01, "displacement factor")
+	apps := s.String("apps", "", "comma-separated app filter (default all)")
+	np := s.Int("np", 16, "process count")
+	deepUS := s.Int("deepus", 1000, "deep-mode reactivation time [us]")
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	names := workloads.Apps()
-	if *apps != "" {
-		names = strings.Split(*apps, ",")
+	r, done, err := s.runner()
+	if err != nil {
+		return err
 	}
+	defer done()
 	deep := power.DeepConfig{Treact: time.Duration(*deepUS) * time.Microsecond}
 	fmt.Printf("deep mode: reactivation %v, entry threshold %v (energy breakeven)\n",
 		deep.Treact, deep.BreakevenIdle(power.Treact).Round(time.Microsecond))
-	cfg := replay.DefaultConfig().WithPredictor(*pred).WithFabric(*topo)
-	rows, err := sweep.Map(context.Background(), *par, names,
-		func(_ context.Context, _ int, app string) (*harness.EnergyRow, error) {
-			return harness.Energy(strings.TrimSpace(app), *np, *d, *opt, deep, cfg)
-		})
+	rows, err := r.Energy(*d, *np, deep, appList(*apps)...)
 	if err != nil {
 		return err
 	}
 	return harness.WriteEnergy(os.Stdout, rows)
 }
 
-func optFlags(fs *flag.FlagSet) *workloads.Options {
-	opt := &workloads.Options{}
-	fs.Int64Var(&opt.Seed, "seed", 42, "generation seed")
-	fs.Float64Var(&opt.IterScale, "scale", 1.0, "iteration count multiplier")
-	return opt
-}
-
-// parFlag registers the worker-pool size shared by every subcommand.
-// Results are bit-identical at any setting; only wall-clock time changes.
-func parFlag(fs *flag.FlagSet) *int {
-	return fs.Int("parallel", 0, "max concurrent experiment points (0 = GOMAXPROCS, 1 = serial)")
-}
-
-// predFlag registers the predictor selection shared by every subcommand.
-// def is the default name ("" on compare, which runs all of them).
-func predFlag(fs *flag.FlagSet, def string) *string {
-	return fs.String("predictor", def,
-		"idle predictor (one of: "+strings.Join(predictor.Names(), ", ")+")")
-}
-
-// topoFlag registers the fabric selection shared by every subcommand.
-func topoFlag(fs *flag.FlagSet) *string {
-	return fs.String("topo", topology.DefaultFabric,
-		"interconnect fabric (one of: "+strings.Join(topology.Names(), ", ")+")")
-}
-
-// checkPredictor validates a -predictor value before any simulation starts,
-// so a typo fails fast on every subcommand. The empty value (compare's
-// default) means "all registered".
-func checkPredictor(name string) error {
-	if name == "" {
-		return nil
-	}
-	return predictor.CheckRegistered(name)
-}
-
-// checkFlags validates the -predictor and -topo selections together, so a
-// typo in either fails fast listing its registry.
-func checkFlags(pred, topo string) error {
-	if err := checkPredictor(pred); err != nil {
-		return err
-	}
-	return topology.CheckRegistered(topo)
-}
-
-// configWith returns the default replay config bounded to par workers with
-// the named predictor and fabric selected.
-func configWith(par int, pred, topo string) replay.Config {
-	cfg := replay.DefaultConfig().WithPredictor(pred).WithFabric(topo)
-	cfg.Parallelism = par
-	return cfg
-}
-
 func cmdTableI(args []string) error {
-	fs := flag.NewFlagSet("tableI", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	tf := traceFileFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("tableI", predictor.DefaultName, withTopo|withTraceFile)
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
-	closeTF, err := attachTraceFile(runner, *tf)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	defer closeTF()
-	rows, err := runner.TableI()
+	defer done()
+	rows, err := r.TableI()
 	if err != nil {
 		return err
 	}
 	return harness.WriteTableI(os.Stdout, rows)
 }
 
+// cmdGT runs Table III over every workload, or the Figure 10 sweep of one
+// with -app. GT selection runs on the network-free offline runner (predictor
+// and controller only), so no fabric can affect it and gt takes no -topo.
 func cmdGT(args []string) error {
-	fs := flag.NewFlagSet("gt", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	app := fs.String("app", "", "application (empty: Table III over all apps)")
-	np := fs.Int("np", 64, "process count for -app sweeps")
-	tf := traceFileFlag(fs)
-	fs.Parse(args)
-	if err := checkPredictor(*pred); err != nil {
+	s := newSim("gt", predictor.DefaultName, withTraceFile)
+	app := s.String("app", "", "application (empty: Table III over all apps)")
+	np := s.Int("np", 64, "process count for -app sweeps")
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	// GT selection runs on the network-free offline runner (predictor and
-	// controller only), so no fabric can affect it and gt takes no -topo.
+	r, done, err := s.runner()
+	if err != nil {
+		return err
+	}
+	defer done()
 	if *app == "" {
 		// Table III: GT selection always scores the reference n-gram
 		// predictor (see harness.ChooseGT); -predictor is validated only.
-		runner := harness.NewRunner(*opt, configWith(*par, *pred, topology.DefaultFabric))
-		closeTF, err := attachTraceFile(runner, *tf)
-		if err != nil {
-			return err
-		}
-		defer closeTF()
-		rows, err := runner.TableIII()
+		rows, err := r.TableIII()
 		if err != nil {
 			return err
 		}
 		return harness.WriteTableIII(os.Stdout, rows)
 	}
-	var src trace.Source
-	if *tf != "" {
-		f, err := trace.OpenFile(*tf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if f.Has(*app, *np) {
-			if src, err = f.Source(*app, *np); err != nil {
-				return err
-			}
-		}
-	}
-	if src == nil {
-		tr, err := workloads.Generate(*app, *np, *opt)
-		if err != nil {
-			return err
-		}
-		src = tr
-	}
-	pts, err := harness.GTSweep(src, *pred, harness.DefaultGTGrid(), *par)
+	pts, err := r.GTSweep(*app, *np)
 	if err != nil {
 		return err
 	}
-	return harness.WriteGTSweep(os.Stdout, *app, *np, *pred, pts)
+	return harness.WriteGTSweep(os.Stdout, *app, *np, s.pred, pts)
 }
 
 func cmdOverheads(args []string) error {
-	fs := flag.NewFlagSet("overheads", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	tf := traceFileFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("overheads", predictor.DefaultName, withTopo|withTraceFile)
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
-	closeTF, err := attachTraceFile(runner, *tf)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	defer closeTF()
-	rows, err := runner.TableIV()
+	defer done()
+	rows, err := r.TableIV()
 	if err != nil {
 		return err
 	}
@@ -412,16 +371,10 @@ func cmdOverheads(args []string) error {
 }
 
 func cmdFigures(args []string) error {
-	fs := flag.NewFlagSet("figures", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	d := fs.Float64("d", 0, "displacement factor (0: all of 0.10, 0.05, 0.01)")
-	apps := fs.String("apps", "", "comma-separated app filter")
-	tf := traceFileFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("figures", predictor.DefaultName, withTopo|withTraceFile)
+	d := s.Float64("d", 0, "displacement factor (0: all of 0.10, 0.05, 0.01)")
+	apps := s.String("apps", "", "comma-separated app filter")
+	if err := s.parse(args); err != nil {
 		return err
 	}
 	ds := harness.Displacements
@@ -430,19 +383,15 @@ func cmdFigures(args []string) error {
 	}
 	// One Runner across displacement factors: traces and GT choices are
 	// generated once and shared by all three figures.
-	runner := harness.NewRunner(*opt, configWith(*par, *pred, *topo))
-	closeTF, err := attachTraceFile(runner, *tf)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	defer closeTF()
+	defer done()
 	for _, disp := range ds {
-		rows, err := runner.Figure(disp)
+		rows, err := r.Figure(disp, appList(*apps)...)
 		if err != nil {
 			return err
-		}
-		if *apps != "" {
-			rows = filterRows(rows, *apps)
 		}
 		if err := harness.WriteFigure(os.Stdout, disp, rows); err != nil {
 			return err
@@ -457,37 +406,24 @@ func cmdFigures(args []string) error {
 // (application, process count) point, all at the workload's Table III
 // grouping threshold against one shared baseline replay.
 func cmdCompare(args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, "")
-	topo := topoFlag(fs)
-	d := fs.Float64("d", 0.01, "displacement factor")
-	apps := fs.String("apps", "", "comma-separated app filter")
-	tf := traceFileFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("compare", "", withTopo|withTraceFile)
+	d := s.Float64("d", 0.01, "displacement factor")
+	apps := s.String("apps", "", "comma-separated app filter")
+	if err := s.parse(args); err != nil {
 		return err
 	}
 	var names []string
-	if *pred != "" {
-		names = []string{*pred}
+	if s.pred != "" {
+		names = []string{s.pred}
 	}
-	// The app filter restricts the sweep itself: filtered-out workloads are
-	// never generated or replayed.
-	var only []string
-	if *apps != "" {
-		for _, a := range strings.Split(*apps, ",") {
-			only = append(only, strings.TrimSpace(a))
-		}
-	}
-	runner := harness.NewRunner(*opt, configWith(*par, "", *topo))
-	closeTF, err := attachTraceFile(runner, *tf)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	defer closeTF()
-	rows, err := runner.Compare(*d, names, only...)
+	defer done()
+	// The app filter restricts the sweep itself: filtered-out workloads are
+	// never generated or replayed.
+	rows, err := r.Compare(*d, names, appList(*apps)...)
 	if err != nil {
 		return err
 	}
@@ -500,40 +436,28 @@ func cmdCompare(args []string) error {
 // replay times the union of all jobs' traffic. With -sweep it runs every
 // registered placement over the default job mixes instead of one scenario.
 func cmdMultijob(args []string) error {
-	fs := flag.NewFlagSet("multijob", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	jobsStr := fs.String("jobs", "gromacs:16,alya:16", "job mix as app:np,... (e.g. gromacs:64,alya:16)")
-	placement := fs.String("placement", multijob.DefaultPlacement,
+	s := newSim("multijob", predictor.DefaultName, withTopo|withTraceFile|withTimeseries)
+	jobsStr := s.String("jobs", "gromacs:16,alya:16", "job mix as app:np,... (e.g. gromacs:64,alya:16)")
+	placement := s.String("placement", multijob.DefaultPlacement,
 		"placement policy (one of: "+strings.Join(multijob.Names(), ", ")+")")
-	d := fs.Float64("d", 0.01, "displacement factor")
-	sweepAll := fs.Bool("sweep", false, "run every placement over the default job mixes (ignores -jobs/-placement)")
-	tf := traceFileFlag(fs)
-	tsPath := timeseriesFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	d := s.Float64("d", 0.01, "displacement factor")
+	sweepAll := s.Bool("sweep", false, "run every placement over the default job mixes (ignores -jobs/-placement)")
+	if err := s.parse(args); err != nil {
 		return err
 	}
 	if err := multijob.CheckRegistered(*placement); err != nil {
 		return err
 	}
-	if *tsPath != "" && *sweepAll {
+	if s.timeseries != "" && *sweepAll {
 		return fmt.Errorf("ibpower: -timeseries records a single run; drop -sweep")
 	}
-	cfg := configWith(*par, *pred, *topo)
-	if *tsPath != "" {
-		cfg.Telemetry.Enabled = true
-	}
-	runner := harness.NewRunner(*opt, cfg)
-	closeTF, err := attachTraceFile(runner, *tf)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	defer closeTF()
+	defer done()
 	if *sweepAll {
-		rows, err := runner.MultijobSweep(nil, nil, *d)
+		rows, err := r.MultijobSweep(nil, nil, *d)
 		if err != nil {
 			return err
 		}
@@ -543,17 +467,14 @@ func cmdMultijob(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := runner.Multijob(jobs, *placement, *d)
+	res, err := r.Multijob(jobs, *placement, *d)
 	if err != nil {
 		return err
 	}
 	if err := multijob.WriteResult(os.Stdout, res); err != nil {
 		return err
 	}
-	if *tsPath != "" {
-		return writeTimeSeries(*tsPath, res.Series)
-	}
-	return nil
+	return s.writeTimeSeries(res.Series)
 }
 
 // cmdScenario simulates job churn on one shared fabric (experiment E16):
@@ -568,28 +489,21 @@ func cmdMultijob(args []string) error {
 // resilience grid of ";"-separated fault specs x schedulers (experiment
 // E17).
 func cmdScenario(args []string) error {
-	fs := flag.NewFlagSet("scenario", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	specStr := fs.String("spec", "",
+	s := newSim("scenario", predictor.DefaultName, withTopo|withTraceFile|withTimeseries)
+	specStr := s.String("spec", "",
 		"scenario spec as key=value,... (keys: jobs, apps, size, arrival, speed, seed, faults; e.g. jobs=200,size=zipf:16:256,arrival=poisson:30s,seed=7)")
-	specFile := fs.String("specfile", "", "file with one spec key=value per line (# comments); -spec overlays it")
-	sched := fs.String("sched", scenario.DefaultScheduler,
+	specFile := s.String("specfile", "", "file with one spec key=value per line (# comments); -spec overlays it")
+	sched := s.String("sched", scenario.DefaultScheduler,
 		"scheduling policy (one of: "+strings.Join(scenario.Names(), ", ")+")")
-	placement := fs.String("placement", multijob.DefaultPlacement,
+	placement := s.String("placement", multijob.DefaultPlacement,
 		"placement policy ordering the terminal free-list (one of: "+strings.Join(multijob.Names(), ", ")+")")
-	d := fs.Float64("d", 0.01, "displacement factor")
-	sweepAll := fs.Bool("sweep", false, "run every scheduler x placement pairing over the spec (ignores -sched/-placement)")
-	faults := fs.String("faults", "",
+	d := s.Float64("d", 0.01, "displacement factor")
+	sweepAll := s.Bool("sweep", false, "run every scheduler x placement pairing over the spec (ignores -sched/-placement)")
+	faults := s.String("faults", "",
 		"fault spec as kind:dist:mean[:mttr=d],... (kinds: link, switch, term; e.g. link:poisson:10m:mttr=2m,switch:fixed:5m); overrides the spec's faults key")
-	faultSweep := fs.String("faultsweep", "",
+	faultSweep := s.String("faultsweep", "",
 		"resilience grid (E17): \";\"-separated fault specs (empty item = fault-free baseline) x every scheduler; ignores -sched/-faults")
-	tf := traceFileFlag(fs)
-	tsPath := timeseriesFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	if err := s.parse(args); err != nil {
 		return err
 	}
 	if err := scenario.CheckRegistered(*sched); err != nil {
@@ -616,109 +530,69 @@ func cmdScenario(args []string) error {
 			return err
 		}
 	}
-	if *tsPath != "" && (*sweepAll || *faultSweep != "") {
+	if s.timeseries != "" && (*sweepAll || *faultSweep != "") {
 		return fmt.Errorf("ibpower: -timeseries records a single scenario cell; drop -sweep/-faultsweep")
 	}
-	cfg := configWith(*par, *pred, *topo)
-	if *tsPath != "" {
-		cfg.Telemetry.Enabled = true
-	}
-	runner := harness.NewRunner(*opt, cfg)
-	closeTF, err := attachTraceFile(runner, *tf)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	defer closeTF()
+	defer done()
 	if *faultSweep != "" {
-		rows, err := runner.ScenarioFaultSweep(spec, strings.Split(*faultSweep, ";"), nil, *d)
+		rows, err := r.ScenarioFaultSweep(spec, strings.Split(*faultSweep, ";"), nil, *d)
 		if err != nil {
 			return err
 		}
 		return harness.WriteScenarioFaultSweep(os.Stdout, spec, rows)
 	}
 	if *sweepAll {
-		rows, err := runner.ScenarioSweep(spec, nil, nil, *d)
+		rows, err := r.ScenarioSweep(spec, nil, nil, *d)
 		if err != nil {
 			return err
 		}
 		return harness.WriteScenarioSweep(os.Stdout, spec, rows)
 	}
 	fmt.Printf("scenario %s\n", spec)
-	res, err := runner.Scenario(spec, *sched, *placement, *d)
+	res, err := r.Scenario(spec, *sched, *placement, *d)
 	if err != nil {
 		return err
 	}
 	if err := multijob.WriteChurn(os.Stdout, res); err != nil {
 		return err
 	}
-	if *tsPath != "" {
-		return writeTimeSeries(*tsPath, res.Series)
-	}
-	return nil
-}
-
-func filterRows(rows []harness.FigureRow, apps string) []harness.FigureRow {
-	keep := map[string]bool{}
-	for _, a := range strings.Split(apps, ",") {
-		keep[strings.TrimSpace(a)] = true
-	}
-	var out []harness.FigureRow
-	for _, r := range rows {
-		if keep[r.App] {
-			out = append(out, r)
-		}
-	}
-	return out
+	return s.writeTimeSeries(res.Series)
 }
 
 func cmdTimeline(args []string) error {
-	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
-	opt := optFlags(fs)
-	par := parFlag(fs)
-	pred := predFlag(fs, predictor.DefaultName)
-	topo := topoFlag(fs)
-	app := fs.String("app", "gromacs", "application")
-	np := fs.Int("np", 16, "process count")
-	d := fs.Float64("d", 0.10, "displacement factor")
-	width := fs.Int("width", 100, "rendering width")
-	prv := fs.Bool("prv", false, "emit Paraver-like records instead of ASCII")
-	tsPath := timeseriesFlag(fs)
-	fs.Parse(args)
-	if err := checkFlags(*pred, *topo); err != nil {
+	s := newSim("timeline", predictor.DefaultName, withTopo|withTimeseries)
+	app := s.String("app", "gromacs", "application")
+	np := s.Int("np", 16, "process count")
+	d := s.Float64("d", 0.10, "displacement factor")
+	width := s.Int("width", 100, "rendering width")
+	prv := s.Bool("prv", false, "emit Paraver-like records instead of ASCII")
+	if err := s.parse(args); err != nil {
 		return err
 	}
-	tr, err := workloads.Generate(*app, *np, *opt)
+	r, done, err := s.runner()
 	if err != nil {
 		return err
 	}
-	// A single workload has no point sweep; spread GT selection's ranks
-	// over the pool instead.
-	gt, _, err := harness.ChooseGTParallel(tr, harness.DefaultGTGrid(), 1.0, *par)
-	if err != nil {
-		return err
-	}
-	cfg := replay.DefaultConfig().WithPredictor(*pred).WithFabric(*topo).WithPower(gt, *d)
-	cfg.Power.RecordTimelines = true
-	if *tsPath != "" {
-		cfg.Telemetry.Enabled = true
-	}
-	res, err := replay.RunSource(tr, cfg)
+	defer done()
+	res, gt, err := r.Timeline(*app, *np, *d)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s with %d MPI processes, GT=%v, displacement=%.0f%%, predictor %s (Figure 6)\n",
-		*app, *np, gt, *d*100, *pred)
+		*app, *np, gt, *d*100, s.pred)
 	if *prv {
-		if err := trace.WriteParaver(os.Stdout, res.Timelines); err != nil {
-			return err
-		}
-	} else if err := trace.Render(os.Stdout, res.Timelines, *width); err != nil {
+		err = trace.WriteParaver(os.Stdout, res.Timelines)
+	} else {
+		err = trace.Render(os.Stdout, res.Timelines, *width)
+	}
+	if err != nil {
 		return err
 	}
-	if *tsPath != "" {
-		return writeTimeSeries(*tsPath, res.Series)
-	}
-	return nil
+	return s.writeTimeSeries(res.Series)
 }
 
 // cmdPPA replays the paper's Figure 2/3 walkthrough: the Alya event stream

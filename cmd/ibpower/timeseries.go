@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -10,19 +9,15 @@ import (
 	"ibpower/internal/stats"
 )
 
-// timeseriesFlag registers the telemetry output path on the single-run
-// replay-driven subcommands (timeline, multijob, scenario). Empty leaves
-// telemetry off; any other value enables streaming recording and writes the
-// time-series document there after the run.
-func timeseriesFlag(fs *flag.FlagSet) *string {
-	return fs.String("timeseries", "",
-		"write streaming telemetry to this file (versioned JSON; .prom suffix selects Prometheus text exposition; - = stdout)")
-}
-
-// writeTimeSeries emits the recorder to the -timeseries destination. The
-// JSON document is a deterministic function of the simulation, so its bytes
-// are bit-identical at any -parallel setting.
-func writeTimeSeries(path string, ts *stats.TimeSeries) error {
+// writeTimeSeries emits the recorder to the -timeseries destination, and
+// does nothing when the flag is unset. The JSON document is a deterministic
+// function of the simulation, so its bytes are bit-identical at any
+// -parallel setting.
+func (s *sim) writeTimeSeries(ts *stats.TimeSeries) error {
+	path := s.timeseries
+	if path == "" {
+		return nil
+	}
 	if ts == nil {
 		return fmt.Errorf("ibpower: run recorded no telemetry")
 	}

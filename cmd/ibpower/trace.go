@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"ibpower/internal/harness"
 	"ibpower/internal/multijob"
 	"ibpower/internal/stats"
 	"ibpower/internal/trace"
@@ -194,28 +193,4 @@ func cmdTraceInfo(args []string) error {
 	}
 	fmt.Printf("%d entries, %d ops, %d data bytes\n", f.Len(), ops, bytes)
 	return nil
-}
-
-// traceFileFlag registers -tracefile on replay-driven subcommands: a packed
-// binary trace file (see "ibpower trace pack") whose entries stand in for
-// the workload generator on matching (app, np) workloads, replayed through
-// a bounded per-rank streaming window instead of materialized op slices.
-func traceFileFlag(fs *flag.FlagSet) *string {
-	return fs.String("tracefile", "",
-		"packed binary trace file serving matching (app,np) workloads (see 'ibpower trace pack')")
-}
-
-// attachTraceFile opens path (when non-empty) and attaches it to the
-// runner's source cache. The returned closer must run after the experiment
-// completes — cursors read from the file handle throughout the run.
-func attachTraceFile(r *harness.Runner, path string) (func() error, error) {
-	if path == "" {
-		return func() error { return nil }, nil
-	}
-	f, err := trace.OpenFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r.File = f
-	return f.Close, nil
 }

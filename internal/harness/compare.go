@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"ibpower/internal/predictor"
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
 	"ibpower/internal/sweep"
-	"ibpower/internal/workloads"
 )
 
 // CompareRow is one (application, process count, predictor) cell of the
@@ -52,28 +50,10 @@ func (r *Runner) Compare(displacement float64, names []string, apps ...string) (
 			return nil, fmt.Errorf("harness: %w", err)
 		}
 	}
-	pts := allPoints()
-	if len(apps) > 0 {
-		known := map[string]bool{}
-		for _, a := range workloads.Apps() {
-			known[a] = true
-		}
-		keep := map[string]bool{}
-		for _, a := range apps {
-			if !known[a] {
-				return nil, fmt.Errorf("harness: unknown application %q (have %s)",
-					a, strings.Join(workloads.Apps(), ", "))
-			}
-			keep[a] = true
-		}
-		var filtered []point
-		for _, p := range pts {
-			if keep[p.app] {
-				filtered = append(filtered, p)
-			}
-		}
-		pts = filtered
+	if err := checkApps(apps); err != nil {
+		return nil, err
 	}
+	pts := allPoints(apps...)
 	type cell struct {
 		p    point
 		name string
@@ -90,7 +70,7 @@ func (r *Runner) Compare(displacement float64, names []string, apps ...string) (
 			if err != nil {
 				return CompareRow{}, err
 			}
-			gt, _, err := r.chooseGT(c.p.app, c.p.np, r.Opt, 1.0)
+			gt, _, err := r.chooseGT(c.p.app, c.p.np, r.Opt, 1)
 			if err != nil {
 				return CompareRow{}, err
 			}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"ibpower/internal/power"
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
+	"ibpower/internal/sweep"
 	"ibpower/internal/topology"
 	"ibpower/internal/workloads"
 )
@@ -33,49 +35,55 @@ type EnergyRow struct {
 	TimeIncreasePct     float64
 }
 
-// Energy runs the lanes-only and deep-sleep mechanisms for one workload and
-// aggregates switch- and fabric-level power (extension experiment E11).
-// deep configures the Section VI scenario; the zero value selects the 1 ms
-// reactivation with the breakeven entry threshold. cfg carries the network
-// parameters and the predictor selection (cfg.Power.PredictorName); its
-// power block is otherwise rebuilt per run.
-func Energy(app string, np int, displacement float64, opt workloads.Options, deep power.DeepConfig, cfg replay.Config) (*EnergyRow, error) {
-	tr, err := workloads.Generate(app, np, opt)
+// Energy runs the lanes-only and deep-sleep mechanisms for each named
+// application at np processes — every application when none are named, in
+// the order given otherwise — and aggregates switch- and fabric-level power
+// (extension experiment E11) on the pool. deep configures the Section VI
+// scenario; the zero value selects the 1 ms reactivation with the breakeven
+// entry threshold. Both runs use the Runner's predictor and fabric at the
+// workload's Table III grouping threshold, against its cached baseline.
+func (r *Runner) Energy(displacement float64, np int, deep power.DeepConfig, apps ...string) ([]*EnergyRow, error) {
+	if err := checkApps(apps); err != nil {
+		return nil, err
+	}
+	if len(apps) == 0 {
+		apps = workloads.Apps()
+	}
+	fabric, err := r.Cfg.Fabric()
 	if err != nil {
 		return nil, err
 	}
-	gt, _, err := ChooseGT(tr, DefaultGTGrid(), 1.0)
-	if err != nil {
-		return nil, err
-	}
-	bcfg := cfg
-	bcfg.Power.Enabled = false
-	base, err := replay.RunSource(tr, bcfg)
-	if err != nil {
-		return nil, err
-	}
-	lanes, err := replay.RunSource(tr, cfg.WithPower(gt, displacement))
-	if err != nil {
-		return nil, err
-	}
-	deepRes, err := replay.RunSource(tr, cfg.WithPower(gt, displacement).WithDeepSleep(deep))
-	if err != nil {
-		return nil, err
-	}
-
-	row := &EnergyRow{
-		App: app, NP: np, GT: gt,
-		PaperSavingPct:      lanes.AvgSavingPct(),
-		TimeIncreasePct:     lanes.TimeIncreasePct(base),
-		DeepSavingPct:       deepRes.AvgSavingPct(),
-		DeepTimeIncreasePct: deepRes.TimeIncreasePct(base),
-	}
-	fabric, err := cfg.Fabric()
-	if err != nil {
-		return nil, err
-	}
-	row.FabricSavingPct = fabricSaving(fabric, lanes, np)
-	return row, nil
+	return sweep.Map(context.Background(), r.workers(len(apps)), apps,
+		func(_ context.Context, _ int, app string) (*EnergyRow, error) {
+			src, err := r.source(app, np)
+			if err != nil {
+				return nil, err
+			}
+			gt, _, err := r.chooseGT(app, np, r.Opt, 1)
+			if err != nil {
+				return nil, err
+			}
+			base, err := r.baseline(app, np)
+			if err != nil {
+				return nil, err
+			}
+			lanes, err := replay.RunSource(src, r.Cfg.WithPower(gt, displacement))
+			if err != nil {
+				return nil, err
+			}
+			deepRes, err := replay.RunSource(src, r.Cfg.WithPower(gt, displacement).WithDeepSleep(deep))
+			if err != nil {
+				return nil, err
+			}
+			return &EnergyRow{
+				App: app, NP: np, GT: gt,
+				PaperSavingPct:      lanes.AvgSavingPct(),
+				FabricSavingPct:     fabricSaving(fabric, lanes, np),
+				TimeIncreasePct:     lanes.TimeIncreasePct(base),
+				DeepSavingPct:       deepRes.AvgSavingPct(),
+				DeepTimeIncreasePct: deepRes.TimeIncreasePct(base),
+			}, nil
+		})
 }
 
 // fabricSaving applies the decomposed switch power model to a single-job

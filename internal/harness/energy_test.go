@@ -11,11 +11,12 @@ import (
 )
 
 func TestEnergyRow(t *testing.T) {
-	row, err := Energy("gromacs", 8, 0.01, workloads.Options{IterScale: 0.12},
-		power.DeepConfig{Treact: 400 * time.Microsecond}, replay.DefaultConfig())
+	rows, err := NewRunner(workloads.Options{IterScale: 0.12}, replay.DefaultConfig()).
+		Energy(0.01, 8, power.DeepConfig{Treact: 400 * time.Microsecond}, "gromacs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := rows[0]
 	if row.PaperSavingPct <= 0 || row.PaperSavingPct > 57 {
 		t.Errorf("paper-model saving = %.2f%%", row.PaperSavingPct)
 	}
@@ -29,7 +30,7 @@ func TestEnergyRow(t *testing.T) {
 		t.Errorf("deep saving %.2f%% not above lanes-only %.2f%%", row.DeepSavingPct, row.PaperSavingPct)
 	}
 	var sb strings.Builder
-	if err := WriteEnergy(&sb, []*EnergyRow{row}); err != nil {
+	if err := WriteEnergy(&sb, rows); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "gromacs") {
@@ -41,14 +42,25 @@ func TestEnergyDeepNeverWorseAtDefault(t *testing.T) {
 	// With the 1 ms default and breakeven entry threshold, deep mode either
 	// engages profitably or abstains: savings must never drop below
 	// lanes-only by more than rounding.
-	for _, app := range []string{"alya", "nasbt"} {
-		row, err := Energy(app, 8, 0.01, workloads.Options{IterScale: 0.1}, power.DeepConfig{}, replay.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+	rows, err := NewRunner(workloads.Options{IterScale: 0.1}, replay.DefaultConfig()).
+		Energy(0.01, 8, power.DeepConfig{}, "alya", "nasbt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
 		if row.DeepSavingPct < row.PaperSavingPct-0.1 {
 			t.Errorf("%s: deep %.2f%% below lanes-only %.2f%% despite breakeven guard",
-				app, row.DeepSavingPct, row.PaperSavingPct)
+				row.App, row.DeepSavingPct, row.PaperSavingPct)
 		}
+	}
+}
+
+// TestEnergyRejectsUnknownApp asserts the application filter fails before
+// any simulation, with the error Compare and Figure give.
+func TestEnergyRejectsUnknownApp(t *testing.T) {
+	_, err := NewRunner(workloads.Options{IterScale: 0.1}, replay.DefaultConfig()).
+		Energy(0.01, 8, power.DeepConfig{}, "nosuch")
+	if err == nil || !strings.Contains(err.Error(), "unknown application") {
+		t.Errorf("unknown app: err = %v", err)
 	}
 }

@@ -86,10 +86,11 @@ func TestCompareFabricParallelMatchesSerial(t *testing.T) {
 func TestEnergyOnFabric(t *testing.T) {
 	for _, fabric := range []string{"xgft", "dragonfly"} {
 		cfg := replay.DefaultConfig().WithFabric(fabric)
-		row, err := Energy("alya", 16, 0.01, compareOpt, power.DeepConfig{}, cfg)
+		rows, err := NewRunner(compareOpt, cfg).Energy(0.01, 16, power.DeepConfig{}, "alya")
 		if err != nil {
 			t.Fatalf("%s: %v", fabric, err)
 		}
+		row := rows[0]
 		if row.FabricSavingPct <= 0 || row.FabricSavingPct > 100 {
 			t.Errorf("%s: fabric saving %.2f%% out of range", fabric, row.FabricSavingPct)
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -166,5 +167,37 @@ func TestWriteFigure(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "displacement factor = 1%") || !strings.Contains(out, "128/100") {
 		t.Errorf("figure output:\n%s", out)
+	}
+}
+
+// TestFigureAppFilter asserts the application filter restricts the sweep
+// without moving any row: Figure(d, "alya") on a fresh Runner is exactly the
+// alya rows of the full figure, and an unknown name fails before any
+// simulation with Compare's error.
+func TestFigureAppFilter(t *testing.T) {
+	opt := workloads.Options{IterScale: 0.02}
+	all, err := NewRunner(opt, replay.DefaultConfig()).Figure(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []FigureRow
+	for _, row := range all {
+		if row.App == "alya" {
+			want = append(want, row)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("full figure has no alya rows")
+	}
+	got, err := NewRunner(opt, replay.DefaultConfig()).Figure(0.01, "alya")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Figure(d, \"alya\") = %+v\nwant the alya rows of Figure(d) = %+v", got, want)
+	}
+	if _, err := NewRunner(opt, replay.DefaultConfig()).Figure(0.01, "nosuch"); err == nil ||
+		!strings.Contains(err.Error(), "unknown application") {
+		t.Errorf("Figure(d, \"nosuch\"): err = %v, want unknown application", err)
 	}
 }

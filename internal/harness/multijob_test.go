@@ -64,7 +64,7 @@ func TestMultijobUsesTableIIIGT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, j := range res.Jobs {
-		gt, _, err := r.chooseGT(j.App, j.NP, opt, 1.0)
+		gt, _, err := r.chooseGT(j.App, j.NP, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -174,11 +174,11 @@ func TestRunnerTraceCache(t *testing.T) {
 // workload and reused across experiments.
 func TestRunnerGTCache(t *testing.T) {
 	r := runnerWith(0)
-	gt1, hit1, err := r.chooseGT("alya", 8, r.Opt, 1.0)
+	gt1, hit1, err := r.chooseGT("alya", 8, r.Opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt2, hit2, err := r.chooseGT("alya", 8, r.Opt, 1.0)
+	gt2, hit2, err := r.chooseGT("alya", 8, r.Opt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestRunnerRejectsUnknownApp(t *testing.T) {
 	if _, err := r.source("notanapp", 8); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	if _, _, err := r.chooseGT("notanapp", 8, r.Opt, 1.0); err == nil {
+	if _, _, err := r.chooseGT("notanapp", 8, r.Opt, 1); err == nil {
 		t.Fatal("chooseGT accepted unknown app")
 	}
 }

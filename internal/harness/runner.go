@@ -3,6 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,7 +47,7 @@ type Runner struct {
 	File *trace.File
 
 	traces memo[traceKey, trace.Source]
-	gts    memo[gtKey, gtChoice]
+	gts    memo[traceKey, gtChoice]
 	bases  memo[traceKey, *replay.Result]
 	deds   memo[dedKey, *replay.Result]
 }
@@ -92,11 +94,6 @@ type traceKey struct {
 	opt workloads.Options
 }
 
-type gtKey struct {
-	traceKey
-	tolPct float64
-}
-
 // gtChoice is one cached Table III selection: the threshold and its hit
 // rate.
 type gtChoice struct {
@@ -136,18 +133,18 @@ func (r *Runner) sourceOpt(app string, np int, opt workloads.Options) (trace.Sou
 }
 
 // chooseGT returns the cached Table III grouping threshold for
-// (app, np, opt) over the default grid. All Runner experiments select GT on
-// DefaultGTGrid, so the cache key does not include the grid.
-func (r *Runner) chooseGT(app string, np int, opt workloads.Options, tolPct float64) (time.Duration, float64, error) {
-	k := gtKey{traceKey: traceKey{app: app, np: np, opt: opt}, tolPct: tolPct}
-	c, err := r.gts.get(k, func() (gtChoice, error) {
+// (app, np, opt): the 1% tolerance choice over the default grid, the only
+// one Runner experiments use, so the cache key names neither. Its ranks are
+// spread over at most workers goroutines; every sweep passes 1, because its
+// point pool already saturates the CPUs and nested parallelism would
+// oversubscribe them. The choice is identical at every pool size.
+func (r *Runner) chooseGT(app string, np int, opt workloads.Options, workers int) (time.Duration, float64, error) {
+	c, err := r.gts.get(traceKey{app: app, np: np, opt: opt}, func() (gtChoice, error) {
 		src, err := r.sourceOpt(app, np, opt)
 		if err != nil {
 			return gtChoice{}, err
 		}
-		// Serial over ranks: the point sweep above already saturates the
-		// pool, and nested parallelism would oversubscribe it.
-		gt, hit, err := ChooseGT(src, DefaultGTGrid(), tolPct)
+		gt, hit, err := ChooseGTParallel(src, DefaultGTGrid(), 1.0, workers)
 		return gtChoice{gt: gt, hit: hit}, err
 	})
 	return c.gt, c.hit, err
@@ -200,7 +197,7 @@ func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*re
 // cached dedicated baseline of the job's (app, NP).
 func (r *Runner) jobGT(src trace.Source) (time.Duration, error) {
 	m := src.Meta()
-	gt, _, err := r.chooseGT(m.App, m.NP, r.Opt, 1.0)
+	gt, _, err := r.chooseGT(m.App, m.NP, r.Opt, 1)
 	return gt, err
 }
 
@@ -215,15 +212,31 @@ type point struct {
 	np  int
 }
 
-// allPoints enumerates the paper's full evaluation set in row order.
-func allPoints() []point {
+// allPoints enumerates the paper's full evaluation set in row order,
+// restricted to the named applications when any are given.
+func allPoints(apps ...string) []point {
 	var pts []point
 	for _, app := range workloads.Apps() {
+		if len(apps) > 0 && !slices.Contains(apps, app) {
+			continue
+		}
 		for _, np := range workloads.ProcCounts(app) {
 			pts = append(pts, point{app: app, np: np})
 		}
 	}
 	return pts
+}
+
+// checkApps rejects an application filter naming an unknown workload
+// before any point is simulated.
+func checkApps(apps []string) error {
+	for _, a := range apps {
+		if !slices.Contains(workloads.Apps(), a) {
+			return fmt.Errorf("harness: unknown application %q (have %s)",
+				a, strings.Join(workloads.Apps(), ", "))
+		}
+	}
+	return nil
 }
 
 // TableI computes the distribution of link idle intervals for every
@@ -251,7 +264,7 @@ func (r *Runner) TableIII() ([]TableIIIRow, error) {
 	pts := allPoints()
 	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
 		func(_ context.Context, _ int, p point) (TableIIIRow, error) {
-			gt, hit, err := r.chooseGT(p.app, p.np, r.Opt, 1.0)
+			gt, hit, err := r.chooseGT(p.app, p.np, r.Opt, 1)
 			if err != nil {
 				return TableIIIRow{}, err
 			}
@@ -260,18 +273,22 @@ func (r *Runner) TableIII() ([]TableIIIRow, error) {
 }
 
 // Figure runs the full co-simulation for one displacement factor over all
-// applications and process counts (experiments E3–E5) on the pool. GT per
-// workload is chosen as in Table III; the Runner reuses traces and GT
-// choices across displacement factors.
-func (r *Runner) Figure(displacement float64) ([]FigureRow, error) {
-	pts := allPoints()
+// applications and process counts (experiments E3–E5) on the pool,
+// restricted to the given applications when any are named. GT per workload
+// is chosen as in Table III; the Runner reuses traces and GT choices across
+// displacement factors.
+func (r *Runner) Figure(displacement float64, apps ...string) ([]FigureRow, error) {
+	if err := checkApps(apps); err != nil {
+		return nil, err
+	}
+	pts := allPoints(apps...)
 	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
 		func(_ context.Context, _ int, p point) (FigureRow, error) {
 			src, err := r.source(p.app, p.np)
 			if err != nil {
 				return FigureRow{}, err
 			}
-			gt, _, err := r.chooseGT(p.app, p.np, r.Opt, 1.0)
+			gt, _, err := r.chooseGT(p.app, p.np, r.Opt, 1)
 			if err != nil {
 				return FigureRow{}, err
 			}
@@ -300,7 +317,7 @@ func (r *Runner) TableIV() ([]TableIVRow, error) {
 			if err != nil {
 				return prep{}, err
 			}
-			gt, _, err := r.chooseGT(app, 16, r.Opt, 1.0)
+			gt, _, err := r.chooseGT(app, 16, r.Opt, 1)
 			if err != nil {
 				return prep{}, err
 			}
@@ -345,7 +362,7 @@ func (r *Runner) WeakScaling(displacement float64) ([]WeakScalingRow, error) {
 				if err != nil {
 					return WeakScalingRow{}, err
 				}
-				gt, _, err := r.chooseGT(p.app, p.np, o, 1.0)
+				gt, _, err := r.chooseGT(p.app, p.np, o, 1)
 				if err != nil {
 					return WeakScalingRow{}, err
 				}
@@ -357,4 +374,34 @@ func (r *Runner) WeakScaling(displacement float64) ([]WeakScalingRow, error) {
 			}
 			return WeakScalingRow{App: p.app, NP: p.np, Strong: pair[0], Weak: pair[1]}, nil
 		})
+}
+
+// GTSweep evaluates the Figure 10 hit-rate curve of one workload over the
+// default grid (experiment E6) for the Runner's predictor, with ranks
+// spread over the pool: a single workload has no point sweep to share it.
+func (r *Runner) GTSweep(app string, np int) ([]GTSweepPoint, error) {
+	src, err := r.source(app, np)
+	if err != nil {
+		return nil, err
+	}
+	return GTSweep(src, r.Cfg.Power.PredictorName, DefaultGTGrid(), r.Cfg.Parallelism)
+}
+
+// Timeline replays one workload with the mechanism on at its Table III
+// grouping threshold and records every rank's link power timeline
+// (Figure 6, experiment E2). GT selection spreads the ranks over the pool.
+// It returns the run and the threshold it used.
+func (r *Runner) Timeline(app string, np int, displacement float64) (*replay.Result, time.Duration, error) {
+	src, err := r.source(app, np)
+	if err != nil {
+		return nil, 0, err
+	}
+	gt, _, err := r.chooseGT(app, np, r.Opt, r.Cfg.Parallelism)
+	if err != nil {
+		return nil, 0, err
+	}
+	cfg := r.Cfg.WithPower(gt, displacement)
+	cfg.Power.RecordTimelines = true
+	res, err := replay.RunSource(src, cfg)
+	return res, gt, err
 }

@@ -67,7 +67,7 @@ func TestScenarioUsesTableIIIGT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range res.Jobs {
-		gt, _, err := r.chooseGT(j.App, j.NP, opt, 1.0)
+		gt, _, err := r.chooseGT(j.App, j.NP, opt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -322,7 +322,7 @@ func fabricStats(f topology.Fabric, m *replay.MultiResult, terms [][]int) Fabric
 // switch's unmanaged switch-to-switch out-links stay at full power. Only
 // switches hosting an accounted terminal are counted, as the paper's savings
 // are reported over the used part of the fabric. Both the single-job energy
-// experiment (harness.Energy) and the multi-job fabric summary share this
+// experiment (Runner.Energy) and the multi-job fabric summary share this
 // one implementation, so the model cannot silently diverge between them.
 // terms[i] is the fabric terminal whose host link accts[i] accounts for.
 func FabricSavingPct(f topology.Fabric, terms []int, accts []power.Accounting) float64 {
