@@ -103,20 +103,39 @@ func Compute(d time.Duration) Op {
 	return Op{Kind: OpCompute, Duration: d, Peer: -1, RecvPeer: -1, Root: -1}
 }
 
+// rank32 narrows a rank operand to Op's int32 field. A rank beyond int32
+// would wrap to another process silently, so it panics naming the operand.
+func rank32(operand string, r int) int32 {
+	if int(int32(r)) != r {
+		panic(rankRangeError{operand, r})
+	}
+	return int32(r)
+}
+
+// rankRangeError is rank32's panic value.
+type rankRangeError struct {
+	operand string
+	rank    int
+}
+
+func (e rankRangeError) Error() string {
+	return fmt.Sprintf("trace: %s rank %d out of int32 range", e.operand, e.rank)
+}
+
 // Send returns a blocking send of n bytes to rank peer.
 func Send(peer, n int) Op {
-	return Op{Kind: OpCall, Call: CallSend, Peer: int32(peer), RecvPeer: -1, Bytes: n, Root: -1}
+	return Op{Kind: OpCall, Call: CallSend, Peer: rank32("peer", peer), RecvPeer: -1, Bytes: n, Root: -1}
 }
 
 // Recv returns a blocking receive from rank peer.
 func Recv(peer int) Op {
-	return Op{Kind: OpCall, Call: CallRecv, Peer: int32(peer), RecvPeer: -1, Root: -1}
+	return Op{Kind: OpCall, Call: CallRecv, Peer: rank32("peer", peer), RecvPeer: -1, Root: -1}
 }
 
 // Sendrecv returns a combined send (n bytes to sendPeer) and receive (from
 // recvPeer).
 func Sendrecv(sendPeer, recvPeer, n int) Op {
-	return Op{Kind: OpCall, Call: CallSendrecv, Peer: int32(sendPeer), RecvPeer: int32(recvPeer), Bytes: n, Root: -1}
+	return Op{Kind: OpCall, Call: CallSendrecv, Peer: rank32("send peer", sendPeer), RecvPeer: rank32("recv peer", recvPeer), Bytes: n, Root: -1}
 }
 
 // Allreduce returns an all-reduce of n bytes per rank.
@@ -131,12 +150,12 @@ func Barrier() Op {
 
 // Bcast returns a broadcast of n bytes from root.
 func Bcast(root, n int) Op {
-	return Op{Kind: OpCall, Call: CallBcast, Peer: -1, RecvPeer: -1, Bytes: n, Root: int32(root)}
+	return Op{Kind: OpCall, Call: CallBcast, Peer: -1, RecvPeer: -1, Bytes: n, Root: rank32("root", root)}
 }
 
 // Reduce returns a reduction of n bytes to root.
 func Reduce(root, n int) Op {
-	return Op{Kind: OpCall, Call: CallReduce, Peer: -1, RecvPeer: -1, Bytes: n, Root: int32(root)}
+	return Op{Kind: OpCall, Call: CallReduce, Peer: -1, RecvPeer: -1, Bytes: n, Root: rank32("root", root)}
 }
 
 // Alltoall returns an all-to-all of n bytes per pair.

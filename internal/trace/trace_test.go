@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -339,5 +342,38 @@ func TestLinkStateString(t *testing.T) {
 	}
 	if LinkState(9).String() != "?" {
 		t.Error("unknown state label")
+	}
+}
+
+// TestConstructorsRejectWideRanks asserts every rank-taking constructor
+// panics naming the operand when a rank does not fit Op's int32 field,
+// instead of wrapping it silently to another process.
+func TestConstructorsRejectWideRanks(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int rank cannot exceed int32 on this platform")
+	}
+	wide := math.MaxInt32
+	wide++
+	for _, c := range []struct {
+		name, operand string
+		op            func() Op
+	}{
+		{"Send", "peer", func() Op { return Send(wide, 8) }},
+		{"Recv", "peer", func() Op { return Recv(wide) }},
+		{"Sendrecv/send", "send peer", func() Op { return Sendrecv(wide, 0, 8) }},
+		{"Sendrecv/recv", "recv peer", func() Op { return Sendrecv(0, wide, 8) }},
+		{"Bcast", "root", func() Op { return Bcast(wide, 8) }},
+		{"Reduce", "root", func() Op { return Reduce(wide, 8) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, c.operand+" rank 2147483648 out of int32 range") {
+					t.Errorf("panic %q does not name the %s operand", msg, c.operand)
+				}
+			}()
+			op := c.op()
+			t.Errorf("accepted rank %d as %+v", wide, op)
+		})
 	}
 }
