@@ -389,7 +389,7 @@ func (r *Runner) GTSweep(app string, np int) ([]GTSweepPoint, error) {
 
 // Timeline replays one workload with the mechanism on at its Table III
 // grouping threshold and records every rank's link power timeline
-// (Figure 6, experiment E2). GT selection spreads the ranks over the pool.
+// (Figure 6, experiment E9). GT selection spreads the ranks over the pool.
 // It returns the run and the threshold it used.
 func (r *Runner) Timeline(app string, np int, displacement float64) (*replay.Result, time.Duration, error) {
 	src, err := r.source(app, np)

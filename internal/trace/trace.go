@@ -112,7 +112,8 @@ func rank32(operand string, r int) int32 {
 	return int32(r)
 }
 
-// rankRangeError is rank32's panic value.
+// rankRangeError is rank32's panic value. Formatting the message only when
+// it is printed keeps rank32, and so the constructors, cheap enough to inline.
 type rankRangeError struct {
 	operand string
 	rank    int
