@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -117,5 +119,48 @@ func TestScenarioRejectsBadFlags(t *testing.T) {
 	}
 	if err := cmdScenario([]string{"-specfile", "testdata-nosuch-file"}); err == nil {
 		t.Error("missing -specfile accepted")
+	}
+}
+
+// TestTraceFileArgEitherSide checks trace cat and trace info take their
+// file argument before or after the flags: `trace cat FILE -app X` and
+// `trace cat -app X FILE` select the same entry.
+func TestTraceFileArgEitherSide(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "t.ibt")
+	// stdout runs cmd with os.Stdout sent to a file and returns what it wrote.
+	stdout := func(cmd func([]string) error, args ...string) string {
+		t.Helper()
+		out, err := os.CreateTemp(dir, "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		saved := os.Stdout
+		os.Stdout = out
+		err = cmd(args)
+		os.Stdout = saved
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		b, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	stdout(cmdTracePack, "-o", file, "-jobs", "alya:8,wrf:8", "-scale", "0.02")
+	after := stdout(cmdTraceCat, file, "-app", "wrf")
+	if !strings.HasPrefix(after, "#app wrf 8\n") || strings.Contains(after, "#app alya") {
+		t.Errorf("trace cat FILE -app wrf printed %.40q..., want only the wrf entry", after)
+	}
+	if before := stdout(cmdTraceCat, "-app", "wrf", file); before != after {
+		t.Error("trace cat -app wrf FILE differs from trace cat FILE -app wrf")
+	}
+	if info := stdout(cmdTraceInfo, file); !strings.Contains(info, "2 entries") {
+		t.Errorf("trace info FILE printed %q, want 2 entries", info)
+	}
+	if err := cmdTraceInfo(nil); err == nil || !strings.Contains(err.Error(), "missing file argument") {
+		t.Errorf("trace info without a file: error %v", err)
 	}
 }

@@ -147,14 +147,22 @@ func traceEntryFlags(fs *flag.FlagSet) (*string, *int) {
 	return app, np
 }
 
-func cmdTraceCat(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("trace cat: missing file argument")
+// openTraceArg parses fs's flags on either side of the one file argument
+// and opens the file.
+func openTraceArg(fs *flag.FlagSet, args []string) (*trace.File, error) {
+	fs.Parse(args)
+	if fs.NArg() == 0 {
+		return nil, fmt.Errorf("%s: missing file argument", fs.Name())
 	}
+	path := fs.Arg(0)
+	fs.Parse(fs.Args()[1:])
+	return trace.OpenFile(path)
+}
+
+func cmdTraceCat(args []string) error {
 	fs := flag.NewFlagSet("trace cat", flag.ExitOnError)
 	app, np := traceEntryFlags(fs)
-	fs.Parse(args[1:])
-	f, err := trace.OpenFile(args[0])
+	f, err := openTraceArg(fs, args)
 	if err != nil {
 		return err
 	}
@@ -172,10 +180,7 @@ func cmdTraceCat(args []string) error {
 }
 
 func cmdTraceInfo(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("trace info: missing file argument")
-	}
-	f, err := trace.OpenFile(args[0])
+	f, err := openTraceArg(flag.NewFlagSet("trace info", flag.ExitOnError), args)
 	if err != nil {
 		return err
 	}

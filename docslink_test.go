@@ -83,7 +83,7 @@ var entryRef = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*)\\.([A-Za-z_][A-Za-z
 func TestDesignIndexEntryPointsExist(t *testing.T) {
 	decls, members := internalDecls(t)
 	checked := 0
-	for _, cell := range designIndexEntryCells(t) {
+	for _, cell := range designIndexColumn(t, "Entry point") {
 		for _, m := range entryRef.FindAllStringSubmatch(cell, -1) {
 			qual, name := m[1], m[2]
 			checked++
@@ -101,8 +101,47 @@ func TestDesignIndexEntryPointsExist(t *testing.T) {
 	}
 }
 
-// designIndexEntryCells returns the "Entry point" column of DESIGN.md §7.
-func designIndexEntryCells(t *testing.T) []string {
+// expID matches an experiment ID or range (E3–E5) in a DESIGN.md §7 cell;
+// expHeading an `## E<n>` section heading of EXPERIMENTS.md.
+var (
+	expID      = regexp.MustCompile(`E(\d+)(?:–E(\d+))?`)
+	expHeading = regexp.MustCompile(`(?m)^## E(\d+)\b`)
+)
+
+// TestDesignIndexCoversExperiments checks that every `## E<n>` section of
+// EXPERIMENTS.md has a row in DESIGN.md §7, so the index cannot skip an
+// experiment.
+func TestDesignIndexCoversExperiments(t *testing.T) {
+	indexed := map[int]bool{}
+	for _, cell := range designIndexColumn(t, "ID") {
+		for _, m := range expID.FindAllStringSubmatch(cell, -1) {
+			lo, _ := strconv.Atoi(m[1])
+			hi := lo
+			if m[2] != "" {
+				hi, _ = strconv.Atoi(m[2])
+			}
+			for n := lo; n <= hi; n++ {
+				indexed[n] = true
+			}
+		}
+	}
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := expHeading.FindAllStringSubmatch(string(data), -1)
+	if len(headings) < 10 {
+		t.Fatalf("only %d E<n> sections found in EXPERIMENTS.md; the heading scan is broken", len(headings))
+	}
+	for _, m := range headings {
+		if n, _ := strconv.Atoi(m[1]); !indexed[n] {
+			t.Errorf("EXPERIMENTS.md has section E%d but DESIGN.md §7 has no row for it", n)
+		}
+	}
+}
+
+// designIndexColumn returns the named column of DESIGN.md §7.
+func designIndexColumn(t *testing.T, name string) []string {
 	t.Helper()
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -122,7 +161,7 @@ func designIndexEntryCells(t *testing.T) []string {
 		fields := strings.Split(strings.Trim(line, "|"), "|")
 		if col < 0 {
 			for i, f := range fields {
-				if strings.TrimSpace(f) == "Entry point" {
+				if strings.TrimSpace(f) == name {
 					col = i
 				}
 			}
@@ -133,7 +172,7 @@ func designIndexEntryCells(t *testing.T) []string {
 		}
 	}
 	if col < 0 {
-		t.Fatal("DESIGN.md §7 has no Entry point column")
+		t.Fatalf("DESIGN.md §7 has no %s column", name)
 	}
 	return cells
 }

@@ -21,9 +21,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // single-job path still produces bit-identical results, not merely
 // statistically similar ones.
 //
-// Regenerate deliberately with `go test -run TestCompareGoldenSingleJob
-// -update ./internal/harness` and inspect the diff; an unexplained change
-// here means simulation results moved for every existing user.
+// Regenerate deliberately with
+// `go test ./internal/harness -run TestCompareGoldenSingleJob -update` and
+// inspect the diff; an unexplained change here means simulation results
+// moved for every existing user.
 func TestCompareGoldenSingleJob(t *testing.T) {
 	opt := workloads.Options{Seed: 42, IterScale: 0.1}
 	rows, err := NewRunner(opt, replay.DefaultConfig()).Compare(0.01, nil, "alya")

@@ -87,7 +87,7 @@ func TestMultijobSweepRejectsUnknownPlacement(t *testing.T) {
 // TestMultijobGolden pins the exact bytes `ibpower multijob` renders: the
 // per-job table of gromacs:16,alya:16 under every registered placement,
 // then the E15 sweep over testMixes(). Regenerate deliberately with
-// `go test -run TestMultijobGolden -update ./internal/harness` and inspect
+// `go test ./internal/harness -run TestMultijobGolden -update` and inspect
 // the diff.
 func TestMultijobGolden(t *testing.T) {
 	opt := workloads.Options{Seed: 42, IterScale: 0.05}

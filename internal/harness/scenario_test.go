@@ -95,9 +95,10 @@ func TestScenarioSweepRejectsUnknownNames(t *testing.T) {
 // TestScenarioGolden pins the exact byte stream `ibpower scenario` renders
 // for a fixed spec against a golden file — the acceptance gate that churn
 // results are bit-identical across parallelism settings, repeats, and future
-// refactors. Regenerate deliberately with `go test -run TestScenarioGolden
-// -update ./internal/harness` and inspect the diff; an unexplained change
-// here means scenario results moved for every existing user.
+// refactors. Regenerate deliberately with
+// `go test ./internal/harness -run TestScenarioGolden -update` and inspect
+// the diff; an unexplained change here means scenario results moved for
+// every existing user.
 func TestScenarioGolden(t *testing.T) {
 	opt := workloads.Options{Seed: 42, IterScale: 0.05}
 	var ref []byte
@@ -207,8 +208,9 @@ func TestScenarioFaultSweepErrors(t *testing.T) {
 // TestScenarioFaultGolden pins the exact byte stream of a faulty scenario
 // against a golden file at three parallelism settings — the acceptance gate
 // that seeded fault injection is bit-identical across repeats and pool sizes.
-// Regenerate deliberately with `go test -run TestScenarioFaultGolden -update
-// ./internal/harness` and inspect the diff.
+// Regenerate deliberately with
+// `go test ./internal/harness -run TestScenarioFaultGolden -update` and
+// inspect the diff.
 func TestScenarioFaultGolden(t *testing.T) {
 	opt := workloads.Options{Seed: 42, IterScale: 0.05}
 	var ref []byte

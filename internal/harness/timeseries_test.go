@@ -42,9 +42,10 @@ func scenarioTimeseriesDoc(t *testing.T, faulty bool, par int) []byte {
 // timeseriesGolden pins the scenario telemetry document byte-for-byte at
 // three parallelism settings against a golden file — the acceptance gate
 // that `ibpower scenario -timeseries` output is a pure function of the spec.
-// Regenerate deliberately with `go test -run TestScenarioTimeseries -update
-// ./internal/harness` and inspect the diff: an unexplained change means the
-// telemetry bucket timeline moved for every existing consumer.
+// Regenerate deliberately with
+// `go test ./internal/harness -run TestScenarioTimeseries -update` and
+// inspect the diff: an unexplained change means the telemetry bucket
+// timeline moved for every existing consumer.
 func timeseriesGolden(t *testing.T, faulty bool, golden string) {
 	var ref []byte
 	for _, par := range []int{1, 4, 0} {

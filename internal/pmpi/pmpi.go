@@ -104,11 +104,10 @@ func (p *RankProfiler) Before(call trace.CallID, t time.Duration) {
 }
 
 // After feeds the completed call to the predictor and executes any shutdown.
+// The overhead model is zero: the mechanism's costs here are real wall time,
+// which the runtime's clock already sees.
 func (p *RankProfiler) After(call trace.CallID, start, end time.Duration) {
-	act := p.pred.OnCall(predictor.EventID(call), start, end)
-	if act.Shutdown {
-		p.ctrl.Shutdown(end, act.PredictedIdle)
-	}
+	predictor.Exit(p.pred, p.ctrl, predictor.OverheadModel{}, call, start, end)
 }
 
 // Report is the aggregated outcome of a profiled run.

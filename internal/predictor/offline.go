@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ibpower/internal/ngram"
 	"ibpower/internal/power"
 	"ibpower/internal/sweep"
 	"ibpower/internal/trace"
@@ -102,12 +101,12 @@ func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Conf
 	return out, nil
 }
 
-// rankRuns counts the rank simulations the offline runner has executed.
+// rankRuns counts the rank simulations the offline grid runner has executed.
 var rankRuns atomic.Int64
 
-// RankRuns returns the number of rank simulations the offline runner has
-// executed in this process. RunOfflineGrid's sharing shows up as fewer runs
-// than ranks × grid points.
+// RankRuns returns the number of rank simulations the offline grid runner
+// has executed in this process. RunOfflineGrid's sharing shows up as fewer
+// runs than ranks × grid points.
 func RankRuns() int64 { return rankRuns.Load() }
 
 // rankRun is the outcome of one rank's simulation at one threshold.
@@ -135,14 +134,15 @@ func runRankGrid(src trace.Source, name string, r int, gts []time.Duration, cfg 
 		if err != nil {
 			return nil, err
 		}
-		if IsTraceAware(p) {
+		if ta, ok := p.(TraceAware); ok {
 			if ops == nil {
 				if ops, err = trace.RankOps(src, r); err != nil {
 					return nil, err
 				}
 			}
-			Prime(p, ops)
+			ta.Prime(ops)
 		}
+		rankRuns.Add(1)
 		run, err := runRank(p, src.Open(r), c.Treact, ov)
 		if err != nil {
 			return nil, err
@@ -169,7 +169,6 @@ func runRankGrid(src trace.Source, name string, r int, gts []time.Duration, cfg 
 // shutdown actions program the wake timer and early calls pay the
 // reactivation delay.
 func runRank(p Predictor, cur trace.Cursor, treact time.Duration, ov OverheadModel) (rankRun, error) {
-	rankRuns.Add(1)
 	ctrl := power.NewController(treact)
 	var t time.Duration
 	for {
@@ -181,18 +180,8 @@ func runRank(p Predictor, cur trace.Cursor, treact time.Duration, ov OverheadMod
 		case trace.OpCompute:
 			t += op.Duration
 		case trace.OpCall:
-			t += ov.Interception
-			t = ctrl.Acquire(t)
-			act := p.OnCall(ngram.EventID(op.Call), t, t)
-			// Beyond the interception already paid, a call costs only
-			// when the PPA ran; skip the Stats copy otherwise.
-			if act.PPAInvoked {
-				st := p.Stats().Detector
-				t += ov.PPACost(st.MaxPatternFrozen, st.PatternListSize)
-			}
-			if act.Shutdown {
-				ctrl.Shutdown(t, act.PredictedIdle)
-			}
+			t = ctrl.Acquire(t + ov.Interception)
+			t, _ = Exit(p, ctrl, ov, op.Call, t, t)
 		}
 	}
 	if err := cur.Err(); err != nil {
@@ -216,60 +205,52 @@ type OverheadReport struct {
 }
 
 // MeasureOverheads runs the named predictor over every rank of the trace
-// and measures the real wall-clock cost of each OnCall invocation,
-// attributing it to PPA-invoked calls versus plain interceptions. For
-// predictors that never invoke the PPA the per-invoked-call column stays
-// zero and only the amortized per-call cost is meaningful.
+// through the offline runner, with a zero overhead model, and measures the
+// real wall-clock cost of each OnCall invocation, attributing it to
+// PPA-invoked calls versus plain interceptions. For predictors that never
+// invoke the PPA the per-invoked-call column stays zero and only the
+// amortized per-call cost is meaningful.
 func MeasureOverheads(name string, src trace.Source, cfg Config) (OverheadReport, error) {
-	var rep OverheadReport
-	var invokedTime time.Duration
-	m := src.Meta()
-	for r := 0; r < m.NP; r++ {
-		p, err := NewNamed(name, cfg)
+	tm := &timed{}
+	for r := 0; r < src.Meta().NP; r++ {
+		p, err := ForRank(name, cfg, src, r)
 		if err != nil {
-			return rep, err
+			return OverheadReport{}, err
 		}
-		if IsTraceAware(p) {
-			ops, err := trace.RankOps(src, r)
-			if err != nil {
-				return rep, err
-			}
-			Prime(p, ops)
-		}
-		var t time.Duration
-		cur := src.Open(r)
-		for {
-			op, ok := cur.Next()
-			if !ok {
-				break
-			}
-			switch op.Kind {
-			case trace.OpCompute:
-				t += op.Duration
-			case trace.OpCall:
-				start := time.Now()
-				act := p.OnCall(ngram.EventID(op.Call), t, t)
-				el := time.Since(start)
-				rep.Calls++
-				rep.Total += el
-				if act.PPAInvoked {
-					rep.PPAInvoked++
-					invokedTime += el
-				}
-			}
-		}
-		if err := cur.Err(); err != nil {
-			return rep, err
+		tm.Predictor = p
+		if _, err := runRank(tm, src.Open(r), cfg.Treact, OverheadModel{}); err != nil {
+			return OverheadReport{}, err
 		}
 	}
+	rep := tm.rep
 	if rep.Calls > 0 {
 		rep.PPAInvokedPct = 100 * float64(rep.PPAInvoked) / float64(rep.Calls)
 		rep.PerCallAmortized = rep.Total / time.Duration(rep.Calls)
 	}
 	if rep.PPAInvoked > 0 {
-		rep.PerInvokedCall = invokedTime / time.Duration(rep.PPAInvoked)
+		rep.PerInvokedCall = tm.invoked / time.Duration(rep.PPAInvoked)
 	}
 	return rep, nil
+}
+
+// timed wraps a predictor and times every OnCall into a report.
+type timed struct {
+	Predictor
+	rep     OverheadReport
+	invoked time.Duration // wall time of the PPA-invoked calls
+}
+
+func (w *timed) OnCall(id EventID, start, end time.Duration) Action {
+	t0 := time.Now()
+	act := w.Predictor.OnCall(id, start, end)
+	el := time.Since(t0)
+	w.rep.Calls++
+	w.rep.Total += el
+	if act.PPAInvoked {
+		w.rep.PPAInvoked++
+		w.invoked += el
+	}
+	return act
 }
 
 // AvgHitRatePct averages the per-rank MPI call hit rates.

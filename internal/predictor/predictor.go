@@ -29,6 +29,7 @@ import (
 
 	"ibpower/internal/ngram"
 	"ibpower/internal/power"
+	"ibpower/internal/trace"
 )
 
 // EventID aliases the detector's event identifier (an MPI call ID).
@@ -107,6 +108,26 @@ type Action struct {
 	// PPAInvoked reports that the full pattern prediction algorithm ran on
 	// this call (used for the Table IV overhead accounting).
 	PPAInvoked bool
+}
+
+// Exit ends one intercepted MPI call occupying [start, end] (Algorithm 3):
+// p observes the call, a PPA invocation costs ov's modelled overhead, and a
+// shutdown arms ctrl's wake timer once that cost is paid. It returns the
+// time the call hands back to the application. The replay engine, the
+// offline runner and the PMPI layer end every call here; the PMPI layer
+// passes a zero model because its costs are real wall time.
+func Exit(p Predictor, ctrl *power.Controller, ov OverheadModel, call trace.CallID, start, end time.Duration) (time.Duration, Action) {
+	act := p.OnCall(EventID(call), start, end)
+	// Beyond the interception the caller already paid, a call costs only
+	// when the PPA ran; skip the Stats copy otherwise.
+	if act.PPAInvoked {
+		st := p.Stats().Detector
+		end += ov.PPACost(st.MaxPatternFrozen, st.PatternListSize)
+	}
+	if act.Shutdown {
+		ctrl.Shutdown(end, act.PredictedIdle)
+	}
+	return end, act
 }
 
 // Stats aggregates mechanism behaviour over a process lifetime.

@@ -1,10 +1,14 @@
 package predictor
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"ibpower/internal/ngram"
 	"ibpower/internal/power"
 	"ibpower/internal/trace"
 )
@@ -237,6 +241,96 @@ func TestMeasureOverheadsWithoutPPA(t *testing.T) {
 	}
 	if _, err := MeasureOverheads("nosuch", tr, Config{GT: 20 * us, Displacement: 0.01}); err == nil {
 		t.Error("unknown predictor accepted by MeasureOverheads")
+	}
+}
+
+// TestMeasureOverheadsPrimesFromFile runs the trace-aware oracle over a
+// packed binary trace, so ForRank materializes each rank from the file to
+// prime it, and checks a rank whose stream fails to decode is named in the
+// error.
+func TestMeasureOverheadsPrimesFromFile(t *testing.T) {
+	tr := trace.New("ibt-app", 2)
+	for r := 0; r < 2; r++ {
+		for i := 0; i < 50; i++ {
+			tr.Append(r, trace.Compute(300*us))
+			tr.Append(r, trace.Barrier())
+		}
+		tr.Append(r, trace.Compute(100*us))
+	}
+	enc, err := trace.EncodeBinary(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(b []byte) trace.Source {
+		f, err := trace.OpenBinary(bytes.NewReader(b), int64(len(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.SourceAt(0)
+	}
+	cfg := Config{GT: 20 * us, Displacement: 0.01}
+	rep, err := MeasureOverheads("oracle", open(enc), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Calls != 100 || rep.PPAInvoked != 0 {
+		t.Errorf("oracle over the file: %d calls, %d PPA-invoked, want 100 and 0", rep.Calls, rep.PPAInvoked)
+	}
+	// The byte before the index ends rank 1's stream: the last op's
+	// duration varint, which a set continuation bit runs past the end.
+	bad := bytes.Clone(enc)
+	idx := binary.LittleEndian.Uint64(bad[len(bad)-12:])
+	bad[idx-1] = 0xFF
+	_, err = MeasureOverheads("oracle", open(bad), cfg)
+	if err == nil || !strings.HasPrefix(err.Error(), "ibt-app rank 1: ") {
+		t.Errorf("corrupt rank 1: error %v, want one naming ibt-app rank 1", err)
+	}
+}
+
+// stubPred returns a fixed action and reports fixed statistics.
+type stubPred struct {
+	act   Action
+	stats Stats
+}
+
+func (s *stubPred) OnCall(EventID, time.Duration, time.Duration) Action { return s.act }
+func (s *stubPred) Flush()                                              {}
+func (s *stubPred) Stats() Stats                                        { return s.stats }
+
+// TestExit pins the one call-exit sequence: a PPA invocation costs the
+// model's charge after the call's end, a shutdown lands once that cost is
+// paid, and the returned time is where it landed.
+func TestExit(t *testing.T) {
+	const end = 500 * us
+	ov := DefaultOverheads()
+	st := Stats{Detector: ngram.DetectorStats{MaxPatternFrozen: 4, PatternListSize: 3}}
+	shut := Action{Shutdown: true, PredictedIdle: 200 * us}
+	ppaShut := Action{PPAInvoked: true, Shutdown: true, PredictedIdle: 200 * us}
+	for _, tc := range []struct {
+		name string
+		act  Action
+		ov   OverheadModel
+		want time.Duration
+	}{
+		{"PPA and shutdown", ppaShut, ov, end + ov.PPACost(4, 3)},
+		{"zero model", ppaShut, OverheadModel{}, end},
+		{"no PPA", shut, ov, end},
+		{"PPA only", Action{PPAInvoked: true}, ov, end + ov.PPACost(4, 3)},
+	} {
+		ctrl := power.NewController(0)
+		got, act := Exit(&stubPred{act: tc.act, stats: st}, ctrl, tc.ov, trace.CallBarrier, 100*us, end)
+		if got != tc.want || act != tc.act {
+			t.Errorf("%s: Exit = %v, %+v; want %v, %+v", tc.name, got, act, tc.want, tc.act)
+		}
+		// Full power ends where the shutdown landed.
+		ctrl.Finish(got)
+		full := ctrl.Accounting().Full
+		if tc.act.Shutdown && (ctrl.Shutdowns != 1 || full != got) {
+			t.Errorf("%s: %d shutdowns, full power until %v; want one landing at %v", tc.name, ctrl.Shutdowns, full, got)
+		}
+		if !tc.act.Shutdown && ctrl.Shutdowns != 0 {
+			t.Errorf("%s: %d shutdowns without a shutdown action", tc.name, ctrl.Shutdowns)
+		}
 	}
 }
 

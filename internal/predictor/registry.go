@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"fmt"
 	"time"
 
 	"ibpower/internal/registry"
@@ -29,8 +30,8 @@ type Predictor interface {
 
 // TraceAware is implemented by predictors that need the rank's full op
 // stream before the run begins — the clairvoyant oracle and the
-// offline-profile predictor. The replay engine and the offline runners prime
-// them with the rank's trace; the live PMPI layer has no trace, so there
+// offline-profile predictor. ForRank and the offline grid runner prime them
+// with the rank's trace; the live PMPI layer has no trace, so there
 // they never predict (a deliberate property: trace-trained predictors cannot
 // be deployed online, which is the PPA's selling point).
 type TraceAware interface {
@@ -88,20 +89,24 @@ func MustNewNamed(name string, cfg Config) Predictor {
 	return p
 }
 
-// Prime hands ops to p if it is trace-aware; other predictors are returned
-// untouched. Harness code calls this once per rank before replaying.
-func Prime(p Predictor, ops []trace.Op) {
+// ForRank builds rank r's instance of the named predictor for src and primes
+// it with the rank's op stream when it is TraceAware. Only trace-aware
+// predictors justify paying O(rank) memory for lookahead; every other one
+// leaves the rank streaming at O(window). A decode failure names the app and
+// rank.
+func ForRank(name string, cfg Config, src trace.Source, r int) (Predictor, error) {
+	p, err := NewNamed(name, cfg)
+	if err != nil {
+		return nil, err
+	}
 	if ta, ok := p.(TraceAware); ok {
+		ops, err := trace.RankOps(src, r)
+		if err != nil {
+			return nil, fmt.Errorf("%s rank %d: %w", src.Meta().App, r, err)
+		}
 		ta.Prime(ops)
 	}
-}
-
-// IsTraceAware reports whether p needs Prime. Streaming consumers check it
-// before materializing a rank's ops: only trace-aware predictors justify
-// paying O(rank) memory for lookahead, everything else replays at O(window).
-func IsTraceAware(p Predictor) bool {
-	_, ok := p.(TraceAware)
-	return ok
+	return p, nil
 }
 
 func init() {

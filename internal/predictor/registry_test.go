@@ -165,8 +165,10 @@ func buildTrainable(iters int) *trace.Trace {
 
 func TestOraclePrimedPredictsExactGaps(t *testing.T) {
 	tr := buildTrainable(20)
-	p := MustNewNamed("oracle", validCfg())
-	Prime(p, tr.Ranks[0])
+	p, err := ForRank("oracle", validCfg(), tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var now time.Duration
 	var raws []time.Duration
 	for _, op := range tr.Ranks[0] {
@@ -195,8 +197,10 @@ func TestOraclePrimedPredictsExactGaps(t *testing.T) {
 
 func TestProfilePredictsPerCallTypeMeans(t *testing.T) {
 	tr := buildTrainable(20)
-	p := MustNewNamed("offline", validCfg())
-	Prime(p, tr.Ranks[0])
+	p, err := ForRank("offline", validCfg(), tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var now time.Duration
 	seen := map[EventID]time.Duration{}
 	for _, op := range tr.Ranks[0] {

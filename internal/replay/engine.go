@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ibpower/internal/network"
-	"ibpower/internal/ngram"
 	"ibpower/internal/power"
 	"ibpower/internal/predictor"
 	"ibpower/internal/trace"
@@ -125,16 +124,9 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 			micro: make([]trace.Step, 0, steps), sendTo: -1, recvFrom: -1,
 		}
 		if pw.Enabled {
-			p, err := predictor.NewNamed(pw.PredictorName, pw.Predictor)
+			p, err := predictor.ForRank(pw.PredictorName, pw.Predictor, src, r)
 			if err != nil {
-				return err
-			}
-			if predictor.IsTraceAware(p) {
-				ops, err := trace.RankOps(src, r)
-				if err != nil {
-					return fmt.Errorf("replay: %s rank %d: %w", m.App, r, err)
-				}
-				predictor.Prime(p, ops)
+				return fmt.Errorf("replay: %w", err)
 			}
 			rs.pred = p
 			rs.ctrl = power.NewControllerAt(pw.Predictor.Treact, start)
@@ -309,18 +301,10 @@ func (e *engine) stepMicro(rs *rankState) bool {
 // idle interval (Algorithm 3).
 func (e *engine) finishCall(rs *rankState) {
 	rs.inCall = false
-	op := rs.op
 	if rs.pred == nil {
 		return
 	}
-	act := rs.pred.OnCall(ngram.EventID(op.Call), rs.callStart, rs.clk)
-	if act.PPAInvoked {
-		st := rs.pred.Stats().Detector
-		rs.clk += rs.jb.pw.Overheads.PPACost(st.MaxPatternFrozen, st.PatternListSize)
-	}
-	if act.Shutdown {
-		rs.ctrl.Shutdown(rs.clk, act.PredictedIdle)
-	}
+	rs.clk, _ = predictor.Exit(rs.pred, rs.ctrl, rs.jb.pw.Overheads, rs.op.Call, rs.callStart, rs.clk)
 	if e.tele != nil {
 		st := rs.pred.Stats()
 		// Baseline predictors report emitted predictions; the n-gram
