@@ -46,6 +46,7 @@ var hotPaths = []struct {
 	{"StreamReplay", streamReplay, 5, 813, 129_725},
 	{"Multijob", multijobReplay, 5, 739, 105_472},
 	{"BigFabricReplay", bigFabricReplay, 5, 765, 1_238_970},
+	{"TableIII_GTChoice", gtChoice, 5, 1_329, 143_581},
 }
 
 // TestHotPathCeilings pins allocs/op and bytes/op of every gated hot path.

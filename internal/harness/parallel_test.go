@@ -124,12 +124,14 @@ func TestChooseGTParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gtP, hitP, err := ChooseGTParallel(tr, grid, 1.0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gtS != gtP || hitS != hitP {
-		t.Errorf("serial (%v, %v) != parallel (%v, %v)", gtS, hitS, gtP, hitP)
+	for _, workers := range []int{2, 4} {
+		gtP, hitP, err := ChooseGTParallel(tr, grid, 1.0, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gtS != gtP || hitS != hitP {
+			t.Errorf("serial (%v, %v) != %d workers (%v, %v)", gtS, hitS, workers, gtP, hitP)
+		}
 	}
 }
 

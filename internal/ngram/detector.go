@@ -89,6 +89,45 @@ func NewDetector(maxSize int) *Detector {
 	}
 }
 
+// Reset returns the detector to the state NewDetector(maxSize) constructs,
+// keeping its tables' storage, so one detector can serve a sequence of
+// runs. The history ring and run lengths are remade only when the window
+// size changes.
+func (d *Detector) Reset(maxSize int) {
+	if maxSize <= 0 {
+		maxSize = DefaultMaxPatternSize
+	}
+	hist, runLen := d.hist, d.runLen[:cap(d.runLen)]
+	if len(hist) != 3*maxSize || len(runLen) < maxSize+1 {
+		hist, runLen = make([]histEntry, 3*maxSize), make([]int, maxSize+1)
+	}
+	// AddGram writes both before reading them; zeroing them anyway leaves
+	// exactly NewDetector's state.
+	clear(hist)
+	clear(runLen)
+	clear(d.gramIDs)
+	clear(d.pl)
+	clear(d.plByIDs)
+	// Drop the old patterns' pointers so they can be collected.
+	clear(d.detected)
+	clear(d.cands[:cap(d.cands)])
+	*d = Detector{
+		maxSize:  maxSize,
+		window:   3 * maxSize,
+		gramIDs:  d.gramIDs,
+		keys:     d.keys[:0],
+		defs:     d.defs[:0],
+		known:    d.known[:0],
+		hist:     hist,
+		runLen:   runLen[:maxSize+1],
+		pl:       d.pl,
+		plByIDs:  d.plByIDs,
+		idKey:    d.idKey[:0],
+		detected: d.detected[:0],
+		cands:    d.cands[:0],
+	}
+}
+
 // gramAt returns the gram ID at absolute history index i; i must be within
 // the last `window` grams.
 func (d *Detector) gramAt(i int) GramID { return d.hist[i%d.window].id }

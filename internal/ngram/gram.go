@@ -71,9 +71,9 @@ type Builder struct {
 
 // gramProto is the interned identity of one distinct gram shape: the
 // canonical key string and a shared read-only ID slice. Shapes are interned
-// once per process (every predictor run builds a fresh builder, and GT
-// sweeps run many of them over the same call streams; per-builder tables
-// would re-pay the cold misses every time).
+// once per process: every replayed rank and every GT sweep builds fresh
+// builders over the same call streams (a sweep resets one per worker), and
+// per-builder tables would re-pay the cold misses every time.
 type gramProto struct {
 	key string
 	ids []EventID
@@ -100,10 +100,18 @@ func internShape(cur []EventID, raw []byte) gramProto {
 // at least 2·Treact for lane power management to be profitable (Section
 // IV-C); the builder does not enforce that policy, callers do.
 func NewBuilder(gt time.Duration) *Builder {
+	b := new(Builder)
+	b.Reset(gt)
+	return b
+}
+
+// Reset returns the builder to the state NewBuilder(gt) constructs, keeping
+// its buffers, so one builder can serve a sequence of runs.
+func (b *Builder) Reset(gt time.Duration) {
 	if gt <= 0 {
 		panic(fmt.Sprintf("ngram: non-positive grouping threshold %v", gt))
 	}
-	return &Builder{gt: gt, hi: math.MaxInt64}
+	*b = Builder{gt: gt, hi: math.MaxInt64, cur: b.cur[:0], raw: b.raw[:0]}
 }
 
 // GT returns the grouping threshold.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -171,6 +172,15 @@ func TestBuilderPanicsOnBadGT(t *testing.T) {
 		}
 	}()
 	NewBuilder(0)
+}
+
+func TestBuilderResetPanicsOnBadGT(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset(0) must panic")
+		}
+	}()
+	NewBuilder(20 * us).Reset(0)
 }
 
 // periodicStream builds a stream repeating the given iteration of
@@ -480,6 +490,89 @@ func TestDetectorRandomStreamRobustness(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// feedGrams is feed returning a copy of every finalized gram.
+func feedGrams(b *Builder, d *Detector, ids []EventID, gaps []time.Duration) []Gram {
+	var grams []Gram
+	add := func(g *Gram) {
+		if g != nil {
+			grams = append(grams, *g)
+			d.AddGram(g)
+		}
+	}
+	var now time.Duration
+	for i, id := range ids {
+		now += gaps[i]
+		add(b.Add(id, gaps[i], now, now))
+	}
+	add(b.Flush())
+	return grams
+}
+
+// TestBuilderDetectorReset feeds one builder/detector pair, reset before
+// every stream, a sequence of streams and compares each run with a fresh
+// pair fed the same stream: grams, GT interval, statistics, pattern list,
+// prediction state, history ring and run lengths must all match. The first
+// stream freezes the pattern size at 3 and the second needs 5, which a
+// detector that kept the freeze or its run lengths could not reach; the
+// third shrinks the history window and the fourth grows it back.
+func TestBuilderDetectorReset(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var rids []EventID
+	var rgaps []time.Duration
+	for i := 0; i < 300; i++ {
+		rids = append(rids, EventID(rng.Intn(4)+1))
+		rgaps = append(rgaps, time.Duration(rng.Intn(150))*us)
+	}
+	p3, g3 := periodicStream([]EventID{1, 2, 3}, 100*us, 10)
+	p5, g5 := periodicStream([]EventID{4, 5, 6, 7, 8}, 100*us, 10)
+	runs := []struct {
+		gt      time.Duration
+		maxSize int
+		ids     []EventID
+		gaps    []time.Duration
+		frozen  int // the fresh detector's frozen pattern size
+	}{
+		{20 * us, 0, p3, g3, 3},
+		{20 * us, 0, p5, g5, 5},
+		{60 * us, 4, rids, rgaps, 0},
+		{102 * us, 0, p5, g5, 3},
+		{20 * us, 0, p3, g3, 3},
+	}
+	b, d := NewBuilder(runs[0].gt), NewDetector(runs[0].maxSize)
+	for i, run := range runs {
+		if i > 0 {
+			b.Reset(run.gt)
+			d.Reset(run.maxSize)
+		}
+		got := feedGrams(b, d, run.ids, run.gaps)
+		fb, fd := NewBuilder(run.gt), NewDetector(run.maxSize)
+		want := feedGrams(fb, fd, run.ids, run.gaps)
+		if f := fd.Stats().MaxPatternFrozen; f != run.frozen {
+			t.Fatalf("run %d: fresh detector froze size %d, want %d", i, f, run.frozen)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d: reset builder formed %d grams, differing from a fresh builder's %d", i, len(got), len(want))
+		}
+		if lo, hi := b.GTInterval(); b.GT() != fb.GT() || lo != fb.lo || hi != fb.hi {
+			t.Errorf("run %d: GT %v interval (%v, %v], want %v (%v, %v]", i, b.GT(), lo, hi, fb.GT(), fb.lo, fb.hi)
+		}
+		if d.Stats() != fd.Stats() {
+			t.Errorf("run %d: stats %+v, want %+v", i, d.Stats(), fd.Stats())
+		}
+		if !reflect.DeepEqual(d.Patterns(), fd.Patterns()) {
+			t.Errorf("run %d: pattern list differs from a fresh detector's", i)
+		}
+		if d.Predicting() != fd.Predicting() || d.Phase() != fd.Phase() ||
+			(d.Predicting() && d.Active().Key != fd.Active().Key) {
+			t.Errorf("run %d: prediction state differs from a fresh detector's", i)
+		}
+		if d.total != fd.total || !slices.Equal(d.hist, fd.hist) || !slices.Equal(d.runLen, fd.runLen) ||
+			!slices.Equal(d.keys, fd.keys) {
+			t.Errorf("run %d: history, run lengths or gram table differ from a fresh detector's", i)
+		}
 	}
 }
 

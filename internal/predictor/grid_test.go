@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ibpower/internal/power"
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
@@ -152,5 +153,106 @@ func TestRunOfflineGridErrors(t *testing.T) {
 	}
 	if _, err := RunOfflineGrid(tr, "nosuch", []time.Duration{20 * us}, cfg, DefaultOverheads(), 1); err == nil {
 		t.Error("unknown predictor accepted by grid runner")
+	}
+}
+
+// freshRun is the reference offline run of rank r: a newly built n-gram
+// predictor streamed one op at a time from the rank's cursor. It returns
+// the run and the builder's GT interval.
+func freshRun(t *testing.T, src trace.Source, r int, cfg Config, ov OverheadModel) (rankRun, time.Duration, time.Duration) {
+	t.Helper()
+	p := MustNew(cfg)
+	ctrl := power.NewController(cfg.Treact)
+	cur := src.Open(r)
+	var now time.Duration
+	for {
+		op, ok := cur.Next()
+		if !ok {
+			break
+		}
+		switch op.Kind {
+		case trace.OpCompute:
+			now += op.Duration
+		case trace.OpCall:
+			now = ctrl.Acquire(now + ov.Interception)
+			now, _ = Exit(p, ctrl, ov, op.Call, now, now)
+		}
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	p.Flush()
+	ctrl.Finish(now)
+	lo, hi := p.builder.GTInterval()
+	return rankRun{
+		stats:    p.Stats(),
+		acct:     ctrl.Accounting(),
+		rankTime: rankTime{delay: ctrl.TotalDelay, exec: now},
+	}, lo, hi
+}
+
+// TestReusedPredictorMatchesFresh drives one worker scratch, and so one
+// reset n-gram predictor and one call buffer, through a sequence of (rank,
+// GT) runs and checks every run against a fresh predictor streaming the
+// rank's cursor. The sequence freezes a small pattern size right before
+// runs whose own pattern is larger, changes the history window through
+// MaxPatternSize, and mixes three streams, so a reset that leaked any detector,
+// builder or decode state would show.
+func TestReusedPredictorMatchesFresh(t *testing.T) {
+	opt := workloads.Options{IterScale: 0.25}
+	srcs := map[string]trace.Source{}
+	for _, app := range []string{"alya", "nasmg"} {
+		tr, err := workloads.Generate(app, 16, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[app] = tr
+	}
+	// Unlike the generated apps, this stream ends in computation.
+	srcs["trainable"] = buildTrainable(20)
+	steps := []struct {
+		app        string
+		rank       int
+		gt         time.Duration
+		maxSize    int
+		wantFrozen int // the reference's frozen pattern size
+	}{
+		{"alya", 0, 20 * us, 0, 3},
+		{"alya", 0, 100 * us, 0, 2},
+		{"alya", 5, 20 * us, 0, 3}, // must not inherit the size-2 freeze
+		{"nasmg", 0, 20 * us, 0, 2},
+		{"nasmg", 1, 60 * us, 0, 4}, // must not inherit the size-2 freeze
+		{"nasmg", 5, 60 * us, 3, 0}, // a smaller history window
+		{"nasmg", 5, 100 * us, 0, 4},
+		{"alya", 15, 400 * us, 0, 0},
+		{"nasmg", 15, 200 * us, 0, 2},
+		{"trainable", 0, 100 * us, 0, 2},
+	}
+	ov := DefaultOverheads()
+	s := &gridScratch{}
+	for i, st := range steps {
+		cfg := Config{GT: st.gt, Displacement: 0.01, MaxPatternSize: st.maxSize}
+		src := srcs[st.app]
+		p, err := s.predictor(DefaultName, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tail time.Duration
+		if s.calls, tail, err = decodeCalls(s.calls, src.Open(st.rank)); err != nil {
+			t.Fatal(err)
+		}
+		got := runCalls(p, s.calls, tail, cfg.Treact, ov)
+		lo, hi := s.ng.builder.GTInterval()
+		want, wantLo, wantHi := freshRun(t, src, st.rank, cfg, ov)
+		name := fmt.Sprintf("step %d (%s rank %d, GT %v, max size %d)", i, st.app, st.rank, st.gt, st.maxSize)
+		if f := want.stats.Detector.MaxPatternFrozen; f != st.wantFrozen {
+			t.Fatalf("%s: reference froze size %d, want %d", name, f, st.wantFrozen)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused run differs from a fresh one\n got %+v\nwant %+v", name, got, want)
+		}
+		if lo != wantLo || hi != wantHi {
+			t.Errorf("%s: GT interval (%v, %v], want (%v, %v]", name, lo, hi, wantLo, wantHi)
+		}
 	}
 }

@@ -46,9 +46,8 @@ func (o *OfflineResult) TotalLow() time.Duration {
 // shutdown actions program the wake timer and early calls pay the
 // reactivation delay, exactly as in the full replay minus network effects.
 // Trace-aware predictors (oracle, offline) are primed with each rank's op
-// stream before it is replayed; every other predictor streams one op at a
-// time. This is the fast path used for the GT sweeps of Table III and
-// Figure 10.
+// stream before it is replayed; every other predictor sees only the calls.
+// This is the fast path used for the GT sweeps of Table III and Figure 10.
 //
 // A rank is not simulated once per threshold: after each n-gram rank run
 // the gram builder reports the interval of thresholds that would have taken
@@ -58,7 +57,10 @@ func (o *OfflineResult) TotalLow() time.Duration {
 //
 // Ranks run on a pool of at most workers goroutines (0 selects GOMAXPROCS,
 // 1 is serial) and are reduced in rank order, so results do not depend on
-// the pool size.
+// the pool size. Each pool worker keeps one scratch for the whole call: a
+// rank is decoded once into the worker's call buffer, every grid run of the
+// rank loops over it, and every n-gram run resets the worker's predictor
+// instead of building a new one.
 func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Config, ov OverheadModel, workers int) ([]*OfflineResult, error) {
 	// A shared run must not stand in for a threshold the predictor would
 	// have rejected.
@@ -69,36 +71,44 @@ func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Conf
 			return nil, err
 		}
 	}
-	m := src.Meta()
-	ranks := make([]int, m.NP)
+	np := src.Meta().NP
+	g := &offlineGrid{
+		src: src, name: name, gts: gts, cfg: cfg, ov: ov, np: np,
+		out:   make([]*OfflineResult, len(gts)),
+		times: make([]rankTime, len(gts)*np),
+	}
+	for j := range g.out {
+		g.out[j] = &OfflineResult{
+			Stats: make([]Stats, np),
+			Acct:  make([]power.Accounting, np),
+		}
+	}
+	ranks := make([]int, np)
 	for r := range ranks {
 		ranks[r] = r
 	}
-	perRank, err := sweep.Map(context.Background(), workers, ranks,
-		func(_ context.Context, _ int, r int) ([]rankRun, error) {
-			return runRankGrid(src, name, r, gts, cfg, ov)
+	// Map never runs more ranks at once than this many workers, so a
+	// worker always finds a free scratch.
+	pool := make(chan *gridScratch, sweep.Workers(workers, np))
+	for range cap(pool) {
+		pool <- &gridScratch{done: make([]bool, len(gts))}
+	}
+	_, err := sweep.Map(context.Background(), workers, ranks,
+		func(_ context.Context, _ int, r int) (struct{}, error) {
+			s := <-pool
+			defer func() { pool <- s }()
+			return struct{}{}, g.runRank(s, r)
 		})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*OfflineResult, len(gts))
-	for i := range gts {
-		res := &OfflineResult{
-			Stats: make([]Stats, m.NP),
-			Acct:  make([]power.Accounting, m.NP),
+	for j, res := range g.out {
+		for _, rt := range g.times[j*np : (j+1)*np] {
+			res.Delay += rt.delay
+			res.Exec = max(res.Exec, rt.exec)
 		}
-		for r, runs := range perRank {
-			run := runs[i]
-			res.Stats[r] = run.stats
-			res.Acct[r] = run.acct
-			res.Delay += run.delay
-			if run.exec > res.Exec {
-				res.Exec = run.exec
-			}
-		}
-		out[i] = res
 	}
-	return out, nil
+	return g.out, nil
 }
 
 // rankRuns counts the rank simulations the offline grid runner has executed.
@@ -109,44 +119,91 @@ var rankRuns atomic.Int64
 // runs than ranks × grid points.
 func RankRuns() int64 { return rankRuns.Load() }
 
-// rankRun is the outcome of one rank's simulation at one threshold.
-type rankRun struct {
-	stats Stats
-	acct  power.Accounting
+// offlineGrid is one RunOfflineGrid call: its inputs and the results every
+// rank run writes into. Ranks write disjoint slots, so the pool's workers
+// share it without locking.
+type offlineGrid struct {
+	src   trace.Source
+	name  string
+	gts   []time.Duration
+	cfg   Config
+	ov    OverheadModel
+	np    int
+	out   []*OfflineResult
+	times []rankTime // times[j*np+r] is rank r's run at grid point j
+}
+
+// rankTime is the timing outcome of one rank's run at one threshold.
+type rankTime struct {
 	delay time.Duration // reactivation delay suffered
 	exec  time.Duration // rank finish time
 }
 
-// runRankGrid simulates rank r at every grid point that no earlier run of
-// the rank covers and returns one run per point. A trace-aware predictor's
-// op stream is materialized once and primes every run.
-func runRankGrid(src trace.Source, name string, r int, gts []time.Duration, cfg Config, ov OverheadModel) ([]rankRun, error) {
-	runs := make([]rankRun, len(gts))
-	done := make([]bool, len(gts))
-	var ops []trace.Op
-	for i, gt := range gts {
-		if done[i] {
-			continue
-		}
-		c := cfg
-		c.GT = gt
-		p, err := NewNamed(name, c)
+// gridScratch is one pool worker's reusable state: the decoded call stream
+// of the rank in hand, which grid points its runs already cover, and the
+// n-gram predictor every n-gram run of the worker resets.
+type gridScratch struct {
+	calls []callGap
+	done  []bool
+	ng    *NGram
+}
+
+// predictor returns the predictor for one run at the valid configuration
+// c: the worker's reset n-gram instance when name is the n-gram predictor,
+// a new instance otherwise.
+func (s *gridScratch) predictor(name string, c Config) (Predictor, error) {
+	if Resolve(name) != DefaultName {
+		return NewNamed(name, c)
+	}
+	if s.ng == nil {
+		ng, err := New(c)
 		if err != nil {
 			return nil, err
 		}
+		s.ng = ng
+		return ng, nil
+	}
+	s.ng.reset(c)
+	return s.ng, nil
+}
+
+// runRank simulates rank r at every grid point that no earlier run of the
+// rank covers and writes each run into every point it covers. The rank is
+// decoded once; a trace-aware predictor's op stream is materialized once,
+// primes every run and is the stream decoded.
+func (g *offlineGrid) runRank(s *gridScratch, r int) error {
+	clear(s.done)
+	var ops []trace.Op
+	var tail time.Duration
+	for i, gt := range g.gts {
+		if s.done[i] {
+			continue
+		}
+		c := g.cfg
+		c.GT = gt
+		p, err := s.predictor(g.name, c)
+		if err != nil {
+			return err
+		}
 		if ta, ok := p.(TraceAware); ok {
 			if ops == nil {
-				if ops, err = trace.RankOps(src, r); err != nil {
-					return nil, err
+				if ops, err = trace.RankOps(g.src, r); err != nil {
+					return rankErr(g.src, r, err)
 				}
 			}
 			ta.Prime(ops)
 		}
-		rankRuns.Add(1)
-		run, err := runRank(p, src.Open(r), c.Treact, ov)
-		if err != nil {
-			return nil, err
+		if i == 0 { // the first point always runs
+			cur := g.src.Open(r)
+			if ops != nil {
+				cur = trace.SliceCursor(ops)
+			}
+			if s.calls, tail, err = decodeCalls(s.calls, cur); err != nil {
+				return rankErr(g.src, r, err)
+			}
 		}
+		rankRuns.Add(1)
+		run := runCalls(p, s.calls, tail, c.Treact, g.ov)
 		// The n-gram mechanism reads GT only in its gram builder's grouping
 		// comparison (the detector, Algorithm 3, the overhead model and the
 		// controller never see it), so the builder's interval bounds every
@@ -156,40 +213,69 @@ func runRankGrid(src trace.Source, name string, r int, gts []time.Duration, cfg 
 		if n, ok := p.(*NGram); ok {
 			lo, hi = n.builder.GTInterval()
 		}
-		for j := i; j < len(gts); j++ {
-			if !done[j] && gts[j] > lo && gts[j] <= hi {
-				runs[j], done[j] = run, true
+		for j := i; j < len(g.gts); j++ {
+			if !s.done[j] && g.gts[j] > lo && g.gts[j] <= hi {
+				g.out[j].Stats[r] = run.stats
+				g.out[j].Acct[r] = run.acct
+				g.times[j*g.np+r] = run.rankTime
+				s.done[j] = true
 			}
 		}
 	}
-	return runs, nil
+	return nil
 }
 
-// runRank drives p and a link power controller over one rank's op stream:
-// shutdown actions program the wake timer and early calls pay the
-// reactivation delay.
-func runRank(p Predictor, cur trace.Cursor, treact time.Duration, ov OverheadModel) (rankRun, error) {
-	ctrl := power.NewController(treact)
-	var t time.Duration
+// callGap is one MPI call of a decoded rank stream: the computation time
+// summed since the previous call (or the stream start), then the call.
+// Durations are integers, so summing them up front is exact: a run over
+// the decoded stream reaches every call at the time a run over the ops
+// would.
+type callGap struct {
+	gap  time.Duration
+	call trace.CallID
+}
+
+// decodeCalls reads cur's op stream into calls, reusing its storage, and
+// returns it with the computation time after the last call.
+func decodeCalls(calls []callGap, cur trace.Cursor) ([]callGap, time.Duration, error) {
+	calls = calls[:0]
+	var gap time.Duration
 	for {
 		op, ok := cur.Next()
 		if !ok {
-			break
+			return calls, gap, cur.Err()
 		}
 		switch op.Kind {
 		case trace.OpCompute:
-			t += op.Duration
+			gap += op.Duration
 		case trace.OpCall:
-			t = ctrl.Acquire(t + ov.Interception)
-			t, _ = Exit(p, ctrl, ov, op.Call, t, t)
+			calls = append(calls, callGap{gap: gap, call: op.Call})
+			gap = 0
 		}
 	}
-	if err := cur.Err(); err != nil {
-		return rankRun{}, err
+}
+
+// rankRun is the outcome of one rank's simulation at one threshold.
+type rankRun struct {
+	stats Stats
+	acct  power.Accounting
+	rankTime
+}
+
+// runCalls drives p and a link power controller over one rank's decoded
+// call stream and its trailing computation: shutdown actions program the
+// wake timer and early calls pay the reactivation delay.
+func runCalls(p Predictor, calls []callGap, tail, treact time.Duration, ov OverheadModel) rankRun {
+	ctrl := power.NewController(treact)
+	var t time.Duration
+	for _, c := range calls {
+		t = ctrl.Acquire(t + c.gap + ov.Interception)
+		t, _ = Exit(p, ctrl, ov, c.call, t, t)
 	}
+	t += tail
 	p.Flush()
 	ctrl.Finish(t)
-	return rankRun{stats: p.Stats(), acct: ctrl.Accounting(), delay: ctrl.TotalDelay, exec: t}, nil
+	return rankRun{stats: p.Stats(), acct: ctrl.Accounting(), rankTime: rankTime{delay: ctrl.TotalDelay, exec: t}}
 }
 
 // OverheadReport holds wall-clock measurements of the mechanism's software
@@ -212,15 +298,18 @@ type OverheadReport struct {
 // amortized per-call cost is meaningful.
 func MeasureOverheads(name string, src trace.Source, cfg Config) (OverheadReport, error) {
 	tm := &timed{}
+	var calls []callGap
 	for r := 0; r < src.Meta().NP; r++ {
 		p, err := ForRank(name, cfg, src, r)
 		if err != nil {
 			return OverheadReport{}, err
 		}
-		tm.Predictor = p
-		if _, err := runRank(tm, src.Open(r), cfg.Treact, OverheadModel{}); err != nil {
-			return OverheadReport{}, err
+		var tail time.Duration
+		if calls, tail, err = decodeCalls(calls, src.Open(r)); err != nil {
+			return OverheadReport{}, rankErr(src, r, err)
 		}
+		tm.Predictor = p
+		runCalls(tm, calls, tail, cfg.Treact, OverheadModel{})
 	}
 	rep := tm.rep
 	if rep.Calls > 0 {

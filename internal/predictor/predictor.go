@@ -194,6 +194,15 @@ func New(cfg Config) (*NGram, error) {
 	}, nil
 }
 
+// reset returns p to the state New(cfg) builds, reusing the builder's and
+// detector's storage, so one instance serves a sequence of offline runs.
+// cfg must be valid.
+func (p *NGram) reset(cfg Config) {
+	p.builder.Reset(cfg.GT)
+	p.detector.Reset(cfg.MaxPatternSize)
+	*p = NGram{cfg: cfg, builder: p.builder, detector: p.detector}
+}
+
 // MustNew is New, panicking on configuration errors (for tests/benchmarks).
 func MustNew(cfg Config) *NGram {
 	p, err := New(cfg)

@@ -244,11 +244,11 @@ func TestMeasureOverheadsWithoutPPA(t *testing.T) {
 	}
 }
 
-// TestMeasureOverheadsPrimesFromFile runs the trace-aware oracle over a
-// packed binary trace, so ForRank materializes each rank from the file to
-// prime it, and checks a rank whose stream fails to decode is named in the
-// error.
-func TestMeasureOverheadsPrimesFromFile(t *testing.T) {
+// packedTrace encodes a two-rank "ibt-app" trace in the binary trace
+// format: fifty (300 µs compute, barrier) pairs and a trailing compute per
+// rank.
+func packedTrace(t *testing.T) []byte {
+	t.Helper()
 	tr := trace.New("ibt-app", 2)
 	for r := 0; r < 2; r++ {
 		for i := 0; i < 50; i++ {
@@ -261,29 +261,53 @@ func TestMeasureOverheadsPrimesFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(b []byte) trace.Source {
-		f, err := trace.OpenBinary(bytes.NewReader(b), int64(len(b)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.SourceAt(0)
+	return enc
+}
+
+// openPacked opens the first trace of a binary trace file held in memory.
+func openPacked(t *testing.T, b []byte) trace.Source {
+	t.Helper()
+	f, err := trace.OpenBinary(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return f.SourceAt(0)
+}
+
+// TestMeasureOverheadsPrimesFromFile runs the trace-aware oracle over a
+// packed binary trace, so ForRank materializes each rank from the file to
+// prime it.
+func TestMeasureOverheadsPrimesFromFile(t *testing.T) {
 	cfg := Config{GT: 20 * us, Displacement: 0.01}
-	rep, err := MeasureOverheads("oracle", open(enc), cfg)
+	rep, err := MeasureOverheads("oracle", openPacked(t, packedTrace(t)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Calls != 100 || rep.PPAInvoked != 0 {
 		t.Errorf("oracle over the file: %d calls, %d PPA-invoked, want 100 and 0", rep.Calls, rep.PPAInvoked)
 	}
+}
+
+// TestOfflineDecodeErrorNamesRank corrupts rank 1 of a packed trace and
+// checks that both offline entry points name the app and rank, for a
+// streaming predictor (ngram) and a trace-aware one (oracle) alike.
+func TestOfflineDecodeErrorNamesRank(t *testing.T) {
 	// The byte before the index ends rank 1's stream: the last op's
 	// duration varint, which a set continuation bit runs past the end.
-	bad := bytes.Clone(enc)
+	bad := packedTrace(t)
 	idx := binary.LittleEndian.Uint64(bad[len(bad)-12:])
 	bad[idx-1] = 0xFF
-	_, err = MeasureOverheads("oracle", open(bad), cfg)
-	if err == nil || !strings.HasPrefix(err.Error(), "ibt-app rank 1: ") {
-		t.Errorf("corrupt rank 1: error %v, want one naming ibt-app rank 1", err)
+	src := openPacked(t, bad)
+	cfg := Config{GT: 20 * us, Displacement: 0.01}
+	for _, name := range []string{DefaultName, "oracle"} {
+		_, err := RunOfflineGrid(src, name, []time.Duration{20 * us, 40 * us}, cfg, DefaultOverheads(), 1)
+		if err == nil || !strings.HasPrefix(err.Error(), "ibt-app rank 1: ") {
+			t.Errorf("RunOfflineGrid %s over corrupt rank 1: error %v, want one naming ibt-app rank 1", name, err)
+		}
+		_, err = MeasureOverheads(name, src, cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "ibt-app rank 1: ") {
+			t.Errorf("MeasureOverheads %s over corrupt rank 1: error %v, want one naming ibt-app rank 1", name, err)
+		}
 	}
 }
 

@@ -102,11 +102,16 @@ func ForRank(name string, cfg Config, src trace.Source, r int) (Predictor, error
 	if ta, ok := p.(TraceAware); ok {
 		ops, err := trace.RankOps(src, r)
 		if err != nil {
-			return nil, fmt.Errorf("%s rank %d: %w", src.Meta().App, r, err)
+			return nil, rankErr(src, r, err)
 		}
 		ta.Prime(ops)
 	}
 	return p, nil
+}
+
+// rankErr names the app and rank in a failure to decode rank r of src.
+func rankErr(src trace.Source, r int, err error) error {
+	return fmt.Errorf("%s rank %d: %w", src.Meta().App, r, err)
 }
 
 func init() {
