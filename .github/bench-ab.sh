@@ -14,7 +14,7 @@
 # covers the same names.
 set -euo pipefail
 
-NAMES="BenchmarkReplayAlya16 BenchmarkTableIII_GTChoice BenchmarkStreamReplay BenchmarkNetworkTransfer BenchmarkDragonflyTransfer BenchmarkMultijob BenchmarkBigFabricRoutes BenchmarkBigFabricReplay BenchmarkScenarioChurn BenchmarkChurnWithFaults BenchmarkTimeSeriesRecord"
+NAMES="BenchmarkReplayAlya16 BenchmarkTableIII_GTChoice BenchmarkStreamReplay BenchmarkNetworkTransfer BenchmarkDragonflyTransfer BenchmarkMultijob BenchmarkBigFabricRoutes BenchmarkBigFabricReplay BenchmarkScenarioChurn BenchmarkChurnWithFaults BenchmarkTimeSeriesRecord BenchmarkGenerateFig7"
 LIMIT=2
 RUNS=5
 

@@ -110,6 +110,30 @@ func gtChoice(tb testing.TB) hotOp {
 	return op
 }
 
+// --- Figures 7–9: the paper's trace set ---
+
+// BenchmarkGenerateFig7 reports generated ops/s for the 25 traces of the
+// paper's Figure 7 sweep: every application at each of its process counts.
+// The sweep and the churn scenarios regenerate these traces on every run.
+func BenchmarkGenerateFig7(b *testing.B) { benchHot(b, generateFig7) }
+
+func generateFig7(tb testing.TB) hotOp {
+	ops := 0
+	gen := func() {
+		for _, app := range workloads.Apps() {
+			for _, np := range workloads.ProcCounts(app) {
+				tr, err := workloads.Generate(app, np, benchOpt)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				ops += tr.NumOps()
+			}
+		}
+	}
+	gen()
+	return hotOp{run: func(int) { gen() }, unit: "ops/s", per: float64(ops)}
+}
+
 func BenchmarkFig10_GTSweepGromacs(b *testing.B) {
 	for _, np := range []int{64, 128} {
 		b.Run(procName(np), func(b *testing.B) {

@@ -42,11 +42,12 @@ var hotPaths = []struct {
 	{"ScenarioChurn", scenarioChurn, 1000, 0, 0},
 	{"ChurnWithFaults", churnWithFaults, 1000, 0, 0},
 	{"TimeSeriesRecord", timeSeriesRecord, 1000, 0, 0},
-	{"ReplayAlya16", replayAlya16, 5, 765, 108_472},
-	{"StreamReplay", streamReplay, 5, 813, 129_725},
-	{"Multijob", multijobReplay, 5, 739, 105_472},
-	{"BigFabricReplay", bigFabricReplay, 5, 765, 1_238_970},
-	{"TableIII_GTChoice", gtChoice, 5, 1_329, 143_581},
+	{"ReplayAlya16", replayAlya16, 5, 545, 95_880},
+	{"StreamReplay", streamReplay, 5, 593, 117_133},
+	{"Multijob", multijobReplay, 5, 543, 95_184},
+	{"BigFabricReplay", bigFabricReplay, 5, 545, 1_226_376},
+	{"TableIII_GTChoice", gtChoice, 5, 461, 107_568},
+	{"GenerateFig7", generateFig7, 2, 336, 35_420_629},
 }
 
 // TestHotPathCeilings pins allocs/op and bytes/op of every gated hot path.

@@ -645,7 +645,7 @@ func cmdPPA(args []string) error {
 	fmt.Printf("\npatterns detected: %d, predicting: %v\n", st.Detections, det.Predicting())
 	if p := det.Active(); p != nil {
 		fmt.Printf("predicted pattern: %s (freq %d, %d MPI calls per appearance)\n",
-			p.Key, p.Freq, p.NumCalls)
+			p.Key(), p.Freq, p.NumCalls)
 	}
 	return nil
 }

@@ -63,6 +63,27 @@ func TestAddGramSteadyStateNoAllocs(t *testing.T) {
 	}
 }
 
+// Detection sizes a pattern's gap state once, so observing a gap at any
+// position of a detected pattern never allocates, not even at a position
+// observed for the first time.
+func TestObserveGapAfterDetectNoAllocs(t *testing.T) {
+	_, d := steadyDetector(t)
+	fresh := newPattern(d.Active().ids, d.Active().keys, d.Active().NumCalls)
+	for _, p := range []*Pattern{d.Active(), fresh} {
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			p.ObserveGap(i%(p.Size()+1), time.Duration(i)*us)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("ObserveGap allocated %.1f/op, want 0", allocs)
+		}
+	}
+	if fresh.MeanGap(0) == 0 || fresh.SafeGap(fresh.Size()-1) == 0 {
+		t.Error("observed gaps left no estimate")
+	}
+}
+
 // TestDetectorHistoryBounded asserts detector memory is O(detection window):
 // the gram history ring never grows past 3*maxSize however long the stream.
 func TestDetectorHistoryBounded(t *testing.T) {

@@ -58,8 +58,7 @@ type Detector struct {
 	total  int
 	runLen []int // runLen[s] = trailing length of matches gram[i]==gram[i-s]
 
-	pl       map[string]*Pattern // keyed by the human-readable pattern key
-	plByIDs  map[string]*Pattern // keyed by packed GramID bytes (alloc-free lookup)
+	plByIDs  map[string]*Pattern // the pattern list, keyed by packed GramID bytes (alloc-free lookup)
 	idKey    []byte              // plByIDs lookup scratch
 	detected []*Pattern          // patterns with Detected=true, for fast re-prediction
 
@@ -84,7 +83,6 @@ func NewDetector(maxSize int) *Detector {
 		gramIDs: make(map[string]GramID),
 		hist:    make([]histEntry, 3*maxSize),
 		runLen:  make([]int, maxSize+1),
-		pl:      make(map[string]*Pattern),
 		plByIDs: make(map[string]*Pattern),
 	}
 }
@@ -92,7 +90,7 @@ func NewDetector(maxSize int) *Detector {
 // Reset returns the detector to the state NewDetector(maxSize) constructs,
 // keeping its tables' storage, so one detector can serve a sequence of
 // runs. The history ring and run lengths are remade only when the window
-// size changes.
+// size changes. A pattern from before the Reset must not be used after it.
 func (d *Detector) Reset(maxSize int) {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxPatternSize
@@ -106,7 +104,6 @@ func (d *Detector) Reset(maxSize int) {
 	clear(hist)
 	clear(runLen)
 	clear(d.gramIDs)
-	clear(d.pl)
 	clear(d.plByIDs)
 	// Drop the old patterns' pointers so they can be collected.
 	clear(d.detected)
@@ -120,7 +117,6 @@ func (d *Detector) Reset(maxSize int) {
 		known:    d.known[:0],
 		hist:     hist,
 		runLen:   runLen[:maxSize+1],
-		pl:       d.pl,
 		plByIDs:  d.plByIDs,
 		idKey:    d.idKey[:0],
 		detected: d.detected[:0],
@@ -187,15 +183,22 @@ func (d *Detector) PredictedGapAfterExpected() time.Duration {
 // Stats returns a snapshot of detector statistics.
 func (d *Detector) Stats() DetectorStats {
 	s := d.stats
-	s.PatternListSize = len(d.pl)
+	s.PatternListSize = len(d.plByIDs)
 	if d.frozen {
 		s.MaxPatternFrozen = d.maxSize
 	}
 	return s
 }
 
-// Patterns returns the pattern list (live view; callers must not mutate).
-func (d *Detector) Patterns() map[string]*Pattern { return d.pl }
+// Patterns returns the pattern list keyed by pattern key. The map is built
+// on each call; the patterns are live (callers must not mutate them).
+func (d *Detector) Patterns() map[string]*Pattern {
+	pl := make(map[string]*Pattern, len(d.plByIDs))
+	for _, p := range d.plByIDs {
+		pl[p.Key()] = p
+	}
+	return pl
+}
 
 // AddGram feeds one finalized gram. It returns true when this gram switched
 // the detector into (or kept it in) prediction mode. In steady state —
@@ -339,8 +342,7 @@ func (d *Detector) reanchor(i int, id GramID) bool {
 // detect declares the s-gram pattern ending at index i as predicted.
 func (d *Detector) detect(s, i int) {
 	// Re-detections of a known pattern (the common case after a prediction
-	// relaunch) resolve through the packed-ID index without building the
-	// key strings again.
+	// relaunch) resolve through the packed-ID index without allocating.
 	d.idKey = d.idKey[:0]
 	for j := 0; j < s; j++ {
 		gid := d.gramAt(i - s + 1 + j)
@@ -349,15 +351,14 @@ func (d *Detector) detect(s, i int) {
 	p, ok := d.plByIDs[string(d.idKey)] // alloc-free lookup on repeats
 	if !ok {
 		ids := make([]GramID, s)
-		keys := make([]string, s)
 		nc := 0
 		for j := 0; j < s; j++ {
 			ids[j] = d.gramAt(i - s + 1 + j)
-			keys[j] = d.keys[ids[j]]
 			nc += len(d.defs[ids[j]])
 		}
-		p = &Pattern{Key: PatternKey(keys), Grams: keys, ids: ids, NumCalls: nc}
-		d.pl[p.Key] = p
+		// Until the next Reset the key table only grows, so its entries
+		// render this pattern's key.
+		p = newPattern(ids, d.keys, nc)
 		d.plByIDs[string(d.idKey)] = p
 	}
 	if !p.Detected {
@@ -396,12 +397,9 @@ func (d *Detector) detect(s, i int) {
 			}
 			p.ObserveGap(j, d.gapAt(start+j))
 		}
-		if len(p.Positions) < 16 {
-			p.Positions = append(p.Positions, start)
-		}
 	}
 	// Switch to prediction mode: the gram at index i is the last gram of an
-	// appearance of p, so the next expected gram is p.Grams[0].
+	// appearance of p, so the next expected gram is p's first.
 	d.active = p
 	d.phase = 0
 	d.wildcard = false

@@ -259,8 +259,8 @@ func TestDetectorFigure3Walkthrough(t *testing.T) {
 		t.Fatal("not predicting")
 	}
 	p := d.Active()
-	if p.Key != "41-41-41_10_10" && p.Key != "10_41-41-41_10" && p.Key != "10_10_41-41-41" {
-		t.Fatalf("active pattern %q is not a rotation of 41-41-41_10_10", p.Key)
+	if p.Key() != "41-41-41_10_10" && p.Key() != "10_41-41-41_10" && p.Key() != "10_10_41-41-41" {
+		t.Fatalf("active pattern %q is not a rotation of 41-41-41_10_10", p.Key())
 	}
 	if p.Size() != 3 {
 		t.Errorf("pattern size = %d, want 3", p.Size())
@@ -319,7 +319,10 @@ func TestDetectorMaxPatternSizeFreeze(t *testing.T) {
 }
 
 func TestPatternGapEstimates(t *testing.T) {
-	p := &Pattern{Key: "a_b", Grams: []string{"a", "b"}}
+	p := newPattern([]GramID{0, 1}, []string{"a", "b"}, 2)
+	if k := p.Key(); k != "a_b" {
+		t.Errorf("Key = %q, want a_b", k)
+	}
 	p.ObserveGap(0, 100*us)
 	p.ObserveGap(0, 200*us)
 	p.ObserveGap(0, 150*us)
@@ -329,8 +332,9 @@ func TestPatternGapEstimates(t *testing.T) {
 	if s := p.SafeGap(0); s != 100*us {
 		t.Errorf("SafeGap = %v, want 100µs", s)
 	}
-	if p.MeanGap(5) != 0 || p.SafeGap(5) != 0 {
-		t.Error("out-of-range gap estimates must be zero")
+	p.ObserveGap(5, 100*us) // beyond the pattern: ignored
+	if p.MeanGap(5) != 0 || p.SafeGap(5) != 0 || p.MeanGap(1) != 0 || p.SafeGap(1) != 0 {
+		t.Error("out-of-range and unobserved gap estimates must be zero")
 	}
 	// The window holds gapWindow entries: old minima age out.
 	for i := 0; i < gapWindow; i++ {
@@ -429,12 +433,12 @@ func TestDetectorStatsPatternList(t *testing.T) {
 	d := NewDetector(0)
 	ids, gaps := periodicStream([]EventID{1, 2}, 100*us, 6)
 	feed(t, b, d, ids, gaps)
-	if n := len(d.Patterns()); n == 0 {
-		t.Error("pattern list empty after detection")
+	if n := len(d.Patterns()); n == 0 || n != d.Stats().PatternListSize {
+		t.Errorf("pattern list holds %d patterns, Stats reports %d", n, d.Stats().PatternListSize)
 	}
 	for k, p := range d.Patterns() {
-		if p.Key != k {
-			t.Errorf("pattern map key %q != pattern key %q", k, p.Key)
+		if p.Key() != k {
+			t.Errorf("pattern map key %q != pattern key %q", k, p.Key())
 		}
 	}
 }
@@ -566,7 +570,7 @@ func TestBuilderDetectorReset(t *testing.T) {
 			t.Errorf("run %d: pattern list differs from a fresh detector's", i)
 		}
 		if d.Predicting() != fd.Predicting() || d.Phase() != fd.Phase() ||
-			(d.Predicting() && d.Active().Key != fd.Active().Key) {
+			(d.Predicting() && d.Active().Key() != fd.Active().Key()) {
 			t.Errorf("run %d: prediction state differs from a fresh detector's", i)
 		}
 		if d.total != fd.total || !slices.Equal(d.hist, fd.hist) || !slices.Equal(d.runLen, fd.runLen) ||

@@ -5,99 +5,101 @@ import (
 	"time"
 )
 
-// Pattern is a repeating sequence of grams, stored in the pattern list hash
-// table (the paper uses uthash keyed by the pattern string; we use a Go map).
+// Pattern is a repeating sequence of grams, stored in the detector's pattern
+// list (the paper uses uthash keyed by the pattern string; the detector keys
+// its list by the grams' interned IDs and renders the string on demand).
 type Pattern struct {
-	Key      string   // gram keys joined by "_", e.g. "41-41-41_10_10"
-	Grams    []string // gram keys in order
-	Freq     int      // number of observed appearances
-	Detected bool     // declared predictable (3 consecutive appearances)
-	NumCalls int      // MPI calls per appearance
+	Freq     int  // number of observed appearances
+	Detected bool // declared predictable (3 consecutive appearances)
+	NumCalls int  // MPI calls per appearance
 
-	// Positions of appearances in the gram array (for diagnostics, matching
-	// the paper's Figure 3 "Insertions into Pattern List" table).
-	Positions []int
+	// ids are the pattern's grams as interned detector IDs; all hot matching
+	// compares these integers instead of the key strings. keys is the
+	// detector's ID -> gram key table as of the pattern's detection.
+	ids  []GramID
+	keys []string
 
-	// ids mirrors Grams as interned detector IDs; all hot matching compares
-	// these integers instead of the key strings. Set by the detector.
-	ids []GramID
-
-	// gapSum/gapCnt accumulate the idle time preceding each gram of the
-	// pattern so that predictions use the average over previous appearances
-	// (Section III-B: "these times are averaged over previous appearances").
-	gapSum []time.Duration
-	gapCnt []int
-	// gapWin holds the most recent observations per position in fixed-size
-	// rings; predictions use the window minimum so that the link is back up
-	// before even the fastest recent occurrence of the gap — the paper's
-	// "better to power up a link little bit earlier than needed" policy
-	// taken to its safe side.
-	gapWin []gapRing
+	// gaps holds, per gram position, the idle time observed before that
+	// gram: sized once to the pattern, so observing a gap never allocates.
+	gaps []gapStat
 }
 
 // gapWindow is the number of recent observations kept per gap position.
 const gapWindow = 8
 
-// gapRing is a fixed-capacity ring of recent gap observations; overwriting
-// in place keeps steady-state ObserveGap allocation-free (the previous
-// re-slice-and-append window reallocated on every observation once full).
-type gapRing struct {
-	buf [gapWindow]time.Duration
-	idx int // next slot to overwrite
-	n   int // filled entries
+// gapStat accumulates the idle times observed before one gram of a pattern.
+// Predictions use the running average over previous appearances (Section
+// III-B: "these times are averaged over previous appearances") and the
+// minimum over the last gapWindow observations, kept in a ring overwritten
+// in place, so that the link is back up before even the fastest recent
+// occurrence of the gap — the paper's "better to power up a link little
+// bit earlier than needed" policy taken to its safe side.
+type gapStat struct {
+	sum time.Duration
+	n   int // observations so far; the ring holds min(n, gapWindow)
+	win [gapWindow]time.Duration
 }
 
-// PatternKey joins gram keys into a pattern identity.
-func PatternKey(grams []string) string { return strings.Join(grams, "_") }
+// newPattern returns an undetected pattern over the interned grams ids, with
+// an empty gap estimate for each position.
+func newPattern(ids []GramID, keys []string, numCalls int) *Pattern {
+	return &Pattern{NumCalls: numCalls, ids: ids, keys: keys, gaps: make([]gapStat, len(ids))}
+}
+
+// Key renders the pattern's identity: its gram keys joined by "_", e.g.
+// "41-41-41_10_10".
+func (p *Pattern) Key() string {
+	var b strings.Builder
+	for i, id := range p.ids {
+		if i > 0 {
+			b.WriteByte('_')
+		}
+		b.WriteString(p.keys[id])
+	}
+	return b.String()
+}
 
 // MeanGap returns the average idle time observed before gram index i of the
-// pattern (i == 0 is the gap separating consecutive pattern appearances).
+// pattern (i == 0 is the gap separating consecutive pattern appearances),
+// or 0 when none has been observed there.
 func (p *Pattern) MeanGap(i int) time.Duration {
-	if i < 0 || i >= len(p.gapSum) || p.gapCnt[i] == 0 {
+	if i < 0 || i >= len(p.gaps) || p.gaps[i].n == 0 {
 		return 0
 	}
-	return p.gapSum[i] / time.Duration(p.gapCnt[i])
+	return p.gaps[i].sum / time.Duration(p.gaps[i].n)
 }
 
 // ObserveGap folds a newly observed idle time before gram index i into the
 // running average. Inter-communication intervals keep being updated while
 // the power mode control component is active (Section III: "Just
 // inter-communication intervals continue to be updated with the new values
-// allowing more accurate transition between power modes").
+// allowing more accurate transition between power modes"). An index outside
+// the pattern is ignored.
 func (p *Pattern) ObserveGap(i int, gap time.Duration) {
-	if i < 0 {
+	if i < 0 || i >= len(p.gaps) {
 		return
 	}
-	for len(p.gapSum) <= i {
-		p.gapSum = append(p.gapSum, 0)
-		p.gapCnt = append(p.gapCnt, 0)
-		p.gapWin = append(p.gapWin, gapRing{})
-	}
-	p.gapSum[i] += gap
-	p.gapCnt[i]++
-	w := &p.gapWin[i]
-	w.buf[w.idx] = gap
-	w.idx = (w.idx + 1) % gapWindow
-	if w.n < gapWindow {
-		w.n++
-	}
+	g := &p.gaps[i]
+	g.win[g.n%gapWindow] = gap
+	g.sum += gap
+	g.n++
 }
 
 // SafeGap returns the conservative idle estimate for position i: the minimum
 // over the recent observation window (0 when no estimate is available).
 func (p *Pattern) SafeGap(i int) time.Duration {
-	if i < 0 || i >= len(p.gapWin) || p.gapWin[i].n == 0 {
+	if i < 0 || i >= len(p.gaps) || p.gaps[i].n == 0 {
 		return 0
 	}
-	w := &p.gapWin[i]
-	m := w.buf[0]
-	for _, g := range w.buf[1:w.n] {
-		if g < m {
-			m = g
+	g := &p.gaps[i]
+	m := g.win[0]
+	for _, w := range g.win[1:min(g.n, gapWindow)] {
+		if w < m {
+			m = w
 		}
 	}
 	return m
 }
 
 // Size returns the pattern length in grams.
-func (p *Pattern) Size() int { return len(p.Grams) }
+func (p *Pattern) Size() int { return len(p.ids) }

@@ -1,35 +1,46 @@
 package workloads
 
-import (
-	"time"
+import "time"
 
-	"ibpower/internal/trace"
-)
-
-// Per-application calibration. Each generator is characterised by
+// Per-application calibration. Each application model is characterised by
 //
 //   - the main per-iteration computation gaps at the reference process count
 //     and an Amdahl serial fraction controlling their strong-scaling shrink;
 //   - communication volume at the reference count and a byte-shrink exponent
 //     (surface-like 2/3 for clean 3-D halos, much smaller for unstructured
 //     or latency-bound exchanges);
-//   - an absolute noise floor (OS noise) that erodes synchronization at
-//     scale;
+//   - per-rank timing jitter and an absolute noise floor (OS noise) that
+//     erodes synchronization at scale, both set in the registry below;
 //   - the pattern regularity policy that sets the Table III hit-rate band.
 //
 // The constants below were calibrated so that the replay harness reproduces
 // the *shape* of the paper's Figures 7–9 and Tables I/III; EXPERIMENTS.md
 // records paper-vs-measured values.
 
-// Gromacs models a molecular-dynamics run: a short halo-exchange burst, a
+// model is one application: its per-rank jitter calibration and its SPMD
+// program, which emits one rank's ops through a builder.
+type model struct {
+	sigma float64       // relative jitter std deviation
+	noise time.Duration // absolute per-burst noise floor (OS noise): does not shrink with problem size
+	run   func(b *builder)
+}
+
+var registry = map[string]model{
+	"gromacs": {0.03, 8 * time.Microsecond, gromacs},
+	"alya":    {0.02, 5 * time.Microsecond, alya},
+	"wrf":     {0.025, 12 * time.Microsecond, wrf},
+	"nasbt":   {0.015, 8 * time.Microsecond, nasbt},
+	"nasmg":   {0.025, 12 * time.Microsecond, nasmg},
+}
+
+// gromacs models a molecular-dynamics run: a short halo-exchange burst, a
 // dominant force-computation phase and a trailing energy allreduce, with the
 // iteration alternating between a few communication variants (neighbour
 // search vs PME steps), which keeps the MPI call hit rate in the 40–60 %
 // band of Table III.
-func Gromacs(np int, opt Options) *trace.Trace {
+func gromacs(b *builder) {
 	const refNP = 8
-	b := newBuilder("gromacs", np, opt, 0.03, 8*time.Microsecond)
-	iters := opt.iters(260)
+	iters := b.opt.iters(260)
 
 	force := b.scaleTime(2400*time.Microsecond, refNP, 0.09)
 	post := b.scaleTime(250*time.Microsecond, refNP, 0.09)
@@ -42,38 +53,36 @@ func Gromacs(np int, opt Options) *trace.Trace {
 		// Markov variant switching: sticky enough that runs of three
 		// identical iterations occur and patterns get detected, but with
 		// frequent switches that break prediction.
-		if b.rng.Float64() > 0.45 {
-			variant = b.rng.Intn(3)
+		if b.uniform() > 0.45 {
+			variant = b.intn(3)
 		}
 		b.haloBurst(3, halo, 4*time.Microsecond)
-		b.computeAll(force)
+		b.compute(force)
 		switch variant {
 		case 1:
 			// Neighbour-search step: an extra halo pass.
 			b.haloBurst(2, halo/2, 5*time.Microsecond)
-			b.computeAll(mid)
+			b.compute(mid)
 		case 2:
 			// PME step: an extra reduction.
 			b.allreduce(2 * 1024)
-			b.computeAll(mid)
+			b.compute(mid)
 		}
 		b.allreduce(1024)
-		b.computeAll(post)
+		b.compute(post)
 	}
 	b.finalizePhase(600 * time.Microsecond)
-	return b.tr
 }
 
-// Alya models the FEM solver whose event stream appears in the paper's
+// alya models the FEM solver whose event stream appears in the paper's
 // Figure 2: three consecutive MPI_Sendrecv calls followed by two separate
 // MPI_Allreduce calls per iteration ("41-41-41 ___ 10 ___ 10"). The
 // iteration is extremely regular (93 % hit rate) but communication-heavy:
 // large halo messages keep the fraction of reclaimable idle time — and thus
 // the power saving — modest.
-func Alya(np int, opt Options) *trace.Trace {
+func alya(b *builder) {
 	const refNP = 8
-	b := newBuilder("alya", np, opt, 0.02, 5*time.Microsecond)
-	iters := opt.iters(240)
+	iters := b.opt.iters(240)
 
 	assemble := b.scaleTime(250*time.Microsecond, refNP, 0.12)
 	solve := b.scaleTime(210*time.Microsecond, refNP, 0.12)
@@ -82,33 +91,31 @@ func Alya(np int, opt Options) *trace.Trace {
 	b.initPhase(1200 * time.Microsecond)
 	for it := 0; it < iters; it++ {
 		b.haloBurst(3, halo, 5*time.Microsecond)
-		b.computeAll(assemble)
+		b.compute(assemble)
 		b.allreduce(8 * 1024)
-		b.computeAll(solve)
+		b.compute(solve)
 		b.allreduce(8 * 1024)
 		// Occasional convergence hiccup: an extra correction exchange that
 		// perturbs the pattern (~7 % of iterations).
-		if b.rng.Float64() < 0.07 {
-			b.computeAll(solve / 2)
+		if b.uniform() < 0.07 {
+			b.compute(solve / 2)
 			b.ringExchange(1, halo/4)
 		}
-		b.computeAll(assemble / 2)
+		b.compute(assemble / 2)
 	}
 	b.finalizePhase(800 * time.Microsecond)
-	return b.tr
 }
 
-// WRF models the weather code: a small regular boundary gram covering the
+// wrf models the weather code: a small regular boundary gram covering the
 // long physics computation, followed by a dense burst of many short-spaced
 // calls whose composition varies between several variants. Most MPI calls
 // sit in the varying burst — hence the low 25–33 % call hit rate — while the
 // long idle interval after the regular gram is predicted reliably, which is
 // why WRF still shows large power savings (Figure 7a) and why 94 % of its
 // idle intervals are shorter than 20 µs (Table I).
-func WRF(np int, opt Options) *trace.Trace {
+func wrf(b *builder) {
 	const refNP = 8
-	b := newBuilder("wrf", np, opt, 0.025, 12*time.Microsecond)
-	iters := opt.iters(210)
+	iters := b.opt.iters(210)
 
 	physics := b.scaleTime(2700*time.Microsecond, refNP, 0.03)
 	radiation := b.scaleTime(350*time.Microsecond, refNP, 0.03)
@@ -121,13 +128,13 @@ func WRF(np int, opt Options) *trace.Trace {
 		// Regular boundary gram: 4 calls.
 		b.haloBurst(4, halo, 3*time.Microsecond)
 		// Long physics phase — the predictable idle interval.
-		b.computeAll(physics)
+		b.compute(physics)
 		// Dense burst: 16–20 calls with sub-20 µs gaps, one of 5 variants.
 		// The variant switches ~78 % of the time, so the burst gram is
 		// mispredicted often (low call hit rate) while each variant still
 		// produces an occasional run of three that gets it detected.
-		if it == 0 || b.rng.Float64() < 0.78 {
-			nv := b.rng.Intn(4)
+		if it == 0 || b.uniform() < 0.78 {
+			nv := b.intn(4)
 			if nv >= v {
 				nv++
 			}
@@ -135,20 +142,19 @@ func WRF(np int, opt Options) *trace.Trace {
 		}
 		calls := 16 + v
 		for c := 0; c < calls; c++ {
-			b.computeAll(time.Duration(2+(c+v)%7) * time.Microsecond)
+			b.compute(time.Duration(2+(c+v)%7) * time.Microsecond)
 			if (c+v)%4 == 3 {
 				b.allreduce(512)
 			} else {
 				b.ringExchange(1+(c+v)%3, small)
 			}
 		}
-		b.computeAll(radiation)
+		b.compute(radiation)
 	}
 	b.finalizePhase(1000 * time.Microsecond)
-	return b.tr
 }
 
-// NASBT models the BT pseudo-application: three directional line-solve
+// nasbt models the BT pseudo-application: three directional line-solve
 // sweeps per iteration, each pipelined over sqrt(NP) stages of the square
 // process grid (cell exchange, then the per-stage solve block). It is the
 // most regular of the workloads (97–98 % hit rate). At small scale each
@@ -157,12 +163,11 @@ func WRF(np int, opt Options) *trace.Trace {
 // the per-stage computation fragments below 20 µs and the intervals merge
 // into grams, which is exactly the collapse of Table I (76 % of BT-100
 // intervals are shorter than 20 µs) and of the savings in Figures 7–9.
-func NASBT(np int, opt Options) *trace.Trace {
+func nasbt(b *builder) {
 	const refNP = 9
-	b := newBuilder("nasbt", np, opt, 0.015, 8*time.Microsecond)
-	iters := opt.iters(220)
+	iters := b.opt.iters(220)
 
-	stages := intSqrt(np)
+	stages := intSqrt(b.np)
 	dirSolve := b.scaleTime(1500*time.Microsecond, refNP, 0.08)
 	stageGap := dirSolve / time.Duration(stages)
 	rhs := b.scaleTime(450*time.Microsecond, refNP, 0.30)
@@ -173,15 +178,14 @@ func NASBT(np int, opt Options) *trace.Trace {
 		for dir := 0; dir < 3; dir++ {
 			for s := 0; s < stages; s++ {
 				b.ringExchange(1+dir%2, halo)
-				b.computeAll(stageGap)
+				b.compute(stageGap)
 			}
 		}
 		// Residual norm check: structurally identical each iteration.
 		b.allreduce(320)
-		b.computeAll(rhs)
+		b.compute(rhs)
 	}
 	b.finalizePhase(900 * time.Microsecond)
-	return b.tr
 }
 
 // intSqrt returns the integer square root of a square process count.
@@ -193,16 +197,15 @@ func intSqrt(n int) int {
 	}
 }
 
-// NASMG models the MG multigrid benchmark: V-cycles over grid levels with
+// nasmg models the MG multigrid benchmark: V-cycles over grid levels with
 // message sizes and inter-call gaps shrinking at coarser levels. The coarse
 // levels produce many idle intervals in the awkward 20–200 µs band (Table I
 // shows up to 39 % of MG's intervals there), which is why MG needs the
 // largest grouping thresholds (Table III: 150–382 µs) and shows the lowest
 // savings at scale.
-func NASMG(np int, opt Options) *trace.Trace {
+func nasmg(b *builder) {
 	const refNP = 8
-	b := newBuilder("nasmg", np, opt, 0.025, 12*time.Microsecond)
-	iters := opt.iters(170)
+	iters := b.opt.iters(170)
 
 	fine := b.scaleTime(750*time.Microsecond, refNP, 0.02)
 	msg := b.scaleBytes(768*1024, refNP, 0.30)
@@ -212,31 +215,30 @@ func NASMG(np int, opt Options) *trace.Trace {
 		// Occasionally the cycle depth changes (extra smoothing at the
 		// coarsest level), perturbing the pattern (~12 % of iterations).
 		levels := 4
-		if b.rng.Float64() < 0.12 {
-			levels = 3 + b.rng.Intn(3) // 3..5
+		if b.uniform() < 0.12 {
+			levels = 3 + b.intn(3) // 3..5
 		}
 		// Restriction sweep: gaps shrink ~4x per level.
 		for l := levels; l >= 1; l-- {
 			gap := fine >> uint(2*(levels-l))
 			m := msg >> uint(levels-l)
 			b.ringExchange(1, m)
-			b.computeAll(gap)
+			b.compute(gap)
 		}
 		// Coarse solve: a burst of tiny exchanges.
 		for c := 0; c < 4; c++ {
-			b.computeAll(8 * time.Microsecond)
+			b.compute(8 * time.Microsecond)
 			b.ringExchange(1, msg>>uint(levels))
 		}
 		// Prolongation sweep back up.
 		for l := 1; l <= levels; l++ {
 			gap := fine >> uint(2*(levels-l))
 			m := msg >> uint(levels-l)
-			b.computeAll(gap / 2)
+			b.compute(gap / 2)
 			b.ringExchange(1, m)
 		}
 		b.allreduce(256)
-		b.computeAll(fine / 3)
+		b.compute(fine / 3)
 	}
 	b.finalizePhase(700 * time.Microsecond)
-	return b.tr
 }

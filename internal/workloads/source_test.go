@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"ibpower/internal/trace"
@@ -9,33 +10,63 @@ import (
 
 // The generator source's per-rank streams must be bit-identical to the
 // corresponding ranks of the fully materialized trace, for every registered
-// application — the exactness contract that lets replay results be
-// independent of how a trace is delivered.
+// application at its smallest and largest process count — the exactness
+// contract that lets replay results be independent of how a trace is
+// delivered.
 func TestSourceMatchesGenerate(t *testing.T) {
 	opt := Options{Seed: 7, IterScale: 0.05}
 	for _, app := range Apps() {
-		np := 8
-		if app == "nasbt" {
-			np = 9
+		counts := ProcCounts(app)
+		for _, np := range []int{counts[0], counts[len(counts)-1]} {
+			full, err := Generate(app, np, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewSource(app, np, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src.Meta() != (trace.Meta{App: app, NP: np}) {
+				t.Fatalf("%s/%d: Meta = %v", app, np, src.Meta())
+			}
+			got, err := trace.Materialize(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Ranks, full.Ranks) {
+				t.Errorf("%s/%d: streamed ranks differ from Generate", app, np)
+			}
 		}
-		full, err := Generate(app, np, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := NewSource(app, np, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src.Meta() != (trace.Meta{App: app, NP: np}) {
-			t.Fatalf("%s: Meta = %v", app, src.Meta())
-		}
-		got, err := trace.Materialize(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Ranks, full.Ranks) {
-			t.Errorf("%s: streamed ranks differ from Generate", app)
-		}
+	}
+}
+
+// Open is safe to call from several goroutines at once: every call builds
+// its rank on its own copy of the source's builder and only reads the
+// shared structure draws.
+func TestSourceConcurrentOpen(t *testing.T) {
+	full, err := Generate("gromacs", 16, smallOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewSource("gromacs", 16, smallOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]trace.Op, 16)
+	var wg sync.WaitGroup
+	for r := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := src.Open(r)
+			for op, ok := c.Next(); ok; op, ok = c.Next() {
+				got[r] = append(got[r], op)
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(got, full.Ranks) {
+		t.Error("ranks opened concurrently differ from Generate")
 	}
 }
 
@@ -78,5 +109,19 @@ func TestNewSourceErrors(t *testing.T) {
 	}
 	if _, err := NewSource("alya", 1, Options{}); err == nil {
 		t.Error("np=1 accepted")
+	}
+	src, err := NewSource("alya", 8, smallOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []int{-1, 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Open(%d) of an 8-rank source did not panic", r)
+				}
+			}()
+			src.Open(r)
+		}()
 	}
 }

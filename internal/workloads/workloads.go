@@ -44,21 +44,6 @@ type Options struct {
 	// strong scaling runs" (Section III); the WeakScaling experiment tests
 	// that claim.
 	Weak bool
-
-	// only restricts generation to a single rank (value rank+1; 0 generates
-	// all ranks), and ops presizes every rank to that many ops (0 leaves
-	// ranks to grow by append). Only NewSource sets only and only Generate
-	// sets ops, each on its own copy, which is why both are unexported:
-	// callers' Options values always compare equal regardless of how the
-	// trace is later built or streamed, so Options stays usable as a cache
-	// key.
-	//
-	// Restricting to one rank is exact, not approximate: structure decisions
-	// draw from the shared rng at iteration level only (never per rank) and
-	// per-rank timing draws from jit[r], seeded independently per rank — so
-	// rank r of a filtered build is identical to rank r of a full build.
-	only int
-	ops  int
 }
 
 func (o Options) seed() int64 {
@@ -80,17 +65,6 @@ func (o Options) iters(base int) int {
 	return n
 }
 
-// Generator builds a trace for one application at a process count.
-type Generator func(np int, opt Options) *trace.Trace
-
-var registry = map[string]Generator{
-	"gromacs": Gromacs,
-	"alya":    Alya,
-	"wrf":     WRF,
-	"nasbt":   NASBT,
-	"nasmg":   NASMG,
-}
-
 // Apps returns the registered application names, sorted.
 func Apps() []string {
 	names := make([]string, 0, len(registry))
@@ -102,31 +76,37 @@ func Apps() []string {
 }
 
 // Generate builds the trace for a registered application. Every builder
-// method appends exactly one op to every rank, so all ranks have rank 0's
-// length; a rank-0-only build measures it, and the full build then carves
-// every rank from one arena allocated at its final size.
+// method emits exactly one op, so all ranks have the same length L: a
+// structure-only pass counts it, and every rank is then built into its
+// share of one np×L arena.
 func Generate(app string, np int, opt Options) (*trace.Trace, error) {
-	g, err := generator(app, np)
+	m, err := lookup(app, np)
 	if err != nil {
 		return nil, err
 	}
-	first := opt
-	first.only = 1
-	opt.ops = len(g(np, first).Ranks[0])
-	return g(np, opt), nil
+	b := &builder{m: m, np: np, opt: opt}
+	n := b.length()
+	arena := make([]trace.Op, np*n)
+	tr := trace.New(app, np)
+	for r := range tr.Ranks {
+		// Each rank's capacity ends where the next rank begins, so an
+		// append beyond n reallocates instead of overwriting rank r+1.
+		tr.Ranks[r] = b.rank(r, arena[r*n:r*n:(r+1)*n])
+	}
+	return tr, nil
 }
 
-// generator returns app's registered generator, rejecting unknown
-// applications and runs of fewer than two processes.
-func generator(app string, np int) (Generator, error) {
-	g, ok := registry[app]
+// lookup returns app's registered model, rejecting unknown applications
+// and runs of fewer than two processes.
+func lookup(app string, np int) (model, error) {
+	m, ok := registry[app]
 	if !ok {
-		return nil, fmt.Errorf("workloads: unknown application %q (have %v)", app, Apps())
+		return model{}, fmt.Errorf("workloads: unknown application %q (have %v)", app, Apps())
 	}
 	if np < 2 {
-		return nil, fmt.Errorf("workloads: need at least 2 processes, got %d", np)
+		return model{}, fmt.Errorf("workloads: need at least 2 processes, got %d", np)
 	}
-	return g, nil
+	return m, nil
 }
 
 // ProcCounts returns the process counts the paper evaluates for app:
@@ -138,61 +118,100 @@ func ProcCounts(app string) []int {
 	return []int{8, 16, 32, 64, 128}
 }
 
-// builder assembles SPMD traces with per-rank timing jitter. Structure
-// decisions (communication variants) are shared by all ranks, as in an SPMD
-// program; only computation durations jitter per rank.
+// builder emits one rank of an SPMD trace at a time. Structure decisions
+// (communication variants) are shared by all ranks, as in an SPMD program;
+// only computation durations jitter per rank.
+//
+// Building one rank alone is exact. The program draws structure at
+// iteration level only, never per rank: the structure-only pass draws it
+// from a generator seeded with Options.Seed and records every draw, and
+// each rank replays the record, so every rank sees the same structure.
+// Rank r's timing draws from jit, restarted from rank r's own seed. Rank r
+// is therefore the same whichever ranks are built before it, or whether any
+// are.
 type builder struct {
-	tr    *trace.Trace
+	m     model
 	np    int
-	lo    int // first rank to emit (Options.only filter)
-	hi    int // one past the last rank to emit
-	weak  bool
-	rng   *rand.Rand    // structure decisions, shared
-	jit   []*rand.Rand  // per-rank compute jitter
-	sigma float64       // relative jitter std deviation
-	noise time.Duration // absolute per-burst noise floor (OS noise): does not shrink with problem size
+	opt   Options
+	r     int        // the rank being emitted
+	count bool       // structure-only pass: count ops, store none, draw no jitter
+	n     int        // ops counted by the structure-only pass
+	ops   []trace.Op // the rank's ops
+	rng   *rand.Rand // structure generator, live during the structure-only pass
+	draws []float64  // the structure-only pass's draws, in order
+	next  int        // index in draws of the rank's next structure draw
+	jit   *rand.Rand // the rank's compute jitter
 }
 
-func newBuilder(app string, np int, opt Options, sigma float64, noise time.Duration) *builder {
-	b := &builder{
-		tr:    trace.New(app, np),
-		np:    np,
-		lo:    0,
-		hi:    np,
-		weak:  opt.Weak,
-		rng:   rand.New(rand.NewSource(opt.seed())),
-		jit:   make([]*rand.Rand, np),
-		sigma: sigma,
-		noise: noise,
+// length runs the structure-only pass: it returns L, the ops on every rank,
+// and records the structure draws every rank replays.
+func (b *builder) length() int {
+	b.rng = rand.New(rand.NewSource(b.opt.seed()))
+	b.count, b.n, b.next, b.draws = true, 0, 0, b.draws[:0]
+	b.m.run(b)
+	b.count, b.rng = false, nil
+	return b.n
+}
+
+// rank appends rank r's ops to ops and returns the result. length must have
+// run first.
+func (b *builder) rank(r int, ops []trace.Op) []trace.Op {
+	b.r, b.ops, b.next = r, ops, 0
+	// Rand.Seed leaves the generator exactly as rand.New(rand.NewSource)
+	// with that seed would.
+	seed := b.opt.seed()*7919 + int64(r)*104729 + 13
+	if b.jit == nil {
+		b.jit = rand.New(rand.NewSource(seed))
+	} else {
+		b.jit.Seed(seed)
 	}
-	if opt.only > 0 {
-		b.lo, b.hi = opt.only-1, opt.only
+	b.m.run(b)
+	ops, b.ops = b.ops, nil
+	return ops
+}
+
+// uniform returns the next structure draw of a float64 in [0, 1).
+func (b *builder) uniform() float64 {
+	if b.count {
+		b.draws = append(b.draws, b.rng.Float64())
 	}
-	if n := opt.ops; n > 0 {
-		// Each rank's capacity ends where the next rank begins, so an
-		// append beyond n reallocates instead of overwriting rank r+1.
-		arena := make([]trace.Op, np*n)
-		for r := range b.tr.Ranks {
-			b.tr.Ranks[r] = arena[r*n : r*n : (r+1)*n]
-		}
+	return b.replay()
+}
+
+// intn returns the next structure draw of an int in [0, n).
+func (b *builder) intn(n int) int {
+	if b.count {
+		b.draws = append(b.draws, float64(b.rng.Intn(n)))
 	}
-	for r := b.lo; r < b.hi; r++ {
-		b.jit[r] = rand.New(rand.NewSource(opt.seed()*7919 + int64(r)*104729 + 13))
+	return int(b.replay())
+}
+
+// replay returns the next recorded structure draw.
+func (b *builder) replay() float64 {
+	b.next++
+	return b.draws[b.next-1]
+}
+
+// emit appends op to the rank, or only counts it in the structure-only pass.
+func (b *builder) emit(op trace.Op) {
+	if b.count {
+		b.n++
+		return
 	}
-	return b
+	b.ops = append(b.ops, op)
 }
 
 // jitter perturbs d by a truncated normal relative factor plus a positive
-// absolute noise term for rank r. The absolute term models OS/system noise,
-// which does not shrink under strong scaling and is what makes
+// absolute noise term for the rank. The absolute term models OS/system
+// noise, which does not shrink under strong scaling and is what makes
 // synchronization losses dominate at large process counts.
-func (b *builder) jitter(r int, d time.Duration) time.Duration {
-	if d <= 0 {
+func (b *builder) jitter(d time.Duration) time.Duration {
+	if b.count || d <= 0 {
 		return d
 	}
 	f := 1.0
-	if b.sigma > 0 {
-		f = 1 + b.sigma*clamp(b.jit[r].NormFloat64(), -3, 3)
+	if b.m.sigma > 0 {
+		f = 1 + b.m.sigma*clamp(b.jit.NormFloat64(), -3, 3)
 		if f < 0.05 {
 			f = 0.05
 		}
@@ -201,8 +220,8 @@ func (b *builder) jitter(r int, d time.Duration) time.Duration {
 	// OS noise strikes long computation bursts (they expose more time to
 	// preemption); sub-GT gram-internal gaps stay tight so that gram
 	// formation is stable against the grouping threshold.
-	if b.noise > 0 && d >= 64*time.Microsecond {
-		n := time.Duration(math.Abs(b.jit[r].NormFloat64()) * float64(b.noise))
+	if b.m.noise > 0 && d >= 64*time.Microsecond {
+		n := time.Duration(math.Abs(b.jit.NormFloat64()) * float64(b.m.noise))
 		out += n
 	}
 	return out
@@ -218,50 +237,34 @@ func clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// computeAll appends a jittered compute burst of mean d to every rank.
-func (b *builder) computeAll(d time.Duration) {
-	for r := b.lo; r < b.hi; r++ {
-		b.tr.Append(r, trace.Compute(b.jitter(r, d)))
-	}
+// compute emits a jittered compute burst of mean d.
+func (b *builder) compute(d time.Duration) {
+	b.emit(trace.Compute(b.jitter(d)))
 }
 
-// ringExchange appends a ring sendrecv: every rank sends to (r+off) and
+// ringExchange emits a ring sendrecv: the rank sends to (r+off) and
 // receives from (r-off).
 func (b *builder) ringExchange(off, bytes int) {
-	for r := b.lo; r < b.hi; r++ {
-		to := (r + off) % b.np
-		from := (r - off%b.np + b.np) % b.np
-		b.tr.Append(r, trace.Sendrecv(to, from, bytes))
-	}
+	to := (b.r + off) % b.np
+	from := (b.r - off%b.np + b.np) % b.np
+	b.emit(trace.Sendrecv(to, from, bytes))
 }
 
-// allreduce appends an allreduce on every rank.
-func (b *builder) allreduce(bytes int) {
-	for r := b.lo; r < b.hi; r++ {
-		b.tr.Append(r, trace.Allreduce(bytes))
-	}
-}
+// allreduce emits an allreduce.
+func (b *builder) allreduce(bytes int) { b.emit(trace.Allreduce(bytes)) }
 
-// barrier appends a barrier on every rank.
-func (b *builder) barrier() {
-	for r := b.lo; r < b.hi; r++ {
-		b.tr.Append(r, trace.Barrier())
-	}
-}
+// barrier emits a barrier.
+func (b *builder) barrier() { b.emit(trace.Barrier()) }
 
-// bcast appends a broadcast from root.
-func (b *builder) bcast(root, bytes int) {
-	for r := b.lo; r < b.hi; r++ {
-		b.tr.Append(r, trace.Bcast(root, bytes))
-	}
-}
+// bcast emits a broadcast from root.
+func (b *builder) bcast(root, bytes int) { b.emit(trace.Bcast(root, bytes)) }
 
-// haloBurst appends k ring sendrecvs separated by short gaps (all below any
+// haloBurst emits k ring sendrecvs separated by short gaps (all below any
 // sensible GT), forming one gram.
 func (b *builder) haloBurst(k, bytes int, gap time.Duration) {
 	for i := 0; i < k; i++ {
 		if i > 0 {
-			b.computeAll(gap)
+			b.compute(gap)
 		}
 		b.ringExchange(1+i%2, bytes)
 	}
@@ -292,7 +295,7 @@ func byteScale(base, refNP, np int, e float64) int {
 // scaleTime applies the builder's scaling regime to a per-rank computation
 // phase: Amdahl shrink under strong scaling, constant under weak scaling.
 func (b *builder) scaleTime(base time.Duration, refNP int, f float64) time.Duration {
-	if b.weak {
+	if b.opt.Weak {
 		return base
 	}
 	return amdahlScale(base, refNP, b.np, f)
@@ -300,7 +303,7 @@ func (b *builder) scaleTime(base time.Duration, refNP int, f float64) time.Durat
 
 // scaleBytes applies the scaling regime to a message size.
 func (b *builder) scaleBytes(base, refNP int, e float64) int {
-	if b.weak {
+	if b.opt.Weak {
 		return base
 	}
 	return byteScale(base, refNP, b.np, e)
@@ -310,19 +313,17 @@ func (b *builder) scaleBytes(base, refNP int, e float64) int {
 // deck and a barrier, separated by setup computation. Its irregular timing
 // exercises the "no prediction outside iterative phases" path.
 func (b *builder) initPhase(setup time.Duration) {
-	b.computeAll(setup)
+	b.compute(setup)
 	b.bcast(0, 1<<16)
-	b.computeAll(setup / 2)
+	b.compute(setup / 2)
 	b.barrier()
-	b.computeAll(setup / 3)
+	b.compute(setup / 3)
 }
 
 // finalizePhase emits a reduction of results and a final barrier.
 func (b *builder) finalizePhase(teardown time.Duration) {
-	b.computeAll(teardown)
-	for r := b.lo; r < b.hi; r++ {
-		b.tr.Append(r, trace.Reduce(0, 1<<13))
-	}
-	b.computeAll(teardown / 2)
+	b.compute(teardown)
+	b.emit(trace.Reduce(0, 1<<13))
+	b.compute(teardown / 2)
 	b.barrier()
 }
