@@ -8,10 +8,12 @@
 # temporary git worktree), alternates RUNS runs of each side over NAMES at
 # -test.benchtime 100ms, and prints each benchmark's base and head median
 # ns/op and their ratio. Exits non-zero when a head median exceeds LIMIT
-# times its base median, or when a benchmark is missing from any run of
-# either side: a dropped or failing benchmark must not pass. Allocations
-# are pinned separately, by TestHotPathCeilings (ceilings_test.go), which
-# covers the same names.
+# times its base median, or when a benchmark is missing from any head run
+# or from some but not all base runs: a dropped or failing benchmark must
+# not pass. A benchmark no base run has at all is one the change adds: it
+# prints NEW with its head median and does not fail. Allocations are pinned
+# separately, by TestHotPathCeilings (ceilings_test.go), which covers the
+# same names.
 set -euo pipefail
 
 NAMES="BenchmarkReplayAlya16 BenchmarkTableIII_GTChoice BenchmarkStreamReplay BenchmarkNetworkTransfer BenchmarkDragonflyTransfer BenchmarkMultijob BenchmarkBigFabricRoutes BenchmarkBigFabricReplay BenchmarkScenarioChurn BenchmarkChurnWithFaults BenchmarkTimeSeriesRecord BenchmarkGenerateFig7"
@@ -60,9 +62,13 @@ printf '%-28s %14s %14s %7s\n' benchmark "base ns/op" "head ns/op" ratio
 for name in $NAMES; do
 	b=$(median base "$name")
 	h=$(median head "$name")
-	if [ -z "$b" ] || [ -z "$h" ]; then
+	if [ -z "$h" ] || { [ -z "$b" ] && grep -q "^base $name " "$work/samples"; }; then
 		printf '%-28s %14s %14s %7s  MISSING\n' "$name" "${b:--}" "${h:--}" -
 		status=1
+		continue
+	fi
+	if [ -z "$b" ]; then
+		printf '%-28s %14s %14s %7s  NEW\n' "$name" - "$h" -
 		continue
 	fi
 	verdict=$(awk -v b="$b" -v h="$h" -v limit="$LIMIT" 'BEGIN { printf "%7.2f%s", h / b, (h > limit * b ? "  REGRESSION" : "") }')

@@ -84,26 +84,34 @@ func gtChoice(tb testing.TB) hotOp {
 	}
 	grid := harness.DefaultGTGrid()
 	var (
-		gt   time.Duration
-		hit  float64
-		runs int64
+		gt  time.Duration
+		hit float64
 	)
 	op := hotOp{run: func(i int) {
-		before := predictor.RankRuns()
 		g, h, err := harness.ChooseGT(tr, grid, 1.0)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if i == 0 {
-			gt, hit, runs = g, h, predictor.RankRuns()-before
+			gt, hit = g, h
 		}
 	}}
 	if b, ok := tb.(*testing.B); ok {
+		// Rank simulations behind the choice, counted outside the timed
+		// loop on the grid, config and pool ChooseGT uses: at most
+		// NP × len(grid), fewer wherever grid thresholds share one run.
+		res, err := predictor.RunOfflineGrid(tr, predictor.DefaultName, grid,
+			predictor.Config{Displacement: 0.01}, predictor.DefaultOverheads(), 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		runs := 0
+		for _, r := range res {
+			runs += r.Runs
+		}
 		op.done = func() {
 			b.ReportMetric(float64(gt/time.Microsecond), "GT_us")
 			b.ReportMetric(hit, "hit_%")
-			// Rank simulations behind the choice: at most NP × len(grid),
-			// fewer wherever grid thresholds share one run.
 			b.ReportMetric(float64(runs), "rank_runs")
 		}
 	}

@@ -184,17 +184,7 @@ func (b *Builder) take() *Gram {
 	return &b.done
 }
 
-// CurrentLen returns the number of events in the gram under construction.
-func (b *Builder) CurrentLen() int { return len(b.cur) }
-
 // Current returns the event IDs of the gram under construction without
 // copying. The slice aliases the builder's internal buffer: it is read-only
 // and only valid until the next Add or Flush.
 func (b *Builder) Current() []EventID { return b.cur }
-
-// CurrentIDs returns a copy of the event IDs in the gram under construction.
-func (b *Builder) CurrentIDs() []EventID {
-	out := make([]EventID, len(b.cur))
-	copy(out, b.cur)
-	return out
-}

@@ -69,8 +69,14 @@ func checkGridMatches(t *testing.T, src trace.Source, name string, workers int) 
 		if len(got) != len(want) {
 			t.Fatalf("%s/%s: %d results, want %d", name, gname, len(got), len(want))
 		}
+		// Every rank runs at the first point; later points may share it.
+		if np := src.Meta().NP; got[0].Runs != np {
+			t.Errorf("%s/%s: %d rank runs at the first point, want %d", name, gname, got[0].Runs, np)
+		}
 		for i := range gts {
-			if !reflect.DeepEqual(got[i], want[i]) {
+			g := *got[i]
+			g.Runs = want[i].Runs
+			if !reflect.DeepEqual(&g, want[i]) {
 				t.Errorf("%s/%s at GT %v: shared result differs from a direct run\n got %+v\nwant %+v",
 					name, gname, gts[i], got[i], want[i])
 			}
@@ -129,16 +135,19 @@ func TestRunOfflineGridSharesRankRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	gts := defaultGrid()
-	before := RankRuns()
-	if _, err := RunOfflineGrid(tr, DefaultName, gts, Config{Displacement: 0.01}, DefaultOverheads(), 1); err != nil {
+	res, err := RunOfflineGrid(tr, DefaultName, gts, Config{Displacement: 0.01}, DefaultOverheads(), 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	runs := RankRuns() - before
+	runs := 0
+	for _, r := range res {
+		runs += r.Runs
+	}
 	t.Logf("%d rank runs for %d ranks × %d thresholds", runs, tr.NP, len(gts))
-	if limit := int64(tr.NP * len(gts) / 2); runs > limit {
+	if limit := tr.NP * len(gts) / 2; runs > limit {
 		t.Errorf("%d rank runs for %d ranks × %d thresholds, want at most %d", runs, tr.NP, len(gts), limit)
 	}
-	if runs < int64(tr.NP) {
+	if runs < tr.NP {
 		t.Errorf("%d rank runs, fewer than the %d ranks", runs, tr.NP)
 	}
 }
@@ -156,13 +165,11 @@ func TestRunOfflineGridErrors(t *testing.T) {
 	}
 }
 
-// freshRun is the reference offline run of rank r: a newly built n-gram
-// predictor streamed one op at a time from the rank's cursor. It returns
-// the run and the builder's GT interval.
-func freshRun(t *testing.T, src trace.Source, r int, cfg Config, ov OverheadModel) (rankRun, time.Duration, time.Duration) {
+// opRun is the reference offline run of rank r: p driven one op at a time
+// from the rank's cursor.
+func opRun(t *testing.T, p Predictor, src trace.Source, r int, treact time.Duration, ov OverheadModel) rankRun {
 	t.Helper()
-	p := MustNew(cfg)
-	ctrl := power.NewController(cfg.Treact)
+	ctrl := power.NewController(treact)
 	cur := src.Open(r)
 	var now time.Duration
 	for {
@@ -183,12 +190,86 @@ func freshRun(t *testing.T, src trace.Source, r int, cfg Config, ov OverheadMode
 	}
 	p.Flush()
 	ctrl.Finish(now)
-	lo, hi := p.builder.GTInterval()
 	return rankRun{
 		stats:    p.Stats(),
 		acct:     ctrl.Accounting(),
 		rankTime: rankTime{delay: ctrl.TotalDelay, exec: now},
-	}, lo, hi
+	}
+}
+
+// freshRun is the reference offline run of rank r with a newly built n-gram
+// predictor. It returns the run and the builder's GT interval.
+func freshRun(t *testing.T, src trace.Source, r int, cfg Config, ov OverheadModel) (rankRun, time.Duration, time.Duration) {
+	t.Helper()
+	p := MustNew(cfg)
+	run := opRun(t, p, src, r, cfg.Treact, ov)
+	lo, hi := p.builder.GTInterval()
+	return run, lo, hi
+}
+
+// TestPrimedPredictorsSourceAgnostic checks that the two primed predictors
+// see the same calls whatever serves the rank: ForRank and RunOfflineGrid
+// over an in-memory trace, the generator source and a packed .ibt file all
+// give the statistics of ForRank over the in-memory trace driven op by op.
+func TestPrimedPredictorsSourceAgnostic(t *testing.T) {
+	const app, np = "alya", 16
+	opt := workloads.Options{IterScale: 0.1}
+	tr, err := workloads.Generate(app, np, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workloads.NewSource(app, np, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := trace.EncodeBinary(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := []struct {
+		kind string
+		src  trace.Source
+	}{{"trace", tr}, {"generator", gen}, {"ibt", openPacked(t, enc)}}
+	gts := []time.Duration{100 * us, 200 * us}
+	ov := DefaultOverheads()
+	for _, name := range []string{"oracle", "offline"} {
+		want := make([][]Stats, len(gts))
+		for i, gt := range gts {
+			cfg := Config{GT: gt, Displacement: 0.01}
+			want[i] = make([]Stats, np)
+			for r := range want[i] {
+				p, err := ForRank(name, cfg, tr, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i][r] = opRun(t, p, tr, r, cfg.Treact, ov).stats
+			}
+			if want[i][0].Shutdowns == 0 {
+				t.Fatalf("%s at GT %v: rank 0 never shut down; the check would be vacuous", name, gt)
+			}
+		}
+		for _, s := range srcs {
+			res, err := RunOfflineGrid(s.src, name, gts, Config{Displacement: 0.01}, ov, 2)
+			if err != nil {
+				t.Fatalf("%s over %s: %v", name, s.kind, err)
+			}
+			for i, gt := range gts {
+				if !reflect.DeepEqual(res[i].Stats, want[i]) {
+					t.Errorf("%s over %s at GT %v: RunOfflineGrid stats differ from ForRank's", name, s.kind, gt)
+				}
+				cfg := Config{GT: gt, Displacement: 0.01}
+				for r := 0; r < np; r++ {
+					p, err := ForRank(name, cfg, s.src, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := opRun(t, p, s.src, r, cfg.Treact, ov).stats; !reflect.DeepEqual(got, want[i][r]) {
+						t.Errorf("%s over %s at GT %v rank %d: ForRank stats %+v, want %+v", name, s.kind, gt, r, got, want[i][r])
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestReusedPredictorMatchesFresh drives one worker scratch, and so one
@@ -238,7 +319,7 @@ func TestReusedPredictorMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		var tail time.Duration
-		if s.calls, tail, err = decodeCalls(s.calls, src.Open(st.rank)); err != nil {
+		if s.calls, tail, err = trace.Calls(s.calls, src.Open(st.rank)); err != nil {
 			t.Fatal(err)
 		}
 		got := runCalls(p, s.calls, tail, cfg.Treact, ov)

@@ -2,7 +2,6 @@ package predictor
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"ibpower/internal/power"
@@ -17,6 +16,10 @@ type OfflineResult struct {
 	Acct  []power.Accounting
 	Delay time.Duration // total reactivation delay suffered
 	Exec  time.Duration // max rank finish time
+	// Runs counts the rank runs simulated at this grid point; the other
+	// ranks' results are shared from a run at an earlier point. Summed over
+	// the grid it is the total number of rank simulations.
+	Runs int
 }
 
 // AvgHitRatePct averages the per-rank MPI call hit rates.
@@ -45,8 +48,8 @@ func (o *OfflineResult) TotalLow() time.Duration {
 // Each rank's stream drives a predictor and a link power controller:
 // shutdown actions program the wake timer and early calls pay the
 // reactivation delay, exactly as in the full replay minus network effects.
-// Trace-aware predictors (oracle, offline) are primed with each rank's op
-// stream before it is replayed; every other predictor sees only the calls.
+// The primers (oracle, offline) are primed with each rank's call stream
+// before it is replayed; every other predictor sees the calls one by one.
 // This is the fast path used for the GT sweeps of Table III and Figure 10.
 //
 // A rank is not simulated once per threshold: after each n-gram rank run
@@ -76,6 +79,7 @@ func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Conf
 		src: src, name: name, gts: gts, cfg: cfg, ov: ov, np: np,
 		out:   make([]*OfflineResult, len(gts)),
 		times: make([]rankTime, len(gts)*np),
+		ran:   make([]bool, len(gts)*np),
 	}
 	for j := range g.out {
 		g.out[j] = &OfflineResult{
@@ -103,21 +107,16 @@ func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Conf
 		return nil, err
 	}
 	for j, res := range g.out {
-		for _, rt := range g.times[j*np : (j+1)*np] {
+		for r, rt := range g.times[j*np : (j+1)*np] {
 			res.Delay += rt.delay
 			res.Exec = max(res.Exec, rt.exec)
+			if g.ran[j*np+r] {
+				res.Runs++
+			}
 		}
 	}
 	return g.out, nil
 }
-
-// rankRuns counts the rank simulations the offline grid runner has executed.
-var rankRuns atomic.Int64
-
-// RankRuns returns the number of rank simulations the offline grid runner
-// has executed in this process. RunOfflineGrid's sharing shows up as fewer
-// runs than ranks × grid points.
-func RankRuns() int64 { return rankRuns.Load() }
 
 // offlineGrid is one RunOfflineGrid call: its inputs and the results every
 // rank run writes into. Ranks write disjoint slots, so the pool's workers
@@ -131,6 +130,7 @@ type offlineGrid struct {
 	np    int
 	out   []*OfflineResult
 	times []rankTime // times[j*np+r] is rank r's run at grid point j
+	ran   []bool     // ran[j*np+r]: rank r was simulated at grid point j
 }
 
 // rankTime is the timing outcome of one rank's run at one threshold.
@@ -143,7 +143,7 @@ type rankTime struct {
 // of the rank in hand, which grid points its runs already cover, and the
 // n-gram predictor every n-gram run of the worker resets.
 type gridScratch struct {
-	calls []callGap
+	calls []trace.CallGap
 	done  []bool
 	ng    *NGram
 }
@@ -169,12 +169,15 @@ func (s *gridScratch) predictor(name string, c Config) (Predictor, error) {
 
 // runRank simulates rank r at every grid point that no earlier run of the
 // rank covers and writes each run into every point it covers. The rank is
-// decoded once; a trace-aware predictor's op stream is materialized once,
-// primes every run and is the stream decoded.
+// decoded once; its call stream primes every primer run and drives every
+// run.
 func (g *offlineGrid) runRank(s *gridScratch, r int) error {
 	clear(s.done)
-	var ops []trace.Op
 	var tail time.Duration
+	var err error
+	if s.calls, tail, err = trace.Calls(s.calls, g.src.Open(r)); err != nil {
+		return rankErr(g.src, r, err)
+	}
 	for i, gt := range g.gts {
 		if s.done[i] {
 			continue
@@ -185,25 +188,11 @@ func (g *offlineGrid) runRank(s *gridScratch, r int) error {
 		if err != nil {
 			return err
 		}
-		if ta, ok := p.(TraceAware); ok {
-			if ops == nil {
-				if ops, err = trace.RankOps(g.src, r); err != nil {
-					return rankErr(g.src, r, err)
-				}
-			}
-			ta.Prime(ops)
+		if pr, ok := p.(primer); ok {
+			pr.prime(s.calls, tail)
 		}
-		if i == 0 { // the first point always runs
-			cur := g.src.Open(r)
-			if ops != nil {
-				cur = trace.SliceCursor(ops)
-			}
-			if s.calls, tail, err = decodeCalls(s.calls, cur); err != nil {
-				return rankErr(g.src, r, err)
-			}
-		}
-		rankRuns.Add(1)
 		run := runCalls(p, s.calls, tail, c.Treact, g.ov)
+		g.ran[i*g.np+r] = true
 		// The n-gram mechanism reads GT only in its gram builder's grouping
 		// comparison (the detector, Algorithm 3, the overhead model and the
 		// controller never see it), so the builder's interval bounds every
@@ -225,36 +214,6 @@ func (g *offlineGrid) runRank(s *gridScratch, r int) error {
 	return nil
 }
 
-// callGap is one MPI call of a decoded rank stream: the computation time
-// summed since the previous call (or the stream start), then the call.
-// Durations are integers, so summing them up front is exact: a run over
-// the decoded stream reaches every call at the time a run over the ops
-// would.
-type callGap struct {
-	gap  time.Duration
-	call trace.CallID
-}
-
-// decodeCalls reads cur's op stream into calls, reusing its storage, and
-// returns it with the computation time after the last call.
-func decodeCalls(calls []callGap, cur trace.Cursor) ([]callGap, time.Duration, error) {
-	calls = calls[:0]
-	var gap time.Duration
-	for {
-		op, ok := cur.Next()
-		if !ok {
-			return calls, gap, cur.Err()
-		}
-		switch op.Kind {
-		case trace.OpCompute:
-			gap += op.Duration
-		case trace.OpCall:
-			calls = append(calls, callGap{gap: gap, call: op.Call})
-			gap = 0
-		}
-	}
-}
-
 // rankRun is the outcome of one rank's simulation at one threshold.
 type rankRun struct {
 	stats Stats
@@ -265,12 +224,12 @@ type rankRun struct {
 // runCalls drives p and a link power controller over one rank's decoded
 // call stream and its trailing computation: shutdown actions program the
 // wake timer and early calls pay the reactivation delay.
-func runCalls(p Predictor, calls []callGap, tail, treact time.Duration, ov OverheadModel) rankRun {
+func runCalls(p Predictor, calls []trace.CallGap, tail, treact time.Duration, ov OverheadModel) rankRun {
 	ctrl := power.NewController(treact)
 	var t time.Duration
 	for _, c := range calls {
-		t = ctrl.Acquire(t + c.gap + ov.Interception)
-		t, _ = Exit(p, ctrl, ov, c.call, t, t)
+		t = ctrl.Acquire(t + c.Gap + ov.Interception)
+		t, _ = Exit(p, ctrl, ov, c.Call, t, t)
 	}
 	t += tail
 	p.Flush()
@@ -298,15 +257,18 @@ type OverheadReport struct {
 // amortized per-call cost is meaningful.
 func MeasureOverheads(name string, src trace.Source, cfg Config) (OverheadReport, error) {
 	tm := &timed{}
-	var calls []callGap
+	var calls []trace.CallGap
 	for r := 0; r < src.Meta().NP; r++ {
-		p, err := ForRank(name, cfg, src, r)
+		p, err := NewNamed(name, cfg)
 		if err != nil {
 			return OverheadReport{}, err
 		}
 		var tail time.Duration
-		if calls, tail, err = decodeCalls(calls, src.Open(r)); err != nil {
+		if calls, tail, err = trace.Calls(calls, src.Open(r)); err != nil {
 			return OverheadReport{}, rankErr(src, r, err)
+		}
+		if pr, ok := p.(primer); ok {
+			pr.prime(calls, tail)
 		}
 		tm.Predictor = p
 		runCalls(tm, calls, tail, cfg.Treact, OverheadModel{})

@@ -25,6 +25,7 @@ package predictor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ibpower/internal/ngram"
@@ -266,7 +267,7 @@ func (p *NGram) OnCall(id ngram.EventID, start, end time.Duration) Action {
 	// interval less the safety limit.
 	if exp, ok := p.detector.Expected(); ok {
 		cur := p.builder.Current() // read-only view; no per-call copy
-		if len(cur) == len(exp) && equalIDs(cur, exp) {
+		if slices.Equal(cur, exp) {
 			idleTime := p.detector.PredictedGapAfterExpected()
 			if idleTime > 0 {
 				predicted := p.cfg.predictedIdle(idleTime)
@@ -290,16 +291,4 @@ func (p *NGram) Flush() {
 	if g := p.builder.Flush(); g != nil {
 		p.detector.AddGram(g)
 	}
-}
-
-func equalIDs(a, b []ngram.EventID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

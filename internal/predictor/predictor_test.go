@@ -3,7 +3,9 @@ package predictor
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -274,9 +276,9 @@ func openPacked(t *testing.T, b []byte) trace.Source {
 	return f.SourceAt(0)
 }
 
-// TestMeasureOverheadsPrimesFromFile runs the trace-aware oracle over a
-// packed binary trace, so ForRank materializes each rank from the file to
-// prime it.
+// TestMeasureOverheadsPrimesFromFile runs the primed oracle over a packed
+// binary trace, so MeasureOverheads decodes each rank's calls from the file
+// to prime it.
 func TestMeasureOverheadsPrimesFromFile(t *testing.T) {
 	cfg := Config{GT: 20 * us, Displacement: 0.01}
 	rep, err := MeasureOverheads("oracle", openPacked(t, packedTrace(t)), cfg)
@@ -288,9 +290,43 @@ func TestMeasureOverheadsPrimesFromFile(t *testing.T) {
 	}
 }
 
+// probePrimed collects the call count of every primeProbe priming.
+var (
+	probePrimed   []int
+	registerProbe sync.Once
+)
+
+// primeProbe is a primer that records the calls it is primed with.
+type primeProbe struct{ stubPred }
+
+func (*primeProbe) prime(calls []trace.CallGap, _ time.Duration) {
+	probePrimed = append(probePrimed, len(calls))
+}
+
+// TestMeasureOverheadsPrimesEveryRank checks that Table IV primes each
+// rank's primer with that rank's decoded calls. The oracle's report would
+// read the same unprimed: only its wall-clock cost would drop.
+func TestMeasureOverheadsPrimesEveryRank(t *testing.T) {
+	registerProbe.Do(func() {
+		Register("prime-probe", func(cfg Config) (Predictor, error) {
+			if err := cfg.Validate(); err != nil {
+				return nil, err
+			}
+			return &primeProbe{}, nil
+		})
+	})
+	probePrimed = nil
+	if _, err := MeasureOverheads("prime-probe", openPacked(t, packedTrace(t)), Config{GT: 20 * us, Displacement: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{50, 50}; !slices.Equal(probePrimed, want) {
+		t.Errorf("primed with %v calls per rank, want %v", probePrimed, want)
+	}
+}
+
 // TestOfflineDecodeErrorNamesRank corrupts rank 1 of a packed trace and
 // checks that both offline entry points name the app and rank, for a
-// streaming predictor (ngram) and a trace-aware one (oracle) alike.
+// streaming predictor (ngram) and a primed one (oracle) alike.
 func TestOfflineDecodeErrorNamesRank(t *testing.T) {
 	// The byte before the index ends rank 1's stream: the last op's
 	// duration varint, which a set continuation bit runs past the end.

@@ -28,17 +28,18 @@ type Predictor interface {
 	Stats() Stats
 }
 
-// TraceAware is implemented by predictors that need the rank's full op
-// stream before the run begins — the clairvoyant oracle and the
-// offline-profile predictor. ForRank and the offline grid runner prime them
-// with the rank's trace; the live PMPI layer has no trace, so there
-// they never predict (a deliberate property: trace-trained predictors cannot
-// be deployed online, which is the PPA's selling point).
-type TraceAware interface {
-	Predictor
-	// Prime hands the predictor the rank's complete op stream. It is called
-	// once, before the first OnCall. Implementations must not mutate ops.
-	Prime(ops []trace.Op)
+// primer is implemented by the predictors that need the rank's call stream
+// before the run begins: the clairvoyant oracle and the offline profile.
+// ForRank, the offline grid runner and MeasureOverheads prime them; the live
+// PMPI layer has no trace, so there they never predict (a deliberate
+// property: trace-trained predictors cannot be deployed online, which is
+// the PPA's selling point).
+type primer interface {
+	// prime hands the predictor the rank's calls and the computation after
+	// the last one, as trace.Calls decodes them. It is called once, before
+	// the first OnCall. Implementations may keep calls but must not mutate
+	// it.
+	prime(calls []trace.CallGap, tail time.Duration)
 }
 
 // DefaultName is the registry entry used when no predictor is named: the
@@ -89,22 +90,21 @@ func MustNewNamed(name string, cfg Config) Predictor {
 	return p
 }
 
-// ForRank builds rank r's instance of the named predictor for src and primes
-// it with the rank's op stream when it is TraceAware. Only trace-aware
-// predictors justify paying O(rank) memory for lookahead; every other one
-// leaves the rank streaming at O(window). A decode failure names the app and
-// rank.
+// ForRank builds rank r's instance of the named predictor for src and, when
+// it is a primer, primes it with the rank's call stream. Only the primers
+// pay O(calls) memory for lookahead; every other predictor leaves the rank
+// streaming at O(window). A decode failure names the app and rank.
 func ForRank(name string, cfg Config, src trace.Source, r int) (Predictor, error) {
 	p, err := NewNamed(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if ta, ok := p.(TraceAware); ok {
-		ops, err := trace.RankOps(src, r)
+	if pr, ok := p.(primer); ok {
+		calls, tail, err := trace.Calls(nil, src.Open(r))
 		if err != nil {
 			return nil, rankErr(src, r, err)
 		}
-		ta.Prime(ops)
+		pr.prime(calls, tail)
 	}
 	return p, nil
 }

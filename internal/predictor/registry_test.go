@@ -222,7 +222,7 @@ func TestProfilePredictsPerCallTypeMeans(t *testing.T) {
 }
 
 func TestUnprimedTraceAwarePredictNothing(t *testing.T) {
-	// The live PMPI layer cannot prime trace-aware predictors; they must
+	// The live PMPI layer cannot prime the oracle or the profile; they must
 	// degrade to no-ops rather than guessing.
 	for _, name := range []string{"oracle", "offline"} {
 		p := MustNewNamed(name, validCfg())

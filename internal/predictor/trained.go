@@ -7,40 +7,40 @@ import (
 )
 
 // This file holds the two trace-primed predictors, registered as "oracle"
-// and "offline". Both implement TraceAware: the harness hands them the
-// rank's op stream before the run. They bound the design space from above —
-// the oracle knows every future gap exactly, the offline profile is the best
-// a per-call-type trained table can do — while the baselines in baselines.go
+// and "offline". Both are primers: the harness hands them the rank's call
+// stream before the run. They bound the design space from above — the
+// oracle knows every future gap exactly, the offline profile is the best a
+// per-call-type trained table can do — while the baselines in baselines.go
 // bound it from below. Unprimed (e.g. inside the live PMPI layer, which has
 // no trace) they never predict.
 
-// oraclePred is the clairvoyant upper bound: primed with the rank's trace,
-// it knows the exact inter-call computation gap following every call and
+// oraclePred is the clairvoyant upper bound: primed with the rank's call
+// stream, it knows the exact computation gap following every call and
 // predicts it, so with Algorithm 3's safety margin applied no demand wake is
 // ever triggered by the rank's own next call.
 type oraclePred struct {
 	baseline
-	gaps []time.Duration // gaps[k] = recorded compute gap after call k
-	k    int
+	calls []trace.CallGap
+	tail  time.Duration
+	k     int
 }
 
-func (p *oraclePred) Prime(ops []trace.Op) {
-	p.gaps = traceGaps(ops)
-	p.k = 0
+func (p *oraclePred) prime(calls []trace.CallGap, tail time.Duration) {
+	p.calls, p.tail, p.k = calls, tail, 0
 }
 
 func (p *oraclePred) OnCall(id EventID, start, end time.Duration) Action {
 	p.observe(start, end)
 	k := p.k
 	p.k++
-	if k >= len(p.gaps) {
+	if k >= len(p.calls) {
 		return Action{}
 	}
-	return p.predict(p.gaps[k])
+	return p.predict(gapAfter(p.calls, p.tail, k))
 }
 
-// profilePred is the offline-trained predictor: primed with the rank's
-// trace, it tabulates the mean computation gap that follows each MPI call
+// profilePred is the offline-trained predictor: primed with the rank's call
+// stream, it tabulates the mean computation gap that follows each MPI call
 // type and predicts that mean whenever the type recurs. It is what a
 // profile-guided deployment (train on one run, predict on the next) would
 // achieve, without the PPA's per-instance pattern tracking.
@@ -49,31 +49,12 @@ type profilePred struct {
 	mean map[EventID]time.Duration
 }
 
-func (p *profilePred) Prime(ops []trace.Op) {
+func (p *profilePred) prime(calls []trace.CallGap, tail time.Duration) {
 	sum := make(map[EventID]time.Duration)
 	cnt := make(map[EventID]int)
-	var pending time.Duration
-	var last EventID
-	have := false
-	for _, op := range ops {
-		switch op.Kind {
-		case trace.OpCompute:
-			if have {
-				pending += op.Duration
-			}
-		case trace.OpCall:
-			if have {
-				sum[last] += pending
-				cnt[last]++
-			}
-			pending = 0
-			last = EventID(op.Call)
-			have = true
-		}
-	}
-	if have {
-		sum[last] += pending
-		cnt[last]++
+	for k, c := range calls {
+		sum[EventID(c.Call)] += gapAfter(calls, tail, k)
+		cnt[EventID(c.Call)]++
 	}
 	p.mean = make(map[EventID]time.Duration, len(sum))
 	for id, s := range sum {
@@ -88,31 +69,13 @@ func (p *profilePred) OnCall(id EventID, start, end time.Duration) Action {
 	return p.predict(p.mean[id])
 }
 
-// traceGaps extracts the computation gap following each MPI call of one
-// rank's op stream; the trailing computation after the final call counts as
-// that call's gap.
-func traceGaps(ops []trace.Op) []time.Duration {
-	var gaps []time.Duration
-	var pending time.Duration
-	seen := false
-	for _, op := range ops {
-		switch op.Kind {
-		case trace.OpCompute:
-			if seen {
-				pending += op.Duration
-			}
-		case trace.OpCall:
-			if seen {
-				gaps = append(gaps, pending)
-			}
-			pending = 0
-			seen = true
-		}
+// gapAfter returns the computation that follows call k of a rank's call
+// stream: the next call's gap, or the trailing computation after the last.
+func gapAfter(calls []trace.CallGap, tail time.Duration, k int) time.Duration {
+	if k+1 < len(calls) {
+		return calls[k+1].Gap
 	}
-	if seen {
-		gaps = append(gaps, pending)
-	}
-	return gaps
+	return tail
 }
 
 func init() {

@@ -109,9 +109,9 @@ type engine struct {
 // via enqueue once the whole admission batch is in place.
 //
 // Each rank pulls ops through its own cursor, opened here — re-admitting the
-// same source (a churn retry) replays from the first op again. Trace-aware
-// predictors are the one consumer that still needs the whole rank stream up
-// front (the oracle's lookahead); only they pay a materialization.
+// same source (a churn retry) replays from the first op again. The primed
+// predictors (the oracle's lookahead) are the one consumer that reads the
+// whole rank up front; ForRank decodes its call stream for them only.
 func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start time.Duration, label func(r int) string) error {
 	m := src.Meta()
 	js := &jobState{src: src, app: m.App, np: m.NP, pw: pw, base: len(e.rk)}

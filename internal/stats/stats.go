@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -22,51 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// MeanDuration returns the mean of the durations, or 0 for an empty slice.
-// The sum is accumulated in 128 bits, so long sweeps of large durations
-// (e.g. hours-scale link busy times over millions of samples) cannot
-// overflow the int64 a naive sum would wrap; the mean itself always fits.
-// Like integer division, the result truncates toward zero.
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var hi int64  // high 64 bits of the signed 128-bit sum
-	var lo uint64 // low 64 bits
-	for _, d := range ds {
-		var carry uint64
-		lo, carry = bits.Add64(lo, uint64(d), 0)
-		hi += int64(d)>>63 + int64(carry) // sign-extend d's high word
-	}
-	neg := hi < 0
-	if neg {
-		// Two's-complement negate the 128-bit sum to divide magnitudes.
-		lo = -lo
-		hi = ^hi
-		if lo == 0 {
-			hi++
-		}
-	}
-	q, _ := bits.Div64(uint64(hi), lo, uint64(len(ds)))
-	if neg {
-		return -time.Duration(q)
-	}
-	return time.Duration(q)
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (0..100) using nearest-rank on a
@@ -94,42 +47,6 @@ func Percentile(xs []float64, p float64) float64 {
 		rank = 0
 	}
 	return cp[rank]
-}
-
-// Histogram is a fixed-bin histogram over durations.
-type Histogram struct {
-	Bounds []time.Duration // ascending upper bounds; final bin is open-ended
-	Counts []int
-}
-
-// NewHistogram returns a histogram with the given ascending upper bounds.
-func NewHistogram(bounds ...time.Duration) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{Bounds: bounds, Counts: make([]int, len(bounds)+1)}
-}
-
-// Add classifies d.
-func (h *Histogram) Add(d time.Duration) {
-	for i, b := range h.Bounds {
-		if d < b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(h.Bounds)]++
-}
-
-// Total returns the number of samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
 }
 
 // Table renders aligned text tables.

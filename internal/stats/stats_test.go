@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestMean(t *testing.T) {
@@ -14,81 +13,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestMeanDuration(t *testing.T) {
-	if MeanDuration(nil) != 0 {
-		t.Error("MeanDuration(nil) != 0")
-	}
-	got := MeanDuration([]time.Duration{time.Second, 3 * time.Second})
-	if got != 2*time.Second {
-		t.Errorf("MeanDuration = %v", got)
-	}
-}
-
-// TestMeanDurationEdgeCases pins nearest behaviors the harness relies on:
-// empty and singleton inputs, truncation, and — the regression this table
-// exists for — sums of large durations that overflow a naive int64
-// accumulator on long sweeps.
-func TestMeanDurationEdgeCases(t *testing.T) {
-	const maxD = time.Duration(math.MaxInt64)
-	const minD = time.Duration(math.MinInt64)
-	big := make([]time.Duration, 1000)
-	for i := range big {
-		big[i] = maxD - time.Duration(i)
-	}
-	cases := []struct {
-		name string
-		in   []time.Duration
-		want time.Duration
-	}{
-		{"empty", nil, 0},
-		{"single", []time.Duration{42 * time.Hour}, 42 * time.Hour},
-		{"single max", []time.Duration{maxD}, maxD},
-		{"truncates toward zero", []time.Duration{1, 2}, 1},
-		{"negative truncates toward zero", []time.Duration{-1, -2}, -1},
-		{"mixed signs", []time.Duration{-3 * time.Second, time.Second}, -time.Second},
-		// A naive sum wraps to -2 here and reports -1.
-		{"two max durations", []time.Duration{maxD, maxD}, maxD},
-		{"thousand near-max durations", big, maxD - 500},
-		{"two min durations", []time.Duration{minD, minD}, minD},
-		{"cancelling extremes", []time.Duration{maxD, -maxD, 6}, 2},
-	}
-	for _, c := range cases {
-		if got := MeanDuration(c.in); got != c.want {
-			t.Errorf("%s: MeanDuration = %d, want %d", c.name, got, c.want)
-		}
-	}
-}
-
-// TestMeanDurationMatchesNaive cross-checks the 128-bit accumulator against
-// the straightforward sum on inputs that cannot overflow.
-func TestMeanDurationMatchesNaive(t *testing.T) {
-	f := func(ns []int32) bool {
-		ds := make([]time.Duration, len(ns))
-		var sum time.Duration
-		for i, n := range ns {
-			ds[i] = time.Duration(n)
-			sum += time.Duration(n)
-		}
-		if len(ds) == 0 {
-			return MeanDuration(ds) == 0
-		}
-		return MeanDuration(ds) == sum/time.Duration(len(ds))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{5}) != 0 {
-		t.Error("stddev of singleton != 0")
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("Stddev = %v, want 2", got)
 	}
 }
 
@@ -143,29 +67,6 @@ func TestPercentileEdgeCases(t *testing.T) {
 	if got := Percentile([]float64{1, 2}, math.NaN()); !math.IsNaN(got) {
 		t.Errorf("Percentile(NaN) = %v, want NaN", got)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(20*time.Microsecond, 200*time.Microsecond)
-	h.Add(5 * time.Microsecond)
-	h.Add(50 * time.Microsecond)
-	h.Add(500 * time.Microsecond)
-	h.Add(20 * time.Microsecond) // boundary goes to the second bin
-	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[2] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Total() != 4 {
-		t.Errorf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramBadBoundsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-ascending bounds")
-		}
-	}()
-	NewHistogram(2*time.Second, time.Second)
 }
 
 func TestTableRendering(t *testing.T) {

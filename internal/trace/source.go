@@ -67,29 +67,6 @@ func (c *sliceCursor) Err() error { return nil }
 // ranks are already materialized (the workloads generator source reuses it).
 func SliceCursor(ops []Op) Cursor { return &sliceCursor{ops: ops} }
 
-// RankOps drains rank r of src into a slice. For an in-memory *Trace it
-// returns the rank's backing slice without copying; other sources pay one
-// materialization, so callers should reserve it for consumers that genuinely
-// need random access (trace-aware predictor priming, offline replays).
-func RankOps(src Source, r int) ([]Op, error) {
-	if t, ok := src.(*Trace); ok {
-		return t.Ranks[r], nil
-	}
-	c := src.Open(r)
-	var ops []Op
-	for {
-		op, ok := c.Next()
-		if !ok {
-			break
-		}
-		ops = append(ops, op)
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
-}
-
 // Materialize drains every rank of src into an in-memory Trace. A *Trace is
 // returned as-is.
 func Materialize(src Source) (*Trace, error) {
@@ -99,13 +76,45 @@ func Materialize(src Source) (*Trace, error) {
 	m := src.Meta()
 	t := New(m.App, m.NP)
 	for r := 0; r < m.NP; r++ {
-		ops, err := RankOps(src, r)
-		if err != nil {
+		c := src.Open(r)
+		for op, ok := c.Next(); ok; op, ok = c.Next() {
+			t.Ranks[r] = append(t.Ranks[r], op)
+		}
+		if err := c.Err(); err != nil {
 			return nil, fmt.Errorf("trace: %s np=%d rank %d: %w", m.App, m.NP, r, err)
 		}
-		t.Ranks[r] = ops
 	}
 	return t, nil
+}
+
+// CallGap is one MPI call of a rank's call stream: the computation time
+// summed since the previous call (or the stream start), then the call.
+type CallGap struct {
+	Gap  time.Duration
+	Call CallID
+}
+
+// Calls reduces cursor c's op stream to the rank's call stream, the view of
+// a rank that Table I and the gram formation of Algorithm 1 take: every call
+// with the computation before it, and tail, the computation after the last
+// call. It reuses buf's storage. Durations are integers, so the sums are
+// exact: a run over the calls reaches every call at the time a run over the
+// ops would.
+func Calls(buf []CallGap, c Cursor) (calls []CallGap, tail time.Duration, err error) {
+	calls = buf[:0]
+	for {
+		op, ok := c.Next()
+		if !ok {
+			return calls, tail, c.Err()
+		}
+		switch op.Kind {
+		case OpCompute:
+			tail += op.Duration
+		case OpCall:
+			calls = append(calls, CallGap{Gap: tail, Call: op.Call})
+			tail = 0
+		}
+	}
 }
 
 // ValidateSource checks what a source can verify without materializing it: an
@@ -169,35 +178,23 @@ func CheckOp(np, r, i int, op Op) error {
 }
 
 // SourceIdleDistribution aggregates the Table I idle-interval distribution
-// over every rank of src, streaming one op at a time with O(1) memory per
-// rank. An idle interval is the computation time accumulated between two
-// consecutive calls; time before the first call and after the last is not
-// one.
+// over every rank of src, decoding one rank's call stream at a time into
+// one reused buffer. An idle interval is the computation time accumulated
+// between two consecutive calls; time before the first call and after the
+// last is not one.
 func SourceIdleDistribution(src Source) (IdleDist, error) {
 	var d IdleDist
+	var calls []CallGap
 	m := src.Meta()
 	for r := 0; r < m.NP; r++ {
-		c := src.Open(r)
-		var cur time.Duration
-		seenCall := false
-		for {
-			op, ok := c.Next()
-			if !ok {
-				break
-			}
-			switch op.Kind {
-			case OpCompute:
-				cur += op.Duration
-			case OpCall:
-				if seenCall && cur > 0 {
-					d.Add(cur)
-				}
-				seenCall = true
-				cur = 0
-			}
-		}
-		if err := c.Err(); err != nil {
+		var err error
+		if calls, _, err = Calls(calls, src.Open(r)); err != nil {
 			return IdleDist{}, fmt.Errorf("trace: %s np=%d rank %d: %w", m.App, m.NP, r, err)
+		}
+		for k := 1; k < len(calls); k++ {
+			if calls[k].Gap > 0 {
+				d.Add(calls[k].Gap)
+			}
 		}
 	}
 	return d, nil

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -35,16 +37,8 @@ func TestTraceImplementsSource(t *testing.T) {
 	}
 }
 
-func TestRankOpsAndMaterialize(t *testing.T) {
+func TestMaterialize(t *testing.T) {
 	tr := buildValid()
-	// *Trace fast path: same backing slice, no copy.
-	ops, err := RankOps(tr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &ops[0] != &tr.Ranks[1][0] {
-		t.Error("RankOps copied an in-memory trace's rank")
-	}
 	if got, err := Materialize(tr); err != nil || got != tr {
 		t.Error("Materialize of *Trace must return it unchanged")
 	}
@@ -63,6 +57,66 @@ func TestRankOpsAndMaterialize(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Ranks, tr.Ranks) {
 		t.Error("Materialize mismatch")
+	}
+}
+
+// TestCalls pins the one op-stream to call-stream reduction: each call
+// carries the computation since the previous call or the stream start, and
+// the computation after the last call is the tail.
+func TestCalls(t *testing.T) {
+	cases := []struct {
+		name  string
+		ops   []Op
+		calls []CallGap
+		tail  time.Duration
+	}{
+		{"back to back", []Op{Barrier(), Alltoall(4), Barrier()},
+			[]CallGap{{0, CallBarrier}, {0, CallAlltoall}, {0, CallBarrier}}, 0},
+		{"leading computation",
+			[]Op{Compute(5), Compute(2), Barrier(), Compute(7), Allreduce(8)},
+			[]CallGap{{7, CallBarrier}, {7, CallAllreduce}}, 0},
+		{"trailing computation", []Op{Barrier(), Compute(3), Compute(4)},
+			[]CallGap{{0, CallBarrier}}, 7},
+		{"empty rank", nil, nil, 0},
+		{"compute only", []Op{Compute(2), Compute(3)}, nil, 5},
+	}
+	// One buffer serves every case, longest first, so a case that left
+	// calls behind would show in the next.
+	buf := make([]CallGap, 0, 8)
+	for _, c := range cases {
+		calls, tail, err := Calls(buf, SliceCursor(c.ops))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !slices.Equal(calls, c.calls) || tail != c.tail {
+			t.Errorf("%s: calls %v tail %v, want %v tail %v", c.name, calls, tail, c.calls, c.tail)
+		}
+		if cap(calls) != cap(buf) || &calls[:1][0] != &buf[:1][0] {
+			t.Errorf("%s: decoded into new storage instead of the buffer", c.name)
+		}
+		buf = calls
+	}
+
+	// A corrupt .ibt rank surfaces its decode error, and Table I names the
+	// rank. The byte before the index ends rank 1's stream: a set
+	// continuation bit runs its last varint past the end.
+	enc, err := EncodeBinary(buildValid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[binary.LittleEndian.Uint64(enc[len(enc)-12:])-1] = 0xFF
+	f, err := OpenBinary(bytes.NewReader(enc), int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Calls(buf, f.SourceAt(0).Open(0)); err != nil {
+		t.Errorf("intact rank 0: %v", err)
+	}
+	if _, _, err := Calls(buf, f.SourceAt(0).Open(1)); err == nil {
+		t.Error("corrupt rank 1 decoded without error")
+	}
+	if _, err := SourceIdleDistribution(f.SourceAt(0)); err == nil || !strings.Contains(err.Error(), "rank 1") {
+		t.Errorf("Table I over corrupt rank 1: error %v, want one naming rank 1", err)
 	}
 }
 
