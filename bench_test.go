@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -796,7 +797,8 @@ func steadyStateDetector(tb testing.TB) ([]*ngram.Gram, *ngram.Detector) {
 			if g := bl.Add(ev.id, ev.gap, now, now); g != nil {
 				det.AddGram(g)
 				if it >= 4 {
-					kept := *g // Add reuses the Gram struct
+					kept := *g // Add reuses the Gram struct and its IDs buffer
+					kept.IDs = slices.Clone(g.IDs)
 					grams = append(grams, &kept)
 				}
 			}

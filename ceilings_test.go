@@ -42,10 +42,10 @@ var hotPaths = []struct {
 	{"ScenarioChurn", scenarioChurn, 1000, 0, 0},
 	{"ChurnWithFaults", churnWithFaults, 1000, 0, 0},
 	{"TimeSeriesRecord", timeSeriesRecord, 1000, 0, 0},
-	{"ReplayAlya16", replayAlya16, 5, 545, 95_880},
-	{"StreamReplay", streamReplay, 5, 593, 117_133},
-	{"Multijob", multijobReplay, 5, 543, 95_184},
-	{"BigFabricReplay", bigFabricReplay, 5, 545, 1_226_376},
+	{"ReplayAlya16", replayAlya16, 5, 497, 89_938},
+	{"StreamReplay", streamReplay, 5, 545, 111_176},
+	{"Multijob", multijobReplay, 5, 503, 89_242},
+	{"BigFabricReplay", bigFabricReplay, 5, 497, 1_220_418},
 	{"TableIII_GTChoice", gtChoice, 5, 461, 107_568},
 	{"GenerateFig7", generateFig7, 2, 336, 35_420_629},
 }

@@ -614,7 +614,7 @@ func cmdPPA(args []string) error {
 			} else if det.Predicting() {
 				act = "gram matches predicted pattern"
 			}
-			fmt.Printf("  gram %-12s gap=%-8v %s\n", g.Key, g.GapBefore, act)
+			fmt.Printf("  gram %-12s gap=%-8v %s\n", g.Key(), g.GapBefore, act)
 		}
 		fmt.Printf("#%-3d MPI id %-3d idle before=%v\n", n, id, idle)
 		return t

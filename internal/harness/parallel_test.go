@@ -86,6 +86,67 @@ func renderTableI(t *testing.T, r *Runner) string {
 	return sb.String()
 }
 
+// TestConcurrentRunnersMatchSerial runs two independent Runners at once, a
+// Figure over two applications and a churn Scenario, each with its own
+// seed, and requires each output to equal the same run done alone: nothing
+// one run builds (traces, gram tables, route caches, registries) may leak
+// into the other. Under -race it also checks they share no unsynchronized
+// state.
+func TestConcurrentRunnersMatchSerial(t *testing.T) {
+	spec := testScenarioSpec(t)
+	runner := func(seed int64) *Runner {
+		cfg := replay.DefaultConfig()
+		cfg.Parallelism = 2
+		return NewRunner(workloads.Options{Seed: seed, IterScale: 0.05}, cfg)
+	}
+	figure := func() (string, error) {
+		rows, err := runner(7).Figure(0.05, "alya", "gromacs")
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		err = WriteFigure(&sb, 0.05, rows)
+		return sb.String(), err
+	}
+	churn := func() (string, error) {
+		res, err := runner(42).Scenario(spec, "fcfs", "roundrobin", 0.01)
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		err = WriteScenarioSweep(&sb, spec, []ScenarioRow{{"fcfs", "roundrobin", res}})
+		return sb.String(), err
+	}
+	runs := []func() (string, error){figure, churn}
+	want := make([]string, len(runs))
+	for i, run := range runs {
+		out, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+	got := make([]string, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("run %d alongside another differs from the same run alone:\n%s\n--- alone ---\n%s", i, got[i], want[i])
+		}
+	}
+}
+
 // TestGTSweepParallelMatchesSerial checks the Figure 10 curve point by
 // point across pool sizes.
 func TestGTSweepParallelMatchesSerial(t *testing.T) {

@@ -2,7 +2,6 @@ package ngram
 
 import (
 	"slices"
-	"sync"
 	"testing"
 	"time"
 )
@@ -28,7 +27,8 @@ func steadyDetector(t *testing.T) ([]*Gram, *Detector) {
 			if g := b.Add(ev.id, ev.gap, now, now); g != nil {
 				d.AddGram(g)
 				if it >= 4 {
-					kept := *g // Add reuses the Gram struct
+					kept := *g // Add reuses the Gram struct and its IDs buffer
+					kept.IDs = slices.Clone(g.IDs)
 					grams = append(grams, &kept)
 				}
 			}
@@ -68,7 +68,7 @@ func TestAddGramSteadyStateNoAllocs(t *testing.T) {
 // observed for the first time.
 func TestObserveGapAfterDetectNoAllocs(t *testing.T) {
 	_, d := steadyDetector(t)
-	fresh := newPattern(d.Active().ids, d.Active().keys, d.Active().NumCalls)
+	fresh := newPattern(d.Active().ids, d.Active().defs, d.Active().NumCalls)
 	for _, p := range []*Pattern{d.Active(), fresh} {
 		i := 0
 		allocs := testing.AllocsPerRun(100, func() {
@@ -109,89 +109,36 @@ func TestDetectorHistoryBounded(t *testing.T) {
 }
 
 // TestBuilderSharedGram covers the Add/Flush contract: the Gram struct is
-// reused but Key and IDs stay valid across finalizations.
+// reused, and its IDs stay valid while the next gram is under construction,
+// up to that gram's finalization.
 func TestBuilderSharedGram(t *testing.T) {
 	b := NewBuilder(20 * us)
 	b.Add(41, 0, 0, 0)
+	b.Add(41, 5*us, 0, 0)
 	g1 := b.Add(10, 100*us, 100*us, 100*us)
-	if g1 == nil || g1.Key != "41" {
-		t.Fatalf("first finalized gram = %+v, want key 41", g1)
+	if g1 == nil || g1.Key() != "41-41" {
+		t.Fatalf("first finalized gram = %+v, want key 41-41", g1)
 	}
-	key1, ids1 := g1.Key, g1.IDs
+	ids1 := g1.IDs
+	// Events of the next gram go to the builder's other buffer.
+	b.Add(10, 5*us, 0, 0)
+	b.Add(10, 5*us, 0, 0)
+	if !slices.Equal(ids1, []EventID{41, 41}) {
+		t.Errorf("first gram's IDs = %v while the next gram grew, want [41 41]", ids1)
+	}
 	g2 := b.Flush()
-	if g2 == nil || g2.Key != "10" {
-		t.Fatalf("flushed gram = %+v, want key 10", g2)
+	if g2 == nil || g2.Key() != "10-10-10" {
+		t.Fatalf("flushed gram = %+v, want key 10-10-10", g2)
 	}
 	if g1 != g2 {
 		t.Error("Add and Flush must reuse the builder-owned Gram")
 	}
-	// The interned identity of the first gram outlives the reuse.
-	if key1 != "41" || len(ids1) != 1 || ids1[0] != 41 {
-		t.Errorf("interned identity mutated: key=%q ids=%v", key1, ids1)
-	}
-}
-
-// TestGramShapeInterning asserts same-shape grams share one interned Key
-// string and IDs slice, across builders.
-func TestGramShapeInterning(t *testing.T) {
-	mk := func() *Gram {
-		b := NewBuilder(20 * us)
-		b.Add(41, 0, 0, 0)
+	// Once both buffers have grown, finalizing allocates nothing.
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Add(41, 100*us, 0, 0)
 		b.Add(41, 5*us, 0, 0)
-		return b.Flush()
-	}
-	g1, g2 := mk(), mk()
-	if g1.Key != "41-41" {
-		t.Fatalf("key = %q", g1.Key)
-	}
-	if len(g1.IDs) != 2 || &g1.IDs[0] != &g2.IDs[0] {
-		t.Error("same-shape grams from different builders must share the interned IDs slice")
-	}
-}
-
-// TestInternShapeConcurrent interns the same new shapes from several
-// goroutines at once: whichever first intern wins, every goroutine must get
-// that one identity, so LoadOrStore's losing path hands back the winner's
-// IDs rather than its own copy.
-func TestInternShapeConcurrent(t *testing.T) {
-	const workers, shapes = 8, 64
-	cur := make([][]EventID, shapes)
-	for s := range cur {
-		// A first ID no other test uses keeps every shape new to the table.
-		ids := []EventID{EventID(100 + s)}
-		for range 8 + s%5 {
-			ids = append(ids, 250)
-		}
-		cur[s] = ids
-	}
-	got := make([][]gramProto, workers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for _, ids := range cur {
-				raw := make([]byte, len(ids))
-				for i, id := range ids {
-					raw[i] = byte(id)
-				}
-				got[w] = append(got[w], internShape(ids, raw))
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	for s, ids := range cur {
-		want := got[0][s]
-		if want.key != GramKey(ids) || !slices.Equal(want.ids, ids) {
-			t.Fatalf("shape %d interned as key=%q ids=%v, want %q %v", s, want.key, want.ids, GramKey(ids), ids)
-		}
-		for w := 1; w < workers; w++ {
-			if p := got[w][s]; &p.ids[0] != &want.ids[0] || p.key != want.key {
-				t.Errorf("shape %d: goroutine %d got its own identity, not the interned one", s, w)
-			}
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("gram formation allocated %.1f/op, want 0", allocs)
 	}
 }

@@ -8,10 +8,11 @@ import "time"
 // merging many iterations into one huge pattern (Algorithm 2, line 32).
 const DefaultMaxPatternSize = 16
 
-// GramID is a dense identifier interned for a gram key. Interning happens
-// once per distinct gram at gram-formation time; every hot comparison the
+// GramID is a dense identifier a detector interns for a gram shape (its
+// sequence of event IDs). Interning happens once per distinct shape per
+// detector, which keeps its table across Reset; every hot comparison the
 // detector performs afterwards (periodicity run lengths, pattern matching,
-// re-anchoring) is an integer comparison instead of a string comparison.
+// re-anchoring) is an integer comparison instead of a slice comparison.
 type GramID uint32
 
 // DetectorStats aggregates PPA bookkeeping used by Table IV and Table III.
@@ -46,11 +47,12 @@ type Detector struct {
 	window  int // ring capacity: 3 * the construction-time maxSize
 	frozen  bool
 
-	// Gram intern table: the only map[string] lookup on the per-gram path.
+	// Gram intern table, keyed by a shape's raw event-ID bytes: the only
+	// map[string] lookup on the per-gram path. It outlives Reset, so a
+	// detector serving a sequence of runs pays each shape's miss once.
 	gramIDs map[string]GramID
-	keys    []string    // GramID -> canonical key
-	defs    [][]EventID // GramID -> event IDs
-	known   []bool      // GramID -> appears in a detected pattern
+	defs    []string // GramID -> raw event-ID bytes (the gramIDs key)
+	known   []bool   // GramID -> appears in a detected pattern
 
 	// hist holds the last `window` grams: the gram with absolute index i
 	// (i < total) lives at hist[i%window] while i >= total-window.
@@ -89,8 +91,11 @@ func NewDetector(maxSize int) *Detector {
 
 // Reset returns the detector to the state NewDetector(maxSize) constructs,
 // keeping its tables' storage, so one detector can serve a sequence of
-// runs. The history ring and run lengths are remade only when the window
-// size changes. A pattern from before the Reset must not be used after it.
+// runs. The gram intern table is kept too: GramIDs then differ from a fresh
+// detector's, but they only ever meet in equality tests, so the detector
+// behaves identically. The history ring and run lengths are remade only
+// when the window size changes. A pattern from before the Reset must not be
+// used after it.
 func (d *Detector) Reset(maxSize int) {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxPatternSize
@@ -103,7 +108,7 @@ func (d *Detector) Reset(maxSize int) {
 	// exactly NewDetector's state.
 	clear(hist)
 	clear(runLen)
-	clear(d.gramIDs)
+	clear(d.known)
 	clear(d.plByIDs)
 	// Drop the old patterns' pointers so they can be collected.
 	clear(d.detected)
@@ -112,9 +117,8 @@ func (d *Detector) Reset(maxSize int) {
 		maxSize:  maxSize,
 		window:   3 * maxSize,
 		gramIDs:  d.gramIDs,
-		keys:     d.keys[:0],
-		defs:     d.defs[:0],
-		known:    d.known[:0],
+		defs:     d.defs,
+		known:    d.known,
 		hist:     hist,
 		runLen:   runLen[:maxSize+1],
 		plByIDs:  d.plByIDs,
@@ -132,18 +136,17 @@ func (d *Detector) gramAt(i int) GramID { return d.hist[i%d.window].id }
 func (d *Detector) gapAt(i int) time.Duration { return d.hist[i%d.window].gap }
 
 // intern maps a gram to its dense ID, assigning a new one for a first-seen
-// key. After the first appearance this is a single map lookup with no
-// allocation.
+// shape. After the first appearance this is a single map lookup with no
+// allocation; a miss copies the gram's IDs once into a string that serves
+// as both the map key and the definition.
 func (d *Detector) intern(g *Gram) GramID {
-	if id, ok := d.gramIDs[g.Key]; ok {
+	if id, ok := d.gramIDs[string(g.IDs)]; ok {
 		return id
 	}
-	id := GramID(len(d.keys))
-	d.gramIDs[g.Key] = id
-	d.keys = append(d.keys, g.Key)
-	// Grams hand out interned, immutable ID slices (Builder shares one per
-	// shape), so the definition can be stored without copying.
-	d.defs = append(d.defs, g.IDs)
+	shape := string(g.IDs)
+	id := GramID(len(d.defs))
+	d.gramIDs[shape] = id
+	d.defs = append(d.defs, shape)
 	d.known = append(d.known, false)
 	return id
 }
@@ -159,11 +162,12 @@ func (d *Detector) Active() *Pattern { return d.active }
 // gram.
 func (d *Detector) Phase() int { return d.phase }
 
-// Expected returns the event IDs of the next expected gram while predicting.
-// The returned slice is shared and read-only.
-func (d *Detector) Expected() ([]EventID, bool) {
+// Expected returns the raw event-ID bytes of the next expected gram while
+// predicting: string(ids) == exp tells whether the events ids match it,
+// without allocating.
+func (d *Detector) Expected() (string, bool) {
 	if d.active == nil {
-		return nil, false
+		return "", false
 	}
 	return d.defs[d.active.ids[d.phase]], true
 }
@@ -356,9 +360,9 @@ func (d *Detector) detect(s, i int) {
 			ids[j] = d.gramAt(i - s + 1 + j)
 			nc += len(d.defs[ids[j]])
 		}
-		// Until the next Reset the key table only grows, so its entries
-		// render this pattern's key.
-		p = newPattern(ids, d.keys, nc)
+		// The gram table only grows, so its entries render this
+		// pattern's key.
+		p = newPattern(ids, d.defs, nc)
 		d.plByIDs[string(d.idKey)] = p
 	}
 	if !p.Detected {

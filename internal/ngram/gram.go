@@ -16,7 +16,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -26,8 +25,7 @@ type EventID uint8
 // Gram is a maximal group of consecutive events whose inter-event idle times
 // are all below the grouping threshold.
 type Gram struct {
-	IDs       []EventID     // event types, in order; shared read-only between same-shape grams
-	Key       string        // canonical representation, e.g. "41-41-41"
+	IDs       []EventID     // event types, in order; builder-owned, valid until the next gram is finalized
 	GapBefore time.Duration // idle time preceding the gram's first event
 	Start     time.Duration // timestamp of the first event
 	End       time.Duration // completion timestamp of the last event
@@ -35,6 +33,10 @@ type Gram struct {
 
 // NumCalls returns the number of MPI events in the gram.
 func (g *Gram) NumCalls() int { return len(g.IDs) }
+
+// Key renders the gram's identity in the paper's notation, e.g. "41-41-41".
+// It allocates; the detector identifies grams by their raw IDs instead.
+func (g *Gram) Key() string { return GramKey(g.IDs) }
 
 // GramKey renders a gram identity string from event IDs, matching the
 // paper's notation ("41-41-41").
@@ -60,40 +62,13 @@ type Builder struct {
 	gt      time.Duration
 	lo, hi  time.Duration // every GT in (lo, hi] groups the events fed so far identically
 	cur     []EventID
+	spare   []EventID // the previous gram's IDs; cur's buffer once the next gram is finalized
 	curGap  time.Duration
 	start   time.Duration
 	end     time.Duration
 	started bool
 
-	raw  []byte // scratch for the proto intern lookup
-	done Gram   // builder-owned gram returned by Add/Flush
-}
-
-// gramProto is the interned identity of one distinct gram shape: the
-// canonical key string and a shared read-only ID slice. Shapes are interned
-// once per process: every replayed rank and every GT sweep builds fresh
-// builders over the same call streams (a sweep resets one per worker), and
-// per-builder tables would re-pay the cold misses every time.
-type gramProto struct {
-	key string
-	ids []EventID
-}
-
-// protos maps a shape's raw event-ID bytes (as a string) to its gramProto.
-var protos sync.Map
-
-// internShape returns the interned identity for the event sequence in cur,
-// whose raw byte rendering is raw. Allocation-free for known shapes.
-func internShape(cur []EventID, raw []byte) gramProto {
-	if p, ok := protos.Load(string(raw)); ok {
-		return p.(gramProto)
-	}
-	ids := make([]EventID, len(cur))
-	copy(ids, cur)
-	// A concurrent first intern of the same shape may win; every caller
-	// then shares the winner's identity.
-	p, _ := protos.LoadOrStore(string(raw), gramProto{key: GramKey(ids), ids: ids})
-	return p.(gramProto)
+	done Gram // builder-owned gram returned by Add/Flush
 }
 
 // NewBuilder returns a gram builder with grouping threshold gt. GT must be
@@ -111,7 +86,7 @@ func (b *Builder) Reset(gt time.Duration) {
 	if gt <= 0 {
 		panic(fmt.Sprintf("ngram: non-positive grouping threshold %v", gt))
 	}
-	*b = Builder{gt: gt, hi: math.MaxInt64, cur: b.cur[:0], raw: b.raw[:0]}
+	*b = Builder{gt: gt, hi: math.MaxInt64, cur: b.cur[:0], spare: b.spare[:0]}
 }
 
 // GT returns the grouping threshold.
@@ -129,9 +104,9 @@ func (b *Builder) GTInterval() (lo, hi time.Duration) { return b.lo, b.hi }
 // previous (now finalized) gram is returned; otherwise Add returns nil.
 //
 // The returned Gram is builder-owned and overwritten by the next
-// finalization, so finalizing allocates nothing; callers that keep a gram
-// copy the struct. Its Key and IDs are interned per shape and stay valid
-// indefinitely.
+// finalization, so finalizing allocates nothing. Its IDs alias one of the
+// builder's two event buffers and stay valid until the next gram is
+// finalized; callers that keep a gram copy the struct and clone its IDs.
 func (b *Builder) Add(id EventID, idleBefore time.Duration, start, end time.Duration) *Gram {
 	var done *Gram
 	if b.started {
@@ -170,17 +145,11 @@ func (b *Builder) Flush() *Gram {
 }
 
 // take closes the current gram into the builder-owned shared Gram without
-// assigning its gap. The gram's IDs and Key come from the process-wide
-// shape intern table, so finalizing a previously seen shape allocates
-// nothing.
+// assigning its gap. The gram keeps the current event buffer and the next
+// gram fills the spare one, so neither allocates once both have grown.
 func (b *Builder) take() *Gram {
-	b.raw = b.raw[:0]
-	for _, id := range b.cur {
-		b.raw = append(b.raw, byte(id))
-	}
-	p := internShape(b.cur, b.raw)
-	b.done = Gram{IDs: p.ids, Key: p.key, Start: b.start, End: b.end}
-	b.cur = b.cur[:0]
+	b.done = Gram{IDs: b.cur, Start: b.start, End: b.end}
+	b.cur, b.spare = b.spare[:0], b.cur
 	return &b.done
 }
 

@@ -44,7 +44,8 @@ func TestBuilderGroupsByGT(t *testing.T) {
 	b := NewBuilder(20 * us)
 	var grams []*Gram
 	keep := func(g *Gram) {
-		kept := *g // Add and Flush reuse the Gram struct
+		kept := *g // Add and Flush reuse the Gram struct and its IDs buffer
+		kept.IDs = slices.Clone(g.IDs)
 		grams = append(grams, &kept)
 	}
 	add := func(id EventID, idle time.Duration) {
@@ -65,8 +66,8 @@ func TestBuilderGroupsByGT(t *testing.T) {
 	if len(grams) != 3 {
 		t.Fatalf("got %d grams, want 3", len(grams))
 	}
-	if grams[0].Key != "41-41-41" || grams[1].Key != "10" || grams[2].Key != "10" {
-		t.Errorf("gram keys = %q %q %q", grams[0].Key, grams[1].Key, grams[2].Key)
+	if grams[0].Key() != "41-41-41" || grams[1].Key() != "10" || grams[2].Key() != "10" {
+		t.Errorf("gram keys = %q %q %q", grams[0].Key(), grams[1].Key(), grams[2].Key())
 	}
 	if grams[1].GapBefore != 300*us {
 		t.Errorf("gram 1 gap = %v, want 300µs", grams[1].GapBefore)
@@ -84,7 +85,7 @@ func TestBuilderBoundaryExactlyGT(t *testing.T) {
 		t.Fatal("first event must not finalize a gram")
 	}
 	g := b.Add(2, 20*us, 0, 0)
-	if g == nil || g.Key != "1" {
+	if g == nil || g.Key() != "1" {
 		t.Fatalf("idle == GT must close the gram, got %v", g)
 	}
 }
@@ -129,11 +130,11 @@ func TestBuilderGTIntervalExact(t *testing.T) {
 		var keys []string
 		for i, g := range gaps {
 			if gr := b.Add(EventID(i%3), g, 0, 0); gr != nil {
-				keys = append(keys, fmt.Sprint(gr.Key, "/", gr.GapBefore))
+				keys = append(keys, fmt.Sprint(gr.Key(), "/", gr.GapBefore))
 			}
 		}
 		if gr := b.Flush(); gr != nil {
-			keys = append(keys, fmt.Sprint(gr.Key, "/", gr.GapBefore))
+			keys = append(keys, fmt.Sprint(gr.Key(), "/", gr.GapBefore))
 		}
 		return keys
 	}
@@ -319,9 +320,9 @@ func TestDetectorMaxPatternSizeFreeze(t *testing.T) {
 }
 
 func TestPatternGapEstimates(t *testing.T) {
-	p := newPattern([]GramID{0, 1}, []string{"a", "b"}, 2)
-	if k := p.Key(); k != "a_b" {
-		t.Errorf("Key = %q, want a_b", k)
+	p := newPattern([]GramID{0, 1}, []string{string([]EventID{41, 41}), string([]EventID{10})}, 3)
+	if k := p.Key(); k != "41-41_10" {
+		t.Errorf("Key = %q, want 41-41_10", k)
 	}
 	p.ObserveGap(0, 100*us)
 	p.ObserveGap(0, 200*us)
@@ -460,7 +461,7 @@ func TestExpectedGramIDs(t *testing.T) {
 	if !ok {
 		t.Fatal("no expected gram")
 	}
-	key := GramKey(exp)
+	key := GramKey([]EventID(exp))
 	if key != "41-41" && key != "10" {
 		t.Errorf("expected gram %q is not part of the pattern", key)
 	}
@@ -502,7 +503,9 @@ func feedGrams(b *Builder, d *Detector, ids []EventID, gaps []time.Duration) []G
 	var grams []Gram
 	add := func(g *Gram) {
 		if g != nil {
-			grams = append(grams, *g)
+			kept := *g
+			kept.IDs = slices.Clone(g.IDs)
+			grams = append(grams, kept)
 			d.AddGram(g)
 		}
 	}
@@ -515,13 +518,67 @@ func feedGrams(b *Builder, d *Detector, ids []EventID, gaps []time.Duration) []G
 	return grams
 }
 
+// patternView is a pattern's state apart from its GramIDs.
+type patternView struct {
+	Freq, NumCalls int
+	Detected       bool
+	Gaps           []gapStat
+}
+
+// detectorView is a detector's state with every GramID replaced by the
+// gram shape it stands for: a detector that kept its intern table across a
+// Reset numbers shapes differently from a fresh one, and nothing else may
+// differ.
+type detectorView struct {
+	Hist     []string // each ring slot: its gram shape and gap, or the raw entry if never written
+	Total    int
+	RunLen   []int
+	Patterns map[string]patternView
+	Detected []string // detected pattern keys, in detection order
+	Known    []string // shapes in a detected pattern, sorted
+	Active   string
+	Phase    int
+	Wildcard bool
+	Stats    DetectorStats
+}
+
+func viewOf(d *Detector) detectorView {
+	v := detectorView{Total: d.total, RunLen: d.runLen, Patterns: map[string]patternView{},
+		Phase: d.Phase(), Wildcard: d.wildcard, Stats: d.Stats()}
+	for slot, e := range d.hist {
+		if slot < d.total { // written this run
+			v.Hist = append(v.Hist, fmt.Sprint(GramKey([]EventID(d.defs[e.id])), "/", e.gap))
+		} else {
+			v.Hist = append(v.Hist, fmt.Sprint("raw ", e))
+		}
+	}
+	for k, p := range d.Patterns() {
+		v.Patterns[k] = patternView{p.Freq, p.NumCalls, p.Detected, p.gaps}
+	}
+	for _, p := range d.detected {
+		v.Detected = append(v.Detected, p.Key())
+	}
+	for id, ok := range d.known {
+		if ok {
+			v.Known = append(v.Known, GramKey([]EventID(d.defs[id])))
+		}
+	}
+	slices.Sort(v.Known)
+	if d.Predicting() {
+		v.Active = d.Active().Key()
+	}
+	return v
+}
+
 // TestBuilderDetectorReset feeds one builder/detector pair, reset before
 // every stream, a sequence of streams and compares each run with a fresh
 // pair fed the same stream: grams, GT interval, statistics, pattern list,
-// prediction state, history ring and run lengths must all match. The first
-// stream freezes the pattern size at 3 and the second needs 5, which a
-// detector that kept the freeze or its run lengths could not reach; the
-// third shrinks the history window and the fourth grows it back.
+// prediction state, history ring, run lengths and known shapes must all
+// match, up to GramID numbering. The first stream freezes the pattern size
+// at 3 and the second needs 5, which a detector that kept the freeze or its
+// run lengths could not reach; the third shrinks the history window and the
+// fourth grows it back. The reset detector's intern table holds each shape
+// of every stream so far exactly once.
 func TestBuilderDetectorReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var rids []EventID
@@ -546,6 +603,7 @@ func TestBuilderDetectorReset(t *testing.T) {
 		{20 * us, 0, p3, g3, 3},
 	}
 	b, d := NewBuilder(runs[0].gt), NewDetector(runs[0].maxSize)
+	shapes := map[string]bool{}
 	for i, run := range runs {
 		if i > 0 {
 			b.Reset(run.gt)
@@ -563,19 +621,20 @@ func TestBuilderDetectorReset(t *testing.T) {
 		if lo, hi := b.GTInterval(); b.GT() != fb.GT() || lo != fb.lo || hi != fb.hi {
 			t.Errorf("run %d: GT %v interval (%v, %v], want %v (%v, %v]", i, b.GT(), lo, hi, fb.GT(), fb.lo, fb.hi)
 		}
-		if d.Stats() != fd.Stats() {
-			t.Errorf("run %d: stats %+v, want %+v", i, d.Stats(), fd.Stats())
+		if got, want := viewOf(d), viewOf(fd); !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d: reset detector\n%+v\nwant a fresh detector's\n%+v", i, got, want)
 		}
-		if !reflect.DeepEqual(d.Patterns(), fd.Patterns()) {
-			t.Errorf("run %d: pattern list differs from a fresh detector's", i)
+		for _, g := range got {
+			shapes[string(g.IDs)] = true
 		}
-		if d.Predicting() != fd.Predicting() || d.Phase() != fd.Phase() ||
-			(d.Predicting() && d.Active().Key() != fd.Active().Key()) {
-			t.Errorf("run %d: prediction state differs from a fresh detector's", i)
+		if len(d.defs) != len(shapes) || len(d.gramIDs) != len(shapes) || len(d.known) != len(shapes) {
+			t.Errorf("run %d: intern table holds %d shapes (%d keys, %d known flags), want the %d seen so far",
+				i, len(d.defs), len(d.gramIDs), len(d.known), len(shapes))
 		}
-		if d.total != fd.total || !slices.Equal(d.hist, fd.hist) || !slices.Equal(d.runLen, fd.runLen) ||
-			!slices.Equal(d.keys, fd.keys) {
-			t.Errorf("run %d: history, run lengths or gram table differ from a fresh detector's", i)
+		for id, shape := range d.defs {
+			if d.gramIDs[shape] != GramID(id) {
+				t.Errorf("run %d: shape %q interned as %d, defined as %d", i, shape, d.gramIDs[shape], id)
+			}
 		}
 	}
 }

@@ -14,10 +14,10 @@ type Pattern struct {
 	NumCalls int  // MPI calls per appearance
 
 	// ids are the pattern's grams as interned detector IDs; all hot matching
-	// compares these integers instead of the key strings. keys is the
-	// detector's ID -> gram key table as of the pattern's detection.
+	// compares these integers instead of the grams' event IDs. defs is the
+	// detector's ID -> raw event-ID table as of the pattern's detection.
 	ids  []GramID
-	keys []string
+	defs []string
 
 	// gaps holds, per gram position, the idle time observed before that
 	// gram: sized once to the pattern, so observing a gap never allocates.
@@ -42,8 +42,8 @@ type gapStat struct {
 
 // newPattern returns an undetected pattern over the interned grams ids, with
 // an empty gap estimate for each position.
-func newPattern(ids []GramID, keys []string, numCalls int) *Pattern {
-	return &Pattern{NumCalls: numCalls, ids: ids, keys: keys, gaps: make([]gapStat, len(ids))}
+func newPattern(ids []GramID, defs []string, numCalls int) *Pattern {
+	return &Pattern{NumCalls: numCalls, ids: ids, defs: defs, gaps: make([]gapStat, len(ids))}
 }
 
 // Key renders the pattern's identity: its gram keys joined by "_", e.g.
@@ -54,7 +54,7 @@ func (p *Pattern) Key() string {
 		if i > 0 {
 			b.WriteByte('_')
 		}
-		b.WriteString(p.keys[id])
+		b.WriteString(GramKey([]EventID(p.defs[id])))
 	}
 	return b.String()
 }

@@ -25,7 +25,6 @@ package predictor
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"ibpower/internal/ngram"
@@ -267,7 +266,7 @@ func (p *NGram) OnCall(id ngram.EventID, start, end time.Duration) Action {
 	// interval less the safety limit.
 	if exp, ok := p.detector.Expected(); ok {
 		cur := p.builder.Current() // read-only view; no per-call copy
-		if slices.Equal(cur, exp) {
+		if string(cur) == exp {
 			idleTime := p.detector.PredictedGapAfterExpected()
 			if idleTime > 0 {
 				predicted := p.cfg.predictedIdle(idleTime)

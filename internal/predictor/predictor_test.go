@@ -147,6 +147,40 @@ func TestHitRate(t *testing.T) {
 	}
 }
 
+// TestOnCallSteadyStateNoAllocs pins the per-call mechanism at 0 allocs/op
+// once a pattern is predicted: the gram builder's two event buffers have
+// grown, the detector has interned every shape, and matching the current
+// gram against the expected one compares raw bytes without a copy.
+func TestOnCallSteadyStateNoAllocs(t *testing.T) {
+	p := MustNew(Config{GT: 20 * us, Displacement: 0.01})
+	runIterations(p, 12, 500*us, 300*us)
+	// One call of runIterations' stream per op, continuing its clock.
+	ids := [3]EventID{41, 41, 10}
+	gaps := [3]time.Duration{500 * us, 4 * us, 300 * us}
+	durs := [3]time.Duration{2 * us, 2 * us, 3 * us}
+	now := 12 * (500*us + 2*us + 4*us + 2*us + 300*us + 3*us)
+	i := 0
+	before := p.Stats()
+	allocs := testing.AllocsPerRun(300, func() {
+		k := i % 3
+		now += gaps[k]
+		p.OnCall(ids[k], now, now+durs[k])
+		now += durs[k]
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state OnCall allocated %.1f/op, want 0", allocs)
+	}
+	after := p.Stats()
+	if after.Shutdowns == before.Shutdowns {
+		t.Error("no shutdown while measuring: the expected-gram match went unexercised")
+	}
+	if after.Detector.Mispredictions != before.Detector.Mispredictions {
+		t.Errorf("mispredictions grew from %d to %d on the steady stream",
+			before.Detector.Mispredictions, after.Detector.Mispredictions)
+	}
+}
+
 func TestNoShutdownBeforeDetection(t *testing.T) {
 	p := MustNew(Config{GT: 20 * us, Displacement: 0.01})
 	acts := runIterations(p, 2, 500*us, 300*us)

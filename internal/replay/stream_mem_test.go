@@ -41,7 +41,6 @@ func (c *bigCursor) Next() (trace.Op, bool) {
 	return trace.Compute(time.Duration(1+i%7) * time.Microsecond), true
 }
 
-func (c *bigCursor) Rewind()    { c.i = 0 }
 func (c *bigCursor) Err() error { return nil }
 
 // TestStreamedReplayBoundedMemory packs a million-op workload to a binary

@@ -573,9 +573,8 @@ func (s *FileSource) Open(r int) Cursor {
 	if int64(window) > rix.nbytes && rix.nbytes >= 16 {
 		window = int(rix.nbytes)
 	}
-	sr := io.NewSectionReader(s.f.ra, rix.off, rix.nbytes)
 	return &fileCursor{
-		sr: sr, br: bufio.NewReaderSize(sr, window),
+		br: bufio.NewReaderSize(io.NewSectionReader(s.f.ra, rix.off, rix.nbytes), window),
 		np: s.ent.meta.NP, rank: r, nops: rix.nops,
 	}
 }
@@ -583,7 +582,6 @@ func (s *FileSource) Open(r int) Cursor {
 // fileCursor decodes one rank's stream through a bounded window, validating
 // each op with CheckOp as it is produced.
 type fileCursor struct {
-	sr   *io.SectionReader
 	br   *bufio.Reader
 	np   int
 	rank int
@@ -615,13 +613,6 @@ func (c *fileCursor) Next() (Op, bool) {
 		}
 	}
 	return op, true
-}
-
-func (c *fileCursor) Rewind() {
-	c.sr.Seek(0, io.SeekStart)
-	c.br.Reset(c.sr)
-	c.i = 0
-	c.err = nil
 }
 
 func (c *fileCursor) Err() error { return c.err }

@@ -105,7 +105,9 @@ func TestBinarySmallWindow(t *testing.T) {
 	}
 }
 
-func TestBinaryCursorRewind(t *testing.T) {
+// TestBinaryCursorReopen reads one packed rank through two cursors, the
+// second opened after the first is drained: each yields the whole rank.
+func TestBinaryCursorReopen(t *testing.T) {
 	tr := buildFull()
 	enc, err := EncodeBinary(tr)
 	if err != nil {
@@ -115,32 +117,26 @@ func TestBinaryCursorRewind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := f.SourceAt(0).Open(2)
-	var first []Op
-	for {
-		op, ok := c.Next()
-		if !ok {
-			break
+	src := f.SourceAt(0)
+	drain := func() []Op {
+		c := src.Open(2)
+		var ops []Op
+		for {
+			op, ok := c.Next()
+			if !ok {
+				break
+			}
+			ops = append(ops, op)
 		}
-		first = append(first, op)
-	}
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
-	c.Rewind()
-	var second []Op
-	for {
-		op, ok := c.Next()
-		if !ok {
-			break
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
 		}
-		second = append(second, op)
+		return ops
 	}
-	if err := c.Err(); err != nil {
-		t.Fatal(err)
-	}
+	first := drain()
+	second := drain()
 	if !reflect.DeepEqual(first, second) {
-		t.Errorf("rewind mismatch:\n got %+v\nwant %+v", second, first)
+		t.Errorf("reopen mismatch:\n got %+v\nwant %+v", second, first)
 	}
 	if !reflect.DeepEqual(first, tr.Ranks[2]) {
 		t.Errorf("cursor ops != rank ops")

@@ -15,12 +15,10 @@ type Meta struct {
 // Cursor walks one rank's operation stream in order. Next returns the next
 // op until the stream is exhausted; after Next reports false, Err
 // distinguishes end-of-stream (nil) from a decode or validation failure.
-// Rewind restarts the stream from the first op — replay retries and
-// multi-pass consumers (predictor priming, offline runs) re-read a rank
-// without re-opening the source.
+// A consumer that reads a rank again (a churn retry, a primed predictor)
+// opens a new cursor.
 type Cursor interface {
 	Next() (Op, bool)
-	Rewind()
 	Err() error
 }
 
@@ -45,7 +43,7 @@ func (t *Trace) Meta() Meta { return Meta{App: t.App, NP: t.NP} }
 func (t *Trace) Open(r int) Cursor { return &sliceCursor{ops: t.Ranks[r]} }
 
 // sliceCursor streams an in-memory op slice. The zero-allocation hot path:
-// Next is an index increment, Rewind resets it.
+// Next is an index increment.
 type sliceCursor struct {
 	ops []Op
 	i   int
@@ -60,7 +58,6 @@ func (c *sliceCursor) Next() (Op, bool) {
 	return op, true
 }
 
-func (c *sliceCursor) Rewind()    { c.i = 0 }
 func (c *sliceCursor) Err() error { return nil }
 
 // SliceCursor returns a cursor over an in-memory op slice, for sources whose

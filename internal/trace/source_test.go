@@ -31,9 +31,8 @@ func TestTraceImplementsSource(t *testing.T) {
 	if !reflect.DeepEqual(got, tr.Ranks[0]) {
 		t.Errorf("cursor ops mismatch")
 	}
-	c.Rewind()
-	if op, ok := c.Next(); !ok || !reflect.DeepEqual(op, tr.Ranks[0][0]) {
-		t.Error("rewind did not restart the stream")
+	if op, ok := tr.Open(0).Next(); !ok || !reflect.DeepEqual(op, tr.Ranks[0][0]) {
+		t.Error("a second cursor did not start at the first op")
 	}
 }
 
@@ -209,21 +208,33 @@ func TestSourceIdleDistributionMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// Satellite: the cursor hot path allocates nothing in steady state — the
-// in-memory cursor trivially, the file cursor because varint decode runs
-// inside the pre-sized window buffer.
+// The cursor hot path allocates nothing in steady state — the in-memory
+// cursor trivially, the file cursor because varint decode runs inside the
+// pre-sized window buffer. Each measured run drains a cursor opened
+// beforehand, so only Next is counted.
 func TestCursorNextAllocs(t *testing.T) {
-	tr := buildFull()
-	c := tr.Open(2)
-	allocs := testing.AllocsPerRun(200, func() {
-		c.Rewind()
-		for {
-			if _, ok := c.Next(); !ok {
-				break
-			}
+	const runs = 200
+	drainAllocs := func(src Source) float64 {
+		cs := make([]Cursor, runs+1) // AllocsPerRun adds one warm-up run
+		for i := range cs {
+			cs[i] = src.Open(2)
 		}
-	})
-	if allocs != 0 {
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			c := cs[i]
+			i++
+			for {
+				if _, ok := c.Next(); !ok {
+					break
+				}
+			}
+			if c.Err() != nil {
+				t.Fatal(c.Err())
+			}
+		})
+	}
+	tr := buildFull()
+	if allocs := drainAllocs(tr); allocs != 0 {
 		t.Errorf("slice cursor: %v allocs/run, want 0", allocs)
 	}
 	enc, err := EncodeBinary(tr)
@@ -234,19 +245,7 @@ func TestCursorNextAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := f.SourceAt(0).Open(2)
-	allocs = testing.AllocsPerRun(200, func() {
-		fc.Rewind()
-		for {
-			if _, ok := fc.Next(); !ok {
-				break
-			}
-		}
-		if fc.Err() != nil {
-			t.Fatal(fc.Err())
-		}
-	})
-	if allocs != 0 {
+	if allocs := drainAllocs(f.SourceAt(0)); allocs != 0 {
 		t.Errorf("file cursor: %v allocs/run, want 0", allocs)
 	}
 }
