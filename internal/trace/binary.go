@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -44,9 +45,15 @@ const (
 	idxMagic    = "IBTX"
 	binFooterSz = 8 + len(idxMagic)
 
-	// DefaultWindow is the per-cursor read buffer: the bounded memory a
-	// streamed rank costs during replay, regardless of trace length.
-	DefaultWindow = 64 << 10
+	// window is a file cursor's read buffer, or the rank's length when
+	// shorter: the bounded memory a streamed rank costs during replay,
+	// whatever the rank's length.
+	window = 4 << 10
+	// maxOpLen is the most bytes an opDecoder reads for one op, valid or not: a
+	// tag and three operands of at most binary.MaxVarintLen64 bytes. A
+	// cursor refills its window whenever fewer remain, so a window shorter
+	// than its rank must hold at least this many.
+	maxOpLen = 1 + 3*binary.MaxVarintLen64
 
 	// Parser caps: a corrupt or adversarial index must not drive huge
 	// allocations before any data is read.
@@ -138,110 +145,91 @@ func appendOp(buf []byte, op Op) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeOp reads one op from br. Ops are reconstructed through the package
-// constructors so unused fields carry the same sentinels (-1) as in-memory
-// traces — a decoded trace re-encodes byte-identically and compares
-// deep-equal to its original.
-func decodeOp(br *bufio.Reader) (Op, error) {
-	tag, err := br.ReadByte()
-	if err != nil {
-		return Op{}, err
+// opDecoder decodes the op at the start of b. The first failure sticks:
+// later operand reads return 0, so an op built from them is harmless and op
+// reports the failure.
+type opDecoder struct {
+	b   []byte
+	n   int // bytes consumed
+	err error
+}
+
+// uint reads one uvarint operand, capped at 1<<62. It reads at most
+// binary.MaxVarintLen64 bytes, as binary.ReadUvarint does, so an op never
+// reads past maxOpLen.
+func (d *opDecoder) uint() int {
+	if d.err != nil {
+		return 0
 	}
+	rest := d.b[d.n:]
+	v, k := binary.Uvarint(rest[:min(len(rest), binary.MaxVarintLen64)])
+	switch {
+	case k > 0 && v <= 1<<62:
+		d.n += k
+		return int(v)
+	case k > 0:
+		d.err = fmt.Errorf("varint operand %d overflows", v)
+	case k < 0 || len(rest) >= binary.MaxVarintLen64:
+		d.err = errors.New("binary: varint overflows a 64-bit integer")
+	case len(rest) == 0:
+		d.err = io.EOF
+	default:
+		d.err = io.ErrUnexpectedEOF
+	}
+	return 0
+}
+
+// rank reads a peer or root operand. Op stores ranks as int32, so a larger
+// operand would wrap, possibly onto a valid rank; reject it here, before an
+// op is constructed.
+func (d *opDecoder) rank(name string) int {
+	v := d.uint()
+	if v > math.MaxInt32 {
+		d.err = fmt.Errorf("%s operand %d exceeds int32", name, v)
+		return 0
+	}
+	return v
+}
+
+// op decodes the op and leaves its encoded length in n. b ending inside the
+// op reads as io.EOF before the tag and io.ErrUnexpectedEOF after it. Ops
+// are reconstructed through the package constructors so unused fields
+// carry the same sentinels (-1) as in-memory traces — a decoded trace
+// re-encodes byte-identically and compares deep-equal to its original.
+func (d *opDecoder) op() (Op, error) {
+	if len(d.b) == 0 {
+		return Op{}, io.EOF
+	}
+	tag := d.b[0]
 	if tag > tagMax {
 		return Op{}, fmt.Errorf("unknown op tag 0x%02x", tag)
 	}
-	u := func() (int, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, err
-		}
-		if v > 1<<62 {
-			return 0, fmt.Errorf("varint operand %d overflows", v)
-		}
-		return int(v), nil
-	}
-	// rankOperand reads a peer or root operand. Op stores ranks as int32,
-	// so a larger operand would wrap, possibly onto a valid rank; reject it
-	// here, before an op is constructed.
-	rankOperand := func(name string) (int, error) {
-		v, err := u()
-		if err == nil && v > math.MaxInt32 {
-			err = fmt.Errorf("%s operand %d exceeds int32", name, v)
-		}
-		return v, err
-	}
+	d.n = 1
+	var op Op
 	switch tag {
 	case tagCompute:
-		ns, err := u()
-		if err != nil {
-			return Op{}, err
-		}
-		return Compute(time.Duration(ns)), nil
-	case tagSend:
-		peer, err := rankOperand("peer")
-		if err != nil {
-			return Op{}, err
-		}
-		n, err := u()
-		if err != nil {
-			return Op{}, err
-		}
-		return Send(peer, n), nil
+		op = Compute(time.Duration(d.uint()))
+	case tagSend: // operands are read in argument order, left to right
+		op = Send(d.rank("peer"), d.uint())
 	case tagRecv:
-		peer, err := rankOperand("peer")
-		if err != nil {
-			return Op{}, err
-		}
-		return Recv(peer), nil
+		op = Recv(d.rank("peer"))
 	case tagSendrecv:
-		sp, err := rankOperand("peer")
-		if err != nil {
-			return Op{}, err
-		}
-		rp, err := rankOperand("recv peer")
-		if err != nil {
-			return Op{}, err
-		}
-		n, err := u()
-		if err != nil {
-			return Op{}, err
-		}
-		return Sendrecv(sp, rp, n), nil
+		op = Sendrecv(d.rank("peer"), d.rank("recv peer"), d.uint())
 	case tagAllreduce:
-		n, err := u()
-		if err != nil {
-			return Op{}, err
-		}
-		return Allreduce(n), nil
+		op = Allreduce(d.uint())
 	case tagBarrier:
-		return Barrier(), nil
+		op = Barrier()
 	case tagBcast:
-		root, err := rankOperand("root")
-		if err != nil {
-			return Op{}, err
-		}
-		n, err := u()
-		if err != nil {
-			return Op{}, err
-		}
-		return Bcast(root, n), nil
+		op = Bcast(d.rank("root"), d.uint())
 	case tagReduce:
-		root, err := rankOperand("root")
-		if err != nil {
-			return Op{}, err
-		}
-		n, err := u()
-		if err != nil {
-			return Op{}, err
-		}
-		return Reduce(root, n), nil
+		op = Reduce(d.rank("root"), d.uint())
 	default: // tagAlltoall
-		n, err := u()
-		if err != nil {
-			return Op{}, err
-		}
-		return Alltoall(n), nil
+		op = Alltoall(d.uint())
 	}
+	if d.err != nil {
+		return Op{}, d.err
+	}
+	return op, nil
 }
 
 // WriteBinarySources packs the sources into the binary format. Ranks are
@@ -347,14 +335,14 @@ func EncodeBinary(traces ...*Trace) ([]byte, error) {
 
 // File is an opened binary trace file: the handle plus the decoded index.
 // Ops are never held here — each Open of a rank reads the rank's byte range
-// through its own bounded window, so a File's memory footprint is the index,
+// through its own fixed window, so a File's memory footprint is the index,
 // not the trace. A File is safe for concurrent cursor opens (io.ReaderAt is
 // position-independent).
 type File struct {
 	ra      io.ReaderAt
 	closer  io.Closer
 	entries []fileEntry
-	window  int
+	window  int // cursor window size; tests shrink it to force refills
 }
 
 // OpenFile opens a binary trace file from disk.
@@ -385,7 +373,7 @@ func OpenBinary(ra io.ReaderAt, size int64) (*File, error) {
 		return nil, fmt.Errorf("trace: binary image too short (%d bytes)", size)
 	}
 	var hdr [5]byte
-	if _, err := ra.ReadAt(hdr[:], 0); err != nil {
+	if err := readFullAt(ra, hdr[:], 0); err != nil {
 		return nil, err
 	}
 	if string(hdr[:4]) != binMagic {
@@ -395,7 +383,7 @@ func OpenBinary(ra io.ReaderAt, size int64) (*File, error) {
 		return nil, fmt.Errorf("trace: unsupported format version %d", hdr[4])
 	}
 	var foot [binFooterSz]byte
-	if _, err := ra.ReadAt(foot[:], size-int64(binFooterSz)); err != nil {
+	if err := readFullAt(ra, foot[:], size-int64(binFooterSz)); err != nil {
 		return nil, err
 	}
 	if string(foot[8:]) != idxMagic {
@@ -424,7 +412,7 @@ func OpenBinary(ra io.ReaderAt, size int64) (*File, error) {
 	if ntr == 0 || ntr > maxBinTraces {
 		return nil, fmt.Errorf("trace: index: implausible trace count %d", ntr)
 	}
-	f := &File{ra: ra, window: DefaultWindow}
+	f := &File{ra: ra, window: window}
 	seen := make(map[Meta]bool, ntr)
 	for t := int64(0); t < ntr; t++ {
 		alen, err := uv("app name length")
@@ -479,15 +467,6 @@ func OpenBinary(ra io.ReaderAt, size int64) (*File, error) {
 		return nil, fmt.Errorf("trace: index: trailing bytes")
 	}
 	return f, nil
-}
-
-// SetWindow sets the per-cursor read buffer size in bytes for subsequently
-// opened cursors. The default is DefaultWindow (64 KiB).
-func (f *File) SetWindow(n int) {
-	if n < 16 {
-		n = 16
-	}
-	f.window = n
 }
 
 // Entries lists the packed traces in file order.
@@ -554,8 +533,21 @@ func (f *File) Close() error {
 	return nil
 }
 
+// readFullAt fills p from ra at off. io.ReaderAt may return io.EOF with a
+// full read at the end of its input; that read succeeded.
+func readFullAt(ra io.ReaderAt, p []byte, off int64) error {
+	n, err := ra.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // FileSource streams one packed trace. Implements Source; each Open reads
-// the rank's byte range through a fresh bounded window.
+// the rank's byte range through a fresh fixed window.
 type FileSource struct {
 	f   *File
 	ent *fileEntry
@@ -565,24 +557,28 @@ type FileSource struct {
 func (s *FileSource) Meta() Meta { return s.ent.meta }
 
 // Open returns a cursor over rank r's encoded stream. The cursor holds one
-// window-sized buffer; Next decodes in place and allocates nothing in steady
-// state.
+// window, never larger than the rank, however long the rank is; Next
+// decodes in place and allocates nothing. Open panics on a rank outside
+// [0, np).
 func (s *FileSource) Open(r int) Cursor {
-	rix := s.ent.ranks[r]
-	window := s.f.window
-	if int64(window) > rix.nbytes && rix.nbytes >= 16 {
-		window = int(rix.nbytes)
+	if r < 0 || r >= len(s.ent.ranks) {
+		panic(fmt.Sprintf("trace: rank %d out of range [0, %d)", r, s.ent.meta.NP))
 	}
+	rix := s.ent.ranks[r]
 	return &fileCursor{
-		br: bufio.NewReaderSize(io.NewSectionReader(s.f.ra, rix.off, rix.nbytes), window),
+		ra: s.f.ra, off: rix.off, left: rix.nbytes, buf: make([]byte, min(int64(s.f.window), rix.nbytes)),
 		np: s.ent.meta.NP, rank: r, nops: rix.nops,
 	}
 }
 
-// fileCursor decodes one rank's stream through a bounded window, validating
+// fileCursor decodes one rank's stream through a fixed window, validating
 // each op with CheckOp as it is produced.
 type fileCursor struct {
-	br   *bufio.Reader
+	ra   io.ReaderAt
+	off  int64  // file offset of the rank's first byte not yet read
+	left int64  // the rank's bytes not yet read
+	buf  []byte // the window
+	p    []byte // read but not yet decoded: a suffix of buf's filled part
 	np   int
 	rank int
 	nops int64
@@ -590,27 +586,42 @@ type fileCursor struct {
 	err  error
 }
 
+// Next decodes the next op in place, first refilling the window when fewer
+// bytes than one maximal op are left in it: the undecoded bytes move to its
+// front and the rank's next bytes follow them.
 func (c *fileCursor) Next() (Op, bool) {
 	if c.err != nil || c.i >= c.nops {
 		return Op{}, false
 	}
-	op, err := decodeOp(c.br)
+	var err error
+	if len(c.p) < maxOpLen && c.left > 0 {
+		k := copy(c.buf, c.p)
+		n := int(min(int64(len(c.buf)-k), c.left))
+		err = readFullAt(c.ra, c.buf[k:k+n], c.off)
+		c.off += int64(n)
+		c.left -= int64(n)
+		c.p = c.buf[:k+n]
+	}
+	d := opDecoder{b: c.p}
+	var op Op
+	if err == nil {
+		op, err = d.op()
+	}
 	if err != nil {
 		c.err = fmt.Errorf("trace: rank %d op %d: decode: %w", c.rank, c.i, err)
 		return Op{}, false
 	}
+	c.p = c.p[d.n:]
 	if err := CheckOp(c.np, c.rank, int(c.i), op); err != nil {
 		c.err = err
 		return Op{}, false
 	}
 	c.i++
-	if c.i == c.nops {
-		// The index said this many ops in this many bytes; trailing garbage
-		// means the two disagree.
-		if _, err := c.br.ReadByte(); err != io.EOF {
-			c.err = fmt.Errorf("trace: rank %d: trailing bytes after op %d", c.rank, c.nops)
-			return Op{}, false
-		}
+	if c.i == c.nops && (len(c.p) > 0 || c.left > 0) {
+		// The index said this many ops in this many bytes; trailing bytes
+		// mean the two disagree.
+		c.err = fmt.Errorf("trace: rank %d: trailing bytes after op %d", c.rank, c.nops)
+		return Op{}, false
 	}
 	return op, true
 }

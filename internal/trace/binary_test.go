@@ -3,8 +3,14 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"os"
 	"reflect"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,23 +91,188 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// maxOps is a rank-0 stream of every op kind that includes the longest
+// valid encodings: int32-max peers and roots, and operands of 1<<62.
+func maxOps() []Op {
+	const big = 1 << 62
+	return []Op{
+		Compute(big), Send(math.MaxInt32, big), Recv(math.MaxInt32),
+		Sendrecv(math.MaxInt32, math.MaxInt32-1, big), Allreduce(big),
+		Barrier(), Bcast(math.MaxInt32, big), Reduce(math.MaxInt32, big),
+		Alltoall(big), Compute(123), Send(1, 77), Sendrecv(2, 1, 55), Barrier(),
+		Sendrecv(math.MaxInt32, math.MaxInt32, big),
+	}
+}
+
+// rankFile builds a File whose one trace has rank 0 encoded as data, read
+// through ra (a bytes.Reader over data when nil). Its np is past int32, so
+// any peer an Op can hold passes CheckOp.
+func rankFile(data []byte, nops int, ra io.ReaderAt) *File {
+	if ra == nil {
+		ra = bytes.NewReader(data)
+	}
+	ent := fileEntry{meta: Meta{App: "max", NP: math.MaxInt32 + 1},
+		ranks: []rankIndex{{off: 0, nbytes: int64(len(data)), nops: int64(nops)}}}
+	return &File{ra: ra, entries: []fileEntry{ent}, window: window}
+}
+
+// drain reads cursor c to its end.
+func drain(c Cursor) ([]Op, error) {
+	var ops []Op
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
+		ops = append(ops, op)
+	}
+	return ops, c.Err()
+}
+
+// TestBinarySmallWindow sweeps the window from maxOpLen to 64 bytes over
+// the longest valid ops, so that every op straddles a refill at some size.
 func TestBinarySmallWindow(t *testing.T) {
-	tr := buildFull()
-	enc, err := EncodeBinary(tr)
+	ops := maxOps()
+	var data []byte
+	for _, op := range ops {
+		var err error
+		if data, err = appendOp(data, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := rankFile(data, len(ops), nil)
+	for w := maxOpLen; w <= 64; w++ {
+		f.window = w
+		got, err := drain(f.SourceAt(0).Open(0))
+		if err != nil {
+			t.Fatalf("window %d: %v", w, err)
+		}
+		if !reflect.DeepEqual(got, ops) {
+			t.Errorf("window %d: decoded\n %+v\nwant\n %+v", w, got, ops)
+		}
+	}
+}
+
+// TestFileCursorWindowBound pins the O(window) contract: opening and
+// draining a rank costs the window and the cursor whatever the rank's
+// length.
+func TestFileCursorWindowBound(t *testing.T) {
+	alloc := func(kb int) uint64 {
+		tr := New("w", 1)
+		for i := 0; tr.NumOps()*3 < kb<<10; i++ {
+			tr.Append(0, Compute(time.Duration(1000+i%7)))
+		}
+		enc, err := EncodeBinary(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := OpenBinary(bytes.NewReader(enc), int64(len(enc)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := f.SourceAt(0)
+		best := uint64(math.MaxUint64)
+		for range 5 { // the least of five runs drops other goroutines' allocations
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c := src.Open(0)
+			for _, ok := c.Next(); ok; _, ok = c.Next() {
+			}
+			runtime.ReadMemStats(&after)
+			if c.Err() != nil {
+				t.Fatal(c.Err())
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	small, large := alloc(40), alloc(400)
+	t.Logf("40 KB rank: %d B, 400 KB rank: %d B", small, large)
+	if small != large {
+		t.Errorf("a 40 KB rank allocates %d B and a 400 KB rank %d B; want the same", small, large)
+	}
+	if limit := uint64(window + 512); large > limit {
+		t.Errorf("draining a 400 KB rank allocates %d B, want at most %d", large, limit)
+	}
+}
+
+// failingReaderAt fails every read that reaches past limit.
+type failingReaderAt struct {
+	r     *bytes.Reader
+	limit int64
+}
+
+func (f failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > f.limit {
+		return 0, errors.New("disk on fire")
+	}
+	return f.r.ReadAt(p, off)
+}
+
+// eofReaderAt returns io.EOF with the read that reaches the end of its
+// input, as io.ReaderAt allows.
+type eofReaderAt struct{ r *bytes.Reader }
+
+func (e eofReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := e.r.ReadAt(p, off)
+	if err == nil && off+int64(n) == e.r.Size() {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// TestFileCursorCorrupt feeds the decoder broken rank streams: each must
+// end with Next false and an Err naming the rank and op, never a panic.
+func TestFileCursorCorrupt(t *testing.T) {
+	// long is three windows of 3-byte ops.
+	var long []byte
+	const nlong = window
+	for range nlong {
+		long = append(long, rawOp(tagCompute, 1000)...)
+	}
+	overflow := append([]byte{tagCompute}, bytes.Repeat([]byte{0x80}, 10)...)
+	cases := []struct {
+		name string
+		data []byte
+		nops int
+		ra   io.ReaderAt
+		want string
+	}{
+		{"ends before nops", rawOp(tagBarrier), 2, nil, "rank 0 op 1: decode: EOF"},
+		{"ends inside an op", rawOp(tagSend, 1, 300)[:3], 1, nil, "rank 0 op 0: decode: unexpected EOF"},
+		{"trailing bytes", append(rawOp(tagBarrier), tagBarrier), 1, nil, "rank 0: trailing bytes after op 1"},
+		{"11-byte varint", append(overflow, 0x01), 1, nil, "rank 0 op 0: decode: binary: varint overflows a 64-bit integer"},
+		{"operand past 1<<62", rawOp(tagAllreduce, 1<<62+1), 1, nil, "rank 0 op 0: decode: varint operand 4611686018427387905 overflows"},
+		{"bad tag past the first window", append(bytes.Clone(long), 0xEE), nlong + 1, nil,
+			fmt.Sprintf("rank 0 op %d: decode: unknown op tag 0xee", nlong)},
+		{"read fails mid-rank", long, nlong, failingReaderAt{bytes.NewReader(long), window + 100},
+			": decode: disk on fire"},
+	}
+	named := regexp.MustCompile(`^trace: rank 0( op \d+:|: trailing bytes after op \d+$)`)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ops, err := drain(rankFile(c.data, c.nops, c.ra).SourceAt(0).Open(0))
+			if err == nil || !strings.Contains(err.Error(), c.want) || !named.MatchString(err.Error()) {
+				t.Fatalf("after %d ops: err = %v, want %q naming rank and op", len(ops), err, c.want)
+			}
+		})
+	}
+
+	// io.EOF returned with a full read at the end of the input is no error,
+	// at any window size and for the footer read of OpenBinary.
+	for _, w := range []int{maxOpLen, 64, window} {
+		f := rankFile(long, nlong, eofReaderAt{bytes.NewReader(long)})
+		f.window = w
+		if ops, err := drain(f.SourceAt(0).Open(0)); err != nil || len(ops) != nlong {
+			t.Errorf("window %d: %d ops, err %v; want %d ops", w, len(ops), err, nlong)
+		}
+	}
+	enc, err := EncodeBinary(buildFull())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenBinary(bytes.NewReader(enc), int64(len(enc)))
+	f, err := OpenBinary(eofReaderAt{bytes.NewReader(enc)}, int64(len(enc)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.SetWindow(1) // clamped to bufio's minimum; forces many refills
-	got, err := Materialize(f.SourceAt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Ranks, tr.Ranks) {
-		t.Error("tiny-window decode mismatch")
+	if got := materializeAll(t, f); !reflect.DeepEqual(got[0].Ranks, buildFull().Ranks) {
+		t.Error("decode through an io.EOF-at-end reader differs")
 	}
 }
 
@@ -118,23 +289,14 @@ func TestBinaryCursorReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := f.SourceAt(0)
-	drain := func() []Op {
-		c := src.Open(2)
-		var ops []Op
-		for {
-			op, ok := c.Next()
-			if !ok {
-				break
-			}
-			ops = append(ops, op)
-		}
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return ops
+	first, err := drain(src.Open(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := drain()
-	second := drain()
+	second, err := drain(src.Open(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("reopen mismatch:\n got %+v\nwant %+v", second, first)
 	}

@@ -39,8 +39,14 @@ type Source interface {
 // Meta returns the trace's identity. *Trace implements Source.
 func (t *Trace) Meta() Meta { return Meta{App: t.App, NP: t.NP} }
 
-// Open returns a cursor over rank r's in-memory op slice.
-func (t *Trace) Open(r int) Cursor { return &sliceCursor{ops: t.Ranks[r]} }
+// Open returns a cursor over rank r's in-memory op slice. It panics on a
+// rank outside [0, np).
+func (t *Trace) Open(r int) Cursor {
+	if r < 0 || r >= len(t.Ranks) {
+		panic(fmt.Sprintf("trace: rank %d out of range [0, %d)", r, t.NP))
+	}
+	return &sliceCursor{ops: t.Ranks[r]}
+}
 
 // sliceCursor streams an in-memory op slice. The zero-allocation hot path:
 // Next is an index increment.

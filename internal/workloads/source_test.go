@@ -1,7 +1,10 @@
 package workloads
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,18 +114,39 @@ func TestNewSourceErrors(t *testing.T) {
 	if _, err := NewSource("alya", 1, Options{}); err == nil {
 		t.Error("np=1 accepted")
 	}
-	src, err := NewSource("alya", 8, smallOpt)
+}
+
+// TestSourceOpenOutOfRange opens a rank outside [0, np) on each of the three
+// sources: the generator, the in-memory trace and the packed file. Each
+// panics with a message naming the rank, not a bare index error.
+func TestSourceOpenOutOfRange(t *testing.T) {
+	gen, err := NewSource("alya", 8, smallOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []int{-1, 8} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Open(%d) of an 8-rank source did not panic", r)
-				}
+	tr, err := trace.Materialize(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := trace.EncodeBinary(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := trace.OpenBinary(bytes.NewReader(enc), int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]trace.Source{"generator": gen, "trace": tr, "file": f.SourceAt(0)} {
+		for _, r := range []int{-1, 8} {
+			func() {
+				defer func() {
+					want := fmt.Sprintf("rank %d out of range [0, 8)", r)
+					if msg, _ := recover().(string); !strings.Contains(msg, want) {
+						t.Errorf("%s: Open(%d) panicked with %q, want %q", name, r, msg, want)
+					}
+				}()
+				src.Open(r)
 			}()
-			src.Open(r)
-		}()
+		}
 	}
 }
