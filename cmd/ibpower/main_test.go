@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ibpower/internal/trace"
+	"ibpower/internal/workloads"
 )
 
 // TestUnknownPredictorRejectedEverywhere asserts every subcommand that takes
@@ -164,3 +168,70 @@ func TestTraceFileArgEitherSide(t *testing.T) {
 		t.Errorf("trace info without a file: error %v", err)
 	}
 }
+
+// TestTracePackMatchesDecodedPack packs generated and text traces with
+// trace pack, which copies their packed rank bytes verbatim, and packs the
+// same traces through plain Source and Cursor wrappers, whose ops the writer
+// decodes, checks and encodes one at a time: the two files are
+// byte-identical.
+func TestTracePackMatchesDecodedPack(t *testing.T) {
+	dir := t.TempDir()
+	opt := workloads.Options{Seed: 42, IterScale: 0.02}
+	text := filepath.Join(dir, "nasbt.txt")
+	tr, err := workloads.Generate("nasbt", 9, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(text, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(dir, "t.ibt")
+	null, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	saved := os.Stdout
+	os.Stdout = null
+	err = cmdTracePack([]string{"-o", file, "-jobs", "alya:8,wrf:16", "-scale", "0.02", "-in", text})
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var srcs []trace.Source
+	for _, j := range []struct {
+		app string
+		np  int
+	}{{"alya", 8}, {"wrf", 16}} {
+		src, err := workloads.NewSource(j.app, j.np, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, plainSource{src})
+	}
+	srcs = append(srcs, plainSource{tr})
+	var want bytes.Buffer
+	if err := trace.WriteBinarySources(&want, srcs...); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("trace pack wrote %d bytes that differ from the %d of the op-by-op pack", len(got), want.Len())
+	}
+}
+
+// plainSource hides a source's cursor type, so the pack writer reads it op
+// by op.
+type plainSource struct{ trace.Source }
+
+func (s plainSource) Open(r int) trace.Cursor { return plainCursor{s.Source.Open(r)} }
+
+type plainCursor struct{ trace.Cursor }

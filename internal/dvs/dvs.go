@@ -133,17 +133,22 @@ func (r *Result) AvgAddedSerial() time.Duration {
 	return s / time.Duration(len(r.PerRank))
 }
 
-// Evaluate runs the history-based DVS policy over every rank of the trace.
-func Evaluate(tr *trace.Trace, cfg Config) (*Result, error) {
+// Evaluate runs the history-based DVS policy over every rank of the trace,
+// reading each rank once through a cursor.
+func Evaluate(src trace.Source, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := tr.Validate(); err != nil {
+	if err := trace.ValidateSource(src); err != nil {
 		return nil, err
 	}
-	res := &Result{PerRank: make([]RankResult, tr.NP)}
-	for r := 0; r < tr.NP; r++ {
-		res.PerRank[r] = evalRank(tr, r, cfg)
+	m := src.Meta()
+	res := &Result{PerRank: make([]RankResult, m.NP)}
+	for r := 0; r < m.NP; r++ {
+		var err error
+		if res.PerRank[r], err = evalRank(src.Open(r), r, m.NP, cfg); err != nil {
+			return nil, fmt.Errorf("dvs: %s np=%d rank %d: %w", m.App, m.NP, r, err)
+		}
 	}
 	return res, nil
 }
@@ -162,7 +167,7 @@ func injectedBytes(op trace.Op, r, np int) int {
 	return n
 }
 
-func evalRank(tr *trace.Trace, r int, cfg Config) RankResult {
+func evalRank(c trace.Cursor, r, np int, cfg Config) (RankResult, error) {
 	var out RankResult
 	full := cfg.Levels[len(cfg.Levels)-1]
 	cur := full
@@ -206,7 +211,7 @@ func evalRank(tr *trace.Trace, r int, cfg Config) RankResult {
 		winEnd += cfg.Window
 	}
 
-	for _, op := range tr.Ranks[r] {
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		switch op.Kind {
 		case trace.OpCompute:
 			t += op.Duration
@@ -214,8 +219,11 @@ func evalRank(tr *trace.Trace, r int, cfg Config) RankResult {
 				closeWindow()
 			}
 		case trace.OpCall:
-			winBytes += injectedBytes(op, r, tr.NP)
+			winBytes += injectedBytes(op, r, np)
 		}
+	}
+	if err := c.Err(); err != nil {
+		return out, err
 	}
 	if winBytes > 0 || out.Windows == 0 {
 		closeWindow()
@@ -226,5 +234,5 @@ func evalRank(tr *trace.Trace, r int, cfg Config) RankResult {
 	} else {
 		out.MeanPower = 1
 	}
-	return out
+	return out, nil
 }

@@ -9,7 +9,6 @@ import (
 	"ibpower/internal/replay"
 	"ibpower/internal/stats"
 	"ibpower/internal/sweep"
-	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
 
@@ -43,11 +42,7 @@ func (r *Runner) DVS(displacement float64, np int) ([]DVSRow, error) {
 			if err != nil {
 				return DVSRow{}, err
 			}
-			tr, err := trace.Materialize(src)
-			if err != nil {
-				return DVSRow{}, err
-			}
-			dv, err := dvs.Evaluate(tr, dvs.DefaultConfig())
+			dv, err := dvs.Evaluate(src, dvs.DefaultConfig())
 			if err != nil {
 				return DVSRow{}, err
 			}

@@ -36,18 +36,16 @@ func TestRecorderCapturesOps(t *testing.T) {
 		t.Errorf("calls = %d, want %d", got, np*11)
 	}
 	// The recorded sendrecv must carry peers and size (2 float64 = 16 B).
-	var sr *trace.Op
-	for i, op := range tr.Ranks[0] {
-		if op.Kind == trace.OpCall && op.Call == trace.CallSendrecv {
-			sr = &tr.Ranks[0][i]
-			break
-		}
+	c := tr.Open(0)
+	sr, ok := c.Next()
+	for ok && (sr.Kind != trace.OpCall || sr.Call != trace.CallSendrecv) {
+		sr, ok = c.Next()
 	}
-	if sr == nil {
+	if !ok {
 		t.Fatal("no sendrecv recorded")
 	}
 	if sr.Peer != 1 || sr.RecvPeer != np-1 || sr.Bytes != 16 {
-		t.Errorf("sendrecv = %+v", *sr)
+		t.Errorf("sendrecv = %+v", sr)
 	}
 	// Computation gaps were captured: rank 0 spun ~50 µs per iteration.
 	if tr.ComputeTime(0) < 200*time.Microsecond {
@@ -72,7 +70,8 @@ func TestRecorderSPMDAlignment(t *testing.T) {
 	tr := rec.Trace()
 	seq := func(r int) []trace.CallID {
 		var out []trace.CallID
-		for _, op := range tr.Ranks[r] {
+		c := tr.Open(r)
+		for op, ok := c.Next(); ok; op, ok = c.Next() {
 			if op.Kind == trace.OpCall {
 				out = append(out, op.Call)
 			}

@@ -171,7 +171,8 @@ func TestOraclePrimedPredictsExactGaps(t *testing.T) {
 	}
 	var now time.Duration
 	var raws []time.Duration
-	for _, op := range tr.Ranks[0] {
+	c := tr.Open(0)
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		switch op.Kind {
 		case trace.OpCompute:
 			now += op.Duration
@@ -203,7 +204,8 @@ func TestProfilePredictsPerCallTypeMeans(t *testing.T) {
 	}
 	var now time.Duration
 	seen := map[EventID]time.Duration{}
-	for _, op := range tr.Ranks[0] {
+	c := tr.Open(0)
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		switch op.Kind {
 		case trace.OpCompute:
 			now += op.Duration

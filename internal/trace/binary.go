@@ -49,7 +49,7 @@ const (
 	// shorter: the bounded memory a streamed rank costs during replay,
 	// whatever the rank's length.
 	window = 4 << 10
-	// maxOpLen is the most bytes an opDecoder reads for one op, valid or not: a
+	// maxOpLen is the most bytes checkOp reads for one op, valid or not: a
 	// tag and three operands of at most binary.MaxVarintLen64 bytes. A
 	// cursor refills its window whenever fewer remain, so a window shorter
 	// than its rank must hold at least this many.
@@ -100,143 +100,179 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// appendOp encodes op onto buf. The op must already satisfy CheckOp.
-func appendOp(buf []byte, op Op) ([]byte, error) {
-	switch op.Kind {
-	case OpCompute:
+// appendOp encodes op onto buf. It is the one encoder of the format: Rank
+// stores ops through it and the pack writer writes them. The op must
+// satisfy CheckOp, which rejects every kind and call this switch lacks.
+func appendOp(buf []byte, op *Op) []byte {
+	if op.Kind == OpCompute {
 		buf = append(buf, tagCompute)
-		buf = binary.AppendUvarint(buf, uint64(op.Duration.Nanoseconds()))
-	case OpCall:
-		switch op.Call {
-		case CallSend:
-			buf = append(buf, tagSend)
-			buf = binary.AppendUvarint(buf, uint64(op.Peer))
-			buf = binary.AppendUvarint(buf, uint64(op.Bytes))
-		case CallRecv:
-			buf = append(buf, tagRecv)
-			buf = binary.AppendUvarint(buf, uint64(op.Peer))
-		case CallSendrecv:
-			buf = append(buf, tagSendrecv)
-			buf = binary.AppendUvarint(buf, uint64(op.Peer))
-			buf = binary.AppendUvarint(buf, uint64(op.RecvPeer))
-			buf = binary.AppendUvarint(buf, uint64(op.Bytes))
-		case CallAllreduce:
-			buf = append(buf, tagAllreduce)
-			buf = binary.AppendUvarint(buf, uint64(op.Bytes))
-		case CallBarrier:
-			buf = append(buf, tagBarrier)
-		case CallBcast:
-			buf = append(buf, tagBcast)
-			buf = binary.AppendUvarint(buf, uint64(op.Root))
-			buf = binary.AppendUvarint(buf, uint64(op.Bytes))
-		case CallReduce:
-			buf = append(buf, tagReduce)
-			buf = binary.AppendUvarint(buf, uint64(op.Root))
-			buf = binary.AppendUvarint(buf, uint64(op.Bytes))
-		case CallAlltoall:
-			buf = append(buf, tagAlltoall)
-			buf = binary.AppendUvarint(buf, uint64(op.Bytes))
-		default:
-			return buf, fmt.Errorf("trace: cannot encode call %v", op.Call)
-		}
-	default:
-		return buf, fmt.Errorf("trace: cannot encode op kind %d", op.Kind)
+		return binary.AppendUvarint(buf, uint64(op.Duration))
 	}
-	return buf, nil
+	switch op.Call {
+	case CallSend:
+		buf = append(buf, tagSend)
+		buf = binary.AppendUvarint(buf, uint64(op.Peer))
+	case CallRecv:
+		buf = append(buf, tagRecv)
+		return binary.AppendUvarint(buf, uint64(op.Peer))
+	case CallSendrecv:
+		buf = append(buf, tagSendrecv)
+		buf = binary.AppendUvarint(buf, uint64(op.Peer))
+		buf = binary.AppendUvarint(buf, uint64(op.RecvPeer))
+	case CallAllreduce:
+		buf = append(buf, tagAllreduce)
+	case CallBarrier:
+		return append(buf, tagBarrier)
+	case CallBcast:
+		buf = append(buf, tagBcast)
+		buf = binary.AppendUvarint(buf, uint64(op.Root))
+	case CallReduce:
+		buf = append(buf, tagReduce)
+		buf = binary.AppendUvarint(buf, uint64(op.Root))
+	default: // CallAlltoall
+		buf = append(buf, tagAlltoall)
+	}
+	return binary.AppendUvarint(buf, uint64(op.Bytes))
 }
 
-// opDecoder decodes the op at the start of b. The first failure sticks:
-// later operand reads return 0, so an op built from them is harmless and op
-// reports the failure.
-type opDecoder struct {
-	b   []byte
-	n   int // bytes consumed
-	err error
+// EncodedLen returns the number of bytes the .ibt encoding of op takes. The
+// op must satisfy CheckOp. The workloads generator sizes its trace arena
+// from it.
+func EncodedLen(op Op) int {
+	var b [maxOpLen]byte
+	return len(appendOp(b[:0], &op))
 }
 
-// uint reads one uvarint operand, capped at 1<<62. It reads at most
-// binary.MaxVarintLen64 bytes, as binary.ReadUvarint does, so an op never
-// reads past maxOpLen.
-func (d *opDecoder) uint() int {
-	if d.err != nil {
-		return 0
-	}
-	rest := d.b[d.n:]
-	v, k := binary.Uvarint(rest[:min(len(rest), binary.MaxVarintLen64)])
+// opOperands holds, at each tag, the number of uvarint operands after it.
+const opOperands = "\x01\x02\x01\x03\x01\x00\x02\x02\x01"
+
+// rankOperand returns the name of operand i of an op with tag when it is a
+// rank, a peer or a root, and "" when it is a byte count or a duration.
+// Ranks lead the operands.
+func rankOperand(tag byte, i int) string {
 	switch {
-	case k > 0 && v <= 1<<62:
-		d.n += k
-		return int(v)
-	case k > 0:
-		d.err = fmt.Errorf("varint operand %d overflows", v)
-	case k < 0 || len(rest) >= binary.MaxVarintLen64:
-		d.err = errors.New("binary: varint overflows a 64-bit integer")
-	case len(rest) == 0:
-		d.err = io.EOF
-	default:
-		d.err = io.ErrUnexpectedEOF
+	case i == 0 && (tag == tagSend || tag == tagRecv || tag == tagSendrecv):
+		return "peer"
+	case i == 1 && tag == tagSendrecv:
+		return "recv peer"
+	case i == 0 && (tag == tagBcast || tag == tagReduce):
+		return "root"
 	}
-	return 0
+	return ""
 }
 
-// rank reads a peer or root operand. Op stores ranks as int32, so a larger
-// operand would wrap, possibly onto a valid rank; reject it here, before an
-// op is constructed.
-func (d *opDecoder) rank(name string) int {
-	v := d.uint()
-	if v > math.MaxInt32 {
-		d.err = fmt.Errorf("%s operand %d exceeds int32", name, v)
-		return 0
+// checkOp checks that b starts with a whole op that packedCursor can
+// decode. It reports an unknown tag,
+// a truncated or over-long uvarint, an operand above 1<<62, and a peer or
+// root beyond int32, whose int32 field would wrap, possibly onto a valid
+// rank. Operands are checked in order, so the first bad one is reported. b
+// ending inside the op reads as io.EOF before the tag and before an
+// operand, and as io.ErrUnexpectedEOF inside one. It reads at most
+// maxOpLen bytes: binary.MaxVarintLen64 per operand, as binary.ReadUvarint
+// does.
+func checkOp(b []byte) error {
+	if len(b) == 0 {
+		return io.EOF
 	}
-	return v
-}
-
-// op decodes the op and leaves its encoded length in n. b ending inside the
-// op reads as io.EOF before the tag and io.ErrUnexpectedEOF after it. Ops
-// are reconstructed through the package constructors so unused fields
-// carry the same sentinels (-1) as in-memory traces — a decoded trace
-// re-encodes byte-identically and compares deep-equal to its original.
-func (d *opDecoder) op() (Op, error) {
-	if len(d.b) == 0 {
-		return Op{}, io.EOF
-	}
-	tag := d.b[0]
+	tag := b[0]
 	if tag > tagMax {
-		return Op{}, fmt.Errorf("unknown op tag 0x%02x", tag)
+		return fmt.Errorf("unknown op tag 0x%02x", tag)
 	}
-	d.n = 1
-	var op Op
+	n := 1
+	for i := range int(opOperands[tag]) {
+		rest := b[n:]
+		if len(rest) > 0 && rest[0] < 0x80 { // one byte: below every cap
+			n++
+			continue
+		}
+		v, k := binary.Uvarint(rest[:min(len(rest), binary.MaxVarintLen64)])
+		switch {
+		case k > 0 && v > 1<<62:
+			return fmt.Errorf("varint operand %d overflows", v)
+		case k > 0:
+		case k < 0 || len(rest) >= binary.MaxVarintLen64:
+			return errors.New("binary: varint overflows a 64-bit integer")
+		case len(rest) == 0:
+			return io.EOF
+		default:
+			return io.ErrUnexpectedEOF
+		}
+		if v > math.MaxInt32 {
+			if name := rankOperand(tag, i); name != "" {
+				return fmt.Errorf("%s operand %d exceeds int32", name, v)
+			}
+		}
+		n += k
+	}
+	return nil
+}
+
+// packedCursor decodes encoded ops in place: a Rank's, whose ops Append
+// checked one by one, or a file cursor's window, once checkOp has passed
+// the next op. It is the one decoder of the format, and it checks nothing.
+type packedCursor struct {
+	b []byte // the ops not yet decoded
+	k *Rank  // the rank opened; nil when decoding a file cursor's window
+}
+
+// Next decodes the op at the start of b. Each case returns its op as a
+// literal: an Op copied through a temporary after its fields were stored
+// one by one stalls the load on the stores and costs about half again the
+// decode.
+func (c *packedCursor) Next() (Op, bool) {
+	b := c.b
+	if len(b) == 0 {
+		return Op{}, false
+	}
+	tag := b[0]
+	var v [3]uint64
+	n := 1
+	for i := range int(opOperands[tag]) {
+		var x uint64
+		for s := uint(0); ; s += 7 {
+			ch := b[n]
+			n++
+			x |= uint64(ch&0x7f) << s
+			if ch < 0x80 {
+				break
+			}
+		}
+		v[i] = x
+	}
+	c.b = b[n:]
+	// Unused fields carry the constructors' sentinels (-1), so a decoded
+	// trace compares equal to its original.
 	switch tag {
 	case tagCompute:
-		op = Compute(time.Duration(d.uint()))
-	case tagSend: // operands are read in argument order, left to right
-		op = Send(d.rank("peer"), d.uint())
+		return Op{Kind: OpCompute, Duration: time.Duration(v[0]), Peer: -1, RecvPeer: -1, Root: -1}, true
+	case tagSend:
+		return Op{Kind: OpCall, Call: CallSend, Peer: int32(v[0]), Bytes: int(v[1]), RecvPeer: -1, Root: -1}, true
 	case tagRecv:
-		op = Recv(d.rank("peer"))
+		return Op{Kind: OpCall, Call: CallRecv, Peer: int32(v[0]), RecvPeer: -1, Root: -1}, true
 	case tagSendrecv:
-		op = Sendrecv(d.rank("peer"), d.rank("recv peer"), d.uint())
+		return Op{Kind: OpCall, Call: CallSendrecv, Peer: int32(v[0]), RecvPeer: int32(v[1]), Bytes: int(v[2]), Root: -1}, true
 	case tagAllreduce:
-		op = Allreduce(d.uint())
+		return Op{Kind: OpCall, Call: CallAllreduce, Bytes: int(v[0]), Peer: -1, RecvPeer: -1, Root: -1}, true
 	case tagBarrier:
-		op = Barrier()
+		return Op{Kind: OpCall, Call: CallBarrier, Peer: -1, RecvPeer: -1, Root: -1}, true
 	case tagBcast:
-		op = Bcast(d.rank("root"), d.uint())
+		return Op{Kind: OpCall, Call: CallBcast, Root: int32(v[0]), Bytes: int(v[1]), Peer: -1, RecvPeer: -1}, true
 	case tagReduce:
-		op = Reduce(d.rank("root"), d.uint())
+		return Op{Kind: OpCall, Call: CallReduce, Root: int32(v[0]), Bytes: int(v[1]), Peer: -1, RecvPeer: -1}, true
 	default: // tagAlltoall
-		op = Alltoall(d.uint())
+		return Op{Kind: OpCall, Call: CallAlltoall, Bytes: int(v[0]), Peer: -1, RecvPeer: -1, Root: -1}, true
 	}
-	if d.err != nil {
-		return Op{}, d.err
-	}
-	return op, nil
 }
+
+func (c *packedCursor) Err() error { return c.k.err }
 
 // WriteBinarySources packs the sources into the binary format. Ranks are
 // drained one cursor at a time, so packing a streaming source (the workloads
 // generator, another file) holds one rank window in memory, never the whole
-// trace. Every op is validated with CheckOp before encoding; duplicate
-// (app, NP) identities are rejected because the file index is keyed on them.
+// trace. A rank held packed (a *Trace's, the generator's) is copied
+// verbatim, reporting the op Append rejected if there is one; any other
+// cursor's ops are validated with CheckOp and encoded. Duplicate (app, NP)
+// identities are rejected because the file index is keyed on them.
 func WriteBinarySources(w io.Writer, srcs ...Source) error {
 	if len(srcs) == 0 {
 		return fmt.Errorf("trace: nothing to pack")
@@ -266,26 +302,30 @@ func WriteBinarySources(w io.Writer, srcs ...Source) error {
 			start := cw.n
 			c := src.Open(r)
 			var nops int64
-			for {
-				op, ok := c.Next()
-				if !ok {
-					break
+			if pc, ok := c.(*packedCursor); ok {
+				// A Rank's bytes are this encoding already, and Append
+				// checked each op: copy them verbatim.
+				if pc.k.err != nil {
+					return pc.k.err
 				}
-				if err := CheckOp(m.NP, r, int(nops), op); err != nil {
+				if _, err := cw.Write(pc.b); err != nil {
 					return err
 				}
-				var err error
-				buf, err = appendOp(buf[:0], op)
-				if err != nil {
-					return err
+				nops = int64(pc.k.ops)
+			} else {
+				for op, ok := c.Next(); ok; op, ok = c.Next() {
+					if err := CheckOp(m.NP, r, int(nops), &op); err != nil {
+						return err
+					}
+					buf = appendOp(buf[:0], &op)
+					if _, err := cw.Write(buf); err != nil {
+						return err
+					}
+					nops++
 				}
-				if _, err := cw.Write(buf); err != nil {
-					return err
+				if err := c.Err(); err != nil {
+					return fmt.Errorf("trace: %s np=%d rank %d: %w", m.App, m.NP, r, err)
 				}
-				nops++
-			}
-			if err := c.Err(); err != nil {
-				return fmt.Errorf("trace: %s np=%d rank %d: %w", m.App, m.NP, r, err)
 			}
 			ent.ranks[r] = rankIndex{off: start, nbytes: cw.n - start, nops: nops}
 		}
@@ -571,8 +611,9 @@ func (s *FileSource) Open(r int) Cursor {
 	}
 }
 
-// fileCursor decodes one rank's stream through a fixed window, validating
-// each op with CheckOp as it is produced.
+// fileCursor reads one rank's stream through a fixed window. It checks each
+// op's bytes with checkOp, decodes them in place with the packed cursor, and
+// validates the op with CheckOp.
 type fileCursor struct {
 	ra   io.ReaderAt
 	off  int64  // file offset of the rank's first byte not yet read
@@ -602,17 +643,17 @@ func (c *fileCursor) Next() (Op, bool) {
 		c.left -= int64(n)
 		c.p = c.buf[:k+n]
 	}
-	d := opDecoder{b: c.p}
-	var op Op
 	if err == nil {
-		op, err = d.op()
+		err = checkOp(c.p)
 	}
 	if err != nil {
 		c.err = fmt.Errorf("trace: rank %d op %d: decode: %w", c.rank, c.i, err)
 		return Op{}, false
 	}
-	c.p = c.p[d.n:]
-	if err := CheckOp(c.np, c.rank, int(c.i), op); err != nil {
+	dec := packedCursor{b: c.p}
+	op, _ := dec.Next()
+	c.p = dec.b
+	if err := CheckOp(c.np, c.rank, int(c.i), &op); err != nil {
 		c.err = err
 		return Op{}, false
 	}

@@ -68,8 +68,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if got[i].App != orig.App || got[i].NP != orig.NP {
 			t.Fatalf("trace %d meta %s/%d", i, got[i].App, got[i].NP)
 		}
-		if !reflect.DeepEqual(got[i].Ranks, orig.Ranks) {
-			t.Errorf("trace %d roundtrip mismatch:\n got %+v\nwant %+v", i, got[i].Ranks, orig.Ranks)
+		if g, w := rankOps(t, got[i]), rankOps(t, orig); !reflect.DeepEqual(g, w) {
+			t.Errorf("trace %d roundtrip mismatch:\n got %+v\nwant %+v", i, g, w)
 		}
 	}
 	// Re-encoding the decoded traces is byte-identical.
@@ -125,16 +125,27 @@ func drain(c Cursor) ([]Op, error) {
 	return ops, c.Err()
 }
 
+// rankOps drains every rank of src, failing t on a cursor error.
+func rankOps(t testing.TB, src Source) [][]Op {
+	t.Helper()
+	out := make([][]Op, src.Meta().NP)
+	for r := range out {
+		ops, err := drain(src.Open(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[r] = ops
+	}
+	return out
+}
+
 // TestBinarySmallWindow sweeps the window from maxOpLen to 64 bytes over
 // the longest valid ops, so that every op straddles a refill at some size.
 func TestBinarySmallWindow(t *testing.T) {
 	ops := maxOps()
 	var data []byte
 	for _, op := range ops {
-		var err error
-		if data, err = appendOp(data, op); err != nil {
-			t.Fatal(err)
-		}
+		data = appendOp(data, &op)
 	}
 	f := rankFile(data, len(ops), nil)
 	for w := maxOpLen; w <= 64; w++ {
@@ -271,7 +282,7 @@ func TestFileCursorCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := materializeAll(t, f); !reflect.DeepEqual(got[0].Ranks, buildFull().Ranks) {
+	if got := materializeAll(t, f); !reflect.DeepEqual(rankOps(t, got[0]), rankOps(t, buildFull())) {
 		t.Error("decode through an io.EOF-at-end reader differs")
 	}
 }
@@ -300,7 +311,7 @@ func TestBinaryCursorReopen(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("reopen mismatch:\n got %+v\nwant %+v", second, first)
 	}
-	if !reflect.DeepEqual(first, tr.Ranks[2]) {
+	if !reflect.DeepEqual(first, rankOps(t, tr)[2]) {
 		t.Errorf("cursor ops != rank ops")
 	}
 }
@@ -391,7 +402,7 @@ func TestFileOpenClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Ranks, tr.Ranks) {
+	if !reflect.DeepEqual(rankOps(t, got), rankOps(t, tr)) {
 		t.Error("file roundtrip mismatch")
 	}
 	if err := f.Close(); err != nil {
@@ -474,7 +485,7 @@ func TestDecodeRejectsRankBeyondInt32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Send(1, 8); tr.Ranks[0][0] != want {
-		t.Errorf("decoded %+v, want %+v", tr.Ranks[0][0], want)
+	if got, want := rankOps(t, tr)[0][0], Send(1, 8); got != want {
+		t.Errorf("decoded %+v, want %+v", got, want)
 	}
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -130,3 +133,182 @@ func FuzzTraceBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTraceAppend appends constructor-built ops of every kind, and ops of
+// no kind or call the encoding holds, to a packed trace and checks it
+// against an []Op reference that applies CheckOp the way Append documents.
+// Peers and roots range over int32's extremes, byte counts and durations
+// over zero, negative and huge values. Every stored op reads back equal,
+// each rank's cursor reports the op Append rejected, and NumOps, NumCalls,
+// ComputeTime, IdleDistribution and Validate agree with the reference. The
+// pack writer's verbatim copy of the ranks equals packing them op by op.
+func FuzzTraceAppend(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 0, 7, 1, 0, 1, 6, 8, 2, 1, 0, 3, 2, 7, 0, 7, 5, 2, 4, 0, 9})
+	f.Add(uint8(2), []byte{1, 0, 2, 2, 6, 1, 3, 8, 0, 4, 0, 0, 4, 1, 1, 5, 1, 0})
+	f.Add(uint8(0), []byte{9, 0, 1, 2, 0, 2, 3, 0, 3, 0, 4, 5})
+	f.Fuzz(func(t *testing.T, npByte uint8, data []byte) {
+		np := int(npByte)%6 + 1
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// value returns an operand: a small valid rank, an extreme, or
+		// eight raw bytes.
+		value := func() int64 {
+			switch next() % 9 {
+			case 0:
+				return int64(next()) % int64(np)
+			case 1:
+				return 0
+			case 2:
+				return -1
+			case 3:
+				return math.MaxInt32
+			case 4:
+				return math.MinInt32
+			case 5:
+				return 1 << 62
+			case 6:
+				return math.MaxInt64
+			case 7:
+				return math.MinInt64
+			}
+			var v uint64
+			for range 8 {
+				v = v<<8 | uint64(next())
+			}
+			return int64(v)
+		}
+		rank := func() int { return int(int32(value())) }
+		tr := New("fuzz", np)
+		ref := make([][]Op, np)
+		refErr := make([]error, np)
+		for len(data) > 0 {
+			var op Op
+			switch next() % 10 {
+			case 0:
+				op = Compute(time.Duration(value()))
+			case 1:
+				op = Send(rank(), int(value()))
+			case 2:
+				op = Recv(rank())
+			case 3:
+				op = Sendrecv(rank(), rank(), int(value()))
+			case 4:
+				op = Allreduce(int(value()))
+			case 5:
+				op = Barrier()
+			case 6:
+				op = Bcast(rank(), int(value()))
+			case 7:
+				op = Reduce(rank(), int(value()))
+			case 8:
+				op = Alltoall(int(value()))
+			default: // any kind and call, most of which no encoding holds
+				op = Op{Kind: OpKind(next()), Call: CallID(next()), Peer: int32(rank()), Bytes: int(value())}
+			}
+			r := int(next()) % np
+			tr.Append(r, op)
+			if refErr[r] == nil {
+				if refErr[r] = CheckOp(np, r, len(ref[r]), &op); refErr[r] == nil {
+					ref[r] = append(ref[r], constructed(op))
+				}
+			}
+		}
+
+		ops, calls := 0, 0
+		var idle IdleDist
+		var wantErr error
+		for r := range np {
+			got, err := drain(tr.Open(r))
+			if !reflect.DeepEqual(got, ref[r]) {
+				t.Fatalf("rank %d read back\n %+v\nwant\n %+v", r, got, ref[r])
+			}
+			if fmt.Sprint(err) != fmt.Sprint(refErr[r]) {
+				t.Fatalf("rank %d cursor error %v, want %v", r, err, refErr[r])
+			}
+			if wantErr == nil {
+				wantErr = refErr[r]
+			}
+			var compute, gap time.Duration
+			rankCalls := 0
+			for _, op := range ref[r] {
+				ops++
+				if op.Kind == OpCompute {
+					compute += op.Duration
+					gap += op.Duration
+					continue
+				}
+				if calls++; rankCalls > 0 && gap > 0 {
+					idle.Add(gap)
+				}
+				rankCalls++
+				gap = 0
+			}
+			if got := tr.ComputeTime(r); got != compute {
+				t.Fatalf("rank %d ComputeTime %v, want %v", r, got, compute)
+			}
+		}
+		if tr.NumOps() != ops || tr.NumCalls() != calls {
+			t.Fatalf("NumOps %d NumCalls %d, want %d and %d", tr.NumOps(), tr.NumCalls(), ops, calls)
+		}
+		if wantErr != nil {
+			idle = IdleDist{} // an invalid trace has no distribution
+		}
+		if got := tr.IdleDistribution(); got != idle {
+			t.Fatalf("IdleDistribution %+v, want %+v", got, idle)
+		}
+		if err := tr.Validate(); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("Validate = %v, want %v", err, wantErr)
+		}
+		// The op-by-op writer wraps the cursor's error with the trace and
+		// rank; the verbatim copy reports it as Validate does.
+		verbatim, err := EncodeBinary(tr)
+		var opByOp bytes.Buffer
+		err2 := WriteBinarySources(&opByOp, plainSource{tr})
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil) != (err2 == nil) ||
+			err != nil && !strings.HasSuffix(err2.Error(), err.Error()) {
+			t.Fatalf("pack errors: verbatim %v, op by op %v, want %v", err, err2, wantErr)
+		}
+		if err == nil && !bytes.Equal(verbatim, opByOp.Bytes()) {
+			t.Fatal("verbatim pack differs from the op-by-op pack")
+		}
+	})
+}
+
+// constructed returns op as its constructor builds it: the fields its kind
+// and call do not use hold the sentinel -1 or zero. op must pass CheckOp.
+func constructed(op Op) Op {
+	if op.Kind == OpCompute {
+		return Compute(op.Duration)
+	}
+	switch op.Call {
+	case CallSend:
+		return Send(int(op.Peer), op.Bytes)
+	case CallRecv:
+		return Recv(int(op.Peer))
+	case CallSendrecv:
+		return Sendrecv(int(op.Peer), int(op.RecvPeer), op.Bytes)
+	case CallAllreduce:
+		return Allreduce(op.Bytes)
+	case CallBarrier:
+		return Barrier()
+	case CallBcast:
+		return Bcast(int(op.Root), op.Bytes)
+	case CallReduce:
+		return Reduce(int(op.Root), op.Bytes)
+	}
+	return Alltoall(op.Bytes)
+}
+
+// plainSource hides a source's cursor type, so the pack writer reads it op
+// by op.
+type plainSource struct{ Source }
+
+func (s plainSource) Open(r int) Cursor { return plainCursor{s.Source.Open(r)} }
+
+type plainCursor struct{ Cursor }

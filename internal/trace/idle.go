@@ -73,8 +73,9 @@ func (d *IdleDist) Merge(other IdleDist) {
 // IdleDistribution aggregates the idle-interval distribution over every rank
 // of the trace, as in the paper's Table I: per rank, the accumulated
 // computation time between consecutive MPI calls, the periods during which
-// the rank's host link carries no traffic from it.
+// the rank's host link carries no traffic from it. A trace that fails
+// Validate has none: its distribution is zero.
 func (t *Trace) IdleDistribution() IdleDist {
-	d, _ := SourceIdleDistribution(t) // an in-memory cursor cannot fail
+	d, _ := SourceIdleDistribution(t) // a cursor fails only on an op Append rejected
 	return d
 }

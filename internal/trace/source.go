@@ -39,39 +39,17 @@ type Source interface {
 // Meta returns the trace's identity. *Trace implements Source.
 func (t *Trace) Meta() Meta { return Meta{App: t.App, NP: t.NP} }
 
-// Open returns a cursor over rank r's in-memory op slice. It panics on a
-// rank outside [0, np).
+// Open returns a cursor that decodes rank r's packed ops in place. It
+// panics on a rank outside [0, np).
 func (t *Trace) Open(r int) Cursor {
-	if r < 0 || r >= len(t.Ranks) {
+	if r < 0 || r >= len(t.ranks) {
 		panic(fmt.Sprintf("trace: rank %d out of range [0, %d)", r, t.NP))
 	}
-	return &sliceCursor{ops: t.Ranks[r]}
+	return t.ranks[r].Open()
 }
 
-// sliceCursor streams an in-memory op slice. The zero-allocation hot path:
-// Next is an index increment.
-type sliceCursor struct {
-	ops []Op
-	i   int
-}
-
-func (c *sliceCursor) Next() (Op, bool) {
-	if c.i >= len(c.ops) {
-		return Op{}, false
-	}
-	op := c.ops[c.i]
-	c.i++
-	return op, true
-}
-
-func (c *sliceCursor) Err() error { return nil }
-
-// SliceCursor returns a cursor over an in-memory op slice, for sources whose
-// ranks are already materialized (the workloads generator source reuses it).
-func SliceCursor(ops []Op) Cursor { return &sliceCursor{ops: ops} }
-
-// Materialize drains every rank of src into an in-memory Trace. A *Trace is
-// returned as-is.
+// Materialize drains every rank of src into an in-memory Trace, which
+// checks each op as Append does. A *Trace is returned as-is.
 func Materialize(src Source) (*Trace, error) {
 	if t, ok := src.(*Trace); ok {
 		return t, nil
@@ -81,7 +59,7 @@ func Materialize(src Source) (*Trace, error) {
 	for r := 0; r < m.NP; r++ {
 		c := src.Open(r)
 		for op, ok := c.Next(); ok; op, ok = c.Next() {
-			t.Ranks[r] = append(t.Ranks[r], op)
+			t.Append(r, op)
 		}
 		if err := c.Err(); err != nil {
 			return nil, fmt.Errorf("trace: %s np=%d rank %d: %w", m.App, m.NP, r, err)
@@ -121,9 +99,10 @@ func Calls(buf []CallGap, c Cursor) (calls []CallGap, tail time.Duration, err er
 }
 
 // ValidateSource checks what a source can verify without materializing it: an
-// in-memory *Trace runs the full structural Validate; streaming sources check
-// the meta block here and validate each op as it is decoded (every Cursor.Next
-// of the binary reader runs CheckOp), surfacing failures through Cursor.Err.
+// in-memory *Trace runs Validate, which reports the op Append rejected;
+// streaming sources check the meta block here and validate each op as it is
+// decoded (every Cursor.Next of the binary reader runs CheckOp), surfacing
+// failures through Cursor.Err.
 func ValidateSource(src Source) error {
 	if t, ok := src.(*Trace); ok {
 		return t.Validate()
@@ -138,8 +117,11 @@ func ValidateSource(src Source) error {
 // CheckOp validates one operation of rank r's stream against communicator
 // size np; i is the op's index within the stream, carried into every error so
 // a failure names the exact offending record. It is the single validation
-// point shared by Trace.Validate, the binary decoder, and the pack writer.
-func CheckOp(np, r, i int, op Op) error {
+// point shared by Rank.Append, the binary decoder, and the pack writer. It
+// takes op by pointer: an Op passed by value with np, r and i does not fit
+// the registers, and the stores and reloads of its fields cost as much as
+// the check.
+func CheckOp(np, r, i int, op *Op) error {
 	switch op.Kind {
 	case OpCompute:
 		if op.Duration < 0 {

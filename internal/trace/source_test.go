@@ -28,10 +28,11 @@ func TestTraceImplementsSource(t *testing.T) {
 	if c.Err() != nil {
 		t.Fatal(c.Err())
 	}
-	if !reflect.DeepEqual(got, tr.Ranks[0]) {
-		t.Errorf("cursor ops mismatch")
+	want := []Op{Compute(100 * us), Send(1, 1024), Compute(50 * us), Allreduce(8)}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cursor ops %+v, want %+v", got, want)
 	}
-	if op, ok := tr.Open(0).Next(); !ok || !reflect.DeepEqual(op, tr.Ranks[0][0]) {
+	if op, ok := tr.Open(0).Next(); !ok || op != want[0] {
 		t.Error("a second cursor did not start at the first op")
 	}
 }
@@ -54,7 +55,7 @@ func TestMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Ranks, tr.Ranks) {
+	if !reflect.DeepEqual(got, tr) {
 		t.Error("Materialize mismatch")
 	}
 }
@@ -83,7 +84,11 @@ func TestCalls(t *testing.T) {
 	// calls behind would show in the next.
 	buf := make([]CallGap, 0, 8)
 	for _, c := range cases {
-		calls, tail, err := Calls(buf, SliceCursor(c.ops))
+		k := NewRank(1, 0, nil)
+		for _, op := range c.ops {
+			k.Append(op)
+		}
+		calls, tail, err := Calls(buf, k.Open())
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -161,7 +166,7 @@ func TestCheckOpErrorsNameRankAndIndex(t *testing.T) {
 		{"unknown call", Op{Kind: OpCall, Call: 99}, []string{"rank 3", "op 7", "call ID 99"}},
 	}
 	for _, c := range cases {
-		err := CheckOp(4, 3, 7, c.op)
+		err := CheckOp(4, 3, 7, &c.op)
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
@@ -172,8 +177,8 @@ func TestCheckOpErrorsNameRankAndIndex(t *testing.T) {
 			}
 		}
 	}
-	if err := CheckOp(4, 3, 7, Sendrecv(0, 1, 8)); err != nil {
-		t.Errorf("valid sendrecv rejected: %v", err)
+	if op := Sendrecv(0, 1, 8); CheckOp(4, 3, 7, &op) != nil {
+		t.Errorf("valid sendrecv rejected: %v", CheckOp(4, 3, 7, &op))
 	}
 }
 
@@ -208,9 +213,9 @@ func TestSourceIdleDistributionMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// The cursor hot path allocates nothing in steady state — the in-memory
-// cursor trivially, the file cursor because varint decode runs inside the
-// pre-sized window buffer. Each measured run drains a cursor opened
+// The cursor hot path allocates nothing in steady state: both cursors
+// decode in place, the in-memory one from its rank's bytes and the file
+// cursor inside its pre-sized window buffer. Each measured run drains a cursor opened
 // beforehand, so only Next is counted.
 func TestCursorNextAllocs(t *testing.T) {
 	const runs = 200
@@ -235,7 +240,7 @@ func TestCursorNextAllocs(t *testing.T) {
 	}
 	tr := buildFull()
 	if allocs := drainAllocs(tr); allocs != 0 {
-		t.Errorf("slice cursor: %v allocs/run, want 0", allocs)
+		t.Errorf("packed cursor: %v allocs/run, want 0", allocs)
 	}
 	enc, err := EncodeBinary(tr)
 	if err != nil {

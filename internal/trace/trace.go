@@ -78,12 +78,13 @@ const (
 	OpCall                  // an MPI call
 )
 
-// Op is a single operation in a rank's stream. Peers and roots are int32
-// and the fields are ordered widest first, so an Op is 32 bytes with no
-// padding; the op layout sets the memory cost of every in-memory trace.
-// int32 loses nothing: both trace readers cap rank counts at maxBinRanks
-// (2^20), and they reject a peer or root operand beyond int32 instead of
-// letting it wrap. The constructors keep int parameters.
+// Op is a single operation in a rank's stream, as a cursor returns it.
+// Peers and roots are int32 and the fields are ordered widest first, so an
+// Op is 32 bytes with no padding. A Trace does not hold Ops: it packs each
+// rank's ops in the .ibt encoding (Rank). int32 loses nothing: both trace
+// readers cap rank counts at maxBinRanks (2^20), and they reject a peer or
+// root operand beyond int32 instead of letting it wrap. The constructors
+// keep int parameters.
 type Op struct {
 	// Compute fields.
 	Duration time.Duration // duration of the computation burst
@@ -164,32 +165,48 @@ func Alltoall(n int) Op {
 	return Op{Kind: OpCall, Call: CallAlltoall, Peer: -1, RecvPeer: -1, Bytes: n, Root: -1}
 }
 
-// Trace is a complete multi-rank execution trace.
+// Trace is a complete multi-rank execution trace. Each rank is held as a
+// Rank: its ops packed in the .ibt op encoding, about 4.5 bytes per op on
+// the paper's workloads against 32 for an Op.
 type Trace struct {
 	App   string // application name, e.g. "gromacs"
 	NP    int    // number of MPI processes
-	Ranks [][]Op // Ranks[r] is rank r's operation stream
+	ranks []Rank
 }
 
 // New returns an empty trace for np ranks.
 func New(app string, np int) *Trace {
-	return &Trace{App: app, NP: np, Ranks: make([][]Op, np)}
+	t := &Trace{App: app, NP: np, ranks: make([]Rank, np)}
+	for r := range t.ranks {
+		t.ranks[r] = Rank{np: np, r: r}
+	}
+	return t
 }
 
-// Append adds op to rank r's stream.
-func (t *Trace) Append(r int, op Op) {
-	t.Ranks[r] = append(t.Ranks[r], op)
+// Append checks op with CheckOp and adds it to rank r's stream, as
+// Rank.Append does.
+func (t *Trace) Append(r int, op Op) { t.ranks[r].Append(op) }
+
+// SetRank makes k, built by NewRank(t.NP, r, ·), rank r's stream. k's
+// capacity is cut to its length, so a later Append to rank r reallocates
+// instead of writing over whatever follows k's bytes in their buffer.
+func (t *Trace) SetRank(r int, k Rank) {
+	if k.np != t.NP || k.r != r {
+		panic(fmt.Sprintf("trace: SetRank(%d) given rank %d of np=%d, want np=%d", r, k.r, k.np, t.NP))
+	}
+	k.b = k.b[:len(k.b):len(k.b)]
+	t.ranks[r] = k
 }
+
+// RankBytes returns rank r's ops in the .ibt op encoding, back to back. The
+// bytes belong to the trace: the caller must not modify them.
+func (t *Trace) RankBytes(r int) []byte { return t.ranks[r].b }
 
 // NumCalls returns the total number of MPI calls across all ranks.
 func (t *Trace) NumCalls() int {
 	n := 0
-	for _, ops := range t.Ranks {
-		for _, op := range ops {
-			if op.Kind == OpCall {
-				n++
-			}
-		}
+	for r := range t.ranks {
+		n += t.ranks[r].calls
 	}
 	return n
 }
@@ -197,8 +214,8 @@ func (t *Trace) NumCalls() int {
 // NumOps returns the total number of operations across all ranks.
 func (t *Trace) NumOps() int {
 	n := 0
-	for _, ops := range t.Ranks {
-		n += len(ops)
+	for r := range t.ranks {
+		n += t.ranks[r].ops
 	}
 	return n
 }
@@ -206,7 +223,8 @@ func (t *Trace) NumOps() int {
 // ComputeTime returns the sum of recorded computation durations on rank r.
 func (t *Trace) ComputeTime(r int) time.Duration {
 	var d time.Duration
-	for _, op := range t.Ranks[r] {
+	c := packedCursor{b: t.ranks[r].b}
+	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		if op.Kind == OpCompute {
 			d += op.Duration
 		}
@@ -217,21 +235,65 @@ func (t *Trace) ComputeTime(r int) time.Duration {
 // Validate checks structural invariants: peer ranks in range (both sendrecv
 // directions), non-negative sizes and durations. Collectives consistent
 // across ranks is NOT required here (replay validates alignment when
-// executing). Every failure names the offending rank and op index. The
-// per-op rules live in CheckOp, shared with the streaming binary decoder.
+// executing). The per-op rules live in CheckOp, which Append runs on every
+// op, so Validate reads no op: it reports the first op Append rejected on
+// the lowest rank that rejected one, naming the rank and op index.
 func (t *Trace) Validate() error {
 	if t.NP <= 0 {
 		return fmt.Errorf("trace: NP must be positive, got %d", t.NP)
 	}
-	if len(t.Ranks) != t.NP {
-		return fmt.Errorf("trace: have %d rank streams, want %d", len(t.Ranks), t.NP)
+	if len(t.ranks) != t.NP {
+		return fmt.Errorf("trace: have %d rank streams, want %d", len(t.ranks), t.NP)
 	}
-	for r, ops := range t.Ranks {
-		for i, op := range ops {
-			if err := CheckOp(t.NP, r, i, op); err != nil {
-				return err
-			}
+	for r := range t.ranks {
+		if err := t.ranks[r].err; err != nil {
+			return err
 		}
 	}
 	return nil
 }
+
+// Rank is one rank's operation stream packed back to back in the .ibt op
+// encoding (see binary.go), with its op and call counts. Append checks
+// every op with CheckOp before encoding it, so the bytes hold valid ops
+// only and a cursor decodes them with no further check.
+type Rank struct {
+	np, r int    // the communicator size and the rank, for CheckOp
+	b     []byte // the encoded ops
+	ops   int
+	calls int
+	err   error // the first op Append rejected
+}
+
+// NewRank returns an empty stream for rank r of an np-rank trace that
+// encodes its ops into buf's storage, from buf[0] on. It reallocates only
+// when the ops outgrow cap(buf).
+func NewRank(np, r int, buf []byte) Rank { return Rank{np: np, r: r, b: buf[:0]} }
+
+// Append checks op with CheckOp as the rank's next op and encodes it. A
+// stored op reads back as its constructor builds it: fields its kind and
+// call do not use read back as the constructors' sentinels. An op that
+// fails, an unknown kind or call ID included, is not stored: the rank keeps
+// the first failure, which Trace.Validate and every cursor of the rank
+// report, and ignores later ops.
+func (k *Rank) Append(op Op) {
+	if k.err != nil {
+		return
+	}
+	if err := CheckOp(k.np, k.r, k.ops, &op); err != nil {
+		k.err = err
+		return
+	}
+	k.b = appendOp(k.b, &op)
+	k.ops++
+	if op.Kind == OpCall {
+		k.calls++
+	}
+}
+
+// Len returns the rank's encoded size in bytes.
+func (k *Rank) Len() int { return len(k.b) }
+
+// Open returns a cursor that decodes the rank's ops in place. After the
+// last stored op its Err reports the op Append rejected, if any.
+func (k *Rank) Open() Cursor { return &packedCursor{b: k.b, k: k} }

@@ -61,7 +61,7 @@ func buildValid() *Trace {
 	return tr
 }
 
-// Op's layout sets the memory cost of every in-memory trace: a field that
+// Every cursor returns an Op by value for every op it reads: a field that
 // re-pads the struct past 32 bytes must fail here, not in a benchmark.
 func TestOpSize(t *testing.T) {
 	if got := unsafe.Sizeof(Op{}); got != 32 {
@@ -96,6 +96,51 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := (&Trace{NP: 0}).Validate(); err == nil {
 		t.Error("NP=0 accepted")
+	}
+}
+
+// Validate reports the first failing op of the lowest rank, whatever order
+// the bad ops were appended in.
+func TestValidateReportsLowestRankFirst(t *testing.T) {
+	tr := buildValid()        // rank 0 holds 4 ops, rank 1 holds 3
+	tr.Append(1, Send(7, 1))  // rank 1 op 3
+	tr.Append(0, Bcast(9, 1)) // rank 0 op 4, appended later
+	tr.Append(0, Send(5, 1))  // a second failure on rank 0
+	want := "trace: rank 0 op 4: root 9 out of range"
+	if err := tr.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %q", err, want)
+	}
+}
+
+// An op no encoding can hold, of an unknown kind or call ID, is not
+// stored, and not dropped silently either: Validate, the rank's cursor and
+// the pack writer all report it, and the rank ignores the ops after it.
+func TestAppendRejectsUnencodableOp(t *testing.T) {
+	cases := []struct {
+		op   Op
+		want string
+	}{
+		{Op{Kind: 7, Peer: -1, RecvPeer: -1, Root: -1}, "trace: rank 1 op 3: unknown kind 7"},
+		{Op{Kind: OpCall, Call: CallNone, Peer: -1, RecvPeer: -1, Root: -1}, "trace: rank 1 op 3: unsupported call ID 0"},
+		{Op{Kind: OpCall, Call: 99, Peer: 0, RecvPeer: -1, Root: -1}, "trace: rank 1 op 3: unsupported call ID 99"},
+	}
+	for _, c := range cases {
+		tr := buildValid()
+		tr.Append(1, c.op)
+		tr.Append(1, Barrier())
+		if err := tr.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%+v: Validate = %v, want %q", c.op, err, c.want)
+		}
+		if tr.NumOps() != 7 || tr.NumCalls() != 4 {
+			t.Errorf("%+v: stored %d ops, %d calls, want 7 and 4", c.op, tr.NumOps(), tr.NumCalls())
+		}
+		ops, err := drain(tr.Open(1))
+		if len(ops) != 3 || err == nil || err.Error() != c.want {
+			t.Errorf("%+v: cursor read %d ops then %v, want 3 then %q", c.op, len(ops), err, c.want)
+		}
+		if _, err := EncodeBinary(tr); err == nil || err.Error() != c.want {
+			t.Errorf("%+v: EncodeBinary = %v, want %q", c.op, err, c.want)
+		}
 	}
 }
 
@@ -185,8 +230,8 @@ func TestIOTripRound(t *testing.T) {
 	if got.App != "demo" || got.NP != 3 {
 		t.Fatalf("header = %q/%d", got.App, got.NP)
 	}
-	if !reflect.DeepEqual(got.Ranks, tr.Ranks) {
-		t.Errorf("roundtrip mismatch:\n got %+v\nwant %+v", got.Ranks, tr.Ranks)
+	if g, w := rankOps(t, got), rankOps(t, tr); !reflect.DeepEqual(g, w) {
+		t.Errorf("roundtrip mismatch:\n got %+v\nwant %+v", g, w)
 	}
 }
 
@@ -271,7 +316,7 @@ func TestIORoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got.Ranks, tr.Ranks)
+		return reflect.DeepEqual(rankOps(t, got), rankOps(t, tr))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

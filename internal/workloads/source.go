@@ -7,10 +7,11 @@ import (
 )
 
 // genSource streams a generated workload without ever materializing the full
-// trace: each Open builds just the requested rank, through the same per-rank
-// path as Generate, so the streamed ops are bit-identical to the
-// corresponding rank of Generate's trace — at the cost of re-running the
-// generator's structure loop per rank. That trade is right when ranks are
+// trace: each Open encodes just the requested rank into a buffer of the
+// structure-only pass's bound, through the same per-rank path as Generate,
+// so the streamed ops are bit-identical to the corresponding rank of
+// Generate's trace — at the cost of re-running the generator's structure
+// loop per rank. That trade is right when ranks are
 // consumed one at a time (packing a trace file, offline grouping-threshold
 // runs); consumers that replay all ranks concurrently keep using Generate.
 type genSource struct {
@@ -39,5 +40,6 @@ func (s *genSource) Open(r int) trace.Cursor {
 		panic(fmt.Sprintf("workloads: rank %d out of range [0, %d)", r, s.b.np))
 	}
 	b := s.b
-	return trace.SliceCursor(b.rank(r, make([]trace.Op, 0, b.n)))
+	k := b.rank(r, make([]byte, 0, b.size))
+	return k.Open()
 }

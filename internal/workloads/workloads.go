@@ -75,23 +75,26 @@ func Apps() []string {
 	return names
 }
 
-// Generate builds the trace for a registered application. Every builder
-// method emits exactly one op, so all ranks have the same length L: a
-// structure-only pass counts it, and every rank is then built into its
-// share of one np×L arena.
+// Generate builds the trace for a registered application. A
+// structure-only pass bounds the encoded size of every rank; each rank is
+// then encoded in turn into one arena of np such bounds, right after the
+// rank before it.
 func Generate(app string, np int, opt Options) (*trace.Trace, error) {
 	m, err := lookup(app, np)
 	if err != nil {
 		return nil, err
 	}
 	b := &builder{m: m, np: np, opt: opt}
-	n := b.length()
-	arena := make([]trace.Op, np*n)
+	arena := make([]byte, np*b.length())
 	tr := trace.New(app, np)
-	for r := range tr.Ranks {
-		// Each rank's capacity ends where the next rank begins, so an
-		// append beyond n reallocates instead of overwriting rank r+1.
-		tr.Ranks[r] = b.rank(r, arena[r*n:r*n:(r+1)*n])
+	for r := 0; r < np; r++ {
+		k := b.rank(r, arena)
+		if k.Len() <= len(arena) { // else the bound failed and k reallocated
+			arena = arena[k.Len():]
+		}
+		// SetRank ends k's capacity where the next rank begins, so an
+		// append to rank r reallocates instead of overwriting rank r+1.
+		tr.SetRank(r, k)
 	}
 	return tr, nil
 }
@@ -134,29 +137,31 @@ type builder struct {
 	np    int
 	opt   Options
 	r     int        // the rank being emitted
-	count bool       // structure-only pass: count ops, store none, draw no jitter
-	n     int        // ops counted by the structure-only pass
-	ops   []trace.Op // the rank's ops
+	count bool       // structure-only pass: size ops, store none, draw no jitter
+	size  int        // the structure-only pass's bound on a rank's encoded bytes
+	k     trace.Rank // the rank's ops
 	rng   *rand.Rand // structure generator, live during the structure-only pass
 	draws []float64  // the structure-only pass's draws, in order
 	next  int        // index in draws of the rank's next structure draw
 	jit   *rand.Rand // the rank's compute jitter
 }
 
-// length runs the structure-only pass: it returns L, the ops on every rank,
-// and records the structure draws every rank replays.
+// length runs the structure-only pass: it returns a bound on every rank's
+// encoded bytes, and records the structure draws every rank replays. Each
+// op counts at its largest encoding on any rank: ring exchanges at the
+// highest peer and compute bursts at the longest jittered duration.
 func (b *builder) length() int {
 	b.rng = rand.New(rand.NewSource(b.opt.seed()))
-	b.count, b.n, b.next, b.draws = true, 0, 0, b.draws[:0]
+	b.count, b.size, b.next, b.draws = true, 0, 0, b.draws[:0]
 	b.m.run(b)
 	b.count, b.rng = false, nil
-	return b.n
+	return b.size
 }
 
-// rank appends rank r's ops to ops and returns the result. length must have
-// run first.
-func (b *builder) rank(r int, ops []trace.Op) []trace.Op {
-	b.r, b.ops, b.next = r, ops, 0
+// rank encodes rank r's ops into buf's storage and returns them. length
+// must have run first.
+func (b *builder) rank(r int, buf []byte) trace.Rank {
+	b.r, b.k, b.next = r, trace.NewRank(b.np, r, buf), 0
 	// Rand.Seed leaves the generator exactly as rand.New(rand.NewSource)
 	// with that seed would.
 	seed := b.opt.seed()*7919 + int64(r)*104729 + 13
@@ -166,8 +171,9 @@ func (b *builder) rank(r int, ops []trace.Op) []trace.Op {
 		b.jit.Seed(seed)
 	}
 	b.m.run(b)
-	ops, b.ops = b.ops, nil
-	return ops
+	k := b.k
+	b.k = trace.Rank{}
+	return k
 }
 
 // uniform returns the next structure draw of a float64 in [0, 1).
@@ -192,22 +198,39 @@ func (b *builder) replay() float64 {
 	return b.draws[b.next-1]
 }
 
-// emit appends op to the rank, or only counts it in the structure-only pass.
+// emit appends op to the rank, or only sizes it in the structure-only pass.
 func (b *builder) emit(op trace.Op) {
 	if b.count {
-		b.n++
+		b.size += trace.EncodedLen(op)
 		return
 	}
-	b.ops = append(b.ops, op)
+	b.k.Append(op)
 }
+
+// maxNorm bounds |rand.NormFloat64()|. Go's ziggurat returns either a
+// value below its tail start rn = 3.4426, or rn + x with x = -ln(u1)/rn,
+// accepted only if x² <= -2 ln(u2). A uniform u is a multiple of 2^-63, so
+// -ln(u) <= 63 ln 2 = 43.67 unless u is 0. Then x <= 9.35 and |N| <= 12.8;
+// u2 = 0 lifts x to at most 43.67/rn = 12.69, still within the bound. Only
+// u1 = u2 = 0 exceeds it, and a draw beyond it would only make its rank
+// outgrow the arena and reallocate.
+const maxNorm = 16.2
 
 // jitter perturbs d by a truncated normal relative factor plus a positive
 // absolute noise term for the rank. The absolute term models OS/system
 // noise, which does not shrink under strong scaling and is what makes
-// synchronization losses dominate at large process counts.
+// synchronization losses dominate at large process counts. In the
+// structure-only pass it returns the longest duration it can draw.
 func (b *builder) jitter(d time.Duration) time.Duration {
-	if b.count || d <= 0 {
+	if d <= 0 {
 		return d
+	}
+	if b.count {
+		out := time.Duration(float64(d) * (1 + b.m.sigma*3))
+		if b.m.noise > 0 && d >= 64*time.Microsecond {
+			out += time.Duration(maxNorm * float64(b.m.noise))
+		}
+		return out
 	}
 	f := 1.0
 	if b.m.sigma > 0 {
@@ -243,8 +266,13 @@ func (b *builder) compute(d time.Duration) {
 }
 
 // ringExchange emits a ring sendrecv: the rank sends to (r+off) and
-// receives from (r-off).
+// receives from (r-off). The structure-only pass sizes it at the highest
+// peer of any rank.
 func (b *builder) ringExchange(off, bytes int) {
+	if b.count {
+		b.emit(trace.Sendrecv(b.np-1, b.np-1, bytes))
+		return
+	}
 	to := (b.r + off) % b.np
 	from := (b.r - off%b.np + b.np) % b.np
 	b.emit(trace.Sendrecv(to, from, bytes))

@@ -64,11 +64,11 @@ func TestDeterminism(t *testing.T) {
 	for _, app := range Apps() {
 		a, _ := Generate(app, 8, Options{Seed: 7, IterScale: 0.05})
 		b, _ := Generate(app, 8, Options{Seed: 7, IterScale: 0.05})
-		if !reflect.DeepEqual(a.Ranks, b.Ranks) {
+		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: generation not deterministic", app)
 		}
 		c, _ := Generate(app, 8, Options{Seed: 8, IterScale: 0.05})
-		if reflect.DeepEqual(a.Ranks, c.Ranks) {
+		if reflect.DeepEqual(a, c) {
 			t.Errorf("%s: seed has no effect", app)
 		}
 	}
@@ -84,7 +84,7 @@ func TestSPMDCallAlignment(t *testing.T) {
 		}
 		calls := func(r int) []trace.CallID {
 			var out []trace.CallID
-			for _, op := range tr.Ranks[r] {
+			for _, op := range rankOps(t, tr, r) {
 				if op.Kind == trace.OpCall {
 					out = append(out, op.Call)
 				}
