@@ -334,10 +334,10 @@ func BenchmarkAblationOracleVsPPA(b *testing.B) {
 
 func avgSaving(res *predictor.OfflineResult) float64 {
 	s := 0.0
-	for _, a := range res.Acct {
-		s += a.SavingPct()
+	for _, ro := range res.Ranks {
+		s += ro.Acct.SavingPct()
 	}
-	return s / float64(len(res.Acct))
+	return s / float64(len(res.Ranks))
 }
 
 // BenchmarkAblationDisplacementSweep extends the paper's three displacement

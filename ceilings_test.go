@@ -46,7 +46,7 @@ var hotPaths = []struct {
 	{"StreamReplay", streamReplay, 5, 513, 109_896},
 	{"Multijob", multijobReplay, 5, 503, 89_242},
 	{"BigFabricReplay", bigFabricReplay, 5, 497, 1_220_418},
-	{"TableIII_GTChoice", gtChoice, 5, 461, 107_568},
+	{"TableIII_GTChoice", gtChoice, 5, 112, 38_970},
 	{"GenerateFig7", generateFig7, 2, 336, 5_413_088},
 }
 

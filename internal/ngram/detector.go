@@ -60,9 +60,14 @@ type Detector struct {
 	total  int
 	runLen []int // runLen[s] = trailing length of matches gram[i]==gram[i-s]
 
-	plByIDs  map[string]*Pattern // the pattern list, keyed by packed GramID bytes (alloc-free lookup)
-	idKey    []byte              // plByIDs lookup scratch
-	detected []*Pattern          // patterns with Detected=true, for fast re-prediction
+	// plByIDs is the pattern table, keyed by packed GramID bytes
+	// (alloc-free lookup). Like the intern table it outlives Reset. Every
+	// pattern is detected the moment it enters the table, so the pattern
+	// list of the current run is exactly detected: a pattern with Detected
+	// false was left by an earlier run and counts as absent.
+	plByIDs  map[string]*Pattern
+	idKey    []byte     // plByIDs lookup scratch
+	detected []*Pattern // the current run's patterns, for fast re-prediction
 
 	active   *Pattern
 	phase    int  // index in active of the next expected gram
@@ -93,9 +98,11 @@ func NewDetector(maxSize int) *Detector {
 // keeping its tables' storage, so one detector can serve a sequence of
 // runs. The gram intern table is kept too: GramIDs then differ from a fresh
 // detector's, but they only ever meet in equality tests, so the detector
-// behaves identically. The history ring and run lengths are remade only
-// when the window size changes. A pattern from before the Reset must not be
-// used after it.
+// behaves identically. The pattern list keeps its patterns as well, so a
+// run that detects a pattern an earlier run knew re-initializes it in place
+// instead of allocating; until then it is absent from Stats and Patterns.
+// The history ring and run lengths are remade only when the window size
+// changes. A pattern from before the Reset must not be used after it.
 func (d *Detector) Reset(maxSize int) {
 	if maxSize <= 0 {
 		maxSize = DefaultMaxPatternSize
@@ -109,8 +116,9 @@ func (d *Detector) Reset(maxSize int) {
 	clear(hist)
 	clear(runLen)
 	clear(d.known)
-	clear(d.plByIDs)
-	// Drop the old patterns' pointers so they can be collected.
+	for _, p := range d.detected {
+		p.Detected = false
+	}
 	clear(d.detected)
 	clear(d.cands[:cap(d.cands)])
 	*d = Detector{
@@ -187,18 +195,19 @@ func (d *Detector) PredictedGapAfterExpected() time.Duration {
 // Stats returns a snapshot of detector statistics.
 func (d *Detector) Stats() DetectorStats {
 	s := d.stats
-	s.PatternListSize = len(d.plByIDs)
+	s.PatternListSize = len(d.detected)
 	if d.frozen {
 		s.MaxPatternFrozen = d.maxSize
 	}
 	return s
 }
 
-// Patterns returns the pattern list keyed by pattern key. The map is built
-// on each call; the patterns are live (callers must not mutate them).
+// Patterns returns the current run's pattern list keyed by pattern key. The
+// map is built on each call; the patterns are live (callers must not mutate
+// them).
 func (d *Detector) Patterns() map[string]*Pattern {
-	pl := make(map[string]*Pattern, len(d.plByIDs))
-	for _, p := range d.plByIDs {
+	pl := make(map[string]*Pattern, len(d.detected))
+	for _, p := range d.detected {
 		pl[p.Key()] = p
 	}
 	return pl
@@ -366,6 +375,10 @@ func (d *Detector) detect(s, i int) {
 		d.plByIDs[string(d.idKey)] = p
 	}
 	if !p.Detected {
+		// New, or left by an earlier run: the same GramIDs name the same
+		// grams, so only the run's own state starts afresh.
+		p.Freq = 0
+		clear(p.gaps)
 		p.Detected = true
 		d.detected = append(d.detected, p)
 		d.stats.Detections++

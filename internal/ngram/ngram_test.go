@@ -639,6 +639,57 @@ func TestBuilderDetectorReset(t *testing.T) {
 	}
 }
 
+// TestDetectorResetReusesPatterns checks that a reset detector keeps its
+// pattern table without letting it show: a run over streams an earlier run
+// already detected allocates no pattern (nor anything else), while each
+// run's view, the pattern list and PatternListSize included, equals a fresh
+// detector's fed the same grams. The middle stream detects another
+// pattern, so the first run's pattern is left over while it runs.
+func TestDetectorResetReusesPatterns(t *testing.T) {
+	ids3, gaps3 := periodicStream([]EventID{1, 2, 3}, 100*us, 10)
+	ids5, gaps5 := periodicStream([]EventID{4, 5, 6, 7, 8}, 100*us, 6)
+	p3 := feedGrams(NewBuilder(20*us), NewDetector(0), ids3, gaps3)
+	p5 := feedGrams(NewBuilder(20*us), NewDetector(0), ids5, gaps5)
+	feed := func(d *Detector, grams []Gram) {
+		for k := range grams {
+			d.AddGram(&grams[k])
+		}
+	}
+	check := func(name string, d *Detector, grams []Gram) {
+		t.Helper()
+		fd := NewDetector(0)
+		feed(fd, grams)
+		if fd.Stats().PatternListSize == 0 {
+			t.Fatalf("%s: the fresh detector found no pattern; the check would be vacuous", name)
+		}
+		if got, want := viewOf(d), viewOf(fd); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reset detector\n%+v\nwant a fresh detector's\n%+v", name, got, want)
+		}
+	}
+	d := NewDetector(0)
+	feed(d, p3)
+	check("first run", d, p3)
+	known := len(d.plByIDs)
+	d.Reset(0)
+	feed(d, p5)
+	check("second run", d, p5)
+	if len(d.plByIDs) <= known {
+		t.Fatalf("the second stream added no pattern to the table (%d held)", len(d.plByIDs))
+	}
+	known = len(d.plByIDs)
+	allocs := testing.AllocsPerRun(5, func() {
+		d.Reset(0)
+		feed(d, p3)
+	})
+	if allocs != 0 {
+		t.Errorf("a reset run over known patterns allocated %.1f times, want 0", allocs)
+	}
+	check("re-run", d, p3)
+	if len(d.plByIDs) != known {
+		t.Errorf("pattern table holds %d patterns after the re-run, want the %d known before", len(d.plByIDs), known)
+	}
+}
+
 func ExampleGramKey() {
 	fmt.Println(GramKey([]EventID{41, 41, 41}))
 	fmt.Println(GramKey([]EventID{10}))

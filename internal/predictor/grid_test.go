@@ -166,8 +166,8 @@ func TestRunOfflineGridErrors(t *testing.T) {
 }
 
 // opRun is the reference offline run of rank r: p driven one op at a time
-// from the rank's cursor.
-func opRun(t *testing.T, p Predictor, src trace.Source, r int, treact time.Duration, ov OverheadModel) rankRun {
+// from the rank's cursor. p's Stats afterwards are the run's statistics.
+func opRun(t *testing.T, p Predictor, src trace.Source, r int, treact time.Duration, ov OverheadModel) RankOutcome {
 	t.Helper()
 	ctrl := power.NewController(treact)
 	cur := src.Open(r)
@@ -190,27 +190,25 @@ func opRun(t *testing.T, p Predictor, src trace.Source, r int, treact time.Durat
 	}
 	p.Flush()
 	ctrl.Finish(now)
-	return rankRun{
-		stats:    p.Stats(),
-		acct:     ctrl.Accounting(),
-		rankTime: rankTime{delay: ctrl.TotalDelay, exec: now},
-	}
+	return RankOutcome{HitRatePct: p.Stats().HitRatePct(), Acct: ctrl.Accounting(), Delay: ctrl.TotalDelay, Exec: now}
 }
 
 // freshRun is the reference offline run of rank r with a newly built n-gram
-// predictor. It returns the run and the builder's GT interval.
-func freshRun(t *testing.T, src trace.Source, r int, cfg Config, ov OverheadModel) (rankRun, time.Duration, time.Duration) {
+// predictor. It returns the run, the predictor's statistics and the
+// builder's GT interval.
+func freshRun(t *testing.T, src trace.Source, r int, cfg Config, ov OverheadModel) (RankOutcome, Stats, time.Duration, time.Duration) {
 	t.Helper()
 	p := MustNew(cfg)
 	run := opRun(t, p, src, r, cfg.Treact, ov)
 	lo, hi := p.builder.GTInterval()
-	return run, lo, hi
+	return run, p.Stats(), lo, hi
 }
 
 // TestPrimedPredictorsSourceAgnostic checks that the two primed predictors
 // see the same calls whatever serves the rank: ForRank and RunOfflineGrid
 // over an in-memory trace, the generator source and a packed .ibt file all
-// give the statistics of ForRank over the in-memory trace driven op by op.
+// give the outcome of ForRank over the in-memory trace driven op by op, and
+// ForRank its statistics too.
 func TestPrimedPredictorsSourceAgnostic(t *testing.T) {
 	const app, np = "alya", 16
 	opt := workloads.Options{IterScale: 0.1}
@@ -233,18 +231,21 @@ func TestPrimedPredictorsSourceAgnostic(t *testing.T) {
 	gts := []time.Duration{100 * us, 200 * us}
 	ov := DefaultOverheads()
 	for _, name := range []string{"oracle", "offline"} {
-		want := make([][]Stats, len(gts))
+		want := make([][]RankOutcome, len(gts))
+		wantStats := make([][]Stats, len(gts))
 		for i, gt := range gts {
 			cfg := Config{GT: gt, Displacement: 0.01}
-			want[i] = make([]Stats, np)
+			want[i] = make([]RankOutcome, np)
+			wantStats[i] = make([]Stats, np)
 			for r := range want[i] {
 				p, err := ForRank(name, cfg, tr, r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[i][r] = opRun(t, p, tr, r, cfg.Treact, ov).stats
+				want[i][r] = opRun(t, p, tr, r, cfg.Treact, ov)
+				wantStats[i][r] = p.Stats()
 			}
-			if want[i][0].Shutdowns == 0 {
+			if wantStats[i][0].Shutdowns == 0 {
 				t.Fatalf("%s at GT %v: rank 0 never shut down; the check would be vacuous", name, gt)
 			}
 		}
@@ -254,8 +255,8 @@ func TestPrimedPredictorsSourceAgnostic(t *testing.T) {
 				t.Fatalf("%s over %s: %v", name, s.kind, err)
 			}
 			for i, gt := range gts {
-				if !reflect.DeepEqual(res[i].Stats, want[i]) {
-					t.Errorf("%s over %s at GT %v: RunOfflineGrid stats differ from ForRank's", name, s.kind, gt)
+				if !reflect.DeepEqual(res[i].Ranks, want[i]) {
+					t.Errorf("%s over %s at GT %v: RunOfflineGrid outcomes differ from ForRank's", name, s.kind, gt)
 				}
 				cfg := Config{GT: gt, Displacement: 0.01}
 				for r := 0; r < np; r++ {
@@ -263,8 +264,11 @@ func TestPrimedPredictorsSourceAgnostic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := opRun(t, p, s.src, r, cfg.Treact, ov).stats; !reflect.DeepEqual(got, want[i][r]) {
-						t.Errorf("%s over %s at GT %v rank %d: ForRank stats %+v, want %+v", name, s.kind, gt, r, got, want[i][r])
+					if got := opRun(t, p, s.src, r, cfg.Treact, ov); got != want[i][r] {
+						t.Errorf("%s over %s at GT %v rank %d: ForRank outcome %+v, want %+v", name, s.kind, gt, r, got, want[i][r])
+					}
+					if got := p.Stats(); !reflect.DeepEqual(got, wantStats[i][r]) {
+						t.Errorf("%s over %s at GT %v rank %d: ForRank stats %+v, want %+v", name, s.kind, gt, r, got, wantStats[i][r])
 					}
 				}
 			}
@@ -324,13 +328,16 @@ func TestReusedPredictorMatchesFresh(t *testing.T) {
 		}
 		got := runCalls(p, s.calls, tail, cfg.Treact, ov)
 		lo, hi := s.ng.builder.GTInterval()
-		want, wantLo, wantHi := freshRun(t, src, st.rank, cfg, ov)
+		want, wantStats, wantLo, wantHi := freshRun(t, src, st.rank, cfg, ov)
 		name := fmt.Sprintf("step %d (%s rank %d, GT %v, max size %d)", i, st.app, st.rank, st.gt, st.maxSize)
-		if f := want.stats.Detector.MaxPatternFrozen; f != st.wantFrozen {
+		if f := wantStats.Detector.MaxPatternFrozen; f != st.wantFrozen {
 			t.Fatalf("%s: reference froze size %d, want %d", name, f, st.wantFrozen)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if got != want {
 			t.Errorf("%s: reused run differs from a fresh one\n got %+v\nwant %+v", name, got, want)
+		}
+		if got := p.Stats(); !reflect.DeepEqual(got, wantStats) {
+			t.Errorf("%s: reused predictor's stats differ from a fresh one's\n got %+v\nwant %+v", name, got, wantStats)
 		}
 		if lo != wantLo || hi != wantHi {
 			t.Errorf("%s: GT interval (%v, %v], want (%v, %v]", name, lo, hi, wantLo, wantHi)

@@ -9,11 +9,12 @@ import (
 	"ibpower/internal/trace"
 )
 
-// OfflineResult carries per-rank predictor statistics plus the realized link
-// power accounting of the network-free mechanism simulation.
+// OfflineResult carries the per-rank outcomes of one grid point plus their
+// reductions over the ranks.
 type OfflineResult struct {
-	Stats []Stats
-	Acct  []power.Accounting
+	// Ranks holds each rank's outcome at this point, in rank order. Every
+	// point of one RunOfflineGrid call slices the same arena.
+	Ranks []RankOutcome
 	Delay time.Duration // total reactivation delay suffered
 	Exec  time.Duration // max rank finish time
 	// Runs counts the rank runs simulated at this grid point; the other
@@ -22,14 +23,32 @@ type OfflineResult struct {
 	Runs int
 }
 
+// RankOutcome is what one rank's offline run leaves behind: the predictor's
+// hit rate, the link's realized power accounting and its timing.
+type RankOutcome struct {
+	HitRatePct float64 // Stats.HitRatePct of the rank's predictor
+	Acct       power.Accounting
+	Delay      time.Duration // reactivation delay suffered
+	Exec       time.Duration // rank finish time
+}
+
 // AvgHitRatePct averages the per-rank MPI call hit rates.
-func (o *OfflineResult) AvgHitRatePct() float64 { return AvgHitRatePct(o.Stats) }
+func (o *OfflineResult) AvgHitRatePct() float64 {
+	if len(o.Ranks) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, ro := range o.Ranks {
+		s += ro.HitRatePct
+	}
+	return s / float64(len(o.Ranks))
+}
 
 // TotalLow returns the summed realized low-power time across ranks.
 func (o *OfflineResult) TotalLow() time.Duration {
 	var l time.Duration
-	for _, a := range o.Acct {
-		l += a.Low
+	for _, ro := range o.Ranks {
+		l += ro.Acct.Low
 	}
 	return l
 }
@@ -77,15 +96,8 @@ func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Conf
 	np := src.Meta().NP
 	g := &offlineGrid{
 		src: src, name: name, gts: gts, cfg: cfg, ov: ov, np: np,
-		out:   make([]*OfflineResult, len(gts)),
-		times: make([]rankTime, len(gts)*np),
+		ranks: make([]RankOutcome, len(gts)*np),
 		ran:   make([]bool, len(gts)*np),
-	}
-	for j := range g.out {
-		g.out[j] = &OfflineResult{
-			Stats: make([]Stats, np),
-			Acct:  make([]power.Accounting, np),
-		}
 	}
 	ranks := make([]int, np)
 	for r := range ranks {
@@ -106,16 +118,23 @@ func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	for j, res := range g.out {
-		for r, rt := range g.times[j*np : (j+1)*np] {
-			res.Delay += rt.delay
-			res.Exec = max(res.Exec, rt.exec)
+	res := make([]OfflineResult, len(gts))
+	out := make([]*OfflineResult, len(gts))
+	for j := range res {
+		o := &res[j]
+		// Capped, so an append to one point's outcomes cannot write over
+		// the next point's.
+		o.Ranks = g.ranks[j*np : (j+1)*np : (j+1)*np]
+		for r, ro := range o.Ranks {
+			o.Delay += ro.Delay
+			o.Exec = max(o.Exec, ro.Exec)
 			if g.ran[j*np+r] {
-				res.Runs++
+				o.Runs++
 			}
 		}
+		out[j] = o
 	}
-	return g.out, nil
+	return out, nil
 }
 
 // offlineGrid is one RunOfflineGrid call: its inputs and the results every
@@ -128,15 +147,8 @@ type offlineGrid struct {
 	cfg   Config
 	ov    OverheadModel
 	np    int
-	out   []*OfflineResult
-	times []rankTime // times[j*np+r] is rank r's run at grid point j
-	ran   []bool     // ran[j*np+r]: rank r was simulated at grid point j
-}
-
-// rankTime is the timing outcome of one rank's run at one threshold.
-type rankTime struct {
-	delay time.Duration // reactivation delay suffered
-	exec  time.Duration // rank finish time
+	ranks []RankOutcome // ranks[j*np+r] is rank r's outcome at grid point j
+	ran   []bool        // ran[j*np+r]: rank r was simulated at grid point j
 }
 
 // gridScratch is one pool worker's reusable state: the decoded call stream
@@ -204,9 +216,7 @@ func (g *offlineGrid) runRank(s *gridScratch, r int) error {
 		}
 		for j := i; j < len(g.gts); j++ {
 			if !s.done[j] && g.gts[j] > lo && g.gts[j] <= hi {
-				g.out[j].Stats[r] = run.stats
-				g.out[j].Acct[r] = run.acct
-				g.times[j*g.np+r] = run.rankTime
+				g.ranks[j*g.np+r] = run
 				s.done[j] = true
 			}
 		}
@@ -214,17 +224,10 @@ func (g *offlineGrid) runRank(s *gridScratch, r int) error {
 	return nil
 }
 
-// rankRun is the outcome of one rank's simulation at one threshold.
-type rankRun struct {
-	stats Stats
-	acct  power.Accounting
-	rankTime
-}
-
 // runCalls drives p and a link power controller over one rank's decoded
 // call stream and its trailing computation: shutdown actions program the
 // wake timer and early calls pay the reactivation delay.
-func runCalls(p Predictor, calls []trace.CallGap, tail, treact time.Duration, ov OverheadModel) rankRun {
+func runCalls(p Predictor, calls []trace.CallGap, tail, treact time.Duration, ov OverheadModel) RankOutcome {
 	ctrl := power.NewController(treact)
 	var t time.Duration
 	for _, c := range calls {
@@ -234,7 +237,7 @@ func runCalls(p Predictor, calls []trace.CallGap, tail, treact time.Duration, ov
 	t += tail
 	p.Flush()
 	ctrl.Finish(t)
-	return rankRun{stats: p.Stats(), acct: ctrl.Accounting(), rankTime: rankTime{delay: ctrl.TotalDelay, exec: t}}
+	return RankOutcome{HitRatePct: p.Stats().HitRatePct(), Acct: ctrl.Accounting(), Delay: ctrl.TotalDelay, Exec: t}
 }
 
 // OverheadReport holds wall-clock measurements of the mechanism's software
@@ -302,16 +305,4 @@ func (w *timed) OnCall(id EventID, start, end time.Duration) Action {
 		w.invoked += el
 	}
 	return act
-}
-
-// AvgHitRatePct averages the per-rank MPI call hit rates.
-func AvgHitRatePct(stats []Stats) float64 {
-	if len(stats) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, st := range stats {
-		s += st.HitRatePct()
-	}
-	return s / float64(len(stats))
 }

@@ -205,8 +205,8 @@ func TestOfflineRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats) != 2 || len(res.Acct) != 2 {
-		t.Fatalf("per-rank results missing: %d/%d", len(res.Stats), len(res.Acct))
+	if len(res.Ranks) != 2 {
+		t.Fatalf("per-rank results missing: %d", len(res.Ranks))
 	}
 	if res.AvgHitRatePct() < 70 {
 		t.Errorf("offline hit rate %.1f%%", res.AvgHitRatePct())
@@ -217,11 +217,21 @@ func TestOfflineRunner(t *testing.T) {
 	if res.Exec <= 0 {
 		t.Error("no exec time")
 	}
-	// Accounting conservation per rank.
-	for r, a := range res.Acct {
-		if a.Total() <= 0 {
-			t.Errorf("rank %d accounting empty", r)
+	// Accounting conservation per rank: the accounted time is the rank's
+	// execution time, and the reductions are over the ranks' outcomes.
+	var delay, exec time.Duration
+	for r, ro := range res.Ranks {
+		if a := ro.Acct; a.Total() <= 0 || a.Total() != ro.Exec {
+			t.Errorf("rank %d accounts %v of its %v", r, a.Total(), ro.Exec)
 		}
+		if ro.HitRatePct <= 0 || ro.HitRatePct > 100 {
+			t.Errorf("rank %d hit rate %.1f%%", r, ro.HitRatePct)
+		}
+		delay += ro.Delay
+		exec = max(exec, ro.Exec)
+	}
+	if delay != res.Delay || exec != res.Exec {
+		t.Errorf("reduced delay %v exec %v, want %v and %v from the ranks", res.Delay, res.Exec, delay, exec)
 	}
 }
 

@@ -245,7 +245,7 @@ func TestRunOfflineGridOnePointAllPredictors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(res.Stats) != 1 || res.Exec <= 0 {
+		if len(res.Ranks) != 1 || res.Exec <= 0 {
 			t.Errorf("%s: malformed result %+v", name, res)
 		}
 	}

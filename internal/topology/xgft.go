@@ -19,6 +19,8 @@ package topology
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 )
@@ -33,10 +35,10 @@ type XGFT struct {
 	H    int   // number of switch levels
 	M, W []int // child counts m_1..m_h and parent counts w_1..w_h
 
-	count []int // nodes per level 0..H
-	base  []int // first node ID per level 0..H
-	tstr  []int // tstr[l-1] = m_1*...*m_{l-1}; digit x_l of terminal t = t/tstr[l-1] % m_l
-	ylen  []int // ylen[l] = Y_l = w_1*...*w_l (ylen[0] = 1)
+	count []int    // nodes per level 0..H
+	base  []int    // first node ID per level 0..H
+	tinv  []uint64 // tinv[l-1] = ceil(2^64 / (m_1*...*m_l)) mod 2^64, the reciprocal digit reads
+	ylen  []int    // ylen[l] = Y_l = w_1*...*w_l (ylen[0] = 1)
 
 	tab LinkTable
 
@@ -70,13 +72,18 @@ func New(h int, m, w []int) (*XGFT, error) {
 	// X_l = m_{l+1}*...*m_h and Y_l = w_1*...*w_l.
 	t.count = make([]int, h+1)
 	t.base = make([]int, h+1)
-	t.tstr = make([]int, h)
+	t.tinv = make([]uint64, h)
 	t.ylen = make([]int, h+1)
 	t.ylen[0] = 1
 	stride := 1
 	for l := 1; l <= h; l++ {
-		t.tstr[l-1] = stride
+		if stride > math.MaxInt32/m[l-1] {
+			return nil, fmt.Errorf("topology: more than %d terminals", math.MaxInt32)
+		}
 		stride *= m[l-1]
+		// A stride of 1 wraps to 0, which reads digit 0: the only digit
+		// of a level whose arity is 1.
+		t.tinv[l-1] = math.MaxUint64/uint64(stride) + 1
 		t.ylen[l] = t.ylen[l-1] * w[l-1]
 	}
 	terms := stride // m_1*...*m_h
@@ -207,8 +214,17 @@ func (t *XGFT) RoutingBytes() int64 {
 // HostLinkID returns the directed link from terminal i into its leaf switch.
 func (t *XGFT) HostLinkID(i int) LinkID { return t.up[0][i*t.W[0]] }
 
-// digit returns digit x_l of terminal term.
-func (t *XGFT) digit(term, l int) int { return term / t.tstr[l-1] % t.M[l-1] }
+// digit returns digit x_l of terminal term, term / (m_1*...*m_{l-1}) % m_l,
+// without dividing. With D = m_1*...*m_l, the low word of tinv[l-1]*term,
+// read as a fraction of 2^64, is (term mod D)/D plus less than term/2^64;
+// m_l times it has the digit as its integer part, which the high word of the
+// product is. The excess cannot reach the next integer while term*D < 2^64,
+// which New's int32 terminal cap guarantees (remainder by multiplication:
+// Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation", 2019).
+func (t *XGFT) digit(term, l int) int {
+	hi, _ := bits.Mul64(t.tinv[l-1]*uint64(term), uint64(t.M[l-1]))
+	return int(hi)
+}
 
 // divergeLevel returns the smallest level L such that the down-digits of the
 // two terminals agree above L; terminals in the same leaf subtree diverge at

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -228,5 +229,72 @@ func TestHostLinkWiring(t *testing.T) {
 	// 18 terminals per leaf on the paper tree.
 	if HostSwitch(x, 0) != HostSwitch(x, 17) || HostSwitch(x, 0) == HostSwitch(x, 18) {
 		t.Error("leaf grouping by HostSwitch is wrong")
+	}
+}
+
+// checkDigits compares digit with the division it replaces, term /
+// (m_1*...*m_{l-1}) % m_l, at every level for each of terms.
+func checkDigits(t *testing.T, name string, x *XGFT, terms []int) {
+	t.Helper()
+	for _, term := range terms {
+		stride := 1
+		for l := 1; l <= x.H; l++ {
+			if got, want := x.digit(term, l), term/stride%x.M[l-1]; got != want {
+				t.Fatalf("%s: digit(%d, %d) = %d, want %d", name, term, l, got, want)
+			}
+			stride *= x.M[l-1]
+		}
+	}
+}
+
+// TestDigitMatchesDivision checks the division-free digit at every terminal
+// and level of every registered XGFT preset and of fabrics with arity-1
+// levels, whose reciprocal wraps to 0, and at the top of the int32 range on
+// hand-built reciprocals.
+func TestDigitMatchesDivision(t *testing.T) {
+	all := func(x *XGFT) []int {
+		terms := make([]int, x.NumTerminals())
+		for i := range terms {
+			terms[i] = i
+		}
+		return terms
+	}
+	xgfts := 0
+	for _, name := range Names() {
+		if x, ok := MustNamed(name).(*XGFT); ok {
+			checkDigits(t, name, x, all(x))
+			xgfts++
+		}
+	}
+	if xgfts < 2 {
+		t.Fatalf("%d registered XGFT presets, want at least 2", xgfts)
+	}
+	for _, c := range []struct{ m, w []int }{
+		{[]int{1}, []int{1}},
+		{[]int{1, 5}, []int{1, 2}},
+		{[]int{7, 1}, []int{1, 3}},
+		{[]int{4, 1, 3}, []int{1, 2, 2}},
+		{[]int{1, 1, 1}, []int{2, 2, 2}},
+	} {
+		x, err := New(len(c.m), c.m, c.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDigits(t, x.Name(), x, all(x))
+	}
+	// The largest terminal IDs New admits: a two-level tree of 46340^2
+	// terminals is too large to build, so its reciprocals are made as New
+	// makes them.
+	m := []int{46340, 46340}
+	x := &XGFT{H: 2, M: m, tinv: []uint64{math.MaxUint64/46340 + 1, math.MaxUint64/(46340*46340) + 1}}
+	var terms []int
+	for _, base := range []int{0, 46340, 46340 * 46339, 46340*46340 - 46340} {
+		for d := 0; d < 46340; d += 997 {
+			terms = append(terms, base+d, base+46339-d)
+		}
+	}
+	checkDigits(t, "xgft(2;46340,46340)", x, terms)
+	if _, err := New(2, []int{46341, 46341}, []int{1, 1}); err == nil {
+		t.Error("a tree beyond int32 terminals accepted")
 	}
 }

@@ -33,17 +33,20 @@ func buildFull() *Trace {
 	return tr
 }
 
-func materializeAll(t *testing.T, f *File) []*Trace {
-	t.Helper()
-	var out []*Trace
-	for i := 0; i < f.Len(); i++ {
-		tr, err := Materialize(f.SourceAt(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, tr)
+// sources returns every entry of f as a Source, in file order.
+func sources(f *File) []Source {
+	out := make([]Source, f.Len())
+	for i := range out {
+		out[i] = f.SourceAt(i)
 	}
 	return out
+}
+
+// encodeSources packs srcs with WriteBinarySources.
+func encodeSources(srcs ...Source) ([]byte, error) {
+	var b bytes.Buffer
+	err := WriteBinarySources(&b, srcs...)
+	return b.Bytes(), err
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -63,17 +66,17 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(f.Entries(), want) {
 		t.Fatalf("Entries = %v", f.Entries())
 	}
-	got := materializeAll(t, f)
+	got := sources(f)
 	for i, orig := range []*Trace{a, b} {
-		if got[i].App != orig.App || got[i].NP != orig.NP {
-			t.Fatalf("trace %d meta %s/%d", i, got[i].App, got[i].NP)
+		if got[i].Meta() != orig.Meta() {
+			t.Fatalf("trace %d meta %v", i, got[i].Meta())
 		}
 		if g, w := rankOps(t, got[i]), rankOps(t, orig); !reflect.DeepEqual(g, w) {
 			t.Errorf("trace %d roundtrip mismatch:\n got %+v\nwant %+v", i, g, w)
 		}
 	}
-	// Re-encoding the decoded traces is byte-identical.
-	enc2, err := EncodeBinary(got...)
+	// Re-encoding the decoded ops is byte-identical.
+	enc2, err := encodeSources(got...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +128,26 @@ func drain(c Cursor) ([]Op, error) {
 	return ops, c.Err()
 }
 
-// rankOps drains every rank of src, failing t on a cursor error.
-func rankOps(t testing.TB, src Source) [][]Op {
-	t.Helper()
+// sourceOps drains every rank of src in rank order, stopping at the first
+// cursor error.
+func sourceOps(src Source) ([][]Op, error) {
 	out := make([][]Op, src.Meta().NP)
 	for r := range out {
 		ops, err := drain(src.Open(r))
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		out[r] = ops
+	}
+	return out, nil
+}
+
+// rankOps drains every rank of src, failing t on a cursor error.
+func rankOps(t testing.TB, src Source) [][]Op {
+	t.Helper()
+	out, err := sourceOps(src)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -282,7 +295,7 @@ func TestFileCursorCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := materializeAll(t, f); !reflect.DeepEqual(rankOps(t, got[0]), rankOps(t, buildFull())) {
+	if !reflect.DeepEqual(rankOps(t, f.SourceAt(0)), rankOps(t, buildFull())) {
 		t.Error("decode through an io.EOF-at-end reader differs")
 	}
 }
@@ -398,11 +411,7 @@ func TestFileOpenClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Materialize(f.SourceAt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rankOps(t, got), rankOps(t, tr)) {
+	if !reflect.DeepEqual(rankOps(t, f.SourceAt(0)), rankOps(t, tr)) {
 		t.Error("file roundtrip mismatch")
 	}
 	if err := f.Close(); err != nil {
@@ -469,7 +478,7 @@ func TestDecodeRejectsRankBeyondInt32(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Materialize(f.SourceAt(0))
+		_, err = sourceOps(f.SourceAt(0))
 		if err == nil || !strings.Contains(err.Error(), "rank 0 op 0: decode: "+c.want) {
 			t.Errorf("op % x: err = %v, want %q", c.op, err, c.want)
 		}
@@ -481,11 +490,7 @@ func TestDecodeRejectsRankBeyondInt32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Materialize(f.SourceAt(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rankOps(t, tr)[0][0], Send(1, 8); got != want {
+	if got, want := rankOps(t, f.SourceAt(0))[0][0], Send(1, 8); got != want {
 		t.Errorf("decoded %+v, want %+v", got, want)
 	}
 }

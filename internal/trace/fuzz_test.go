@@ -96,18 +96,17 @@ func FuzzTraceBinary(f *testing.F) {
 		if err != nil {
 			return // rejected at open: fine, as long as it does not panic
 		}
-		var traces []*Trace
-		for i := 0; i < bf.Len(); i++ {
-			tr, err := Materialize(bf.SourceAt(i))
-			if err != nil {
+		srcs := sources(bf)
+		ops := make([][][]Op, len(srcs))
+		for i, src := range srcs {
+			if ops[i], err = sourceOps(src); err != nil {
 				return // rejected while streaming: also a parse failure
 			}
-			traces = append(traces, tr)
 		}
-		if len(traces) == 0 {
+		if len(srcs) == 0 {
 			return
 		}
-		enc1, err := EncodeBinary(traces...)
+		enc1, err := encodeSources(srcs...)
 		if err != nil {
 			t.Fatalf("re-encode of accepted file failed: %v", err)
 		}
@@ -115,16 +114,21 @@ func FuzzTraceBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-open of own encoding failed: %v", err)
 		}
-		for i := 0; i < bf2.Len(); i++ {
-			tr, err := Materialize(bf2.SourceAt(i))
+		if bf2.Len() != len(srcs) {
+			t.Fatalf("re-open holds %d entries, want %d", bf2.Len(), len(srcs))
+		}
+		srcs2 := sources(bf2)
+		for i, src := range srcs2 {
+			got, err := sourceOps(src)
 			if err != nil {
 				t.Fatalf("re-decode of own encoding failed: %v", err)
 			}
-			if !reflect.DeepEqual(traces[i], tr) {
-				t.Fatalf("binary round-trip changed entry %d\nin:  %+v\nout: %+v", i, traces[i], tr)
+			if src.Meta() != srcs[i].Meta() || !reflect.DeepEqual(ops[i], got) {
+				t.Fatalf("binary round-trip changed entry %d\nin:  %v %+v\nout: %v %+v",
+					i, srcs[i].Meta(), ops[i], src.Meta(), got)
 			}
 		}
-		enc3, err := EncodeBinary(traces...)
+		enc3, err := encodeSources(srcs2...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,26 +48,6 @@ func (t *Trace) Open(r int) Cursor {
 	return t.ranks[r].Open()
 }
 
-// Materialize drains every rank of src into an in-memory Trace, which
-// checks each op as Append does. A *Trace is returned as-is.
-func Materialize(src Source) (*Trace, error) {
-	if t, ok := src.(*Trace); ok {
-		return t, nil
-	}
-	m := src.Meta()
-	t := New(m.App, m.NP)
-	for r := 0; r < m.NP; r++ {
-		c := src.Open(r)
-		for op, ok := c.Next(); ok; op, ok = c.Next() {
-			t.Append(r, op)
-		}
-		if err := c.Err(); err != nil {
-			return nil, fmt.Errorf("trace: %s np=%d rank %d: %w", m.App, m.NP, r, err)
-		}
-	}
-	return t, nil
-}
-
 // CallGap is one MPI call of a rank's call stream: the computation time
 // summed since the previous call (or the stream start), then the call.
 type CallGap struct {
