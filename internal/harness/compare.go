@@ -38,9 +38,10 @@ type CompareRow struct {
 // All predictors run at the workload's Table III grouping threshold — the
 // operating point the paper's GT selection produces — and against one
 // cached baseline replay per workload, so rows differ only in the
-// prediction component. Cells run on the Cfg.Parallelism-bounded pool;
-// rows keep (application, process count, predictor) enumeration order, so
-// output is bit-identical at every pool size.
+// prediction component. Cells run on the Cfg.Parallelism-bounded pool,
+// largest process count first; rows keep (application, process count,
+// predictor) enumeration order, so output is bit-identical at every pool
+// size.
 func (r *Runner) Compare(displacement float64, names []string, apps ...string) ([]CompareRow, error) {
 	if len(names) == 0 {
 		names = predictor.Names()
@@ -64,7 +65,8 @@ func (r *Runner) Compare(displacement float64, names []string, apps ...string) (
 			cells = append(cells, cell{p: p, name: n})
 		}
 	}
-	return sweep.Map(context.Background(), r.workers(len(cells)), cells,
+	return sweep.MapLargestFirst(context.Background(), r.workers(len(cells)), cells,
+		func(c cell) int { return c.p.np },
 		func(_ context.Context, _ int, c cell) (CompareRow, error) {
 			src, err := r.source(c.p.app, c.p.np)
 			if err != nil {

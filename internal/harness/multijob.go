@@ -59,10 +59,10 @@ func DefaultJobMixes() [][]multijob.JobSpec {
 }
 
 // MultijobSweep evaluates every (placement, job mix) cell on the
-// Cfg.Parallelism-bounded pool (experiment E15). Cells keep placement-major,
-// mix-minor enumeration order and each cell's inner runs stay serial — the
-// cell sweep above already saturates the pool — so rows are bit-identical at
-// every pool size.
+// Cfg.Parallelism-bounded pool (experiment E15), the mix with the most ranks
+// first. Rows keep placement-major, mix-minor enumeration order and each
+// cell's inner runs stay serial — the cell sweep above already saturates the
+// pool — so rows are bit-identical at every pool size.
 func (r *Runner) MultijobSweep(placements []string, mixes [][]multijob.JobSpec, displacement float64) ([]MultijobRow, error) {
 	if len(placements) == 0 {
 		placements = multijob.Names()
@@ -78,14 +78,20 @@ func (r *Runner) MultijobSweep(placements []string, mixes [][]multijob.JobSpec, 
 	type cell struct {
 		placement string
 		mix       []multijob.JobSpec
+		ranks     int // the mix's total process count, its feed-order size
 	}
 	var cells []cell
 	for _, p := range placements {
 		for _, m := range mixes {
-			cells = append(cells, cell{placement: p, mix: m})
+			c := cell{placement: p, mix: m}
+			for _, j := range m {
+				c.ranks += j.NP
+			}
+			cells = append(cells, c)
 		}
 	}
-	return sweep.Map(context.Background(), r.workers(len(cells)), cells,
+	return sweep.MapLargestFirst(context.Background(), r.workers(len(cells)), cells,
+		func(c cell) int { return c.ranks },
 		func(_ context.Context, _ int, c cell) (MultijobRow, error) {
 			res, err := multijob.Run(r.multijobConfig(c.mix, c.placement, displacement, 1))
 			if err != nil {

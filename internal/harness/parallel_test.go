@@ -18,33 +18,32 @@ func runnerWith(par int) *Runner {
 	return NewRunner(fastOpt, cfg)
 }
 
-// TestParallelMatchesSerial asserts the worker-pool sweep renders
-// byte-identical Table III and Figure output to the Parallelism: 1 serial
-// path — the tentpole invariant: parallelism changes wall-clock time only.
+// TestParallelMatchesSerial asserts every reordered point sweep renders
+// byte-identical output to the Parallelism: 1 serial path — the tentpole
+// invariant: parallelism changes wall-clock time only. The pool size is odd
+// (3), so the largest-first feed also runs with a worker left over.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial, parallel := runnerWith(1), runnerWith(4)
-
-	t.Run("TableIII", func(t *testing.T) {
-		want := renderTableIII(t, serial)
-		got := renderTableIII(t, parallel)
-		if got != want {
-			t.Errorf("parallel Table III differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-		}
-	})
-	t.Run("Figure", func(t *testing.T) {
-		want := renderFigure(t, serial)
-		got := renderFigure(t, parallel)
-		if got != want {
-			t.Errorf("parallel Figure differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-		}
-	})
-	t.Run("TableI", func(t *testing.T) {
-		want := renderTableI(t, serial)
-		got := renderTableI(t, parallel)
-		if got != want {
-			t.Errorf("parallel Table I differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-		}
-	})
+	serial, parallel := runnerWith(1), runnerWith(3)
+	for _, c := range []struct {
+		name   string
+		render func(*testing.T, *Runner) string
+	}{
+		{"TableIII", renderTableIII},
+		{"Figure", renderFigure},
+		{"TableI", renderTableI},
+		{"WeakScaling", renderWeakScaling},
+		{"Compare", func(t *testing.T, r *Runner) string {
+			return renderCompare(t, r, []string{"lastvalue", "ngram"})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			want := c.render(t, serial)
+			got := c.render(t, parallel)
+			if got != want {
+				t.Errorf("parallel %s differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", c.name, want, got)
+			}
+		})
+	}
 }
 
 func renderTableIII(t *testing.T, r *Runner) string {
@@ -81,6 +80,19 @@ func renderTableI(t *testing.T, r *Runner) string {
 	}
 	var sb strings.Builder
 	if err := WriteTableI(&sb, rows); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+func renderWeakScaling(t *testing.T, r *Runner) string {
+	t.Helper()
+	rows, err := r.WeakScaling(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteWeakScaling(&sb, rows); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()

@@ -27,7 +27,11 @@ import (
 //
 // Each point is still simulated by the single-threaded replay and predictor
 // engines, and rows keep their serial enumeration order, so output is
-// bit-identical to a Parallelism: 1 run.
+// bit-identical to a Parallelism: 1 run. Point and cell sweeps whose items
+// differ in size feed the pool largest first (sweep.MapLargestFirst, sized
+// by process count or total ranks) so the costliest points never run alone
+// at the end; a Parallelism: 1 run walks the same order, so a failing sweep
+// reports the same error at every pool size.
 //
 // The zero value is not usable; construct with NewRunner. A Runner is safe
 // for concurrent use.
@@ -212,6 +216,9 @@ type point struct {
 	np  int
 }
 
+// size is a point's feed-order cost proxy: its process count.
+func (p point) size() int { return p.np }
+
 // allPoints enumerates the paper's full evaluation set in row order,
 // restricted to the named applications when any are given.
 func allPoints(apps ...string) []point {
@@ -244,7 +251,7 @@ func checkApps(apps []string) error {
 // rank once.
 func (r *Runner) TableI() ([]TableIRow, error) {
 	pts := allPoints()
-	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
+	return sweep.MapLargestFirst(context.Background(), r.workers(len(pts)), pts, point.size,
 		func(_ context.Context, _ int, p point) (TableIRow, error) {
 			src, err := r.source(p.app, p.np)
 			if err != nil {
@@ -262,7 +269,7 @@ func (r *Runner) TableI() ([]TableIRow, error) {
 // (experiment E7) on the pool.
 func (r *Runner) TableIII() ([]TableIIIRow, error) {
 	pts := allPoints()
-	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
+	return sweep.MapLargestFirst(context.Background(), r.workers(len(pts)), pts, point.size,
 		func(_ context.Context, _ int, p point) (TableIIIRow, error) {
 			gt, hit, err := r.chooseGT(p.app, p.np, r.Opt, 1)
 			if err != nil {
@@ -282,7 +289,7 @@ func (r *Runner) Figure(displacement float64, apps ...string) ([]FigureRow, erro
 		return nil, err
 	}
 	pts := allPoints(apps...)
-	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
+	return sweep.MapLargestFirst(context.Background(), r.workers(len(pts)), pts, point.size,
 		func(_ context.Context, _ int, p point) (FigureRow, error) {
 			src, err := r.source(p.app, p.np)
 			if err != nil {
@@ -352,7 +359,7 @@ func (r *Runner) WeakScaling(displacement float64) ([]WeakScalingRow, error) {
 			pts = append(pts, point{app: app, np: np})
 		}
 	}
-	return sweep.Map(context.Background(), r.workers(len(pts)), pts,
+	return sweep.MapLargestFirst(context.Background(), r.workers(len(pts)), pts, point.size,
 		func(_ context.Context, _ int, p point) (WeakScalingRow, error) {
 			var pair [2]FigureRow
 			for i, weak := range []bool{false, true} {

@@ -321,8 +321,9 @@ func newCluster(cfg ChurnConfig, fabric topology.Fabric) (*cluster, error) {
 	if c.ctx == nil {
 		c.ctx = context.Background()
 	}
-	// Prepare every distinct (app, NP) pair once, on the worker pool in
-	// first-appearance order: trace, grouping threshold, dedicated baseline.
+	// Prepare every distinct (app, NP) pair once, on the worker pool, the
+	// largest NP first: trace, grouping threshold, dedicated baseline. preps
+	// stays in first-appearance order.
 	// Telemetry records the scenario's shared timeline only. The dedicated
 	// baselines below never record: runDedicated clears Replay.Telemetry
 	// itself, and the harness's Dedicated hook (Runner.dedicated) does the
@@ -336,7 +337,8 @@ func newCluster(cfg ChurnConfig, fabric topology.Fabric) (*cluster, error) {
 	}
 	workers := sweep.Workers(cfg.Replay.Parallelism, len(specs))
 	var err error
-	c.preps, err = sweep.Map(c.ctx, workers, specs,
+	c.preps, err = sweep.MapLargestFirst(c.ctx, workers, specs,
+		func(js JobSpec) int { return js.NP },
 		func(_ context.Context, _ int, js JobSpec) (churnPrep, error) {
 			src, err := cfg.generate(js)
 			if err != nil {

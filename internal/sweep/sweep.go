@@ -5,16 +5,20 @@
 // to a serial sweep — parallelism only changes wall-clock time, never
 // output.
 //
-// The pool is GOMAXPROCS-sized by default, context-cancellable, propagates
-// the first error (by input index, matching what a serial loop would have
-// reported), and returns results in input order regardless of completion
-// order.
+// The pool is GOMAXPROCS-sized by default, context-cancellable, and returns
+// results in input order regardless of completion order. Items are fed to
+// the workers in one fixed order: input order for Map, largest first for
+// MapLargestFirst. A serial run walks the same feed order, and on failure
+// the error of the item earliest in that order is returned, so the error is
+// the same at every pool size.
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -40,15 +44,47 @@ func Workers(requested, n int) int {
 }
 
 // Map applies fn to every item on a pool of at most workers goroutines and
-// returns the results ordered by input index. A non-positive workers count
-// selects DefaultWorkers; workers == 1 runs the items serially on the
-// calling goroutine.
+// returns the results ordered by input index. Items are fed in input order.
+// A non-positive workers count selects DefaultWorkers; workers == 1 runs the
+// items serially on the calling goroutine.
 //
 // On failure the remaining items are cancelled and the error of the
 // lowest-index failed item is returned — the same error a serial loop over
 // the items would have surfaced, so error behaviour does not depend on
 // scheduling. Cancelling ctx stops the sweep and returns ctx's error.
 func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, index int, item T) (R, error)) ([]R, error) {
+	return mapFeed(ctx, workers, items, nil, fn)
+}
+
+// MapLargestFirst is Map with the items fed largest first: in non-increasing
+// size order, equal sizes in input order. Starting the longest jobs first
+// (Graham's LPT rule) keeps every worker busy to the end of a sweep whose
+// largest items would otherwise come last; size is a static cost proxy such
+// as a point's process count. Results still come back in input order.
+//
+// Every pool size, serial included, walks the same feed order, and on
+// failure the error of the failed item earliest in it is returned, so the
+// error does not depend on the pool size either.
+func MapLargestFirst[T, R any](ctx context.Context, workers int, items []T, size func(T) int, fn func(ctx context.Context, index int, item T) (R, error)) ([]R, error) {
+	feed := make([]int, len(items))
+	for i := range feed {
+		feed[i] = i
+	}
+	slices.SortStableFunc(feed, func(a, b int) int { return cmp.Compare(size(items[b]), size(items[a])) })
+	return mapFeed(ctx, workers, items, feed, fn)
+}
+
+// at returns the input index fed at position pos; a nil feed is input order.
+func at(feed []int, pos int) int {
+	if feed == nil {
+		return pos
+	}
+	return feed[pos]
+}
+
+// mapFeed runs fn over items, handing them out in feed order (input indices
+// by feed position), and reports the failure earliest in that order.
+func mapFeed[T, R any](ctx context.Context, workers int, items []T, feed []int, fn func(ctx context.Context, index int, item T) (R, error)) ([]R, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -58,11 +94,12 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 	w := Workers(workers, len(items))
 	out := make([]R, len(items))
 	if w == 1 {
-		for i, item := range items {
+		for pos := range items {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			r, err := fn(ctx, i, item)
+			i := at(feed, pos)
+			r, err := fn(ctx, i, items[i])
 			if err != nil {
 				return nil, err
 			}
@@ -75,15 +112,15 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 	defer cancel()
 	var (
 		mu       sync.Mutex
-		firstIdx int
+		firstPos int
 		firstErr error
 	)
-	fail := func(i int, err error) {
+	fail := func(pos int, err error) {
 		mu.Lock()
-		// Keep the lowest-index error; a context error raised by our own
-		// cancellation must not displace the failure that caused it.
-		if firstErr == nil || (i < firstIdx && !errors.Is(err, context.Canceled)) {
-			firstIdx, firstErr = i, err
+		// Keep the error earliest in feed order; a context error raised by
+		// our own cancellation must not displace the failure that caused it.
+		if firstErr == nil || (pos < firstPos && !errors.Is(err, context.Canceled)) {
+			firstPos, firstErr = pos, err
 		}
 		mu.Unlock()
 		cancel()
@@ -95,25 +132,26 @@ func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx cont
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for pos := range next {
+				i := at(feed, pos)
 				r, err := fn(cctx, i, items[i])
 				if err != nil {
-					fail(i, err)
+					fail(pos, err)
 					continue
 				}
 				out[i] = r
 			}
 		}()
 	}
-	// Feed indices in order so that whenever item j fails, every item i < j
-	// has already been started — the minimum recorded index then equals the
-	// serial loop's first failure.
-feed:
-	for i := range items {
+	// Feed positions in order so that whenever the item at position j
+	// fails, every position before j has already been started — the minimum
+	// recorded position then equals the serial loop's first failure.
+send:
+	for pos := range items {
 		select {
-		case next <- i:
+		case next <- pos:
 		case <-cctx.Done():
-			break feed
+			break send
 		}
 	}
 	close(next)

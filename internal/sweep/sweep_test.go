@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -179,5 +180,66 @@ func TestWorkers(t *testing.T) {
 	}
 	if w := Workers(5, 0); w != 5 {
 		t.Errorf("Workers(5, 0) = %d, want 5", w)
+	}
+}
+
+// TestMapLargestFirstFeedOrder pins the scheduling contract: a serial run
+// starts the items in non-increasing size order, equal sizes in input order,
+// and every pool size returns the results in input order.
+func TestMapLargestFirstFeedOrder(t *testing.T) {
+	sizes := []int{2, 9, 4, 9, 1, 7, 4, 3}
+	size := func(v int) int { return v }
+	var started []int
+	_, err := MapLargestFirst(context.Background(), 1, sizes, size, func(_ context.Context, i, _ int) (int, error) {
+		started = append(started, i)
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 3, 5, 2, 6, 7, 0, 4}
+	if !slices.Equal(started, want) {
+		t.Fatalf("serial start order = %v, want %v", started, want)
+	}
+	for _, workers := range []int{1, 2, 3, 4} {
+		got, err := MapLargestFirst(context.Background(), workers, sizes, size, func(_ context.Context, i, v int) (int, error) {
+			time.Sleep(time.Duration(v) * 100 * time.Microsecond) // finish out of feed order
+			return 10*i + v, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range sizes {
+			if got[i] != 10*i+v {
+				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, got[i], 10*i+v)
+			}
+		}
+	}
+}
+
+// TestMapLargestFirstErrorByFeedOrder fails two items and requires the same
+// error at pool sizes 1, 2 and 4: the one fed first (the larger item, though
+// it sits later in the input and fails later in time), as a serial run over
+// the feed order reports it.
+func TestMapLargestFirstErrorByFeedOrder(t *testing.T) {
+	errSmall := errors.New("small item failed")
+	errLarge := errors.New("large item failed")
+	sizes := []int{1, 3, 2, 8, 5, 2}
+	for _, workers := range []int{1, 2, 4} {
+		_, err := MapLargestFirst(context.Background(), workers, sizes, func(v int) int { return v },
+			func(_ context.Context, i, _ int) (int, error) {
+				switch i {
+				case 1: // fed fourth, fails at once
+					return 0, errSmall
+				case 3: // fed first, fails last
+					time.Sleep(20 * time.Millisecond)
+					return 0, errLarge
+				}
+				time.Sleep(time.Millisecond)
+				return 0, nil
+			})
+		if !errors.Is(err, errLarge) {
+			t.Errorf("workers=%d: err = %v, want %v", workers, err, errLarge)
+		}
 	}
 }

@@ -36,8 +36,11 @@ var registry = map[string]model{
 // gromacs models a molecular-dynamics run: a short halo-exchange burst, a
 // dominant force-computation phase and a trailing energy allreduce, with the
 // iteration alternating between a few communication variants (neighbour
-// search vs PME steps), which keeps the MPI call hit rate in the 40–60 %
-// band of Table III.
+// search vs PME steps). The variants were meant to hold the MPI call hit
+// rate in Table III's 40–60 % band, but it measures 74.8 % at the chosen
+// 20 µs GT at every process count, a known deviation (EXPERIMENTS.md).
+// Lowering the variant-switch threshold below from 0.45 to 0.10 moves the
+// 16-process rate by under 3 points, so that knob does not close it.
 func gromacs(b *builder) {
 	const refNP = 8
 	iters := b.opt.iters(260)
