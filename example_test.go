@@ -189,18 +189,23 @@ func (p *fixedPredictor) Flush() {}
 
 func (p *fixedPredictor) Stats() ibpower.PredictorStats { return p.st }
 
-// ExampleRunMultijob co-schedules two workloads on one shared fat tree: each
+// ExampleRunChurn co-schedules two workloads on one shared fat tree: each
 // job keeps its own trace and predictor, the placement registry decides
 // which terminals it occupies, and the links time the union of both jobs'
-// traffic.
-func ExampleRunMultijob() {
+// traffic. Both jobs arrive at time 0 and the nil Schedule admits them at
+// once: the static job mix.
+func ExampleRunChurn() {
 	fmt.Printf("placements: %v\n", ibpower.Placements())
 	jobs, err := ibpower.ParseJobs("gromacs:8,alya:8")
 	if err != nil {
 		panic(err)
 	}
-	res, err := ibpower.RunMultijob(ibpower.MultijobConfig{
-		Jobs:      jobs,
+	arrivals := make([]ibpower.Arrival, len(jobs))
+	for i, j := range jobs {
+		arrivals[i] = ibpower.Arrival{Job: j}
+	}
+	res, err := ibpower.RunChurn(ibpower.ChurnConfig{
+		Arrivals:  arrivals,
 		Placement: "roundrobin",
 		Opt:       ibpower.WorkloadOptions{IterScale: 0.05},
 		Replay:    ibpower.DefaultReplayConfig(),

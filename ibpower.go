@@ -25,11 +25,13 @@
 //     XGFT, a dragonfly and 2D/3D tori register next to it. Select by name
 //     with ReplayConfig.WithFabric, enumerate with Fabrics, and add
 //     implementations with RegisterFabric.
-//   - RunMultijob — the multi-tenant extension: several independent
+//   - RunChurn — the multi-tenant extension: several independent
 //     workloads sharing one fabric, placed by a pluggable policy ("linear",
-//     "random", "roundrobin"; select with MultijobConfig.Placement,
+//     "random", "roundrobin"; select with ChurnConfig.Placement,
 //     enumerate with Placements, add implementations with
 //     RegisterPlacement), with per-job and fabric-wide energy accounting.
+//     A static job mix is a ChurnConfig whose arrivals all sit at time 0
+//     and whose nil Schedule admits each job as it arrives.
 //   - RunScenario — job churn on the shared fabric: a ScenarioSpec
 //     ("jobs=200,size=zipf:16:256,arrival=poisson:30s,seed=7") expands into
 //     a seeded arrival stream, jobs queue under a scheduling policy from
@@ -142,15 +144,10 @@ type (
 	// JobSpec names one workload of a multi-job mix ("gromacs" at 64
 	// processes).
 	JobSpec = multijob.JobSpec
-	// MultijobConfig parameterises a shared-fabric simulation: the job mix,
-	// the placement policy, and the replay configuration every job shares.
-	MultijobConfig = multijob.Config
-	// MultijobResult carries per-job statistics (runtime, energy, hit rate,
-	// sharing overhead vs a dedicated fabric) and fabric-wide aggregates
-	// (per-link utilization, decomposed switch power saving). A static mix
-	// is a churn scenario whose jobs all arrive at time 0, so this is the
-	// same type as ChurnResult; each ChurnJob embeds its JobStats.
-	MultijobResult = multijob.ChurnResult
+	// ChurnConfig parameterises a shared-fabric simulation: the job stream,
+	// the scheduler (nil admits each job as it arrives, the static mix), the
+	// placement policy, and the replay configuration every job shares.
+	ChurnConfig = multijob.ChurnConfig
 	// PlacementFunc returns a placement policy's preference order over every
 	// terminal of a fabric (a permutation of its terminals). A static mix
 	// takes consecutive blocks of it; a churn scenario's free-list hands out
@@ -172,9 +169,11 @@ type (
 	ScenarioConfig = scenario.Config
 	// Arrival is one timed job arrival of the expanded stream.
 	Arrival = multijob.Arrival
-	// ChurnResult carries the scenario outcome: per-job records in arrival
-	// order, the queue-wait distribution, per-bucket fabric utilization and
-	// fabric-wide aggregates.
+	// ChurnResult carries the outcome of RunChurn or RunScenario: per-job
+	// records in arrival order (runtime, energy, hit rate, sharing overhead
+	// vs a dedicated fabric), the queue-wait distribution, per-bucket fabric
+	// utilization and fabric-wide aggregates (per-link utilization,
+	// decomposed switch power saving).
 	ChurnResult = multijob.ChurnResult
 	// ChurnJob is one completed job's record (arrival, wait, start, finish,
 	// terminals held, energy and sharing overhead).
@@ -311,18 +310,18 @@ func ParseJobs(s string) ([]JobSpec, error) { return multijob.ParseJobs(s) }
 func Placements() []string { return multijob.Names() }
 
 // RegisterPlacement adds a placement policy to the registry; it panics on
-// duplicate names. Registered policies are selectable by RunMultijob, the
+// duplicate names. Registered policies are selectable by RunChurn, the
 // harness sharing sweep, and the ibpower command's -placement flag.
 func RegisterPlacement(name string, fn PlacementFunc) { multijob.Register(name, fn) }
 
-// RunMultijob simulates several independent workloads concurrently on one
+// RunChurn simulates several independent workloads concurrently on one
 // shared fabric: each job gets its own trace, predictor and
 // placement-assigned terminals, links observe the union of all jobs'
-// traffic, and results are reported per job and fabric-wide. It runs the
-// mix as a churn scenario whose jobs all arrive at time 0 and are admitted
-// in one batch, on the same engine as RunScenario. Results are
-// deterministic for a given configuration at any Parallelism setting.
-func RunMultijob(cfg MultijobConfig) (*MultijobResult, error) { return multijob.Run(cfg) }
+// traffic, and results are reported per job and fabric-wide. A static mix
+// is the config whose arrivals all sit at time 0 under a nil Schedule; it
+// runs on the same engine as RunScenario. Results are deterministic for a
+// given configuration at any Parallelism setting.
+func RunChurn(cfg ChurnConfig) (*ChurnResult, error) { return multijob.RunChurn(cfg) }
 
 // ParseScenarioSpec parses the comma-separated key=value scenario form the
 // ibpower scenario -spec flag uses, e.g.

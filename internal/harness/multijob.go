@@ -11,13 +11,18 @@ import (
 	"ibpower/internal/sweep"
 )
 
-// multijobConfig assembles the multijob.Config for one cell, wiring the
-// Runner's caches in: traces come from the per-run trace cache and grouping
-// thresholds from the Table III GT cache, so a sweep over P placements never
-// regenerates or re-selects anything P times.
-func (r *Runner) multijobConfig(jobs []multijob.JobSpec, placement string, displacement float64, parallelism int) multijob.Config {
-	cfg := multijob.Config{
-		Jobs:         jobs,
+// multijobConfig assembles the static mix of one cell: a ChurnConfig whose
+// jobs all arrive at time 0, admitted by the nil (static) Schedule. It wires
+// the Runner's caches in: traces come from the per-run trace cache and
+// grouping thresholds from the Table III GT cache, so a sweep over P
+// placements never regenerates or re-selects anything P times.
+func (r *Runner) multijobConfig(jobs []multijob.JobSpec, placement string, displacement float64, parallelism int) multijob.ChurnConfig {
+	arrivals := make([]multijob.Arrival, len(jobs))
+	for i, js := range jobs {
+		arrivals[i] = multijob.Arrival{Job: js}
+	}
+	cfg := multijob.ChurnConfig{
+		Arrivals:     arrivals,
 		Placement:    placement,
 		Opt:          r.Opt,
 		Displacement: displacement,
@@ -35,7 +40,7 @@ func (r *Runner) multijobConfig(jobs []multijob.JobSpec, placement string, displ
 // the Runner; the per-job dedicated baselines run on the Cfg.Parallelism
 // pool.
 func (r *Runner) Multijob(jobs []multijob.JobSpec, placement string, displacement float64) (*multijob.ChurnResult, error) {
-	return multijob.Run(r.multijobConfig(jobs, placement, displacement, r.Cfg.Parallelism))
+	return multijob.RunChurn(r.multijobConfig(jobs, placement, displacement, r.Cfg.Parallelism))
 }
 
 // MultijobRow is one (placement, job mix) cell of the sharing sweep.
@@ -93,7 +98,7 @@ func (r *Runner) MultijobSweep(placements []string, mixes [][]multijob.JobSpec, 
 	return sweep.MapLargestFirst(context.Background(), r.workers(len(cells)), cells,
 		func(c cell) int { return c.ranks },
 		func(_ context.Context, _ int, c cell) (MultijobRow, error) {
-			res, err := multijob.Run(r.multijobConfig(c.mix, c.placement, displacement, 1))
+			res, err := multijob.RunChurn(r.multijobConfig(c.mix, c.placement, displacement, 1))
 			if err != nil {
 				return MultijobRow{}, fmt.Errorf("%s %s: %w", c.placement, multijob.FormatJobs(c.mix), err)
 			}

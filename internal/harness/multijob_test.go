@@ -54,8 +54,8 @@ func TestMultijobSweepBitIdenticalAtAnyParallelism(t *testing.T) {
 }
 
 // TestMultijobUsesTableIIIGT asserts the Runner wires its cached Table III
-// GT selection into each job, instead of the 2·Treact fallback multijob.Run
-// uses bare.
+// GT selection into each job, instead of the 2·Treact fallback a ChurnConfig
+// without a SelectGT hook uses.
 func TestMultijobUsesTableIIIGT(t *testing.T) {
 	opt := workloads.Options{Seed: 42, IterScale: 0.05}
 	r := NewRunner(opt, replay.DefaultConfig())

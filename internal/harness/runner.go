@@ -177,8 +177,9 @@ func (r *Runner) baseline(app string, np int) (*replay.Result, error) {
 // (gt, d) under r.Opt and r.Cfg: the same job alone with the mechanism on,
 // the denominator of the multijob sharing overhead. The baseline is
 // placement-independent, so one replay serves every placement cell of a
-// MultijobSweep. Like baseline, it records no telemetry: the shared run owns
-// the series.
+// MultijobSweep. multijob.RunDedicated builds it exactly as an uncached
+// shared run does, telemetry off included, so the overhead compares like
+// with like.
 func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*replay.Result, error) {
 	k := dedKey{traceKey: traceKey{app: app, np: np, opt: r.Opt}, gt: gt, d: d}
 	return r.deds.get(k, func() (*replay.Result, error) {
@@ -186,13 +187,7 @@ func (r *Runner) dedicated(app string, np int, gt time.Duration, d float64) (*re
 		if err != nil {
 			return nil, err
 		}
-		// Build the power block exactly as the shared run does
-		// (multijob.JobPower preserves deep sleep, overheads and predictor
-		// tuning from r.Cfg), so the overhead compares like with like.
-		bcfg := r.Cfg
-		bcfg.Power = multijob.JobPower(r.Cfg, gt, d)
-		bcfg.Telemetry = replay.TelemetryConfig{}
-		return replay.RunSource(src, bcfg)
+		return multijob.RunDedicated(src, r.Cfg, gt, d)
 	})
 }
 

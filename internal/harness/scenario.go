@@ -12,8 +12,8 @@ import (
 	"ibpower/internal/sweep"
 )
 
-// scenarioConfig assembles the scenario.Config for one cell, wiring the
-// Runner's caches in exactly as multijobConfig does: a sweep over S
+// scenarioConfig assembles the scenario.Config for one cell, wiring in the
+// cached hooks multijobConfig's static mix uses too: a sweep over S
 // schedulers and P placements generates each distinct (app, NP) trace once,
 // selects its grouping threshold once, and replays its dedicated baseline
 // once, no matter how many cells churn through the same job shapes.

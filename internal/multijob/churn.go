@@ -52,26 +52,56 @@ type SchedContext struct {
 // contract. Returning nothing defers the whole queue to the next event.
 type SchedFunc func(ctx *SchedContext) []int
 
-// ChurnConfig parameterises an event-driven churn scenario.
+// ChurnConfig parameterises one shared-fabric simulation: a job stream, the
+// policy admitting it, and the settings every job shares. A static job mix
+// is the stream whose arrivals all sit at time 0 under a nil Schedule.
 type ChurnConfig struct {
 	// Arrivals is the job stream; RunChurn processes it in time order
 	// (equal-time arrivals keep their slice order).
 	Arrivals []Arrival
 	// Schedule picks jobs off the queue at each event; the scenario
-	// package's registry provides fcfs, backfill, and power-aware.
+	// package's registry provides fcfs, backfill, and power-aware. Nil
+	// admits every job as it arrives, after RunChurn has checked once that
+	// the whole stream fits the fabric at once; results then name the
+	// scheduler "static".
 	Schedule SchedFunc
 	// Scheduler names the policy in results.
 	Scheduler string
-	// Placement orders the terminal free-list (see Config.Placement).
+	// Placement selects the policy ordering the terminal free-list from the
+	// placement registry ("linear", "random", "roundrobin", or anything
+	// registered by the embedding program); empty selects DefaultPlacement.
 	Placement string
-	// Opt, Displacement, Replay, SelectGT, Generate, Dedicated: exactly as
-	// on Config.
-	Opt          workloads.Options
+	// Opt tunes trace generation; Opt.Seed also seeds the "random"
+	// placement, so one seed pins the whole scenario.
+	Opt workloads.Options
+	// Displacement is the Algorithm 3 safety factor, applied to every job.
+	// Zero is a valid (maximally aggressive) setting, as on every other
+	// experiment; the CLI default is the paper's conservative 1 %.
 	Displacement float64
-	Replay       replay.Config
-	SelectGT     func(src trace.Source) (time.Duration, error)
-	Generate     func(app string, np int) (trace.Source, error)
-	Dedicated    func(src trace.Source, gt time.Duration, displacement float64) (*replay.Result, error)
+	// Replay carries the network parameters, fabric and predictor selection,
+	// and the Parallelism bound for the per-job preparation (trace, GT
+	// choice, dedicated baseline), which runs on the worker pool.
+	// Each job runs with Replay.Power re-armed at the job's own grouping
+	// threshold and Displacement; any other mechanism settings in the block
+	// (deep sleep, custom overheads, timeline recording, predictor tuning)
+	// are preserved per job.
+	Replay replay.Config
+	// SelectGT chooses the grouping threshold for one job's trace; nil uses
+	// the minimum admissible threshold 2·Treact. The harness and CLI install
+	// the Table III selection here (harness.ChooseGT). The hook receives a
+	// trace.Source — an in-memory *Trace, a generator, or a packed trace
+	// file — so threshold selection works without materializing the trace.
+	SelectGT func(src trace.Source) (time.Duration, error)
+	// Generate overrides trace delivery, letting callers reuse cached
+	// traces or serve streaming sources from a packed file (harness.Runner
+	// does both); nil generates fresh in-memory traces with Opt.
+	Generate func(app string, np int) (trace.Source, error)
+	// Dedicated overrides the dedicated-fabric baseline replay of one job
+	// (the denominator of the sharing overhead). The baseline is
+	// placement-independent, so callers sweeping placements cache it per
+	// (job, GT) — harness.Runner does, through RunDedicated; nil replays
+	// fresh.
+	Dedicated func(src trace.Source, gt time.Duration, displacement float64) (*replay.Result, error)
 
 	// Ctx, when non-nil, is checked between events: a cancelled context
 	// stops the scenario with ctx.Err() instead of running it out.
@@ -170,8 +200,9 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if len(cfg.Arrivals) == 0 {
 		return nil, fmt.Errorf("multijob: no arrivals configured")
 	}
-	if cfg.Schedule == nil {
-		return nil, fmt.Errorf("multijob: no scheduler configured")
+	if cfg.Retry.Backoff > maxBackoff {
+		return nil, fmt.Errorf("multijob: retry backoff %v exceeds %v: its longest delay would overflow scenario time",
+			cfg.Retry.Backoff, maxBackoff)
 	}
 	if err := CheckRegistered(cfg.Placement); err != nil {
 		return nil, fmt.Errorf("multijob: %w", err)
@@ -182,6 +213,16 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	fabric, err := cfg.Replay.Fabric()
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Schedule == nil {
+		total := 0
+		for _, a := range cfg.Arrivals {
+			total += a.Job.NP
+		}
+		if err := checkCapacity(fabric, total); err != nil {
+			return nil, err
+		}
+		cfg.Schedule, cfg.Scheduler = admitAll, "static"
 	}
 	nt := fabric.NumTerminals()
 	for i, a := range cfg.Arrivals {
@@ -212,6 +253,22 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 			return nil, err
 		}
 	}
+}
+
+// admitAll is the static policy a nil Schedule selects: it admits every
+// waiting job that fits the free terminals, in queue order. RunChurn has
+// checked that the whole stream fits the fabric at once, so on a healthy
+// fabric each job starts as it arrives; a job that faults squeeze out waits.
+func admitAll(ctx *SchedContext) []int {
+	var picks []int
+	free := ctx.Free.Free()
+	for i, q := range ctx.Queue {
+		if q.Spec.NP <= free {
+			picks = append(picks, i)
+			free -= q.Spec.NP
+		}
+	}
+	return picks
 }
 
 // cluster is the state of one RunChurn invocation: the terminal free-list,
@@ -325,9 +382,9 @@ func newCluster(cfg ChurnConfig, fabric topology.Fabric) (*cluster, error) {
 	// largest NP first: trace, grouping threshold, dedicated baseline. preps
 	// stays in first-appearance order.
 	// Telemetry records the scenario's shared timeline only. The dedicated
-	// baselines below never record: runDedicated clears Replay.Telemetry
-	// itself, and the harness's Dedicated hook (Runner.dedicated) does the
-	// same for its cached runs.
+	// baselines below never record: RunDedicated, which builds both the
+	// default baseline and the harness's cached one (Runner.dedicated),
+	// clears Replay.Telemetry.
 	var specs []JobSpec
 	for _, a := range cfg.Arrivals {
 		if _, ok := c.prepOf[a.Job]; !ok {

@@ -3,6 +3,7 @@ package multijob
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -257,25 +258,30 @@ func TestRunChurnLinkFaultDegradesWithoutKilling(t *testing.T) {
 
 // TestRunChurnStrandedJobAbandoned admits nothing forever on a degraded
 // fabric: with faults active the stuck queue is reported abandoned instead
-// of erroring out, so no job is ever silently dropped.
+// of erroring out, so no job is ever silently dropped. The static policy a
+// nil Schedule selects leaves the job waiting the same way, since the
+// stream fits the healthy fabric.
 func TestRunChurnStrandedJobAbandoned(t *testing.T) {
-	cfg := testChurnConfig([]Arrival{{Job: JobSpec{App: "gromacs", NP: 250}, At: 0}})
-	// Fail three terminals for good before the job arrives: 249 < 250 free.
-	cfg.Faults = &sliceFaults{evs: []FaultEvent{
-		{At: 0, Kind: FaultTerminal, Index: 0},
-		{At: 0, Kind: FaultTerminal, Index: 1},
-		{At: 0, Kind: FaultTerminal, Index: 2},
-	}}
-	cfg.Retry = RetryPolicy{MaxRetries: 1, Backoff: time.Millisecond}
-	res, err := RunChurn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Abandoned != 1 || !res.Jobs[0].Abandoned {
-		t.Fatalf("stranded job not reported abandoned: %+v", res.Jobs[0])
-	}
-	if res.Jobs[0].App != "gromacs" || res.Jobs[0].NP != 250 {
-		t.Errorf("abandoned never-admitted job lost its identity: %+v", res.Jobs[0].JobStats)
+	for _, sched := range []SchedFunc{fcfsTest, nil} {
+		cfg := testChurnConfig([]Arrival{{Job: JobSpec{App: "gromacs", NP: 250}, At: 0}})
+		cfg.Schedule = sched
+		// Fail three terminals for good before the job arrives: 249 < 250 free.
+		cfg.Faults = &sliceFaults{evs: []FaultEvent{
+			{At: 0, Kind: FaultTerminal, Index: 0},
+			{At: 0, Kind: FaultTerminal, Index: 1},
+			{At: 0, Kind: FaultTerminal, Index: 2},
+		}}
+		cfg.Retry = RetryPolicy{MaxRetries: 1, Backoff: time.Millisecond}
+		res, err := RunChurn(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Abandoned != 1 || !res.Jobs[0].Abandoned {
+			t.Fatalf("%s: stranded job not reported abandoned: %+v", res.Scheduler, res.Jobs[0])
+		}
+		if res.Jobs[0].App != "gromacs" || res.Jobs[0].NP != 250 {
+			t.Errorf("%s: abandoned never-admitted job lost its identity: %+v", res.Scheduler, res.Jobs[0].JobStats)
+		}
 	}
 }
 
@@ -292,6 +298,11 @@ func TestRetryPolicyDelay(t *testing.T) {
 	}
 	if got := p.Delay(1000); got != time.Second<<maxBackoffShift {
 		t.Errorf("uncapped backoff: Delay(1000) = %v", got)
+	}
+	// The largest Backoff RunChurn accepts keeps every delay positive, and
+	// half of time.Duration's range free for the scenario time it joins.
+	if got := (RetryPolicy{Backoff: maxBackoff}).Delay(1000); got <= 0 || got > math.MaxInt64/2 {
+		t.Errorf("Delay at the largest accepted backoff = %v, want in (0, MaxInt64/2]", got)
 	}
 	if got := (RetryPolicy{}).Delay(3); got != 0 {
 		t.Errorf("zero policy Delay = %v, want 0", got)

@@ -130,7 +130,7 @@ func TestRunChurnErrors(t *testing.T) {
 		want string
 	}{
 		"no arrivals":    {func(c *ChurnConfig) { c.Arrivals = nil }, "no arrivals"},
-		"nil scheduler":  {func(c *ChurnConfig) { c.Schedule = nil }, "no scheduler"},
+		"huge backoff":   {func(c *ChurnConfig) { c.Retry.Backoff = 1000 * time.Hour }, "retry backoff 1000h0m0s"},
 		"bad placement":  {func(c *ChurnConfig) { c.Placement = "nosuch" }, "unknown placement"},
 		"negative time":  {func(c *ChurnConfig) { c.Arrivals[0].At = -time.Second }, "negative time"},
 		"one rank":       {func(c *ChurnConfig) { c.Arrivals[0].Job.NP = 1 }, "np must be >= 2"},
@@ -152,11 +152,44 @@ func TestRunChurnErrors(t *testing.T) {
 				return picks
 			}
 		}, "terminals free"},
+		"static overcommit": {func(c *ChurnConfig) {
+			// Staggered arrivals that never run together still must fit
+			// the fabric at once under the nil Schedule.
+			c.Arrivals = []Arrival{
+				{Job: JobSpec{App: "gromacs", NP: 200}, At: 0},
+				{Job: JobSpec{App: "gromacs", NP: 200}, At: time.Hour},
+			}
+			c.Schedule = nil
+		}, "400 ranks exceed the 252 terminals"},
 	} {
 		cfg := testChurnConfig(append([]Arrival(nil), good...))
 		tc.mut(&cfg)
 		if _, err := RunChurn(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", name, err, tc.want)
+		}
+	}
+}
+
+// TestRunChurnStaticAdmitsOnArrival runs a staggered stream that fits the
+// fabric at once under the nil Schedule: each job starts at its own arrival,
+// never waits, and the result names the scheduler static.
+func TestRunChurnStaticAdmitsOnArrival(t *testing.T) {
+	cfg := testChurnConfig([]Arrival{
+		{Job: JobSpec{App: "gromacs", NP: 8}, At: 0},
+		{Job: JobSpec{App: "alya", NP: 8}, At: time.Millisecond},
+		{Job: JobSpec{App: "gromacs", NP: 8}, At: time.Second},
+	})
+	cfg.Schedule, cfg.Scheduler = nil, ""
+	res, err := RunChurn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Scheduler != "static" {
+		t.Errorf("scheduler %q, want static", res.Scheduler)
+	}
+	for _, j := range res.Jobs {
+		if j.Start != j.Arrival || j.Wait != 0 {
+			t.Errorf("job %d arrived at %v but started at %v (wait %v)", j.ID, j.Arrival, j.Start, j.Wait)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package multijob
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // FaultKind classifies which fabric entity a fault event touches.
 type FaultKind uint8
@@ -65,9 +68,15 @@ type RetryPolicy struct {
 	Backoff    time.Duration // delay before retry k is Backoff << (k-1)
 }
 
-// maxBackoffShift caps the exponential so pathological retry counts cannot
-// overflow time.Duration.
+// maxBackoffShift caps the exponential: Delay stops growing at Backoff << 16.
+// The cap alone cannot stop a Backoff above about 39 h from overflowing into
+// a negative delay; RunChurn rejects any Backoff above maxBackoff.
 const maxBackoffShift = 16
+
+// maxBackoff is the largest Backoff RunChurn accepts: its longest delay takes
+// at most half of time.Duration's range, leaving the rest for the scenario
+// time it is added to.
+const maxBackoff = time.Duration(math.MaxInt64 >> (maxBackoffShift + 1))
 
 // Delay returns the requeue delay before retry attempt k (1-based).
 func (p RetryPolicy) Delay(k int) time.Duration {

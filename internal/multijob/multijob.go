@@ -9,8 +9,9 @@
 // into one timeline so links observe the union of traffic. There is one
 // shared-fabric engine, RunChurn: jobs queue on arrival, a scheduler admits
 // them onto terminals from a free-list, and a replay.Churn session times
-// each admission on the live timeline. Run, the static job mix, is the churn
-// scenario whose jobs all arrive at time 0 and are admitted in one batch.
+// each admission on the live timeline. A static job mix is a ChurnConfig
+// whose arrivals all sit at time 0 and whose nil Schedule admits each job as
+// it arrives, so the whole mix starts in one batch.
 // Where jobs land is a pluggable placement policy behind a named registry of
 // the same internal/registry type as the predictor and fabric registries. A
 // policy is a preference order over the fabric's terminals: "linear" (fabric
@@ -27,7 +28,6 @@
 package multijob
 
 import (
-	"fmt"
 	"time"
 
 	"ibpower/internal/power"
@@ -36,46 +36,6 @@ import (
 	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
-
-// Config parameterises one shared-fabric simulation.
-type Config struct {
-	// Jobs is the mix to co-schedule, in placement order.
-	Jobs []JobSpec
-	// Placement selects the policy from the placement registry ("linear",
-	// "random", "roundrobin", or anything registered by the embedding
-	// program); empty selects DefaultPlacement.
-	Placement string
-	// Opt tunes trace generation; Opt.Seed also seeds the "random"
-	// placement, so one seed pins the whole scenario.
-	Opt workloads.Options
-	// Displacement is the Algorithm 3 safety factor, applied to every job.
-	// Zero is a valid (maximally aggressive) setting, as on every other
-	// experiment; the CLI default is the paper's conservative 1 %.
-	Displacement float64
-	// Replay carries the network parameters, fabric and predictor selection,
-	// and the Parallelism bound for the per-job preparation (trace, GT
-	// choice, dedicated baseline), which runs on the worker pool.
-	// Each job runs with Replay.Power re-armed at the job's own grouping
-	// threshold and Displacement; any other mechanism settings in the block
-	// (deep sleep, custom overheads, timeline recording, predictor tuning)
-	// are preserved per job.
-	Replay replay.Config
-	// SelectGT chooses the grouping threshold for one job's trace; nil uses
-	// the minimum admissible threshold 2·Treact. The harness and CLI install
-	// the Table III selection here (harness.ChooseGT). The hook receives a
-	// trace.Source — an in-memory *Trace, a generator, or a packed trace
-	// file — so threshold selection works without materializing the trace.
-	SelectGT func(src trace.Source) (time.Duration, error)
-	// Generate overrides trace delivery, letting callers reuse cached
-	// traces or serve streaming sources from a packed file (harness.Runner
-	// does both); nil generates fresh in-memory traces with Opt.
-	Generate func(app string, np int) (trace.Source, error)
-	// Dedicated overrides the dedicated-fabric baseline replay of one job
-	// (the denominator of the sharing overhead). The baseline is
-	// placement-independent, so callers sweeping placements cache it per
-	// (job, GT) — harness.Runner does; nil replays fresh.
-	Dedicated func(src trace.Source, gt time.Duration, displacement float64) (*replay.Result, error)
-}
 
 // JobStats is the per-job slice of a shared-fabric run.
 type JobStats struct {
@@ -129,52 +89,6 @@ type FabricStats struct {
 	// occupied by any job — the fabric-wide energy the mechanism saved with
 	// all tenants accounted together.
 	SavingPct float64
-}
-
-// Run simulates the configured job mix on one shared fabric and returns
-// per-job and fabric-wide statistics. A static mix is the churn scenario
-// whose jobs all arrive at time 0 and are admitted together: Run checks that
-// the mix fits the fabric and hands it to RunChurn, so both simulations share
-// one engine. The result is deterministic for a given Config at any
-// Replay.Parallelism setting.
-func Run(cfg Config) (*ChurnResult, error) {
-	if len(cfg.Jobs) == 0 {
-		return nil, fmt.Errorf("multijob: no jobs configured")
-	}
-	fabric, err := cfg.Replay.Fabric()
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int, len(cfg.Jobs))
-	arrivals := make([]Arrival, len(cfg.Jobs))
-	for j, js := range cfg.Jobs {
-		sizes[j] = js.NP
-		arrivals[j] = Arrival{Job: js}
-	}
-	if err := checkCapacity(fabric, sizes); err != nil {
-		return nil, err
-	}
-	return RunChurn(ChurnConfig{
-		Arrivals:     arrivals,
-		Schedule:     admitAll,
-		Scheduler:    "static",
-		Placement:    cfg.Placement,
-		Opt:          cfg.Opt,
-		Displacement: cfg.Displacement,
-		Replay:       cfg.Replay,
-		SelectGT:     cfg.SelectGT,
-		Generate:     cfg.Generate,
-		Dedicated:    cfg.Dedicated,
-	})
-}
-
-// admitAll admits the whole queue in one batch, in queue order.
-func admitAll(ctx *SchedContext) []int {
-	picks := make([]int, len(ctx.Queue))
-	for i := range picks {
-		picks[i] = i
-	}
-	return picks
 }
 
 // jobStats folds one job's replay on a shared fabric into its record: gt is
@@ -232,12 +146,19 @@ func (c ChurnConfig) runDedicated(src trace.Source, gt time.Duration) (*replay.R
 	if c.Dedicated != nil {
 		return c.Dedicated(src, gt, c.Displacement)
 	}
-	bcfg := c.Replay
-	bcfg.Power = JobPower(c.Replay, gt, c.Displacement)
-	// Telemetry belongs to the shared run; a baseline recording its own
-	// series would be thrown away with the baseline's MultiResult.
-	bcfg.Telemetry = replay.TelemetryConfig{}
-	return replay.RunSource(src, bcfg)
+	return RunDedicated(src, c.Replay, gt, c.Displacement)
+}
+
+// RunDedicated replays one job alone on rc's fabric with the mechanism armed
+// by JobPower at (gt, d): the dedicated-fabric baseline, the denominator of
+// the job's sharing overhead. It is the one builder of that baseline, for
+// RunChurn and for harness.Runner's cached Dedicated hook alike. Baselines
+// never record telemetry: the series belong to the shared run, and a
+// baseline's own recorder would be filled and thrown away.
+func RunDedicated(src trace.Source, rc replay.Config, gt time.Duration, d float64) (*replay.Result, error) {
+	rc.Power = JobPower(rc, gt, d)
+	rc.Telemetry = replay.TelemetryConfig{}
+	return replay.RunSource(src, rc)
 }
 
 // JobPower builds one job's effective power block from a replay
@@ -245,10 +166,10 @@ func (c ChurnConfig) runDedicated(src trace.Source, gt time.Duration) (*replay.R
 // timeline recording, predictor tuning — re-armed at the job's grouping
 // threshold and the run's displacement. A configuration that never enabled
 // the mechanism gets the standard block (Table IV overheads, paper Treact),
-// exactly as replay's WithPower constructs it. Both the shared run and every
-// dedicated baseline — including harness.Runner's cached ones — must build
-// their blocks here, so the sharing overhead always compares runs of the
-// same mechanism.
+// exactly as replay's WithPower constructs it. The shared run and
+// RunDedicated, the builder of every dedicated baseline, both build their
+// blocks here, so the sharing overhead always compares runs of the same
+// mechanism.
 func JobPower(rc replay.Config, gt time.Duration, d float64) replay.PowerConfig {
 	if !rc.Power.Enabled {
 		return rc.WithPower(gt, d).Power

@@ -13,9 +13,20 @@ import (
 	"ibpower/internal/workloads"
 )
 
-func testConfig() Config {
-	return Config{
-		Jobs:      []JobSpec{{App: "gromacs", NP: 8}, {App: "alya", NP: 8}},
+// atZero turns a job mix into a static stream: every job arrives at time 0.
+func atZero(jobs ...JobSpec) []Arrival {
+	arrivals := make([]Arrival, len(jobs))
+	for i, js := range jobs {
+		arrivals[i] = Arrival{Job: js}
+	}
+	return arrivals
+}
+
+// testConfig is a static two-job mix: both arrive at time 0 and the nil
+// Schedule admits them together.
+func testConfig() ChurnConfig {
+	return ChurnConfig{
+		Arrivals:  atZero(JobSpec{App: "gromacs", NP: 8}, JobSpec{App: "alya", NP: 8}),
 		Placement: "roundrobin",
 		Opt:       workloads.Options{Seed: 42, IterScale: 0.05},
 		Replay:    replay.DefaultConfig(),
@@ -41,12 +52,15 @@ func TestParseJobs(t *testing.T) {
 	}
 }
 
-// TestRunEndToEnd runs a small two-job mix and sanity-checks every reported
-// statistic.
+// TestRunEndToEnd runs a small static two-job mix through RunChurn and
+// sanity-checks every reported statistic.
 func TestRunEndToEnd(t *testing.T) {
-	res, err := Run(testConfig())
+	res, err := RunChurn(testConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Scheduler != "static" {
+		t.Errorf("nil Schedule reported as scheduler %q, want static", res.Scheduler)
 	}
 	if len(res.Jobs) != 2 {
 		t.Fatalf("got %d job rows, want 2", len(res.Jobs))
@@ -97,7 +111,7 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 	for _, par := range []int{1, 2, 0} {
 		cfg := testConfig()
 		cfg.Replay.Parallelism = par
-		res, err := Run(cfg)
+		res, err := RunChurn(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +129,7 @@ func TestRunDeterministicAtAnyParallelism(t *testing.T) {
 // traffic hits the same fabric, so per-job exec can differ from the
 // dedicated baseline, and the overhead column reflects exactly that delta.
 func TestRunSharedVsDedicated(t *testing.T) {
-	res, err := Run(testConfig())
+	res, err := RunChurn(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,37 +141,38 @@ func TestRunSharedVsDedicated(t *testing.T) {
 	}
 }
 
-// TestRunErrors covers configuration error paths: unknown placement,
-// predictor, fabric, and workload all fail fast with the registry named, and
-// a mix larger than the fabric names its rank and terminal counts.
+// TestRunErrors covers configuration error paths of a static mix: unknown
+// placement, predictor, fabric, and workload all fail fast with the registry
+// named, and a mix larger than the fabric names its rank and terminal
+// counts.
 func TestRunErrors(t *testing.T) {
 	for name, mutate := range map[string]struct {
-		mut  func(*Config)
+		mut  func(*ChurnConfig)
 		want string
 	}{
-		"placement": {func(c *Config) { c.Placement = "nosuch" }, "unknown placement"},
-		"predictor": {func(c *Config) { c.Replay.Power.PredictorName = "nosuch" }, "unknown predictor"},
-		"fabric":    {func(c *Config) { c.Replay.FabricName = "nosuch" }, "unknown fabric"},
-		"workload":  {func(c *Config) { c.Jobs[0].App = "nosuch" }, "unknown application"},
-		"empty":     {func(c *Config) { c.Jobs = nil }, "no jobs"},
-		"overcommit": {func(c *Config) {
-			c.Jobs = []JobSpec{{App: "alya", NP: 200}, {App: "alya", NP: 200}}
+		"placement": {func(c *ChurnConfig) { c.Placement = "nosuch" }, "unknown placement"},
+		"predictor": {func(c *ChurnConfig) { c.Replay.Power.PredictorName = "nosuch" }, "unknown predictor"},
+		"fabric":    {func(c *ChurnConfig) { c.Replay.FabricName = "nosuch" }, "unknown fabric"},
+		"workload":  {func(c *ChurnConfig) { c.Arrivals[0].Job.App = "nosuch" }, "unknown application"},
+		"empty":     {func(c *ChurnConfig) { c.Arrivals = nil }, "no arrivals"},
+		"overcommit": {func(c *ChurnConfig) {
+			c.Arrivals = atZero(JobSpec{App: "alya", NP: 200}, JobSpec{App: "alya", NP: 200})
 		}, "exceed"},
 	} {
 		cfg := testConfig()
 		mutate.mut(&cfg)
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), mutate.want) {
+		if _, err := RunChurn(cfg); err == nil || !strings.Contains(err.Error(), mutate.want) {
 			t.Errorf("%s: error %v, want substring %q", name, err, mutate.want)
 		}
 	}
 }
 
-// TestRunMatchesRunJobs pins Run, a time-0 churn admission, to the direct
-// reference: replay.RunJobs over the terminals Place assigns. For every
-// placement on three fabric families, the per-job records, the terminals,
-// the fabric summary and the seven replay-level telemetry series must be
-// equal. The mix repeats a job spec, so jobs sharing one prepared source
-// are covered too.
+// TestRunMatchesRunJobs pins a static mix, a time-0 churn admission under
+// the nil Schedule, to the direct reference: replay.RunJobs over the
+// terminals Place assigns. For every placement on three fabric families, the
+// per-job records, the terminals, the fabric summary and the seven
+// replay-level telemetry series must be equal. The mix repeats a job spec,
+// so jobs sharing one prepared source are covered too.
 func TestRunMatchesRunJobs(t *testing.T) {
 	mix := []JobSpec{{App: "gromacs", NP: 8}, {App: "alya", NP: 8}, {App: "gromacs", NP: 8}}
 	opt := workloads.Options{Seed: 42, IterScale: 0.05}
@@ -175,7 +190,7 @@ func TestRunMatchesRunJobs(t *testing.T) {
 			sizes[j] = js.NP
 		}
 		for _, pname := range Names() {
-			res, err := Run(Config{Jobs: mix, Placement: pname, Opt: opt, Displacement: d, Replay: rc})
+			res, err := RunChurn(ChurnConfig{Arrivals: atZero(mix...), Placement: pname, Opt: opt, Displacement: d, Replay: rc})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", fname, pname, err)
 			}

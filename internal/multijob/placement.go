@@ -62,18 +62,18 @@ func Place(name string, f topology.Fabric, sizes []int, seed int64) ([][]int, er
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCapacity(f, sizes); err != nil {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	if err := checkCapacity(f, total); err != nil {
 		return nil, err
 	}
 	return blocks(order, sizes), nil
 }
 
-// checkCapacity fails when the jobs' ranks together exceed the fabric.
-func checkCapacity(f topology.Fabric, sizes []int) error {
-	total := 0
-	for _, n := range sizes {
-		total += n
-	}
+// checkCapacity fails when total ranks exceed the fabric's terminals.
+func checkCapacity(f topology.Fabric, total int) error {
 	if total > f.NumTerminals() {
 		return fmt.Errorf("multijob: %d ranks exceed the %d terminals of fabric %s",
 			total, f.NumTerminals(), f.Name())

@@ -8,7 +8,8 @@ import (
 	"ibpower/internal/stats"
 )
 
-// WriteResult renders a static multi-job run (Run): one row per job, then
+// WriteResult renders a static multi-job run (a RunChurn whose arrivals all
+// sit at time 0 under the nil Schedule): one row per job, then
 // the fabric-wide summary. The layout is stable and fully determined by the
 // result, so CLI output stays bit-identical whenever the simulation is.
 func WriteResult(w io.Writer, r *ChurnResult) error {

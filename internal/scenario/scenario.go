@@ -46,7 +46,7 @@ type Config struct {
 	// "random" policy via Opt.Seed when Opt.Seed is zero.
 	Placement string
 	// Opt, Displacement, Replay, and the hooks: exactly as on
-	// multijob.Config.
+	// multijob.ChurnConfig.
 	Opt          workloads.Options
 	Displacement float64
 	Replay       replay.Config
