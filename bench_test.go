@@ -606,6 +606,24 @@ func replayAlya16(tb testing.TB) hotOp {
 	return replayOp(tb, tr, cfg, "calls/s", float64(tr.NumCalls()))
 }
 
+// BenchmarkReplayTelemetry is BenchmarkReplayAlya16 with telemetry on:
+// every link reservation, power-mode interval and prediction opportunity
+// is recorded on the streaming recorder, and each iteration settles it, so
+// the timed region covers the applier's bucket and sketch updates too.
+func BenchmarkReplayTelemetry(b *testing.B) { benchHot(b, replayTelemetry) }
+
+func replayTelemetry(tb testing.TB) hotOp {
+	tr := alya16(tb)
+	cfg := replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01).WithTelemetry(0)
+	return hotOp{run: func(int) {
+		res, err := replay.RunSource(tr, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		res.Series.Buckets() // every reader settles: the applier's work is done
+	}, unit: "calls/s", per: float64(tr.NumCalls())}
+}
+
 // BenchmarkStreamReplay reports events/s for the file-backed streaming replay
 // path: the alya-16 workload packed once into the binary trace format and
 // replayed through bounded per-rank read windows. events/s counts trace ops

@@ -43,6 +43,7 @@ var hotPaths = []struct {
 	{"ChurnWithFaults", churnWithFaults, 1000, 0, 0},
 	{"TimeSeriesRecord", timeSeriesRecord, 1000, 0, 0},
 	{"ReplayAlya16", replayAlya16, 5, 497, 89_938},
+	{"ReplayTelemetry", replayTelemetry, 5, 544, 2_290_253},
 	{"StreamReplay", streamReplay, 5, 513, 109_896},
 	{"Multijob", multijobReplay, 5, 503, 89_242},
 	{"BigFabricReplay", bigFabricReplay, 5, 497, 1_220_418},

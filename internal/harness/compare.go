@@ -76,7 +76,7 @@ func (r *Runner) Compare(displacement float64, names []string, apps ...string) (
 			if err != nil {
 				return CompareRow{}, err
 			}
-			base, err := r.baseline(c.p.app, c.p.np)
+			base, err := r.baseline(c.p.app, c.p.np, r.Opt)
 			if err != nil {
 				return CompareRow{}, err
 			}

@@ -97,11 +97,11 @@ func TestCompareUnknownPredictor(t *testing.T) {
 // workload however many predictors compare against it.
 func TestRunnerBaselineCache(t *testing.T) {
 	r := compareRunner(0)
-	first, err := r.baseline("alya", 8)
+	first, err := r.baseline("alya", 8, r.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := r.baseline("alya", 8)
+	again, err := r.baseline("alya", 8, r.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}

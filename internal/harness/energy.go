@@ -63,7 +63,7 @@ func (r *Runner) Energy(displacement float64, np int, deep power.DeepConfig, app
 			if err != nil {
 				return nil, err
 			}
-			base, err := r.baseline(app, np)
+			base, err := r.baseline(app, np, r.Opt)
 			if err != nil {
 				return nil, err
 			}

@@ -215,20 +215,27 @@ type FigureRow struct {
 }
 
 // FigurePoint runs baseline and mechanism replays for one workload source.
+// A Runner's figures take the baseline from its cache instead (Runner.Figure).
 func FigurePoint(src trace.Source, gt time.Duration, displacement float64, cfg replay.Config) (*FigureRow, error) {
 	base, err := replay.RunSource(src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pcfg := cfg.WithPower(gt, displacement)
-	res, err := replay.RunSource(src, pcfg)
+	res, err := replay.RunSource(src, cfg.WithPower(gt, displacement))
 	if err != nil {
 		return nil, err
 	}
 	m := src.Meta()
-	return &FigureRow{
-		App:             m.App,
-		NP:              m.NP,
+	row := figureRow(m.App, m.NP, gt, base, res)
+	return &row, nil
+}
+
+// figureRow builds the Figures 7–9 row of (app, np) from its power-unaware
+// baseline and its mechanism run at grouping threshold gt.
+func figureRow(app string, np int, gt time.Duration, base, res *replay.Result) FigureRow {
+	return FigureRow{
+		App:             app,
+		NP:              np,
 		GT:              gt,
 		SavingPct:       res.AvgSavingPct(),
 		TimeIncreasePct: res.TimeIncreasePct(base),
@@ -236,7 +243,7 @@ func FigurePoint(src trace.Source, gt time.Duration, displacement float64, cfg r
 		LowFraction:     res.AvgLowFraction(),
 		BaseExec:        base.ExecTime,
 		Exec:            res.ExecTime,
-	}, nil
+	}
 }
 
 // WriteFigure renders figure rows plus per-size averages (the paper's

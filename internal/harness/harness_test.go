@@ -170,6 +170,36 @@ func TestWriteFigure(t *testing.T) {
 	}
 }
 
+// TestFigureReusesBaselines draws two figures on one Runner and checks
+// every row equals FigurePoint's, which replays its own baseline, while the
+// Runner replayed one baseline per point for both figures: the cached one,
+// keyed by the point's generation options.
+func TestFigureReusesBaselines(t *testing.T) {
+	r := NewRunner(workloads.Options{IterScale: 0.02}, replay.DefaultConfig())
+	for _, d := range []float64{0.01, 0.10} {
+		rows, err := r.Figure(d, "alya")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			src, err := r.source(row.App, row.NP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := FigurePoint(src, row.GT, d, r.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row != *want {
+				t.Errorf("d=%g: Runner row %+v, FigurePoint row %+v", d, row, *want)
+			}
+		}
+		if n := len(r.bases.m); n != len(rows) {
+			t.Errorf("d=%g: %d cached baselines for %d points", d, n, len(rows))
+		}
+	}
+}
+
 // TestFigureAppFilter asserts the application filter restricts the sweep
 // without moving any row: Figure(d, "alya") on a fresh Runner is exactly the
 // alya rows of the full figure, and an unknown name fails before any

@@ -154,15 +154,16 @@ func (r *Runner) chooseGT(app string, np int, opt workloads.Options, workers int
 	return c.gt, c.hit, err
 }
 
-// baseline returns the cached power-unaware replay for (app, np) under
-// r.Opt: the denominator of every saving and slowdown figure. Sharing it
-// across experiments matters most for Compare, which would otherwise replay
-// the same baseline once per predictor. Baselines never record telemetry:
-// only the run under study publishes a series, and a cached denominator's
+// baseline returns the cached power-unaware replay for (app, np, opt): the
+// denominator of every saving and slowdown figure. Sharing it across
+// experiments matters most for Compare, which would otherwise replay the
+// same baseline once per predictor, and for the figures, which would replay
+// it once per displacement factor. Baselines never record telemetry: only
+// the run under study publishes a series, and a cached denominator's
 // recorder would be filled and thrown away.
-func (r *Runner) baseline(app string, np int) (*replay.Result, error) {
-	return r.bases.get(traceKey{app: app, np: np, opt: r.Opt}, func() (*replay.Result, error) {
-		src, err := r.source(app, np)
+func (r *Runner) baseline(app string, np int, opt workloads.Options) (*replay.Result, error) {
+	return r.bases.get(traceKey{app: app, np: np, opt: opt}, func() (*replay.Result, error) {
+		src, err := r.sourceOpt(app, np, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -286,20 +287,36 @@ func (r *Runner) Figure(displacement float64, apps ...string) ([]FigureRow, erro
 	pts := allPoints(apps...)
 	return sweep.MapLargestFirst(context.Background(), r.workers(len(pts)), pts, point.size,
 		func(_ context.Context, _ int, p point) (FigureRow, error) {
-			src, err := r.source(p.app, p.np)
-			if err != nil {
-				return FigureRow{}, err
-			}
-			gt, _, err := r.chooseGT(p.app, p.np, r.Opt, 1)
-			if err != nil {
-				return FigureRow{}, err
-			}
-			row, err := FigurePoint(src, gt, displacement, r.Cfg)
+			row, err := r.figurePoint(p.app, p.np, r.Opt, displacement)
 			if err != nil {
 				return FigureRow{}, fmt.Errorf("%s np=%d: %w", p.app, p.np, err)
 			}
-			return *row, nil
+			return row, nil
 		})
+}
+
+// figurePoint is FigurePoint over the Runner's caches: the source, Table III
+// threshold and baseline of (app, np, opt) are each computed once per
+// Runner, however many figures share them; only the mechanism run is
+// replayed per displacement factor.
+func (r *Runner) figurePoint(app string, np int, opt workloads.Options, displacement float64) (FigureRow, error) {
+	src, err := r.sourceOpt(app, np, opt)
+	if err != nil {
+		return FigureRow{}, err
+	}
+	gt, _, err := r.chooseGT(app, np, opt, 1)
+	if err != nil {
+		return FigureRow{}, err
+	}
+	base, err := r.baseline(app, np, opt)
+	if err != nil {
+		return FigureRow{}, err
+	}
+	res, err := replay.RunSource(src, r.Cfg.WithPower(gt, displacement))
+	if err != nil {
+		return FigureRow{}, err
+	}
+	return figureRow(app, np, gt, base, res), nil
 }
 
 // TableIV measures real wall-clock PPA overheads at 16 processes (NAS BT
@@ -360,19 +377,11 @@ func (r *Runner) WeakScaling(displacement float64) ([]WeakScalingRow, error) {
 			for i, weak := range []bool{false, true} {
 				o := r.Opt
 				o.Weak = weak
-				src, err := r.sourceOpt(p.app, p.np, o)
-				if err != nil {
-					return WeakScalingRow{}, err
-				}
-				gt, _, err := r.chooseGT(p.app, p.np, o, 1)
-				if err != nil {
-					return WeakScalingRow{}, err
-				}
-				row, err := FigurePoint(src, gt, displacement, r.Cfg)
+				row, err := r.figurePoint(p.app, p.np, o, displacement)
 				if err != nil {
 					return WeakScalingRow{}, fmt.Errorf("%s np=%d weak=%v: %w", p.app, p.np, weak, err)
 				}
-				pair[i] = *row
+				pair[i] = row
 			}
 			return WeakScalingRow{App: p.app, NP: p.np, Strong: pair[0], Weak: pair[1]}, nil
 		})

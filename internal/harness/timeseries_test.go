@@ -136,11 +136,11 @@ func TestRunnerBaselinesRecordNoTelemetry(t *testing.T) {
 		same(fmt.Sprintf("dedicated %s np=%d gt=%v", k.app, k.np, k.gt), e.v, want)
 	}
 	for _, p := range []point{{"gromacs", 8}, {"alya", 16}} {
-		got, err := on.baseline(p.app, p.np)
+		got, err := on.baseline(p.app, p.np, on.Opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := off.baseline(p.app, p.np)
+		want, err := off.baseline(p.app, p.np, off.Opt)
 		if err != nil {
 			t.Fatal(err)
 		}

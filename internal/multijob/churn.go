@@ -188,9 +188,10 @@ const maxChurnFaultEvents = 1 << 20
 // and the scheduler, invoked until it stops picking; a telemetry sample
 // closes the instant. The event loop itself is serial; Replay.Parallelism
 // only spreads the preparation of distinct (app, NP) pairs — trace
-// generation, GT choice, dedicated baseline — over the worker pool in
-// first-appearance order. Results are therefore bit-identical at any
-// parallelism for a given config.
+// generation, GT choice, dedicated baseline — over the worker pool, the
+// largest NP first; the prepared pairs keep their first-appearance order,
+// and a Parallelism: 1 run walks the same largest-first order. Results are
+// therefore bit-identical at any parallelism for a given config.
 //
 // Fidelity note: the underlying session resolves contention in admission
 // order — a job observes the link occupancy of every earlier-admitted job,

@@ -24,7 +24,8 @@
 // Everything is deterministic for a given configuration: placement is a pure
 // function of (fabric, seed), the shared engine is single-threaded, and the
 // Parallelism knob only distributes independent work (per-job preparation
-// and baselines, harness sweep cells) over the worker pool in input order.
+// and baselines, harness sweep cells) over the worker pool, largest first;
+// results keep their input order whatever order the pool ran them in.
 package multijob
 
 import (

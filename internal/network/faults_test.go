@@ -16,7 +16,8 @@ func runTransfers(t *testing.T, n *Network) []time.Duration {
 	for i := 0; i < 40; i++ {
 		src := (i * 7) % nt
 		dst := (i*13 + 5) % nt
-		out = append(out, n.Transfer(src, dst, 4096, clock))
+		arr, _ := n.Transfer(src, dst, 4096, clock)
+		out = append(out, arr)
 		clock += 500 * time.Nanosecond
 	}
 	return out

@@ -72,6 +72,7 @@ type Network struct {
 	topo topology.Fabric
 	cfg  Config
 	rng  *rand.Rand
+	segT time.Duration // serialization time of one full segment
 
 	nextFree []time.Duration   // per directed link: earliest next use
 	busy     []time.Duration   // per directed link: accumulated busy time
@@ -101,13 +102,15 @@ func New(topo topology.Fabric, cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Network{
+	n := &Network{
 		topo:     topo,
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		nextFree: make([]time.Duration, topo.NumLinks()),
 		busy:     make([]time.Duration, topo.NumLinks()),
-	}, nil
+	}
+	n.segT = n.serTime(cfg.SegmentSize)
+	return n, nil
 }
 
 // Topology returns the underlying fabric.
@@ -154,10 +157,11 @@ func (n *Network) SetFaults(fs *topology.FaultSet) error {
 func (n *Network) Unroutable() int { return n.unroutable }
 
 // SerTime returns the serialization time of b bytes on one link at full
-// width (used for sender-side injection completion).
+// width, the second result of Transfer.
 func (n *Network) SerTime(b int) time.Duration { return n.serTime(b) }
 
-// serTime returns the serialization time of b bytes on one link.
+// serTime returns the serialization time of b bytes on one link: a pure
+// function of b, so each message computes it once.
 func (n *Network) serTime(b int) time.Duration {
 	if b <= 0 {
 		return 0
@@ -166,14 +170,17 @@ func (n *Network) serTime(b int) time.Duration {
 }
 
 // Transfer times a message of b bytes from terminal src to terminal dst
-// injected at time start. It returns the arrival time at dst. Transfers
-// between a node and itself only pay the MPI latency.
-func (n *Network) Transfer(src, dst, b int, start time.Duration) time.Duration {
+// injected at time start. It returns the arrival time at dst and the
+// message's serialization time on one link, SerTime(b), which completes the
+// sender's injection. Transfers between a node and itself only pay the MPI
+// latency.
+func (n *Network) Transfer(src, dst, b int, start time.Duration) (arrival, ser time.Duration) {
 	n.transfers++
 	n.bytes += int64(b)
+	ser = n.serTime(b)
 	head := start + n.cfg.MPILatency
 	if src == dst {
-		return head
+		return head, ser
 	}
 	// Healthy transfers route directly into a reused scratch slice, so the
 	// steady-state transfer path allocates nothing. While faults are present
@@ -196,21 +203,20 @@ func (n *Network) Transfer(src, dst, b int, start time.Duration) time.Duration {
 		path = n.path
 	}
 	if n.cfg.Mode == SegmentLevel {
-		return n.transferSegments(path, b, head)
+		return n.transferSegments(path, b, head), ser
 	}
-	return n.transferMessage(path, b, head)
+	return n.transferMessage(path, b, ser, head), ser
 }
 
 // transferMessage advances the message head hop by hop; every link is
-// reserved for the full serialization time, so later messages queue behind
-// it, while the head advances after only one segment (cut-through).
-func (n *Network) transferMessage(path []topology.LinkID, b int, head time.Duration) time.Duration {
-	seg := b
-	if seg > n.cfg.SegmentSize {
-		seg = n.cfg.SegmentSize
+// reserved for the full serialization time full = serTime(b), so later
+// messages queue behind it, while the head advances after only one segment
+// (cut-through).
+func (n *Network) transferMessage(path []topology.LinkID, b int, full, head time.Duration) time.Duration {
+	segT := n.segT
+	if b < n.cfg.SegmentSize {
+		segT = full
 	}
-	segT := n.serTime(seg)
-	full := n.serTime(b)
 	var lastStart time.Duration
 	for _, l := range path {
 		txStart := head
@@ -249,11 +255,10 @@ func (n *Network) transferSegments(path []topology.LinkID, b int, head time.Dura
 		ready[i] = 0
 	}
 	for s := 0; s < nseg; s++ {
-		size := n.cfg.SegmentSize
+		segT := n.segT
 		if s == nseg-1 {
-			size = b - (nseg-1)*n.cfg.SegmentSize
+			segT = n.serTime(b - (nseg-1)*n.cfg.SegmentSize)
 		}
-		segT := n.serTime(size)
 		t := head
 		for i, l := range path {
 			if ready[i] > t {

@@ -83,7 +83,7 @@ func TestNetworkOverEveryFabric(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		last := f.NumTerminals() - 1
-		arr := n.Transfer(0, last, 4096, 0)
+		arr, _ := n.Transfer(0, last, 4096, 0)
 		if min := n.Config().MPILatency + n.SerTime(4096); arr < min {
 			t.Errorf("%s: arrival %v below floor %v", name, arr, min)
 		}
@@ -141,15 +141,15 @@ func TestSerTime(t *testing.T) {
 
 func TestTransferSelf(t *testing.T) {
 	n := newNet(t, MessageLevel)
-	if got := n.Transfer(3, 3, 4096, 0); got != time.Microsecond {
-		t.Errorf("self transfer = %v, want the MPI latency only", got)
+	if got, ser := n.Transfer(3, 3, 4096, 0); got != time.Microsecond || ser != n.SerTime(4096) {
+		t.Errorf("self transfer = %v, %v, want the MPI latency only and %v", got, ser, n.SerTime(4096))
 	}
 }
 
 func TestTransferLatencyFloor(t *testing.T) {
 	n := newNet(t, MessageLevel)
 	// Zero-byte cross-leaf message: MPI latency + per-hop wire latency.
-	got := n.Transfer(0, 251, 0, 0)
+	got, _ := n.Transfer(0, 251, 0, 0)
 	want := time.Microsecond + 4*100*time.Nanosecond
 	if got != want {
 		t.Errorf("control message arrival = %v, want %v", got, want)
@@ -158,9 +158,9 @@ func TestTransferLatencyFloor(t *testing.T) {
 
 func TestTransferBandwidthTerm(t *testing.T) {
 	n := newNet(t, MessageLevel)
-	small := n.Transfer(0, 1, 2048, 0)
+	small, _ := n.Transfer(0, 1, 2048, 0)
 	n2 := newNet(t, MessageLevel)
-	big := n2.Transfer(0, 1, 1<<20, 0)
+	big, _ := n2.Transfer(0, 1, 1<<20, 0)
 	if big <= small {
 		t.Errorf("1 MB (%v) must arrive later than 2 KB (%v)", big, small)
 	}
@@ -175,8 +175,8 @@ func TestContentionSerializes(t *testing.T) {
 	// Two 512 KB messages from the same source at the same instant share
 	// the host uplink: the second must arrive roughly one serialization
 	// time later.
-	a1 := n.Transfer(0, 1, 512<<10, 0)
-	a2 := n.Transfer(0, 2, 512<<10, 0)
+	a1, _ := n.Transfer(0, 1, 512<<10, 0)
+	a2, _ := n.Transfer(0, 2, 512<<10, 0)
 	if a2 <= a1 {
 		t.Errorf("contended transfer (%v) not delayed past first (%v)", a2, a1)
 	}
@@ -193,8 +193,8 @@ func TestSegmentLevelClose(t *testing.T) {
 	msg := newNet(t, MessageLevel)
 	seg := newNet(t, SegmentLevel)
 	const bytes = 64 << 10
-	am := msg.Transfer(0, 250, bytes, 0)
-	as := seg.Transfer(0, 250, bytes, 0)
+	am, _ := msg.Transfer(0, 250, bytes, 0)
+	as, _ := seg.Transfer(0, 250, bytes, 0)
 	diff := as - am
 	if diff < 0 {
 		diff = -diff
@@ -206,7 +206,7 @@ func TestSegmentLevelClose(t *testing.T) {
 
 func TestSegmentLevelZeroBytes(t *testing.T) {
 	n := newNet(t, SegmentLevel)
-	got := n.Transfer(0, 251, 0, 0)
+	got, _ := n.Transfer(0, 251, 0, 0)
 	if got <= time.Microsecond {
 		t.Errorf("control message arrival = %v", got)
 	}
@@ -218,6 +218,12 @@ func TestBusyAccounting(t *testing.T) {
 	n.Transfer(0, 1, 1<<20, 0)
 	if n.LinkBusy(up) != n.SerTime(1<<20) {
 		t.Errorf("uplink busy = %v, want %v", n.LinkBusy(up), n.SerTime(1<<20))
+	}
+	// Store-and-forward: one full segment, then a 100-byte tail segment.
+	seg := newNet(t, SegmentLevel)
+	seg.Transfer(0, 1, 2048+100, 0)
+	if want := seg.SerTime(2048) + seg.SerTime(100); seg.LinkBusy(up) != want {
+		t.Errorf("segmented uplink busy = %v, want %v", seg.LinkBusy(up), want)
 	}
 }
 
@@ -239,7 +245,8 @@ func TestDeterminism(t *testing.T) {
 		n := newNet(t, MessageLevel)
 		var out []time.Duration
 		for i := 0; i < 20; i++ {
-			out = append(out, n.Transfer(i%8, (i+5)%8, 10000+i, time.Duration(i)*us))
+			arr, _ := n.Transfer(i%8, (i+5)%8, 10000+i, time.Duration(i)*us)
+			out = append(out, arr)
 		}
 		return out
 	}
@@ -251,8 +258,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// Property: arrival is never before start + MPI latency, and bytes moved
-// accumulate exactly.
+// Property: arrival is never before start + MPI latency, bytes moved
+// accumulate exactly, and the returned serialization time is SerTime's.
 func TestArrivalLowerBoundProperty(t *testing.T) {
 	n := newNet(t, MessageLevel)
 	var moved int64
@@ -261,10 +268,10 @@ func TestArrivalLowerBoundProperty(t *testing.T) {
 		d := int(dst) % 252
 		b := int(kb) * 1024
 		start := time.Duration(startUS) * us
-		arr := n.Transfer(s, d, b, start)
+		arr, ser := n.Transfer(s, d, b, start)
 		moved += int64(b)
 		_, gotMoved := n.Stats()
-		return arr >= start+time.Microsecond && gotMoved == moved
+		return arr >= start+time.Microsecond && gotMoved == moved && ser == n.SerTime(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -373,11 +373,10 @@ func (e *engine) resolve(src, dst, bytes int, sendReady, recvReady time.Duration
 	if r0 > t0 {
 		t0 = r0
 	}
-	arrival := e.net.Transfer(s.term, d.term, bytes, t0)
+	arrival, ser := e.net.Transfer(s.term, d.term, bytes, t0)
 	s.jb.transfers++
 	s.jb.bytes += int64(bytes)
-	sendDone := t0 + e.net.SerTime(bytes)
-	s.sendDone, s.haveSend = sendDone, true
+	s.sendDone, s.haveSend = t0+ser, true
 	d.recvDone, d.haveRecv = arrival, true
 	if s.haveRecv || !s.needRecv {
 		e.push(src)

@@ -49,6 +49,16 @@ func (c Config) WithTelemetry(tick time.Duration) Config {
 //	util.up      span    busy seconds, switch→switch up-links
 //	util.down    span    busy seconds, other switch→switch links
 //
+// Two util sketches are computed once (stats.TimeSeries.AddSpanMirror).
+// Every routed path starts on the source's host up-link and ends on the
+// destination's host down-link, with no other host link between, and the
+// network reserves both for the same durations in the same order, so
+// util.hostdn mirrors util.hostup's sketch on every fabric. On a fabric
+// that routes up*/down* (topology.IsUpDown) each path also climbs as many
+// switch up-links as it descends, so util.down mirrors util.up's; elsewhere
+// (dragonfly, torus) util.down also holds lateral links and keeps its own.
+// TestRouteMirrorInvariants and TestTelemetryMirrorsMatchTee pin both.
+//
 // The churn engine (internal/multijob) adds queue.depth, fabric.occupied
 // and capacity.up on the same recorder.
 type telemetry struct {
@@ -77,12 +87,17 @@ func newTelemetry(tc TelemetryConfig, topo topology.Fabric) *telemetry {
 		low:   ts.AddSpanSeries("power.low", "link-seconds"),
 		hit:   ts.AddSeries("pred.hit", "hit"),
 	}
-	classes := [4]stats.SeriesID{
-		ts.AddSpanSeries("util.hostup", "busy-seconds"),
-		ts.AddSpanSeries("util.hostdn", "busy-seconds"),
-		ts.AddSpanSeries("util.up", "busy-seconds"),
-		ts.AddSpanSeries("util.down", "busy-seconds"),
+	const unit = "busy-seconds"
+	hostup := ts.AddSpanSeries("util.hostup", unit)
+	hostdn := ts.AddSpanMirror("util.hostdn", unit, hostup)
+	up := ts.AddSpanSeries("util.up", unit)
+	var down stats.SeriesID
+	if topology.IsUpDown(topo) {
+		down = ts.AddSpanMirror("util.down", unit, up)
+	} else {
+		down = ts.AddSpanSeries("util.down", unit)
 	}
+	classes := [4]stats.SeriesID{hostup, hostdn, up, down}
 	tbl := topo.Table()
 	t.linkSid = make([]stats.SeriesID, tbl.Len())
 	for id := range t.linkSid {

@@ -2,11 +2,16 @@ package replay
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"ibpower/internal/network"
 	"ibpower/internal/power"
+	"ibpower/internal/stats"
 	"ibpower/internal/topology"
+	"ibpower/internal/workloads"
 )
 
 // TestTelemetryOffByDefault: the zero TelemetryConfig records nothing and
@@ -141,5 +146,119 @@ func TestTelemetryHooksAllocs(t *testing.T) {
 		link = (link + 1) % nlinks
 	}); avg != 0 {
 		t.Errorf("telemetry replay-loop hooks allocate %.1f/op, want 0", avg)
+	}
+}
+
+// teeBusy forwards every link reservation to the run's telemetry and also
+// feeds an independent sketch per util class, classified as newTelemetry
+// classifies links.
+type teeBusy struct {
+	tele *telemetry
+	tab  *topology.LinkTable
+	sk   [4]*stats.Sketch // util.hostup, util.hostdn, util.up, util.down
+}
+
+func (o *teeBusy) ObserveBusy(link topology.LinkID, start, end time.Duration) {
+	o.tele.ObserveBusy(link, start, end)
+	k := o.tab.Kind[link]
+	c := 3
+	switch {
+	case k&topology.LinkFromSwitch == 0:
+		c = 0
+	case k&topology.LinkToSwitch == 0:
+		c = 1
+	case k&topology.LinkUp != 0:
+		c = 2
+	}
+	o.sk[c].Add((end - start).Seconds())
+}
+
+// TestTelemetryMirrorsMatchTee replays a job spread over each fabric with a
+// tee observer and checks every util series reports, bit for bit, the
+// sketch an independent estimator computes from the same reservations: the
+// mirrored util.hostdn on every fabric, the mirrored util.down on the XGFT
+// fabrics, at both fidelities, with and without a failed cable that
+// forces detours.
+func TestTelemetryMirrorsMatchTee(t *testing.T) {
+	tr, err := workloads.Generate("alya", 16, workloads.Options{IterScale: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := [4]string{"util.hostup", "util.hostdn", "util.up", "util.down"}
+	for _, fabric := range []string{"xgft", "xgft3", "dragonfly", "torus2d"} {
+		topo := topology.MustNamed(fabric)
+		nt := topo.NumTerminals()
+		terms := make([]int, tr.NP)
+		for r := range terms {
+			terms[r] = r * (nt / tr.NP)
+		}
+		for _, mode := range []network.Fidelity{network.MessageLevel, network.SegmentLevel} {
+			for _, fail := range []bool{false, true} {
+				cfg := DefaultConfig().WithFabric(fabric).WithPower(20*us, 0.01).WithTelemetry(0)
+				cfg.Net.Mode = mode
+				c, err := NewChurn(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tee := &teeBusy{tele: c.e.tele, tab: topo.Table()}
+				for i := range tee.sk {
+					tee.sk[i] = stats.NewSketch()
+				}
+				c.e.net.Observe(tee)
+				if fail {
+					// Fail the first switch-to-switch cable of a cross-fabric
+					// route, which traffic must then detour around.
+					fs := topology.NewFaultSet(topo)
+					for _, id := range topo.RouteIDsInto(nil, terms[0], terms[tr.NP/2], nil) {
+						if topo.Table().SwitchToSwitch(id) {
+							fs.FailLink(id)
+							break
+						}
+					}
+					if err := c.SetFaults(fs); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := c.AdmitAt(0, Job{Trace: tr, Terminals: terms}); err != nil {
+					t.Fatal(err)
+				}
+				ts := c.Telemetry()
+				what := func(i int) string {
+					return fmt.Sprintf("%s mode=%d fail=%v %s", fabric, mode, fail, names[i])
+				}
+				for i, name := range names {
+					id, _ := ts.Lookup(name)
+					got, want := ts.Sketch(id), tee.sk[i]
+					if want.Count() == 0 && (i < 2 || topology.IsUpDown(topo)) {
+						t.Errorf("%s: no reservations", what(i))
+					}
+					if got.Count() != want.Count() {
+						t.Errorf("%s: count %d, tee %d", what(i), got.Count(), want.Count())
+					}
+					for _, v := range [][2]float64{
+						{got.Sum(), want.Sum()}, {got.Mean(), want.Mean()},
+						{got.Min(), want.Min()}, {got.Max(), want.Max()},
+						{got.P50(), want.P50()}, {got.P95(), want.P95()}, {got.P99(), want.P99()},
+					} {
+						if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+							t.Errorf("%s: sketch %v, tee %v", what(i), got, want)
+							break
+						}
+					}
+				}
+				mirrored := func(a, b string) bool {
+					ia, _ := ts.Lookup(a)
+					ib, _ := ts.Lookup(b)
+					return ts.Sketch(ia) == ts.Sketch(ib)
+				}
+				if !mirrored("util.hostdn", "util.hostup") {
+					t.Errorf("%s: util.hostdn keeps its own sketch", fabric)
+				}
+				if mirrored("util.down", "util.up") != topology.IsUpDown(topo) {
+					t.Errorf("%s: util.down mirrors util.up: %v, fabric up*/down*: %v",
+						fabric, mirrored("util.down", "util.up"), topology.IsUpDown(topo))
+				}
+			}
+		}
 	}
 }

@@ -51,16 +51,16 @@ func (ts *TimeSeries) Snapshot() *TimeSeriesDoc {
 		Series:  make([]SeriesSnapshot, len(ts.s)),
 	}
 	for i := range ts.s {
-		se := &ts.s[i]
+		se, sk := &ts.s[i], ts.sketch(SeriesID(i))
 		kind := "sample"
 		if se.span {
 			kind = "span"
 		}
 		snap := SeriesSnapshot{
 			Name: se.name, Unit: se.unit, Kind: kind,
-			Count: se.sk.Count(),
-			Mean:  se.sk.Mean(), Min: se.sk.Min(), Max: se.sk.Max(),
-			P50: se.sk.P50(), P95: se.sk.P95(), P99: se.sk.P99(),
+			Count: sk.Count(),
+			Mean:  sk.Mean(), Min: sk.Min(), Max: sk.Max(),
+			P50: sk.P50(), P95: sk.P95(), P99: sk.P99(),
 			Counts: make([]int64, ts.used),
 			Sums:   make([]float64, ts.used),
 		}
@@ -97,7 +97,7 @@ func (ts *TimeSeries) WriteProm(w io.Writer, prefix string) error {
 	}
 	ts.settle()
 	for i := range ts.s {
-		se := &ts.s[i]
+		se, sk := &ts.s[i], ts.sketch(SeriesID(i))
 		name := promName(prefix, se.name)
 		if _, err := fmt.Fprintf(w, "# HELP %s %s (%s)\n# TYPE %s summary\n",
 			name, se.name, se.unit, name); err != nil {
@@ -106,14 +106,14 @@ func (ts *TimeSeries) WriteProm(w io.Writer, prefix string) error {
 		for _, q := range [3]struct {
 			phi string
 			v   float64
-		}{{"0.5", se.sk.P50()}, {"0.95", se.sk.P95()}, {"0.99", se.sk.P99()}} {
+		}{{"0.5", sk.P50()}, {"0.95", sk.P95()}, {"0.99", sk.P99()}} {
 			if _, err := fmt.Fprintf(w, "%s{quantile=\"%s\"} %s\n",
 				name, q.phi, promFloat(q.v)); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n",
-			name, promFloat(se.sk.Sum()), name, se.sk.Count()); err != nil {
+			name, promFloat(sk.Sum()), name, sk.Count()); err != nil {
 			return err
 		}
 	}

@@ -29,6 +29,15 @@ type SeriesID int32
 // proportionally to bucket overlap — link busy seconds, low-power
 // link-seconds — and its sketch summarizes the per-span weights.
 //
+// A mirror (AddSpanMirror) is a span series whose per-span weights are
+// known to equal, one for one and in the same order, those of an earlier
+// span series, its leader: replay telemetry's switch→terminal links carry
+// exactly the spans of the terminal→switch links, for instance. A mirror
+// fills its own buckets, but the applier skips its sketch update, and every
+// reader (Sketch, Snapshot, WriteProm) reports the leader's sketch for it:
+// the same sketch the mirror would have computed, for one set of P² updates
+// instead of two. The caller vouches for the equality; nothing checks it.
+//
 // Recording is pipelined. Record and RecordSpan only append the call to a
 // batch; full batches queue, in order, for one applier goroutine that runs
 // the bucket and sketch updates while the caller keeps simulating, and
@@ -90,7 +99,8 @@ type tsSeries struct {
 	name  string
 	unit  string
 	span  bool
-	sk    Sketch
+	skOf  SeriesID  // whose sketch this series reports: itself, or its leader
+	sk    Sketch    // unused by a mirror
 	count []int64   // per-bucket samples (or overlapping spans)
 	sum   []float64 // per-bucket compensated sum (or span weight)
 	comp  []float64 // per-bucket Neumaier compensation for sum
@@ -122,25 +132,41 @@ func NewTimeSeries(tick time.Duration, maxBuckets int) *TimeSeries {
 // be registered before recording begins; registration allocates the
 // series' whole bucket ring up front.
 func (ts *TimeSeries) AddSeries(name, unit string) SeriesID {
-	return ts.add(name, unit, false)
+	return ts.add(name, unit, false, -1)
 }
 
 // AddSpanSeries registers a span series (see the type comment).
 func (ts *TimeSeries) AddSpanSeries(name, unit string) SeriesID {
-	return ts.add(name, unit, true)
+	return ts.add(name, unit, true, -1)
 }
 
-func (ts *TimeSeries) add(name, unit string, span bool) SeriesID {
+// AddSpanMirror registers a span series that mirrors leader's sketch (see
+// the type comment): the caller guarantees that the weights recorded on the
+// new series equal, in order, those recorded on leader. leader must be a
+// registered span series that mirrors no other; anything else panics.
+func (ts *TimeSeries) AddSpanMirror(name, unit string, leader SeriesID) SeriesID {
+	if uint(leader) >= uint(len(ts.s)) || !ts.s[leader].span || ts.s[leader].skOf != leader {
+		panic(fmt.Sprintf("stats: mirror %q of series %d, which is no registered leading span series", name, leader))
+	}
+	return ts.add(name, unit, true, leader)
+}
+
+// add registers a series; leader < 0 gives it its own sketch.
+func (ts *TimeSeries) add(name, unit string, span bool, leader SeriesID) SeriesID {
 	ts.settle()
+	id := SeriesID(len(ts.s))
+	if leader < 0 {
+		leader = id
+	}
 	se := tsSeries{
-		name: name, unit: unit, span: span,
+		name: name, unit: unit, span: span, skOf: leader,
 		count: make([]int64, ts.maxBuckets),
 		sum:   make([]float64, ts.maxBuckets),
 		comp:  make([]float64, ts.maxBuckets),
 	}
 	se.sk.Init()
 	ts.s = append(ts.s, se)
-	return SeriesID(len(ts.s) - 1)
+	return id
 }
 
 // Tick returns the current bucket width (it grows by doubling).
@@ -167,14 +193,17 @@ func (ts *TimeSeries) Unit(id SeriesID) string { return ts.s[id].unit }
 // IsSpan reports whether the series records spans rather than samples.
 func (ts *TimeSeries) IsSpan(id SeriesID) bool { return ts.s[id].span }
 
-// Sketch returns the series' run-wide sketch. The pointer aliases live
-// state and is valid until the next Record or RecordSpan, after which the
-// applier may be updating it: read it again through Sketch. Callers must
-// not Add through it.
+// Sketch returns the series' run-wide sketch; a mirror's is its leader's.
+// The pointer aliases live state and is valid until the next Record or
+// RecordSpan, after which the applier may be updating it: read it again
+// through Sketch. Callers must not Add through it.
 func (ts *TimeSeries) Sketch(id SeriesID) *Sketch {
 	ts.settle()
-	return &ts.s[id].sk
+	return ts.sketch(id)
 }
+
+// sketch returns the sketch series id reports, its own or its leader's.
+func (ts *TimeSeries) sketch(id SeriesID) *Sketch { return &ts.s[ts.s[id].skOf].sk }
 
 // BucketCount returns the sample (or overlapping-span) count of bucket b.
 func (ts *TimeSeries) BucketCount(id SeriesID, b int) int64 {
@@ -349,13 +378,16 @@ func (ts *TimeSeries) record(id SeriesID, t time.Duration, v float64) {
 	se.sum[b], se.comp[b] = neumaierAdd(se.sum[b], se.comp[b], v)
 }
 
-// recordSpan applies one finite span weight.
+// recordSpan applies one finite span weight; a mirror's sketch update is
+// skipped, since its leader's sketch already absorbs the same weight.
 func (ts *TimeSeries) recordSpan(id SeriesID, t0, t1 time.Duration, w float64) {
 	if t1 < t0 {
 		t0, t1 = t1, t0
 	}
 	se := &ts.s[id]
-	se.sk.add(w)
+	if se.skOf == id {
+		se.sk.add(w)
+	}
 	if t0 < 0 {
 		t0 = 0
 	}

@@ -308,6 +308,103 @@ func TestTimeSeriesMidStreamReadsLeaveDocument(t *testing.T) {
 	}
 }
 
+// recordMirrored records n pseudo-random span weights twice each, on lead
+// and, shifted half a millisecond later and twice as long, on second, with
+// a sample series in between, so the two series' buckets differ while
+// their weight streams are equal. after, when non-nil, runs after every
+// weight.
+func recordMirrored(ts *TimeSeries, lead, second, sample SeriesID, n int, after func()) {
+	r := rand.New(rand.NewSource(3))
+	var at time.Duration
+	for i := 0; i < n; i++ {
+		at += time.Duration(r.Intn(40)) * time.Microsecond
+		d := time.Duration(r.Intn(3000)) * time.Microsecond
+		w := d.Seconds()
+		ts.RecordSpan(lead, at, at+d, w)
+		ts.Record(sample, at, r.NormFloat64())
+		ts.RecordSpan(second, at+500*time.Microsecond, at+500*time.Microsecond+2*d, w)
+		if after != nil {
+			after()
+		}
+	}
+}
+
+// TestTimeSeriesMirror checks a mirror against an independent series fed
+// the same weights: pipelined and settled after every record alike, the
+// mirror fills its own buckets, reports its leader's sketch, and the
+// recorder's JSON and Prometheus documents are byte-identical to the
+// independent recorder's.
+func TestTimeSeriesMirror(t *testing.T) {
+	const n = tsBatches * tsBatchLen / 2 // the stream spans every batch of the queue
+	build := func(mirror, settle bool) (*TimeSeries, SeriesID, SeriesID) {
+		ts := NewTimeSeries(time.Millisecond, 64)
+		lead := ts.AddSpanSeries("lead", "s")
+		sample := ts.AddSeries("v", "x")
+		var second SeriesID
+		if mirror {
+			second = ts.AddSpanMirror("second", "s", lead)
+		} else {
+			second = ts.AddSpanSeries("second", "s")
+		}
+		var after func()
+		if settle {
+			after = func() { ts.Buckets() }
+		}
+		recordMirrored(ts, lead, second, sample, n, after)
+		return ts, lead, second
+	}
+	docs := func(ts *TimeSeries) (string, string) {
+		var j, p bytes.Buffer
+		if err := ts.WriteJSON(&j); err != nil {
+			t.Fatal(err)
+		}
+		if err := ts.WriteProm(&p, ""); err != nil {
+			t.Fatal(err)
+		}
+		return j.String(), p.String()
+	}
+	ref, _, _ := build(false, false)
+	wantJSON, wantProm := docs(ref)
+	for _, settle := range []bool{false, true} {
+		ts, lead, second := build(true, settle)
+		if ts.Sketch(second) != ts.Sketch(lead) {
+			t.Errorf("settle=%v: the mirror does not report its leader's sketch", settle)
+		}
+		if ts.Sketch(lead).Count() != n {
+			t.Errorf("settle=%v: leader sketch count %d, want %d", settle, ts.Sketch(lead).Count(), n)
+		}
+		if ts.BucketCount(second, 0) == ts.BucketCount(lead, 0) {
+			t.Errorf("settle=%v: the mirror's first bucket holds the leader's count %d", settle, ts.BucketCount(lead, 0))
+		}
+		gotJSON, gotProm := docs(ts)
+		if gotJSON != wantJSON {
+			t.Errorf("settle=%v: JSON document differs from the independent recorder's", settle)
+		}
+		if gotProm != wantProm {
+			t.Errorf("settle=%v: Prometheus document differs from the independent recorder's", settle)
+		}
+	}
+}
+
+// TestTimeSeriesMirrorBadLeaderPanics checks AddSpanMirror refuses a leader
+// that is unregistered, a sample series, or itself a mirror.
+func TestTimeSeriesMirrorBadLeaderPanics(t *testing.T) {
+	ts := NewTimeSeries(time.Millisecond, 8)
+	sample := ts.AddSeries("v", "x")
+	span := ts.AddSpanSeries("s", "s")
+	mirror := ts.AddSpanMirror("m", "s", span)
+	for _, leader := range []SeriesID{-1, 99, sample, mirror} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddSpanMirror with leader %d did not panic", leader)
+				}
+			}()
+			ts.AddSpanMirror("bad", "s", leader)
+		}()
+	}
+}
+
 // TestTimeSeriesApplierExits drops a recorder mid-stream, never read, and
 // checks the goroutine count returns to where it started once the queue
 // drains: the applier does not outlive its work.

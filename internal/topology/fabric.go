@@ -67,6 +67,23 @@ type Fabric interface {
 	RouteIDsFromDraws(buf []LinkID, src, dst int, draws []int) []LinkID
 }
 
+// IsUpDown reports whether f declares its routing up*/down*: every path
+// RouteIDsInto and RouteIDsFromDraws build, and every RouteIDsAvoiding
+// detour of a FaultRouter, climbs its switch-to-switch links flagged
+// LinkUp first and then descends exactly as many other switch-to-switch
+// links. A fabric declares it with an optional method UpDown() bool that
+// returns true; it is not part of Fabric. Any fabric's path starts on the
+// source's host up-link and ends on the destination's host down-link; an
+// up*/down* fabric's paths are moreover balanced between switch up- and
+// down-links, so the two classes see the same reservations (replay
+// telemetry computes one util.up/util.down sketch for both). The XGFT
+// family declares it; dragonflies and tori, whose routes run laterally or
+// wrap, do not.
+func IsUpDown(f Fabric) bool {
+	u, ok := f.(interface{ UpDown() bool })
+	return ok && u.UpDown()
+}
+
 // DefaultFabric is the registry entry used when no fabric is named: the
 // paper's XGFT(2;18,14;1,18).
 const DefaultFabric = "xgft"

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -139,6 +140,84 @@ func TestRouteAvoidingNeverTraversesFaults(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkMirrorInvariants asserts the two route properties replay telemetry's
+// mirrored sketches rely on: a route between distinct terminals starts on a
+// host up-link out of src, ends on a host down-link into dst, and touches
+// no other host link; on a fabric declared up*/down* it also holds as many
+// switch up-links as other switch-to-switch links.
+func checkMirrorInvariants(t *testing.T, f Fabric, src, dst int, path []LinkID) {
+	t.Helper()
+	if src == dst {
+		return
+	}
+	tab := f.Table()
+	last := len(path) - 1
+	if last < 1 {
+		t.Fatalf("%s: route %d->%d has %d links", f.Name(), src, dst, len(path))
+	}
+	if tab.Kind[path[0]]&LinkFromSwitch != 0 || tab.From[path[0]] != tab.From[f.HostLinkID(src)] {
+		t.Fatalf("%s: route %d->%d does not start on a host up-link of %d", f.Name(), src, dst, src)
+	}
+	if tab.Kind[path[last]]&LinkToSwitch != 0 || tab.To[path[last]] != tab.From[f.HostLinkID(dst)] {
+		t.Fatalf("%s: route %d->%d does not end on a host down-link of %d", f.Name(), src, dst, dst)
+	}
+	ups, downs := 0, 0
+	for i, id := range path[1:last] {
+		if !tab.SwitchToSwitch(id) {
+			t.Fatalf("%s: route %d->%d holds host link %d at hop %d", f.Name(), src, dst, id, i+1)
+		}
+		if tab.IsUp(id) {
+			ups++
+		} else {
+			downs++
+		}
+	}
+	if IsUpDown(f) && ups != downs {
+		t.Fatalf("%s: up*/down* route %d->%d climbs %d switch links and descends %d", f.Name(), src, dst, ups, downs)
+	}
+}
+
+// TestRouteMirrorInvariants checks checkMirrorInvariants on every registered
+// fabric, over healthy routes (random and deterministic draws) and over
+// RouteIDsAvoiding detours under seeded fault sets. The XGFT presets are the
+// fabrics declared up*/down*; dragonflies and tori are not.
+func TestRouteMirrorInvariants(t *testing.T) {
+	declared, detours := 0, 0
+	for _, name := range Names() {
+		f := MustNamed(name)
+		_, fat := f.(*XGFT)
+		if IsUpDown(f) != fat {
+			t.Errorf("%s: IsUpDown = %v", name, IsUpDown(f))
+		}
+		if IsUpDown(f) {
+			declared++
+		}
+		rng := rand.New(rand.NewSource(7))
+		for _, p := range sampledPairs(f, 200, 5) {
+			checkMirrorInvariants(t, f, p[0], p[1], f.RouteIDsInto(nil, p[0], p[1], rng))
+			checkMirrorInvariants(t, f, p[0], p[1], f.RouteIDsInto(nil, p[0], p[1], nil))
+		}
+		fr := f.(FaultRouter)
+		for trial := int64(0); trial < 4; trial++ {
+			fs := NewFaultSet(f)
+			failRandom(f, fs, 3+int(trial)*2, int(trial), 200+trial)
+			rng := rand.New(rand.NewSource(trial))
+			for _, p := range sampledPairs(f, 60, trial) {
+				draws := f.RouteDraws(nil, p[0], p[1], rng)
+				if path, ok := fr.RouteIDsAvoiding(nil, p[0], p[1], draws, fs); ok {
+					checkMirrorInvariants(t, f, p[0], p[1], path)
+					if !slices.Equal(path, f.RouteIDsFromDraws(nil, p[0], p[1], draws)) {
+						detours++
+					}
+				}
+			}
+		}
+	}
+	if declared == 0 || detours == 0 {
+		t.Errorf("%d fabrics declared up*/down*, %d detours checked: a check never ran", declared, detours)
 	}
 }
 

@@ -211,6 +211,11 @@ func (t *XGFT) RoutingBytes() int64 {
 	return b
 }
 
+// UpDown declares XGFT routing up*/down* (IsUpDown): a fat-tree route,
+// healthy or a detour, ascends to a common ancestor and descends the same
+// number of levels.
+func (t *XGFT) UpDown() bool { return true }
+
 // HostLinkID returns the directed link from terminal i into its leaf switch.
 func (t *XGFT) HostLinkID(i int) LinkID { return t.up[0][i*t.W[0]] }
 
