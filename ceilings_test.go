@@ -42,11 +42,11 @@ var hotPaths = []struct {
 	{"ScenarioChurn", scenarioChurn, 1000, 0, 0},
 	{"ChurnWithFaults", churnWithFaults, 1000, 0, 0},
 	{"TimeSeriesRecord", timeSeriesRecord, 1000, 0, 0},
-	{"ReplayAlya16", replayAlya16, 5, 497, 89_938},
-	{"ReplayTelemetry", replayTelemetry, 5, 544, 2_290_253},
-	{"StreamReplay", streamReplay, 5, 513, 109_896},
-	{"Multijob", multijobReplay, 5, 503, 89_242},
-	{"BigFabricReplay", bigFabricReplay, 5, 497, 1_220_418},
+	{"ReplayAlya16", replayAlya16, 5, 497, 89_666},
+	{"ReplayTelemetry", replayTelemetry, 5, 544, 2_289_794},
+	{"StreamReplay", streamReplay, 5, 513, 109_634},
+	{"Multijob", multijobReplay, 5, 503, 88_986},
+	{"BigFabricReplay", bigFabricReplay, 5, 497, 1_220_170},
 	{"TableIII_GTChoice", gtChoice, 5, 112, 38_970},
 	{"GenerateFig7", generateFig7, 2, 336, 5_413_088},
 }

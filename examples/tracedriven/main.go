@@ -15,6 +15,7 @@ import (
 
 	"ibpower/internal/harness"
 	"ibpower/internal/replay"
+	"ibpower/internal/trace"
 	"ibpower/internal/workloads"
 )
 
@@ -32,7 +33,11 @@ func main() {
 	}
 	fmt.Printf("%s with %d processes: %d MPI calls across ranks\n", *app, *np, tr.NumCalls())
 
-	dist := tr.IdleDistribution()
+	dist, err := trace.SourceIdleDistribution(tr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("idle intervals: %d short (<20us), %d medium, %d long (>200us); long intervals hold %.2f%% of idle time\n",
 		dist.Count[0], dist.Count[1], dist.Count[2], dist.TimePct(2))
 

@@ -195,16 +195,8 @@ type (
 
 // Streaming telemetry types (internal/stats).
 type (
-	// P2Quantile is a Jain/Chlamtac P² streaming quantile estimator: any
-	// quantile φ in O(1) memory with no stored samples. Mergeable.
-	P2Quantile = stats.P2Quantile
-	// KahanMean is a compensated (Neumaier) streaming mean/sum accumulator.
-	KahanMean = stats.KahanMean
-	// Welford is an online mean/variance accumulator with a
-	// Chan/Golub/LeVeque parallel merge.
-	Welford = stats.Welford
 	// Sketch summarises a value stream: count, compensated mean, min, max
-	// and P² estimates of p50/p95/p99. Mergeable across shards.
+	// and P² estimates of p50/p95/p99.
 	Sketch = stats.Sketch
 	// TimeSeries is an interval-bucketed recorder of named series over
 	// simulated time: fixed tick, preallocated rings, zero allocations on
@@ -378,13 +370,6 @@ func FormatScenarioFaults(cs []FaultClause) string { return scenario.FormatFault
 func ChooseGT(tr *Trace) (gt time.Duration, hitRatePct float64, err error) {
 	return harness.ChooseGTParallel(tr, harness.DefaultGTGrid(), 1.0, 0)
 }
-
-// NewP2Quantile builds a P² estimator for quantile phi in [0,1].
-func NewP2Quantile(phi float64) P2Quantile { return stats.NewP2Quantile(phi) }
-
-// NewSketch builds a stream summary tracking count, mean, min, max and the
-// p50/p95/p99 quantile estimates.
-func NewSketch() *Sketch { return stats.NewSketch() }
 
 // NewTimeSeries builds an interval-bucketed telemetry recorder with the given
 // bucket width and ring capacity (buckets < 2 is clamped; the tick doubles and

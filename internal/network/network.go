@@ -113,12 +113,6 @@ func New(topo topology.Fabric, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Topology returns the underlying fabric.
-func (n *Network) Topology() topology.Fabric { return n.topo }
-
-// Config returns the active configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // BusyObserver receives every link reservation as it is made. Observers
 // must be cheap and allocation-free: the callback sits on the transfer hot
 // path. Reservations of one link arrive in non-decreasing start order, but
@@ -291,21 +285,5 @@ func (n *Network) LinkBusy(link topology.LinkID) time.Duration { return n.busy[l
 // per-link state slices (LinkBusy consumers) are sized by it.
 func (n *Network) NumLinks() int { return n.topo.NumLinks() }
 
-// HostLinkID returns the directed link from terminal t into its first-hop
-// switch.
-func (n *Network) HostLinkID(t int) topology.LinkID { return n.topo.HostLinkID(t) }
-
 // Stats returns transfer counters.
 func (n *Network) Stats() (transfers int, bytes int64) { return n.transfers, n.bytes }
-
-// Reset clears link occupancy and counters (topology is preserved).
-func (n *Network) Reset() {
-	for i := range n.nextFree {
-		n.nextFree[i] = 0
-		n.busy[i] = 0
-	}
-	n.transfers = 0
-	n.bytes = 0
-	n.unroutable = 0
-	n.rng = rand.New(rand.NewSource(n.cfg.Seed))
-}

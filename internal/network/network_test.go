@@ -84,16 +84,16 @@ func TestNetworkOverEveryFabric(t *testing.T) {
 		}
 		last := f.NumTerminals() - 1
 		arr, _ := n.Transfer(0, last, 4096, 0)
-		if min := n.Config().MPILatency + n.SerTime(4096); arr < min {
+		if min := n.cfg.MPILatency + n.SerTime(4096); arr < min {
 			t.Errorf("%s: arrival %v below floor %v", name, arr, min)
 		}
-		if up := n.HostLinkID(last); up != f.HostLinkID(last) || !f.Table().IsUp(up) {
+		if !f.Table().IsUp(f.HostLinkID(last)) {
 			t.Errorf("%s: HostLinkID(%d) resolves the wrong link", name, last)
 		}
 		if n.NumLinks() != f.NumLinks() {
 			t.Errorf("%s: NumLinks = %d, want %d", name, n.NumLinks(), f.NumLinks())
 		}
-		if n.LinkBusy(n.HostLinkID(0)) <= 0 {
+		if n.LinkBusy(f.HostLinkID(0)) <= 0 {
 			t.Errorf("%s: transfer left the source host link idle", name)
 		}
 	}
@@ -214,7 +214,7 @@ func TestSegmentLevelZeroBytes(t *testing.T) {
 
 func TestBusyAccounting(t *testing.T) {
 	n := newNet(t, MessageLevel)
-	up := n.HostLinkID(0)
+	up := n.topo.HostLinkID(0)
 	n.Transfer(0, 1, 1<<20, 0)
 	if n.LinkBusy(up) != n.SerTime(1<<20) {
 		t.Errorf("uplink busy = %v, want %v", n.LinkBusy(up), n.SerTime(1<<20))
@@ -224,19 +224,6 @@ func TestBusyAccounting(t *testing.T) {
 	seg.Transfer(0, 1, 2048+100, 0)
 	if want := seg.SerTime(2048) + seg.SerTime(100); seg.LinkBusy(up) != want {
 		t.Errorf("segmented uplink busy = %v, want %v", seg.LinkBusy(up), want)
-	}
-}
-
-func TestReset(t *testing.T) {
-	n := newNet(t, MessageLevel)
-	n.Transfer(0, 1, 4096, 0)
-	n.Reset()
-	tr, by := n.Stats()
-	if tr != 0 || by != 0 {
-		t.Error("stats not cleared by Reset")
-	}
-	if n.LinkBusy(n.HostLinkID(0)) != 0 {
-		t.Error("busy not cleared by Reset")
 	}
 }
 

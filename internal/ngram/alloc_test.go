@@ -79,7 +79,7 @@ func TestObserveGapAfterDetectNoAllocs(t *testing.T) {
 			t.Errorf("ObserveGap allocated %.1f/op, want 0", allocs)
 		}
 	}
-	if fresh.MeanGap(0) == 0 || fresh.SafeGap(fresh.Size()-1) == 0 {
+	if fresh.gaps[0].n == 0 || fresh.SafeGap(fresh.Size()-1) == 0 {
 		t.Error("observed gaps left no estimate")
 	}
 }

@@ -166,10 +166,6 @@ func (d *Detector) Predicting() bool { return d.active != nil }
 // Active returns the pattern currently driving predictions, or nil.
 func (d *Detector) Active() *Pattern { return d.active }
 
-// Phase returns the index within the active pattern of the next expected
-// gram.
-func (d *Detector) Phase() int { return d.phase }
-
 // Expected returns the raw event-ID bytes of the next expected gram while
 // predicting: string(ids) == exp tells whether the events ids match it,
 // without allocating.
@@ -200,17 +196,6 @@ func (d *Detector) Stats() DetectorStats {
 		s.MaxPatternFrozen = d.maxSize
 	}
 	return s
-}
-
-// Patterns returns the current run's pattern list keyed by pattern key. The
-// map is built on each call; the patterns are live (callers must not mutate
-// them).
-func (d *Detector) Patterns() map[string]*Pattern {
-	pl := make(map[string]*Pattern, len(d.detected))
-	for _, p := range d.detected {
-		pl[p.Key()] = p
-	}
-	return pl
 }
 
 // AddGram feeds one finalized gram. It returns true when this gram switched

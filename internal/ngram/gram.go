@@ -89,9 +89,6 @@ func (b *Builder) Reset(gt time.Duration) {
 	*b = Builder{gt: gt, hi: math.MaxInt64, cur: b.cur[:0], spare: b.spare[:0]}
 }
 
-// GT returns the grouping threshold.
-func (b *Builder) GT() time.Duration { return b.gt }
-
 // GTInterval returns the interval (lo, hi] of grouping thresholds that make
 // the same decision as GT at every comparison made so far: lo is the largest
 // compared idle time below GT (0 if none) and hi the smallest compared idle

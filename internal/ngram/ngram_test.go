@@ -327,14 +327,11 @@ func TestPatternGapEstimates(t *testing.T) {
 	p.ObserveGap(0, 100*us)
 	p.ObserveGap(0, 200*us)
 	p.ObserveGap(0, 150*us)
-	if m := p.MeanGap(0); m != 150*us {
-		t.Errorf("MeanGap = %v, want 150µs", m)
-	}
 	if s := p.SafeGap(0); s != 100*us {
 		t.Errorf("SafeGap = %v, want 100µs", s)
 	}
 	p.ObserveGap(5, 100*us) // beyond the pattern: ignored
-	if p.MeanGap(5) != 0 || p.SafeGap(5) != 0 || p.MeanGap(1) != 0 || p.SafeGap(1) != 0 {
+	if p.SafeGap(5) != 0 || p.SafeGap(1) != 0 {
 		t.Error("out-of-range and unobserved gap estimates must be zero")
 	}
 	// The window holds gapWindow entries: old minima age out.
@@ -434,13 +431,12 @@ func TestDetectorStatsPatternList(t *testing.T) {
 	d := NewDetector(0)
 	ids, gaps := periodicStream([]EventID{1, 2}, 100*us, 6)
 	feed(t, b, d, ids, gaps)
-	if n := len(d.Patterns()); n == 0 || n != d.Stats().PatternListSize {
-		t.Errorf("pattern list holds %d patterns, Stats reports %d", n, d.Stats().PatternListSize)
+	keys := map[string]bool{}
+	for _, p := range d.detected {
+		keys[p.Key()] = true
 	}
-	for k, p := range d.Patterns() {
-		if p.Key() != k {
-			t.Errorf("pattern map key %q != pattern key %q", k, p.Key())
-		}
+	if n := len(keys); n == 0 || n != d.Stats().PatternListSize {
+		t.Errorf("pattern list holds %d distinct patterns, Stats reports %d", n, d.Stats().PatternListSize)
 	}
 }
 
@@ -544,7 +540,7 @@ type detectorView struct {
 
 func viewOf(d *Detector) detectorView {
 	v := detectorView{Total: d.total, RunLen: d.runLen, Patterns: map[string]patternView{},
-		Phase: d.Phase(), Wildcard: d.wildcard, Stats: d.Stats()}
+		Phase: d.phase, Wildcard: d.wildcard, Stats: d.Stats()}
 	for slot, e := range d.hist {
 		if slot < d.total { // written this run
 			v.Hist = append(v.Hist, fmt.Sprint(GramKey([]EventID(d.defs[e.id])), "/", e.gap))
@@ -552,8 +548,8 @@ func viewOf(d *Detector) detectorView {
 			v.Hist = append(v.Hist, fmt.Sprint("raw ", e))
 		}
 	}
-	for k, p := range d.Patterns() {
-		v.Patterns[k] = patternView{p.Freq, p.NumCalls, p.Detected, p.gaps}
+	for _, p := range d.detected {
+		v.Patterns[p.Key()] = patternView{p.Freq, p.NumCalls, p.Detected, p.gaps}
 	}
 	for _, p := range d.detected {
 		v.Detected = append(v.Detected, p.Key())
@@ -618,8 +614,8 @@ func TestBuilderDetectorReset(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("run %d: reset builder formed %d grams, differing from a fresh builder's %d", i, len(got), len(want))
 		}
-		if lo, hi := b.GTInterval(); b.GT() != fb.GT() || lo != fb.lo || hi != fb.hi {
-			t.Errorf("run %d: GT %v interval (%v, %v], want %v (%v, %v]", i, b.GT(), lo, hi, fb.GT(), fb.lo, fb.hi)
+		if lo, hi := b.GTInterval(); b.gt != fb.gt || lo != fb.lo || hi != fb.hi {
+			t.Errorf("run %d: GT %v interval (%v, %v], want %v (%v, %v]", i, b.gt, lo, hi, fb.gt, fb.lo, fb.hi)
 		}
 		if got, want := viewOf(d), viewOf(fd); !reflect.DeepEqual(got, want) {
 			t.Errorf("run %d: reset detector\n%+v\nwant a fresh detector's\n%+v", i, got, want)

@@ -27,15 +27,13 @@ type Pattern struct {
 // gapWindow is the number of recent observations kept per gap position.
 const gapWindow = 8
 
-// gapStat accumulates the idle times observed before one gram of a pattern.
-// Predictions use the running average over previous appearances (Section
-// III-B: "these times are averaged over previous appearances") and the
-// minimum over the last gapWindow observations, kept in a ring overwritten
-// in place, so that the link is back up before even the fastest recent
-// occurrence of the gap — the paper's "better to power up a link little
-// bit earlier than needed" policy taken to its safe side.
+// gapStat keeps the idle times observed before one gram of a pattern: the
+// last gapWindow observations, in a ring overwritten in place. Predictions
+// use their minimum, not the paper's average over previous appearances
+// (Section III-B), so that the link is back up before even the fastest
+// recent occurrence of the gap — the paper's "better to power up a link
+// little bit earlier than needed" policy taken to its safe side.
 type gapStat struct {
-	sum time.Duration
 	n   int // observations so far; the ring holds min(n, gapWindow)
 	win [gapWindow]time.Duration
 }
@@ -59,18 +57,9 @@ func (p *Pattern) Key() string {
 	return b.String()
 }
 
-// MeanGap returns the average idle time observed before gram index i of the
-// pattern (i == 0 is the gap separating consecutive pattern appearances),
-// or 0 when none has been observed there.
-func (p *Pattern) MeanGap(i int) time.Duration {
-	if i < 0 || i >= len(p.gaps) || p.gaps[i].n == 0 {
-		return 0
-	}
-	return p.gaps[i].sum / time.Duration(p.gaps[i].n)
-}
-
-// ObserveGap folds a newly observed idle time before gram index i into the
-// running average. Inter-communication intervals keep being updated while
+// ObserveGap records a newly observed idle time before gram index i of the
+// pattern (i == 0 is the gap separating consecutive pattern appearances)
+// in its window. Inter-communication intervals keep being updated while
 // the power mode control component is active (Section III: "Just
 // inter-communication intervals continue to be updated with the new values
 // allowing more accurate transition between power modes"). An index outside
@@ -81,7 +70,6 @@ func (p *Pattern) ObserveGap(i int, gap time.Duration) {
 	}
 	g := &p.gaps[i]
 	g.win[g.n%gapWindow] = gap
-	g.sum += gap
 	g.n++
 }
 

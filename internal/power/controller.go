@@ -77,9 +77,6 @@ func (c *Controller) Timeline() *trace.Timeline { return c.timeline }
 // stay allocation-free.
 func (c *Controller) Observe(fn func(m Mode, from, to time.Duration)) { c.observe = fn }
 
-// Treact returns the configured lane transition time.
-func (c *Controller) Treact() time.Duration { return c.treact }
-
 // Mode returns the power mode at time t (t must be >= the last event time).
 func (c *Controller) Mode(t time.Duration) Mode {
 	c.catchUp(t)

@@ -123,14 +123,3 @@ func (a Accounting) MeanPowerFraction() float64 {
 func (a Accounting) Energy(nominalWatts float64) float64 {
 	return nominalWatts * a.MeanPowerFraction() * a.Total().Seconds()
 }
-
-// Merge accumulates other into a.
-func (a *Accounting) Merge(other Accounting) {
-	a.Full += other.Full
-	a.Low += other.Low
-	a.Shift += other.Shift
-	a.Deep += other.Deep
-	if a.DeepFraction == 0 {
-		a.DeepFraction = other.DeepFraction
-	}
-}

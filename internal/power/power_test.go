@@ -44,15 +44,6 @@ func TestAccountingEmpty(t *testing.T) {
 	}
 }
 
-func TestAccountingMerge(t *testing.T) {
-	a := Accounting{Full: 1 * us, Low: 2 * us, Shift: 3 * us}
-	b := Accounting{Full: 10 * us, Low: 20 * us, Shift: 30 * us}
-	a.Merge(b)
-	if a.Full != 11*us || a.Low != 22*us || a.Shift != 33*us {
-		t.Errorf("Merge = %+v", a)
-	}
-}
-
 func TestControllerTimerWakeCycle(t *testing.T) {
 	c := NewController(Treact)
 	// Shutdown at t=0 with a 100 µs predicted idle.

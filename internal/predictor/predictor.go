@@ -212,9 +212,6 @@ func MustNew(cfg Config) *NGram {
 	return p
 }
 
-// Config returns the active configuration.
-func (p *NGram) Config() Config { return p.cfg }
-
 // Predicting reports whether the power mode control component is active.
 func (p *NGram) Predicting() bool { return p.detector.Predicting() }
 

@@ -32,13 +32,9 @@ type rankState struct {
 	callStart time.Duration
 	micro     []trace.Step // the call's steps; the rank's own buffer, reused per call
 	mi        int
-	issued    bool
-	needSend  bool
-	needRecv  bool
-	sendDone  time.Duration
-	recvDone  time.Duration
-	haveSend  bool
-	haveRecv  bool
+	issued    bool          // the current step's halves are posted
+	pending   int           // of those, the halves resolve has not completed
+	stepDone  time.Duration // the step's latest completion so far; starts at clk
 
 	// Matching slots: the rank's unmatched send half and unmatched receive
 	// half, each addressed by the peer's global index, or -1 when empty.
@@ -266,28 +262,27 @@ func (e *engine) stepMicro(rs *rankState) bool {
 	}
 	m := rs.micro[rs.mi]
 	if !rs.issued {
+		// The count is complete before either half is posted: a post may
+		// resolve at once and complete a half of this very step.
 		rs.issued = true
-		rs.needSend = m.Send >= 0
-		rs.needRecv = m.Recv >= 0
-		rs.haveSend = !rs.needSend
-		rs.haveRecv = !rs.needRecv
-		if rs.needSend {
+		rs.pending, rs.stepDone = 0, rs.clk
+		if m.Send >= 0 {
+			rs.pending++
+		}
+		if m.Recv >= 0 {
+			rs.pending++
+		}
+		if m.Send >= 0 {
 			e.postSend(rs.g, rs.base+m.Send, m.Bytes, rs.clk)
 		}
-		if rs.needRecv {
+		if m.Recv >= 0 {
 			e.postRecv(rs.g, rs.base+m.Recv, rs.clk)
 		}
 	}
-	if !rs.haveSend || !rs.haveRecv {
+	if rs.pending > 0 {
 		return false
 	}
-	t := rs.sendDone
-	if rs.recvDone > t {
-		t = rs.recvDone
-	}
-	if t > rs.clk {
-		rs.clk = t
-	}
+	rs.clk = rs.stepDone
 	rs.mi++
 	rs.issued = false
 	if rs.mi >= len(rs.micro) {
@@ -376,12 +371,12 @@ func (e *engine) resolve(src, dst, bytes int, sendReady, recvReady time.Duration
 	arrival, ser := e.net.Transfer(s.term, d.term, bytes, t0)
 	s.jb.transfers++
 	s.jb.bytes += int64(bytes)
-	s.sendDone, s.haveSend = t0+ser, true
-	d.recvDone, d.haveRecv = arrival, true
-	if s.haveRecv || !s.needRecv {
+	s.stepDone = max(s.stepDone, t0+ser)
+	if s.pending--; s.pending == 0 {
 		e.push(src)
 	}
-	if d.haveSend || !d.needSend {
+	d.stepDone = max(d.stepDone, arrival)
+	if d.pending--; d.pending == 0 {
 		e.push(dst)
 	}
 }

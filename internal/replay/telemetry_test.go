@@ -202,7 +202,8 @@ func TestTelemetryMirrorsMatchTee(t *testing.T) {
 				}
 				tee := &teeBusy{tele: c.e.tele, tab: topo.Table()}
 				for i := range tee.sk {
-					tee.sk[i] = stats.NewSketch()
+					tee.sk[i] = new(stats.Sketch)
+					tee.sk[i].Init()
 				}
 				c.e.net.Observe(tee)
 				if fail {

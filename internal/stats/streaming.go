@@ -26,11 +26,6 @@ type P2Quantile struct {
 	pos [5]int64   // actual marker positions (1-based ranks)
 	des [5]float64 // desired marker positions
 	inc [5]float64 // per-observation desired-position increments
-
-	// Merge folds other estimators in as count-weighted frozen estimates
-	// (see Merge); they never perturb the live marker state.
-	mavg float64 // count-weighted mean of merged shard estimates
-	mn   int64   // Σ count_i over merged shards
 }
 
 // NewP2Quantile returns an estimator for the φ-quantile (0 <= phi <= 1;
@@ -51,11 +46,8 @@ func NewP2Quantile(phi float64) P2Quantile {
 	}
 }
 
-// Phi returns the quantile the estimator tracks.
-func (p *P2Quantile) Phi() float64 { return p.phi }
-
-// Count returns the number of samples absorbed, including merged shards.
-func (p *P2Quantile) Count() int64 { return p.n + p.mn }
+// Count returns the number of samples absorbed.
+func (p *P2Quantile) Count() int64 { return p.n }
 
 // Add absorbs one sample. Non-finite values are ignored.
 func (p *P2Quantile) Add(x float64) {
@@ -173,8 +165,10 @@ func (p *P2Quantile) linearHalved(i int, s int64) float64 {
 	return math.Min(math.Max(2*half, math.Min(p.q[i], p.q[j])), math.Max(p.q[i], p.q[j]))
 }
 
-// own returns the estimate over this estimator's directly observed samples.
-func (p *P2Quantile) own() float64 {
+// Quantile returns the current estimate: the P² marker height once five
+// samples are in, the exact nearest-rank quantile before that, and 0 before
+// the first sample.
+func (p *P2Quantile) Quantile() float64 {
 	if p.n >= 5 {
 		return p.q[2]
 	}
@@ -191,50 +185,6 @@ func (p *P2Quantile) own() float64 {
 		rank = 0
 	}
 	return cp[rank]
-}
-
-// Quantile returns the current estimate: the P² marker height for the
-// directly observed stream, combined count-weighted with any merged shards.
-// It returns 0 before the first sample.
-func (p *P2Quantile) Quantile() float64 {
-	switch {
-	case p.mn == 0:
-		return p.own()
-	case p.n == 0:
-		return p.mavg
-	}
-	return weighted(p.own(), p.n, p.mavg, p.mn)
-}
-
-// weighted returns the count-weighted combination of two estimates in
-// convex-combination form: each term is bounded by max(|a|, |b|), so the
-// result cannot overflow even for estimates near ±MaxFloat64 (a naive
-// Σ estimateᵢ·countᵢ does). The two roundings can land the sum an ulp
-// outside [a, b], so it is clamped back: the result always lies between a
-// and b.
-func weighted(a float64, an int64, b float64, bn int64) float64 {
-	f := float64(bn) / float64(an+bn)
-	return math.Min(math.Max(a*(1-f)+b*f, math.Min(a, b)), math.Max(a, b))
-}
-
-// Merge folds other into p as a frozen count-weighted estimate: the merged
-// quantile is the count-weighted mean of every shard's estimate plus p's own
-// stream. The operation is commutative and associative up to float64
-// rounding (any merge tree over the same shards yields the same estimate to
-// within a few ulps), which is what makes per-shard sketches recombinable.
-// other is read, not consumed.
-func (p *P2Quantile) Merge(other *P2Quantile) {
-	p.absorb(other.own(), other.n)
-	p.absorb(other.mavg, other.mn)
-}
-
-// absorb adds one frozen estimate with weight cnt to the merged-shard mean.
-func (p *P2Quantile) absorb(est float64, cnt int64) {
-	if cnt == 0 {
-		return
-	}
-	p.mavg = weighted(p.mavg, p.mn, est, cnt)
-	p.mn += cnt
 }
 
 // KahanMean is a compensated streaming mean: samples accumulate through
@@ -264,9 +214,6 @@ func neumaierAdd(sum, c, x float64) (float64, float64) {
 	return t, c
 }
 
-// Count returns the number of samples.
-func (k *KahanMean) Count() int64 { return k.n }
-
 // Sum returns the compensated sum.
 func (k *KahanMean) Sum() float64 { return k.sum + k.c }
 
@@ -278,70 +225,11 @@ func (k *KahanMean) Mean() float64 {
 	return k.Sum() / float64(k.n)
 }
 
-// Merge folds other into k, compensating the cross-shard addition too.
-func (k *KahanMean) Merge(other *KahanMean) {
-	k.sum, k.c = neumaierAdd(k.sum, k.c, other.sum)
-	k.sum, k.c = neumaierAdd(k.sum, k.c, other.c)
-	k.n += other.n
-}
-
-// Welford is the online mean/variance accumulator of Welford (1962): one
-// pass, O(1) memory, no catastrophic cancellation on large offsets (the
-// failure mode of the naive Σx²−(Σx)² formula). The zero value is ready.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64 // Σ (x - mean)², updated incrementally
-}
-
-// Add absorbs one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() int64 { return w.n }
-
-// Mean returns the running mean, or 0 before the first sample.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the population variance.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Stddev returns the population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge folds other into w with the parallel-variance combination of Chan,
-// Golub & LeVeque; like the other streaming merges it is order-independent.
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	d := other.mean - w.mean
-	w.mean += d * float64(other.n) / float64(n)
-	w.m2 += other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	w.n = n
-}
-
 // Sketch bundles the streaming estimators one telemetry series needs:
 // count, compensated mean, exact min/max, and P² estimates of the median,
 // 95th and 99th percentiles — seven numbers, O(1) memory, 0 allocs/op.
 //
-// Construct with NewSketch (or Init on an embedded value). Sketches built
-// over disjoint shards of a stream recombine with Merge.
+// The zero value is not ready for use; call Init first.
 type Sketch struct {
 	mean     KahanMean
 	min, max float64
@@ -350,14 +238,7 @@ type Sketch struct {
 	q99      P2Quantile
 }
 
-// NewSketch returns an initialized sketch.
-func NewSketch() *Sketch {
-	s := &Sketch{}
-	s.Init()
-	return s
-}
-
-// Init prepares a zero-value Sketch (embedded values use this).
+// Init prepares a zero-value Sketch.
 func (s *Sketch) Init() {
 	s.mean = KahanMean{}
 	s.min, s.max = math.Inf(1), math.Inf(-1)
@@ -401,7 +282,7 @@ func (s *Sketch) add(x float64) {
 	s.q99.step(x)
 }
 
-// Count returns the number of samples, including merged shards.
+// Count returns the number of samples.
 func (s *Sketch) Count() int64 { return s.mean.n }
 
 // Mean returns the compensated mean, or 0 before the first sample.
@@ -448,22 +329,4 @@ func (s *Sketch) clamp(q float64) float64 {
 		return s.max
 	}
 	return q
-}
-
-// Merge folds other into s: counts, compensated sums and extremes combine
-// exactly; quantile estimates combine count-weighted (see P2Quantile.Merge).
-// Merging shards in any order or tree shape yields identical results.
-func (s *Sketch) Merge(other *Sketch) {
-	if other.mean.n > 0 {
-		if other.min < s.min {
-			s.min = other.min
-		}
-		if other.max > s.max {
-			s.max = other.max
-		}
-	}
-	s.mean.Merge(&other.mean)
-	s.q50.Merge(&other.q50)
-	s.q95.Merge(&other.q95)
-	s.q99.Merge(&other.q99)
 }

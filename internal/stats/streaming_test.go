@@ -239,196 +239,9 @@ func TestKahanMeanAlternatingSign(t *testing.T) {
 	}
 }
 
-// TestWelfordLargeOffset pins the failure mode Welford exists for: variance
-// of samples riding a large offset, where the textbook Σx² − (Σx)²/n formula
-// cancels catastrophically.
-func TestWelfordLargeOffset(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const n = 10_000
-	var w Welford
-	centered := make([]float64, n)
-	for i := 0; i < n; i++ {
-		c := r.NormFloat64()
-		centered[i] = c
-		w.Add(1e9 + c)
-	}
-	// Ground truth from the centered samples (offset shifts mean, not
-	// variance); two-pass on O(1)-magnitude values is accurate.
-	m := Mean(centered)
-	exactVar := 0.0
-	for _, c := range centered {
-		exactVar += (c - m) * (c - m)
-	}
-	exactVar /= n
-	if relErr := math.Abs(w.Variance()-exactVar) / exactVar; relErr > 1e-6 {
-		t.Errorf("Welford variance %v vs exact %v (rel err %.3g)", w.Variance(), exactVar, relErr)
-	}
-	wantMean := 1e9 + m
-	if relErr := math.Abs(w.Mean()-wantMean) / wantMean; relErr > 1e-12 {
-		t.Errorf("Welford mean %v, want %v", w.Mean(), wantMean)
-	}
-}
-
-func TestWelfordMergeMatchesSingleStream(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	xs := make([]float64, 9_999)
-	for i := range xs {
-		xs[i] = r.NormFloat64()*3 + 42
-	}
-	var whole Welford
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	var merged Welford
-	for i := 0; i < len(xs); i += 1000 {
-		end := i + 1000
-		if end > len(xs) {
-			end = len(xs)
-		}
-		var shard Welford
-		for _, x := range xs[i:end] {
-			shard.Add(x)
-		}
-		merged.Merge(&shard)
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("merged count %d != %d", merged.Count(), whole.Count())
-	}
-	if diff := math.Abs(merged.Mean() - whole.Mean()); diff > 1e-9 {
-		t.Errorf("merged mean %v vs single-stream %v", merged.Mean(), whole.Mean())
-	}
-	if relErr := math.Abs(merged.Variance()-whole.Variance()) / whole.Variance(); relErr > 1e-9 {
-		t.Errorf("merged variance %v vs single-stream %v", merged.Variance(), whole.Variance())
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Sketch merge properties.
-// ---------------------------------------------------------------------------
-
-func sketchShards(xs []float64, k int) []*Sketch {
-	shards := make([]*Sketch, k)
-	for i := range shards {
-		shards[i] = NewSketch()
-	}
-	for i, x := range xs {
-		shards[i%k].Add(x)
-	}
-	return shards
-}
-
-func sketchSummary(s *Sketch) [7]float64 {
-	return [7]float64{float64(s.Count()), s.Mean(), s.Min(), s.Max(), s.P50(), s.P95(), s.P99()}
-}
-
-// TestSketchMergeOrderIndependence merges the same shards as a left fold, in
-// reverse, and as a balanced tree. Counts and extremes must agree exactly;
-// the float-valued fields within a few ulps (the count-weighted quantile
-// combination sums in different orders).
-func TestSketchMergeOrderIndependence(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	xs := make([]float64, 20_000)
-	for i := range xs {
-		xs[i] = r.ExpFloat64() * 10
-	}
-	const k = 8
-	merge := func(order []int) [7]float64 {
-		shards := sketchShards(xs, k)
-		acc := NewSketch()
-		for _, i := range order {
-			acc.Merge(shards[i])
-		}
-		return sketchSummary(acc)
-	}
-	tree := func() [7]float64 {
-		shards := sketchShards(xs, k)
-		for len(shards) > 1 {
-			var next []*Sketch
-			for i := 0; i+1 < len(shards); i += 2 {
-				shards[i].Merge(shards[i+1])
-				next = append(next, shards[i])
-			}
-			if len(shards)%2 == 1 {
-				next = append(next, shards[len(shards)-1])
-			}
-			shards = next
-		}
-		return sketchSummary(shards[0])
-	}
-
-	fwd := merge([]int{0, 1, 2, 3, 4, 5, 6, 7})
-	rev := merge([]int{7, 6, 5, 4, 3, 2, 1, 0})
-	bal := tree()
-	for f, name := range [...]string{"count", "mean", "min", "max", "p50", "p95", "p99"} {
-		for _, got := range [][7]float64{rev, bal} {
-			if diff := math.Abs(got[f] - fwd[f]); diff > math.Abs(fwd[f])*1e-12 {
-				t.Errorf("%s differs across merge orders: %v vs %v", name, got[f], fwd[f])
-			}
-		}
-	}
-}
-
-// TestSketchMergeApproximatesSingleStream: sharded quantile estimates must
-// land near the single-stream estimate (and hence near the exact quantile).
-func TestSketchMergeApproximatesSingleStream(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	xs := make([]float64, 50_000)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	whole := NewSketch()
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	merged := NewSketch()
-	for _, sh := range sketchShards(xs, 16) {
-		merged.Merge(sh)
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("count %d != %d", merged.Count(), whole.Count())
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Errorf("extremes differ: [%v,%v] vs [%v,%v]",
-			merged.Min(), merged.Max(), whole.Min(), whole.Max())
-	}
-	if diff := math.Abs(merged.Mean() - whole.Mean()); diff > 1e-9 {
-		t.Errorf("mean %v vs %v", merged.Mean(), whole.Mean())
-	}
-	span := whole.Max() - whole.Min()
-	for _, q := range []struct {
-		name         string
-		got, want, p float64
-	}{
-		{"p50", merged.P50(), whole.P50(), 50},
-		{"p95", merged.P95(), whole.P95(), 95},
-		{"p99", merged.P99(), whole.P99(), 99},
-	} {
-		exact := Percentile(xs, q.p)
-		if diff := math.Abs(q.got-exact) / span; diff > 0.03 {
-			t.Errorf("%s: sharded %v vs exact %v (range-err %.3g, single-stream %v)",
-				q.name, q.got, exact, diff, q.want)
-		}
-	}
-}
-
-// TestP2QuantileMergeStaysInRange pins a fuzzer-found case: the count-
-// weighted combination of a huge and a tiny estimate rounded one ulp above
-// the larger of the two, outside the observed range.
-func TestP2QuantileMergeStaysInRange(t *testing.T) {
-	xs := fuzzSamples([]byte("00000000HHHHHHHHHHHHHHHH"))
-	a, b := NewP2Quantile(4.125), NewP2Quantile(4.125)
-	a.Add(xs[0])
-	a.Add(xs[2])
-	b.Add(xs[1])
-	a.Merge(&b)
-	lo, hi := math.Min(xs[0], xs[1]), math.Max(xs[0], xs[1])
-	if q := a.Quantile(); q < lo || q > hi {
-		t.Fatalf("merged estimate %v outside observed [%v, %v]", q, lo, hi)
-	}
-}
-
 func TestSketchEmptyAndNonFinite(t *testing.T) {
-	s := NewSketch()
+	var s Sketch
+	s.Init()
 	for _, got := range []float64{s.Mean(), s.Min(), s.Max(), s.P50(), s.P95(), s.P99()} {
 		if got != 0 {
 			t.Fatalf("empty sketch accessor = %v, want 0", got)
@@ -475,7 +288,8 @@ func TestP2QuantileAddAllocs(t *testing.T) {
 }
 
 func TestSketchAddAllocs(t *testing.T) {
-	s := NewSketch()
+	var s Sketch
+	s.Init()
 	x := 0.0
 	if avg := testing.AllocsPerRun(1000, func() {
 		s.Add(x)
@@ -559,7 +373,8 @@ func TestSketchMatchesIndependentP2(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := lengths[trial%len(lengths)]
 		xs := sketchStream(r, n)
-		s := NewSketch()
+		var s Sketch
+		s.Init()
 		ps := newIndependentP2()
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, x := range xs {
@@ -568,37 +383,8 @@ func TestSketchMatchesIndependentP2(t *testing.T) {
 			if !math.IsNaN(x) && !math.IsInf(x, 0) {
 				lo, hi = math.Min(lo, x), math.Max(hi, x)
 			}
-			if err := sameAsIndependent(s, ps, lo, hi); err != nil {
+			if err := sameAsIndependent(&s, ps, lo, hi); err != nil {
 				t.Fatalf("trial %d (n=%d), after sample %d (%v): %v", trial, n, i, x, err)
-			}
-		}
-
-		// Merge a second shard into both, then keep streaming.
-		ys := sketchStream(r, lengths[(trial+3)%len(lengths)])
-		s2 := NewSketch()
-		ps2 := newIndependentP2()
-		for _, y := range ys {
-			s2.Add(y)
-			ps2.Add(y)
-			if !math.IsNaN(y) && !math.IsInf(y, 0) {
-				lo, hi = math.Min(lo, y), math.Max(hi, y)
-			}
-		}
-		s.Merge(s2)
-		for i := range ps {
-			ps[i].Merge(&ps2[i])
-		}
-		if err := sameAsIndependent(s, ps, lo, hi); err != nil {
-			t.Fatalf("trial %d (n=%d) after Merge: %v", trial, n, err)
-		}
-		for i, x := range sketchStream(r, 200) {
-			s.Add(x)
-			ps.Add(x)
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				lo, hi = math.Min(lo, x), math.Max(hi, x)
-			}
-			if err := sameAsIndependent(s, ps, lo, hi); err != nil {
-				t.Fatalf("trial %d (n=%d), sample %d after Merge (%v): %v", trial, n, i, x, err)
 			}
 		}
 	}
@@ -617,7 +403,8 @@ func BenchmarkSketchAdd(b *testing.B) {
 			xs[i] = 1e-4 * (1 + r.Float64())
 		}
 	}
-	s := NewSketch()
+	var s Sketch
+	s.Init()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -735,7 +522,8 @@ func TestP2QuantileNearMaxFloat(t *testing.T) {
 	for _, phi := range []float64{0.5, 0.95, 0.99} {
 		r := rand.New(rand.NewSource(1))
 		p := NewP2Quantile(phi)
-		sk := NewSketch()
+		var sk Sketch
+		sk.Init()
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := 1; i <= 5000; i++ {
 			x := (2*r.Float64() - 1) * 0.9 * math.MaxFloat64

@@ -190,9 +190,6 @@ func (ts *TimeSeries) Name(id SeriesID) string { return ts.s[id].name }
 // Unit returns the series unit label.
 func (ts *TimeSeries) Unit(id SeriesID) string { return ts.s[id].unit }
 
-// IsSpan reports whether the series records spans rather than samples.
-func (ts *TimeSeries) IsSpan(id SeriesID) bool { return ts.s[id].span }
-
 // Sketch returns the series' run-wide sketch; a mirror's is its leader's.
 // The pointer aliases live state and is valid until the next Record or
 // RecordSpan, after which the applier may be updating it: read it again

@@ -19,10 +19,10 @@ func TestTimeSeriesRegistration(t *testing.T) {
 	if ts.NumSeries() != 2 {
 		t.Fatalf("NumSeries = %d", ts.NumSeries())
 	}
-	if ts.Name(a) != "queue.depth" || ts.Unit(a) != "jobs" || ts.IsSpan(a) {
-		t.Errorf("series a metadata wrong: %q %q span=%v", ts.Name(a), ts.Unit(a), ts.IsSpan(a))
+	if ts.Name(a) != "queue.depth" || ts.Unit(a) != "jobs" || ts.s[a].span {
+		t.Errorf("series a metadata wrong: %q %q span=%v", ts.Name(a), ts.Unit(a), ts.s[a].span)
 	}
-	if !ts.IsSpan(b) {
+	if !ts.s[b].span {
 		t.Error("span series not marked as span")
 	}
 	if id, ok := ts.Lookup("util.up"); !ok || id != b {

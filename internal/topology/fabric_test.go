@@ -109,7 +109,7 @@ func TestBigPresetSwitchCounts(t *testing.T) {
 		t.Errorf("xgft3-big: switches = %d, want 1200", xg.NumSwitches())
 	}
 	for l := 1; l <= 3; l++ {
-		if got := xg.SwitchesAtLevel(l); got != 400 {
+		if got := xg.count[l]; got != 400 {
 			t.Errorf("xgft3-big: level-%d switches = %d, want 400", l, got)
 		}
 	}

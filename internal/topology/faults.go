@@ -44,12 +44,6 @@ func NewFaultSet(f Fabric) *FaultSet {
 // fault checks (and routes directly with RouteIDsInto) while the set is empty.
 func (fs *FaultSet) Empty() bool { return fs.cables == 0 && fs.down == 0 }
 
-// FailedCables returns the number of individually failed cables.
-func (fs *FaultSet) FailedCables() int { return fs.cables }
-
-// FailedSwitches returns the number of failed switches.
-func (fs *FaultSet) FailedSwitches() int { return fs.down }
-
 // FailLink fails the physical cable of id (both directions). Failing an
 // already-failed cable is a no-op, so fail/repair events always pair.
 func (fs *FaultSet) FailLink(id LinkID) {
@@ -93,11 +87,6 @@ func (fs *FaultSet) RepairNode(node int32) {
 	}
 	fs.nodes[node>>6] &^= 1 << uint(node&63)
 	fs.down--
-}
-
-// NodeDown reports whether the switch with the given node ID is failed.
-func (fs *FaultSet) NodeDown(node int32) bool {
-	return fs.nodes[node>>6]&(1<<uint(node&63)) != 0
 }
 
 // Blocked reports whether a directed link is unusable: its cable failed, or

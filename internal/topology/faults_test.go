@@ -303,18 +303,19 @@ func TestFaultSetComposition(t *testing.T) {
 	}
 	fs.FailLink(s2s)
 	fs.FailLink(s2s) // idempotent
-	if fs.FailedCables() != 1 || !fs.Blocked(s2s) || !fs.Blocked(Reverse(s2s)) {
+	if fs.cables != 1 || !fs.Blocked(s2s) || !fs.Blocked(Reverse(s2s)) {
 		t.Fatal("cable fault must block both directions exactly once")
 	}
 	// Fail the switch at the cable's source too; repairing the switch must
 	// not resurrect the independently failed cable.
 	sw := tab.From[s2s]
+	nodeDown := func() bool { return fs.nodes[sw>>6]&(1<<uint(sw&63)) != 0 }
 	fs.FailNode(sw)
-	if !fs.NodeDown(sw) || fs.FailedSwitches() != 1 {
+	if !nodeDown() || fs.down != 1 {
 		t.Fatal("switch fault not recorded")
 	}
 	fs.RepairNode(sw)
-	if fs.NodeDown(sw) || !fs.Blocked(s2s) {
+	if nodeDown() || !fs.Blocked(s2s) {
 		t.Fatal("switch repair must leave the independent cable fault in place")
 	}
 	fs.RepairLink(Reverse(s2s))

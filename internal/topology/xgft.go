@@ -187,9 +187,6 @@ func (t *XGFT) NumSwitches() int {
 	return n
 }
 
-// SwitchesAtLevel returns the number of level-l switches (1 <= l <= H).
-func (t *XGFT) SwitchesAtLevel(l int) int { return t.count[l] }
-
 // NumCables returns the physical cable count.
 func (t *XGFT) NumCables() int { return t.tab.NumCables() }
 

@@ -12,10 +12,10 @@ func TestPaperTopologyShape(t *testing.T) {
 	if got := x.NumTerminals(); got != 252 {
 		t.Errorf("terminals = %d, want 252 (18*14)", got)
 	}
-	if got := x.SwitchesAtLevel(1); got != 14 {
+	if got := x.count[1]; got != 14 {
 		t.Errorf("leaf switches = %d, want 14", got)
 	}
-	if got := x.SwitchesAtLevel(2); got != 18 {
+	if got := x.count[2]; got != 18 {
 		t.Errorf("top switches = %d, want 18", got)
 	}
 	// Cables: 252 node-leaf + 14*18 leaf-top.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -144,7 +145,7 @@ func FuzzTraceBinary(f *testing.F) {
 // Peers and roots range over int32's extremes, byte counts and durations
 // over zero, negative and huge values. Every stored op reads back equal,
 // each rank's cursor reports the op Append rejected, and NumOps, NumCalls,
-// ComputeTime, IdleDistribution and Validate agree with the reference. The
+// ComputeTime, SourceIdleDistribution and Validate agree with the reference. The
 // pack writer's verbatim copy of the ranks equals packing them op by op.
 func FuzzTraceAppend(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 7, 1, 0, 1, 6, 8, 2, 1, 0, 3, 2, 7, 0, 7, 5, 2, 4, 0, 9})
@@ -263,8 +264,9 @@ func FuzzTraceAppend(f *testing.F) {
 		if wantErr != nil {
 			idle = IdleDist{} // an invalid trace has no distribution
 		}
-		if got := tr.IdleDistribution(); got != idle {
-			t.Fatalf("IdleDistribution %+v, want %+v", got, idle)
+		// SourceIdleDistribution wraps the first rank's cursor error.
+		if got, err := SourceIdleDistribution(tr); got != idle || fmt.Sprint(errors.Unwrap(err)) != fmt.Sprint(wantErr) {
+			t.Fatalf("SourceIdleDistribution %+v, %v; want %+v, %v", got, err, idle, wantErr)
 		}
 		if err := tr.Validate(); fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("Validate = %v, want %v", err, wantErr)

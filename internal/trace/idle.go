@@ -61,21 +61,3 @@ func (d *IdleDist) Add(idle time.Duration) {
 		d.Time[2] += idle
 	}
 }
-
-// Merge accumulates other into d.
-func (d *IdleDist) Merge(other IdleDist) {
-	for i := 0; i < 3; i++ {
-		d.Count[i] += other.Count[i]
-		d.Time[i] += other.Time[i]
-	}
-}
-
-// IdleDistribution aggregates the idle-interval distribution over every rank
-// of the trace, as in the paper's Table I: per rank, the accumulated
-// computation time between consecutive MPI calls, the periods during which
-// the rank's host link carries no traffic from it. A trace that fails
-// Validate has none: its distribution is zero.
-func (t *Trace) IdleDistribution() IdleDist {
-	d, _ := SourceIdleDistribution(t) // a cursor fails only on an op Append rejected
-	return d
-}

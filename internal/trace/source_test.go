@@ -193,7 +193,7 @@ func TestSourceIdleDistributionMatchesMaterialized(t *testing.T) {
 		tr.Append(r, Compute(50*time.Microsecond))
 		tr.Append(r, Barrier())
 	}
-	want := tr.IdleDistribution()
+	want := IdleDist{Count: [3]int{0, 2, 2}, Time: [3]time.Duration{0, 100 * time.Microsecond, 600 * time.Microsecond}}
 	got, err := SourceIdleDistribution(tr)
 	if err != nil {
 		t.Fatal(err)

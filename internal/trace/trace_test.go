@@ -185,7 +185,10 @@ func TestRankIdleIntervals(t *testing.T) {
 	tr.Append(0, Compute(20*us)) // merged: 50µs between calls
 	tr.Append(0, Barrier())
 	tr.Append(0, Compute(99*us)) // trailing: not an interval
-	d := tr.IdleDistribution()
+	d, err := SourceIdleDistribution(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.Count != [3]int{0, 1, 0} || d.TotalTime() != 50*us {
 		t.Errorf("intervals = %v totalling %v, want one of 50µs", d.Count, d.TotalTime())
 	}
@@ -200,7 +203,10 @@ func TestIdleDistributionAggregates(t *testing.T) {
 		tr.Append(r, Compute(50*us))
 		tr.Append(r, Barrier())
 	}
-	d := tr.IdleDistribution()
+	d, err := SourceIdleDistribution(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.Count != [3]int{0, 2, 2} {
 		t.Errorf("counts = %v", d.Count)
 	}

@@ -108,7 +108,10 @@ func TestTableIShape(t *testing.T) {
 
 	// WRF: the overwhelming majority of idle intervals are sub-20 µs.
 	wrf, _ := Generate("wrf", 8, opt)
-	d := wrf.IdleDistribution()
+	d, err := trace.SourceIdleDistribution(wrf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pct := d.CountPct(0); pct < 70 {
 		t.Errorf("wrf short-interval share = %.1f%%, want >70 (paper: 94%%)", pct)
 	}
@@ -119,7 +122,10 @@ func TestTableIShape(t *testing.T) {
 	for _, app := range Apps() {
 		np := ProcCounts(app)[0]
 		tr, _ := Generate(app, np, opt)
-		d := tr.IdleDistribution()
+		d, err := trace.SourceIdleDistribution(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
 		longShare := d.TimePct(1) + d.TimePct(2)
 		if longShare < 96 {
 			t.Errorf("%s/%d: reclaimable idle share = %.2f%%, want >96", app, np, longShare)
@@ -128,7 +134,9 @@ func TestTableIShape(t *testing.T) {
 
 	// NAS MG: a visible population in the awkward 20–200 µs bucket.
 	mg, _ := Generate("nasmg", 8, opt)
-	d = mg.IdleDistribution()
+	if d, err = trace.SourceIdleDistribution(mg); err != nil {
+		t.Fatal(err)
+	}
 	if d.Count[1] == 0 {
 		t.Error("nasmg has no 20-200µs intervals; the V-cycle structure is missing")
 	}
