@@ -255,8 +255,7 @@ func BenchmarkFig6_Timeline(b *testing.B) {
 func BenchmarkFig3_PPAWalkthrough(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bl := ngram.NewBuilder(20 * time.Microsecond)
-		det := ngram.NewDetector(0)
-		var now time.Duration
+		det := ngram.NewDetector()
 		for it := 0; it < 8; it++ {
 			for _, ev := range []struct {
 				id  ngram.EventID
@@ -265,8 +264,7 @@ func BenchmarkFig3_PPAWalkthrough(b *testing.B) {
 				{41, 300 * time.Microsecond}, {41, 5 * time.Microsecond}, {41, 5 * time.Microsecond},
 				{10, 200 * time.Microsecond}, {10, 200 * time.Microsecond},
 			} {
-				now += ev.gap
-				if g := bl.Add(ev.id, ev.gap, now, now); g != nil {
+				if g := bl.Add(ev.id, ev.gap); g != nil {
 					det.AddGram(g)
 				}
 			}
@@ -508,7 +506,6 @@ func BenchmarkPredictorOnCall(b *testing.B) {
 
 func BenchmarkGramBuilder(b *testing.B) {
 	bl := ngram.NewBuilder(20 * time.Microsecond)
-	var now time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -516,8 +513,7 @@ func BenchmarkGramBuilder(b *testing.B) {
 		if i%4 == 0 {
 			gap = 100 * time.Microsecond
 		}
-		now += gap
-		bl.Add(ngram.EventID(i%3+1), gap, now, now)
+		bl.Add(ngram.EventID(i%3+1), gap)
 	}
 }
 
@@ -799,7 +795,7 @@ func BenchmarkDetectorAddGram(b *testing.B) {
 func steadyStateDetector(tb testing.TB) ([]*ngram.Gram, *ngram.Detector) {
 	const gt = 20 * time.Microsecond
 	bl := ngram.NewBuilder(gt)
-	det := ngram.NewDetector(0)
+	det := ngram.NewDetector()
 	stream := []struct {
 		id  ngram.EventID
 		gap time.Duration
@@ -808,11 +804,9 @@ func steadyStateDetector(tb testing.TB) ([]*ngram.Gram, *ngram.Detector) {
 		{10, 200 * time.Microsecond}, {10, 200 * time.Microsecond},
 	}
 	var grams []*ngram.Gram
-	var now time.Duration
 	for it := 0; it < 8; it++ {
 		for _, ev := range stream {
-			now += ev.gap
-			if g := bl.Add(ev.id, ev.gap, now, now); g != nil {
+			if g := bl.Add(ev.id, ev.gap); g != nil {
 				det.AddGram(g)
 				if it >= 4 {
 					kept := *g // Add reuses the Gram struct and its IDs buffer
@@ -869,7 +863,7 @@ func timeSeriesRecord(testing.TB) hotOp {
 	}
 	warm.Buckets()
 
-	ts := stats.NewTimeSeries(time.Millisecond, replay.DefaultTelemetryBuckets)
+	ts := stats.NewTimeSeries(time.Millisecond, replay.TelemetryBuckets)
 	power := ts.AddSpanSeries("power.host", "link-seconds")
 	hit := ts.AddSeries("pred.hit", "hit")
 	util := [4]stats.SeriesID{

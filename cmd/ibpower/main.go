@@ -605,9 +605,9 @@ func cmdPPA(args []string) error {
 
 	gt := 20 * time.Microsecond
 	b := ngram.NewBuilder(gt)
-	det := ngram.NewDetector(0)
-	emit := func(n int, id ngram.EventID, idle time.Duration, t time.Duration) time.Duration {
-		if g := b.Add(id, idle, t, t); g != nil {
+	det := ngram.NewDetector()
+	emit := func(n int, id ngram.EventID, idle time.Duration) {
+		if g := b.Add(id, idle); g != nil {
 			act := "add gram to array"
 			if det.AddGram(g) {
 				act = "gram fed to PPA -> prediction ACTIVE"
@@ -617,9 +617,7 @@ func cmdPPA(args []string) error {
 			fmt.Printf("  gram %-12s gap=%-8v %s\n", g.Key(), g.GapBefore, act)
 		}
 		fmt.Printf("#%-3d MPI id %-3d idle before=%v\n", n, id, idle)
-		return t
 	}
-	var t time.Duration
 	n := 0
 	for it := 0; it < *reps; it++ {
 		for i := 0; i < 3; i++ { // 41-41-41 with sub-GT gaps
@@ -628,14 +626,12 @@ func cmdPPA(args []string) error {
 			if i == 0 {
 				idle = 300 * time.Microsecond
 			}
-			t += idle
-			emit(n, 41, idle, t)
+			emit(n, 41, idle)
 		}
 		for i := 0; i < 2; i++ { // 10 ___ 10, gaps above GT
 			n++
 			idle := 200 * time.Microsecond
-			t += idle
-			emit(n, 10, idle, t)
+			emit(n, 10, idle)
 		}
 	}
 	if g := b.Flush(); g != nil {

@@ -182,7 +182,7 @@ type fixedPredictor struct {
 func (p *fixedPredictor) OnCall(id ibpower.EventID, start, end time.Duration) ibpower.Action {
 	p.st.Calls++
 	p.st.Shutdowns++
-	return ibpower.Action{Shutdown: true, PredictedIdle: p.idle, RawIdle: p.idle}
+	return ibpower.Action{Shutdown: true, PredictedIdle: p.idle}
 }
 
 func (p *fixedPredictor) Flush() {}

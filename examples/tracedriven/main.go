@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"ibpower/internal/harness"
 	"ibpower/internal/replay"
@@ -61,5 +60,4 @@ func main() {
 		fmt.Printf("%10.0f%%  %9.2f  %16.2f  %6.1f\n",
 			d*100, row.SavingPct, row.TimeIncreasePct, row.HitRatePct)
 	}
-	_ = time.Microsecond
 }

@@ -345,10 +345,11 @@ func RegisterScheduler(name string, fn SchedFunc) { scenario.Register(name, fn) 
 // placement-ordered terminals, run on the shared fabric and release on
 // completion. When the spec carries fault clauses, seeded link/switch/
 // terminal failures fire alongside the arrivals: routes detour around
-// failed hardware, jobs whose terminals die are killed and retried under
-// the config's RetryPolicy, and the result reports kills, goodput and
-// surviving capacity. Results are deterministic for a given configuration
-// at any Parallelism setting and across repeats of the same seed.
+// failed hardware, jobs whose terminals die are killed and retried up to
+// three times with 1s exponential backoff, and the result reports kills,
+// goodput and surviving capacity. Results are deterministic for a given
+// configuration at any Parallelism setting and across repeats of the same
+// seed.
 func RunScenario(cfg ScenarioConfig) (*ChurnResult, error) { return scenario.Run(cfg) }
 
 // ParseScenarioFaults parses the fault spec form the ibpower scenario

@@ -201,7 +201,8 @@ func TestFacadeScenario(t *testing.T) {
 }
 
 // TestFacadeScenarioFaults exercises the fault surface: parse clauses, run a
-// faulty scenario with a retry policy, and check the resilience metrics.
+// faulty scenario under the default retry policy, and check the resilience
+// metrics.
 func TestFacadeScenarioFaults(t *testing.T) {
 	clauses, err := ibpower.ParseScenarioFaults("term:poisson:100ms:mttr=200ms,link:poisson:150ms:mttr=100ms")
 	if err != nil {
@@ -220,7 +221,6 @@ func TestFacadeScenarioFaults(t *testing.T) {
 		Displacement: 0.01,
 		Opt:          ibpower.WorkloadOptions{Seed: 42, IterScale: 0.05},
 		Replay:       ibpower.DefaultReplayConfig(),
-		Retry:        ibpower.RetryPolicy{MaxRetries: 2, Backoff: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,12 +93,9 @@ func (c Config) Validate() error {
 
 // RankResult is the policy outcome for one process host link.
 type RankResult struct {
-	Windows        int
-	MeanPower      float64       // mean power fraction over windows
-	AddedSerial    time.Duration // extra serialization from reduced rates
-	LevelChanges   int
-	MeanUtil       float64
-	UnderProvision int // windows whose actual demand exceeded capacity
+	Windows     int
+	MeanPower   float64       // mean power fraction over windows
+	AddedSerial time.Duration // extra serialization from reduced rates
 }
 
 // SavingPct returns the link power saving relative to always-full-rate.
@@ -186,11 +183,7 @@ func evalRank(c trace.Cursor, r, np int, cfg Config) (RankResult, error) {
 			util = 1
 		}
 		estimate = cfg.EWMA*estimate + (1-cfg.EWMA)*util
-		out.MeanUtil += util
 		// Actual demand served at the level chosen BEFORE this window.
-		if util > cur.Freq {
-			out.UnderProvision++
-		}
 		out.AddedSerial += time.Duration(serNS * (1/cur.Freq - 1))
 		powerSum += cur.PowerFraction
 		out.Windows++
@@ -203,7 +196,6 @@ func evalRank(c trace.Cursor, r, np int, cfg Config) (RankResult, error) {
 			}
 		}
 		if next != cur {
-			out.LevelChanges++
 			out.AddedSerial += cfg.Relock
 		}
 		cur = next
@@ -230,7 +222,6 @@ func evalRank(c trace.Cursor, r, np int, cfg Config) (RankResult, error) {
 	}
 	if out.Windows > 0 {
 		out.MeanPower = powerSum / float64(out.Windows)
-		out.MeanUtil /= float64(out.Windows)
 	} else {
 		out.MeanPower = 1
 	}

@@ -105,16 +105,23 @@ func TestLevelChangesCostRelock(t *testing.T) {
 			tr.Append(r, trace.Compute(2*time.Millisecond))
 		}
 	}
-	res, err := Evaluate(tr, DefaultConfig())
+	cfg := DefaultConfig()
+	res, err := Evaluate(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := res.PerRank[0]
-	if rr.LevelChanges == 0 {
-		t.Error("no level changes on an alternating workload")
+	free := cfg
+	free.Relock = 0
+	base, err := Evaluate(tr, free)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rr.AddedSerial <= 0 {
-		t.Error("no serialization/relock penalty recorded")
+	if base.PerRank[0].AddedSerial <= 0 {
+		t.Error("no serialization penalty recorded")
+	}
+	// Each level change adds one relock and nothing else.
+	if extra := res.PerRank[0].AddedSerial - base.PerRank[0].AddedSerial; extra <= 0 || extra%cfg.Relock != 0 {
+		t.Errorf("relock penalty %v on an alternating workload, want a positive multiple of %v", extra, cfg.Relock)
 	}
 }
 

@@ -119,12 +119,14 @@ func jobStats(f topology.Fabric, app, predName string, gt, dedicated time.Durati
 }
 
 // generate resolves a job's trace source. The default path materializes with
-// workloads.Generate rather than wrapping workloads.NewSource: a mix's ranks
-// replay concurrently, so the engine would hold most of the trace in cursor
-// form anyway, and the materialized build costs O(NP·iters) generator work
-// versus O(NP²·iters) for rank-at-a-time generation of all NP ranks.
-// Consumers that drain one rank at a time (trace packing, offline GT runs)
-// use NewSource directly and stay O(one rank).
+// workloads.Generate rather than wrapping workloads.NewSource. NewSource's
+// Open builds one rank in time linear in its ops, but a streamed source
+// rebuilds every rank on every Open: GT selection, the dedicated baseline and
+// each admission of the job, retries included, would each regenerate all NP
+// ranks, while a running job's cursors hold all NP rank buffers anyway. The
+// materialized trace generates each rank once per distinct (app, NP), and
+// every admission reads it. Consumers that drain one rank at a time (trace
+// packing) use NewSource directly and stay O(one rank).
 func (c ChurnConfig) generate(js JobSpec) (trace.Source, error) {
 	if c.Generate != nil {
 		return c.Generate(js.App, js.NP)

@@ -12,9 +12,8 @@ import (
 func steadyDetector(t *testing.T) ([]*Gram, *Detector) {
 	t.Helper()
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	var grams []*Gram
-	var now time.Duration
 	for it := 0; it < 8; it++ {
 		for _, ev := range []struct {
 			id  EventID
@@ -23,8 +22,7 @@ func steadyDetector(t *testing.T) ([]*Gram, *Detector) {
 			{41, 300 * us}, {41, 5 * us}, {41, 5 * us},
 			{10, 200 * us}, {10, 200 * us},
 		} {
-			now += ev.gap
-			if g := b.Add(ev.id, ev.gap, now, now); g != nil {
+			if g := b.Add(ev.id, ev.gap); g != nil {
 				d.AddGram(g)
 				if it >= 4 {
 					kept := *g // Add reuses the Gram struct and its IDs buffer
@@ -85,23 +83,21 @@ func TestObserveGapAfterDetectNoAllocs(t *testing.T) {
 }
 
 // TestDetectorHistoryBounded asserts detector memory is O(detection window):
-// the gram history ring never grows past 3*maxSize however long the stream.
+// the gram history ring never grows past window however long the stream.
 func TestDetectorHistoryBounded(t *testing.T) {
-	d := NewDetector(4)
-	if len(d.hist) != 12 {
-		t.Fatalf("history capacity = %d, want 3*4", len(d.hist))
+	d := NewDetector()
+	if len(d.hist) != window {
+		t.Fatalf("history capacity = %d, want %d", len(d.hist), window)
 	}
 	b := NewBuilder(20 * us)
-	var now time.Duration
 	for i := 0; i < 100000; i++ {
 		gap := 100 * us
-		now += gap
-		if g := b.Add(EventID(i%3+1), gap, now, now); g != nil {
+		if g := b.Add(EventID(i%3+1), gap); g != nil {
 			d.AddGram(g)
 		}
 	}
-	if len(d.hist) != 12 {
-		t.Errorf("history grew to %d entries, want fixed 12", len(d.hist))
+	if len(d.hist) != window {
+		t.Errorf("history grew to %d entries, want fixed %d", len(d.hist), window)
 	}
 	if d.total < 90000 {
 		t.Errorf("absolute gram counter = %d, expected the full stream", d.total)
@@ -113,16 +109,16 @@ func TestDetectorHistoryBounded(t *testing.T) {
 // up to that gram's finalization.
 func TestBuilderSharedGram(t *testing.T) {
 	b := NewBuilder(20 * us)
-	b.Add(41, 0, 0, 0)
-	b.Add(41, 5*us, 0, 0)
-	g1 := b.Add(10, 100*us, 100*us, 100*us)
+	b.Add(41, 0)
+	b.Add(41, 5*us)
+	g1 := b.Add(10, 100*us)
 	if g1 == nil || g1.Key() != "41-41" {
 		t.Fatalf("first finalized gram = %+v, want key 41-41", g1)
 	}
 	ids1 := g1.IDs
 	// Events of the next gram go to the builder's other buffer.
-	b.Add(10, 5*us, 0, 0)
-	b.Add(10, 5*us, 0, 0)
+	b.Add(10, 5*us)
+	b.Add(10, 5*us)
 	if !slices.Equal(ids1, []EventID{41, 41}) {
 		t.Errorf("first gram's IDs = %v while the next gram grew, want [41 41]", ids1)
 	}
@@ -135,8 +131,8 @@ func TestBuilderSharedGram(t *testing.T) {
 	}
 	// Once both buffers have grown, finalizing allocates nothing.
 	allocs := testing.AllocsPerRun(100, func() {
-		b.Add(41, 100*us, 0, 0)
-		b.Add(41, 5*us, 0, 0)
+		b.Add(41, 100*us)
+		b.Add(41, 5*us)
 	})
 	if allocs != 0 {
 		t.Errorf("gram formation allocated %.1f/op, want 0", allocs)

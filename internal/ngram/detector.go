@@ -2,11 +2,15 @@ package ngram
 
 import "time"
 
-// DefaultMaxPatternSize bounds pattern growth before a pattern is detected.
+// MaxPatternSize bounds pattern growth before a pattern is detected.
 // Once a pattern is detected, maxPatternSize is frozen to the detected size
 // so that later iterations are predicted from recent timings rather than
 // merging many iterations into one huge pattern (Algorithm 2, line 32).
-const DefaultMaxPatternSize = 16
+const MaxPatternSize = 16
+
+// window is the gram history ring's capacity: a fresh detection needs three
+// consecutive occurrences of a pattern of at most MaxPatternSize grams.
+const window = 3 * MaxPatternSize
 
 // GramID is a dense identifier a detector interns for a gram shape (its
 // sequence of event IDs). Interning happens once per distinct shape per
@@ -38,13 +42,11 @@ type histEntry struct {
 
 // Detector implements the pattern prediction algorithm over a stream of
 // finalized grams. Detector memory is O(detection window + distinct grams +
-// pattern list), not O(trace): the gram history is a ring bounded to
-// 3*maxSize entries, which is exactly how far the algorithm ever looks back
-// (a fresh detection needs three consecutive occurrences of a pattern of at
-// most maxSize grams; re-anchoring walks back at most maxSize grams).
+// pattern list), not O(trace): the gram history is a ring of window
+// entries, which is exactly how far the algorithm ever looks back
+// (re-anchoring walks back at most MaxPatternSize grams).
 type Detector struct {
 	maxSize int
-	window  int // ring capacity: 3 * the construction-time maxSize
 	frozen  bool
 
 	// Gram intern table, keyed by a shape's raw event-ID bytes: the only
@@ -78,39 +80,28 @@ type Detector struct {
 	stats DetectorStats
 }
 
-// NewDetector returns a detector with the given maximum pattern size (grams
-// per pattern). maxSize <= 0 selects DefaultMaxPatternSize.
-func NewDetector(maxSize int) *Detector {
-	if maxSize <= 0 {
-		maxSize = DefaultMaxPatternSize
-	}
+// NewDetector returns a detector whose patterns grow to at most
+// MaxPatternSize grams until the first detection freezes the size.
+func NewDetector() *Detector {
 	return &Detector{
-		maxSize: maxSize,
-		window:  3 * maxSize,
+		maxSize: MaxPatternSize,
 		gramIDs: make(map[string]GramID),
-		hist:    make([]histEntry, 3*maxSize),
-		runLen:  make([]int, maxSize+1),
+		hist:    make([]histEntry, window),
+		runLen:  make([]int, MaxPatternSize+1),
 		plByIDs: make(map[string]*Pattern),
 	}
 }
 
-// Reset returns the detector to the state NewDetector(maxSize) constructs,
-// keeping its tables' storage, so one detector can serve a sequence of
-// runs. The gram intern table is kept too: GramIDs then differ from a fresh
+// Reset returns the detector to the state NewDetector constructs, keeping
+// its tables' storage, so one detector can serve a sequence of runs. The
+// gram intern table is kept too: GramIDs then differ from a fresh
 // detector's, but they only ever meet in equality tests, so the detector
 // behaves identically. The pattern list keeps its patterns as well, so a
 // run that detects a pattern an earlier run knew re-initializes it in place
 // instead of allocating; until then it is absent from Stats and Patterns.
-// The history ring and run lengths are remade only when the window size
-// changes. A pattern from before the Reset must not be used after it.
-func (d *Detector) Reset(maxSize int) {
-	if maxSize <= 0 {
-		maxSize = DefaultMaxPatternSize
-	}
+// A pattern from before the Reset must not be used after it.
+func (d *Detector) Reset() {
 	hist, runLen := d.hist, d.runLen[:cap(d.runLen)]
-	if len(hist) != 3*maxSize || len(runLen) < maxSize+1 {
-		hist, runLen = make([]histEntry, 3*maxSize), make([]int, maxSize+1)
-	}
 	// AddGram writes both before reading them; zeroing them anyway leaves
 	// exactly NewDetector's state.
 	clear(hist)
@@ -122,13 +113,12 @@ func (d *Detector) Reset(maxSize int) {
 	clear(d.detected)
 	clear(d.cands[:cap(d.cands)])
 	*d = Detector{
-		maxSize:  maxSize,
-		window:   3 * maxSize,
+		maxSize:  MaxPatternSize,
 		gramIDs:  d.gramIDs,
 		defs:     d.defs,
 		known:    d.known,
 		hist:     hist,
-		runLen:   runLen[:maxSize+1],
+		runLen:   runLen,
 		plByIDs:  d.plByIDs,
 		idKey:    d.idKey[:0],
 		detected: d.detected[:0],
@@ -138,10 +128,10 @@ func (d *Detector) Reset(maxSize int) {
 
 // gramAt returns the gram ID at absolute history index i; i must be within
 // the last `window` grams.
-func (d *Detector) gramAt(i int) GramID { return d.hist[i%d.window].id }
+func (d *Detector) gramAt(i int) GramID { return d.hist[i%window].id }
 
 // gapAt returns the idle time before the gram at absolute history index i.
-func (d *Detector) gapAt(i int) time.Duration { return d.hist[i%d.window].gap }
+func (d *Detector) gapAt(i int) time.Duration { return d.hist[i%window].gap }
 
 // intern maps a gram to its dense ID, assigning a new one for a first-seen
 // shape. After the first appearance this is a single map lookup with no
@@ -207,7 +197,7 @@ func (d *Detector) AddGram(g *Gram) bool {
 	d.stats.TotalCalls += g.NumCalls()
 	id := d.intern(g)
 	i := d.total
-	d.hist[i%d.window] = histEntry{id: id, gap: g.GapBefore}
+	d.hist[i%window] = histEntry{id: id, gap: g.GapBefore}
 	d.total++
 
 	// Maintain periodicity run lengths. While the power mode control
@@ -373,20 +363,16 @@ func (d *Detector) detect(s, i int) {
 	}
 	// Freeze the maximum pattern size to the natural iteration size so the
 	// algorithm does not keep merging iterations into ever larger patterns.
-	// The history window keeps its construction-time capacity; only the
-	// lookback shrinks.
+	// The history window keeps its capacity; only the lookback shrinks.
 	if !d.frozen || s < d.maxSize {
 		d.maxSize = s
 		d.frozen = true
-		if len(d.runLen) <= d.maxSize {
-			d.runLen = d.runLen[:d.maxSize+1]
-		}
 	}
 	// Seed gap averages from the three observed occurrences. Occurrence o
 	// starts at i-(3-o)*s+1 for o in 1..3; gram j of occurrence o sits at
 	// start+j. The gap before the first gram of the first occurrence may
 	// predate the periodic region, so it is skipped. All three occurrences
-	// lie within the 3*maxSize history window.
+	// lie within the history window.
 	p.Freq += 3
 	for o := 0; o < 3; o++ {
 		start := i - (3-o)*s + 1

@@ -27,8 +27,6 @@ type EventID uint8
 type Gram struct {
 	IDs       []EventID     // event types, in order; builder-owned, valid until the next gram is finalized
 	GapBefore time.Duration // idle time preceding the gram's first event
-	Start     time.Duration // timestamp of the first event
-	End       time.Duration // completion timestamp of the last event
 }
 
 // NumCalls returns the number of MPI events in the gram.
@@ -64,8 +62,6 @@ type Builder struct {
 	cur     []EventID
 	spare   []EventID // the previous gram's IDs; cur's buffer once the next gram is finalized
 	curGap  time.Duration
-	start   time.Duration
-	end     time.Duration
 	started bool
 
 	done Gram // builder-owned gram returned by Add/Flush
@@ -96,15 +92,15 @@ func (b *Builder) Reset(gt time.Duration) {
 // the interval, fed the same events, forms exactly the same grams.
 func (b *Builder) GTInterval() (lo, hi time.Duration) { return b.lo, b.hi }
 
-// Add feeds one event occupying [start, end]. idleBefore is the idle time
-// since the previous event ended. When the event begins a new gram, the
-// previous (now finalized) gram is returned; otherwise Add returns nil.
+// Add feeds one event. idleBefore is the idle time since the previous event
+// ended. When the event begins a new gram, the previous (now finalized) gram
+// is returned; otherwise Add returns nil.
 //
 // The returned Gram is builder-owned and overwritten by the next
 // finalization, so finalizing allocates nothing. Its IDs alias one of the
 // builder's two event buffers and stay valid until the next gram is
 // finalized; callers that keep a gram copy the struct and clone its IDs.
-func (b *Builder) Add(id EventID, idleBefore time.Duration, start, end time.Duration) *Gram {
+func (b *Builder) Add(id EventID, idleBefore time.Duration) *Gram {
 	var done *Gram
 	if b.started {
 		if idleBefore >= b.gt {
@@ -119,13 +115,8 @@ func (b *Builder) Add(id EventID, idleBefore time.Duration, start, end time.Dura
 	if !b.started {
 		b.started = true
 		b.curGap = idleBefore
-		b.start = start
-	}
-	if len(b.cur) == 0 {
-		b.start = start
 	}
 	b.cur = append(b.cur, id)
-	b.end = end
 	return done
 }
 
@@ -145,7 +136,7 @@ func (b *Builder) Flush() *Gram {
 // assigning its gap. The gram keeps the current event buffer and the next
 // gram fills the spare one, so neither allocates once both have grown.
 func (b *Builder) take() *Gram {
-	b.done = Gram{IDs: b.cur, Start: b.start, End: b.end}
+	b.done = Gram{IDs: b.cur}
 	b.cur, b.spare = b.spare[:0], b.cur
 	return &b.done
 }

@@ -19,10 +19,8 @@ func feed(t *testing.T, b *Builder, d *Detector, ids []EventID, gaps []time.Dura
 	if t != nil {
 		t.Helper()
 	}
-	var now time.Duration
 	for i, id := range ids {
-		now += gaps[i]
-		if g := b.Add(id, gaps[i], now, now); g != nil {
+		if g := b.Add(id, gaps[i]); g != nil {
 			d.AddGram(g)
 		}
 	}
@@ -49,7 +47,7 @@ func TestBuilderGroupsByGT(t *testing.T) {
 		grams = append(grams, &kept)
 	}
 	add := func(id EventID, idle time.Duration) {
-		if g := b.Add(id, idle, 0, 0); g != nil {
+		if g := b.Add(id, idle); g != nil {
 			keep(g)
 		}
 	}
@@ -81,10 +79,10 @@ func TestBuilderBoundaryExactlyGT(t *testing.T) {
 	// An idle time exactly equal to GT starts a new gram (Algorithm 1 groups
 	// only when previousIdleTime < groupingThreshold).
 	b := NewBuilder(20 * us)
-	if g := b.Add(1, 0, 0, 0); g != nil {
+	if g := b.Add(1, 0); g != nil {
 		t.Fatal("first event must not finalize a gram")
 	}
-	g := b.Add(2, 20*us, 0, 0)
+	g := b.Add(2, 20*us)
 	if g == nil || g.Key() != "1" {
 		t.Fatalf("idle == GT must close the gram, got %v", g)
 	}
@@ -96,24 +94,24 @@ func TestBuilderGTIntervalBoundary(t *testing.T) {
 		t.Fatalf("fresh builder interval (%v, %v], want (0, max]", lo, hi)
 	}
 	// The first event's idle time is never compared with GT.
-	b.Add(1, 5*us, 0, 0)
+	b.Add(1, 5*us)
 	if lo, hi := b.GTInterval(); lo != 0 || hi != math.MaxInt64 {
 		t.Fatalf("interval (%v, %v] after the first event, want (0, max]", lo, hi)
 	}
 	// idle == GT starts a new gram, so it bounds the interval from above
 	// and that bound is inclusive.
-	b.Add(2, 20*us, 0, 0)
+	b.Add(2, 20*us)
 	if _, hi := b.GTInterval(); hi != 20*us {
 		t.Errorf("hi = %v after idle == GT, want 20µs", hi)
 	}
 	// idle just below GT groups, so it bounds the interval from below.
-	b.Add(3, 20*us-1, 0, 0)
+	b.Add(3, 20*us-1)
 	if lo, _ := b.GTInterval(); lo != 20*us-1 {
 		t.Errorf("lo = %v after idle just below GT, want 20µs-1ns", lo)
 	}
 	// Looser comparisons leave the tightest bounds in place.
-	b.Add(4, 3*us, 0, 0)
-	b.Add(5, 300*us, 0, 0)
+	b.Add(4, 3*us)
+	b.Add(5, 300*us)
 	if lo, hi := b.GTInterval(); lo != 20*us-1 || hi != 20*us {
 		t.Errorf("interval (%v, %v], want (20µs-1ns, 20µs]", lo, hi)
 	}
@@ -129,7 +127,7 @@ func TestBuilderGTIntervalExact(t *testing.T) {
 		b := NewBuilder(gt)
 		var keys []string
 		for i, g := range gaps {
-			if gr := b.Add(EventID(i%3), g, 0, 0); gr != nil {
+			if gr := b.Add(EventID(i%3), g); gr != nil {
 				keys = append(keys, fmt.Sprint(gr.Key(), "/", gr.GapBefore))
 			}
 		}
@@ -145,7 +143,7 @@ func TestBuilderGTIntervalExact(t *testing.T) {
 		gt := time.Duration(20+rng.Intn(380)) * us
 		b := NewBuilder(gt)
 		for i, g := range gaps {
-			b.Add(EventID(i%3), g, 0, 0)
+			b.Add(EventID(i%3), g)
 		}
 		lo, hi := b.GTInterval()
 		if !(lo < gt && gt <= hi) {
@@ -209,7 +207,7 @@ func TestDetectorFindsPeriodicPattern(t *testing.T) {
 			iter[i] = EventID(10 + i)
 		}
 		b := NewBuilder(20 * us)
-		d := NewDetector(0)
+		d := NewDetector()
 		ids, gaps := periodicStream(iter, 100*us, 8)
 		feed(t, b, d, ids, gaps)
 		st := d.Stats()
@@ -228,7 +226,7 @@ func TestDetectorFindsPeriodicPattern(t *testing.T) {
 func TestDetectorRequiresThreeAppearances(t *testing.T) {
 	// Two appearances of a pattern must NOT trigger prediction.
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	ids, gaps := periodicStream([]EventID{1, 2}, 100*us, 2)
 	feed(t, b, d, ids, gaps)
 	if d.Predicting() {
@@ -236,7 +234,7 @@ func TestDetectorRequiresThreeAppearances(t *testing.T) {
 	}
 	// The third appearance flips it.
 	b2 := NewBuilder(20 * us)
-	d2 := NewDetector(0)
+	d2 := NewDetector()
 	ids, gaps = periodicStream([]EventID{1, 2}, 100*us, 4)
 	feed(t, b2, d2, ids, gaps)
 	if !d2.Predicting() {
@@ -248,7 +246,7 @@ func TestDetectorFigure3Walkthrough(t *testing.T) {
 	// The paper's Figure 3: stream 41-41-41, 10, 10 repeating; the pattern
 	// "41-41-41_10_10" must be detected and predicted.
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	var ids []EventID
 	var gaps []time.Duration
 	for it := 0; it < 4; it++ {
@@ -273,7 +271,7 @@ func TestDetectorFigure3Walkthrough(t *testing.T) {
 
 func TestDetectorImmediateReactivation(t *testing.T) {
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	ids, gaps := periodicStream([]EventID{1, 2}, 100*us, 5)
 	// Disturb with two foreign grams (the second kills the wildcard), then
 	// resume the pattern.
@@ -293,7 +291,7 @@ func TestDetectorImmediateReactivation(t *testing.T) {
 
 func TestDetectorWildcardSubstitution(t *testing.T) {
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	ids, gaps := periodicStream([]EventID{1, 2}, 100*us, 4)
 	// One unknown gram in place of "2", then the pattern continues.
 	ids = append(ids, 1, 9, 1, 2)
@@ -310,7 +308,7 @@ func TestDetectorWildcardSubstitution(t *testing.T) {
 
 func TestDetectorMaxPatternSizeFreeze(t *testing.T) {
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	ids, gaps := periodicStream([]EventID{1, 2, 3}, 100*us, 10)
 	feed(t, b, d, ids, gaps)
 	st := d.Stats()
@@ -345,7 +343,7 @@ func TestPatternGapEstimates(t *testing.T) {
 
 func TestDetectorPredictedGap(t *testing.T) {
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	ids, gaps := periodicStream([]EventID{1, 2}, 100*us, 6)
 	feed(t, b, d, ids, gaps)
 	if !d.Predicting() {
@@ -361,7 +359,7 @@ func TestDetectorPredictedGap(t *testing.T) {
 // the detector eventually predicts every gram.
 func TestDetectorSteadyStateHitRate(t *testing.T) {
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	const reps = 50
 	ids, gaps := periodicStream([]EventID{1, 2, 3}, 100*us, reps)
 	feed(t, b, d, ids, gaps)
@@ -395,7 +393,7 @@ func TestDetectorThreeAppearancePolicyProperty(t *testing.T) {
 			seen[iter[i]] = true
 		}
 		b := NewBuilder(20 * us)
-		d := NewDetector(0)
+		d := NewDetector()
 		ids, gaps := periodicStream(iter, 100*us, 2)
 		// Two appearances: never predicting.
 		feed(nil, b, d, ids, gaps)
@@ -412,7 +410,7 @@ func TestDetectorGapPredictionProperty(t *testing.T) {
 	f := func(gapsRaw [3]uint16) bool {
 		g1 := time.Duration(gapsRaw[0]%400+50) * us
 		b := NewBuilder(20 * us)
-		d := NewDetector(0)
+		d := NewDetector()
 		ids, gaps := periodicStream([]EventID{1, 2}, g1, 10)
 		feed(nil, b, d, ids, gaps)
 		if !d.Predicting() {
@@ -428,7 +426,7 @@ func TestDetectorGapPredictionProperty(t *testing.T) {
 
 func TestDetectorStatsPatternList(t *testing.T) {
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	ids, gaps := periodicStream([]EventID{1, 2}, 100*us, 6)
 	feed(t, b, d, ids, gaps)
 	keys := map[string]bool{}
@@ -442,7 +440,7 @@ func TestDetectorStatsPatternList(t *testing.T) {
 
 func TestExpectedGramIDs(t *testing.T) {
 	b := NewBuilder(20 * us)
-	d := NewDetector(0)
+	d := NewDetector()
 	var ids []EventID
 	var gaps []time.Duration
 	for it := 0; it < 5; it++ {
@@ -470,13 +468,11 @@ func TestDetectorRandomStreamRobustness(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		b := NewBuilder(20 * us)
-		d := NewDetector(0)
-		var now time.Duration
+		d := NewDetector()
 		count := int(n%500) + 10
 		for i := 0; i < count; i++ {
 			gap := time.Duration(rng.Intn(400)) * us
-			now += gap
-			if g := b.Add(EventID(rng.Intn(6)+1), gap, now, now); g != nil {
+			if g := b.Add(EventID(rng.Intn(6)+1), gap); g != nil {
 				d.AddGram(g)
 			}
 		}
@@ -505,10 +501,8 @@ func feedGrams(b *Builder, d *Detector, ids []EventID, gaps []time.Duration) []G
 			d.AddGram(g)
 		}
 	}
-	var now time.Duration
 	for i, id := range ids {
-		now += gaps[i]
-		add(b.Add(id, gaps[i], now, now))
+		add(b.Add(id, gaps[i]))
 	}
 	add(b.Flush())
 	return grams
@@ -572,9 +566,8 @@ func viewOf(d *Detector) detectorView {
 // prediction state, history ring, run lengths and known shapes must all
 // match, up to GramID numbering. The first stream freezes the pattern size
 // at 3 and the second needs 5, which a detector that kept the freeze or its
-// run lengths could not reach; the third shrinks the history window and the
-// fourth grows it back. The reset detector's intern table holds each shape
-// of every stream so far exactly once.
+// run lengths could not reach. The reset detector's intern table holds each
+// shape of every stream so far exactly once.
 func TestBuilderDetectorReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var rids []EventID
@@ -586,27 +579,26 @@ func TestBuilderDetectorReset(t *testing.T) {
 	p3, g3 := periodicStream([]EventID{1, 2, 3}, 100*us, 10)
 	p5, g5 := periodicStream([]EventID{4, 5, 6, 7, 8}, 100*us, 10)
 	runs := []struct {
-		gt      time.Duration
-		maxSize int
-		ids     []EventID
-		gaps    []time.Duration
-		frozen  int // the fresh detector's frozen pattern size
+		gt     time.Duration
+		ids    []EventID
+		gaps   []time.Duration
+		frozen int // the fresh detector's frozen pattern size
 	}{
-		{20 * us, 0, p3, g3, 3},
-		{20 * us, 0, p5, g5, 5},
-		{60 * us, 4, rids, rgaps, 0},
-		{102 * us, 0, p5, g5, 3},
-		{20 * us, 0, p3, g3, 3},
+		{20 * us, p3, g3, 3},
+		{20 * us, p5, g5, 5},
+		{60 * us, rids, rgaps, 0},
+		{102 * us, p5, g5, 3},
+		{20 * us, p3, g3, 3},
 	}
-	b, d := NewBuilder(runs[0].gt), NewDetector(runs[0].maxSize)
+	b, d := NewBuilder(runs[0].gt), NewDetector()
 	shapes := map[string]bool{}
 	for i, run := range runs {
 		if i > 0 {
 			b.Reset(run.gt)
-			d.Reset(run.maxSize)
+			d.Reset()
 		}
 		got := feedGrams(b, d, run.ids, run.gaps)
-		fb, fd := NewBuilder(run.gt), NewDetector(run.maxSize)
+		fb, fd := NewBuilder(run.gt), NewDetector()
 		want := feedGrams(fb, fd, run.ids, run.gaps)
 		if f := fd.Stats().MaxPatternFrozen; f != run.frozen {
 			t.Fatalf("run %d: fresh detector froze size %d, want %d", i, f, run.frozen)
@@ -644,8 +636,8 @@ func TestBuilderDetectorReset(t *testing.T) {
 func TestDetectorResetReusesPatterns(t *testing.T) {
 	ids3, gaps3 := periodicStream([]EventID{1, 2, 3}, 100*us, 10)
 	ids5, gaps5 := periodicStream([]EventID{4, 5, 6, 7, 8}, 100*us, 6)
-	p3 := feedGrams(NewBuilder(20*us), NewDetector(0), ids3, gaps3)
-	p5 := feedGrams(NewBuilder(20*us), NewDetector(0), ids5, gaps5)
+	p3 := feedGrams(NewBuilder(20*us), NewDetector(), ids3, gaps3)
+	p5 := feedGrams(NewBuilder(20*us), NewDetector(), ids5, gaps5)
 	feed := func(d *Detector, grams []Gram) {
 		for k := range grams {
 			d.AddGram(&grams[k])
@@ -653,7 +645,7 @@ func TestDetectorResetReusesPatterns(t *testing.T) {
 	}
 	check := func(name string, d *Detector, grams []Gram) {
 		t.Helper()
-		fd := NewDetector(0)
+		fd := NewDetector()
 		feed(fd, grams)
 		if fd.Stats().PatternListSize == 0 {
 			t.Fatalf("%s: the fresh detector found no pattern; the check would be vacuous", name)
@@ -662,11 +654,11 @@ func TestDetectorResetReusesPatterns(t *testing.T) {
 			t.Errorf("%s: reset detector\n%+v\nwant a fresh detector's\n%+v", name, got, want)
 		}
 	}
-	d := NewDetector(0)
+	d := NewDetector()
 	feed(d, p3)
 	check("first run", d, p3)
 	known := len(d.plByIDs)
-	d.Reset(0)
+	d.Reset()
 	feed(d, p5)
 	check("second run", d, p5)
 	if len(d.plByIDs) <= known {
@@ -674,7 +666,7 @@ func TestDetectorResetReusesPatterns(t *testing.T) {
 	}
 	known = len(d.plByIDs)
 	allocs := testing.AllocsPerRun(5, func() {
-		d.Reset(0)
+		d.Reset()
 		feed(d, p3)
 	})
 	if allocs != 0 {

@@ -28,7 +28,6 @@ import (
 // Layer owns one profiler per rank and aggregates their reports.
 type Layer struct {
 	cfg     predictor.Config
-	name    string
 	emulate bool
 
 	mu    sync.Mutex
@@ -44,15 +43,6 @@ func WithDelayEmulation() Option {
 	return func(l *Layer) { l.emulate = true }
 }
 
-// WithPredictor selects the idle predictor from the predictor registry
-// (default: the n-gram PPA). Trace-aware predictors ("oracle", "offline")
-// are legal here but never predict: the live runtime has no trace to prime
-// them with — exactly the deployment gap that makes online pattern
-// prediction the paper's contribution.
-func WithPredictor(name string) Option {
-	return func(l *Layer) { l.name = name }
-}
-
 // New builds a layer with the given mechanism configuration.
 func New(cfg predictor.Config, opts ...Option) (*Layer, error) {
 	if err := cfg.Validate(); err != nil {
@@ -62,9 +52,6 @@ func New(cfg predictor.Config, opts ...Option) (*Layer, error) {
 	for _, o := range opts {
 		o(l)
 	}
-	if err := predictor.CheckRegistered(l.name); err != nil {
-		return nil, fmt.Errorf("pmpi: %w", err)
-	}
 	return l, nil
 }
 
@@ -73,7 +60,7 @@ func (l *Layer) Factory() func(rank int) mpi.Profiler {
 	return func(rank int) mpi.Profiler {
 		p := &RankProfiler{
 			rank:    rank,
-			pred:    predictor.MustNewNamed(l.name, l.cfg),
+			pred:    predictor.MustNew(l.cfg),
 			ctrl:    power.NewController(l.cfg.Treact),
 			emulate: l.emulate,
 		}

@@ -37,11 +37,10 @@ type Controller struct {
 	closed   bool
 
 	// Counters.
-	Shutdowns     int // accepted turn-off-lanes commands
-	TimerWakes    int // reactivations triggered by the timer
-	DemandWakes   int // reactivations forced by early communication
-	DelayedEvents int // communications that had to wait for the link
-	TotalDelay    time.Duration
+	Shutdowns   int           // accepted turn-off-lanes commands
+	TimerWakes  int           // reactivations triggered by the timer
+	DemandWakes int           // reactivations forced by early communication
+	TotalDelay  time.Duration // time communications waited for the link
 }
 
 // NewController returns a controller for a link that starts in full-power
@@ -252,7 +251,6 @@ func (c *Controller) Acquire(t time.Duration) time.Duration {
 
 func (c *Controller) delayed(t, ready time.Duration) {
 	if ready > t {
-		c.DelayedEvents++
 		c.TotalDelay += ready - t
 	}
 }

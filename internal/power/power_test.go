@@ -126,7 +126,7 @@ func TestControllerAcquireWhenFull(t *testing.T) {
 	if got := c.Acquire(42 * us); got != 42*us {
 		t.Errorf("Acquire on full link = %v, want 42µs", got)
 	}
-	if c.DelayedEvents != 0 {
+	if c.TotalDelay != 0 {
 		t.Error("no delay expected on a full-power link")
 	}
 }

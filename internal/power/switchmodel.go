@@ -10,8 +10,6 @@ package power
 
 // SwitchReport aggregates one switch.
 type SwitchReport struct {
-	// Ports is the number of power-managed (host) ports.
-	Ports int
 	// MeanPortPowerFraction is the average per-port power relative to a
 	// fully-on port.
 	MeanPortPowerFraction float64
@@ -31,7 +29,7 @@ type SwitchReport struct {
 // when every managed port is simultaneously in deep mode; as a conservative
 // approximation we gate it by the minimum per-port deep fraction.
 func SwitchPower(ports []Accounting, alwaysOnPorts int) SwitchReport {
-	rep := SwitchReport{Ports: len(ports)}
+	var rep SwitchReport
 	if len(ports) == 0 {
 		rep.MeanPortPowerFraction = 1
 		rep.PowerFraction = 1

@@ -65,7 +65,7 @@ func (b *baseline) predict(raw time.Duration) Action {
 	b.st.Predictions++
 	b.pendingRaw = raw
 	b.havePending = true
-	return Action{Shutdown: true, PredictedIdle: predicted, RawIdle: raw}
+	return Action{Shutdown: true, PredictedIdle: predicted}
 }
 
 // Flush implements Predictor: a prediction still pending at end of run
@@ -99,8 +99,11 @@ func (p *lastValue) OnCall(id EventID, start, end time.Duration) Action {
 	return p.predict(p.last)
 }
 
+// ewmaAlpha is the "ewma" predictor's weight on the newest observed gap.
+const ewmaAlpha = 0.5
+
 // ewma predicts the next gap from an exponentially weighted moving average
-// of all observed gaps (weight Config.Alpha on the newest, 0.5 by default).
+// of all observed gaps (weight ewmaAlpha on the newest).
 type ewma struct {
 	baseline
 	avg     time.Duration
@@ -112,8 +115,7 @@ func (p *ewma) OnCall(id EventID, start, end time.Duration) Action {
 		if !p.haveAvg {
 			p.avg, p.haveAvg = gap, true
 		} else {
-			a := p.cfg.alpha()
-			p.avg = time.Duration(a*float64(gap) + (1-a)*float64(p.avg))
+			p.avg = time.Duration(ewmaAlpha*float64(gap) + (1-ewmaAlpha)*float64(p.avg))
 		}
 	}
 	if !p.haveAvg {

@@ -190,7 +190,7 @@ func opRun(t *testing.T, p Predictor, src trace.Source, r int, treact time.Durat
 	}
 	p.Flush()
 	ctrl.Finish(now)
-	return RankOutcome{HitRatePct: p.Stats().HitRatePct(), Acct: ctrl.Accounting(), Delay: ctrl.TotalDelay, Exec: now}
+	return RankOutcome{HitRatePct: p.Stats().HitRatePct(), Acct: ctrl.Accounting(), Delay: ctrl.TotalDelay}
 }
 
 // freshRun is the reference offline run of rank r with a newly built n-gram
@@ -280,9 +280,8 @@ func TestPrimedPredictorsSourceAgnostic(t *testing.T) {
 // reset n-gram predictor and one call buffer, through a sequence of (rank,
 // GT) runs and checks every run against a fresh predictor streaming the
 // rank's cursor. The sequence freezes a small pattern size right before
-// runs whose own pattern is larger, changes the history window through
-// MaxPatternSize, and mixes three streams, so a reset that leaked any detector,
-// builder or decode state would show.
+// runs whose own pattern is larger and mixes three streams, so a reset that
+// leaked any detector, builder or decode state would show.
 func TestReusedPredictorMatchesFresh(t *testing.T) {
 	opt := workloads.Options{IterScale: 0.25}
 	srcs := map[string]trace.Source{}
@@ -299,24 +298,22 @@ func TestReusedPredictorMatchesFresh(t *testing.T) {
 		app        string
 		rank       int
 		gt         time.Duration
-		maxSize    int
 		wantFrozen int // the reference's frozen pattern size
 	}{
-		{"alya", 0, 20 * us, 0, 3},
-		{"alya", 0, 100 * us, 0, 2},
-		{"alya", 5, 20 * us, 0, 3}, // must not inherit the size-2 freeze
-		{"nasmg", 0, 20 * us, 0, 2},
-		{"nasmg", 1, 60 * us, 0, 4}, // must not inherit the size-2 freeze
-		{"nasmg", 5, 60 * us, 3, 0}, // a smaller history window
-		{"nasmg", 5, 100 * us, 0, 4},
-		{"alya", 15, 400 * us, 0, 0},
-		{"nasmg", 15, 200 * us, 0, 2},
-		{"trainable", 0, 100 * us, 0, 2},
+		{"alya", 0, 20 * us, 3},
+		{"alya", 0, 100 * us, 2},
+		{"alya", 5, 20 * us, 3}, // must not inherit the size-2 freeze
+		{"nasmg", 0, 20 * us, 2},
+		{"nasmg", 1, 60 * us, 4}, // must not inherit the size-2 freeze
+		{"nasmg", 5, 100 * us, 4},
+		{"alya", 15, 400 * us, 0},
+		{"nasmg", 15, 200 * us, 2},
+		{"trainable", 0, 100 * us, 2},
 	}
 	ov := DefaultOverheads()
 	s := &gridScratch{}
 	for i, st := range steps {
-		cfg := Config{GT: st.gt, Displacement: 0.01, MaxPatternSize: st.maxSize}
+		cfg := Config{GT: st.gt, Displacement: 0.01}
 		src := srcs[st.app]
 		p, err := s.predictor(DefaultName, cfg)
 		if err != nil {
@@ -329,7 +326,7 @@ func TestReusedPredictorMatchesFresh(t *testing.T) {
 		got := runCalls(p, s.calls, tail, cfg.Treact, ov)
 		lo, hi := s.ng.builder.GTInterval()
 		want, wantStats, wantLo, wantHi := freshRun(t, src, st.rank, cfg, ov)
-		name := fmt.Sprintf("step %d (%s rank %d, GT %v, max size %d)", i, st.app, st.rank, st.gt, st.maxSize)
+		name := fmt.Sprintf("step %d (%s rank %d, GT %v)", i, st.app, st.rank, st.gt)
 		if f := wantStats.Detector.MaxPatternFrozen; f != st.wantFrozen {
 			t.Fatalf("%s: reference froze size %d, want %d", name, f, st.wantFrozen)
 		}

@@ -16,7 +16,6 @@ type OfflineResult struct {
 	// point of one RunOfflineGrid call slices the same arena.
 	Ranks []RankOutcome
 	Delay time.Duration // total reactivation delay suffered
-	Exec  time.Duration // max rank finish time
 	// Runs counts the rank runs simulated at this grid point; the other
 	// ranks' results are shared from a run at an earlier point. Summed over
 	// the grid it is the total number of rank simulations.
@@ -24,12 +23,12 @@ type OfflineResult struct {
 }
 
 // RankOutcome is what one rank's offline run leaves behind: the predictor's
-// hit rate, the link's realized power accounting and its timing.
+// hit rate, the link's realized power accounting, whose total is the rank's
+// finish time, and the reactivation delay.
 type RankOutcome struct {
 	HitRatePct float64 // Stats.HitRatePct of the rank's predictor
 	Acct       power.Accounting
 	Delay      time.Duration // reactivation delay suffered
-	Exec       time.Duration // rank finish time
 }
 
 // AvgHitRatePct averages the per-rank MPI call hit rates.
@@ -127,7 +126,6 @@ func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Conf
 		o.Ranks = g.ranks[j*np : (j+1)*np : (j+1)*np]
 		for r, ro := range o.Ranks {
 			o.Delay += ro.Delay
-			o.Exec = max(o.Exec, ro.Exec)
 			if g.ran[j*np+r] {
 				o.Runs++
 			}
@@ -237,7 +235,7 @@ func runCalls(p Predictor, calls []trace.CallGap, tail, treact time.Duration, ov
 	t += tail
 	p.Flush()
 	ctrl.Finish(t)
-	return RankOutcome{HitRatePct: p.Stats().HitRatePct(), Acct: ctrl.Accounting(), Delay: ctrl.TotalDelay, Exec: t}
+	return RankOutcome{HitRatePct: p.Stats().HitRatePct(), Acct: ctrl.Accounting(), Delay: ctrl.TotalDelay}
 }
 
 // OverheadReport holds wall-clock measurements of the mechanism's software

@@ -6,15 +6,12 @@ import "time"
 // Table IV): every intercepted MPI call pays the interception cost (~1 µs,
 // the measured cost of interception plus reading the system clock); calls on
 // which the full PPA runs additionally pay a cost that grows with the
-// current pattern size. The hash-table lookup itself is O(1) — uthash in the
-// paper, a Go map here — so the per-list-entry coefficient defaults to zero;
-// it exists as an ablation knob for "slower hash tables" (the paper notes
-// PPA overheads "can be further reduced by using faster hash tables").
+// current pattern size. The pattern-list lookup is O(1) — uthash in the
+// paper, a Go map here — so the list's size costs nothing.
 type OverheadModel struct {
-	Interception    time.Duration // per MPI call
-	PPABase         time.Duration // per PPA-invoked call
-	PPAPerGram      time.Duration // × current pattern size
-	PPAPerListEntry time.Duration // × pattern list entries
+	Interception time.Duration // per MPI call
+	PPABase      time.Duration // per PPA-invoked call
+	PPAPerGram   time.Duration // × current pattern size
 }
 
 // DefaultOverheads returns costs calibrated to the paper's Table IV
@@ -28,9 +25,9 @@ func DefaultOverheads() OverheadModel {
 }
 
 // PPACost returns the modelled cost of one PPA invocation given the current
-// pattern size and pattern list size. A pattern size below 2 (no pattern
-// frozen yet; the detector finds periods from 2 grams up) is charged as 2.
-func (m OverheadModel) PPACost(patternSize, listSize int) time.Duration {
+// pattern size. A pattern size below 2 (no pattern frozen yet; the detector
+// finds periods from 2 grams up) is charged as 2.
+func (m OverheadModel) PPACost(patternSize int) time.Duration {
 	patternSize = max(patternSize, 2)
-	return m.PPABase + time.Duration(patternSize)*m.PPAPerGram + time.Duration(listSize)*m.PPAPerListEntry
+	return m.PPABase + time.Duration(patternSize)*m.PPAPerGram
 }

@@ -45,14 +45,6 @@ type Config struct {
 	Displacement float64
 	// Treact is the lane (de)activation time; <= 0 selects power.Treact.
 	Treact time.Duration
-	// MaxPatternSize caps pattern growth before detection freezes it;
-	// <= 0 selects ngram.DefaultMaxPatternSize.
-	MaxPatternSize int
-	// Alpha is the smoothing factor of the "ewma" baseline predictor
-	// (weight of the newest observed gap), in (0, 1]; exactly 0 selects
-	// 0.5 and negative values are rejected by Validate. The n-gram
-	// mechanism ignores it.
-	Alpha float64
 }
 
 // Validate checks the configuration against the paper's constraints.
@@ -67,9 +59,6 @@ func (c Config) Validate() error {
 	if c.Displacement < 0 || c.Displacement >= 1 {
 		return fmt.Errorf("predictor: displacement factor %v outside [0,1)", c.Displacement)
 	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return fmt.Errorf("predictor: EWMA alpha %v outside [0,1]", c.Alpha)
-	}
 	return nil
 }
 
@@ -78,13 +67,6 @@ func (c Config) treact() time.Duration {
 		return power.Treact
 	}
 	return c.Treact
-}
-
-func (c Config) alpha() float64 {
-	if c.Alpha <= 0 {
-		return 0.5
-	}
-	return c.Alpha
 }
 
 // predictedIdle applies the Algorithm 3 safety limit to a raw idle estimate:
@@ -102,9 +84,6 @@ type Action struct {
 	// PredictedIdle is the duration to program into the link power
 	// controller's wake timer (already reduced by the safety limit).
 	PredictedIdle time.Duration
-	// RawIdle is the averaged idle estimate before the safety limit was
-	// applied (for diagnostics).
-	RawIdle time.Duration
 	// PPAInvoked reports that the full pattern prediction algorithm ran on
 	// this call (used for the Table IV overhead accounting).
 	PPAInvoked bool
@@ -121,8 +100,7 @@ func Exit(p Predictor, ctrl *power.Controller, ov OverheadModel, call trace.Call
 	// Beyond the interception the caller already paid, a call costs only
 	// when the PPA ran; skip the Stats copy otherwise.
 	if act.PPAInvoked {
-		st := p.Stats().Detector
-		end += ov.PPACost(st.MaxPatternFrozen, st.PatternListSize)
+		end += ov.PPACost(p.Stats().Detector.MaxPatternFrozen)
 	}
 	if act.Shutdown {
 		ctrl.Shutdown(end, act.PredictedIdle)
@@ -190,7 +168,7 @@ func New(cfg Config) (*NGram, error) {
 	return &NGram{
 		cfg:      cfg,
 		builder:  ngram.NewBuilder(cfg.GT),
-		detector: ngram.NewDetector(cfg.MaxPatternSize),
+		detector: ngram.NewDetector(),
 	}, nil
 }
 
@@ -199,7 +177,7 @@ func New(cfg Config) (*NGram, error) {
 // cfg must be valid.
 func (p *NGram) reset(cfg Config) {
 	p.builder.Reset(cfg.GT)
-	p.detector.Reset(cfg.MaxPatternSize)
+	p.detector.Reset()
 	*p = NGram{cfg: cfg, builder: p.builder, detector: p.detector}
 }
 
@@ -248,7 +226,7 @@ func (p *NGram) OnCall(id ngram.EventID, start, end time.Duration) Action {
 	// predicted the PPA core is mostly disabled and only the timing
 	// estimates are refreshed, which AddGram handles internally.
 	wasPredicting := p.detector.Predicting()
-	if g := p.builder.Add(id, idle, start, end); g != nil {
+	if g := p.builder.Add(id, idle); g != nil {
 		p.detector.AddGram(g)
 		if !wasPredicting || !p.detector.Predicting() {
 			// Full PPA work happened on this call.
@@ -270,7 +248,6 @@ func (p *NGram) OnCall(id ngram.EventID, start, end time.Duration) Action {
 				if predicted > 0 {
 					act.Shutdown = true
 					act.PredictedIdle = predicted
-					act.RawIdle = idleTime
 					p.shuts++
 					p.predIdle += predicted
 				}

@@ -80,16 +80,6 @@ func NewNamed(name string, cfg Config) (Predictor, error) {
 	return f(cfg)
 }
 
-// MustNewNamed is NewNamed, panicking on errors (for factories whose inputs
-// were validated up front).
-func MustNewNamed(name string, cfg Config) Predictor {
-	p, err := NewNamed(name, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // ForRank builds rank r's instance of the named predictor for src and, when
 // it is a primer, primes it with the rank's call stream. Only the primers
 // pay O(calls) memory for lookahead; every other predictor leaves the rank

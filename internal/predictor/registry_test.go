@@ -12,6 +12,16 @@ func validCfg() Config {
 	return Config{GT: 100 * us, Displacement: 0.01}
 }
 
+// mustNewNamed is NewNamed for a configuration the test knows is valid.
+func mustNewNamed(t *testing.T, name string, cfg Config) Predictor {
+	t.Helper()
+	p, err := NewNamed(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestRegistryContract runs the shared registry property test; the predictor
 // presets themselves must all be present on top of the generic contract.
 func TestRegistryContract(t *testing.T) {
@@ -48,9 +58,6 @@ func TestNewNamedValidatesConfig(t *testing.T) {
 			t.Errorf("%s accepted a sub-minimum GT", name)
 		}
 	}
-	if _, err := NewNamed("ewma", Config{GT: 100 * us, Displacement: 0.01, Alpha: 1.5}); err == nil {
-		t.Error("ewma accepted alpha > 1")
-	}
 }
 
 // periodicStream feeds n calls separated by the given gap and returns the
@@ -67,14 +74,15 @@ func periodicStream(p Predictor, n int, gap time.Duration) []Action {
 }
 
 func TestLastValueOnPeriodicStream(t *testing.T) {
-	p := MustNewNamed("lastvalue", validCfg())
+	p := mustNewNamed(t, "lastvalue", validCfg())
 	acts := periodicStream(p, 50, 500*us)
+	want := validCfg().predictedIdle(500 * us)
 	var shuts int
 	for _, a := range acts {
 		if a.Shutdown {
 			shuts++
-			if a.RawIdle != 500*us {
-				t.Errorf("raw idle %v, want the last observed 500µs", a.RawIdle)
+			if a.PredictedIdle != want {
+				t.Errorf("predicted idle %v, want %v from the last observed 500µs", a.PredictedIdle, want)
 			}
 		}
 	}
@@ -93,7 +101,7 @@ func TestLastValueOnPeriodicStream(t *testing.T) {
 }
 
 func TestLastValueMissesOnShrinkingGaps(t *testing.T) {
-	p := MustNewNamed("lastvalue", validCfg())
+	p := mustNewNamed(t, "lastvalue", validCfg())
 	var now time.Duration
 	// Alternate long and short gaps: predictions made after a long gap
 	// overshoot the short gap that follows.
@@ -115,15 +123,15 @@ func TestLastValueMissesOnShrinkingGaps(t *testing.T) {
 }
 
 func TestEWMASmoothing(t *testing.T) {
-	p := MustNewNamed("ewma", validCfg())
+	p := mustNewNamed(t, "ewma", validCfg())
 	acts := periodicStream(p, 40, 400*us)
 	last := acts[len(acts)-1]
 	if !last.Shutdown {
 		t.Fatal("no shutdown at steady state")
 	}
 	// On a constant stream the EWMA converges to the gap itself.
-	if last.RawIdle != 400*us {
-		t.Errorf("steady-state EWMA %v, want 400µs", last.RawIdle)
+	if want := validCfg().predictedIdle(400 * us); last.PredictedIdle != want {
+		t.Errorf("steady-state predicted idle %v, want %v from an EWMA of 400µs", last.PredictedIdle, want)
 	}
 	if hr := p.Stats().HitRatePct(); hr < 90 {
 		t.Errorf("hit rate %.1f%%", hr)
@@ -134,14 +142,15 @@ func TestStaticGTDegeneratesAtMinimum(t *testing.T) {
 	// At GT = 2·Treact the safety limit leaves predictedIdle = GT·(1-d) -
 	// Treact <= Treact, which the link controller rejects; the policy only
 	// bites at larger thresholds.
-	p := MustNewNamed("static-gt", Config{GT: 300 * us, Displacement: 0.01})
+	cfg := Config{GT: 300 * us, Displacement: 0.01}
+	p := mustNewNamed(t, "static-gt", cfg)
 	acts := periodicStream(p, 20, 500*us)
 	var shuts int
 	for _, a := range acts {
 		if a.Shutdown {
 			shuts++
-			if a.RawIdle != 300*us {
-				t.Errorf("static raw idle %v, want GT", a.RawIdle)
+			if want := cfg.predictedIdle(cfg.GT); a.PredictedIdle != want {
+				t.Errorf("static predicted idle %v, want %v from GT", a.PredictedIdle, want)
 			}
 		}
 	}
@@ -170,7 +179,7 @@ func TestOraclePrimedPredictsExactGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var now time.Duration
-	var raws []time.Duration
+	var preds []time.Duration
 	c := tr.Open(0)
 	for op, ok := c.Next(); ok; op, ok = c.Next() {
 		switch op.Kind {
@@ -178,17 +187,18 @@ func TestOraclePrimedPredictsExactGaps(t *testing.T) {
 			now += op.Duration
 		case trace.OpCall:
 			if act := p.OnCall(EventID(op.Call), now, now); act.Shutdown {
-				raws = append(raws, act.RawIdle)
+				preds = append(preds, act.PredictedIdle)
 			}
 		}
 	}
 	p.Flush()
-	if len(raws) == 0 {
+	if len(preds) == 0 {
 		t.Fatal("primed oracle made no predictions")
 	}
-	for _, r := range raws {
-		if r != 600*us && r != 150*us {
-			t.Errorf("oracle predicted %v, want an exact trace gap", r)
+	cfg := validCfg()
+	for _, r := range preds {
+		if r != cfg.predictedIdle(600*us) && r != cfg.predictedIdle(150*us) {
+			t.Errorf("oracle predicted idle %v, want one from an exact trace gap", r)
 		}
 	}
 	if hr := p.Stats().HitRatePct(); hr != 100 {
@@ -211,15 +221,16 @@ func TestProfilePredictsPerCallTypeMeans(t *testing.T) {
 			now += op.Duration
 		case trace.OpCall:
 			if act := p.OnCall(EventID(op.Call), now, now); act.Shutdown {
-				seen[EventID(op.Call)] = act.RawIdle
+				seen[EventID(op.Call)] = act.PredictedIdle
 			}
 		}
 	}
-	if seen[EventID(trace.CallSendrecv)] != 600*us {
-		t.Errorf("profile mean after Sendrecv = %v, want 600µs", seen[EventID(trace.CallSendrecv)])
+	cfg := validCfg()
+	if got, want := seen[EventID(trace.CallSendrecv)], cfg.predictedIdle(600*us); got != want {
+		t.Errorf("predicted idle after Sendrecv = %v, want %v from a 600µs mean", got, want)
 	}
-	if seen[EventID(trace.CallAllreduce)] != 150*us {
-		t.Errorf("profile mean after Allreduce = %v, want 150µs", seen[EventID(trace.CallAllreduce)])
+	if got, want := seen[EventID(trace.CallAllreduce)], cfg.predictedIdle(150*us); got != want {
+		t.Errorf("predicted idle after Allreduce = %v, want %v from a 150µs mean", got, want)
 	}
 }
 
@@ -227,7 +238,7 @@ func TestUnprimedTraceAwarePredictNothing(t *testing.T) {
 	// The live PMPI layer cannot prime the oracle or the profile; they must
 	// degrade to no-ops rather than guessing.
 	for _, name := range []string{"oracle", "offline"} {
-		p := MustNewNamed(name, validCfg())
+		p := mustNewNamed(t, name, validCfg())
 		for _, a := range periodicStream(p, 30, 500*us) {
 			if a.Shutdown {
 				t.Errorf("%s emitted a shutdown without being primed", name)
@@ -245,7 +256,7 @@ func TestRunOfflineGridOnePointAllPredictors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(res.Ranks) != 1 || res.Exec <= 0 {
+		if len(res.Ranks) != 1 || res.Ranks[0].Acct.Total() <= 0 {
 			t.Errorf("%s: malformed result %+v", name, res)
 		}
 	}

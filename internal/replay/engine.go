@@ -60,10 +60,9 @@ type rankState struct {
 }
 
 // jobState is one placed workload during a (possibly multi-job) replay. It
-// holds the job's source and identity, never the decoded ops — rank streams
-// live only inside the per-rank cursors.
+// holds the job's identity, never the decoded ops — rank streams live only
+// inside the per-rank cursors.
 type jobState struct {
-	src  trace.Source
 	app  string
 	np   int
 	pw   PowerConfig // the job's effective power configuration
@@ -110,7 +109,7 @@ type engine struct {
 // whole rank up front; ForRank decodes its call stream for them only.
 func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start time.Duration, label func(r int) string) error {
 	m := src.Meta()
-	js := &jobState{src: src, app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
+	js := &jobState{app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
 	e.jobs = append(e.jobs, js)
 	steps := trace.StepsCap(m.NP)
 	for r := 0; r < m.NP; r++ {

@@ -8,13 +8,14 @@ import (
 	"ibpower/internal/topology"
 )
 
-// Telemetry defaults.
+// Telemetry defaults and bounds.
 const (
 	// DefaultTelemetryTick is the initial bucket width of the telemetry
 	// time series; long runs coarsen it by doubling (stats.TimeSeries).
 	DefaultTelemetryTick = time.Millisecond
-	// DefaultTelemetryBuckets bounds per-series bucket storage.
-	DefaultTelemetryBuckets = 512
+	// TelemetryBuckets bounds per-series bucket storage; when a run
+	// outgrows it the tick doubles and buckets fold.
+	TelemetryBuckets = 512
 )
 
 // TelemetryConfig opts a run into streaming time-series telemetry. It is
@@ -25,10 +26,6 @@ type TelemetryConfig struct {
 	Enabled bool
 	// Tick is the initial bucket width; <= 0 selects DefaultTelemetryTick.
 	Tick time.Duration
-	// MaxBuckets bounds per-series bucket storage; when a run outgrows it
-	// the tick doubles and buckets fold. <= 0 selects
-	// DefaultTelemetryBuckets.
-	MaxBuckets int
 }
 
 // WithTelemetry returns cfg with telemetry enabled at the given tick
@@ -76,11 +73,7 @@ func newTelemetry(tc TelemetryConfig, topo topology.Fabric) *telemetry {
 	if tick <= 0 {
 		tick = DefaultTelemetryTick
 	}
-	mb := tc.MaxBuckets
-	if mb <= 0 {
-		mb = DefaultTelemetryBuckets
-	}
-	ts := stats.NewTimeSeries(tick, mb)
+	ts := stats.NewTimeSeries(tick, TelemetryBuckets)
 	t := &telemetry{
 		ts:    ts,
 		power: ts.AddSpanSeries("power.host", "link-seconds"),

@@ -56,15 +56,6 @@ type Config struct {
 
 	// Ctx stops the event loop early when cancelled.
 	Ctx context.Context
-	// Retry governs requeueing of fault-killed jobs when the spec has fault
-	// clauses; the zero value selects DefaultRetryPolicy.
-	Retry multijob.RetryPolicy
-}
-
-// DefaultRetryPolicy is applied when the spec injects faults and the config
-// leaves Retry zero: three retries with 1s exponential backoff.
-func DefaultRetryPolicy() multijob.RetryPolicy {
-	return multijob.RetryPolicy{MaxRetries: 3, Backoff: time.Second}
 }
 
 // Run expands the spec and simulates the scenario. The result is
@@ -84,9 +75,10 @@ func Run(cfg Config) (*multijob.ChurnResult, error) {
 	}
 	// The fault stream draws from RNGs derived from the spec seed, entirely
 	// separate from the arrival stream's, so "the same spec plus faults"
-	// sees the same jobs arrive at the same times.
+	// sees the same jobs arrive at the same times. A fault-killed job is
+	// requeued at most three times, with 1s exponential backoff.
 	var faults multijob.FaultSource
-	retry := cfg.Retry
+	var retry multijob.RetryPolicy
 	if len(cfg.Spec.Faults) > 0 {
 		fabric, err := cfg.Replay.Fabric()
 		if err != nil {
@@ -97,9 +89,7 @@ func Run(cfg Config) (*multijob.ChurnResult, error) {
 			return nil, err
 		}
 		faults = fs
-		if retry == (multijob.RetryPolicy{}) {
-			retry = DefaultRetryPolicy()
-		}
+		retry = multijob.RetryPolicy{MaxRetries: 3, Backoff: time.Second}
 	}
 	return multijob.RunChurn(multijob.ChurnConfig{
 		Arrivals:     arrivals,
