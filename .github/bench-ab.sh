@@ -16,7 +16,7 @@
 # same names.
 set -euo pipefail
 
-NAMES="BenchmarkReplayAlya16 BenchmarkReplayTelemetry BenchmarkTableIII_GTChoice BenchmarkStreamReplay BenchmarkNetworkTransfer BenchmarkDragonflyTransfer BenchmarkMultijob BenchmarkBigFabricRoutes BenchmarkBigFabricReplay BenchmarkScenarioChurn BenchmarkChurnWithFaults BenchmarkTimeSeriesRecord BenchmarkGenerateFig7"
+NAMES="BenchmarkReplayAlya16 BenchmarkReplayTelemetry BenchmarkTableIII_GTChoice BenchmarkStreamReplay BenchmarkNetworkTransfer BenchmarkDragonflyTransfer BenchmarkMultijob BenchmarkBigFabricRoutes BenchmarkBigFabricReplay BenchmarkScenarioChurn BenchmarkChurnWithFaults BenchmarkTimeSeriesRecord BenchmarkGenerateFig7 BenchmarkChurnAdmit"
 LIMIT=2
 RUNS=5
 

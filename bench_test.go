@@ -385,7 +385,7 @@ func BenchmarkBaselineDVS(b *testing.B) {
 	})
 	b.Run("dvs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := dvs.Evaluate(tr, dvs.DefaultConfig())
+			res, err := dvs.Evaluate(tr)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -691,6 +691,34 @@ func multijobReplay(tb testing.TB) hotOp {
 			tb.Fatal(err)
 		}
 	}, unit: "calls/s", per: calls}
+}
+
+// BenchmarkChurnAdmit times one admission of a replay.Churn session on the
+// paper XGFT with the mechanism on: each operation admits alya at 16
+// processes on terminals 0-15 at the previous job's finish and drains it.
+// The session lives across operations, so from the second admission on
+// every rank's step buffer, n-gram predictor and link controller is the
+// previous job's, reset in place.
+func BenchmarkChurnAdmit(b *testing.B) { benchHot(b, churnAdmit) }
+
+func churnAdmit(tb testing.TB) hotOp {
+	tr := alya16(tb)
+	c, err := replay.NewChurn(replay.DefaultConfig().WithPower(20*time.Microsecond, 0.01))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	terms := make([]int, tr.NP)
+	for r := range terms {
+		terms[r] = r
+	}
+	var at time.Duration
+	return hotOp{run: func(int) {
+		res, err := c.AdmitAt(at, replay.Job{Trace: tr, Terminals: terms})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		at += res[0].ExecTime
+	}, unit: "calls/s", per: float64(tr.NumCalls())}
 }
 
 // BenchmarkScenarioChurn reports jobs/s through the churn event loop's

@@ -43,9 +43,10 @@ var hotPaths = []struct {
 	{"ChurnWithFaults", churnWithFaults, 1000, 0, 0},
 	{"TimeSeriesRecord", timeSeriesRecord, 1000, 0, 0},
 	{"ReplayAlya16", replayAlya16, 5, 497, 89_666},
-	{"ReplayTelemetry", replayTelemetry, 5, 544, 2_289_794},
+	{"ReplayTelemetry", replayTelemetry, 5, 531, 2_288_314},
 	{"StreamReplay", streamReplay, 5, 513, 109_634},
 	{"Multijob", multijobReplay, 5, 503, 88_986},
+	{"ChurnAdmit", churnAdmit, 5, 26, 4_088},
 	{"BigFabricReplay", bigFabricReplay, 5, 497, 1_220_170},
 	{"TableIII_GTChoice", gtChoice, 5, 112, 38_970},
 	{"GenerateFig7", generateFig7, 2, 336, 5_413_088},

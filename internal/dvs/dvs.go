@@ -21,75 +21,36 @@ import (
 	"ibpower/internal/trace"
 )
 
-// Level is one operating point of the link.
-type Level struct {
-	Freq          float64 // relative frequency/bandwidth (1.0 = 40 Gb/s)
-	PowerFraction float64 // power relative to nominal at this level
+// level is one operating point of the link.
+type level struct {
+	freq          float64 // relative frequency/bandwidth (1.0 = 40 Gb/s)
+	powerFraction float64 // power relative to nominal at this level
 }
 
-// DefaultLevels models a SerDes whose dynamic power scales with frequency
-// over a 55 % static floor: P(f) = 0.55 + 0.45·f. The quarter-rate point
-// then draws 66 % of nominal — compare WRPS's 43 % — which encodes the
-// paper's observation that DVS has much lower saving potential.
-func DefaultLevels() []Level {
-	return []Level{
-		{Freq: 0.25, PowerFraction: 0.55 + 0.45*0.25},
-		{Freq: 0.50, PowerFraction: 0.55 + 0.45*0.50},
-		{Freq: 0.75, PowerFraction: 0.55 + 0.45*0.75},
-		{Freq: 1.00, PowerFraction: 1.0},
-	}
-}
-
-// Config parameterises the history-based policy.
-type Config struct {
-	Window   time.Duration // utilization accounting window
-	Levels   []Level       // ascending by Freq
-	EWMA     float64       // history weight on the previous estimate (0..1)
-	Headroom float64       // capacity margin: need Freq >= util/Headroom
-	Relock   time.Duration // frequency-change penalty (~100 ns)
-
-	BandwidthBitsPerSec float64 // full-rate link speed
-}
-
-// DefaultConfig returns the evaluation defaults.
-func DefaultConfig() Config {
-	return Config{
-		Window:              100 * time.Microsecond,
-		Levels:              DefaultLevels(),
-		EWMA:                0.5,
-		Headroom:            0.5,
-		Relock:              100 * time.Nanosecond,
-		BandwidthBitsPerSec: 40e9,
+// levels returns the link's operating points, ascending by frequency. They
+// model a SerDes whose dynamic power scales with frequency over a 55 %
+// static floor: P(f) = 0.55 + 0.45·f. The quarter-rate point then draws
+// 66 % of nominal — compare WRPS's 43 % — which encodes the paper's
+// observation that DVS has much lower saving potential.
+func levels() [4]level {
+	return [4]level{
+		{freq: 0.25, powerFraction: 0.55 + 0.45*0.25},
+		{freq: 0.50, powerFraction: 0.55 + 0.45*0.50},
+		{freq: 0.75, powerFraction: 0.55 + 0.45*0.75},
+		{freq: 1.00, powerFraction: 1.0},
 	}
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Window <= 0 {
-		return fmt.Errorf("dvs: non-positive window")
-	}
-	if len(c.Levels) == 0 {
-		return fmt.Errorf("dvs: no levels")
-	}
-	for i := 1; i < len(c.Levels); i++ {
-		if c.Levels[i].Freq <= c.Levels[i-1].Freq {
-			return fmt.Errorf("dvs: levels must ascend by frequency")
-		}
-	}
-	if c.Levels[len(c.Levels)-1].Freq != 1.0 {
-		return fmt.Errorf("dvs: top level must be full rate")
-	}
-	if c.EWMA < 0 || c.EWMA >= 1 {
-		return fmt.Errorf("dvs: EWMA weight %v outside [0,1)", c.EWMA)
-	}
-	if c.Headroom <= 0 || c.Headroom > 1 {
-		return fmt.Errorf("dvs: headroom %v outside (0,1]", c.Headroom)
-	}
-	if c.BandwidthBitsPerSec <= 0 {
-		return fmt.Errorf("dvs: non-positive bandwidth")
-	}
-	return nil
-}
+// The history-based policy's parameters.
+const (
+	window   = 100 * time.Microsecond // utilization accounting window
+	ewma     = 0.5                    // history weight on the previous estimate
+	headroom = 0.5                    // capacity margin: need freq >= util/headroom
+	// relock is the frequency-change penalty (~100 ns).
+	relock = 100 * time.Nanosecond
+	// bytesPerNS is the full-rate link speed, 40 Gb/s.
+	bytesPerNS = 40e9 / 8 / 1e9
+)
 
 // RankResult is the policy outcome for one process host link.
 type RankResult struct {
@@ -132,10 +93,10 @@ func (r *Result) AvgAddedSerial() time.Duration {
 
 // Evaluate runs the history-based DVS policy over every rank of the trace,
 // reading each rank once through a cursor.
-func Evaluate(src trace.Source, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func Evaluate(src trace.Source) (*Result, error) { return evaluate(src, relock) }
+
+// evaluate is Evaluate charging relock per frequency change.
+func evaluate(src trace.Source, relock time.Duration) (*Result, error) {
 	if err := trace.ValidateSource(src); err != nil {
 		return nil, err
 	}
@@ -143,7 +104,7 @@ func Evaluate(src trace.Source, cfg Config) (*Result, error) {
 	res := &Result{PerRank: make([]RankResult, m.NP)}
 	for r := 0; r < m.NP; r++ {
 		var err error
-		if res.PerRank[r], err = evalRank(src.Open(r), r, m.NP, cfg); err != nil {
+		if res.PerRank[r], err = evalRank(src.Open(r), r, m.NP, relock); err != nil {
 			return nil, fmt.Errorf("dvs: %s np=%d rank %d: %w", m.App, m.NP, r, err)
 		}
 	}
@@ -164,43 +125,43 @@ func injectedBytes(op trace.Op, r, np int) int {
 	return n
 }
 
-func evalRank(c trace.Cursor, r, np int, cfg Config) (RankResult, error) {
+func evalRank(c trace.Cursor, r, np int, relock time.Duration) (RankResult, error) {
 	var out RankResult
-	full := cfg.Levels[len(cfg.Levels)-1]
+	lv := levels()
+	full := lv[len(lv)-1]
 	cur := full
-	bytesPerNS := cfg.BandwidthBitsPerSec / 8 / 1e9
 
 	var t time.Duration
-	winEnd := cfg.Window
+	winEnd := window
 	winBytes := 0
 	estimate := 0.0
 	var powerSum float64
 
 	closeWindow := func() {
 		serNS := float64(winBytes) / bytesPerNS
-		util := serNS / float64(cfg.Window)
+		util := serNS / float64(window)
 		if util > 1 {
 			util = 1
 		}
-		estimate = cfg.EWMA*estimate + (1-cfg.EWMA)*util
+		estimate = ewma*estimate + (1-ewma)*util
 		// Actual demand served at the level chosen BEFORE this window.
-		out.AddedSerial += time.Duration(serNS * (1/cur.Freq - 1))
-		powerSum += cur.PowerFraction
+		out.AddedSerial += time.Duration(serNS * (1/cur.freq - 1))
+		powerSum += cur.powerFraction
 		out.Windows++
 		// Pick the level for the next window from the history estimate.
 		next := full
-		for _, l := range cfg.Levels {
-			if l.Freq >= estimate/cfg.Headroom {
+		for _, l := range lv {
+			if l.freq >= estimate/headroom {
 				next = l
 				break
 			}
 		}
 		if next != cur {
-			out.AddedSerial += cfg.Relock
+			out.AddedSerial += relock
 		}
 		cur = next
 		winBytes = 0
-		winEnd += cfg.Window
+		winEnd += window
 	}
 
 	for op, ok := c.Next(); ok; op, ok = c.Next() {

@@ -10,29 +10,6 @@ import (
 
 const us = time.Microsecond
 
-func TestConfigValidate(t *testing.T) {
-	good := DefaultConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := []func(*Config){
-		func(c *Config) { c.Window = 0 },
-		func(c *Config) { c.Levels = nil },
-		func(c *Config) { c.Levels = []Level{{Freq: 0.5}, {Freq: 0.25}} },
-		func(c *Config) { c.Levels = []Level{{Freq: 0.5, PowerFraction: 0.7}} },
-		func(c *Config) { c.EWMA = 1.5 },
-		func(c *Config) { c.Headroom = 0 },
-		func(c *Config) { c.BandwidthBitsPerSec = 0 },
-	}
-	for i, mut := range bad {
-		c := DefaultConfig()
-		mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
-	}
-}
-
 func TestIdleTraceDropsToLowestLevel(t *testing.T) {
 	tr := trace.New("idle", 2)
 	for r := 0; r < 2; r++ {
@@ -40,7 +17,7 @@ func TestIdleTraceDropsToLowestLevel(t *testing.T) {
 		tr.Append(r, trace.Compute(10*time.Millisecond))
 		tr.Append(r, trace.Barrier())
 	}
-	res, err := Evaluate(tr, DefaultConfig())
+	res, err := Evaluate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +41,7 @@ func TestBusyTraceStaysFast(t *testing.T) {
 			tr.Append(r, trace.Compute(100*us))
 		}
 	}
-	res, err := Evaluate(tr, DefaultConfig())
+	res, err := Evaluate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +63,7 @@ func TestDVSSavesLessThanWRPSCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Evaluate(tr, DefaultConfig())
+		res, err := Evaluate(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,14 +82,11 @@ func TestLevelChangesCostRelock(t *testing.T) {
 			tr.Append(r, trace.Compute(2*time.Millisecond))
 		}
 	}
-	cfg := DefaultConfig()
-	res, err := Evaluate(tr, cfg)
+	res, err := Evaluate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := cfg
-	free.Relock = 0
-	base, err := Evaluate(tr, free)
+	base, err := evaluate(tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +94,8 @@ func TestLevelChangesCostRelock(t *testing.T) {
 		t.Error("no serialization penalty recorded")
 	}
 	// Each level change adds one relock and nothing else.
-	if extra := res.PerRank[0].AddedSerial - base.PerRank[0].AddedSerial; extra <= 0 || extra%cfg.Relock != 0 {
-		t.Errorf("relock penalty %v on an alternating workload, want a positive multiple of %v", extra, cfg.Relock)
+	if extra := res.PerRank[0].AddedSerial - base.PerRank[0].AddedSerial; extra <= 0 || extra%relock != 0 {
+		t.Errorf("relock penalty %v on an alternating workload, want a positive multiple of %v", extra, relock)
 	}
 }
 

@@ -42,7 +42,7 @@ func (r *Runner) DVS(displacement float64, np int) ([]DVSRow, error) {
 			if err != nil {
 				return DVSRow{}, err
 			}
-			dv, err := dvs.Evaluate(src, dvs.DefaultConfig())
+			dv, err := dvs.Evaluate(src)
 			if err != nil {
 				return DVSRow{}, err
 			}

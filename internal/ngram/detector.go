@@ -93,13 +93,17 @@ func NewDetector() *Detector {
 }
 
 // Reset returns the detector to the state NewDetector constructs, keeping
-// its tables' storage, so one detector can serve a sequence of runs. The
-// gram intern table is kept too: GramIDs then differ from a fresh
-// detector's, but they only ever meet in equality tests, so the detector
-// behaves identically. The pattern list keeps its patterns as well, so a
-// run that detects a pattern an earlier run knew re-initializes it in place
-// instead of allocating; until then it is absent from Stats and Patterns.
-// A pattern from before the Reset must not be used after it.
+// its tables' storage, so one detector can serve a sequence of runs. It has
+// two callers, both through predictor.Reuse: a pool worker of
+// predictor.RunOfflineGrid resets its detector for every n-gram run, and a
+// replay session (replay.Churn) resets each finished rank's detector for a
+// rank of a later admission, whatever app that rank runs. The gram intern
+// table is kept too: GramIDs then differ from a fresh detector's, but they
+// only ever meet in equality tests, so the detector behaves identically.
+// The pattern list keeps its patterns as well, so a run that detects a
+// pattern an earlier run knew re-initializes it in place instead of
+// allocating; until then it is absent from Stats and Patterns. A pattern
+// from before the Reset must not be used after it.
 func (d *Detector) Reset() {
 	hist, runLen := d.hist, d.runLen[:cap(d.runLen)]
 	// AddGram writes both before reading them; zeroing them anyway leaves
@@ -182,10 +186,23 @@ func (d *Detector) PredictedGapAfterExpected() time.Duration {
 func (d *Detector) Stats() DetectorStats {
 	s := d.stats
 	s.PatternListSize = len(d.detected)
-	if d.frozen {
-		s.MaxPatternFrozen = d.maxSize
-	}
+	s.MaxPatternFrozen = d.FrozenSize()
 	return s
+}
+
+// FrozenSize returns DetectorStats.MaxPatternFrozen without copying the
+// statistics: the frozen maximum pattern size, or 0 before any detection.
+func (d *Detector) FrozenSize() int {
+	if d.frozen {
+		return d.maxSize
+	}
+	return 0
+}
+
+// CallCounts returns DetectorStats.PredictedCalls and TotalCalls without
+// copying the statistics.
+func (d *Detector) CallCounts() (predicted, total int) {
+	return d.stats.PredictedCalls, d.stats.TotalCalls
 }
 
 // AddGram feeds one finalized gram. It returns true when this gram switched

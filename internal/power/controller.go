@@ -54,10 +54,19 @@ func NewController(treact time.Duration) *Controller {
 // start is ever accounted. Jobs admitted mid-timeline onto a shared fabric
 // use this so their energy numbers span exactly their own lifetime.
 func NewControllerAt(treact, start time.Duration) *Controller {
+	c := &Controller{}
+	c.ResetAt(treact, start)
+	return c
+}
+
+// ResetAt returns c to the state NewControllerAt(treact, start) builds, so
+// one controller can serve a sequence of jobs: deep mode, the observer and
+// the timeline are detached, and accounting and counters start at zero.
+func (c *Controller) ResetAt(treact, start time.Duration) {
 	if treact <= 0 {
 		treact = Treact
 	}
-	return &Controller{treact: treact, mode: ModeFull, modeSince: start}
+	*c = Controller{treact: treact, mode: ModeFull, modeSince: start}
 }
 
 // RecordTimeline attaches a timeline that receives state intervals.

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -248,5 +249,69 @@ func TestPaperConstants(t *testing.T) {
 	}
 	if FullBandwidthBitsPerSec != 40e9 || LowBandwidthBitsPerSec != 10e9 {
 		t.Error("bandwidths must be 40/10 Gb/s (4X vs 1X QDR)")
+	}
+}
+
+// TestControllerResetAtMatchesNew runs a controller through deep and plain
+// cycles with a timeline and an observer attached, resets it with ResetAt,
+// and checks it against a NewControllerAt controller: equal right after the
+// reset, and equal over a Shutdown/Acquire sequence with deep mode and an
+// observer enabled on both (observed intervals, accounting, counters).
+func TestControllerResetAtMatchesNew(t *testing.T) {
+	type interval struct {
+		m        Mode
+		from, to time.Duration
+	}
+	// drive enables deep mode and an observer, then alternates shutdowns
+	// woken by the timer with ones cut short by early traffic.
+	drive := func(c *Controller, start time.Duration, deep DeepConfig) []interval {
+		var seen []interval
+		c.EnableDeep(deep)
+		c.Observe(func(m Mode, from, to time.Duration) { seen = append(seen, interval{m, from, to}) })
+		now := start
+		for i, idle := range []time.Duration{5 * time.Millisecond, 100 * us, 3 * time.Millisecond, 50 * us, 800 * us} {
+			c.Shutdown(now, idle)
+			wait := idle + 2*Treact // the timer wakes the link first
+			if i%2 == 1 {
+				wait = idle / 2 // traffic arrives early: a demand wake
+			}
+			now = c.Acquire(now+wait) + 20*us
+		}
+		c.Finish(now)
+		return seen
+	}
+
+	c := NewControllerAt(0, 0)
+	c.RecordTimeline("before")
+	drive(c, 0, DeepConfig{MinIdle: 200 * us})
+	if c.DemandWakes == 0 || c.TimerWakes == 0 {
+		t.Fatalf("setup run: %d demand and %d timer wakes, want both", c.DemandWakes, c.TimerWakes)
+	}
+	const start = 40 * time.Millisecond
+	c.ResetAt(2*Treact, start)
+	fresh := NewControllerAt(2*Treact, start)
+	if !reflect.DeepEqual(c, fresh) {
+		t.Fatalf("reset controller %+v, want %+v", c, fresh)
+	}
+
+	got := drive(c, start, DeepConfig{})
+	want := drive(fresh, start, DeepConfig{})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("observed intervals differ:\n got %v\nwant %v", got, want)
+	}
+	if c.Accounting() != fresh.Accounting() {
+		t.Errorf("accounting %+v, want %+v", c.Accounting(), fresh.Accounting())
+	}
+	if c.Shutdowns != fresh.Shutdowns || c.TimerWakes != fresh.TimerWakes ||
+		c.DemandWakes != fresh.DemandWakes || c.TotalDelay != fresh.TotalDelay {
+		t.Errorf("counters %d/%d/%d/%v, want %d/%d/%d/%v",
+			c.Shutdowns, c.TimerWakes, c.DemandWakes, c.TotalDelay,
+			fresh.Shutdowns, fresh.TimerWakes, fresh.DemandWakes, fresh.TotalDelay)
+	}
+	if fresh.Accounting().Deep == 0 || fresh.DemandWakes == 0 {
+		t.Error("the compared run entered no deep mode or took no demand wake; the check would be vacuous")
+	}
+	if c.Timeline() != nil {
+		t.Error("the timeline survived ResetAt")
 	}
 }

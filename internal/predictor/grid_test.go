@@ -3,6 +3,7 @@ package predictor
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -315,16 +316,21 @@ func TestReusedPredictorMatchesFresh(t *testing.T) {
 	for i, st := range steps {
 		cfg := Config{GT: st.gt, Displacement: 0.01}
 		src := srcs[st.app]
-		p, err := s.predictor(DefaultName, cfg)
-		if err != nil {
-			t.Fatal(err)
+		p := Reuse(s.pred, DefaultName, cfg)
+		if p == nil {
+			if i > 0 {
+				t.Fatalf("step %d: the worker's n-gram predictor was not reused", i)
+			}
+			p = MustNew(cfg)
+			s.pred = p
 		}
 		var tail time.Duration
+		var err error
 		if s.calls, tail, err = trace.Calls(s.calls, src.Open(st.rank)); err != nil {
 			t.Fatal(err)
 		}
 		got := runCalls(p, s.calls, tail, cfg.Treact, ov)
-		lo, hi := s.ng.builder.GTInterval()
+		lo, hi := p.(*NGram).builder.GTInterval()
 		want, wantStats, wantLo, wantHi := freshRun(t, src, st.rank, cfg, ov)
 		name := fmt.Sprintf("step %d (%s rank %d, GT %v)", i, st.app, st.rank, st.gt)
 		if f := wantStats.Detector.MaxPatternFrozen; f != st.wantFrozen {
@@ -338,6 +344,106 @@ func TestReusedPredictorMatchesFresh(t *testing.T) {
 		}
 		if lo != wantLo || hi != wantHi {
 			t.Errorf("%s: GT interval (%v, %v], want (%v, %v]", name, lo, hi, wantLo, wantHi)
+		}
+	}
+}
+
+// TestReuseAcrossAppsMatchesNew drives an n-gram predictor over a nasmg
+// rank at one configuration, resets it through Reuse at another and drives
+// it over a gromacs rank: every Action and the final Stats must equal a
+// fresh New's on that rank. Reuse must decline every other pairing.
+func TestReuseAcrossAppsMatchesNew(t *testing.T) {
+	opt := workloads.Options{IterScale: 0.1}
+	// actions feeds rank r's calls, each lasting 1 µs after its gap.
+	actions := func(p Predictor, app string, r int) []Action {
+		tr, err := workloads.Generate(app, 16, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls, _, err := trace.Calls(nil, tr.Open(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acts []Action
+		var now time.Duration
+		for _, c := range calls {
+			now += c.Gap
+			acts = append(acts, p.OnCall(EventID(c.Call), now, now+us))
+			now += us
+		}
+		p.Flush()
+		return acts
+	}
+	cfg := Config{GT: 20 * us, Displacement: 0.01}
+	prev := MustNew(Config{GT: 100 * us, Displacement: 0.05})
+	actions(prev, "nasmg", 3)
+	if prev.Stats().Detector.MaxPatternFrozen == 0 {
+		t.Fatal("nasmg froze no pattern size; the reset would be vacuous")
+	}
+	p := Reuse(prev, "", cfg)
+	if p != Predictor(prev) {
+		t.Fatalf("Reuse returned %v, want the n-gram predictor reset in place", p)
+	}
+	got := actions(p, "gromacs", 0)
+	fresh := MustNew(cfg)
+	want := actions(fresh, "gromacs", 0)
+	if !slices.ContainsFunc(want, func(a Action) bool { return a.Shutdown }) {
+		t.Fatal("gromacs rank 0 never shut down; the comparison would be vacuous")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("reused predictor saw %d calls, New %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("call %d: reused predictor's action %+v, New's %+v", i, got[i], want[i])
+		}
+	}
+	if got, want := p.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused predictor's stats differ from New's\n got %+v\nwant %+v", got, want)
+	}
+
+	lv, err := NewNamed("lastvalue", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prev Predictor
+		name string
+	}{{lv, DefaultName}, {fresh, "ewma"}, {nil, DefaultName}} {
+		if p := Reuse(c.prev, c.name, cfg); p != nil {
+			t.Errorf("Reuse(%T, %q) = %T, want nil", c.prev, c.name, p)
+		}
+	}
+}
+
+// TestHitCountsMatchStats checks HitCounts against every built-in
+// predictor's Stats after a run: the detector's call counts for the n-gram
+// mechanism, the emitted predictions for the baselines. It also checks
+// frozenSize, Exit's PPA-cost read, against Stats. (Other tests register
+// more names, so the list is spelled out.)
+func TestHitCountsMatchStats(t *testing.T) {
+	tr, err := workloads.Generate("alya", 16, workloads.Options{IterScale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{GT: 20 * us, Displacement: 0.01}
+	for _, name := range []string{DefaultName, "oracle", "offline", "lastvalue", "ewma", "static-gt"} {
+		p, err := ForRank(name, cfg, tr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opRun(t, p, tr, 0, cfg.Treact, DefaultOverheads())
+		st := p.Stats()
+		hits, total := HitCounts(p)
+		want := [2]int{st.PredHits, st.Predictions}
+		if name == DefaultName {
+			want = [2]int{st.Detector.PredictedCalls, st.Detector.TotalCalls}
+		}
+		if [2]int{hits, total} != want || total == 0 {
+			t.Errorf("%s: HitCounts = %d/%d, want %d/%d from Stats (and some opportunities)", name, hits, total, want[0], want[1])
+		}
+		if got := frozenSize(p); got != st.Detector.MaxPatternFrozen {
+			t.Errorf("%s: frozenSize = %d, Stats says %d", name, got, st.Detector.MaxPatternFrozen)
 		}
 	}
 }

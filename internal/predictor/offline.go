@@ -81,7 +81,7 @@ func (o *OfflineResult) TotalLow() time.Duration {
 // the pool size. Each pool worker keeps one scratch for the whole call: a
 // rank is decoded once into the worker's call buffer, every grid run of the
 // rank loops over it, and every n-gram run resets the worker's predictor
-// instead of building a new one.
+// (Reuse) instead of building a new one.
 func RunOfflineGrid(src trace.Source, name string, gts []time.Duration, cfg Config, ov OverheadModel, workers int) ([]*OfflineResult, error) {
 	// A shared run must not stand in for a threshold the predictor would
 	// have rejected.
@@ -151,30 +151,12 @@ type offlineGrid struct {
 
 // gridScratch is one pool worker's reusable state: the decoded call stream
 // of the rank in hand, which grid points its runs already cover, and the
-// n-gram predictor every n-gram run of the worker resets.
+// predictor of the worker's last run, which Reuse resets for the next run
+// when it is the n-gram mechanism.
 type gridScratch struct {
 	calls []trace.CallGap
 	done  []bool
-	ng    *NGram
-}
-
-// predictor returns the predictor for one run at the valid configuration
-// c: the worker's reset n-gram instance when name is the n-gram predictor,
-// a new instance otherwise.
-func (s *gridScratch) predictor(name string, c Config) (Predictor, error) {
-	if Resolve(name) != DefaultName {
-		return NewNamed(name, c)
-	}
-	if s.ng == nil {
-		ng, err := New(c)
-		if err != nil {
-			return nil, err
-		}
-		s.ng = ng
-		return ng, nil
-	}
-	s.ng.reset(c)
-	return s.ng, nil
+	pred  Predictor
 }
 
 // runRank simulates rank r at every grid point that no earlier run of the
@@ -194,9 +176,12 @@ func (g *offlineGrid) runRank(s *gridScratch, r int) error {
 		}
 		c := g.cfg
 		c.GT = gt
-		p, err := s.predictor(g.name, c)
-		if err != nil {
-			return err
+		p := Reuse(s.pred, g.name, c)
+		if p == nil {
+			if p, err = NewNamed(g.name, c); err != nil {
+				return err
+			}
+			s.pred = p
 		}
 		if pr, ok := p.(primer); ok {
 			pr.prime(s.calls, tail)

@@ -98,14 +98,41 @@ type Action struct {
 func Exit(p Predictor, ctrl *power.Controller, ov OverheadModel, call trace.CallID, start, end time.Duration) (time.Duration, Action) {
 	act := p.OnCall(EventID(call), start, end)
 	// Beyond the interception the caller already paid, a call costs only
-	// when the PPA ran; skip the Stats copy otherwise.
+	// when the PPA ran.
 	if act.PPAInvoked {
-		end += ov.PPACost(p.Stats().Detector.MaxPatternFrozen)
+		end += ov.PPACost(frozenSize(p))
 	}
 	if act.Shutdown {
 		ctrl.Shutdown(end, act.PredictedIdle)
 	}
 	return end, act
+}
+
+// frozenSize returns p's Stats().Detector.MaxPatternFrozen, reading the
+// n-gram detector directly instead of copying a Stats value on every PPA
+// invocation.
+func frozenSize(p Predictor) int {
+	if n, ok := p.(*NGram); ok {
+		return n.detector.FrozenSize()
+	}
+	return p.Stats().Detector.MaxPatternFrozen
+}
+
+// HitCounts returns the cumulative counts behind p's hit rate, in
+// HitRatePct's order: the MPI calls inside correctly predicted grams and
+// inside all grams when the detector saw any (the n-gram mechanism, read
+// without copying a Stats value), else the emitted predictions that hit and
+// all emitted predictions (the baselines). Replay telemetry samples their
+// per-call deltas.
+func HitCounts(p Predictor) (hits, total int) {
+	if n, ok := p.(*NGram); ok {
+		return n.detector.CallCounts()
+	}
+	st := p.Stats()
+	if st.Detector.TotalCalls > 0 {
+		return st.Detector.PredictedCalls, st.Detector.TotalCalls
+	}
+	return st.PredHits, st.Predictions
 }
 
 // Stats aggregates mechanism behaviour over a process lifetime.
@@ -172,13 +199,21 @@ func New(cfg Config) (*NGram, error) {
 	}, nil
 }
 
-// reset returns p to the state New(cfg) builds, reusing the builder's and
-// detector's storage, so one instance serves a sequence of offline runs.
-// cfg must be valid.
-func (p *NGram) reset(cfg Config) {
+// Reuse returns prev reset in place to the state New(cfg) builds when name
+// selects the n-gram mechanism and prev is an n-gram predictor, keeping its
+// gram builder's and detector's storage (ngram.Detector.Reset). Otherwise it
+// returns nil and the caller builds a new instance. cfg must be valid. The
+// offline grid's workers and the replay engine's recycled ranks reuse their
+// predictors through it.
+func Reuse(prev Predictor, name string, cfg Config) Predictor {
+	p, ok := prev.(*NGram)
+	if !ok || Resolve(name) != DefaultName {
+		return nil
+	}
 	p.builder.Reset(cfg.GT)
 	p.detector.Reset()
 	*p = NGram{cfg: cfg, builder: p.builder, detector: p.detector}
+	return p
 }
 
 // MustNew is New, panicking on configuration errors (for tests/benchmarks).

@@ -229,13 +229,12 @@ func (c *Churn) AdmitAt(start time.Duration, jobs ...Job) ([]*Result, error) {
 		}
 	}
 
-	// Every earlier batch drained to completion and was collected, so the
-	// batch starts on an emptied rank table: enqueue and drain cost O(batch),
-	// and the dropped ranks' predictors and controllers can be freed.
-	clear(c.e.rk)
-	c.e.rk = slices.Grow(c.e.rk[:0], ranks)
-	clear(c.e.jobs)
-	c.e.jobs = c.e.jobs[:0]
+	// Every earlier batch drained to completion and was collected (its
+	// Results hold copies), so the batch starts on an emptied rank table:
+	// enqueue and drain cost O(batch), and addJob resets the drained ranks'
+	// step buffers, predictors and controllers instead of building new ones.
+	c.e.release()
+	c.e.rk = slices.Grow(c.e.rk, ranks)
 	// A session's lone first job keeps the historical single-job timeline
 	// labels; otherwise the session-wide job number tells tenants apart.
 	lone := c.jobN == 0 && len(jobs) == 1

@@ -2,9 +2,12 @@ package replay
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"ibpower/internal/trace"
 )
 
 func identTerms(np int) []int {
@@ -217,5 +220,75 @@ func TestChurnReleaseTerminals(t *testing.T) {
 	c.ReleaseTerminals(kill, identTerms(tr.NP))
 	if _, err := c.AdmitAt(kill, Job{Trace: tr, Terminals: identTerms(tr.NP)}); err != nil {
 		t.Fatalf("admission onto early-released terminals rejected: %v", err)
+	}
+}
+
+// TestChurnRecyclesRankState asserts an admission reuses the previous
+// batch's rank state and still replays exactly as a fresh session: nasmg at
+// 16 processes on terminals 0-15, then gromacs at 16 on the same terminals
+// at nasmg's finish. The terminals share one leaf of XGFT(2;18,14;1,18), so
+// routing draws no random numbers, and nasmg's link reservations all end by
+// its finish, so the second Result must equal gromacs admitted at that time
+// on a fresh session. Every rank of the second admission must also run on
+// a rank state, predictor and controller of the first. Both record
+// timelines: the first Result's must survive the recycling untouched.
+func TestChurnRecyclesRankState(t *testing.T) {
+	nasmg, gromacs := genTrace(t, "nasmg", 16), genTrace(t, "gromacs", 16)
+	cfg := DefaultConfig().WithPower(20*time.Microsecond, 0.01)
+	cfg.Power.RecordTimelines = true
+	c, err := NewChurn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.AdmitAt(0, Job{Trace: nasmg, Terminals: identTerms(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make([]trace.Timeline, len(first[0].Timelines))
+	for i, tl := range first[0].Timelines {
+		kept[i] = trace.Timeline{Label: tl.Label, Intervals: slices.Clone(tl.Intervals)}
+	}
+	old := map[any]bool{}
+	for _, rs := range c.e.rk {
+		old[rs], old[rs.pred], old[rs.ctrl] = true, true, true
+	}
+	at := first[0].ExecTime
+	got, err := c.AdmitAt(at, Job{Trace: gromacs, Terminals: identTerms(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range c.e.rk {
+		if !old[rs] || !old[rs.pred] || !old[rs.ctrl] {
+			t.Fatalf("rank %d of the second admission runs on new state (rank %t, predictor %t, controller %t reused)",
+				rs.r, old[rs], old[rs.pred], old[rs.ctrl])
+		}
+	}
+
+	fresh, err := NewChurn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.AdmitAt(at, Job{Trace: gromacs, Terminals: identTerms(16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want[0].Shutdowns == 0 || len(kept) != 16 {
+		t.Fatalf("gromacs shut links down %d times and nasmg kept %d timelines; the comparison would be vacuous",
+			want[0].Shutdowns, len(kept))
+	}
+	for i, tl := range first[0].Timelines {
+		if !reflect.DeepEqual(*tl, kept[i]) {
+			t.Fatalf("the second admission changed the first job's timeline %q", kept[i].Label)
+		}
+	}
+	// A session's lone first job labels its timelines "rank r"; a later
+	// job's name the tenant. Only the labels may differ.
+	for _, res := range []*Result{got[0], want[0]} {
+		for _, tl := range res.Timelines {
+			tl.Label = ""
+		}
+	}
+	if !reflect.DeepEqual(got[0], want[0]) {
+		t.Errorf("gromacs on recycled rank state diverged from a fresh session:\n got %+v\nwant %+v", got[0], want[0])
 	}
 }

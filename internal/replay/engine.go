@@ -51,12 +51,11 @@ type rankState struct {
 	ctrl *power.Controller
 	jb   *jobState
 
-	// Telemetry baselines: the predictor stats snapshot after the previous
-	// call, so finishCall can record per-call hit deltas without storage.
-	lastPredictions int
-	lastPredHits    int
-	lastTotalCalls  int
-	lastPredCalls   int
+	// Telemetry baselines: the predictor's hit counts after the previous
+	// call (predictor.HitCounts), so finishCall can record per-call hit
+	// deltas without storage.
+	lastHits  int
+	lastTotal int
 }
 
 // jobState is one placed workload during a (possibly multi-job) replay. It
@@ -84,6 +83,11 @@ type engine struct {
 	rk   []*rankState // all jobs' ranks, dense in global index order
 	err  error        // first decode failure or broken invariant; drain surfaces it
 
+	// free holds drained, collected ranks of earlier batches for addJob to
+	// reset and reuse: their step buffers, n-gram predictors and link
+	// controllers. A session keeps one batch's rank state live.
+	free []*rankState
+
 	// work is a fixed-capacity ring of runnable ranks (global indexes).
 	// inWork dedupes, so at most len(rk) ranks are ever queued and the ring
 	// never grows.
@@ -107,24 +111,49 @@ type engine struct {
 // same source (a churn retry) replays from the first op again. The primed
 // predictors (the oracle's lookahead) are the one consumer that reads the
 // whole rank up front; ForRank decodes its call stream for them only.
+//
+// A rank comes off the free list when one is there: its step buffer is kept
+// when large enough, its controller is reset in place, and its predictor is
+// reset in place when both it and the job's are the n-gram mechanism
+// (predictor.Reuse). Everything else starts afresh, so a reused rank
+// replays exactly as a new one.
 func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start time.Duration, label func(r int) string) error {
 	m := src.Meta()
 	js := &jobState{app: m.App, np: m.NP, pw: pw, base: len(e.rk)}
 	e.jobs = append(e.jobs, js)
 	steps := trace.StepsCap(m.NP)
 	for r := 0; r < m.NP; r++ {
-		rs := &rankState{
+		var rs *rankState
+		if n := len(e.free); n > 0 {
+			rs = e.free[n-1]
+			e.free[n-1] = nil
+			e.free = e.free[:n-1]
+		} else {
+			rs = new(rankState)
+		}
+		micro, pred, ctrl := rs.micro, rs.pred, rs.ctrl
+		if cap(micro) < steps {
+			micro = make([]trace.Step, 0, steps)
+		}
+		*rs = rankState{
 			r: r, g: js.base + r, base: js.base, np: m.NP,
 			term: terms[r], cur: src.Open(r), clk: start, jb: js,
-			micro: make([]trace.Step, 0, steps), sendTo: -1, recvFrom: -1,
+			micro: micro[:0], sendTo: -1, recvFrom: -1,
 		}
 		if pw.Enabled {
-			p, err := predictor.ForRank(pw.PredictorName, pw.Predictor, src, r)
-			if err != nil {
-				return fmt.Errorf("replay: %w", err)
+			p := predictor.Reuse(pred, pw.PredictorName, pw.Predictor)
+			if p == nil {
+				var err error
+				if p, err = predictor.ForRank(pw.PredictorName, pw.Predictor, src, r); err != nil {
+					return fmt.Errorf("replay: %w", err)
+				}
 			}
 			rs.pred = p
-			rs.ctrl = power.NewControllerAt(pw.Predictor.Treact, start)
+			if ctrl == nil {
+				ctrl = new(power.Controller)
+			}
+			ctrl.ResetAt(pw.Predictor.Treact, start)
+			rs.ctrl = ctrl
 			if pw.DeepSleep {
 				rs.ctrl.EnableDeep(pw.Deep)
 			}
@@ -144,11 +173,30 @@ func (e *engine) addJob(src trace.Source, pw PowerConfig, terms []int, start tim
 	return nil
 }
 
-// enqueue makes every rank in the table runnable. The work ring is regrown
-// to the current rank count first; callers only invoke this between drains
-// (workLen == 0), so no queued entries are ever dropped.
+// release empties the rank and job tables of a drained, collected batch
+// and puts its ranks onto the free list. A freed rank drops its cursor and
+// job, so it pins no finished job's trace. A timeline its Result kept stays
+// intact: resetting the controller only detaches it.
+func (e *engine) release() {
+	for _, rs := range e.rk {
+		rs.cur, rs.jb = nil, nil
+		e.free = append(e.free, rs)
+	}
+	clear(e.rk)
+	e.rk = e.rk[:0]
+	clear(e.jobs)
+	e.jobs = e.jobs[:0]
+}
+
+// enqueue makes every rank in the table runnable. The work ring is kept
+// when it holds the current rank count and regrown otherwise; callers only
+// invoke this between drains (workLen == 0), so no queued entries are ever
+// dropped.
 func (e *engine) enqueue() {
-	e.work = make([]int, len(e.rk))
+	if cap(e.work) < len(e.rk) {
+		e.work = make([]int, len(e.rk))
+	}
+	e.work = e.work[:len(e.rk)]
 	e.workHead = 0
 	for len(e.inWork) < len(e.rk) {
 		e.inWork = append(e.inWork, false)
@@ -300,18 +348,15 @@ func (e *engine) finishCall(rs *rankState) {
 	}
 	rs.clk, _ = predictor.Exit(rs.pred, rs.ctrl, rs.jb.pw.Overheads, rs.op.Call, rs.callStart, rs.clk)
 	if e.tele != nil {
-		st := rs.pred.Stats()
-		// Baseline predictors report emitted predictions; the n-gram
-		// mechanism reports detector-covered calls. Either way one sample
+		// Baseline predictors count emitted predictions; the n-gram
+		// mechanism counts detector-covered calls. Either way one sample
 		// per opportunity, value = hit fraction, so the series mean is the
 		// run's hit rate and bucket means give it per interval.
-		if d := st.Predictions - rs.lastPredictions; d > 0 {
-			e.tele.recordHit(rs.clk, float64(st.PredHits-rs.lastPredHits)/float64(d))
-		} else if d := st.Detector.TotalCalls - rs.lastTotalCalls; d > 0 {
-			e.tele.recordHit(rs.clk, float64(st.Detector.PredictedCalls-rs.lastPredCalls)/float64(d))
+		hits, total := predictor.HitCounts(rs.pred)
+		if d := total - rs.lastTotal; d > 0 {
+			e.tele.recordHit(rs.clk, float64(hits-rs.lastHits)/float64(d))
 		}
-		rs.lastPredictions, rs.lastPredHits = st.Predictions, st.PredHits
-		rs.lastTotalCalls, rs.lastPredCalls = st.Detector.TotalCalls, st.Detector.PredictedCalls
+		rs.lastHits, rs.lastTotal = hits, total
 	}
 }
 

@@ -64,6 +64,10 @@ type telemetry struct {
 	low     stats.SeriesID
 	hit     stats.SeriesID
 	linkSid []stats.SeriesID // per directed LinkID: its util.* class series
+
+	// modes holds observeMode's observer per deep-mode draw fraction, so
+	// every rank with that fraction shares one.
+	modes map[float64]func(m power.Mode, from, to time.Duration)
 }
 
 // newTelemetry builds the recorder and registers the engine-level series.
@@ -79,6 +83,7 @@ func newTelemetry(tc TelemetryConfig, topo topology.Fabric) *telemetry {
 		power: ts.AddSpanSeries("power.host", "link-seconds"),
 		low:   ts.AddSpanSeries("power.low", "link-seconds"),
 		hit:   ts.AddSeries("pred.hit", "hit"),
+		modes: make(map[float64]func(power.Mode, time.Duration, time.Duration)),
 	}
 	const unit = "busy-seconds"
 	hostup := ts.AddSpanSeries("util.hostup", unit)
@@ -120,12 +125,16 @@ func (t *telemetry) ObserveBusy(link topology.LinkID, start, end time.Duration) 
 // observeMode is the power.Controller observer: every closed mode interval
 // becomes a power-draw span (link-seconds weighted by the mode's draw
 // fraction) and, for the saving modes, a low-time span. deepFraction is the
-// controller's deep-mode draw (0 when deep mode is off).
+// controller's deep-mode draw (0 when deep mode is off). The observer is
+// built once per fraction and shared.
 func (t *telemetry) observeMode(deepFraction float64) func(m power.Mode, from, to time.Duration) {
 	if deepFraction <= 0 {
 		deepFraction = power.DeepPowerFraction
 	}
-	return func(m power.Mode, from, to time.Duration) {
+	if fn, ok := t.modes[deepFraction]; ok {
+		return fn
+	}
+	fn := func(m power.Mode, from, to time.Duration) {
 		sec := (to - from).Seconds()
 		frac := 1.0 // full power; shifts are charged at full draw too
 		switch m {
@@ -138,6 +147,8 @@ func (t *telemetry) observeMode(deepFraction float64) func(m power.Mode, from, t
 		}
 		t.ts.RecordSpan(t.power, from, to, sec*frac)
 	}
+	t.modes[deepFraction] = fn
+	return fn
 }
 
 // recordHit records one prediction opportunity for a rank: hit is 1 when
